@@ -152,11 +152,11 @@ impl Metrics {
             ),
             server_batches_total: r.counter(
                 "td_server_batches_total",
-                "Coalesced batches dispatched to the executor",
+                "Batches served (one per serving-worker grab from the queue)",
             ),
             server_batch_size: r.histogram(
                 "td_server_batch_size",
-                "Requests per coalesced batch (raw counts)",
+                "Requests per serving-worker grab (raw counts)",
             ),
             server_request_seconds: r.histogram_seconds(
                 "td_server_request_seconds",

@@ -9,14 +9,18 @@ use crate::control::OverloadPolicy;
 /// their traffic.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Executor worker threads (0 = all cores).
+    /// Serving worker threads (0 = all cores, resolved once at start).
     pub workers: usize,
     /// Admission queue capacity — the hard bound on queued requests.
     pub queue_capacity: usize,
-    /// Maximum requests coalesced into one executor batch.
+    /// Maximum requests one worker takes from the queue in one grab.
     pub max_batch: usize,
-    /// How long the coalescer tops up a batch after its first request
-    /// before dispatching it anyway (the latency/throughput trade).
+    /// The period of the shared boundaries a burst assembles to: a worker
+    /// that pops a request and finds more queued behind it sleeps until the
+    /// next multiple of this on the server's clock before taking its share.
+    /// A lone request is never held, and no request is held across more
+    /// than one boundary (a backlogged server does not pause), so this adds
+    /// less than itself to a request's latency. Zero turns the wait off.
     pub coalesce_window: Duration,
     /// Settle cap per query in Normal mode (`u64::MAX` = uncapped).
     pub normal_settles: u64,

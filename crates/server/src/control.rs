@@ -1,6 +1,6 @@
 // td-lint: reader-path
 // (control plane: pure decision functions — no locks, no channels, no
-// allocation; the dispatcher and admission path call these inline)
+// allocation; the serving workers and admission path call these inline)
 
 //! The overload control plane, as data-in/data-out functions.
 //!
@@ -25,7 +25,7 @@
 //! `degrade_above`) so the controller cannot flap on a queue hovering at
 //! one boundary.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use td_dijkstra::QueryBudget;
 
@@ -133,8 +133,8 @@ pub fn admission_decision(
     None
 }
 
-/// One transition of the overload state machine, evaluated by the
-/// dispatcher after every batch.
+/// One transition of the overload state machine, evaluated by a serving
+/// worker after every batch.
 // td-lint: hot
 pub fn next_mode(
     mode: OverloadMode,
@@ -177,6 +177,46 @@ pub fn next_mode(
             }
         }
     }
+}
+
+/// How many requests a serving worker takes in one grab, the one it
+/// blocked for included: an even share of what the queue holds
+/// (`depth` is what the blocking pop left behind), so an idle worker is
+/// never left out of a burst, and batches grow by themselves while every
+/// worker is busy. Never 0, never more than `max_batch`.
+// td-lint: hot
+#[inline]
+pub fn grab_size(depth: usize, workers: usize, max_batch: usize) -> usize {
+    (depth + 1)
+        .div_ceil(workers.max(1))
+        .clamp(1, max_batch.max(1))
+}
+
+/// How long a worker that popped a request with `behind` more queued behind
+/// it sleeps before it grabs. Nothing for a lone request: it is served at
+/// once. With company a burst is arriving, and the worker lets it assemble
+/// until the next multiple of `window` on the server's clock (`admitted` and
+/// `now` are both times since the server started). Boundaries are shared,
+/// so sleeping workers wake together and split the burst evenly; a request
+/// crosses at most one (it is held for less than `window`), and one that
+/// already has — the rest of a burst being served, a backlog, a retried
+/// slot — is never held again. A zero window turns the wait off.
+// td-lint: hot
+#[inline]
+pub fn burst_wait(
+    behind: usize,
+    admitted: Duration,
+    now: Duration,
+    window: Duration,
+) -> Option<Duration> {
+    if behind == 0 || window.is_zero() {
+        return None;
+    }
+    let (now, window) = (now.as_nanos(), window.as_nanos());
+    if now / window > admitted.as_nanos() / window {
+        return None;
+    }
+    Some(Duration::from_nanos((window - now % window) as u64))
 }
 
 /// The settle cap dispatched queries run under in `mode`.
@@ -322,6 +362,55 @@ mod tests {
             next_mode(OverloadMode::Normal, 1, 100, uncal, &POLICY),
             OverloadMode::Normal
         );
+    }
+
+    #[test]
+    fn grab_size_splits_the_queue_evenly_and_never_takes_nothing() {
+        // Never 0 — not on an empty queue, not with nonsense knobs.
+        assert_eq!(grab_size(0, 4, 64), 1);
+        assert_eq!(grab_size(0, 0, 0), 1);
+        // Fewer queued than workers: one each, the rest is for the others.
+        for depth in 0..4 {
+            assert_eq!(grab_size(depth, 4, 64), 1, "depth {depth}");
+        }
+        // An even split, rounded up so nothing is left for a fifth grab.
+        assert_eq!(grab_size(7, 4, 64), 2);
+        assert_eq!(grab_size(8, 4, 64), 3);
+        assert_eq!(grab_size(31, 2, 64), 16);
+        // Capped by max_batch.
+        assert_eq!(grab_size(1000, 4, 64), 64);
+        // One worker takes everything up to max_batch.
+        for depth in 0..200 {
+            assert_eq!(grab_size(depth, 1, 64), (depth + 1).min(64));
+        }
+    }
+
+    #[test]
+    fn burst_wait_holds_company_until_the_next_boundary_once() {
+        let us = Duration::from_micros;
+        let w = us(500);
+        // A lone request is never held, whatever the window.
+        assert_eq!(burst_wait(0, us(1_200), us(1_234), w), None);
+        assert_eq!(burst_wait(0, us(0), us(7), Duration::from_secs(10)), None);
+        // With company: until the next boundary of the server's clock.
+        assert_eq!(burst_wait(1, us(1_000), us(1_000), w), Some(us(500)));
+        assert_eq!(burst_wait(31, us(1_250), us(1_290), w), Some(us(210)));
+        assert_eq!(burst_wait(31, us(1_250), us(1_499), w), Some(us(1)));
+        // A request that has crossed a boundary goes now: the rest of a
+        // burst being served, a backlog, a retried slot.
+        assert_eq!(burst_wait(5, us(1_499), us(1_500), w), None);
+        assert_eq!(burst_wait(5, us(1_250), us(1_640), w), None);
+        assert_eq!(burst_wait(5, us(100), us(9_100), w), None);
+        // So whoever is held is let go within a window of its admission.
+        for now in (0..2_000).step_by(7) {
+            for age in (0..now.min(700)).step_by(13) {
+                if let Some(held) = burst_wait(2, us(now - age), us(now), w) {
+                    assert!(us(age) + held <= w, "now {now} age {age}");
+                }
+            }
+        }
+        // A zero window turns the wait off.
+        assert_eq!(burst_wait(5, us(70), us(77), Duration::ZERO), None);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub struct FaultPlan {
     /// Periodically poison serving-path mutexes mid-run.
     pub poison_locks: bool,
     /// Some clients stall before collecting replies (reply slots must
-    /// never backpressure the dispatcher).
+    /// never backpressure the serving workers).
     pub slow_consumers: bool,
     /// Bursts of live-update batches, including invalid ones that roll
     /// back, racing the query path.

@@ -9,7 +9,7 @@
 //! submit(s, d, t, deadline)
 //!    │  admission (O(µs)): shutdown / expired deadline / shedding mode
 //!    ▼
-//! bounded queue ──▶ coalescer ──▶ per-slot budgets ──▶ ParallelExecutor
+//! bounded queue ──▶ N workers, each: grab ▶ per-slot budgets ▶ run inline
 //!    │ full ⇒ Rejected::QueueFull       │ deadline rides into the search
 //!    ▼                                  ▼
 //! typed refusal                 exactly-one terminal reply per admission
@@ -21,10 +21,13 @@
 //!   [`ServeError`], the write-once reply slot behind [`RequestHandle`].
 //! * [`queue`](TdServer) — the bounded MPMC admission queue (producers
 //!   never block; depth is capped by construction).
-//! * [`control`](OverloadMode) — the pure overload control plane: the
-//!   Normal → Degraded → Shedding state machine with hysteresis.
-//! * [`server`](TdServer) — the dispatcher, the batching coalescer, the
-//!   single bounded panic retry, and the supervised live-update lane.
+//! * [`control`](OverloadMode) — the pure control plane: the burst-wait and
+//!   grab-size rules and the Normal → Degraded → Shedding state machine
+//!   with hysteresis.
+//! * [`server`](TdServer) — the run-to-completion serving workers (a lone
+//!   request is served at once; only a burst is let assemble, until the
+//!   next `coalesce_window` boundary), the single bounded panic retry, and
+//!   the supervised live-update lane.
 //! * [`fault`](FaultPlan) / [`soak`](run_soak) — deterministic fault
 //!   injection and the time-boxed chaos harness that proves the invariants
 //!   under the full storm.
@@ -46,7 +49,8 @@ mod update;
 
 pub use config::ServerConfig;
 pub use control::{
-    admission_decision, next_mode, settle_cap, slot_budget, OverloadMode, OverloadPolicy, Window,
+    admission_decision, burst_wait, grab_size, next_mode, settle_cap, slot_budget, OverloadMode,
+    OverloadPolicy, Window,
 };
 pub use fault::{
     silence_contained_panics, splitmix64, FaultPlan, HostileIndex, PanicSilence, INJECTED_PANIC,

@@ -4,16 +4,19 @@
 //! a full queue hands the request straight back so admission can refuse it
 //! with a typed [`crate::Rejected::QueueFull`] — depth is capped by
 //! construction, so overload can never become unbounded memory growth or
-//! silent latency collapse. The consumer (the dispatcher) blocks on a
-//! condvar and drains in coalesced batches.
+//! silent latency collapse. The consumers (the serving workers) block on
+//! the condvar only while the queue is empty: each takes one request with
+//! `pop_wait` and tops its batch up with whatever `drain_into` finds already
+//! queued — the queue itself never makes a consumer wait for more (the one
+//! bounded pause for an arriving burst is the worker's, see
+//! `control::burst_wait`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use crate::request::Pending;
-use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
+use crate::sync::{lock_recover, wait_recover};
 
 struct State {
     items: VecDeque<Pending>,
@@ -30,10 +33,10 @@ pub(crate) struct AdmissionQueue {
     depth: AtomicUsize,
 }
 
-/// Outcome of the consumer's blocking pop.
+/// Outcome of a consumer's blocking pop.
 pub(crate) enum Popped {
     Item(Pending),
-    /// Closed *and* drained: the dispatcher can retire.
+    /// Closed *and* drained: the worker can retire.
     Closed,
 }
 
@@ -77,8 +80,8 @@ impl AdmissionQueue {
     /// Re-enqueues an already-admitted request at the *head* (the panic
     /// retry path). Deliberately ignores the capacity cap: the request
     /// holds an admission slot already, and dropping it would break the
-    /// exactly-once reply invariant. No-op capacity excursions are bounded
-    /// by the batch size.
+    /// exactly-once reply invariant. Excursions past the cap are bounded
+    /// by what the workers hold: `workers × max_batch`.
     pub(crate) fn push_front(&self, p: Pending) {
         let mut state = lock_recover(&self.state);
         state.items.push_front(p);
@@ -88,7 +91,7 @@ impl AdmissionQueue {
     }
 
     /// Blocks until an item is available (or the queue is closed *and*
-    /// empty). First call of a coalesced batch.
+    /// empty). First call of a worker's batch.
     pub(crate) fn pop_wait(&self) -> Popped {
         let mut state = lock_recover(&self.state);
         loop {
@@ -103,30 +106,18 @@ impl AdmissionQueue {
         }
     }
 
-    /// Pops, waiting at most until `deadline` — the coalescing fill: after
-    /// the batch's first request, the dispatcher tops the batch up until
-    /// either it is full or the coalesce window closes. `None` on window
-    /// close *or* queue closure (the items already popped still get served).
-    pub(crate) fn pop_until(&self, deadline: Instant) -> Option<Pending> {
+    /// Moves up to `take` already-queued requests from the head into `buf`
+    /// and returns at once, however few there were: a worker's batch is
+    /// what the queue holds now, never what might still arrive.
+    pub(crate) fn drain_into(&self, take: usize, buf: &mut Vec<Pending>) {
         let mut state = lock_recover(&self.state);
-        loop {
-            if let Some(p) = state.items.pop_front() {
-                self.depth.store(state.items.len(), Ordering::Relaxed);
-                return Some(p);
-            }
-            if state.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            state = wait_timeout_recover(&self.not_empty, state, deadline - now);
-        }
+        let k = take.min(state.items.len());
+        buf.extend(state.items.drain(..k));
+        self.depth.store(state.items.len(), Ordering::Relaxed);
     }
 
-    /// Closes admission and wakes the consumer. Items already queued are
-    /// still drained by `pop_wait` before it reports `Closed`.
+    /// Closes admission and wakes every consumer. Items already queued are
+    /// still handed out by `pop_wait` before it reports `Closed`.
     pub(crate) fn close(&self) {
         let mut state = lock_recover(&self.state);
         state.closed = true;
@@ -150,7 +141,7 @@ mod tests {
     use super::*;
     use crate::request::ReplySlot;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::Instant;
 
     fn pending(i: u32) -> Pending {
         Pending {
@@ -195,17 +186,37 @@ mod tests {
         // ...but still hand out what was admitted.
         assert!(matches!(q.pop_wait(), Popped::Item(_)));
         assert!(matches!(q.pop_wait(), Popped::Closed));
-        assert!(q
-            .pop_until(Instant::now() + Duration::from_millis(1))
-            .is_none());
     }
 
     #[test]
-    fn pop_until_times_out_empty() {
-        let q = AdmissionQueue::new(4);
-        let start = Instant::now();
-        assert!(q.pop_until(start + Duration::from_millis(10)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(10));
+    fn drain_takes_what_is_queued_and_only_an_empty_pop_blocks() {
+        let q = Arc::new(AdmissionQueue::new(16));
+        // `drain_into` has no way to wait (it never touches the condvar):
+        // with k queued it hands over exactly min(k, take), head first.
+        for (k, take) in [(0usize, 3usize), (2, 5), (5, 5), (7, 3), (4, 0)] {
+            for i in 0..k {
+                assert!(q.push_back(pending(i as u32)).is_ok());
+            }
+            let mut buf = Vec::new();
+            q.drain_into(take, &mut buf);
+            let got: Vec<u32> = buf.iter().map(|p| p.query.0).collect();
+            let want: Vec<u32> = (0..k.min(take) as u32).collect();
+            assert_eq!(got, want, "k={k} take={take}");
+            assert_eq!(q.depth(), k - k.min(take));
+            q.drain_into(usize::MAX, &mut buf);
+            assert_eq!(q.depth(), 0);
+        }
+        // `pop_wait` on the now-empty queue blocks: it can only return the
+        // item pushed after the consumer was started.
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || match q.pop_wait() {
+                Popped::Item(p) => p.query.0,
+                Popped::Closed => panic!("queue is open"),
+            })
+        };
+        assert!(q.push_back(pending(77)).is_ok());
+        assert_eq!(consumer.join().unwrap(), 77);
     }
 
     #[test]

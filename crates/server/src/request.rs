@@ -149,7 +149,7 @@ impl ReplySlot {
 ///
 /// Dropping the handle is safe — the server still fulfills the slot (the
 /// reply is simply never read), so a slow or crashed consumer can never
-/// stall the dispatcher or leak the exactly-once accounting.
+/// stall a serving worker or leak the exactly-once accounting.
 pub struct RequestHandle {
     pub(crate) slot: Arc<ReplySlot>,
     pub(crate) submitted: Instant,

@@ -1,25 +1,33 @@
 //! [`TdServer`]: the threaded serving core.
 //!
 //! ```text
-//!  clients ──submit()──▶ admission ──▶ bounded queue ──▶ coalescer ──▶
-//!    ParallelExecutor::query_batch_bounded_each ──▶ reply slots
-//!                         │                             ▲
-//!                         └── typed Rejected (O(µs))    └── 1 panic retry
+//!  clients ──submit()──▶ admission ──▶ bounded queue ──▶ N serving workers,
+//!                         │             each: pop ▶ grab ▶ budgets ▶ run ▶ reply
+//!                         └── typed Rejected (O(µs))          ▲
+//!                                                             └── 1 panic retry
 //! ```
 //!
-//! One dispatcher thread drains the admission queue into coalesced batches
-//! (size- or window-triggered), builds per-slot budgets from the overload
-//! mode and each request's own deadline, and runs them on a pooled
-//! [`ParallelExecutor`]. After every batch the overload controller re-reads
-//! queue depth and the recent latency window and walks the
-//! Normal → Degraded → Shedding state machine. An optional updater thread
-//! applies live traffic refreshes through [`LiveIndex::try_apply`] with
-//! rollback-and-retry under a watchdog — an update storm sheds *updates*,
-//! never queries.
+//! `workers` run-to-completion threads share the admission queue. Each
+//! blocks only while the queue is empty. A lone request is served at once;
+//! when more are already queued behind the one a worker popped, a burst is
+//! arriving and the worker lets it assemble until the next multiple of
+//! `coalesce_window` on the server's clock ([`control::burst_wait`] — at
+//! most one boundary per request, so never a whole window and never on a
+//! backlog). The boundaries are shared: sleeping workers wake together and
+//! each takes an even share of what is queued *then*
+//! ([`control::grab_size`]). It builds per-slot budgets from the overload
+//! mode and each request's own deadline, runs the batch inline on its own
+//! one-worker [`ParallelExecutor`] (panic containment and scratch reuse
+//! included), and fulfils the reply slots. After every batch it ticks the
+//! shared overload controller — queue depth and the recent latency window
+//! walk the Normal → Degraded → Shedding state machine — and checks the
+//! update watchdog. An optional updater thread applies live traffic
+//! refreshes through [`LiveIndex::try_apply`] with rollback-and-retry — an
+//! update storm sheds *updates*, never queries.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -36,9 +44,10 @@ use crate::config::ServerConfig;
 use crate::control::{self, OverloadMode, Window};
 use crate::queue::{AdmissionQueue, Popped};
 use crate::request::{Pending, Rejected, ReplySlot, RequestHandle, ServeError, ServeResult};
+use crate::sync::lock_recover;
 use crate::update::{UpdateLane, UpdateRejected};
 
-/// Where the dispatcher gets its index snapshots.
+/// Where the workers get their index snapshots.
 enum Source<I> {
     /// A fixed immutable index: epoch is always 0.
     Fixed(Arc<I>),
@@ -100,7 +109,7 @@ pub struct ServerStats {
     pub shed_expired: u64,
     /// Panicked slots granted their single bounded retry.
     pub retries: u64,
-    /// Executor batches dispatched.
+    /// Batches served (one per worker grab that had live requests).
     pub batches: u64,
     /// Live-update batches applied.
     pub updates_applied: u64,
@@ -140,8 +149,20 @@ impl RejectCounters {
     }
 }
 
-/// State shared by clients, the dispatcher, and the updater.
+/// The overload controller's state, shared by the workers behind
+/// `Shared::controller`: the latency window's delta base and the calibrated
+/// baseline.
+#[derive(Default)]
+struct Controller {
+    /// `counters.replied` when the last window was accepted.
+    seen: u64,
+    prev: HistSnapshot,
+    window: Window,
+}
+
+/// State shared by clients, the serving workers, and the updater.
 struct Shared<I> {
+    /// As given, except `workers`: resolved to the real thread count.
     cfg: ServerConfig,
     source: Source<I>,
     queue: AdmissionQueue,
@@ -155,6 +176,7 @@ struct Shared<I> {
     /// controller's recent-p99 window and per-server soak reports without
     /// mixing servers through the global catalog.
     latency: td_obs::Histogram,
+    controller: Mutex<Controller>,
     counters: Counters,
     rejects: RejectCounters,
 }
@@ -187,18 +209,61 @@ impl<I: RoutingIndex> Shared<I> {
             self.rejects.of(r).inc();
         }
     }
+
+    /// Re-evaluates the overload state machine after a batch; true when
+    /// this call consumed a latency window. Workers serialise on the
+    /// controller lock and the mode is read, decided and published inside
+    /// it, so a window is consumed once and no transition is overwritten by
+    /// a concurrent tick that saw an older window.
+    fn tick(&self) -> bool {
+        let policy = &self.cfg.overload;
+        let mut ctl = lock_recover(&self.controller);
+        let mode = OverloadMode::from_u8(self.mode.load(Ordering::Relaxed));
+        let replied = self.counters.replied.load(Ordering::Relaxed);
+        let mut consumed = false;
+        // Merging the histogram's shards is paid once per window, not per
+        // batch: nothing is read until enough replies have gone out.
+        if replied.wrapping_sub(ctl.seen) >= policy.min_window {
+            let snap = self.latency.snapshot();
+            let delta = snap.diff(&ctl.prev);
+            if delta.count() >= policy.min_window {
+                ctl.window.p99_nanos = delta.quantile(0.99);
+                ctl.prev = snap;
+                ctl.seen = replied;
+                consumed = true;
+                // The first full window observed in Normal mode calibrates
+                // the baseline (clamped up to the noise floor).
+                if ctl.window.baseline_nanos == 0 && mode == OverloadMode::Normal {
+                    ctl.window.baseline_nanos =
+                        ctl.window.p99_nanos.max(policy.baseline_floor_nanos);
+                }
+            }
+        }
+        let depth = self.queue.depth();
+        let next = control::next_mode(mode, depth, self.queue.capacity(), ctl.window, policy);
+        if next != mode {
+            self.mode.store(next.as_u8(), Ordering::Relaxed);
+        }
+        if td_obs::ENABLED {
+            let m = td_obs::metrics();
+            m.server_queue_depth
+                .set(depth.min(i64::MAX as usize) as i64);
+            m.server_overload_state.set(next.as_u8() as i64);
+        }
+        consumed
+    }
 }
 
 /// The overload-safe serving front-end over any [`RoutingIndex`].
 ///
-/// See the crate docs for the pipeline. Construction spawns the dispatcher
-/// (and, for [`TdServer::serve_live`], the updater); [`TdServer::shutdown`]
-/// — or dropping the server — closes admission, drains the queue (every
-/// admitted request still gets its exactly-one reply), and joins the
-/// threads.
+/// See the crate docs for the pipeline. Construction spawns the serving
+/// workers (and, for [`TdServer::serve_live`], the updater);
+/// [`TdServer::shutdown`] — or dropping the server — closes admission,
+/// drains the queue (every admitted request still gets its exactly-one
+/// reply), and joins the threads.
 pub struct TdServer<I: RoutingIndex + 'static> {
     shared: Arc<Shared<I>>,
-    dispatcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     updater: Option<JoinHandle<()>>,
 }
 
@@ -208,7 +273,10 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
         TdServer::start(Source::Fixed(index), cfg, false)
     }
 
-    fn start(source: Source<I>, cfg: ServerConfig, live: bool) -> TdServer<I> {
+    fn start(source: Source<I>, mut cfg: ServerConfig, live: bool) -> TdServer<I> {
+        if cfg.workers == 0 {
+            cfg.workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        }
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(cfg.queue_capacity),
             update: UpdateLane::new(cfg.update_queue_capacity),
@@ -217,21 +285,24 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
             mode: AtomicU8::new(OverloadMode::Normal.as_u8()),
             started: Instant::now(),
             latency: td_obs::Histogram::new(),
+            controller: Mutex::new(Controller::default()),
             counters: Counters::default(),
             rejects: RejectCounters::new(),
             cfg,
             source,
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("td-server-dispatch".into())
-                .spawn(move || dispatcher_loop(&shared))
-                .expect("spawn dispatcher")
-        };
+        let workers = (0..cfg.workers)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("td-server-worker-{w}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn serving worker")
+            })
+            .collect();
         TdServer {
             shared,
-            dispatcher: Some(dispatcher),
+            workers,
             updater: None,
         }
     }
@@ -365,23 +436,22 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
         self.shared.update.poison();
     }
 
-    fn begin_shutdown(&self) {
+    /// Closes admission and both queues, then joins every thread: each
+    /// worker retires once the closed queue is drained.
+    fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.queue.close();
         self.shared.update.close();
+        for h in self.workers.drain(..).chain(self.updater.take()) {
+            let _ = h.join();
+        }
     }
 
     /// Stops admission, drains the queue (every already-admitted request
     /// still receives its exactly-one reply), joins the threads, and
     /// returns the final counters.
     pub fn shutdown(mut self) -> ServerStats {
-        self.begin_shutdown();
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.updater.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
         self.stats()
     }
 }
@@ -404,83 +474,11 @@ impl<I: IncrementalIndex + Clone + 'static> TdServer<I> {
 
 impl<I: RoutingIndex + 'static> Drop for TdServer<I> {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.updater.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 
-/// Dispatcher-local controller state: the latency window delta base and the
-/// calibrated baseline.
-struct Controller {
-    prev: HistSnapshot,
-    window: Window,
-}
-
-impl Controller {
-    fn new() -> Controller {
-        Controller {
-            prev: HistSnapshot::default(),
-            window: Window::default(),
-        }
-    }
-
-    /// Re-evaluates the overload state machine after a batch.
-    fn tick<I: RoutingIndex>(&mut self, shared: &Shared<I>) {
-        let policy = &shared.cfg.overload;
-        let snap = shared.latency.snapshot();
-        let delta = snap.diff(&self.prev);
-        let mode = OverloadMode::from_u8(shared.mode.load(Ordering::Relaxed));
-        if delta.count() >= policy.min_window {
-            self.window.p99_nanos = delta.quantile(0.99);
-            self.prev = snap;
-            // The first full window observed in Normal mode calibrates the
-            // baseline (clamped up to the noise floor).
-            if self.window.baseline_nanos == 0 && mode == OverloadMode::Normal {
-                self.window.baseline_nanos = self.window.p99_nanos.max(policy.baseline_floor_nanos);
-            }
-        }
-        let depth = shared.queue.depth();
-        let next = control::next_mode(mode, depth, shared.queue.capacity(), self.window, policy);
-        if next != mode {
-            shared.mode.store(next.as_u8(), Ordering::Relaxed);
-        }
-        if td_obs::ENABLED {
-            let m = td_obs::metrics();
-            m.server_queue_depth
-                .set(depth.min(i64::MAX as usize) as i64);
-            m.server_overload_state.set(next.as_u8() as i64);
-        }
-    }
-}
-
-/// Drains the queue into one coalesced batch. `false` = closed and drained.
-fn next_batch(
-    queue: &AdmissionQueue,
-    max_batch: usize,
-    window: std::time::Duration,
-    buf: &mut Vec<Pending>,
-) -> bool {
-    buf.clear();
-    match queue.pop_wait() {
-        Popped::Closed => return false,
-        Popped::Item(p) => buf.push(p),
-    }
-    let batch_deadline = Instant::now() + window;
-    while buf.len() < max_batch {
-        match queue.pop_until(batch_deadline) {
-            Some(p) => buf.push(p),
-            None => break,
-        }
-    }
-    true
-}
-
-/// Serves one coalesced batch: shed expired, budget, execute, retry/reply.
+/// Serves one worker's batch: shed expired, budget, execute, retry/reply.
 fn serve_batch<I: RoutingIndex>(
     shared: &Shared<I>,
     exec: &mut ParallelExecutor<'_, I>,
@@ -530,8 +528,8 @@ fn serve_batch<I: RoutingIndex>(
     for (mut p, result) in batch.drain(..).zip(results) {
         match result {
             // One bounded retry for contained panics only: the request goes
-            // back to the queue *head* and rides the next batch (the
-            // coalesce window is the backoff). Deterministic failures —
+            // back to the queue *head*, where the next worker to pop — this
+            // one or another — takes it at once. Deterministic failures —
             // InvalidQuery, BudgetExhausted — are never retried.
             Err(QueryError::Panicked(_)) if p.attempts < cfg.panic_retries => {
                 p.attempts += 1;
@@ -547,27 +545,47 @@ fn serve_batch<I: RoutingIndex>(
     }
 }
 
-fn dispatcher_loop<I: RoutingIndex>(shared: &Shared<I>) {
-    let mut ctl = Controller::new();
+fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
+    let cfg = &shared.cfg;
     let mut incoming: Vec<Pending> = Vec::new();
     let mut batch: Vec<Pending> = Vec::new();
     let mut queries: Vec<CostQuery> = Vec::new();
     let mut budgets: Vec<QueryBudget> = Vec::new();
     'epoch: loop {
-        // One executor per epoch: scratches stay warm across batches and
-        // the whole pool flips to the new snapshot when the epoch moves.
+        // One executor per epoch: its scratch stays warm across batches.
         let (epoch, snap) = shared.source.snapshot_with_epoch();
-        let mut exec = ParallelExecutor::new(&*snap, shared.cfg.workers);
+        let mut exec = ParallelExecutor::new(&*snap, 1);
         loop {
-            if !next_batch(
-                &shared.queue,
-                shared.cfg.max_batch,
-                shared.cfg.coalesce_window,
-                &mut incoming,
-            ) {
-                return; // closed and drained: every admitted request replied
+            // Empty unless an epoch flip sent a grabbed batch round again.
+            if incoming.is_empty() {
+                match shared.queue.pop_wait() {
+                    Popped::Closed => return, // drained: every admitted request replied
+                    Popped::Item(p) => incoming.push(p),
+                }
+                // More queued behind a head that has crossed no boundary
+                // yet: a burst is arriving, let it assemble. A plain sleep:
+                // a full batch or a shutdown waits out the rest of the
+                // window (< 500 µs by default) with it.
+                let now = Instant::now();
+                if let Some(rest) = control::burst_wait(
+                    shared.queue.depth(),
+                    incoming[0].submitted - shared.started,
+                    now - shared.started,
+                    cfg.coalesce_window,
+                ) {
+                    std::thread::sleep(rest);
+                }
+                let grab = control::grab_size(shared.queue.depth(), cfg.workers, cfg.max_batch);
+                if grab > 1 {
+                    shared.queue.drain_into(grab - 1, &mut incoming);
+                }
             }
-            // The dispatcher itself is contained: a bug here must not strand
+            // However long this worker slept in `pop_wait`, a batch never
+            // runs on a snapshot older than the epoch visible at its start.
+            if shared.source.epoch() != epoch {
+                continue 'epoch;
+            }
+            // The worker itself is contained: a bug here must not strand
             // admitted requests without their reply.
             let r = catch_unwind(AssertUnwindSafe(|| {
                 serve_batch(
@@ -584,18 +602,15 @@ fn dispatcher_loop<I: RoutingIndex>(shared: &Shared<I>) {
                     shared.fulfill(
                         p,
                         Err(ServeError::Query(QueryError::Panicked(
-                            "dispatcher fault".to_string(),
+                            "serving worker fault".to_string(),
                         ))),
                     );
                 }
             }
-            ctl.tick(shared);
+            shared.tick();
             shared
                 .update
-                .watchdog_check(shared.started, shared.cfg.update_watchdog);
-            if shared.source.epoch() != epoch {
-                continue 'epoch;
-            }
+                .watchdog_check(shared.started, cfg.update_watchdog);
         }
     }
 }
@@ -635,7 +650,7 @@ fn updater_loop<I: IncrementalIndex + Clone>(shared: &Shared<I>) {
 }
 
 // Compile-time pins: the server (and its shared core) crosses client,
-// dispatcher, and updater threads.
+// worker, and updater threads.
 const _: () = {
     const fn shared_across_threads<T: Send + Sync>() {}
     shared_across_threads::<TdServer<td_api::AStarChIndex>>();
@@ -645,4 +660,255 @@ const _: () = {
     shared_across_threads::<crate::fault::HostileIndex<td_api::AStarChIndex>>();
     shared_across_threads::<crate::fault::FaultPlan>();
     shared_across_threads::<ServerStats>();
+    shared_across_threads::<Controller>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{FaultPlan, HostileIndex};
+    use std::sync::{Barrier, MutexGuard};
+    use td_api::AStarChIndex;
+    use td_graph::TdGraph;
+
+    /// A two-way path 0 – 1 – … – n-1, every edge 10 s.
+    fn line(n: u32) -> TdGraph {
+        let mut g = TdGraph::with_vertices(n as usize);
+        for v in 0..n - 1 {
+            g.add_edge(v, v + 1, Plf::constant(10.0)).unwrap();
+            g.add_edge(v + 1, v, Plf::constant(10.0)).unwrap();
+        }
+        g
+    }
+
+    fn config(workers: usize) -> ServerConfig {
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        }
+    }
+
+    /// Parks the workers one by one. A worker ticks the controller after
+    /// every batch, so while the test holds the controller lock each worker
+    /// serves exactly one batch and then waits for the lock: `workers`
+    /// requests sent one at a time are answered by `workers` different
+    /// threads, and nobody pops from the queue afterwards until the guard
+    /// is dropped. (Take the lock once per server, before its first
+    /// request: a worker still parked from an earlier hold is one short.)
+    fn one_batch_per_worker<I: RoutingIndex>(
+        server: &TdServer<I>,
+        _held: &MutexGuard<'_, Controller>,
+        query: CostQuery,
+    ) -> Vec<ServeResult> {
+        (0..server.shared.cfg.workers)
+            .map(|_| server.submit_query(query, None).unwrap().wait())
+            .collect()
+    }
+
+    fn exact(reply: &ServeResult) -> Option<f64> {
+        match reply {
+            Ok(BoundedAnswer::Exact(cost)) => *cost,
+            other => panic!("expected an exact answer, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_workers_resolves_to_the_core_count_once() {
+        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(3))), config(0));
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(server.shared.cfg.workers, cores);
+        assert_eq!(server.workers.len(), cores);
+    }
+
+    #[test]
+    fn a_burst_waits_for_the_boundary_and_a_lone_request_is_never_held() {
+        let window = std::time::Duration::from_millis(40);
+        let cfg = ServerConfig {
+            coalesce_window: window,
+            ..config(1)
+        };
+        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), cfg);
+        // Two queued while the worker is parked: it pops the first, finds
+        // company, and serves both just after the next boundary of the
+        // server's clock (unheld, they would be answered well before it).
+        let tick = |t: Instant| (t - server.shared.started).as_nanos() / window.as_nanos();
+        let held = lock_recover(&server.shared.controller);
+        one_batch_per_worker(&server, &held, (0, 3, 0.0));
+        let first = server.submit(0, 3, 0.0, None).unwrap();
+        let second = server.submit(0, 2, 0.0, None).unwrap();
+        drop(held);
+        assert_eq!(exact(&second.wait()), Some(20.0));
+        assert_eq!(
+            tick(Instant::now()),
+            tick(first.submitted) + 1,
+            "not held once"
+        );
+        assert_eq!(exact(&first.try_reply().expect("same batch")), Some(30.0));
+        assert_eq!(server.shutdown().batches, 2);
+        // Alone on an idle server that would hold a burst for ten seconds:
+        // answered at once.
+        let cfg = ServerConfig {
+            coalesce_window: std::time::Duration::from_secs(10),
+            ..config(1)
+        };
+        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), cfg);
+        let lone = server.submit(0, 3, 0.0, None).unwrap();
+        let reply = lone.wait_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(exact(&reply.expect("a lone request was held")), Some(30.0));
+    }
+
+    #[test]
+    fn shutdown_with_a_full_queue_drains_it_and_joins_every_thread() {
+        for workers in [1usize, 2, 4] {
+            let cfg = ServerConfig {
+                queue_capacity: 16,
+                ..config(workers)
+            };
+            let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), cfg);
+            let shared = Arc::clone(&server.shared);
+            let held = lock_recover(&shared.controller);
+            one_batch_per_worker(&server, &held, (0, 3, 0.0));
+            // Nobody pops now: the queue fills to its cap and then refuses.
+            let mut handles = Vec::new();
+            let refusal = loop {
+                match server.submit(0, 3, 0.0, None) {
+                    Ok(h) => handles.push(h),
+                    Err(r) => break r,
+                }
+            };
+            assert_eq!(
+                refusal,
+                Rejected::QueueFull {
+                    depth: 16,
+                    capacity: 16
+                }
+            );
+            assert_eq!(handles.len(), 16);
+            let stats = std::thread::scope(|s| {
+                let closer = s.spawn(move || server.shutdown());
+                // Admission is closed over the full queue before any worker
+                // is let back to it.
+                while !shared.shutdown.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                drop(held);
+                closer.join().unwrap()
+            });
+            assert_eq!(stats.admitted, (workers + 16) as u64);
+            assert_eq!(stats.replied, stats.admitted, "{workers} workers");
+            assert_eq!(stats.duplicates, 0);
+            assert_eq!(stats.exact, stats.admitted);
+            for h in handles {
+                assert_eq!(exact(&h.try_reply().expect("drained")), Some(30.0));
+            }
+            // Every worker thread has returned and dropped its handle on
+            // the shared state: this one is the last.
+            assert_eq!(Arc::strong_count(&shared), 1, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn every_worker_answers_from_the_new_snapshot_once_the_epoch_is_visible() {
+        let live = Arc::new(LiveIndex::new(AStarChIndex::new(line(4))));
+        let server = TdServer::serve_live(Arc::clone(&live), config(4));
+        let query = (0, 3, 0.0);
+        {
+            let held = lock_recover(&server.shared.controller);
+            for reply in one_batch_per_worker(&server, &held, query) {
+                assert_eq!(exact(&reply), Some(30.0));
+            }
+        }
+        // All four workers now hold an epoch-0 executor and sleep in
+        // `pop_wait` (or are on their way there). Publish a new weight and
+        // wait until it is visible: from here on no reply may be stale,
+        // whichever worker wakes for it.
+        server
+            .submit_update(vec![(1, 2, Plf::constant(25.0))])
+            .unwrap();
+        while live.epoch() == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..64 {
+            let reply = server.submit_query(query, None).unwrap().wait();
+            assert_eq!(exact(&reply), Some(45.0), "a worker served a stale epoch");
+        }
+    }
+
+    #[test]
+    fn a_retried_slot_is_served_exactly_once_by_whichever_worker_pops_it() {
+        let _quiet = crate::fault::silence_contained_panics();
+        // Every query panics the first time it runs and succeeds after.
+        let plan = FaultPlan {
+            seed: 7,
+            panic_per_million: 1_000_000,
+            transient_panics: true,
+            ..FaultPlan::none()
+        };
+        for workers in [1usize, 2] {
+            let index = HostileIndex::new(AStarChIndex::new(line(4)), &plan);
+            let server = TdServer::serve(Arc::new(index), config(workers));
+            // With two workers, the one that panicked re-queues the slot
+            // and parks on the controller lock: the other must take it.
+            // Alone, the same worker pops its own retry.
+            let held = (workers > 1).then(|| lock_recover(&server.shared.controller));
+            let reply = server.submit(0, 3, 0.0, None).unwrap().wait();
+            assert_eq!(exact(&reply), Some(30.0), "{workers} workers");
+            drop(held);
+            let stats = server.shutdown();
+            assert_eq!(
+                (stats.admitted, stats.replied, stats.retries, stats.exact),
+                (1, 1, 1, 1),
+                "{workers} workers"
+            );
+            assert_eq!(stats.duplicates, 0);
+        }
+    }
+
+    #[test]
+    fn racing_ticks_consume_a_window_once_and_keep_the_transition() {
+        // Idle workers never tick: the two racers below are the only ones.
+        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(3))), config(2));
+        let shared = &*server.shared;
+        let min_window = shared.cfg.overload.min_window;
+        let feed = |replies: u64, nanos: u64| {
+            for _ in 0..replies {
+                shared.latency.observe(nanos);
+            }
+            shared
+                .counters
+                .replied
+                .fetch_add(replies, Ordering::Relaxed);
+        };
+        // Two ticks released together; how many of them took the window.
+        let race = || {
+            let gate = Barrier::new(2);
+            std::thread::scope(|s| {
+                let racers = [(); 2].map(|()| {
+                    s.spawn(|| {
+                        gate.wait();
+                        shared.tick()
+                    })
+                });
+                racers
+                    .into_iter()
+                    .map(|r| usize::from(r.join().unwrap()))
+                    .sum::<usize>()
+            })
+        };
+        // One reply short of a window: nothing to take.
+        feed(min_window - 1, 100_000);
+        assert_eq!(race(), 0);
+        feed(1, 100_000);
+        assert_eq!(race(), 1, "the first window calibrates the baseline");
+        for round in 0..100 {
+            // A quiet window, then one far above 8x the baseline (which
+            // sits at the 200 µs floor).
+            feed(min_window, 100_000);
+            assert_eq!(race(), 1, "round {round}: quiet window");
+            assert_eq!(server.mode(), OverloadMode::Normal, "round {round}");
+            feed(min_window, 10_000_000);
+            assert_eq!(race(), 1, "round {round}: hot window");
+            assert_eq!(server.mode(), OverloadMode::Degraded, "round {round}");
+        }
+    }
+}

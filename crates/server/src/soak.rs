@@ -93,7 +93,7 @@ impl SoakReport {
 const GRACE: Duration = Duration::from_secs(30);
 
 /// How long each client waits on one reply before declaring a hang. An
-/// admitted request's reply can only be missing if the dispatcher died.
+/// admitted request's reply can only be missing if a serving worker died.
 const REPLY_PATIENCE: Duration = Duration::from_secs(10);
 
 /// Runs the full soak against a live (incrementally updatable) index: the
@@ -211,7 +211,7 @@ fn drive<I: RoutingIndex + 'static>(
                 }
                 if slow {
                     // A stalled consumer: replies pile up in their slots;
-                    // the dispatcher must not care.
+                    // the serving workers must not care.
                     std::thread::sleep(Duration::from_millis(10));
                 }
                 for h in handles {

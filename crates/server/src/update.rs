@@ -2,8 +2,8 @@
 //!
 //! Live traffic refreshes ride a *separate* bounded queue drained by a
 //! dedicated updater thread, so an update storm contends with queries only
-//! through `LiveIndex`'s double buffer — never through the dispatcher. A
-//! watchdog (checked by the dispatcher after every batch, so it needs no
+//! through `LiveIndex`'s double buffer — never through the serving workers.
+//! A watchdog (checked by a worker after every batch, so it needs no
 //! thread of its own) declares the lane stuck when one apply overruns its
 //! budget; a stuck lane sheds *updates* with a typed refusal while query
 //! service continues on the last good epoch.
@@ -173,7 +173,7 @@ impl UpdateLane {
         self.stuck.store(false, Ordering::Relaxed);
     }
 
-    /// Called by the dispatcher after each batch: latches `stuck` when the
+    /// Called by a serving worker after each batch: latches `stuck` when the
     /// in-flight apply has overrun `limit`. Returns true when newly latched.
     pub(crate) fn watchdog_check(&self, started: Instant, limit: Duration) -> bool {
         if !self.in_apply.load(Ordering::Acquire) {

@@ -1,8 +1,9 @@
 //! The sustained panic-storm soak: a hostile index panics on a
-//! deterministic pseudo-random 1% of queries across thousands of batches,
-//! with periodic lock poisoning thrown in. The executor and every
-//! serving-path mutex must recover each time, and every non-panicking slot
-//! must be bit-identical to a clean run of the same query stream.
+//! deterministic pseudo-random 1% of queries across thousands of bursts,
+//! with periodic lock poisoning thrown in, at one, two and four serving
+//! workers. The executors and every serving-path mutex must recover each
+//! time, and every non-panicking slot must be bit-identical to a clean run
+//! of the same query stream.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,6 +42,14 @@ fn grid(side: u32) -> TdGraph {
 #[test]
 fn sustained_panic_storm_recovers_and_stays_bit_identical() {
     let _quiet = td_server::silence_contained_panics();
+    // One worker retries its own panicked slots; with more, whichever
+    // worker pops next takes the retry from the queue head.
+    for workers in [1, 2, 4] {
+        storm(workers);
+    }
+}
+
+fn storm(workers: usize) {
     const SEED: u64 = 0x5701_2024;
     const BATCHES: usize = 2_000;
     const BURST: usize = 16;
@@ -60,7 +69,7 @@ fn sustained_panic_storm_recovers_and_stays_bit_identical() {
     let oracle = HostileIndex::new(AStarChIndex::new(grid(side)), &plan);
 
     let cfg = ServerConfig {
-        workers: 1,
+        workers,
         coalesce_window: Duration::from_micros(50),
         ..ServerConfig::default()
     };
@@ -124,11 +133,14 @@ fn sustained_panic_storm_recovers_and_stays_bit_identical() {
             }
         }
     }
-    assert!(faulted > 0, "the storm never fired — rate or stream bug");
+    assert!(
+        faulted > 0,
+        "the storm never fired — rate or stream bug ({workers} workers)"
+    );
     assert!(clean_slots > 0);
 
     let stats = hostile.shutdown();
-    // Every admitted request replied exactly once, through ~2k batches of
+    // Every admitted request replied exactly once, through ~2k bursts of
     // storm, poison, and retries.
     assert_eq!(stats.admitted, (BATCHES * BURST) as u64);
     assert_eq!(stats.replied, stats.admitted);
