@@ -5,8 +5,9 @@
 //! preprocessing cost — contracting the scalar min-cost graph once
 //! ([`td_ch::ContractionHierarchy`]) — so every query gets a goal-directed
 //! potential for the price of one backward *upward* search (a few hundred
-//! settled vertices) instead of the O(n) full backward Dijkstra of the
-//! legacy A\* baseline. Answers are bit-identical to frozen scalar Dijkstra.
+//! settled vertices) instead of the O(n) full backward Dijkstra of
+//! [`td_dijkstra::FullPotential`]. Answers are bit-identical to frozen
+//! scalar Dijkstra — the same [`search`] under the zero potential.
 //!
 //! The contraction **order** is metric-independent: [`update_edges`]
 //! re-freezes the graph (rebuilding the min bounds) and re-customizes the
@@ -19,27 +20,26 @@
 
 use td_ch::ContractionHierarchy;
 use td_dijkstra::{
-    astar_cost_frozen_bounded_with, astar_cost_frozen_with, astar_path_frozen_with,
-    profile_search_to, AStarScratch, BoundedCost, ChPotential, ChPotentialScratch, QueryBudget,
+    search, BoundedCost, ChPotential, ChPotentialScratch, QueryBudget, SearchScratch,
 };
 use td_graph::{FrozenGraph, Path, TdGraph, VertexId};
 use td_plf::Plf;
 
-#[allow(unused_imports)] // rustdoc link
+#[allow(unused_imports)] // rustdoc link, and the unit test's `query_cost`
 use crate::index::RoutingIndex;
 
-/// Per-session scratch of the TD-A\*-CH backend: the forward A\* state plus
+/// Per-session scratch of the TD-A\*-CH backend: the forward search state plus
 /// the per-worker potential state (backward-upward distances + memo table).
 /// One per worker thread; zero allocations per query once warmed.
 #[derive(Clone, Debug, Default)]
 pub struct AStarChScratch {
     pub(crate) potential: ChPotentialScratch,
-    pub(crate) search: AStarScratch,
+    pub(crate) search: SearchScratch,
 }
 
 impl AStarChScratch {
     /// Restores a logically fresh state after a contained panic while
-    /// keeping every warmed allocation (see [`AStarScratch::sanitize`] and
+    /// keeping every warmed allocation (see [`SearchScratch::sanitize`] and
     /// [`ChPotentialScratch::sanitize`]): generation stamps make all torn
     /// values unreachable, and capacity — the workload's high-water mark —
     /// survives, so post-panic batches allocate nothing extra.
@@ -82,12 +82,7 @@ impl AStarChIndex {
         &self.ch
     }
 
-    /// Travel cost query by TD-A\* with a fresh scratch.
-    pub fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.query_cost_with(&mut AStarChScratch::default(), s, d, t)
-    }
-
-    /// [`AStarChIndex::query_cost`] reusing `scratch` — the hot path.
+    /// Travel cost query by TD-A\* reusing `scratch` — the hot path.
     pub fn query_cost_with(
         &self,
         scratch: &mut AStarChScratch,
@@ -95,14 +90,19 @@ impl AStarChIndex {
         d: VertexId,
         t: f64,
     ) -> Option<f64> {
-        let mut pot = ChPotential::new(&self.ch, &mut scratch.potential);
-        astar_cost_frozen_with(&mut scratch.search, &self.frozen, &mut pot, s, d, t)
+        crate::bounded::unbudgeted(self.query_cost_bounded_with(
+            scratch,
+            s,
+            d,
+            t,
+            &QueryBudget::UNLIMITED,
+        ))
     }
 
-    /// [`AStarChIndex::query_cost_with`] under a [`QueryBudget`]: identical
-    /// (bit-identical when complete), but exhaustion degrades to a
-    /// bracketing interval whose lower bound comes from the CH-potential
-    /// frontier keys.
+    /// [`AStarChIndex::query_cost_with`] under a [`QueryBudget`] — the one
+    /// call into [`search`]: identical (bit-identical when complete), but
+    /// exhaustion degrades to a bracketing interval whose lower bound comes
+    /// from the CH-potential frontier keys.
     pub fn query_cost_bounded_with(
         &self,
         scratch: &mut AStarChScratch,
@@ -112,19 +112,11 @@ impl AStarChIndex {
         budget: &QueryBudget,
     ) -> BoundedCost {
         let mut pot = ChPotential::new(&self.ch, &mut scratch.potential);
-        astar_cost_frozen_bounded_with(&mut scratch.search, &self.frozen, &mut pot, s, d, t, budget)
+        search(&mut scratch.search, &self.frozen, &mut pot, s, d, t, budget)
     }
 
-    /// Cost function query by a full profile search from `s` (the potential
-    /// bounds a single departure; profiles take the oracle's route).
-    pub fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        if s == d {
-            return Some(Plf::zero());
-        }
-        profile_search_to(&self.graph, s, |v| v == d).dist[d as usize].clone()
-    }
-
-    /// Travel cost and path by TD-A\* with parent tracking.
+    /// Travel cost and path: [`AStarChIndex::query_cost_with`], then the
+    /// parent walk of the completed search.
     pub fn query_path_with(
         &self,
         scratch: &mut AStarChScratch,
@@ -132,8 +124,8 @@ impl AStarChIndex {
         d: VertexId,
         t: f64,
     ) -> Option<(f64, Path)> {
-        let mut pot = ChPotential::new(&self.ch, &mut scratch.potential);
-        astar_path_frozen_with(&mut scratch.search, &self.frozen, &mut pot, s, d, t)
+        let cost = self.query_cost_with(scratch, s, d, t)?;
+        Some((cost, scratch.search.path_to(s, d)))
     }
 
     /// Applies weight changes: rebuilds the frozen view (and with it every

@@ -105,6 +105,15 @@ impl From<BoundedCost> for BoundedAnswer {
     }
 }
 
+/// The answer of a search run under [`td_dijkstra::QueryBudget::UNLIMITED`].
+pub(crate) fn unbudgeted(c: BoundedCost) -> Option<f64> {
+    match c {
+        BoundedCost::Exact(v) => v,
+        // An unlimited budget never exhausts.
+        BoundedCost::Exhausted { .. } => None,
+    }
+}
+
 /// Input validation every bounded query runs before touching the index:
 /// vertex ids must be in range and the departure time finite and
 /// non-negative. Invalid inputs are a caller bug surfaced as a typed

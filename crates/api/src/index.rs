@@ -1,11 +1,11 @@
 //! The [`RoutingIndex`] trait and its implementations for every backend.
 
 use crate::astar_ch::{AStarChIndex, AStarChScratch};
-use crate::bounded::{BoundedAnswer, QueryError};
-use crate::oracle::DijkstraOracle;
+use crate::bounded::{unbudgeted, BoundedAnswer, QueryError};
+use crate::oracle::{profile_by_search, DijkstraOracle};
 use crate::session::{QuerySession, SessionScratch};
 use td_core::{CostScratch, ProfileScratch, TdTreeIndex, UpdateStats};
-use td_dijkstra::QueryBudget;
+use td_dijkstra::{QueryBudget, SearchScratch};
 use td_graph::{Path, TdGraph, VertexId};
 use td_gtree::{GtreeScratch, TdGtree};
 use td_h2h::TdH2h;
@@ -27,9 +27,18 @@ pub struct IndexStats {
 /// The unified query interface over every index family in the workspace.
 ///
 /// All methods take `&self` — indexes are immutable once built (see
-/// [`IncrementalIndex`] for updates) and safe to share across threads. The
-/// `*_in` variants thread a [`SessionScratch`] through the call so repeated
-/// queries reuse buffers; [`QuerySession`] packages that pattern.
+/// [`IncrementalIndex`] for updates) and safe to share across threads.
+///
+/// A backend implements the three scratch-taking queries —
+/// [`query_cost_in`](RoutingIndex::query_cost_in),
+/// [`query_profile_in`](RoutingIndex::query_profile_in),
+/// [`query_path_in`](RoutingIndex::query_path_in) — plus its name, graph
+/// and accounting, and overrides [`new_scratch`](RoutingIndex::new_scratch)
+/// when its queries have reusable state. Everything else is provided on
+/// top of those: the scratch-free `query_cost` / `query_profile` /
+/// `query_path` run the same code on a fresh scratch, and the bounded and
+/// traced forms wrap `query_cost_in`. [`QuerySession`] packages the
+/// scratch-threading pattern.
 pub trait RoutingIndex: Send + Sync {
     /// The backend's display name, as used in the paper's tables.
     fn backend_name(&self) -> &'static str;
@@ -37,15 +46,6 @@ pub trait RoutingIndex: Send + Sync {
     /// The underlying graph (kept by every backend for path expansion,
     /// updates and examples).
     fn graph(&self) -> &TdGraph;
-
-    /// Travel cost query `Q(s, d, t)`.
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64>;
-
-    /// Shortest travel cost *function* query `f_{s,d}(t)`.
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf>;
-
-    /// Travel cost and the shortest path itself.
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)>;
 
     /// Index memory in bytes. Precomputed structures only — the input graph
     /// is not counted, since every compared method shares it. The one
@@ -64,39 +64,45 @@ pub trait RoutingIndex: Send + Sync {
         SessionScratch::none()
     }
 
-    /// [`RoutingIndex::query_cost`] reusing `scratch` — the hot path.
+    /// Travel cost query `Q(s, d, t)` reusing `scratch` — the hot path.
     fn query_cost_in(
         &self,
         scratch: &mut SessionScratch,
         s: VertexId,
         d: VertexId,
         t: f64,
-    ) -> Option<f64> {
-        let _ = scratch;
-        self.query_cost(s, d, t)
-    }
+    ) -> Option<f64>;
 
-    /// [`RoutingIndex::query_profile`] reusing `scratch`.
+    /// Shortest travel cost *function* query `f_{s,d}(t)` reusing `scratch`.
     fn query_profile_in(
         &self,
         scratch: &mut SessionScratch,
         s: VertexId,
         d: VertexId,
-    ) -> Option<Plf> {
-        let _ = scratch;
-        self.query_profile(s, d)
-    }
+    ) -> Option<Plf>;
 
-    /// [`RoutingIndex::query_path`] reusing `scratch`.
+    /// Travel cost and the shortest path itself, reusing `scratch`.
     fn query_path_in(
         &self,
         scratch: &mut SessionScratch,
         s: VertexId,
         d: VertexId,
         t: f64,
-    ) -> Option<(f64, Path)> {
-        let _ = scratch;
-        self.query_path(s, d, t)
+    ) -> Option<(f64, Path)>;
+
+    /// [`RoutingIndex::query_cost_in`] on a fresh scratch.
+    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
+        self.query_cost_in(&mut self.new_scratch(), s, d, t)
+    }
+
+    /// [`RoutingIndex::query_profile_in`] on a fresh scratch.
+    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
+        self.query_profile_in(&mut self.new_scratch(), s, d)
+    }
+
+    /// [`RoutingIndex::query_path_in`] on a fresh scratch.
+    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
+        self.query_path_in(&mut self.new_scratch(), s, d, t)
     }
 
     /// Budget-bounded travel cost query: validates the inputs, then answers
@@ -335,26 +341,6 @@ impl RoutingIndex for TdTreeIndex {
         TdTreeIndex::graph(self)
     }
 
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        if is_basic(self) {
-            TdTreeIndex::query_cost_basic(self, s, d, t)
-        } else {
-            TdTreeIndex::query_cost(self, s, d, t)
-        }
-    }
-
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        if is_basic(self) {
-            TdTreeIndex::query_profile_basic(self, s, d)
-        } else {
-            TdTreeIndex::query_profile(self, s, d)
-        }
-    }
-
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        TdTreeIndex::query_path(self, s, d, t)
-    }
-
     fn memory_bytes(&self) -> usize {
         TdTreeIndex::memory_bytes(self)
     }
@@ -435,18 +421,6 @@ impl RoutingIndex for TdH2h {
         self.inner().graph()
     }
 
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        TdH2h::query_cost(self, s, d, t)
-    }
-
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        TdH2h::query_profile(self, s, d)
-    }
-
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        TdH2h::query_path(self, s, d, t)
-    }
-
     fn memory_bytes(&self) -> usize {
         TdH2h::memory_bytes(self)
     }
@@ -513,18 +487,6 @@ impl RoutingIndex for TdGtree {
         TdGtree::graph(self)
     }
 
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        TdGtree::query_cost(self, s, d, t)
-    }
-
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        TdGtree::query_profile(self, s, d)
-    }
-
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        TdGtree::query_path(self, s, d, t)
-    }
-
     fn memory_bytes(&self) -> usize {
         TdGtree::memory_bytes(self)
     }
@@ -552,6 +514,25 @@ impl RoutingIndex for TdGtree {
         self.query_cost_with(sc, s, d, t)
     }
 
+    fn query_profile_in(
+        &self,
+        _scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+    ) -> Option<Plf> {
+        TdGtree::query_profile(self, s, d)
+    }
+
+    fn query_path_in(
+        &self,
+        _scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+        t: f64,
+    ) -> Option<(f64, Path)> {
+        TdGtree::query_path(self, s, d, t)
+    }
+
     fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
         let sc: &mut GtreeScratch = scratch.get_or_default();
         Some(sc.take_search_stats())
@@ -575,18 +556,6 @@ impl RoutingIndex for DijkstraOracle {
         DijkstraOracle::graph(self)
     }
 
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        DijkstraOracle::query_cost(self, s, d, t)
-    }
-
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        DijkstraOracle::query_profile(self, s, d)
-    }
-
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        DijkstraOracle::query_path(self, s, d, t)
-    }
-
     fn memory_bytes(&self) -> usize {
         DijkstraOracle::memory_bytes(self)
     }
@@ -596,7 +565,7 @@ impl RoutingIndex for DijkstraOracle {
     }
 
     fn new_scratch(&self) -> SessionScratch {
-        SessionScratch::new(td_dijkstra::DijkstraScratch::default())
+        SessionScratch::new(SearchScratch::default())
     }
 
     fn query_cost_in(
@@ -606,8 +575,17 @@ impl RoutingIndex for DijkstraOracle {
         d: VertexId,
         t: f64,
     ) -> Option<f64> {
-        let sc: &mut td_dijkstra::DijkstraScratch = scratch.get_or_default();
-        td_dijkstra::shortest_path_cost_frozen_with(sc, self.frozen(), s, d, t)
+        let sc: &mut SearchScratch = scratch.get_or_default();
+        unbudgeted(self.search(sc, s, d, t, &QueryBudget::UNLIMITED))
+    }
+
+    fn query_profile_in(
+        &self,
+        _scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+    ) -> Option<Plf> {
+        profile_by_search(self.graph(), s, d)
     }
 
     fn query_path_in(
@@ -617,8 +595,9 @@ impl RoutingIndex for DijkstraOracle {
         d: VertexId,
         t: f64,
     ) -> Option<(f64, Path)> {
-        let sc: &mut td_dijkstra::DijkstraScratch = scratch.get_or_default();
-        td_dijkstra::shortest_path_frozen_with(sc, self.frozen(), s, d, t)
+        let sc: &mut SearchScratch = scratch.get_or_default();
+        let cost = unbudgeted(self.search(sc, s, d, t, &QueryBudget::UNLIMITED))?;
+        Some((cost, sc.path_to(s, d)))
     }
 
     fn query_cost_bounded_in(
@@ -630,15 +609,12 @@ impl RoutingIndex for DijkstraOracle {
         budget: &QueryBudget,
     ) -> Result<BoundedAnswer, QueryError> {
         crate::bounded::validate_query(self.graph().num_vertices(), s, d, t)?;
-        let sc: &mut td_dijkstra::DijkstraScratch = scratch.get_or_default();
-        Ok(
-            td_dijkstra::shortest_path_cost_frozen_bounded_with(sc, self.frozen(), s, d, t, budget)
-                .into(),
-        )
+        let sc: &mut SearchScratch = scratch.get_or_default();
+        Ok(self.search(sc, s, d, t, budget).into())
     }
 
     fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
-        let sc: &mut td_dijkstra::DijkstraScratch = scratch.get_or_default();
+        let sc: &mut SearchScratch = scratch.get_or_default();
         Some(sc.stats.take())
     }
 
@@ -658,18 +634,6 @@ impl RoutingIndex for AStarChIndex {
 
     fn graph(&self) -> &TdGraph {
         AStarChIndex::graph(self)
-    }
-
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        AStarChIndex::query_cost(self, s, d, t)
-    }
-
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        AStarChIndex::query_profile(self, s, d)
-    }
-
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        self.query_path_with(&mut AStarChScratch::default(), s, d, t)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -699,6 +663,15 @@ impl RoutingIndex for AStarChIndex {
     ) -> Option<f64> {
         let sc: &mut AStarChScratch = scratch.get_or_default();
         self.query_cost_with(sc, s, d, t)
+    }
+
+    fn query_profile_in(
+        &self,
+        _scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+    ) -> Option<Plf> {
+        profile_by_search(self.graph(), s, d)
     }
 
     fn query_path_in(

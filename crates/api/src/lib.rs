@@ -8,8 +8,10 @@
 //! the same accounting. This crate is the one seam expressing that:
 //!
 //! * [`RoutingIndex`] — the object-safe trait every backend implements:
-//!   `query_cost` / `query_profile` / `query_path` / `memory_bytes` /
-//!   `build_stats`, plus scratch-aware `*_in` variants powering sessions;
+//!   the scratch-taking `query_cost_in` / `query_profile_in` /
+//!   `query_path_in` are the required queries (they power sessions), next
+//!   to `memory_bytes` / `build_stats`; the scratch-free `query_cost` /
+//!   `query_profile` / `query_path` are provided on top of them;
 //! * [`Backend`] + [`IndexConfig`] + [`build_index`] — a uniform factory so
 //!   harnesses, tests and examples never hand-roll per-backend dispatch;
 //! * [`QuerySession`] — owns reusable per-query scratch (distance arrays,

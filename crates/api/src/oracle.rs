@@ -1,9 +1,9 @@
 //! The non-index TD-Dijkstra baseline behind the [`RoutingIndex`] trait.
 
 use td_dijkstra::{
-    profile_search_to, shortest_path_cost_frozen_with, shortest_path_frozen_with, DijkstraScratch,
+    profile_search_to, search, BoundedCost, QueryBudget, SearchScratch, ZeroPotential,
 };
-use td_graph::{FrozenGraph, Path, TdGraph, VertexId};
+use td_graph::{FrozenGraph, TdGraph, VertexId};
 use td_plf::Plf;
 
 #[allow(unused_imports)] // rustdoc link
@@ -16,7 +16,9 @@ use crate::index::RoutingIndex;
 ///
 /// The graph is frozen into the CSR/arena layout at construction (the only
 /// "build" this backend has), so scalar queries run on flat adjacency and
-/// contiguous breakpoints with per-edge `min_cost` pruning.
+/// contiguous breakpoints with per-edge `min_cost` pruning. Queries go
+/// through the [`RoutingIndex`] impl; its scratch is a bare
+/// [`SearchScratch`].
 pub struct DijkstraOracle {
     graph: TdGraph,
     frozen: FrozenGraph,
@@ -40,22 +42,17 @@ impl DijkstraOracle {
         &self.frozen
     }
 
-    /// Travel cost query by scalar TD-Dijkstra on the frozen layout.
-    pub fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        shortest_path_cost_frozen_with(&mut DijkstraScratch::default(), &self.frozen, s, d, t)
-    }
-
-    /// Cost function query by a full profile search from `s`.
-    pub fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        if s == d {
-            return Some(Plf::zero());
-        }
-        profile_search_to(&self.graph, s, |v| v == d).dist[d as usize].clone()
-    }
-
-    /// Travel cost and path by scalar TD-Dijkstra with parent tracking.
-    pub fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        shortest_path_frozen_with(&mut DijkstraScratch::default(), &self.frozen, s, d, t)
+    /// Travel cost by scalar TD-Dijkstra on the frozen layout — [`search`]
+    /// under the zero potential; exact, bounded and path queries all run it.
+    pub(crate) fn search(
+        &self,
+        scratch: &mut SearchScratch,
+        s: VertexId,
+        d: VertexId,
+        t: f64,
+        budget: &QueryBudget,
+    ) -> BoundedCost {
+        search(scratch, &self.frozen, &mut ZeroPotential, s, d, t, budget)
     }
 
     /// The oracle stores no precomputed index structures; its working set is
@@ -64,6 +61,15 @@ impl DijkstraOracle {
     pub fn memory_bytes(&self) -> usize {
         self.frozen.heap_bytes()
     }
+}
+
+/// Cost function query by a full profile search from `s` — how the two
+/// search backends answer profiles (a potential bounds a single departure).
+pub(crate) fn profile_by_search(graph: &TdGraph, s: VertexId, d: VertexId) -> Option<Plf> {
+    if s == d {
+        return Some(Plf::zero());
+    }
+    profile_search_to(graph, s, |v| v == d).dist[d as usize].clone()
 }
 
 /// Snapshot persistence: the oracle's only independent state is the input

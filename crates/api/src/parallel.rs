@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use td_core::UpdateStats;
 use td_dijkstra::QueryBudget;
-use td_graph::{Path, VertexId};
+use td_graph::VertexId;
 use td_plf::Plf;
 
 /// A `(source, destination, departure)` travel-cost query.
@@ -354,17 +354,6 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
         self.run(pairs.len(), &mut out, |scratch, _w, i| {
             let (s, d) = pairs[i];
             index.query_profile_in(scratch, s, d)
-        });
-        out
-    }
-
-    /// Answers a batch of path queries on all workers.
-    pub fn path_batch(&mut self, queries: &[CostQuery]) -> Vec<Option<(f64, Path)>> {
-        let mut out = vec![None; queries.len()];
-        let index = self.index;
-        self.run(queries.len(), &mut out, |scratch, _w, i| {
-            let (s, d, t) = queries[i];
-            index.query_path_in(scratch, s, d, t)
         });
         out
     }

@@ -12,11 +12,11 @@ use td_plf::Plf;
 ///
 /// Each backend's [`RoutingIndex::new_scratch`] puts its own buffer type in
 /// here (sweep tables for the TD-tree family, arrival hash maps for
-/// TD-G-tree, distance arrays and the heap for TD-Dijkstra); the `*_in`
-/// query methods downcast it back. A scratch created by one index works with
-/// any index of the same backend family; [`SessionScratch::get_or_default`]
-/// lazily re-initialises on a family mismatch, so misuse costs correctness
-/// nothing — only the reuse benefit.
+/// TD-G-tree, stamped distance arrays and the heap for the search
+/// backends); the `*_in` query methods downcast it back. A scratch created
+/// by one index works with any index of the same backend family;
+/// [`SessionScratch::get_or_default`] lazily re-initialises on a family
+/// mismatch, so misuse costs correctness nothing — only the reuse benefit.
 #[derive(Default)]
 pub struct SessionScratch(Option<Box<dyn Any + Send>>);
 
@@ -33,21 +33,22 @@ impl SessionScratch {
 
     /// Restores a logically fresh state after a contained panic, keeping
     /// the warmed capacity, for backends whose scratch supports wholesale
-    /// invalidation (currently [`AStarChScratch`](crate::AStarChScratch)).
+    /// invalidation — the two search backends:
+    /// [`AStarChScratch`](crate::AStarChScratch) (TD-A\*-CH) and a bare
+    /// [`SearchScratch`](td_dijkstra::SearchScratch) (TD-Dijkstra).
     /// Returns `false` when it cannot — the caller must then replace the
     /// scratch outright. An empty scratch has no state to tear and
     /// trivially sanitizes.
     pub(crate) fn try_sanitize(&mut self) -> bool {
-        match &mut self.0 {
-            None => true,
-            Some(b) => match b.downcast_mut::<crate::AStarChScratch>() {
-                Some(s) => {
-                    s.sanitize();
-                    true
-                }
-                None => false,
-            },
+        let Some(b) = &mut self.0 else { return true };
+        if let Some(s) = b.downcast_mut::<crate::AStarChScratch>() {
+            s.sanitize();
+        } else if let Some(s) = b.downcast_mut::<td_dijkstra::SearchScratch>() {
+            s.sanitize();
+        } else {
+            return false;
         }
+        true
     }
 
     /// The contained `T`, initialising a default if absent or of another
@@ -160,3 +161,27 @@ const _: () = {
     const fn moves_to_worker<T: Send>() {}
     moves_to_worker::<SessionScratch>()
 };
+
+#[cfg(test)]
+mod tests {
+    use crate::{build_index, Backend, IndexConfig};
+
+    #[test]
+    fn search_backends_sanitize_in_place_and_label_backends_do_not() {
+        let mut g = td_graph::TdGraph::with_vertices(3);
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            g.add_edge(u, v, td_plf::Plf::constant(60.0)).unwrap();
+        }
+        for (backend, in_place) in [
+            (Backend::Dijkstra, true),
+            (Backend::AStarCh, true),
+            (Backend::TdBasic, false),
+        ] {
+            let index = build_index(g.clone(), backend, &IndexConfig::default());
+            let mut scratch = index.new_scratch();
+            let want = index.query_cost_in(&mut scratch, 0, 2, 10.0);
+            assert_eq!(scratch.try_sanitize(), in_place, "{backend:?}");
+            assert_eq!(index.query_cost_in(&mut scratch, 0, 2, 10.0), want);
+        }
+    }
+}

@@ -1,9 +1,13 @@
 //! Panic containment at batch scale: one poisoned query inside a
 //! 2048-query batch must come back as a typed [`QueryError::Panicked`]
-//! while the other 2047 answer exactly — on every worker count, and again
-//! on the same executor after its scratch was replaced.
+//! while the other 2047 answer exactly — on every worker count, for both
+//! search backends, and again on the same executor after the panicked
+//! worker's scratch was sanitized in place.
 
-use td_api::{CostQuery, IndexStats, ParallelExecutor, QueryError, RoutingIndex, SessionScratch};
+use td_api::{
+    build_index, Backend, CostQuery, IndexConfig, IndexStats, ParallelExecutor, QueryError,
+    RoutingIndex, SessionScratch,
+};
 use td_gen::random_graph::seeded_graph;
 use td_graph::{Path, TdGraph, VertexId};
 use td_plf::{Plf, DAY};
@@ -12,7 +16,7 @@ use td_plf::{Plf, DAY};
 /// pair — standing in for a latent bug (corrupt label, NaN comparison,
 /// out-of-bounds arc) tripping on exactly one unlucky query.
 struct PanickyIndex {
-    inner: td_api::DijkstraOracle,
+    inner: Box<dyn RoutingIndex>,
     poisoned: (VertexId, VertexId),
 }
 
@@ -22,19 +26,6 @@ impl RoutingIndex for PanickyIndex {
     }
     fn graph(&self) -> &TdGraph {
         self.inner.graph()
-    }
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        assert!(
-            (s, d) != self.poisoned,
-            "simulated latent bug on query {s} -> {d}"
-        );
-        self.inner.query_cost(s, d, t)
-    }
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        self.inner.query_profile(s, d)
-    }
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        self.inner.query_path(s, d, t)
     }
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
@@ -57,6 +48,23 @@ impl RoutingIndex for PanickyIndex {
             "simulated latent bug on query {s} -> {d}"
         );
         self.inner.query_cost_in(scratch, s, d, t)
+    }
+    fn query_profile_in(
+        &self,
+        scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+    ) -> Option<Plf> {
+        self.inner.query_profile_in(scratch, s, d)
+    }
+    fn query_path_in(
+        &self,
+        scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+        t: f64,
+    ) -> Option<(f64, Path)> {
+        self.inner.query_path_in(scratch, s, d, t)
     }
 }
 
@@ -85,44 +93,48 @@ fn one_poisoned_query_in_2048_leaves_the_rest_exact() {
     let poisoned = (7, 31);
     let slot = 1234;
     let oracle = td_api::DijkstraOracle::new(g.clone());
-    let index = PanickyIndex {
-        inner: td_api::DijkstraOracle::new(g),
-        poisoned,
-    };
     let queries = workload(n, poisoned, slot);
 
-    for threads in [1, 4] {
-        let mut exec = ParallelExecutor::new(&index, threads);
-        for round in 0..2 {
-            // Round 1 reruns on the executor whose scratch slot was
-            // replaced after the panic: containment must not wedge reuse.
-            let results = exec.try_query_batch(&queries);
-            assert_eq!(results.len(), 2048);
-            let mut panicked = 0;
-            for (i, (r, &(s, d, t))) in results.iter().zip(&queries).enumerate() {
-                if i == slot {
-                    match r {
-                        Err(QueryError::Panicked(msg)) => {
-                            panicked += 1;
-                            assert!(
-                                msg.contains("simulated latent bug"),
-                                "panic payload lost: {msg:?}"
-                            );
+    for backend in [Backend::Dijkstra, Backend::AStarCh] {
+        let index = PanickyIndex {
+            inner: build_index(g.clone(), backend, &IndexConfig::default()),
+            poisoned,
+        };
+        for threads in [1, 4] {
+            let ctx = format!("{backend:?} threads={threads}");
+            let mut exec = ParallelExecutor::new(&index, threads);
+            for round in 0..2 {
+                // Round 1 reruns on the executor whose scratch slot was
+                // sanitized after the panic: containment must not wedge
+                // reuse, and no torn label may leak into a later answer.
+                let results = exec.try_query_batch(&queries);
+                assert_eq!(results.len(), 2048);
+                let mut panicked = 0;
+                for (i, (r, &(s, d, t))) in results.iter().zip(&queries).enumerate() {
+                    if i == slot {
+                        match r {
+                            Err(QueryError::Panicked(msg)) => {
+                                panicked += 1;
+                                assert!(
+                                    msg.contains("simulated latent bug"),
+                                    "panic payload lost: {msg:?}"
+                                );
+                            }
+                            other => panic!("{ctx} round={round}: {other:?}"),
                         }
-                        other => panic!("threads={threads} round={round}: {other:?}"),
+                    } else {
+                        let got = r
+                            .as_ref()
+                            .unwrap_or_else(|e| panic!("{ctx} round={round} slot {i}: {e}"));
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            oracle.query_cost(s, d, t).map(f64::to_bits),
+                            "{ctx} round={round} slot {i}"
+                        );
                     }
-                } else {
-                    let got = r.as_ref().unwrap_or_else(|e| {
-                        panic!("threads={threads} round={round} slot {i}: {e}")
-                    });
-                    assert_eq!(
-                        got.map(f64::to_bits),
-                        oracle.query_cost(s, d, t).map(f64::to_bits),
-                        "threads={threads} round={round} slot {i}"
-                    );
                 }
+                assert_eq!(panicked, 1, "{ctx} round={round}");
             }
-            assert_eq!(panicked, 1, "threads={threads} round={round}");
         }
     }
 }

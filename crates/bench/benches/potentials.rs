@@ -1,8 +1,9 @@
-//! Potential A/B micro-bench: the same exact TD-A\* forward search driven by
-//! (A) the legacy full-backward-Dijkstra potential — O(n) setup per query —
+//! Potential A/B micro-bench: the one frozen `td_dijkstra::search` driven by
+//! (A) the full-backward-Dijkstra potential — O(n) setup per query —
 //! versus (B) the lazy CH potential — one small backward upward search plus
-//! memoized resolution — versus (C) plain frozen TD-Dijkstra with no goal
-//! direction at all, on the CAL-sized medium network.
+//! memoized resolution — versus (C) the zero potential, i.e. plain frozen
+//! TD-Dijkstra with no goal direction at all, on the CAL-sized medium
+//! network.
 //!
 //! Timings are interleaved (one A rep, one B rep, one C rep, repeat) so
 //! thermal and scheduler drift cancels. Before timing, every query's answer
@@ -20,11 +21,25 @@ use rand::rngs::StdRng;
 use std::time::Instant;
 use td_ch::ContractionHierarchy;
 use td_dijkstra::{
-    astar_cost_frozen_with, shortest_path_cost_frozen_with, AStarScratch, ChPotential,
-    ChPotentialScratch, DijkstraScratch, FullPotential, FullPotentialScratch,
+    search, BoundedCost, ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch,
+    Potential, QueryBudget, SearchScratch, ZeroPotential,
 };
 use td_gen::Dataset;
+use td_graph::FrozenGraph;
 use td_plf::DAY;
+
+/// An unbudgeted [`search`]: always exact.
+fn cost<P: Potential>(
+    sc: &mut SearchScratch,
+    fg: &FrozenGraph,
+    pot: &mut P,
+    (s, d, t): (u32, u32, f64),
+) -> Option<f64> {
+    match search(sc, fg, pot, s, d, t, &QueryBudget::UNLIMITED) {
+        BoundedCost::Exact(c) => c,
+        other => panic!("unlimited budget exhausted: {other:?}"),
+    }
+}
 
 fn queries(n: usize, count: usize, seed: u64) -> Vec<(u32, u32, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -68,7 +83,7 @@ fn compare3(
 }
 
 fn bench_potentials(criterion: &mut Criterion) {
-    // The CAL-sized medium network, as in benches/csr_layout.rs.
+    // The CAL-sized medium network.
     let g = Dataset::Cal.spec().build_scaled(3, 1.0, 42); // ~5.2k vertices
     let fg = g.freeze();
     let n = g.num_vertices();
@@ -84,19 +99,19 @@ fn bench_potentials(criterion: &mut Criterion) {
     let qs = queries(n, 64, 7);
     let mut full_sc = FullPotentialScratch::default();
     let mut ch_sc = ChPotentialScratch::default();
-    let mut astar_a = AStarScratch::default();
-    let mut astar_b = AStarScratch::default();
-    let mut dj = DijkstraScratch::default();
+    let mut astar_a = SearchScratch::default();
+    let mut astar_b = SearchScratch::default();
+    let mut dj = SearchScratch::default();
 
     // Correctness + setup-size gate before any timing: all three methods
     // bit-identical, CH potential setup small.
     let mut max_settled = 0usize;
     for &(s, d, t) in &qs {
-        let want = shortest_path_cost_frozen_with(&mut dj, &fg, s, d, t);
+        let want = cost(&mut dj, &fg, &mut ZeroPotential, (s, d, t));
         let mut full = FullPotential::new(&fg, &mut full_sc);
-        let got_full = astar_cost_frozen_with(&mut astar_a, &fg, &mut full, s, d, t);
+        let got_full = cost(&mut astar_a, &fg, &mut full, (s, d, t));
         let mut lazy = ChPotential::new(&ch, &mut ch_sc);
-        let got_ch = astar_cost_frozen_with(&mut astar_b, &fg, &mut lazy, s, d, t);
+        let got_ch = cost(&mut astar_b, &fg, &mut lazy, (s, d, t));
         max_settled = max_settled.max(ch_sc.last_init_settled());
         assert_eq!(
             want.map(f64::to_bits),
@@ -122,18 +137,18 @@ fn bench_potentials(criterion: &mut Criterion) {
         || {
             for &(s, d, t) in &qs {
                 let mut pot = FullPotential::new(&fg, &mut full_sc);
-                black_box(astar_cost_frozen_with(&mut astar_a, &fg, &mut pot, s, d, t));
+                black_box(cost(&mut astar_a, &fg, &mut pot, (s, d, t)));
             }
         },
         || {
             for &(s, d, t) in &qs {
                 let mut pot = ChPotential::new(&ch, &mut ch_sc);
-                black_box(astar_cost_frozen_with(&mut astar_b, &fg, &mut pot, s, d, t));
+                black_box(cost(&mut astar_b, &fg, &mut pot, (s, d, t)));
             }
         },
         || {
             for &(s, d, t) in &qs {
-                black_box(shortest_path_cost_frozen_with(&mut dj, &fg, s, d, t));
+                black_box(cost(&mut dj, &fg, &mut ZeroPotential, (s, d, t)));
             }
         },
         3000,
@@ -175,7 +190,7 @@ fn bench_potentials(criterion: &mut Criterion) {
                 i = (i + 1) % qs.len();
                 let (s, d, t) = qs[i];
                 let mut pot = FullPotential::new(&fg, &mut full_sc);
-                black_box(astar_cost_frozen_with(&mut astar_a, &fg, &mut pot, s, d, t))
+                black_box(cost(&mut astar_a, &fg, &mut pot, (s, d, t)))
             })
         });
     }
@@ -186,7 +201,7 @@ fn bench_potentials(criterion: &mut Criterion) {
                 i = (i + 1) % qs.len();
                 let (s, d, t) = qs[i];
                 let mut pot = ChPotential::new(&ch, &mut ch_sc);
-                black_box(astar_cost_frozen_with(&mut astar_b, &fg, &mut pot, s, d, t))
+                black_box(cost(&mut astar_b, &fg, &mut pot, (s, d, t)))
             })
         });
     }
@@ -196,7 +211,7 @@ fn bench_potentials(criterion: &mut Criterion) {
             b.iter(|| {
                 i = (i + 1) % qs.len();
                 let (s, d, t) = qs[i];
-                black_box(shortest_path_cost_frozen_with(&mut dj, &fg, s, d, t))
+                black_box(cost(&mut dj, &fg, &mut ZeroPotential, (s, d, t)))
             })
         });
     }

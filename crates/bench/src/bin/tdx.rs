@@ -297,6 +297,7 @@ fn cmd_verify(args: &[String]) {
     } else if queries > 0 {
         let graph = index.graph().clone();
         let oracle = td_api::DijkstraOracle::new(graph);
+        let mut oracle = QuerySession::new(&oracle);
         let n = index.graph().num_vertices() as u64;
         let mut session = QuerySession::new(index.as_ref());
         let mut checked = 0usize;

@@ -125,7 +125,7 @@ pub mod collection {
     use super::{Strategy, TestRunner};
     use rand::prelude::*;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -147,7 +147,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

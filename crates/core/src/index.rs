@@ -206,7 +206,7 @@ impl TdTreeIndex {
     /// A query engine borrowing this index (hot loops run on the frozen
     /// CSR/arena label layout).
     pub fn engine(&self) -> QueryEngine<'_> {
-        QueryEngine::with_frozen(&self.td, &self.store, &self.frozen)
+        QueryEngine::new(&self.td, &self.store, &self.frozen)
     }
 
     /// The frozen flat view of the tree labels.

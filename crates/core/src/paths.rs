@@ -140,6 +140,7 @@ impl QueryEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::FrozenTd;
     use crate::shortcut::ShortcutStore;
     use rand::prelude::*;
     use rand::rngs::StdRng;
@@ -154,7 +155,8 @@ mod tests {
             let g = seeded_graph(seed, n, 20, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let engine = QueryEngine::new(&td, &store);
+            let frozen = FrozenTd::build(&td);
+            let engine = QueryEngine::new(&td, &store, &frozen);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9999);
             for _ in 0..30 {
                 let s = rng.gen_range(0..n) as u32;
@@ -189,7 +191,8 @@ mod tests {
         let g = seeded_graph(2, 12, 8, 3);
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(12);
-        let engine = QueryEngine::new(&td, &store);
+        let frozen = FrozenTd::build(&td);
+        let engine = QueryEngine::new(&td, &store, &frozen);
         let (c, p) = engine.cost_with_path(5, 5, 10.0).unwrap();
         assert_eq!(c, 0.0);
         assert_eq!(p.vertices, vec![5]);

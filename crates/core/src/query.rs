@@ -20,6 +20,14 @@
 //! shortcuts selected → `O(w(T_G))` combination; (2) a subset selected →
 //! upper bound `f⁺` prunes the sweeps (NIL-marking); (3) none → basic sweep.
 //!
+//! ## Layout
+//!
+//! The scalar sweeps walk the [`FrozenTd`] view alone: flat bag slots,
+//! precomputed bag depths and arena-resident breakpoints. The profile
+//! sweeps compound whole functions, so they borrow the owned `Ws`/`Wd`
+//! labels from the tree and take depths and O(1) label minima from the
+//! matching frozen slots.
+//!
 //! ## Scratch buffers
 //!
 //! Every query comes in two flavours: a convenience form (`cost`, `profile`)
@@ -41,10 +49,9 @@ pub struct QueryEngine<'a> {
     pub td: &'a TreeDecomposition,
     /// Selected shortcuts (empty for TD-basic).
     pub store: &'a ShortcutStore,
-    /// Frozen flat view of the tree labels (`None` = fall back to the
-    /// pointer-chasing `TreeNode` layout). `TdTreeIndex` always passes one;
-    /// bare engines built in tests may omit it.
-    frozen: Option<&'a FrozenTd>,
+    /// Frozen flat view of the tree labels: what the scalar sweeps walk,
+    /// and where the profile sweeps read their O(1) label minima.
+    frozen: &'a FrozenTd,
 }
 
 /// Reusable buffers for one scalar sweep direction.
@@ -115,26 +122,10 @@ pub struct ProfileScratch {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Creates an engine over the `TreeNode` layout (no frozen view).
-    pub fn new(td: &'a TreeDecomposition, store: &'a ShortcutStore) -> Self {
-        QueryEngine {
-            td,
-            store,
-            frozen: None,
-        }
-    }
-
-    /// Creates an engine whose hot loops run on the frozen CSR/arena layout.
-    pub fn with_frozen(
-        td: &'a TreeDecomposition,
-        store: &'a ShortcutStore,
-        frozen: &'a FrozenTd,
-    ) -> Self {
-        QueryEngine {
-            td,
-            store,
-            frozen: Some(frozen),
-        }
+    /// Creates an engine over `td`, its selected shortcuts and its frozen
+    /// label view (`frozen` must be [`FrozenTd::build`] of the same `td`).
+    pub fn new(td: &'a TreeDecomposition, store: &'a ShortcutStore, frozen: &'a FrozenTd) -> Self {
+        QueryEngine { td, store, frozen }
     }
 
     fn root_path_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
@@ -167,6 +158,7 @@ impl<'a> QueryEngine<'a> {
             bufs.arr[k] = Some(a);
             bufs.fixed[k] = true; // Algo. 6 line 15: shortcut values are exact
         }
+        let fz = self.frozen;
         for k in (0..=ds).rev() {
             let Some(a) = bufs.arr[k] else { continue };
             if let Some(b) = bound {
@@ -175,44 +167,28 @@ impl<'a> QueryEngine<'a> {
                     continue;
                 }
             }
-            if let Some(fz) = self.frozen {
-                // Frozen layout: flat slot walk, precomputed bag depths, and
-                // the arena's min-cost lower bound pruning evaluations that
-                // provably cannot improve the slot (or survive the NIL
-                // bound — any relaxation with `a + min - t > b` would only
-                // write a value NIL-ed at its own processing step).
-                for (bi, idx) in fz.range(bufs.path[k]).enumerate() {
-                    let sid = fz.ws_id(idx);
-                    if sid == NO_PLF {
-                        continue;
-                    }
-                    let ku = fz.bag_depth(idx);
-                    if bufs.fixed[ku] {
-                        continue;
-                    }
-                    let lb = a + fz.arena().min_cost(sid);
-                    if bufs.arr[ku].is_some_and(|x| lb >= x) || bound.is_some_and(|b| lb - t > b) {
-                        continue;
-                    }
-                    let cand = a + fz.slice(sid).eval(a);
-                    if bufs.arr[ku].is_none_or(|x| cand < x) {
-                        bufs.arr[ku] = Some(cand);
-                        bufs.pred[ku] = Some((k, bi));
-                    }
+            // Flat slot walk with precomputed bag depths; the arena's
+            // min-cost lower bound prunes evaluations that provably cannot
+            // improve the slot (or survive the NIL bound — any relaxation
+            // with `a + min - t > b` would only write a value NIL-ed at its
+            // own processing step).
+            for (bi, idx) in fz.range(bufs.path[k]).enumerate() {
+                let sid = fz.ws_id(idx);
+                if sid == NO_PLF {
+                    continue;
                 }
-            } else {
-                let node = self.td.node(bufs.path[k]);
-                for (bi, &u) in node.bag.iter().enumerate() {
-                    let Some(ws) = &node.ws[bi] else { continue };
-                    let ku = self.td.node(u).depth as usize;
-                    if bufs.fixed[ku] {
-                        continue;
-                    }
-                    let cand = a + ws.eval(a);
-                    if bufs.arr[ku].is_none_or(|x| cand < x) {
-                        bufs.arr[ku] = Some(cand);
-                        bufs.pred[ku] = Some((k, bi));
-                    }
+                let ku = fz.bag_depth(idx);
+                if bufs.fixed[ku] {
+                    continue;
+                }
+                let lb = a + fz.arena().min_cost(sid);
+                if bufs.arr[ku].is_some_and(|x| lb >= x) || bound.is_some_and(|b| lb - t > b) {
+                    continue;
+                }
+                let cand = a + fz.slice(sid).eval(a);
+                if bufs.arr[ku].is_none_or(|x| cand < x) {
+                    bufs.arr[ku] = Some(cand);
+                    bufs.pred[ku] = Some((k, bi));
                 }
             }
         }
@@ -243,39 +219,26 @@ impl<'a> QueryEngine<'a> {
         for (k, slot) in bufs.arr.iter_mut().enumerate().take(upto.min(dd) + 1) {
             *slot = init.get(k).copied().flatten();
         }
+        let fz = self.frozen;
         for k in 0..=dd {
             let mut best: Option<f64> = bufs.arr[k]; // seeded up-sweep arrival
             let mut best_pred = None;
-            if let Some(fz) = self.frozen {
-                for (bi, idx) in fz.range(bufs.path[k]).enumerate() {
-                    let wid = fz.wd_id(idx);
-                    if wid == NO_PLF {
-                        continue;
-                    }
-                    let ku = fz.bag_depth(idx);
-                    let Some(a) = bufs.arr[ku] else { continue };
-                    // Min-cost lower bound: skip the evaluation when it
-                    // cannot beat the running best.
-                    if best.is_some_and(|x| a + fz.arena().min_cost(wid) >= x) {
-                        continue;
-                    }
-                    let cand = a + fz.slice(wid).eval(a);
-                    if best.is_none_or(|x| cand < x) {
-                        best = Some(cand);
-                        best_pred = Some((ku, bi));
-                    }
+            for (bi, idx) in fz.range(bufs.path[k]).enumerate() {
+                let wid = fz.wd_id(idx);
+                if wid == NO_PLF {
+                    continue;
                 }
-            } else {
-                let node = self.td.node(bufs.path[k]);
-                for (bi, &u) in node.bag.iter().enumerate() {
-                    let Some(wd) = &node.wd[bi] else { continue };
-                    let ku = self.td.node(u).depth as usize;
-                    let Some(a) = bufs.arr[ku] else { continue };
-                    let cand = a + wd.eval(a);
-                    if best.is_none_or(|x| cand < x) {
-                        best = Some(cand);
-                        best_pred = Some((ku, bi));
-                    }
+                let ku = fz.bag_depth(idx);
+                let Some(a) = bufs.arr[ku] else { continue };
+                // Min-cost lower bound: skip the evaluation when it cannot
+                // beat the running best.
+                if best.is_some_and(|x| a + fz.arena().min_cost(wid) >= x) {
+                    continue;
+                }
+                let cand = a + fz.slice(wid).eval(a);
+                if best.is_none_or(|x| cand < x) {
+                    best = Some(cand);
+                    best_pred = Some((ku, bi));
                 }
             }
             if let (Some(b), Some(a)) = (bound, best) {
@@ -450,11 +413,12 @@ impl<'a> QueryEngine<'a> {
                 }
                 cur_min = fmin;
             }
+            // The function algebra needs the owned labels; depths and label
+            // minima come from the matching frozen slots.
             let node = self.td.node(bufs.path[k]);
-            let slot0 = self.frozen.map(|fz| fz.range(bufs.path[k]).start);
-            for (bi, &u) in node.bag.iter().enumerate() {
-                let Some(ws) = &node.ws[bi] else { continue };
-                let ku = self.td.node(u).depth as usize;
+            for (ws, idx) in node.ws.iter().zip(self.frozen.range(bufs.path[k])) {
+                let Some(ws) = ws else { continue };
+                let ku = self.frozen.bag_depth(idx);
                 if bufs.fixed[ku] {
                     continue;
                 }
@@ -462,16 +426,9 @@ impl<'a> QueryEngine<'a> {
                 // compound's minimum is ≥ min(cost[k]) + min(ws); when that
                 // clears the bound's maximum, every propagated value loses
                 // the final combination against the bound. The frozen arena
-                // serves the edge minimum in O(1); without it, scanning ws is
-                // still far cheaper than the compound it avoids.
-                if let Some(bm) = bound_max {
-                    let ws_min = match (self.frozen, slot0) {
-                        (Some(fz), Some(lo)) => fz.ws_min(lo + bi),
-                        _ => ws.min_value(),
-                    };
-                    if cur_min + ws_min > bm {
-                        continue;
-                    }
+                // serves the edge minimum in O(1).
+                if bound_max.is_some_and(|bm| cur_min + self.frozen.ws_min(idx) > bm) {
+                    continue;
                 }
                 let cand = if k == ds {
                     ws.clone() // line 2: cost_s[u] ← X(s).Ws_u
@@ -517,22 +474,15 @@ impl<'a> QueryEngine<'a> {
                 cur_min = fmin;
             }
             let node = self.td.node(bufs.path[k]);
-            let slot0 = self.frozen.map(|fz| fz.range(bufs.path[k]).start);
-            for (bi, &u) in node.bag.iter().enumerate() {
-                let Some(wd) = &node.wd[bi] else { continue };
-                let ku = self.td.node(u).depth as usize;
+            for (wd, idx) in node.wd.iter().zip(self.frozen.range(bufs.path[k])) {
+                let Some(wd) = wd else { continue };
+                let ku = self.frozen.bag_depth(idx);
                 if bufs.fixed[ku] {
                     continue;
                 }
                 // Mirror of the up-sweep's edge-level prune.
-                if let Some(bm) = bound_max {
-                    let wd_min = match (self.frozen, slot0) {
-                        (Some(fz), Some(lo)) => fz.wd_min(lo + bi),
-                        _ => wd.min_value(),
-                    };
-                    if cur_min + wd_min > bm {
-                        continue;
-                    }
+                if bound_max.is_some_and(|bm| cur_min + self.frozen.wd_min(idx) > bm) {
+                    continue;
                 }
                 let cand = if k == dd {
                     wd.clone()
@@ -713,7 +663,8 @@ mod tests {
             let g = seeded_graph(seed, n, 25, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let engine = QueryEngine::new(&td, &store);
+            let frozen = FrozenTd::build(&td);
+            let engine = QueryEngine::new(&td, &store, &frozen);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
             for _ in 0..40 {
                 let s = rng.gen_range(0..n) as u32;
@@ -740,7 +691,8 @@ mod tests {
             let g = seeded_graph(seed, n, 18, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let engine = QueryEngine::new(&td, &store);
+            let frozen = FrozenTd::build(&td);
+            let engine = QueryEngine::new(&td, &store, &frozen);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
             for _ in 0..8 {
                 let s = rng.gen_range(0..n) as u32;
@@ -782,8 +734,9 @@ mod tests {
             let td = TreeDecomposition::build(&g);
             let full = build_all(&td, 2);
             let none = ShortcutStore::empty(n);
-            let fast = QueryEngine::new(&td, &full);
-            let slow = QueryEngine::new(&td, &none);
+            let frozen = FrozenTd::build(&td);
+            let fast = QueryEngine::new(&td, &full, &frozen);
+            let slow = QueryEngine::new(&td, &none, &frozen);
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..30 {
                 let s = rng.gen_range(0..n) as u32;
@@ -829,8 +782,9 @@ mod tests {
             let td = TreeDecomposition::build(&g);
             let full = build_all(&td, 2);
             let none = ShortcutStore::empty(n);
+            let frozen = FrozenTd::build(&td);
             for store in [&none, &full] {
-                let engine = QueryEngine::new(&td, store);
+                let engine = QueryEngine::new(&td, store, &frozen);
                 let mut cost_scratch = CostScratch::default();
                 let mut profile_scratch = ProfileScratch::default();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -865,63 +819,12 @@ mod tests {
     }
 
     #[test]
-    fn frozen_engine_matches_legacy_layout() {
-        // The frozen CSR/arena sweeps and the TreeNode-layout sweeps must
-        // answer identically, with and without shortcuts.
-        for seed in 0..4u64 {
-            let n = 32;
-            let g = seeded_graph(seed, n, 22, 3);
-            let td = TreeDecomposition::build(&g);
-            let frozen = crate::frozen::FrozenTd::build(&td);
-            let full = build_all(&td, 2);
-            let none = ShortcutStore::empty(n);
-            for store in [&none, &full] {
-                let legacy = QueryEngine::new(&td, store);
-                let fast = QueryEngine::with_frozen(&td, store, &frozen);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
-                for _ in 0..40 {
-                    let s = rng.gen_range(0..n) as u32;
-                    let d = rng.gen_range(0..n) as u32;
-                    let t = rng.gen_range(0.0..DAY);
-                    match (legacy.cost(s, d, t), fast.cost(s, d, t)) {
-                        (Some(a), Some(b)) => {
-                            assert!((a - b).abs() < 1e-9, "seed={seed} s={s} d={d} t={t}")
-                        }
-                        (None, None) => {}
-                        other => panic!("seed={seed} s={s} d={d} t={t}: {other:?}"),
-                    }
-                    match (legacy.cost_basic(s, d, t), fast.cost_basic(s, d, t)) {
-                        (Some(a), Some(b)) => {
-                            assert!((a - b).abs() < 1e-9, "seed={seed} s={s} d={d} t={t}")
-                        }
-                        (None, None) => {}
-                        other => panic!("seed={seed} s={s} d={d} t={t}: {other:?}"),
-                    }
-                    match (legacy.profile(s, d), fast.profile(s, d)) {
-                        (Some(a), Some(b)) => {
-                            for t in probe_times() {
-                                assert!(
-                                    (a.eval(t) - b.eval(t)).abs() < 1e-6,
-                                    "seed={seed} s={s} d={d} t={t}"
-                                );
-                            }
-                        }
-                        (None, None) => {}
-                        other => {
-                            panic!("seed={seed} s={s} d={d}: {:?}", other.0.map(|_| ()))
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn self_query_is_zero() {
         let g = seeded_graph(1, 10, 6, 3);
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(10);
-        let engine = QueryEngine::new(&td, &store);
+        let frozen = FrozenTd::build(&td);
+        let engine = QueryEngine::new(&td, &store, &frozen);
         assert_eq!(engine.cost_basic(3, 3, 100.0), Some(0.0));
         assert_eq!(engine.cost(3, 3, 100.0), Some(0.0));
         assert_eq!(engine.profile_basic(3, 3).unwrap().eval(5.0), 0.0);
@@ -934,7 +837,8 @@ mod tests {
         let g = seeded_graph(4, 25, 15, 3);
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(25);
-        let engine = QueryEngine::new(&td, &store);
+        let frozen = FrozenTd::build(&td);
+        let engine = QueryEngine::new(&td, &store, &frozen);
         let mut checked = 0;
         for v in 0..25u32 {
             for a in td.ancestors_root_first(v) {
@@ -965,7 +869,8 @@ mod tests {
         g.add_edge(3, 2, Plf::constant(1.0)).unwrap();
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(4);
-        let engine = QueryEngine::new(&td, &store);
+        let frozen = FrozenTd::build(&td);
+        let engine = QueryEngine::new(&td, &store, &frozen);
         assert_eq!(engine.cost_basic(0, 3, 0.0), None);
         assert!(engine.profile_basic(0, 3).is_none());
         assert_eq!(engine.cost(0, 3, 0.0), None);

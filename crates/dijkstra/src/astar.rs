@@ -1,105 +1,41 @@
 // td-lint: reader-path
 // (query-side file: no locks, no channels — readers never block)
 
-//! Time-dependent A\* with static lower-bound potentials.
+//! The crate's one frozen scalar search: time-dependent A\* over the
+//! CSR/arena layout, ordered by `arrival + h` for a pluggable
+//! [`Potential`].
 //!
-//! The potential `h(v)` is the static shortest distance from `v` to the
-//! destination where every edge is weighted by the *minimum* of its cost
-//! function over the day. Since `w_{u,v}(t) ≥ min_t w_{u,v}(t)` for all `t`,
-//! the potential is admissible and consistent, so A\* with it is correct on
-//! FIFO graphs — this is the "speed patterns" lower-bounding idea of \[15\].
+//! A potential `h(v)` lower-bounds the remaining time-dependent cost
+//! `v → d`; when it is admissible and consistent, A\* keyed by
+//! `arrival + h` settles every vertex at its final arrival on FIFO graphs
+//! (the "speed patterns" lower-bounding idea of \[15\]). The potential is
+//! the only thing that distinguishes the workspace's search backends:
 //!
-//! Two layers live here:
+//! * [`crate::ZeroPotential`] — `h ≡ 0`: plain time-dependent Dijkstra
+//!   (Cooke & Halsey \[6\]), the TD-Dijkstra backend and the correctness
+//!   oracle;
+//! * [`crate::ChPotential`] — lazy contraction-hierarchy potentials, the
+//!   fast exact query path (TD-A\*-CH);
+//! * [`crate::FullPotential`] — one full backward Dijkstra per
+//!   destination, the test reference for `ChPotential`.
 //!
-//! * the legacy [`TdGraph`] entry points ([`LowerBounds`], [`astar_cost`])
-//!   — simple, allocation-heavy reference implementations kept as the A/B
-//!   baseline and for doc-sized examples;
-//! * the frozen hot path ([`astar_cost_frozen_with`] /
-//!   [`astar_path_frozen_with`]): CSR adjacency walks with per-edge
-//!   `min_cost` pruning, generation-stamped scratch ([`AStarScratch`], 0
-//!   allocations per query once warmed), generic over any
-//!   [`crate::Potential`] — plug in the lazy
-//!   [`crate::ChPotential`] to get the fast exact query path, or
-//!   [`crate::FullPotential`] for the full-backward-Dijkstra baseline.
+//! [`search`] walks CSR adjacency with per-edge `min_cost` pruning on a
+//! generation-stamped [`SearchScratch`] (0 allocations per query once
+//! warmed) and stops at the checkpoints of a [`QueryBudget`];
+//! [`SearchScratch::path_to`] recovers the path of a completed search.
 
-use crate::budget::{BoundedCost, FrozenOutcome, QueryBudget};
+use crate::budget::{BoundedCost, QueryBudget};
 use crate::potential::Potential;
-use crate::scalar::RELAX_CHUNK;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use td_graph::{FrozenGraph, Path, TdGraph, VertexId};
+use td_graph::{FrozenGraph, Path, VertexId};
 use td_obs::SearchStats;
 use td_plf::eval_ids_at;
 
-/// Reusable backward lower bounds to a fixed destination.
-#[derive(Clone, Debug)]
-pub struct LowerBounds {
-    /// `h[v]` = static min-cost distance from `v` to the destination.
-    pub h: Vec<f64>,
-    /// The destination these bounds point at.
-    pub destination: VertexId,
-}
-
-/// Reusable state for [`LowerBounds::recompute`]: the heap and the
-/// generation-stamped done marks survive across destinations, so re-anchoring
-/// the legacy potential stops allocating per call.
-#[derive(Clone, Debug, Default)]
-pub struct LowerBoundsScratch {
-    done_gen: Vec<u32>,
-    gen: u32,
-    heap: BinaryHeap<Entry>,
-}
-
-impl LowerBounds {
-    /// Backward Dijkstra from `d` over `min_value()` edge weights.
-    pub fn new(g: &TdGraph, d: VertexId) -> Self {
-        let mut bounds = LowerBounds {
-            h: Vec::new(),
-            destination: d,
-        };
-        bounds.recompute(&mut LowerBoundsScratch::default(), g, d);
-        bounds
-    }
-
-    /// Re-anchors these bounds at `d`, reusing this value's `h` buffer and
-    /// `scratch`'s heap + visited marks (no allocations once warmed).
-    pub fn recompute(&mut self, scratch: &mut LowerBoundsScratch, g: &TdGraph, d: VertexId) {
-        let n = g.num_vertices();
-        self.h.clear();
-        self.h.resize(n, f64::INFINITY);
-        self.destination = d;
-        if scratch.done_gen.len() != n {
-            scratch.done_gen = vec![0; n];
-            scratch.gen = 0;
-        }
-        let gen = crate::potential::bump_generation(&mut scratch.gen, &mut scratch.done_gen);
-        scratch.heap.clear();
-        self.h[d as usize] = 0.0;
-        scratch.heap.push(Entry {
-            key: 0.0,
-            vertex: d,
-        });
-        while let Some(Entry { key, vertex: u }) = scratch.heap.pop() {
-            if scratch.done_gen[u as usize] == gen {
-                continue;
-            }
-            scratch.done_gen[u as usize] = gen;
-            for &(p, e) in g.in_edges(u) {
-                if scratch.done_gen[p as usize] == gen {
-                    continue;
-                }
-                let cand = key + g.weight(e).min_value();
-                if cand < self.h[p as usize] {
-                    self.h[p as usize] = cand;
-                    scratch.heap.push(Entry {
-                        key: cand,
-                        vertex: p,
-                    });
-                }
-            }
-        }
-    }
-}
+/// Out-edge relaxations are batched in chunks of this many edges: prunes
+/// first, then one [`eval_ids_at`] arena pass over the survivors, then the
+/// label updates. Stack arrays of this size hold the gathered chunk.
+const RELAX_CHUNK: usize = 32;
 
 /// Shared min-heap entry of every scalar search in this crate, ordered by
 /// smallest key first (ties broken by vertex id for determinism).
@@ -131,85 +67,24 @@ impl Ord for Entry {
     }
 }
 
-/// A\* travel cost `s → d` departing at `t` with precomputed bounds
-/// (`bounds.destination` must equal `d`).
-pub fn astar_cost_with(
-    g: &TdGraph,
-    s: VertexId,
-    d: VertexId,
-    t: f64,
-    bounds: &LowerBounds,
-) -> Option<f64> {
-    // td-lint: allow(assert-policy) public precondition with a should_panic test; legacy path, not hot
-    assert_eq!(
-        bounds.destination, d,
-        "bounds computed for a different target"
-    );
-    let n = g.num_vertices();
-    let mut settled = vec![false; n];
-    let mut best = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::new();
-    if bounds.h[s as usize].is_infinite() {
-        return None;
-    }
-    best[s as usize] = t;
-    heap.push(Entry {
-        key: t + bounds.h[s as usize],
-        vertex: s,
-    });
-    while let Some(Entry { key: _, vertex: u }) = heap.pop() {
-        if settled[u as usize] {
-            continue;
-        }
-        settled[u as usize] = true;
-        let arr = best[u as usize];
-        if u == d {
-            return Some(arr - t);
-        }
-        for &(v, e) in g.out_edges(u) {
-            if settled[v as usize] || bounds.h[v as usize].is_infinite() {
-                continue;
-            }
-            let cand = arr + g.weight(e).eval(arr);
-            if cand < best[v as usize] {
-                best[v as usize] = cand;
-                heap.push(Entry {
-                    key: cand + bounds.h[v as usize],
-                    vertex: v,
-                });
-            }
-        }
-    }
-    None
-}
-
-/// One-shot A\*: computes bounds then searches.
-pub fn astar_cost(g: &TdGraph, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-    let bounds = LowerBounds::new(g, d);
-    astar_cost_with(g, s, d, t, &bounds)
-}
-
-// ----------------------------------------------------------------------
-// Frozen hot path
-// ----------------------------------------------------------------------
-
-/// Reusable forward-search state of the frozen A\*: arrival/parent arrays
-/// are generation-stamped (no O(n) clear per query) and the heap is
-/// recycled — zero allocations per query once warmed to the graph's size.
+/// Reusable state of [`search`]: arrival/parent arrays are
+/// generation-stamped (no O(n) clear per query) and the heap is recycled —
+/// zero allocations per query once warmed to the graph's size.
 #[derive(Clone, Debug, Default)]
-pub struct AStarScratch {
-    pub(crate) best: Vec<f64>,
-    pub(crate) parent: Vec<VertexId>,
+pub struct SearchScratch {
+    best: Vec<f64>,
+    parent: Vec<VertexId>,
     /// 2·id stamps "reached this query", 2·id+1 stamps "settled".
-    pub(crate) stamp: Vec<u32>,
+    stamp: Vec<u32>,
     gen: u32,
-    pub(crate) heap: BinaryHeap<Entry>,
-    /// Counters for the most recent frozen run, reset at query start (plain
-    /// `u64`s — the hot loop records without touching shared state).
+    heap: BinaryHeap<Entry>,
+    /// Counters for the most recent search, reset at query start (plain
+    /// `u64`s — the hot loop records without touching shared state);
+    /// callers export them via [`SearchStats::take`].
     pub stats: SearchStats,
 }
 
-impl AStarScratch {
+impl SearchScratch {
     /// Restores a logically fresh state after a contained panic while
     /// keeping every warmed allocation. The arrays may hold torn values
     /// from the unwound query, but all reads are gated by the stamp array:
@@ -224,8 +99,15 @@ impl AStarScratch {
         self.stats.reset();
     }
 
+    /// The path `s → d` found by the most recent [`search`] on this
+    /// scratch, which must have returned `Exact(Some(_))` for the same
+    /// `(s, d)` (the returned [`Path`] allocates — it is the result).
+    pub fn path_to(&self, s: VertexId, d: VertexId) -> Path {
+        walk_parents(&self.parent, s, d)
+    }
+
     // td-lint: hot
-    pub(crate) fn reset(&mut self, n: usize) -> u32 {
+    fn reset(&mut self, n: usize) -> u32 {
         debug_assert!(n < u32::MAX as usize, "vertex ids must fit in u32");
         if self.best.len() != n {
             // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
@@ -251,37 +133,42 @@ impl AStarScratch {
     }
 }
 
-/// A\* travel cost `s → d` departing at `t` on the frozen layout, ordered
-/// by `arrival + h` for the given [`Potential`] (initialised here). Exact
-/// for admissible, consistent potentials; relaxations are pruned by the
-/// interleaved per-edge `min_cost` bounds both against the head's tentative
-/// arrival and — potential-strengthened — against the best known arrival
-/// at `d`.
-pub fn astar_cost_frozen_with<P: Potential>(
-    scratch: &mut AStarScratch,
-    fg: &FrozenGraph,
-    pot: &mut P,
-    s: VertexId,
-    d: VertexId,
-    t: f64,
-) -> Option<f64> {
-    match run_frozen(scratch, fg, pot, s, d, t, &QueryBudget::UNLIMITED) {
-        FrozenOutcome::Reached(arr) => Some(arr - t),
-        // An unlimited budget never exhausts.
-        FrozenOutcome::Unreachable | FrozenOutcome::Exhausted { .. } => None,
+/// Walks `parent` links back from `d` to `s` — the one path
+/// reconstruction of the crate (`parent[v]` must be set for every vertex on
+/// the way, which a search that settled `d` guarantees).
+pub(crate) fn walk_parents(parent: &[VertexId], s: VertexId, d: VertexId) -> Path {
+    let mut vertices = vec![d];
+    let mut cur = d;
+    while cur != s {
+        let p = parent[cur as usize];
+        debug_assert_ne!(p, u32::MAX, "settled vertex must have a parent");
+        vertices.push(p);
+        cur = p;
     }
+    vertices.reverse();
+    Path::new(vertices)
 }
 
-/// [`astar_cost_frozen_with`] under a [`QueryBudget`]: the identical search
-/// (bit-identical float operations when it completes), stopping at the
-/// budget's checkpoints. On exhaustion the frontier's minimum `arrival + h`
-/// key is an admissible lower bound on the destination's arrival (for a
-/// consistent potential with `h(d) = 0` — exactly what [`crate::ChPotential`]
-/// and [`crate::FullPotential`] provide), and the tentative target label
-/// (if a path was found) an upper bound.
+/// Travel cost `s → d` departing at `t` on the frozen layout, settling by
+/// `arrival + h` for the given [`Potential`] (initialised here). Exact for
+/// admissible, consistent potentials; relaxations are pruned by the
+/// interleaved per-edge `min_cost` bounds both against the head's tentative
+/// arrival and — potential-strengthened — against the best known arrival
+/// at `d`. A completed search leaves the parent links for
+/// [`SearchScratch::path_to`]; `s == d` returns before any setup, with zero
+/// [`SearchStats`].
+///
+/// The search stops at `budget`'s checkpoints
+/// ([`QueryBudget::UNLIMITED`] never does). On exhaustion the frontier's
+/// minimum `arrival + h` key is an admissible lower bound on the
+/// destination's arrival (for a consistent potential with `h(d) = 0` —
+/// what every [`Potential`] in this crate provides), and the tentative
+/// target label (if a path was found) an upper bound, so the caller gets a
+/// bracketing interval, never a wrong exact claim. Completed runs perform
+/// bit-identical float operations whatever the budget.
 // td-lint: hot
-pub fn astar_cost_frozen_bounded_with<P: Potential>(
-    scratch: &mut AStarScratch,
+pub fn search<P: Potential>(
+    scratch: &mut SearchScratch,
     fg: &FrozenGraph,
     pot: &mut P,
     s: VertexId,
@@ -289,65 +176,18 @@ pub fn astar_cost_frozen_bounded_with<P: Potential>(
     t: f64,
     budget: &QueryBudget,
 ) -> BoundedCost {
-    match run_frozen(scratch, fg, pot, s, d, t, budget) {
-        FrozenOutcome::Reached(arr) => BoundedCost::Exact(Some(arr - t)),
-        FrozenOutcome::Unreachable => BoundedCost::Exact(None),
-        FrozenOutcome::Exhausted {
-            frontier_key,
-            target_best,
-        } => BoundedCost::exhausted_from_arrivals(frontier_key, target_best, t),
-    }
-}
-
-/// [`astar_cost_frozen_with`] also reconstructing the path (the returned
-/// [`Path`] allocates — it is the result).
-pub fn astar_path_frozen_with<P: Potential>(
-    scratch: &mut AStarScratch,
-    fg: &FrozenGraph,
-    pot: &mut P,
-    s: VertexId,
-    d: VertexId,
-    t: f64,
-) -> Option<(f64, Path)> {
-    let arr = match run_frozen(scratch, fg, pot, s, d, t, &QueryBudget::UNLIMITED) {
-        FrozenOutcome::Reached(arr) => arr,
-        FrozenOutcome::Unreachable | FrozenOutcome::Exhausted { .. } => return None,
-    };
-    let mut vertices = vec![d];
-    let mut cur = d;
-    while cur != s {
-        let p = scratch.parent[cur as usize];
-        debug_assert_ne!(p, u32::MAX, "settled vertex must have a parent");
-        vertices.push(p);
-        cur = p;
-    }
-    vertices.reverse();
-    Some((arr - t, Path::new(vertices)))
-}
-
-/// The shared forward search; returns the arrival time at `d`.
-// td-lint: hot
-fn run_frozen<P: Potential>(
-    scratch: &mut AStarScratch,
-    fg: &FrozenGraph,
-    pot: &mut P,
-    s: VertexId,
-    d: VertexId,
-    t: f64,
-    budget: &QueryBudget,
-) -> FrozenOutcome {
     if s == d {
         // Arrival = departure; skip the potential setup entirely (but drop
         // the previous query's counters so a later export sees this query).
         scratch.stats.reset();
-        return FrozenOutcome::Reached(t);
+        return BoundedCost::Exact(Some(0.0));
     }
     debug_assert!((s as usize) < fg.num_vertices() && (d as usize) < fg.num_vertices());
     let gen = scratch.reset(fg.num_vertices());
     pot.init(d, t);
     let hs = pot.h(s);
     if hs.is_infinite() {
-        return FrozenOutcome::Unreachable;
+        return BoundedCost::Exact(None);
     }
     scratch.best[s as usize] = t;
     scratch.parent[s as usize] = u32::MAX;
@@ -369,21 +209,18 @@ fn run_frozen<P: Potential>(
         // Budget checkpoint. Settling the destination itself is always
         // free — it finishes the query without relaxing a single edge.
         if u != d && budget.exhausted(settles) {
-            return FrozenOutcome::Exhausted {
-                frontier_key: key,
-                target_best,
-            };
+            return BoundedCost::exhausted_from_arrivals(key, target_best, t);
         }
         settles += 1;
         scratch.stats.settle(1);
         scratch.stamp[u as usize] = gen + 1;
         let a = scratch.best[u as usize];
         if u == d {
-            return FrozenOutcome::Reached(a);
+            return BoundedCost::Exact(Some(a - t));
         }
         let (heads, edges, mins) = fg.out_slices_with_min(u);
-        // Batched relaxation (same shape as `scalar::run_frozen`): per
-        // chunk, min-bound + potential prunes gather the surviving edges,
+        // Batched relaxation: per chunk, the streaming min-bound +
+        // potential prunes gather the surviving edges' weight-function ids,
         // one `eval_ids_at` arena pass produces their costs at `a`, then the
         // label updates run in edge order against the freshest `best`.
         let deg = heads.len();
@@ -461,13 +298,13 @@ fn run_frozen<P: Potential>(
             base = stop;
         }
     }
-    FrozenOutcome::Unreachable
+    BoundedCost::Exact(None)
 }
 
 // Compile-time pin: per-worker scratch moves to its thread.
 const _: () = {
     const fn moves_to_worker<T: Send>() {}
-    moves_to_worker::<AStarScratch>();
+    moves_to_worker::<SearchScratch>();
     moves_to_worker::<crate::potential::ChPotentialScratch>();
     moves_to_worker::<crate::potential::FullPotentialScratch>()
 };
@@ -475,9 +312,12 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::potential::{ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch};
-    use crate::scalar::{shortest_path_cost, shortest_path_cost_frozen_with, DijkstraScratch};
+    use crate::potential::{
+        ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch, ZeroPotential,
+    };
+    use crate::scalar::{shortest_path, shortest_path_cost};
     use td_ch::ContractionHierarchy;
+    use td_graph::TdGraph;
     use td_plf::Plf;
 
     fn diamond() -> TdGraph {
@@ -491,145 +331,151 @@ mod tests {
         g
     }
 
-    #[test]
-    fn astar_matches_dijkstra() {
-        let g = diamond();
-        for t in [0.0, 10.0, 25.0, 50.0, 80.0] {
-            let want = shortest_path_cost(&g, 0, 3, t);
-            let got = astar_cost(&g, 0, 3, t);
-            match (want, got) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "t={t}: {a} vs {b}"),
-                (a, b) => panic!("mismatch at t={t}: {a:?} vs {b:?}"),
-            }
+    /// An unbudgeted [`search`]: always `Exact`.
+    fn cost<P: Potential>(
+        sc: &mut SearchScratch,
+        fg: &FrozenGraph,
+        pot: &mut P,
+        (s, d, t): (VertexId, VertexId, f64),
+    ) -> Option<f64> {
+        match search(sc, fg, pot, s, d, t, &QueryBudget::UNLIMITED) {
+            BoundedCost::Exact(c) => c,
+            other => panic!("unlimited budget exhausted: {other:?}"),
         }
     }
 
     #[test]
-    fn frozen_astar_matches_dijkstra_with_both_potentials() {
+    fn every_potential_matches_the_reference() {
         let g = diamond();
         let fg = g.freeze();
         let ch = ContractionHierarchy::build(&fg);
-        let mut dj = DijkstraScratch::default();
-        let mut astar_sc = AStarScratch::default();
+        let mut sc = SearchScratch::default();
         let mut full_sc = FullPotentialScratch::default();
         let mut ch_sc = ChPotentialScratch::default();
         for t in [0.0, 10.0, 25.0, 50.0, 80.0] {
             for s in 0..4u32 {
                 for d in 0..4u32 {
-                    let want = shortest_path_cost_frozen_with(&mut dj, &fg, s, d, t);
+                    let q = (s, d, t);
+                    let zero = cost(&mut sc, &fg, &mut ZeroPotential, q);
+                    match (shortest_path_cost(&g, s, d, t), zero) {
+                        (Some(a), Some(b)) => assert!((a - b).abs() < 1e-12, "{q:?}: {a} vs {b}"),
+                        (None, None) => {}
+                        other => panic!("{q:?}: {other:?}"),
+                    }
                     let mut full = FullPotential::new(&fg, &mut full_sc);
-                    let got_full = astar_cost_frozen_with(&mut astar_sc, &fg, &mut full, s, d, t);
+                    let got_full = cost(&mut sc, &fg, &mut full, q);
                     let mut lazy = ChPotential::new(&ch, &mut ch_sc);
-                    let got_ch = astar_cost_frozen_with(&mut astar_sc, &fg, &mut lazy, s, d, t);
+                    let got_ch = cost(&mut sc, &fg, &mut lazy, q);
                     assert_eq!(
-                        want.map(f64::to_bits),
+                        zero.map(f64::to_bits),
                         got_full.map(f64::to_bits),
-                        "full s={s} d={d} t={t}"
+                        "full {q:?}"
                     );
-                    assert_eq!(
-                        want.map(f64::to_bits),
-                        got_ch.map(f64::to_bits),
-                        "ch s={s} d={d} t={t}"
-                    );
+                    assert_eq!(zero.map(f64::to_bits), got_ch.map(f64::to_bits), "ch {q:?}");
                 }
             }
         }
     }
 
     #[test]
-    fn frozen_astar_path_replays() {
+    fn found_paths_replay_to_the_reported_cost() {
         let g = diamond();
         let fg = g.freeze();
         let ch = ContractionHierarchy::build(&fg);
-        let mut astar_sc = AStarScratch::default();
+        let mut sc = SearchScratch::default();
         let mut ch_sc = ChPotentialScratch::default();
         for t in [0.0, 25.0, 60.0] {
-            let mut pot = ChPotential::new(&ch, &mut ch_sc);
-            let (cost, path) =
-                astar_path_frozen_with(&mut astar_sc, &fg, &mut pot, 0, 3, t).unwrap();
-            assert_eq!(path.source(), 0);
-            assert_eq!(path.destination(), 3);
-            assert!(path.is_valid(&g));
-            let replay = path.cost(&g, t).unwrap();
-            assert!((cost - replay).abs() < 1e-9, "t={t}: {cost} vs {replay}");
-        }
-    }
-
-    #[test]
-    fn lower_bounds_are_admissible() {
-        let g = diamond();
-        let lb = LowerBounds::new(&g, 3);
-        for v in 0..4u32 {
-            for t in [0.0, 25.0, 50.0] {
-                if let Some(c) = shortest_path_cost(&g, v, 3, t) {
-                    assert!(
-                        lb.h[v as usize] <= c + 1e-9,
-                        "h[{v}]={} exceeds true cost {c} at t={t}",
-                        lb.h[v as usize]
-                    );
+            for s in 0..4u32 {
+                for d in 0..4u32 {
+                    let want = shortest_path(&g, s, d, t).map(|(c, _)| c);
+                    for lazy in [false, true] {
+                        let got = if lazy {
+                            let mut pot = ChPotential::new(&ch, &mut ch_sc);
+                            cost(&mut sc, &fg, &mut pot, (s, d, t))
+                        } else {
+                            cost(&mut sc, &fg, &mut ZeroPotential, (s, d, t))
+                        };
+                        assert_eq!(want.is_some(), got.is_some(), "s={s} d={d} t={t}");
+                        let Some(c) = got else { continue };
+                        let path = sc.path_to(s, d);
+                        assert_eq!((path.source(), path.destination()), (s, d));
+                        assert!(path.is_valid(&g));
+                        // Tie breaks may pick different equal-cost paths;
+                        // every one must replay to the reported cost.
+                        let replay = path.cost(&g, t).unwrap();
+                        assert!((c - replay).abs() < 1e-9, "t={t}: {c} vs {replay}");
+                        assert!((c - want.unwrap()).abs() < 1e-12);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn recompute_reuses_buffers_across_destinations() {
-        let g = diamond();
-        let mut scratch = LowerBoundsScratch::default();
-        let mut lb = LowerBounds::new(&g, 3);
-        for d in [2u32, 0, 3, 1, 3] {
-            lb.recompute(&mut scratch, &g, d);
-            let fresh = LowerBounds::new(&g, d);
-            assert_eq!(lb.destination, d);
-            for v in 0..4 {
-                assert_eq!(lb.h[v].to_bits(), fresh.h[v].to_bits(), "d={d} v={v}");
-            }
-        }
-    }
-
-    #[test]
-    fn unreachable_is_none() {
+    fn unreachable_is_none_and_self_is_zero() {
         let mut g = TdGraph::with_vertices(3);
         g.add_edge(0, 1, Plf::constant(1.0)).unwrap();
-        assert_eq!(astar_cost(&g, 0, 2, 0.0), None);
-        assert_eq!(astar_cost(&g, 2, 0, 0.0), None);
         let fg = g.freeze();
         let ch = ContractionHierarchy::build(&fg);
-        let mut sc = AStarScratch::default();
+        let mut sc = SearchScratch::default();
         let mut pot_sc = ChPotentialScratch::default();
-        let mut pot = ChPotential::new(&ch, &mut pot_sc);
-        assert_eq!(
-            astar_cost_frozen_with(&mut sc, &fg, &mut pot, 0, 2, 0.0),
-            None
-        );
-        let mut pot = ChPotential::new(&ch, &mut pot_sc);
-        assert_eq!(
-            astar_cost_frozen_with(&mut sc, &fg, &mut pot, 2, 0, 0.0),
-            None
-        );
-        let mut pot = ChPotential::new(&ch, &mut pot_sc);
-        assert_eq!(
-            astar_cost_frozen_with(&mut sc, &fg, &mut pot, 1, 1, 9.0),
-            Some(0.0)
-        );
-    }
-
-    #[test]
-    fn reusable_bounds_serve_many_sources() {
-        let g = diamond();
-        let lb = LowerBounds::new(&g, 3);
-        for s in 0..3u32 {
-            let want = shortest_path_cost(&g, s, 3, 20.0).unwrap();
-            let got = astar_cost_with(&g, s, 3, 20.0, &lb).unwrap();
-            assert!((want - got).abs() < 1e-9);
+        for (q, want) in [
+            ((0, 2, 0.0), None),
+            ((2, 0, 0.0), None),
+            ((1, 1, 9.0), Some(0.0)),
+        ] {
+            let mut pot = ChPotential::new(&ch, &mut pot_sc);
+            assert_eq!(cost(&mut sc, &fg, &mut pot, q), want, "ch {q:?}");
+            assert_eq!(
+                cost(&mut sc, &fg, &mut ZeroPotential, q),
+                want,
+                "zero {q:?}"
+            );
         }
+        // s == d returns before any setup: no work is counted.
+        assert_eq!(sc.stats, SearchStats::default());
     }
 
     #[test]
-    #[should_panic(expected = "different target")]
-    fn wrong_bounds_panic() {
+    fn bounded_search_brackets_the_exact_answer() {
         let g = diamond();
-        let lb = LowerBounds::new(&g, 2);
-        let _ = astar_cost_with(&g, 0, 3, 0.0, &lb);
+        let fg = g.freeze();
+        let ch = ContractionHierarchy::build(&fg);
+        let mut sc = SearchScratch::default();
+        let mut ch_sc = ChPotentialScratch::default();
+        for t in [0.0, 10.0, 40.0, 70.0] {
+            for s in 0..4u32 {
+                for d in 0..4u32 {
+                    let exact = cost(&mut sc, &fg, &mut ZeroPotential, (s, d, t));
+                    for cap in [0u64, 1, 2, 3, u64::MAX] {
+                        let budget = QueryBudget::settles(cap);
+                        let mut pot = ChPotential::new(&ch, &mut ch_sc);
+                        for got in [
+                            search(&mut sc, &fg, &mut ZeroPotential, s, d, t, &budget),
+                            search(&mut sc, &fg, &mut pot, s, d, t, &budget),
+                        ] {
+                            match got {
+                                BoundedCost::Exact(got) => assert_eq!(
+                                    got.map(f64::to_bits),
+                                    exact.map(f64::to_bits),
+                                    "s={s} d={d} t={t} cap={cap}"
+                                ),
+                                BoundedCost::Exhausted { lower, upper } => {
+                                    assert!(lower <= upper, "s={s} d={d} t={t} cap={cap}");
+                                    match exact {
+                                        Some(c) => assert!(
+                                            lower <= c + 1e-9 && c <= upper + 1e-9,
+                                            "s={s} d={d} t={t} cap={cap}: {c} not in [{lower}, {upper}]"
+                                        ),
+                                        // Exhaustion must never imply reachability.
+                                        None => assert!(upper.is_infinite()),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

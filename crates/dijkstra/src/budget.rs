@@ -39,8 +39,8 @@ pub struct QueryBudget {
 }
 
 impl QueryBudget {
-    /// No cap at all: the bounded entry points behave bit-identically to
-    /// their unbounded counterparts.
+    /// No cap at all: the search runs to completion and never reads the
+    /// clock.
     pub const UNLIMITED: QueryBudget = QueryBudget {
         max_settles: u64::MAX,
         deadline: None,
@@ -128,8 +128,8 @@ impl Default for QueryBudget {
 /// Outcome of a budget-bounded frozen search, in travel-cost space.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BoundedCost {
-    /// The search ran to completion: the exact answer, bit-identical to the
-    /// unbounded entry point (`None` = destination proven unreachable).
+    /// The search ran to completion: the exact answer, bit-identical
+    /// whatever the budget (`None` = destination proven unreachable).
     Exact(Option<f64>),
     /// The budget ran out first. If the destination is reachable, its exact
     /// travel cost lies in `[lower, upper]`. `upper` is finite iff a
@@ -167,24 +167,6 @@ impl BoundedCost {
     pub fn is_exact(&self) -> bool {
         matches!(self, BoundedCost::Exact(_))
     }
-}
-
-/// Internal tri-state the frozen goal-directed searches return.
-pub(crate) enum FrozenOutcome {
-    /// Destination settled: its exact arrival time.
-    Reached(f64),
-    /// Search ran dry: destination proven unreachable.
-    Unreachable,
-    /// Budget exhausted: minimum heap key and tentative target arrival
-    /// (`INFINITY` when the destination was never reached).
-    Exhausted { frontier_key: f64, target_best: f64 },
-}
-
-/// Scalar variant of [`FrozenOutcome`]: the arrival/tentative labels stay
-/// in the scratch, so only the frontier key travels back.
-pub(crate) enum RunStatus {
-    Complete,
-    Exhausted { frontier_key: f64 },
 }
 
 // Compile-time pin: one budget value is shared across a whole batch's

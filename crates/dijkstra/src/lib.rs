@@ -5,47 +5,37 @@
 //! baselines, plus the *profile* (full cost-function) search used as the
 //! correctness oracle and as a building block of TD-G-tree:
 //!
-//! * [`scalar`] — time-dependent Dijkstra for a single departure time
-//!   `Q(s, d, t)` (Cooke–Halsey / Dreyfus style, correct under FIFO);
+//! * [`astar`] — [`search`], the one frozen scalar search for a single
+//!   departure time `Q(s, d, t)`: time-dependent A\* over the CSR/arena
+//!   layout on a reusable [`SearchScratch`], budgeted by a [`QueryBudget`]
+//!   and ordered by any pluggable [`Potential`];
+//! * [`potential`] — the [`Potential`] trait and its implementations:
+//!   [`ZeroPotential`] (`h ≡ 0`, i.e. plain TD-Dijkstra, Cooke–Halsey /
+//!   Dreyfus style, correct under FIFO), the lazy [`ChPotential`] (one
+//!   small backward upward search in a `td_ch::ContractionHierarchy` +
+//!   per-vertex memoized resolution — the CH-Potentials scheme that makes
+//!   TD-A\* the fast exact query path) and its test reference
+//!   [`FullPotential`] (one full backward Dijkstra per destination);
+//! * [`scalar`] — the `TdGraph` reference Dijkstra
+//!   ([`shortest_path_cost`] / [`shortest_path`]) every search and index is
+//!   tested against;
 //! * [`profile`] — label-correcting search computing the *shortest travel
-//!   cost function* `f_{s,v}(t)` for the whole day (Def. 2);
-//! * [`astar`] — time-dependent A\* with admissible lower bounds derived from
-//!   a backward Dijkstra over each edge's minimum cost (the classic
-//!   static-lower-bound potential of \[15\]), plus the frozen fast path
-//!   ordered by any pluggable [`Potential`];
-//! * [`potential`] — the [`Potential`] trait and its two implementations:
-//!   the legacy [`FullPotential`] (one full backward Dijkstra per
-//!   destination) and the lazy [`ChPotential`] (one small backward upward
-//!   search in a `td_ch::ContractionHierarchy` + per-vertex memoized
-//!   resolution — the CH-Potentials scheme that makes TD-A\* the fast exact
-//!   query path).
+//!   cost function* `f_{s,v}(t)` for the whole day (Def. 2).
 
 pub mod astar;
-pub mod bidirectional;
 pub mod budget;
 pub mod potential;
 pub mod profile;
 pub mod scalar;
 
-pub use astar::{
-    astar_cost, astar_cost_frozen_bounded_with, astar_cost_frozen_with, astar_path_frozen_with,
-    AStarScratch, LowerBounds, LowerBoundsScratch,
-};
-pub use bidirectional::{
-    bidirectional_cost, bidirectional_cost_frozen_bounded_with, bidirectional_cost_frozen_with,
-    BidirectionalScratch,
-};
+pub use astar::{search, SearchScratch};
 pub use budget::{BoundedCost, QueryBudget, DEADLINE_STRIDE};
 pub use potential::{
-    ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch, Potential,
+    ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch, Potential, ZeroPotential,
 };
 pub use profile::{
     profile_corridor, profile_search, profile_search_frozen, profile_search_frozen_bounded,
     profile_search_frozen_corridor, profile_search_frozen_corridor_to, profile_search_to,
     CorridorStats, ProfileCorridor, ProfileResult,
 };
-pub use scalar::{
-    one_to_all, shortest_path, shortest_path_cost, shortest_path_cost_frozen_bounded_with,
-    shortest_path_cost_frozen_with, shortest_path_cost_with, shortest_path_frozen_with,
-    shortest_path_with, DijkstraScratch,
-};
+pub use scalar::{shortest_path, shortest_path_cost};

@@ -4,16 +4,18 @@
 //! A\* potentials: admissible, consistent lower bounds on the remaining
 //! time-dependent cost to a fixed destination.
 //!
-//! Both implementations bound via the *scalar min-cost graph* (every edge
-//! weighted by `min_t w_e(t)`), whose exact distances to `d` are admissible
+//! [`ZeroPotential`] (`h ≡ 0`) is trivially both, and turns
+//! [`crate::search`] into plain time-dependent Dijkstra. The other two
+//! bound via the *scalar min-cost graph* (every edge weighted by
+//! `min_t w_e(t)`), whose exact distances to `d` are admissible
 //! (`w_e(t) ≥ min_t w_e(t)`) and consistent (`h(u) ≤ w_min(u,v) + h(v)` is
 //! the triangle inequality of a true distance), so A\* keyed by
 //! `arrival + h` is correct on FIFO graphs:
 //!
-//! * [`FullPotential`] — the legacy baseline: one **full** backward Dijkstra
-//!   over the reverse min-cost graph per destination. O(n log n) per query
-//!   before the forward search even starts, but with reusable
-//!   generation-stamped scratch it no longer allocates per query.
+//! * [`FullPotential`] — the test reference for [`ChPotential`]: one
+//!   **full** backward Dijkstra over the reverse min-cost graph per
+//!   destination. O(n log n) per query before the forward search even
+//!   starts; generation-stamped scratch keeps it allocation-free.
 //! * [`ChPotential`] — the fast path: one backward *upward* search in a
 //!   prebuilt [`ContractionHierarchy`] (settling only the destination's
 //!   upward cone — typically a small fraction of the graph), then `h(v)`
@@ -37,7 +39,7 @@ use crate::astar::Entry;
 /// properties are proptested in `tests/proptest_astar_ch.rs`.
 pub trait Potential {
     /// Re-anchors the potential at destination `d` for a query departing
-    /// at `t`. Called once per query by the A\* entry points.
+    /// at `t`. Called once per query by [`crate::search`].
     fn init(&mut self, d: VertexId, t: f64);
 
     /// The lower bound for `v`. `&mut` because lazy implementations resolve
@@ -45,9 +47,25 @@ pub trait Potential {
     fn h(&mut self, v: VertexId) -> f64;
 }
 
+/// The zero potential: no goal direction, so [`crate::search`] settles by
+/// arrival time alone — plain time-dependent Dijkstra. Never reports a
+/// vertex as unable to reach `d`; the search runs dry instead.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ZeroPotential;
+
+impl Potential for ZeroPotential {
+    #[inline]
+    fn init(&mut self, _d: VertexId, _t: f64) {}
+
+    #[inline]
+    fn h(&mut self, _v: VertexId) -> f64 {
+        0.0
+    }
+}
+
 /// Steps a shared generation counter, clearing the stamp array wholesale on
 /// wrap-around so stale stamps can never collide with a live generation.
-/// Every gen-stamped scratch in this crate routes through this (the A\*
+/// Every gen-stamped scratch in this crate routes through this (the search
 /// scratch steps by 2 and keeps its own variant, documented there).
 pub(crate) fn bump_generation(gen: &mut u32, stamps: &mut [u32]) -> u32 {
     *gen = if *gen == u32::MAX {
@@ -60,7 +78,7 @@ pub(crate) fn bump_generation(gen: &mut u32, stamps: &mut [u32]) -> u32 {
 }
 
 // ----------------------------------------------------------------------
-// Full backward Dijkstra (legacy baseline)
+// Full backward Dijkstra (test reference)
 // ----------------------------------------------------------------------
 
 /// Reusable state of the full-backward-Dijkstra potential: distance array,
@@ -90,7 +108,7 @@ impl FullPotentialScratch {
     }
 }
 
-/// The legacy A/B baseline: exact whole-day-min-graph distances to `d` by
+/// The reference potential: exact whole-day-min-graph distances to `d` by
 /// one full backward Dijkstra over the frozen reverse adjacency at `init`
 /// (the departure time is ignored — this is the classic loose bound); `h`
 /// is then an O(1) lookup.
@@ -341,7 +359,7 @@ impl Potential for ChPotential<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::{shortest_path_cost_frozen_with, DijkstraScratch};
+    use crate::scalar::shortest_path_cost;
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use td_gen::random_graph::seeded_graph;
@@ -357,7 +375,6 @@ mod tests {
             let ch = ContractionHierarchy::build(&fg);
             let mut full_sc = FullPotentialScratch::default();
             let mut ch_sc = ChPotentialScratch::default();
-            let mut dj = DijkstraScratch::default();
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9e);
             for _ in 0..6 {
                 let d = rng.gen_range(0..45) as u32;
@@ -377,7 +394,7 @@ mod tests {
                     }
                     assert!((a - b).abs() < 1e-9, "v={v} d={d}: {a} vs {b}");
                     let t = rng.gen_range(0.0..DAY);
-                    if let Some(c) = shortest_path_cost_frozen_with(&mut dj, &fg, v, d, t) {
+                    if let Some(c) = shortest_path_cost(&g, v, d, t) {
                         assert!(b <= c + 1e-9, "h({v})={b} exceeds TD cost {c} at t={t}");
                     }
                 }

@@ -58,11 +58,6 @@ impl ProfileResult {
     }
 }
 
-/// Profile search from `s` over the whole graph.
-pub fn profile_search(g: &TdGraph, s: VertexId) -> ProfileResult {
-    profile_search_impl(g, s, None)
-}
-
 /// [`profile_search`] over the frozen CSR/arena layout.
 ///
 /// `fg` must be `g.freeze()` (same vertex/edge ids): adjacency walks and the
@@ -82,7 +77,7 @@ pub fn profile_search_frozen(g: &TdGraph, fg: &FrozenGraph, s: VertexId) -> Prof
 
 /// [`profile_search_frozen`] under a [`QueryBudget`]: the settle cap counts
 /// relaxation rounds (queue pops) and the deadline is checked on the same
-/// stride as the scalar searches. Returns the labels plus a completeness
+/// stride as [`crate::search`]. Returns the labels plus a completeness
 /// flag: when `false`, the search stopped early and every present label is
 /// a pointwise *upper bound* on the true cost function (label-correcting
 /// labels only ever decrease), while absent labels say nothing — exactly
@@ -117,34 +112,59 @@ pub struct ProfileCorridor {
 /// prelude to corridor-bounded profile computation).
 pub fn profile_corridor(fg: &FrozenGraph, s: VertexId) -> ProfileCorridor {
     ProfileCorridor {
-        lo: scalar_bound_dists(fg, s, false),
-        hi: scalar_bound_dists(fg, s, true),
+        lo: static_rail_dists(fg, s, Walk::Forward, Rail::Min),
+        hi: static_rail_dists(fg, s, Walk::Forward, Rail::Max),
     }
 }
 
-/// Dijkstra over one scalar rail of the corridor: per-edge `min_cost`
-/// (`upper == false`) or `max_cost` (`upper == true`) weights.
-fn scalar_bound_dists(fg: &FrozenGraph, s: VertexId, upper: bool) -> Vec<f64> {
+/// Which adjacency a static rail walks: out-edges from a source, or
+/// in-edges back from a destination.
+#[derive(Clone, Copy)]
+enum Walk {
+    Forward,
+    Backward,
+}
+
+/// Which per-edge scalar bound weighs a static rail.
+#[derive(Clone, Copy)]
+enum Rail {
+    Min,
+    Max,
+}
+
+/// Static Dijkstra from `origin` over one scalar rail of the frozen graph:
+/// every edge weighted by its whole-day `min_cost` or `max_cost`, walked
+/// along `walk`. `Forward`/`Min` lower-bounds and `Forward`/`Max`
+/// upper-bounds every `f_{origin,v}`; `Backward`/`Min` lower-bounds the cost
+/// of any `v → origin` path at any departure time. `INFINITY` marks vertices
+/// the walk cannot reach.
+fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, walk: Walk, rail: Rail) -> Vec<f64> {
     let n = fg.num_vertices();
     let mut dist = vec![f64::INFINITY; n];
     let mut done = vec![false; n];
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    dist[s as usize] = 0.0;
+    dist[origin as usize] = 0.0;
     heap.push(Entry {
         key: 0.0,
-        vertex: s,
+        vertex: origin,
     });
     while let Some(Entry { key, vertex: u }) = heap.pop() {
         if done[u as usize] {
             continue;
         }
         done[u as usize] = true;
-        let (heads, edges, mins) = fg.out_slices_with_min(u);
-        for ((&v, &e), &emin) in heads.iter().zip(edges.iter()).zip(mins.iter()) {
+        let (neighbours, edges) = match walk {
+            Walk::Forward => fg.csr.out_slices(u),
+            Walk::Backward => fg.csr.in_slices(u),
+        };
+        for (&v, &e) in neighbours.iter().zip(edges.iter()) {
             if done[v as usize] {
                 continue;
             }
-            let w = if upper { fg.max_cost(e) } else { emin };
+            let w = match rail {
+                Rail::Min => fg.min_cost(e),
+                Rail::Max => fg.max_cost(e),
+            };
             let cand = key + w;
             if cand < dist[v as usize] {
                 dist[v as usize] = cand;
@@ -221,43 +241,6 @@ pub fn profile_search_frozen_corridor(
     (result, stats)
 }
 
-/// Backward Dijkstra over the per-edge `min_cost` bounds on the *reversed*
-/// adjacency (`csr.in_slices`): `rev_lo[v]` is an admissible lower bound on
-/// the cost of any `v → d` path at any departure time, `INFINITY` when `v`
-/// cannot reach `d` at all.
-fn reverse_lower_dists(fg: &FrozenGraph, d: VertexId) -> Vec<f64> {
-    let n = fg.num_vertices();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut done = vec![false; n];
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    dist[d as usize] = 0.0;
-    heap.push(Entry {
-        key: 0.0,
-        vertex: d,
-    });
-    while let Some(Entry { key, vertex: u }) = heap.pop() {
-        if done[u as usize] {
-            continue;
-        }
-        done[u as usize] = true;
-        let (tails, edges) = fg.csr.in_slices(u);
-        for (&v, &e) in tails.iter().zip(edges.iter()) {
-            if done[v as usize] {
-                continue;
-            }
-            let cand = key + fg.min_cost(e);
-            if cand < dist[v as usize] {
-                dist[v as usize] = cand;
-                heap.push(Entry {
-                    key: cand,
-                    vertex: v,
-                });
-            }
-        }
-    }
-    dist
-}
-
 /// *Targeted* corridor profile search `s → d`: computes the exact shortest
 /// travel cost function `f_{s,d}(t)` while pruning every relaxation that
 /// provably cannot contribute to `d`'s lower envelope.
@@ -288,13 +271,13 @@ pub fn profile_search_frozen_corridor_to(
     d: VertexId,
 ) -> (Option<Plf>, CorridorStats) {
     let mut stats = CorridorStats::default();
-    let ub = scalar_bound_dists(fg, s, true)[d as usize];
+    let ub = static_rail_dists(fg, s, Walk::Forward, Rail::Max)[d as usize];
     if ub.is_infinite() {
         // Max-metric reachability equals reachability (same adjacency,
         // finite weights): d cannot be reached at all.
         return (None, stats);
     }
-    let rev_lo = reverse_lower_dists(fg, d);
+    let rev_lo = static_rail_dists(fg, d, Walk::Backward, Rail::Min);
     let (mut result, complete) = profile_frozen_impl(
         g,
         fg,
@@ -445,7 +428,7 @@ pub fn profile_search_to(
     s: VertexId,
     keep: impl Fn(VertexId) -> bool,
 ) -> ProfileResult {
-    let mut r = profile_search_impl(g, s, None);
+    let mut r = profile_search(g, s);
     for v in 0..g.num_vertices() as u32 {
         if !keep(v) && v != s {
             r.dist[v as usize] = None;
@@ -454,7 +437,8 @@ pub fn profile_search_to(
     r
 }
 
-fn profile_search_impl(g: &TdGraph, s: VertexId, _reserved: Option<()>) -> ProfileResult {
+/// Profile search from `s` over the whole graph.
+pub fn profile_search(g: &TdGraph, s: VertexId) -> ProfileResult {
     let n = g.num_vertices();
     let mut dist: Vec<Option<Plf>> = vec![None; n];
     let mut in_queue = vec![false; n];

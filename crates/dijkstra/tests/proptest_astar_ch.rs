@@ -1,12 +1,12 @@
 //! Property tests for the lazy CH-potential TD-A\* fast path:
 //!
-//! * costs are **bit-identical** to `shortest_path_cost_frozen_with` over
-//!   random TD graphs × random departure times (A\* reorders the search,
-//!   never the arithmetic);
+//! * costs are **bit-identical** to `search` under `ZeroPotential` (frozen
+//!   TD-Dijkstra) over random TD graphs × random departure times (A\*
+//!   reorders the search, never the arithmetic);
 //! * the potential is *admissible* (`h(v)` never exceeds any realizable TD
 //!   cost `v → d`) and *consistent* (`h(u) ≤ w_min(u,v) + h(v)` for every
 //!   edge) — the two properties A\*'s exactness argument rests on;
-//! * both properties also hold for the legacy full-backward-Dijkstra
+//! * both properties also hold for the reference full-backward-Dijkstra
 //!   potential, and the two potentials agree (both are exact min-graph
 //!   distances).
 
@@ -15,11 +15,25 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use td_ch::ContractionHierarchy;
 use td_dijkstra::{
-    astar_cost_frozen_with, AStarScratch, ChPotential, ChPotentialScratch, DijkstraScratch,
-    FullPotential, FullPotentialScratch, Potential,
+    search, BoundedCost, ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch,
+    Potential, QueryBudget, SearchScratch, ZeroPotential,
 };
 use td_gen::random_graph::seeded_graph;
+use td_graph::FrozenGraph;
 use td_plf::DAY;
+
+/// An unbudgeted [`search`]: always exact.
+fn cost<P: Potential>(
+    sc: &mut SearchScratch,
+    fg: &FrozenGraph,
+    pot: &mut P,
+    (s, d, t): (u32, u32, f64),
+) -> Option<f64> {
+    match search(sc, fg, pot, s, d, t, &QueryBudget::UNLIMITED) {
+        BoundedCost::Exact(c) => c,
+        other => panic!("unlimited budget exhausted: {other:?}"),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -33,17 +47,17 @@ proptest! {
         let g = seeded_graph(seed, n, n + n / 2, 3);
         let fg = g.freeze();
         let ch = ContractionHierarchy::build(&fg);
-        let mut dj = DijkstraScratch::default();
-        let mut astar_sc = AStarScratch::default();
+        let mut dj = SearchScratch::default();
+        let mut astar_sc = SearchScratch::default();
         let mut pot_sc = ChPotentialScratch::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa57a);
         for _ in 0..queries {
             let s = rng.gen_range(0..n) as u32;
             let d = rng.gen_range(0..n) as u32;
             let t = rng.gen_range(0.0..DAY);
-            let want = td_dijkstra::shortest_path_cost_frozen_with(&mut dj, &fg, s, d, t);
+            let want = cost(&mut dj, &fg, &mut ZeroPotential, (s, d, t));
             let mut pot = ChPotential::new(&ch, &mut pot_sc);
-            let got = astar_cost_frozen_with(&mut astar_sc, &fg, &mut pot, s, d, t);
+            let got = cost(&mut astar_sc, &fg, &mut pot, (s, d, t));
             prop_assert_eq!(
                 want.map(f64::to_bits),
                 got.map(f64::to_bits),
@@ -63,14 +77,14 @@ proptest! {
         let ch = ContractionHierarchy::build(&fg);
         let mut ch_sc = ChPotentialScratch::default();
         let mut full_sc = FullPotentialScratch::default();
-        let mut dj = DijkstraScratch::default();
+        let mut dj = SearchScratch::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xad31);
         for _ in 0..4 {
             let d = rng.gen_range(0..n) as u32;
             let mut lazy = ChPotential::new(&ch, &mut ch_sc);
             let mut full = FullPotential::new(&fg, &mut full_sc);
             // Anchor both at t = 0: the CH then uses metric 0 (the
-            // whole-day minimum), which must agree with the legacy full
+            // whole-day minimum), which must agree with the reference full
             // potential; consistency below is tested against `w_min`.
             lazy.init(d, 0.0);
             full.init(d, 0.0);
@@ -98,8 +112,7 @@ proptest! {
                 }
                 // Admissibility against the true TD cost at a random time.
                 let t = rng.gen_range(0.0..DAY);
-                if let Some(c) = td_dijkstra::shortest_path_cost_frozen_with(&mut dj, &fg, u, d, t)
-                {
+                if let Some(c) = cost(&mut dj, &fg, &mut ZeroPotential, (u, d, t)) {
                     prop_assert!(
                         hu <= c + 1e-9,
                         "h({})={} exceeds TD cost {} (d={}, t={})",
@@ -122,7 +135,7 @@ proptest! {
         let fg = g.freeze();
         let ch = ContractionHierarchy::build(&fg);
         let mut ch_sc = ChPotentialScratch::default();
-        let mut dj = DijkstraScratch::default();
+        let mut dj = SearchScratch::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x717e);
         for _ in 0..4 {
             let d = rng.gen_range(0..n) as u32;
@@ -147,8 +160,7 @@ proptest! {
                     }
                 }
                 // Admissibility against the true TD cost departing at t.
-                if let Some(c) = td_dijkstra::shortest_path_cost_frozen_with(&mut dj, &fg, u, d, t)
-                {
+                if let Some(c) = cost(&mut dj, &fg, &mut ZeroPotential, (u, d, t)) {
                     prop_assert!(
                         hu <= c + 1e-9,
                         "h({})={} exceeds TD cost {} (d={}, t={})",

@@ -47,15 +47,6 @@ impl TdH2h {
         }
     }
 
-    /// Pre-config-struct constructor, kept as a shim for one release.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `TdH2h::build(graph, H2hConfig { threads })`"
-    )]
-    pub fn build_with_threads(graph: TdGraph, threads: usize) -> TdH2h {
-        TdH2h::build(graph, H2hConfig { threads })
-    }
-
     /// Travel cost query (always an `O(w)` label combination).
     pub fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
         self.inner.query_cost(s, d, t)
@@ -209,19 +200,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_thread_shim_matches_config_build() {
-        let g = seeded_graph(4, 20, 12, 3);
-        let via_shim = TdH2h::build_with_threads(g.clone(), 2);
-        let via_cfg = TdH2h::build(g, H2hConfig { threads: 2 });
-        assert_eq!(via_shim.num_labels(), via_cfg.num_labels());
-        assert_eq!(
-            via_shim.query_cost(0, 19, 100.0),
-            via_cfg.query_cost(0, 19, 100.0)
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! feature every recorder body compiles to nothing, so the loops are
 //! bit-identical to the uninstrumented build.
 
-/// Per-query search counters, filled by the scalar / A* / bidirectional /
+/// Per-query search counters, filled by the frozen scalar search, G-tree and
 /// profile loops and exported once per query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {

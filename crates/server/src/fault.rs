@@ -206,16 +206,6 @@ impl<I: RoutingIndex> RoutingIndex for HostileIndex<I> {
     fn graph(&self) -> &TdGraph {
         self.inner.graph()
     }
-    fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.maybe_panic(s, d, t);
-        self.inner.query_cost(s, d, t)
-    }
-    fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        self.inner.query_profile(s, d)
-    }
-    fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        self.inner.query_path(s, d, t)
-    }
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }
@@ -234,6 +224,23 @@ impl<I: RoutingIndex> RoutingIndex for HostileIndex<I> {
     ) -> Option<f64> {
         self.maybe_panic(s, d, t);
         self.inner.query_cost_in(scratch, s, d, t)
+    }
+    fn query_profile_in(
+        &self,
+        scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+    ) -> Option<Plf> {
+        self.inner.query_profile_in(scratch, s, d)
+    }
+    fn query_path_in(
+        &self,
+        scratch: &mut SessionScratch,
+        s: VertexId,
+        d: VertexId,
+        t: f64,
+    ) -> Option<(f64, Path)> {
+        self.inner.query_path_in(scratch, s, d, t)
     }
     fn query_cost_bounded_in(
         &self,

@@ -15,7 +15,7 @@
 //! * the [`Persist`] trait (`write_into`/`read_from` over [`std::io::Write`]
 //!   / [`std::io::Read`]) that every state-owning type in the workspace
 //!   implements;
-//! * the `.tdx` container: a fixed [`format`] header (magic, format version,
+//! * the `.tdx` container: a fixed [`mod@format`] header (magic, format version,
 //!   endianness marker, backend tag) followed by a stream of typed,
 //!   CRC32-checksummed [`section`]s and a terminating end marker;
 //! * typed [`StoreError`]s — corrupt, truncated or mismatched input is
