@@ -9,7 +9,6 @@ use std::str::FromStr;
 use td_core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_graph::TdGraph;
 use td_gtree::{GtreeConfig, TdGtree};
-use td_h2h::{H2hConfig, TdH2h};
 
 /// Every index family in the workspace, named as in the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,7 +19,8 @@ pub enum Backend {
     TdAppro,
     /// The TD-tree with Algo. 4 dynamic-programming shortcut selection.
     TdDp,
-    /// The TD-H2H baseline (full 2-hop labels).
+    /// The TD-H2H baseline (full 2-hop labels): the TD-tree with every
+    /// pair selected.
     TdH2h,
     /// The TD-G-tree baseline (border cost-function matrices).
     TdGtree,
@@ -81,10 +81,12 @@ impl Backend {
                     weight_scale: cfg.dp_weight_scale(),
                 }),
             )),
-            Backend::TdH2h => Box::new(TdH2h::build(
+            // The full label is never repaired in place: no support lists.
+            Backend::TdH2h => Box::new(TdTreeIndex::build(
                 graph,
-                H2hConfig {
-                    threads: cfg.threads,
+                IndexOptions {
+                    track_supports: false,
+                    ..tree_opts(SelectionStrategy::All)
                 },
             )),
             Backend::TdGtree => Box::new(TdGtree::build(

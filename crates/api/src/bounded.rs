@@ -31,7 +31,7 @@ pub enum QueryError {
     /// (label backends), or the deadline had already passed at entry.
     BudgetExhausted,
     /// The query panicked and was contained by
-    /// [`crate::ParallelExecutor::try_query_batch`]; the payload is the
+    /// [`crate::ParallelExecutor::query_batch_bounded_into`]; the payload is the
     /// panic message. The rest of the batch is unaffected.
     Panicked(String),
 }

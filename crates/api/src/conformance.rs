@@ -19,7 +19,7 @@
 //!    it back yields an index answering cost, profile and path queries
 //!    **bit-identically** ([`check_snapshot_roundtrip`]);
 //! 9. bounded queries honour the degradation ladder: under every budget,
-//!    `query_cost_bounded` either answers **bit-identically** to
+//!    `query_cost_bounded_in` either answers **bit-identically** to
 //!    `query_cost`, or returns a flagged interval containing the exact
 //!    answer, or a typed error — never an unflagged wrong exact claim
 //!    ([`check_bounded_queries`]);
@@ -230,7 +230,7 @@ fn assert_plf_value_identical(a: &td_plf::Plf, b: &td_plf::Plf, ctx: &str) {
     }
 }
 
-/// Conformance step 9: [`RoutingIndex::query_cost_bounded`] under a sweep
+/// Conformance step 9: [`RoutingIndex::query_cost_bounded_in`] under a sweep
 /// of budgets — tiny to unlimited settle caps plus an already-expired
 /// deadline — must never make an unflagged wrong claim. Exact answers are
 /// **bit-identical** to `query_cost`; approximate answers are flagged
@@ -248,11 +248,15 @@ pub fn check_bounded_queries(index: &dyn RoutingIndex, queries: &[(VertexId, Ver
         QueryBudget::settles(4096),
         QueryBudget::timeout(std::time::Duration::ZERO),
     ];
+    // Every bounded call below runs on a scratch of its own.
+    let bounded = |s, d, t, budget: &QueryBudget| {
+        index.query_cost_bounded_in(&mut index.new_scratch(), s, d, t, budget)
+    };
     for &(s, d, t) in queries {
         let exact = index.query_cost(s, d, t);
         for (i, budget) in budgets.iter().enumerate() {
             let ctx = format!("s={s} d={d} t={t} budget#{i}");
-            match index.query_cost_bounded(s, d, t, budget) {
+            match bounded(s, d, t, budget) {
                 Ok(answer) => {
                     assert!(
                         answer.is_consistent_with(exact, COST_EPS),
@@ -288,8 +292,7 @@ pub fn check_bounded_queries(index: &dyn RoutingIndex, queries: &[(VertexId, Ver
             }
         }
         // An unlimited budget must never degrade.
-        let answer = index
-            .query_cost_bounded(s, d, t, &QueryBudget::UNLIMITED)
+        let answer = bounded(s, d, t, &QueryBudget::UNLIMITED)
             .unwrap_or_else(|e| panic!("{name}: unlimited budget errored: {e}"));
         assert!(
             answer.is_exact(),
@@ -299,7 +302,7 @@ pub fn check_bounded_queries(index: &dyn RoutingIndex, queries: &[(VertexId, Ver
     // Out-of-range endpoints and unusable departure times are typed.
     let n = index.graph().num_vertices() as VertexId;
     for (s, d, t) in [(n, 0, 0.0), (0, n + 7, 0.0), (0, 0, f64::NAN), (0, 0, -1.0)] {
-        match index.query_cost_bounded(s, d, t, &QueryBudget::UNLIMITED) {
+        match bounded(s, d, t, &QueryBudget::UNLIMITED) {
             Err(QueryError::InvalidQuery(_)) => {}
             other => panic!("{name} s={s} d={d} t={t}: expected InvalidQuery, got {other:?}"),
         }
@@ -374,21 +377,43 @@ pub fn check_snapshot_roundtrip(index: &dyn RoutingIndex, queries: &[(VertexId, 
 /// Conformance step 7: the same seeded query batch answered by one worker
 /// and by N workers sharing `index` must produce **bit-identical** results
 /// — not merely within tolerance. Queries read only frozen state, so thread
-/// count and work-stealing order must be unobservable in the answers.
+/// count and work-stealing order must be unobservable in the answers. The
+/// contained call is held to the same standard: under an unlimited budget
+/// [`ParallelExecutor::query_batch_bounded_into`] answers every slot
+/// `Exact` with the bits [`ParallelExecutor::query_batch_into`] produced.
 pub fn check_concurrent_agreement(index: &dyn RoutingIndex, queries: &[(VertexId, VertexId, f64)]) {
     let name = index.backend_name();
     let bits =
         |r: &[Option<f64>]| -> Vec<Option<u64>> { r.iter().map(|c| c.map(f64::to_bits)).collect() };
-    let single = ParallelExecutor::new(index, 1).query_batch(queries);
-    for threads in [2, 4] {
+    let mut single = Vec::new();
+    ParallelExecutor::new(index, 1).query_batch_into(queries, &mut single);
+    let unlimited: Vec<_> = queries
+        .iter()
+        .map(|&q| (q, QueryBudget::UNLIMITED))
+        .collect();
+    let (mut parallel, mut contained) = (Vec::new(), Vec::new());
+    for threads in [1, 2, 3, 4] {
         let mut exec = ParallelExecutor::new(index, threads);
         for round in 0..2 {
             // Round 1 reruns on warmed scratches: reuse must not change bits.
-            let parallel = exec.query_batch(queries);
+            exec.query_batch_into(queries, &mut parallel);
             assert_eq!(
                 bits(&single),
                 bits(&parallel),
                 "{name}: {threads}-thread batch (round {round}) diverges from single-thread"
+            );
+            exec.query_batch_bounded_into(&unlimited, &mut contained);
+            let exact: Vec<Option<f64>> = contained
+                .iter()
+                .map(|r| match r {
+                    Ok(BoundedAnswer::Exact(cost)) => *cost,
+                    other => panic!("{name}: unlimited contained slot degraded to {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                bits(&single),
+                bits(&exact),
+                "{name}: {threads}-thread contained batch (round {round}) diverges"
             );
         }
     }

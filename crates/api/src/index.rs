@@ -8,7 +8,6 @@ use td_core::{CostScratch, ProfileScratch, TdTreeIndex, UpdateStats};
 use td_dijkstra::{QueryBudget, SearchScratch};
 use td_graph::{Path, TdGraph, VertexId};
 use td_gtree::{GtreeScratch, TdGtree};
-use td_h2h::TdH2h;
 use td_obs::{QueryTrace, SearchStats};
 use td_plf::Plf;
 
@@ -37,8 +36,10 @@ pub struct IndexStats {
 /// when its queries have reusable state. Everything else is provided on
 /// top of those: the scratch-free `query_cost` / `query_profile` /
 /// `query_path` run the same code on a fresh scratch, and the bounded and
-/// traced forms wrap `query_cost_in`. [`QuerySession`] packages the
-/// scratch-threading pattern.
+/// traced forms wrap `query_cost_in` — they exist in the scratch-taking
+/// form only, so pass [`new_scratch`](RoutingIndex::new_scratch) for a
+/// one-off or hold a [`QuerySession`], which packages the scratch-threading
+/// pattern.
 pub trait RoutingIndex: Send + Sync {
     /// The backend's display name, as used in the paper's tables.
     fn backend_name(&self) -> &'static str;
@@ -105,27 +106,15 @@ pub trait RoutingIndex: Send + Sync {
         self.query_path_in(&mut self.new_scratch(), s, d, t)
     }
 
-    /// Budget-bounded travel cost query: validates the inputs, then answers
-    /// along the degradation ladder **exact → bounded → error**. A completed
-    /// search returns [`BoundedAnswer::Exact`], bit-identical to
-    /// [`RoutingIndex::query_cost`]. When the budget runs out, search
-    /// backends (TD-Dijkstra, TD-A\*-CH) degrade to a flagged
+    /// Budget-bounded travel cost query reusing `scratch`: validates the
+    /// inputs, then answers along the degradation ladder **exact → bounded →
+    /// error**. A completed search returns [`BoundedAnswer::Exact`],
+    /// bit-identical to [`RoutingIndex::query_cost`]. When the budget runs
+    /// out, search backends (TD-Dijkstra, TD-A\*-CH) degrade to a flagged
     /// [`BoundedAnswer::Approximate`] interval proved by their frontier;
     /// label/matrix backends answer exactly in near-constant time, so for
     /// them the settle cap is inapplicable and only an already-expired
     /// deadline turns into [`QueryError::BudgetExhausted`].
-    fn query_cost_bounded(
-        &self,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-        budget: &QueryBudget,
-    ) -> Result<BoundedAnswer, QueryError> {
-        let mut scratch = self.new_scratch();
-        self.query_cost_bounded_in(&mut scratch, s, d, t, budget)
-    }
-
-    /// [`RoutingIndex::query_cost_bounded`] reusing `scratch` — the hot path.
     fn query_cost_bounded_in(
         &self,
         scratch: &mut SessionScratch,
@@ -151,17 +140,11 @@ pub trait RoutingIndex: Send + Sync {
         None
     }
 
-    /// [`RoutingIndex::query_cost`] plus a per-query [`QueryTrace`] (wall
-    /// time and search counters). With `td-obs` built in `disabled` mode
-    /// the trace is all zeros and the clock is never read.
-    fn query_cost_traced(&self, s: VertexId, d: VertexId, t: f64) -> (Option<f64>, QueryTrace) {
-        let mut scratch = self.new_scratch();
-        self.query_cost_traced_in(&mut scratch, s, d, t)
-    }
-
-    /// [`RoutingIndex::query_cost_traced`] reusing `scratch` — the traced
-    /// hot path: the underlying query runs unchanged, then the scratch's
-    /// counters are drained (no allocation once the scratch is warmed).
+    /// [`RoutingIndex::query_cost_in`] plus a per-query [`QueryTrace`] (wall
+    /// time and search counters): the underlying query runs unchanged, then
+    /// the scratch's counters are drained (no allocation once the scratch is
+    /// warmed). With `td-obs` built in `disabled` mode the trace is all
+    /// zeros and the clock is never read.
     fn query_cost_traced_in(
         &self,
         scratch: &mut SessionScratch,
@@ -249,15 +232,6 @@ impl<T: RoutingIndex + ?Sized> RoutingIndex for Box<T> {
     ) -> Option<(f64, Path)> {
         (**self).query_path_in(scratch, s, d, t)
     }
-    fn query_cost_bounded(
-        &self,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-        budget: &QueryBudget,
-    ) -> Result<BoundedAnswer, QueryError> {
-        (**self).query_cost_bounded(s, d, t, budget)
-    }
     fn query_cost_bounded_in(
         &self,
         scratch: &mut SessionScratch,
@@ -270,9 +244,6 @@ impl<T: RoutingIndex + ?Sized> RoutingIndex for Box<T> {
     }
     fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
         (**self).take_search_stats(scratch)
-    }
-    fn query_cost_traced(&self, s: VertexId, d: VertexId, t: f64) -> (Option<f64>, QueryTrace) {
-        (**self).query_cost_traced(s, d, t)
     }
     fn query_cost_traced_in(
         &self,
@@ -319,13 +290,6 @@ pub(crate) struct TdTreeScratch {
     pub profile: ProfileScratch,
 }
 
-/// True when the index was built without shortcuts (TD-basic): queries then
-/// dispatch to the paper's basic entry points, skipping the shortcut-aware
-/// engine's cut scan so measurements stay faithful to Algo. 3.
-fn is_basic(index: &TdTreeIndex) -> bool {
-    matches!(index.options.strategy, td_core::SelectionStrategy::Basic)
-}
-
 impl RoutingIndex for TdTreeIndex {
     fn backend_name(&self) -> &'static str {
         use td_core::SelectionStrategy::*;
@@ -350,86 +314,6 @@ impl RoutingIndex for TdTreeIndex {
             construction_secs: self.build_stats.total_secs(),
             precomputed_pairs: self.shortcuts().num_pairs(),
             stored_points: self.shortcuts().total_points() + self.tree_stats().stored_points,
-        }
-    }
-
-    fn new_scratch(&self) -> SessionScratch {
-        SessionScratch::new(TdTreeScratch::default())
-    }
-
-    fn query_cost_in(
-        &self,
-        scratch: &mut SessionScratch,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-    ) -> Option<f64> {
-        let sc: &mut TdTreeScratch = scratch.get_or_default();
-        if is_basic(self) {
-            self.query_cost_basic_with(&mut sc.cost, s, d, t)
-        } else {
-            self.query_cost_with(&mut sc.cost, s, d, t)
-        }
-    }
-
-    fn query_profile_in(
-        &self,
-        scratch: &mut SessionScratch,
-        s: VertexId,
-        d: VertexId,
-    ) -> Option<Plf> {
-        let sc: &mut TdTreeScratch = scratch.get_or_default();
-        if is_basic(self) {
-            self.query_profile_basic_with(&mut sc.profile, s, d)
-        } else {
-            self.query_profile_with(&mut sc.profile, s, d)
-        }
-    }
-
-    fn query_path_in(
-        &self,
-        scratch: &mut SessionScratch,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-    ) -> Option<(f64, Path)> {
-        let sc: &mut TdTreeScratch = scratch.get_or_default();
-        self.query_path_with(&mut sc.cost, s, d, t)
-    }
-
-    fn write_snapshot(&self, mut w: &mut dyn std::io::Write) -> Result<(), td_store::StoreError> {
-        td_store::write_snapshot(self, crate::snapshot::tree_tag(self), &mut w)
-    }
-}
-
-impl IncrementalIndex for TdTreeIndex {
-    fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
-        TdTreeIndex::update_edges(self, changes)
-    }
-}
-
-// ----------------------------------------------------------------------
-// TD-H2H
-// ----------------------------------------------------------------------
-
-impl RoutingIndex for TdH2h {
-    fn backend_name(&self) -> &'static str {
-        "TD-H2H"
-    }
-
-    fn graph(&self) -> &TdGraph {
-        self.inner().graph()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        TdH2h::memory_bytes(self)
-    }
-
-    fn build_stats(&self) -> IndexStats {
-        IndexStats {
-            construction_secs: self.construction_secs(),
-            precomputed_pairs: self.num_labels(),
-            stored_points: self.total_points(),
         }
     }
 
@@ -470,7 +354,13 @@ impl RoutingIndex for TdH2h {
     }
 
     fn write_snapshot(&self, mut w: &mut dyn std::io::Write) -> Result<(), td_store::StoreError> {
-        td_store::write_snapshot(self, td_store::BackendTag::TdH2h, &mut w)
+        td_store::write_snapshot(self, crate::snapshot::tree_tag(self), &mut w)
+    }
+}
+
+impl IncrementalIndex for TdTreeIndex {
+    fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
+        TdTreeIndex::update_edges(self, changes)
     }
 }
 

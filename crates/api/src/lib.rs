@@ -1,4 +1,4 @@
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 //! # td-api — the system's public query contract
 //!
 //! Every index family in the workspace — the paper's TD-tree

@@ -6,10 +6,14 @@
 //! `Arc<dyn RoutingIndex>` — can be shared across any number of threads.
 //! What each thread needs privately is scratch space. [`ParallelExecutor`]
 //! packages that pattern: a pool of per-worker [`SessionScratch`] states,
-//! reused across batches, driven over a query slice by an atomic cursor
-//! under [`std::thread::scope`]. No work-stealing deques are needed — the
-//! cursor hands out small contiguous chunks, so fast workers naturally take
-//! more of the slice and per-query results land at their input positions.
+//! reused across batches, driven over a query slice under
+//! [`std::thread::scope`]. No work-stealing deques are needed — workers pull
+//! small contiguous chunks of the result slice off one shared iterator, so
+//! fast workers naturally take more of the slice and per-query results land
+//! at their input positions. Two batch calls cover the cost path:
+//! [`ParallelExecutor::query_batch_into`] (bare `Option<f64>` answers, a
+//! panic propagates) and [`ParallelExecutor::query_batch_bounded_into`]
+//! (validated, budget-bounded per slot, panic-contained).
 //!
 //! [`LiveIndex`] adds the writer side: two identical copies of an
 //! [`IncrementalIndex`]. Readers clone an [`Arc`] snapshot of the *active*
@@ -23,7 +27,7 @@ use crate::bounded::{BoundedAnswer, QueryError};
 use crate::index::{IncrementalIndex, RoutingIndex};
 use crate::session::SessionScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use td_core::UpdateStats;
 use td_dijkstra::QueryBudget;
@@ -68,47 +72,15 @@ fn replacement_scratch<I: RoutingIndex + ?Sized>(index: &I) -> SessionScratch {
     scratch
 }
 
-/// Shared write access to disjoint result slots. The atomic cursor in
-/// [`ParallelExecutor::run`] hands each index to exactly one worker, so
-/// writes never alias; the wrapper only exists to move the raw pointer
-/// across the scoped-thread boundary.
-struct ResultSlots<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-// SAFETY: workers write disjoint indices (enforced by the fetch_add cursor)
-// into an initialised slice that outlives the scope; `T: Send` values move
-// to the writing thread.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for ResultSlots<T> {}
-
-impl<T> ResultSlots<T> {
-    fn new(slice: &mut [T]) -> ResultSlots<T> {
-        ResultSlots {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-        }
-    }
-
-    /// # Safety
-    /// `i` must be handed out by the batch cursor to this worker only.
-    #[allow(unsafe_code)]
-    unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) = value;
-    }
-}
-
 /// A pool of reusable [`QuerySession`](crate::QuerySession)-style scratch
 /// states answering query batches on `N` threads.
 ///
-/// The executor owns one [`SessionScratch`] per worker; batches are striped
-/// over the workers by an atomic cursor, so a slow query (long-range, cold
-/// cache) does not stall the rest of the slice. Scratches persist across
-/// [`ParallelExecutor::query_batch`] calls — after the first few batches the
-/// cost path performs **zero heap allocations per query in every worker**,
-/// exactly like a warmed single-threaded session.
+/// The executor owns one [`SessionScratch`] per worker; batches are handed
+/// to the workers chunk by chunk, so a slow query (long-range, cold cache)
+/// does not stall the rest of the slice. Scratches persist across batch
+/// calls — after the first few batches the cost path performs **zero heap
+/// allocations per query in every worker**, exactly like a warmed
+/// single-threaded session.
 ///
 /// ```
 /// # use td_api::{build_index, Backend, IndexConfig, ParallelExecutor};
@@ -117,7 +89,8 @@ impl<T> ResultSlots<T> {
 /// # g.add_edge(1, 0, td_plf::Plf::constant(45.0)).unwrap();
 /// let index = build_index(g, Backend::TdBasic, &IndexConfig::default());
 /// let mut exec = ParallelExecutor::new(index.as_ref(), 4);
-/// let costs = exec.query_batch(&[(0, 1, 0.0), (1, 0, 3600.0)]);
+/// let mut costs = Vec::new();
+/// exec.query_batch_into(&[(0, 1, 0.0), (1, 0, 3600.0)], &mut costs);
 /// assert_eq!(costs, vec![Some(60.0), Some(45.0)]);
 /// ```
 pub struct ParallelExecutor<'a, I: RoutingIndex + ?Sized> {
@@ -149,17 +122,16 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
         self.workers.len()
     }
 
-    /// Runs `f(scratch, w, i)` for every `i in 0..n`, fanned out over the
-    /// worker pool, writing each result to `out[i]`. `w` is the worker's
+    /// Runs `f(scratch, w, i)` for every slot `i` of `out`, fanned out over
+    /// the worker pool, writing each result to `out[i]`. `w` is the worker's
     /// stable pool index — closures use it as the metric shard so telemetry
     /// exports stay contention-free across workers.
-    #[allow(unsafe_code)]
-    fn run<T, F>(&mut self, n: usize, out: &mut [T], f: F)
+    fn run<T, F>(&mut self, out: &mut [T], f: F)
     where
         T: Send,
         F: Fn(&mut SessionScratch, usize, usize) -> T + Sync,
     {
-        debug_assert_eq!(out.len(), n);
+        let n = out.len();
         if self.workers.len() <= 1 || n <= 1 {
             // Inline fast path: no reason to pay a thread spawn.
             let scratch = &mut self.workers[0];
@@ -168,45 +140,39 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
             }
             return;
         }
-        // Chunked atomic cursor: coarse enough to keep contention off the
-        // hot path, fine enough that stragglers rebalance.
+        // Chunked hand-out: coarse enough to keep contention off the hot
+        // path, fine enough that stragglers rebalance. The lock covers one
+        // iterator step and is released before the chunk runs.
         let chunk = (n / (self.workers.len() * 8)).clamp(1, 64);
-        let cursor = AtomicUsize::new(0);
-        let slots = ResultSlots::new(out);
-        let (cursor, slots, f) = (&cursor, &slots, &f);
+        let chunks = Mutex::new(out.chunks_mut(chunk).enumerate());
+        let (chunks, f) = (&chunks, &f);
         std::thread::scope(|scope| {
             for (w, scratch) in self.workers.iter_mut().enumerate() {
                 scope.spawn(move || loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(n) {
-                        // SAFETY: the cursor hands [start, start+chunk) to
-                        // this worker alone; `i` is written exactly once.
-                        unsafe { slots.write(i, f(scratch, w, i)) };
+                    let next = chunks
+                        .lock()
+                        .expect("stepping the chunk iterator cannot panic under the lock")
+                        .next();
+                    let Some((c, slots)) = next else { break };
+                    for (j, slot) in slots.iter_mut().enumerate() {
+                        *slot = f(scratch, w, c * chunk + j);
                     }
                 });
             }
         });
     }
 
-    /// Answers a batch of travel-cost queries on all workers. Results are in
-    /// input order and bit-identical to a single-threaded
-    /// [`QuerySession`](crate::QuerySession) run.
-    pub fn query_batch(&mut self, queries: &[CostQuery]) -> Vec<Option<f64>> {
-        let mut out = Vec::new();
-        self.query_batch_into(queries, &mut out);
-        out
-    }
-
-    /// [`ParallelExecutor::query_batch`] writing into a caller-owned buffer,
-    /// so steady-state serving with a constant batch size allocates nothing.
+    /// Answers a batch of travel-cost queries on all workers, writing into a
+    /// caller-owned buffer so steady-state serving with a constant batch
+    /// size allocates nothing. Results are in input order and bit-identical
+    /// to a single-threaded [`QuerySession`](crate::QuerySession) run.
+    /// Inputs are not validated and a panicking query propagates; use
+    /// [`ParallelExecutor::query_batch_bounded_into`] for untrusted input.
     pub fn query_batch_into(&mut self, queries: &[CostQuery], out: &mut Vec<Option<f64>>) {
         out.clear();
         out.resize(queries.len(), None);
         let index = self.index;
-        self.run(queries.len(), out, |scratch, w, i| {
+        self.run(out, |scratch, w, i| {
             let (s, d, t) = queries[i];
             if td_obs::ENABLED {
                 let (cost, trace) = index.query_cost_traced_in(scratch, s, d, t);
@@ -218,108 +184,46 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
         });
     }
 
-    /// Panic-contained [`ParallelExecutor::query_batch`]: every query is
-    /// validated, then run inside [`std::panic::catch_unwind`], so one
-    /// poisoned query (a backend bug, a corrupt weight) surfaces as a typed
+    /// Budget-bounded, panic-contained batch with a budget *per slot*: each
+    /// `(query, budget)` runs [`RoutingIndex::query_cost_bounded_in`]
+    /// (validation and the exact → bounded → error degradation ladder
+    /// included) inside [`std::panic::catch_unwind`], so one poisoned query
+    /// (a backend bug, a corrupt weight) surfaces as a typed
     /// [`QueryError::Panicked`] in its own slot while the other results of
-    /// the batch arrive untouched and bit-identical to a clean run. A
-    /// worker whose scratch was mid-mutation when the panic unwound has it
+    /// the batch arrive untouched and bit-identical to a clean run. Under
+    /// [`QueryBudget::UNLIMITED`] every answered slot is
+    /// [`BoundedAnswer::Exact`] and equals
+    /// [`ParallelExecutor::query_batch_into`]'s bit for bit. Per-slot
+    /// budgets are how a serving layer propagates each request's own client
+    /// deadline into the search (see [`QueryBudget::tightened_to`]) while
+    /// batching requests with different deadlines together.
+    ///
+    /// A worker whose scratch was mid-mutation when the panic unwound has it
     /// sanitized in place (generation stamps make torn state unreachable
     /// while the warmed capacity survives) or replaced with a probe-warmed
     /// fresh one, so later queries never see torn state and post-panic
-    /// batches don't re-pay the warm-up allocations.
-    pub fn try_query_batch(
+    /// batches don't re-pay the warm-up allocations. `out` is cleared and
+    /// refilled in input order; its capacity is reused across calls.
+    pub fn query_batch_bounded_into(
         &mut self,
-        queries: &[CostQuery],
-    ) -> Vec<Result<Option<f64>, QueryError>> {
-        let mut out = vec![Ok(None); queries.len()];
+        queries: &[(CostQuery, QueryBudget)],
+        out: &mut Vec<Result<BoundedAnswer, QueryError>>,
+    ) {
+        out.clear();
+        out.resize(queries.len(), Ok(BoundedAnswer::Exact(None)));
         let index = self.index;
-        let num_vertices = index.graph().num_vertices();
-        self.run(queries.len(), &mut out, |scratch, w, i| {
-            let (s, d, t) = queries[i];
-            if let Err(e) = crate::bounded::validate_query(num_vertices, s, d, t) {
-                if td_obs::ENABLED {
-                    td_obs::metrics().ladder_invalid.add_shard(w, 1);
-                }
-                return Err(e);
-            }
-            match catch_unwind(AssertUnwindSafe(|| {
-                if td_obs::ENABLED {
-                    let (cost, trace) = index.query_cost_traced_in(scratch, s, d, t);
-                    td_obs::metrics().record_query(w, &trace);
-                    cost
-                } else {
-                    index.query_cost_in(scratch, s, d, t)
-                }
-            })) {
-                Ok(cost) => Ok(cost),
-                Err(payload) => {
-                    // The scratch may hold half-written search state:
-                    // sanitize it in place (keeps the warmed capacity) or,
-                    // for backends without wholesale invalidation, replace
-                    // it with a probe-warmed fresh one.
-                    if !scratch.try_sanitize() {
-                        *scratch = replacement_scratch(index);
-                    }
-                    if td_obs::ENABLED {
-                        td_obs::metrics().ladder_panicked.add_shard(w, 1);
-                    }
-                    Err(QueryError::Panicked(panic_message(payload)))
-                }
-            }
-        });
-        out
-    }
-
-    /// Budget-bounded, panic-contained batch: each query runs
-    /// [`RoutingIndex::query_cost_bounded_in`] under the shared `budget`
-    /// (validation and the exact → bounded → error degradation ladder
-    /// included) inside the same containment as
-    /// [`ParallelExecutor::try_query_batch`].
-    pub fn query_batch_bounded(
-        &mut self,
-        queries: &[CostQuery],
-        budget: &QueryBudget,
-    ) -> Vec<Result<BoundedAnswer, QueryError>> {
-        self.bounded_batch(queries, |_| *budget)
-    }
-
-    /// [`ParallelExecutor::query_batch_bounded`] with a budget *per slot*:
-    /// `budgets[i]` bounds `queries[i]`. This is how a serving layer
-    /// propagates each request's own client deadline into the search (see
-    /// [`QueryBudget::tightened_to`]) while batching requests with
-    /// different deadlines together.
-    ///
-    /// The two slices must have equal length (debug-asserted; in release the
-    /// shorter prefix is served and the remainder answered exhausted —
-    /// never out-of-bounds, never panicking the batch).
-    pub fn query_batch_bounded_each(
-        &mut self,
-        queries: &[CostQuery],
-        budgets: &[QueryBudget],
-    ) -> Vec<Result<BoundedAnswer, QueryError>> {
-        debug_assert_eq!(queries.len(), budgets.len());
-        self.bounded_batch(queries, |i| {
-            budgets.get(i).copied().unwrap_or(QueryBudget::settles(0))
-        })
-    }
-
-    fn bounded_batch(
-        &mut self,
-        queries: &[CostQuery],
-        budget_for: impl Fn(usize) -> QueryBudget + Sync,
-    ) -> Vec<Result<BoundedAnswer, QueryError>> {
-        let mut out = vec![Ok(BoundedAnswer::Exact(None)); queries.len()];
-        let index = self.index;
-        self.run(queries.len(), &mut out, |scratch, w, i| {
-            let (s, d, t) = queries[i];
-            let budget = budget_for(i);
+        self.run(out, |scratch, w, i| {
+            let ((s, d, t), budget) = queries[i];
             let start = td_obs::ENABLED.then(std::time::Instant::now);
             let answer = match catch_unwind(AssertUnwindSafe(|| {
                 index.query_cost_bounded_in(scratch, s, d, t, &budget)
             })) {
                 Ok(answer) => answer,
                 Err(payload) => {
+                    // The scratch may hold half-written search state:
+                    // sanitize it in place (keeps the warmed capacity) or,
+                    // for backends without wholesale invalidation, replace
+                    // it with a probe-warmed fresh one.
                     if !scratch.try_sanitize() {
                         *scratch = replacement_scratch(index);
                     }
@@ -344,14 +248,13 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
             }
             answer
         });
-        out
     }
 
     /// Answers a batch of cost-function (profile) queries on all workers.
     pub fn profile_batch(&mut self, pairs: &[(VertexId, VertexId)]) -> Vec<Option<Plf>> {
         let mut out = vec![None; pairs.len()];
         let index = self.index;
-        self.run(pairs.len(), &mut out, |scratch, _w, i| {
+        self.run(&mut out, |scratch, _w, i| {
             let (s, d) = pairs[i];
             index.query_profile_in(scratch, s, d)
         });
@@ -572,6 +475,27 @@ mod tests {
         g
     }
 
+    fn batch(
+        exec: &mut ParallelExecutor<'_, dyn RoutingIndex>,
+        queries: &[CostQuery],
+    ) -> Vec<Option<f64>> {
+        let mut out = Vec::new();
+        exec.query_batch_into(queries, &mut out);
+        out
+    }
+
+    /// The contained call with one `budget` for every slot.
+    fn bounded(
+        exec: &mut ParallelExecutor<'_, dyn RoutingIndex>,
+        queries: &[CostQuery],
+        budget: QueryBudget,
+    ) -> Vec<Result<BoundedAnswer, QueryError>> {
+        let slots: Vec<_> = queries.iter().map(|&q| (q, budget)).collect();
+        let mut out = Vec::new();
+        exec.query_batch_bounded_into(&slots, &mut out);
+        out
+    }
+
     #[test]
     fn executor_matches_session_on_every_worker_count() {
         let index = build_index(tiny_graph(), Backend::TdBasic, &IndexConfig::default());
@@ -584,8 +508,8 @@ mod tests {
             let mut exec = ParallelExecutor::new(index.as_ref(), threads);
             assert_eq!(exec.num_workers(), threads);
             // Twice: the second batch runs on warmed scratches.
-            assert_eq!(exec.query_batch(&queries), want, "{threads} threads");
-            assert_eq!(exec.query_batch(&queries), want, "{threads} threads warm");
+            assert_eq!(batch(&mut exec, &queries), want, "{threads} threads");
+            assert_eq!(batch(&mut exec, &queries), want, "{threads} threads warm");
         }
     }
 
@@ -593,8 +517,9 @@ mod tests {
     fn executor_handles_empty_and_unit_batches() {
         let index = build_index(tiny_graph(), Backend::TdBasic, &IndexConfig::default());
         let mut exec = ParallelExecutor::new(index.as_ref(), 4);
-        assert_eq!(exec.query_batch(&[]), Vec::<Option<f64>>::new());
-        assert_eq!(exec.query_batch(&[(0, 2, 0.0)]), vec![Some(90.0)]);
+        assert_eq!(batch(&mut exec, &[]), Vec::<Option<f64>>::new());
+        assert_eq!(batch(&mut exec, &[(0, 2, 0.0)]), vec![Some(90.0)]);
+        assert!(bounded(&mut exec, &[], QueryBudget::UNLIMITED).is_empty());
     }
 
     #[test]
@@ -632,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn try_query_batch_agrees_and_types_invalid_inputs() {
+    fn unlimited_bounded_batch_agrees_and_types_invalid_inputs() {
         let index = build_index(tiny_graph(), Backend::TdBasic, &IndexConfig::default());
         let queries: Vec<CostQuery> = vec![
             (0, 2, 0.0),
@@ -644,18 +569,19 @@ mod tests {
         ];
         for threads in [1, 4] {
             let mut exec = ParallelExecutor::new(index.as_ref(), threads);
-            let got = exec.try_query_batch(&queries);
+            let got = bounded(&mut exec, &queries, QueryBudget::UNLIMITED);
             for (i, (q, r)) in queries.iter().zip(got.iter()).enumerate() {
-                match i {
-                    1 | 3 | 4 => assert!(
+                match (i, r) {
+                    (1 | 3 | 4, r) => assert!(
                         matches!(r, Err(QueryError::InvalidQuery(_))),
                         "slot {i}: {r:?}"
                     ),
-                    _ => assert_eq!(
-                        r.as_ref().unwrap().map(f64::to_bits),
+                    (_, Ok(BoundedAnswer::Exact(cost))) => assert_eq!(
+                        cost.map(f64::to_bits),
                         index.query_cost(q.0, q.1, q.2).map(f64::to_bits),
                         "slot {i}"
                     ),
+                    (_, r) => panic!("slot {i}: unlimited budget degraded to {r:?}"),
                 }
             }
         }
@@ -667,7 +593,7 @@ mod tests {
         let queries: Vec<CostQuery> = vec![(0, 2, 0.0), (4, 0, 0.0), (3, 1, 50.0)];
         let mut exec = ParallelExecutor::new(index.as_ref(), 2);
         // Unlimited: exact everywhere (except the invalid slot).
-        let got = exec.query_batch_bounded(&queries, &QueryBudget::UNLIMITED);
+        let got = bounded(&mut exec, &queries, QueryBudget::UNLIMITED);
         assert_eq!(
             got[0],
             Ok(BoundedAnswer::Exact(index.query_cost(0, 2, 0.0)))
@@ -679,7 +605,7 @@ mod tests {
         );
         // A zero-settle budget degrades the search backend to intervals
         // that still bracket the truth.
-        let got = exec.query_batch_bounded(&queries, &QueryBudget::settles(0));
+        let got = bounded(&mut exec, &queries, QueryBudget::settles(0));
         for (i, r) in got.iter().enumerate() {
             if i == 1 {
                 continue;
@@ -695,15 +621,21 @@ mod tests {
     #[test]
     fn per_slot_budgets_bound_each_query_independently() {
         let index = build_index(tiny_graph(), Backend::AStarCh, &IndexConfig::default());
-        let queries: Vec<CostQuery> = vec![(0, 2, 0.0), (3, 1, 50.0), (1, 3, 100.0)];
-        let budgets = [
-            QueryBudget::UNLIMITED,
-            QueryBudget::settles(0),
-            QueryBudget::UNLIMITED,
-        ];
+        let queries: [CostQuery; 3] = [(0, 2, 0.0), (3, 1, 50.0), (1, 3, 100.0)];
+        let with = |budgets: [QueryBudget; 3]| -> Vec<(CostQuery, QueryBudget)> {
+            queries.iter().copied().zip(budgets).collect()
+        };
+        let mut got = Vec::new();
         for threads in [1, 2] {
             let mut exec = ParallelExecutor::new(index.as_ref(), threads);
-            let got = exec.query_batch_bounded_each(&queries, &budgets);
+            exec.query_batch_bounded_into(
+                &with([
+                    QueryBudget::UNLIMITED,
+                    QueryBudget::settles(0),
+                    QueryBudget::UNLIMITED,
+                ]),
+                &mut got,
+            );
             // Unlimited slots are exact and bit-identical to the scalar API.
             assert_eq!(
                 got[0],
@@ -720,9 +652,9 @@ mod tests {
             let expired = QueryBudget::UNLIMITED.tightened_to(Some(
                 std::time::Instant::now() - std::time::Duration::from_secs(1),
             ));
-            let got = exec.query_batch_bounded_each(
-                &queries,
-                &[QueryBudget::UNLIMITED, expired, QueryBudget::UNLIMITED],
+            exec.query_batch_bounded_into(
+                &with([QueryBudget::UNLIMITED, expired, QueryBudget::UNLIMITED]),
+                &mut got,
             );
             assert!(got[0].as_ref().is_ok_and(|a| a.is_exact()));
             // Expired slots degrade (interval or typed exhaustion) — they

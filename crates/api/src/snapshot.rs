@@ -36,7 +36,6 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use td_core::TdTreeIndex;
 use td_gtree::TdGtree;
-use td_h2h::TdH2h;
 use td_store::{fault::FaultyWriter, format, section, BackendTag, Persist, StoreError};
 
 impl Backend {
@@ -225,6 +224,19 @@ fn load_with_fallback<T>(
     }
 }
 
+/// Reads a TD-tree body (any selection strategy) and checks it against the
+/// header's backend tag, so a TD-appro body cannot masquerade as a TD-H2H
+/// full label or the other way round.
+fn read_tree_body(mut r: &mut dyn Read, tag: BackendTag) -> Result<TdTreeIndex, StoreError> {
+    let index = TdTreeIndex::read_from(&mut r)?;
+    if tree_tag(&index) != tag {
+        return Err(StoreError::invalid(
+            "selection strategy disagrees with the header's backend tag",
+        ));
+    }
+    Ok(index)
+}
+
 /// Loads an index snapshot from a stream, dispatching on the header's
 /// backend tag. Returns the backend together with the reconstructed index.
 pub fn load_index_from(
@@ -232,16 +244,10 @@ pub fn load_index_from(
 ) -> Result<(Backend, Box<dyn RoutingIndex>), StoreError> {
     let header = format::read_header(&mut r)?;
     let index: Box<dyn RoutingIndex> = match header.backend {
-        BackendTag::TdBasic | BackendTag::TdAppro | BackendTag::TdDp => {
-            let index = TdTreeIndex::read_from(&mut r)?;
-            if tree_tag(&index) != header.backend {
-                return Err(StoreError::invalid(
-                    "selection strategy disagrees with the header's backend tag",
-                ));
-            }
-            Box::new(index)
+        tag
+        @ (BackendTag::TdBasic | BackendTag::TdAppro | BackendTag::TdDp | BackendTag::TdH2h) => {
+            Box::new(read_tree_body(&mut r, tag)?)
         }
-        BackendTag::TdH2h => Box::new(TdH2h::read_from(&mut r)?),
         BackendTag::TdGtree => Box::new(TdGtree::read_from(&mut r)?),
         BackendTag::Dijkstra => Box::new(DijkstraOracle::read_from(&mut r)?),
         BackendTag::AStarCh => Box::new(crate::AStarChIndex::read_from(&mut r)?),
@@ -263,7 +269,9 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<Box<dyn RoutingIndex>, Store
 /// Loads a TD-tree-family snapshot (`TD-basic` / `TD-appro` / `TD-dp`) as a
 /// concrete [`TdTreeIndex`] — the form the [`crate::LiveIndex`] double
 /// buffer needs (it requires `IncrementalIndex + Clone`, which the trait
-/// object cannot provide). Falls back to `<path>.prev` like [`load_index`].
+/// object cannot provide). A TD-H2H snapshot is rejected: that index is
+/// built without support lists and cannot be updated. Falls back to
+/// `<path>.prev` like [`load_index`].
 pub fn load_tree_index(path: impl AsRef<Path>) -> Result<TdTreeIndex, StoreError> {
     load_with_fallback(path.as_ref(), |mut f| {
         let header = format::read_header(&mut f)?;
@@ -276,12 +284,7 @@ pub fn load_tree_index(path: impl AsRef<Path>) -> Result<TdTreeIndex, StoreError
                 )))
             }
         }
-        let index = TdTreeIndex::read_from(&mut f)?;
-        if tree_tag(&index) != header.backend {
-            return Err(StoreError::invalid(
-                "selection strategy disagrees with the header's backend tag",
-            ));
-        }
+        let index = read_tree_body(&mut f, header.backend)?;
         section::read_end(&mut f)?;
         Ok(index)
     })

@@ -5,8 +5,8 @@
 //! worker's scratch was sanitized in place.
 
 use td_api::{
-    build_index, Backend, CostQuery, IndexConfig, IndexStats, ParallelExecutor, QueryError,
-    RoutingIndex, SessionScratch,
+    build_index, Backend, BoundedAnswer, CostQuery, IndexConfig, IndexStats, ParallelExecutor,
+    QueryBudget, QueryError, RoutingIndex, SessionScratch,
 };
 use td_gen::random_graph::seeded_graph;
 use td_graph::{Path, TdGraph, VertexId};
@@ -94,6 +94,11 @@ fn one_poisoned_query_in_2048_leaves_the_rest_exact() {
     let slot = 1234;
     let oracle = td_api::DijkstraOracle::new(g.clone());
     let queries = workload(n, poisoned, slot);
+    let unlimited: Vec<(CostQuery, QueryBudget)> = queries
+        .iter()
+        .map(|&q| (q, QueryBudget::UNLIMITED))
+        .collect();
+    let mut results = Vec::new();
 
     for backend in [Backend::Dijkstra, Backend::AStarCh] {
         let index = PanickyIndex {
@@ -107,7 +112,7 @@ fn one_poisoned_query_in_2048_leaves_the_rest_exact() {
                 // Round 1 reruns on the executor whose scratch slot was
                 // sanitized after the panic: containment must not wedge
                 // reuse, and no torn label may leak into a later answer.
-                let results = exec.try_query_batch(&queries);
+                exec.query_batch_bounded_into(&unlimited, &mut results);
                 assert_eq!(results.len(), 2048);
                 let mut panicked = 0;
                 for (i, (r, &(s, d, t))) in results.iter().zip(&queries).enumerate() {
@@ -123,9 +128,9 @@ fn one_poisoned_query_in_2048_leaves_the_rest_exact() {
                             other => panic!("{ctx} round={round}: {other:?}"),
                         }
                     } else {
-                        let got = r
-                            .as_ref()
-                            .unwrap_or_else(|e| panic!("{ctx} round={round} slot {i}: {e}"));
+                        let Ok(BoundedAnswer::Exact(got)) = r else {
+                            panic!("{ctx} round={round} slot {i}: {r:?}")
+                        };
                         assert_eq!(
                             got.map(f64::to_bits),
                             oracle.query_cost(s, d, t).map(f64::to_bits),

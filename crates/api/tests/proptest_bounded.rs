@@ -1,5 +1,5 @@
 //! Property tests for budget-bounded queries: across random graphs, random
-//! workloads and random settle caps, every backend's `query_cost_bounded`
+//! workloads and random settle caps, every backend's `query_cost_bounded_in`
 //! either answers **bit-identically** to the exact `query_cost`, or returns
 //! a flagged interval containing the exact answer, or a typed error. It
 //! never makes an unflagged wrong exact claim, and never claims
@@ -22,7 +22,7 @@ fn check_bounded_soundness(
     let name = index.backend_name();
     for &(s, d, t) in queries {
         let exact = index.query_cost(s, d, t);
-        match index.query_cost_bounded(s, d, t, budget) {
+        match index.query_cost_bounded_in(&mut index.new_scratch(), s, d, t, budget) {
             Ok(answer) => {
                 assert!(
                     answer.is_consistent_with(exact, td_api::conformance::COST_EPS),
@@ -42,7 +42,7 @@ fn check_bounded_soundness(
         if budget.is_unlimited() {
             assert!(
                 index
-                    .query_cost_bounded(s, d, t, budget)
+                    .query_cost_bounded_in(&mut index.new_scratch(), s, d, t, budget)
                     .unwrap()
                     .is_exact(),
                 "{name} s={s} d={d}: unlimited budget degraded"

@@ -1,5 +1,5 @@
 //! Property tests: every batch entry point — `QuerySession::query_many` and
-//! `ParallelExecutor::query_batch` at several worker counts — agrees with
+//! `ParallelExecutor::query_batch_into` at several worker counts — agrees with
 //! individual `query_cost` calls, across random workloads of random
 //! departure times.
 
@@ -29,13 +29,14 @@ fn check_batches_match_singles(index: &dyn RoutingIndex, queries: &[(u32, u32, f
         index.backend_name()
     );
 
+    let mut batch = Vec::new();
     for threads in [1, 3] {
         let mut exec = ParallelExecutor::new(index, threads);
-        let batch = exec.query_batch(queries);
+        exec.query_batch_into(queries, &mut batch);
         assert_eq!(
             bits(&singles),
             bits(&batch),
-            "{}: {threads}-thread query_batch diverges from singles",
+            "{}: {threads}-thread query_batch_into diverges from singles",
             index.backend_name()
         );
     }

@@ -5,7 +5,7 @@
 
 use td_api::{
     build_index, load_index, load_index_from, load_tree_index, save_index, save_index_to, Backend,
-    IndexConfig, StoreError,
+    IndexConfig, RoutingIndex, StoreError,
 };
 use td_gen::random_graph::seeded_graph;
 use td_graph::TdGraph;
@@ -170,6 +170,19 @@ fn wrong_magic_version_and_backend_are_typed_errors() {
     let mut bad = buf.clone();
     bad[16] = 5; // claim TD-G-tree over a TD-appro body
     assert!(load_index_from(&mut bad.as_slice()).is_err());
+
+    // TD-H2H shares the TD-tree body schema, so there the body *parses*:
+    // a TD-appro selection must still not masquerade as the full label.
+    let mut bad = buf.clone();
+    bad[16] = 4; // claim TD-H2H over a TD-appro body
+    match load_index_from(&mut bad.as_slice()) {
+        Err(StoreError::Invalid(msg)) => assert!(
+            msg.contains("selection strategy disagrees"),
+            "unhelpful error: {msg}"
+        ),
+        Err(other) => panic!("expected a strategy mismatch, got {other:?}"),
+        Ok(_) => panic!("a TD-appro body loaded under the TD-H2H tag"),
+    }
 }
 
 #[test]

@@ -31,7 +31,6 @@ fn frozen_views_are_send_sync() {
 fn every_backend_is_send_sync() {
     // Concrete index types...
     assert_send_sync::<TdTreeIndex>();
-    assert_send_sync::<td_h2h::TdH2h>();
     assert_send_sync::<td_gtree::TdGtree>();
     assert_send_sync::<DijkstraOracle>();
     assert_send_sync::<AStarChIndex>();

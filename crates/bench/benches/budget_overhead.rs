@@ -143,8 +143,8 @@ fn bench_budget_overhead(criterion: &mut Criterion) {
         let g = Dataset::Cal.spec().build_scaled(1, 1.0, 43);
         let pn = g.num_vertices();
         let hostile = HostileIndex::new(AStarChIndex::new(g), &plan);
-        let mut clean_qs: Vec<(u32, u32, f64)> = Vec::new();
-        let mut hot_qs: Vec<(u32, u32, f64)> = Vec::new();
+        let mut clean_qs: Vec<((u32, u32, f64), QueryBudget)> = Vec::new();
+        let mut hot_qs: Vec<((u32, u32, f64), QueryBudget)> = Vec::new();
         for _ in 0..512 {
             let q = (
                 rng.gen_range(0..pn) as u32,
@@ -153,25 +153,26 @@ fn bench_budget_overhead(criterion: &mut Criterion) {
             );
             if hostile.would_fault(q.0, q.1, q.2) {
                 if hot_qs.len() < 8 {
-                    hot_qs.push(q);
+                    hot_qs.push((q, budget));
                 }
             } else if clean_qs.len() < 32 {
-                clean_qs.push(q);
+                clean_qs.push((q, budget));
             }
         }
         assert!(!hot_qs.is_empty() && clean_qs.len() == 32);
         let mut exec = ParallelExecutor::new(&hostile, 1);
         // Warm the executor's scratch pool, then take the clean baseline.
-        black_box(exec.query_batch_bounded(&clean_qs, &budget));
-        black_box(exec.query_batch_bounded(&clean_qs, &budget));
+        let mut out = Vec::new();
+        exec.query_batch_bounded_into(&clean_qs, &mut out);
+        exec.query_batch_bounded_into(&clean_qs, &mut out);
         let baseline = allocs(|| {
-            black_box(exec.query_batch_bounded(&clean_qs, &budget));
+            exec.query_batch_bounded_into(&clean_qs, &mut out);
         });
         // The storm: every one of these slots panics (persistent faults)
         // and the worker's scratch is replaced + pre-warmed in place.
-        black_box(exec.query_batch_bounded(&hot_qs, &budget));
+        exec.query_batch_bounded_into(&hot_qs, &mut out);
         let post = allocs(|| {
-            black_box(exec.query_batch_bounded(&clean_qs, &budget));
+            exec.query_batch_bounded_into(&clean_qs, &mut out);
         });
         println!("allocations/clean-batch: baseline {baseline}, post-panic {post}");
         assert_eq!(

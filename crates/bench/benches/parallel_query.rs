@@ -1,4 +1,4 @@
-//! Parallel serving bench: `ParallelExecutor::query_batch` versus the
+//! Parallel serving bench: `ParallelExecutor::query_batch_into` versus the
 //! single-threaded `QuerySession` baseline on the medium generated network.
 //!
 //! Timings are interleaved (one baseline batch, one parallel batch, repeat)

@@ -71,10 +71,11 @@ fn main() {
         println!("TD-appro save: {secs:.3}s -> {path} ({bytes} bytes)");
     }
     drop(idx);
-    let (h2h, secs) = timed(|| td_h2h::TdH2h::build(g.clone(), td_h2h::H2hConfig::default()));
+    let cfg = td_api::IndexConfig::default();
+    let (h2h, secs) = timed(|| td_api::build_index(g.clone(), td_api::Backend::TdH2h, &cfg));
     println!(
         "TD-H2H build: {secs:.2}s labels={} mem={}MB",
-        h2h.num_labels(),
+        h2h.build_stats().precomputed_pairs,
         h2h.memory_bytes() / (1024 * 1024)
     );
     let (gt, secs) =

@@ -356,13 +356,16 @@ fn cmd_stats(args: &[String]) {
         let workload: Vec<td_api::CostQuery> =
             (0..queries as u64).map(|i| probe(seed, i, n)).collect();
         let mut exec = ParallelExecutor::new(index.as_ref(), threads);
-        let exact = exec.query_batch(&workload);
+        let mut exact = Vec::new();
+        exec.query_batch_into(&workload, &mut exact);
         let reachable = exact.iter().filter(|c| c.is_some()).count();
         // The bounded rung: a tight settle budget walks the degradation
         // ladder, and one out-of-range probe exercises the error rung.
-        let mut bounded_load = workload.clone();
-        bounded_load.push((n as u32, 0, 0.0));
-        let bounded = exec.query_batch_bounded(&bounded_load, &QueryBudget::settles(16));
+        let budget = QueryBudget::settles(16);
+        let mut bounded_load: Vec<_> = workload.iter().map(|&q| (q, budget)).collect();
+        bounded_load.push(((n as u32, 0, 0.0), budget));
+        let mut bounded = Vec::new();
+        exec.query_batch_bounded_into(&bounded_load, &mut bounded);
         let degraded = bounded
             .iter()
             .filter(|r| matches!(r, Ok(a) if !a.is_exact()))

@@ -20,7 +20,7 @@
 //!   relaxations that provably cannot win.
 //!
 //! Built once by `TdTreeIndex::build` (and re-frozen after incremental
-//! updates); borrowed by [`crate::QueryEngine`].
+//! updates); borrowed by the query engine ([`crate::query`]).
 
 use td_plf::{PlfArena, PlfId, PlfSlice, NO_PLF};
 use td_treedec::TreeDecomposition;

@@ -205,7 +205,7 @@ impl TdTreeIndex {
 
     /// A query engine borrowing this index (hot loops run on the frozen
     /// CSR/arena label layout).
-    pub fn engine(&self) -> QueryEngine<'_> {
+    fn engine(&self) -> QueryEngine<'_> {
         QueryEngine::new(&self.td, &self.store, &self.frozen)
     }
 
@@ -225,33 +225,8 @@ impl TdTreeIndex {
     }
 
     /// Travel cost query `Q(s, d, t)` (Algo. 6; Algo. 3 sweeps when no
-    /// shortcut covers the cut).
-    pub fn query_cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.engine().cost(s, d, t)
-    }
-
-    /// Travel cost query ignoring shortcuts (TD-basic behaviour).
-    pub fn query_cost_basic(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.engine().cost_basic(s, d, t)
-    }
-
-    /// Shortest travel cost *function* query `f_{s,d}(t)`.
-    pub fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        self.engine().profile(s, d)
-    }
-
-    /// Cost function query ignoring shortcuts.
-    pub fn query_profile_basic(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        self.engine().profile_basic(s, d)
-    }
-
-    /// Travel cost and the shortest path itself.
-    pub fn query_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        self.engine().cost_with_path(s, d, t)
-    }
-
-    /// [`TdTreeIndex::query_cost`] reusing `scratch` — no heap allocation on
-    /// the hot path once the buffers are warm.
+    /// shortcut covers the cut) — no heap allocation on the hot path once
+    /// `scratch`'s buffers are warm.
     pub fn query_cost_with(
         &self,
         scratch: &mut CostScratch,
@@ -259,41 +234,22 @@ impl TdTreeIndex {
         d: VertexId,
         t: f64,
     ) -> Option<f64> {
-        self.engine().cost_with(scratch, s, d, t)
+        self.engine().cost(scratch, s, d, t)
     }
 
-    /// [`TdTreeIndex::query_cost_basic`] reusing `scratch`.
-    pub fn query_cost_basic_with(
-        &self,
-        scratch: &mut CostScratch,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-    ) -> Option<f64> {
-        self.engine().cost_basic_with(scratch, s, d, t)
-    }
-
-    /// [`TdTreeIndex::query_profile_basic`] reusing `scratch`'s sweep tables.
-    pub fn query_profile_basic_with(
-        &self,
-        scratch: &mut ProfileScratch,
-        s: VertexId,
-        d: VertexId,
-    ) -> Option<Plf> {
-        self.engine().profile_basic_with(scratch, s, d)
-    }
-
-    /// [`TdTreeIndex::query_profile`] reusing `scratch`'s sweep tables.
+    /// Shortest travel cost *function* query `f_{s,d}(t)`, reusing
+    /// `scratch`'s sweep tables.
     pub fn query_profile_with(
         &self,
         scratch: &mut ProfileScratch,
         s: VertexId,
         d: VertexId,
     ) -> Option<Plf> {
-        self.engine().profile_with(scratch, s, d)
+        self.engine().profile(scratch, s, d)
     }
 
-    /// [`TdTreeIndex::query_path`] reusing `scratch`'s sweep buffers.
+    /// Travel cost and the shortest path itself, reusing `scratch`'s sweep
+    /// buffers.
     pub fn query_path_with(
         &self,
         scratch: &mut CostScratch,
@@ -301,7 +257,7 @@ impl TdTreeIndex {
         d: VertexId,
         t: f64,
     ) -> Option<(f64, Path)> {
-        self.engine().cost_with_path_in(scratch, s, d, t)
+        self.engine().path(scratch, s, d, t)
     }
 
     /// Tree statistics (`h(T_G)`, `w(T_G)`, stored points, …).
@@ -349,7 +305,7 @@ mod tests {
             let d = rng.gen_range(0..n) as u32;
             let t = rng.gen_range(0.0..DAY);
             let want = shortest_path_cost(&g, s, d, t);
-            let got = index.query_cost(s, d, t);
+            let got = index.query_cost_with(&mut CostScratch::default(), s, d, t);
             match (want, got) {
                 (Some(a), Some(b)) => assert!(
                     (a - b).abs() < 1e-5,
@@ -383,6 +339,46 @@ mod tests {
                     },
                 );
                 check_index(&index, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_selection_answers_bit_identically_to_basic() {
+        // Budget 0 selects nothing: the index is TD-basic in all but name,
+        // and must answer like one bit for bit (same sweeps, no cut scan).
+        for seed in 0..3u64 {
+            let g = seeded_graph(seed, 30, 20, 3);
+            let basic = TdTreeIndex::build(g.clone(), IndexOptions::default());
+            let empty = TdTreeIndex::build(
+                g,
+                IndexOptions {
+                    strategy: SelectionStrategy::Greedy { budget: 0 },
+                    ..Default::default()
+                },
+            );
+            assert_eq!(empty.shortcuts().num_pairs(), 0);
+            let (mut cs, mut ps) = (CostScratch::default(), ProfileScratch::default());
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xb0);
+            for _ in 0..40 {
+                let s = rng.gen_range(0..30) as u32;
+                let d = rng.gen_range(0..30) as u32;
+                let t = rng.gen_range(0.0..DAY);
+                assert_eq!(
+                    empty.query_cost_with(&mut cs, s, d, t).map(f64::to_bits),
+                    basic.query_cost_with(&mut cs, s, d, t).map(f64::to_bits),
+                    "seed={seed} s={s} d={d} t={t}"
+                );
+                assert_eq!(
+                    empty.query_path_with(&mut cs, s, d, t),
+                    basic.query_path_with(&mut cs, s, d, t),
+                    "seed={seed} s={s} d={d} t={t}"
+                );
+                assert_eq!(
+                    empty.query_profile_with(&mut ps, s, d),
+                    basic.query_profile_with(&mut ps, s, d),
+                    "seed={seed} s={s} d={d}"
+                );
             }
         }
     }

@@ -14,9 +14,9 @@
 //!   (Algo. 5), plus a brute-force reference for tests;
 //! * [`shortcut`] — candidate enumeration with utilities (Def. 7) and the
 //!   ancestor-vector DFS implementing Fact 1;
-//! * [`query`] — the basic query (Algo. 3) and the shortcut query (Algo. 6),
-//!   each in *scalar* mode (travel-cost query) and *profile* mode (shortest
-//!   travel-cost-function query);
+//! * [`query`] — the shortcut query (Algo. 6), which over an empty
+//!   selection *is* the basic query (Algo. 3), in *scalar* mode (travel-cost
+//!   query) and *profile* mode (shortest travel-cost-function query);
 //! * [`paths`] — shortest-path recovery by recursive witness unfolding;
 //! * [`update`] — incremental edge-weight updates (§5.2, Fig. 10): exact
 //!   support-list replay of the reduction plus top-down shortcut rebuild.
@@ -32,6 +32,6 @@ pub mod update;
 
 pub use frozen::FrozenTd;
 pub use index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
-pub use query::{CostScratch, ProfileScratch, QueryEngine};
+pub use query::{CostScratch, ProfileScratch};
 pub use select::{Candidate, Selection};
 pub use update::UpdateStats;

@@ -62,15 +62,10 @@ impl QueryEngine<'_> {
     /// Travel cost *and* shortest path for `Q(s, d, t)`.
     ///
     /// Runs the basic scalar sweeps with predecessor tracking, then unfolds
-    /// each hop's stored function through [`expand_pair`].
-    pub fn cost_with_path(&self, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
-        self.cost_with_path_in(&mut CostScratch::default(), s, d, t)
-    }
-
-    /// [`QueryEngine::cost_with_path`] reusing `scratch`'s sweep buffers.
-    /// The returned [`Path`] is freshly allocated (it is the result), but the
+    /// each hop's stored function through [`expand_pair`]. The returned
+    /// [`Path`] is freshly allocated (it is the result), but `scratch`'s
     /// sweep tables are reused across calls.
-    pub fn cost_with_path_in(
+    pub(crate) fn path(
         &self,
         scratch: &mut CostScratch,
         s: VertexId,
@@ -162,7 +157,7 @@ mod tests {
                 let s = rng.gen_range(0..n) as u32;
                 let d = rng.gen_range(0..n) as u32;
                 let t = rng.gen_range(0.0..DAY);
-                match engine.cost_with_path(s, d, t) {
+                match engine.path(&mut CostScratch::default(), s, d, t) {
                     Some((cost, path)) => {
                         assert_eq!(path.source(), s);
                         assert_eq!(path.destination(), d);
@@ -193,7 +188,9 @@ mod tests {
         let store = ShortcutStore::empty(12);
         let frozen = FrozenTd::build(&td);
         let engine = QueryEngine::new(&td, &store, &frozen);
-        let (c, p) = engine.cost_with_path(5, 5, 10.0).unwrap();
+        let (c, p) = engine
+            .path(&mut CostScratch::default(), 5, 5, 10.0)
+            .unwrap();
         assert_eq!(c, 0.0);
         assert_eq!(p.vertices, vec![5]);
     }

@@ -101,7 +101,10 @@ impl Persist for ShortcutStore {
                     .collect(),
             );
         }
-        Ok(ShortcutStore { per_node })
+        Ok(ShortcutStore {
+            per_node,
+            pairs: anc.len(),
+        })
     }
 }
 
@@ -339,16 +342,17 @@ mod tests {
     fn assert_bit_identical(a: &TdTreeIndex, b: &TdTreeIndex, seed: u64) {
         let n = a.graph().num_vertices();
         let mut rng = StdRng::seed_from_u64(seed);
+        let (mut cs, mut ps) = Default::default();
         for _ in 0..60 {
             let s = rng.gen_range(0..n) as u32;
             let d = rng.gen_range(0..n) as u32;
             let t = rng.gen_range(0.0..DAY);
-            let x = a.query_cost(s, d, t).map(f64::to_bits);
-            let y = b.query_cost(s, d, t).map(f64::to_bits);
+            let x = a.query_cost_with(&mut cs, s, d, t).map(f64::to_bits);
+            let y = b.query_cost_with(&mut cs, s, d, t).map(f64::to_bits);
             assert_eq!(x, y, "cost s={s} d={d} t={t}");
             assert_eq!(
-                a.query_profile(s, d),
-                b.query_profile(s, d),
+                a.query_profile_with(&mut ps, s, d),
+                b.query_profile_with(&mut ps, s, d),
                 "profile s={s} d={d}"
             );
         }

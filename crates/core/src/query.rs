@@ -19,6 +19,10 @@
 //! With shortcuts (Algo. 6) there are three situations: (1) all cut
 //! shortcuts selected → `O(w(T_G))` combination; (2) a subset selected →
 //! upper bound `f⁺` prunes the sweeps (NIL-marking); (3) none → basic sweep.
+//! TD-basic, TD-appro / TD-dp and TD-H2H are therefore one query at three
+//! shortcut budgets (0, `N`, everything): over a store holding no pair the
+//! cut scan can find nothing, so the engine skips it and runs Algo. 3's
+//! sweeps directly — the same answer, bit for bit, without the lookups.
 //!
 //! ## Layout
 //!
@@ -30,12 +34,11 @@
 //!
 //! ## Scratch buffers
 //!
-//! Every query comes in two flavours: a convenience form (`cost`, `profile`)
-//! that allocates its working state per call, and a `*_with` form taking a
-//! reusable [`CostScratch`] / [`ProfileScratch`]. The `*_with` forms are the
-//! hot path used by `td-api`'s `QuerySession`: after the first few queries
-//! warm the buffers up to the tree's depth, a scalar query performs **no
-//! heap allocation at all**.
+//! Every query takes its working state as a reusable [`CostScratch`] /
+//! [`ProfileScratch`] (`Default::default()` is a valid cold one). `td-api`'s
+//! `QuerySession` holds one per thread: after the first few queries warm the
+//! buffers up to the tree's depth, a scalar query performs **no heap
+//! allocation at all**.
 
 use crate::frozen::FrozenTd;
 use crate::shortcut::ShortcutStore;
@@ -44,14 +47,19 @@ use td_plf::{ops::min_into, Plf, NO_PLF};
 use td_treedec::TreeDecomposition;
 
 /// Query engine borrowing the tree and the selected shortcuts.
-pub struct QueryEngine<'a> {
+pub(crate) struct QueryEngine<'a> {
     /// The TFP tree decomposition.
-    pub td: &'a TreeDecomposition,
+    pub(crate) td: &'a TreeDecomposition,
     /// Selected shortcuts (empty for TD-basic).
-    pub store: &'a ShortcutStore,
+    store: &'a ShortcutStore,
     /// Frozen flat view of the tree labels: what the scalar sweeps walk,
     /// and where the profile sweeps read their O(1) label minima.
     frozen: &'a FrozenTd,
+    /// Whether queries scan the LCA cut for shortcuts: false exactly when
+    /// `store` holds no pair. The scan would then find nothing, leave the
+    /// bound unset and fall through to the same two sweeps, so skipping it
+    /// changes no bit of any answer.
+    scan_cut: bool,
 }
 
 /// Reusable buffers for one scalar sweep direction.
@@ -124,8 +132,28 @@ pub struct ProfileScratch {
 impl<'a> QueryEngine<'a> {
     /// Creates an engine over `td`, its selected shortcuts and its frozen
     /// label view (`frozen` must be [`FrozenTd::build`] of the same `td`).
-    pub fn new(td: &'a TreeDecomposition, store: &'a ShortcutStore, frozen: &'a FrozenTd) -> Self {
-        QueryEngine { td, store, frozen }
+    pub(crate) fn new(
+        td: &'a TreeDecomposition,
+        store: &'a ShortcutStore,
+        frozen: &'a FrozenTd,
+    ) -> Self {
+        QueryEngine {
+            td,
+            store,
+            frozen,
+            scan_cut: store.num_pairs() > 0,
+        }
+    }
+
+    /// The LCA vertex of `s` and `d`, with `cut` filled by its vertex cut
+    /// when the cut scan runs and left empty (nothing to scan) otherwise.
+    fn lca_and_cut(&self, s: VertexId, d: VertexId, cut: &mut Vec<VertexId>) -> VertexId {
+        if self.scan_cut {
+            self.td.vertex_cut_into(s, d, cut)
+        } else {
+            cut.clear();
+            self.td.lca(s, d)
+        }
     }
 
     fn root_path_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
@@ -254,17 +282,9 @@ impl<'a> QueryEngine<'a> {
 
     /// Travel cost query `Q(s, d, t)` — Algo. 6 when shortcuts exist,
     /// falling back to the basic sweeps (Algo. 3's scalar counterpart).
-    ///
-    /// Convenience form allocating fresh scratch; hot paths should hold a
-    /// [`CostScratch`] and call [`QueryEngine::cost_with`].
-    pub fn cost(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.cost_with(&mut CostScratch::default(), s, d, t)
-    }
-
-    /// Travel cost query `Q(s, d, t)` reusing `scratch` (allocation-free
-    /// after warm-up).
+    /// Allocation-free once `scratch` is warm.
     // td-lint: hot
-    pub fn cost_with(
+    pub(crate) fn cost(
         &self,
         scratch: &mut CostScratch,
         s: VertexId,
@@ -280,11 +300,12 @@ impl<'a> QueryEngine<'a> {
             cut,
             seeds,
         } = scratch;
-        let x = self.td.vertex_cut_into(s, d, cut);
+        let x = self.lca_and_cut(s, d, cut);
         let upto = self.td.node(x).depth as usize;
 
         // Shortcut values over the cut: (depth of w, cost s→w, cost w→d).
-        let mut full_cover = true;
+        // An unscanned (empty) cut covers nothing.
+        let mut full_cover = self.scan_cut;
         let mut bound: Option<f64> = None;
         seeds.clear();
         let mut jump_total: Option<f64> = None;
@@ -349,60 +370,37 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Basic travel cost query ignoring shortcuts (TD-basic's scalar mode).
-    pub fn cost_basic(&self, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
-        self.cost_basic_with(&mut CostScratch::default(), s, d, t)
-    }
-
-    /// Basic travel cost query reusing `scratch`.
-    // td-lint: hot
-    pub fn cost_basic_with(
-        &self,
-        scratch: &mut CostScratch,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-    ) -> Option<f64> {
-        if s == d {
-            return Some(0.0);
-        }
-        let CostScratch { up, down, .. } = scratch;
-        let x = self.td.lca(s, d);
-        let upto = self.td.node(x).depth as usize;
-        self.sweep_up_scalar_into(s, t, &[], None, up);
-        self.sweep_down_scalar_into(d, &up.arr, upto, t, None, down);
-        debug_assert_eq!(down.arr.len(), down.path.len());
-        down.arr[down.path.len() - 1].map(|a| a - t)
-    }
-
     // ------------------------------------------------------------------
     // Profile (cost function) queries
     // ------------------------------------------------------------------
 
-    /// Upward function sweep from `s` (Algo. 3 lines 1-10) into `bufs`:
-    /// `cost[k]` = `f_{s, path[k]}(t)` for every root-path vertex. `seeds`
-    /// carries shortcut functions (exact, skipped by relaxation per Algo. 6
-    /// line 15); `bound` enables NIL pruning (Algo. 6 line 20).
-    pub(crate) fn sweep_up_profile_into(
+    /// Upward function sweep along `v`'s root path into `bufs`. Forward
+    /// (`REV = false`, Algo. 3 lines 1-10) `v` is the source and `cost[k]` =
+    /// `f_{v, path[k]}(t)` through the `Ws` labels; reversed (line 11,
+    /// "repeat for cost_d") `v` is the destination and `cost[k]` =
+    /// `f_{path[k], v}(t)` through `Wd`. `seeds` carries shortcut functions
+    /// (exact, skipped by relaxation per Algo. 6 line 15); `bound` enables
+    /// NIL pruning (Algo. 6 line 20).
+    fn sweep_up_profile_into<const REV: bool>(
         &self,
-        s: VertexId,
+        v: VertexId,
         seeds: &[(usize, Plf)],
         bound: Option<&Plf>,
         bufs: &mut ProfileSweepBufs,
     ) {
-        self.root_path_into(s, &mut bufs.path);
-        let ds = bufs.path.len() - 1;
-        bufs.reset(ds + 1);
+        self.root_path_into(v, &mut bufs.path);
+        let end = bufs.path.len() - 1;
+        bufs.reset(end + 1);
         for (k, f) in seeds {
             bufs.cost[*k] = Some(f.clone());
             bufs.fixed[*k] = true;
         }
         let bound_max = bound.map(|b| b.max_value());
-        for k in (0..=ds).rev() {
+        for k in (0..=end).rev() {
             // At processing time cost[k] is final: NIL-prune it (Algo. 6
             // line 20) when it can never beat the shortcut bound anywhere.
             let mut cur_min = 0.0; // the endpoint's own label is the zero function
-            if k != ds {
+            if k != end {
                 let Some(f) = &bufs.cost[k] else { continue };
                 let fmin = f.min_value();
                 if let Some(bm) = bound_max {
@@ -416,78 +414,37 @@ impl<'a> QueryEngine<'a> {
             // The function algebra needs the owned labels; depths and label
             // minima come from the matching frozen slots.
             let node = self.td.node(bufs.path[k]);
-            for (ws, idx) in node.ws.iter().zip(self.frozen.range(bufs.path[k])) {
-                let Some(ws) = ws else { continue };
+            let labels = if REV { &node.wd } else { &node.ws };
+            for (w, idx) in labels.iter().zip(self.frozen.range(bufs.path[k])) {
+                let Some(w) = w else { continue };
                 let ku = self.frozen.bag_depth(idx);
                 if bufs.fixed[ku] {
                     continue;
                 }
                 // Edge-level prune (same argument as the slot NIL): the
-                // compound's minimum is ≥ min(cost[k]) + min(ws); when that
+                // compound's minimum is ≥ min(cost[k]) + min(w); when that
                 // clears the bound's maximum, every propagated value loses
                 // the final combination against the bound. The frozen arena
                 // serves the edge minimum in O(1).
-                if bound_max.is_some_and(|bm| cur_min + self.frozen.ws_min(idx) > bm) {
-                    continue;
-                }
-                let cand = if k == ds {
-                    ws.clone() // line 2: cost_s[u] ← X(s).Ws_u
-                } else {
-                    bufs.cost[k]
-                        .as_ref()
-                        .expect("checked above")
-                        .compound(ws, bufs.path[k])
-                };
-                min_into(&mut bufs.cost[ku], cand);
-            }
-        }
-    }
-
-    /// Upward *reverse* function sweep towards `d` into `bufs`: `cost[k]` =
-    /// `f_{path[k], d}(t)` (Algo. 3 line 11 "repeat for cost_d").
-    pub(crate) fn sweep_up_profile_rev_into(
-        &self,
-        d: VertexId,
-        seeds: &[(usize, Plf)],
-        bound: Option<&Plf>,
-        bufs: &mut ProfileSweepBufs,
-    ) {
-        self.root_path_into(d, &mut bufs.path);
-        let dd = bufs.path.len() - 1;
-        bufs.reset(dd + 1);
-        for (k, f) in seeds {
-            bufs.cost[*k] = Some(f.clone());
-            bufs.fixed[*k] = true;
-        }
-        let bound_max = bound.map(|b| b.max_value());
-        for k in (0..=dd).rev() {
-            let mut cur_min = 0.0;
-            if k != dd {
-                let Some(f) = &bufs.cost[k] else { continue };
-                let fmin = f.min_value();
-                if let Some(bm) = bound_max {
-                    if fmin > bm {
-                        bufs.cost[k] = None; // NIL
-                        continue;
+                let w_min = || {
+                    if REV {
+                        self.frozen.wd_min(idx)
+                    } else {
+                        self.frozen.ws_min(idx)
                     }
-                }
-                cur_min = fmin;
-            }
-            let node = self.td.node(bufs.path[k]);
-            for (wd, idx) in node.wd.iter().zip(self.frozen.range(bufs.path[k])) {
-                let Some(wd) = wd else { continue };
-                let ku = self.frozen.bag_depth(idx);
-                if bufs.fixed[ku] {
+                };
+                if bound_max.is_some_and(|bm| cur_min + w_min() > bm) {
                     continue;
                 }
-                // Mirror of the up-sweep's edge-level prune.
-                if bound_max.is_some_and(|bm| cur_min + self.frozen.wd_min(idx) > bm) {
-                    continue;
-                }
-                let cand = if k == dd {
-                    wd.clone()
+                let cand = if k == end {
+                    w.clone() // line 2: cost_s[u] ← X(s).Ws_u
                 } else {
-                    wd.compound(bufs.cost[k].as_ref().expect("checked above"), bufs.path[k])
+                    let cur = bufs.cost[k].as_ref().expect("checked above");
+                    if REV {
+                        w.compound(cur, bufs.path[k])
+                    } else {
+                        cur.compound(w, bufs.path[k])
+                    }
                 };
                 min_into(&mut bufs.cost[ku], cand);
             }
@@ -495,13 +452,9 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Cost function query `f_{s,d}(t)` — Algo. 6 (falls back to Algo. 3
-    /// when no shortcut covers the cut).
-    pub fn profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        self.profile_with(&mut ProfileScratch::default(), s, d)
-    }
-
-    /// Cost function query reusing `scratch`'s sweep tables and seed lists.
-    pub fn profile_with(
+    /// when no shortcut covers the cut), reusing `scratch`'s sweep tables
+    /// and seed lists.
+    pub(crate) fn profile(
         &self,
         scratch: &mut ProfileScratch,
         s: VertexId,
@@ -517,10 +470,11 @@ impl<'a> QueryEngine<'a> {
             seeds_s,
             seeds_d,
         } = scratch;
-        let x = self.td.vertex_cut_into(s, d, cut);
+        let x = self.lca_and_cut(s, d, cut);
 
-        // Collect shortcut functions over the cut.
-        let mut full_cover = true;
+        // Collect shortcut functions over the cut (an unscanned, empty cut
+        // covers nothing).
+        let mut full_cover = self.scan_cut;
         seeds_s.clear();
         seeds_d.clear();
         let mut bound: Option<Plf> = None;
@@ -569,34 +523,9 @@ impl<'a> QueryEngine<'a> {
         // Situations (2)/(3): pruned sweeps + combination over the common
         // ancestor chain.
         let upto = self.td.node(x).depth as usize;
-        self.sweep_up_profile_into(s, seeds_s, bound.as_ref(), up);
-        self.sweep_up_profile_rev_into(d, seeds_d, bound.as_ref(), down);
+        self.sweep_up_profile_into::<false>(s, seeds_s, bound.as_ref(), up);
+        self.sweep_up_profile_into::<true>(d, seeds_d, bound.as_ref(), down);
         let mut result: Option<Plf> = bound;
-        combine_over_chain(&up.path, &up.cost, &down.cost, upto, s, d, &mut result);
-        result
-    }
-
-    /// Basic cost function query (Algo. 3, no shortcuts).
-    pub fn profile_basic(&self, s: VertexId, d: VertexId) -> Option<Plf> {
-        self.profile_basic_with(&mut ProfileScratch::default(), s, d)
-    }
-
-    /// Basic cost function query reusing `scratch`.
-    pub fn profile_basic_with(
-        &self,
-        scratch: &mut ProfileScratch,
-        s: VertexId,
-        d: VertexId,
-    ) -> Option<Plf> {
-        if s == d {
-            return Some(Plf::zero());
-        }
-        let ProfileScratch { up, down, .. } = scratch;
-        let x = self.td.lca(s, d);
-        let upto = self.td.node(x).depth as usize;
-        self.sweep_up_profile_into(s, &[], None, up);
-        self.sweep_up_profile_rev_into(d, &[], None, down);
-        let mut result: Option<Plf> = None;
         combine_over_chain(&up.path, &up.cost, &down.cost, upto, s, d, &mut result);
         result
     }
@@ -656,6 +585,15 @@ mod tests {
         (0..10).map(|k| k as f64 * DAY / 10.0 + 13.0).collect()
     }
 
+    /// The engine's queries on a cold scratch.
+    fn cost(engine: &QueryEngine<'_>, s: VertexId, d: VertexId, t: f64) -> Option<f64> {
+        engine.cost(&mut CostScratch::default(), s, d, t)
+    }
+
+    fn profile(engine: &QueryEngine<'_>, s: VertexId, d: VertexId) -> Option<Plf> {
+        engine.profile(&mut ProfileScratch::default(), s, d)
+    }
+
     #[test]
     fn basic_scalar_query_matches_dijkstra() {
         for seed in 0..6u64 {
@@ -671,7 +609,7 @@ mod tests {
                 let d = rng.gen_range(0..n) as u32;
                 let t = rng.gen_range(0.0..DAY);
                 let want = shortest_path_cost(&g, s, d, t);
-                let got = engine.cost_basic(s, d, t);
+                let got = cost(&engine, s, d, t);
                 match (want, got) {
                     (Some(a), Some(b)) => assert!(
                         (a - b).abs() < 1e-5,
@@ -699,7 +637,7 @@ mod tests {
                 let prof = profile_search(&g, s);
                 for _ in 0..4 {
                     let d = rng.gen_range(0..n) as u32;
-                    let got = engine.profile_basic(s, d);
+                    let got = profile(&engine, s, d);
                     match (&prof.dist[d as usize], &got) {
                         (Some(want), Some(got)) => {
                             for t in probe_times() {
@@ -727,7 +665,8 @@ mod tests {
     #[test]
     fn full_shortcut_queries_match_basic() {
         // With ALL shortcuts (TD-H2H mode) every query is situation (1); the
-        // answers must agree with the basic sweeps.
+        // answers must agree with the basic sweeps of an engine over an
+        // empty store on the same tree.
         for seed in 0..4u64 {
             let n = 30;
             let g = seeded_graph(seed, n, 20, 3);
@@ -742,8 +681,8 @@ mod tests {
                 let s = rng.gen_range(0..n) as u32;
                 let d = rng.gen_range(0..n) as u32;
                 let t = rng.gen_range(0.0..DAY);
-                let a = fast.cost(s, d, t);
-                let b = slow.cost_basic(s, d, t);
+                let a = cost(&fast, s, d, t);
+                let b = cost(&slow, s, d, t);
                 match (a, b) {
                     (Some(a), Some(b)) => {
                         assert!(
@@ -754,8 +693,8 @@ mod tests {
                     (None, None) => {}
                     other => panic!("seed={seed} s={s} d={d}: {other:?}"),
                 }
-                let fa = fast.profile(s, d);
-                let fb = slow.profile_basic(s, d);
+                let fa = profile(&fast, s, d);
+                let fb = profile(&slow, s, d);
                 match (fa, fb) {
                     (Some(fa), Some(fb)) => {
                         for t in probe_times() {
@@ -768,6 +707,70 @@ mod tests {
                     (None, None) => {}
                     other => panic!("seed={seed} s={s} d={d}: {:?}", other.0.map(|_| ())),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_the_cut_scan_over_an_empty_store_changes_no_bit() {
+        // The claim the one-query-path design rests on: with nothing
+        // selected, Algo. 6's cut scan is inert, so the engine that skips it
+        // (what `QueryEngine::new` picks for an empty store) and the engine
+        // forced to run it answer bit-identically — cost, profile
+        // breakpoints and path.
+        let bits = |f: Option<Plf>| {
+            f.map(|f| {
+                f.points()
+                    .iter()
+                    .map(|p| (p.t.to_bits(), p.v.to_bits(), p.via))
+                    .collect::<Vec<_>>()
+            })
+        };
+        for seed in 0..4u64 {
+            let n = 30;
+            let g = seeded_graph(seed, n, 20, 3);
+            let td = TreeDecomposition::build(&g);
+            let store = ShortcutStore::empty(n);
+            let frozen = FrozenTd::build(&td);
+            let skipping = QueryEngine::new(&td, &store, &frozen);
+            assert!(!skipping.scan_cut, "an empty store skips the scan");
+            let scanning = QueryEngine {
+                scan_cut: true,
+                ..QueryEngine::new(&td, &store, &frozen)
+            };
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xc07);
+            let mut pairs: Vec<(u32, u32)> = (0..40)
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .collect();
+            // s an ancestor of d, and the reverse: the degenerate cuts.
+            for v in 0..n as u32 {
+                for a in td.ancestors_root_first(v) {
+                    pairs.push((a, v));
+                    pairs.push((v, a));
+                }
+            }
+            let (mut cs_a, mut cs_b) = (CostScratch::default(), CostScratch::default());
+            let (mut ps_a, mut ps_b) = (ProfileScratch::default(), ProfileScratch::default());
+            for (s, d) in pairs {
+                for t in [0.0, 7.5 * 3600.0, rng.gen_range(0.0..DAY)] {
+                    assert_eq!(
+                        skipping.cost(&mut cs_a, s, d, t).map(f64::to_bits),
+                        scanning.cost(&mut cs_b, s, d, t).map(f64::to_bits),
+                        "seed={seed} s={s} d={d} t={t}"
+                    );
+                    let a = skipping.path(&mut cs_a, s, d, t);
+                    let b = scanning.path(&mut cs_b, s, d, t);
+                    assert_eq!(
+                        a.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                        b.as_ref().map(|(c, p)| (c.to_bits(), p)),
+                        "seed={seed} s={s} d={d} t={t}"
+                    );
+                }
+                assert_eq!(
+                    bits(skipping.profile(&mut ps_a, s, d)),
+                    bits(scanning.profile(&mut ps_b, s, d)),
+                    "seed={seed} s={s} d={d}"
+                );
             }
         }
     }
@@ -793,17 +796,12 @@ mod tests {
                     let d = rng.gen_range(0..n) as u32;
                     let t = rng.gen_range(0.0..DAY);
                     assert_eq!(
-                        engine.cost_with(&mut cost_scratch, s, d, t),
-                        engine.cost(s, d, t),
+                        engine.cost(&mut cost_scratch, s, d, t),
+                        cost(&engine, s, d, t),
                         "seed={seed} s={s} d={d} t={t}"
                     );
-                    assert_eq!(
-                        engine.cost_basic_with(&mut cost_scratch, s, d, t),
-                        engine.cost_basic(s, d, t),
-                        "seed={seed} s={s} d={d} t={t}"
-                    );
-                    let a = engine.profile_with(&mut profile_scratch, s, d);
-                    let b = engine.profile(s, d);
+                    let a = engine.profile(&mut profile_scratch, s, d);
+                    let b = profile(&engine, s, d);
                     match (a, b) {
                         (Some(a), Some(b)) => {
                             for t in probe_times() {
@@ -825,9 +823,8 @@ mod tests {
         let store = ShortcutStore::empty(10);
         let frozen = FrozenTd::build(&td);
         let engine = QueryEngine::new(&td, &store, &frozen);
-        assert_eq!(engine.cost_basic(3, 3, 100.0), Some(0.0));
-        assert_eq!(engine.cost(3, 3, 100.0), Some(0.0));
-        assert_eq!(engine.profile_basic(3, 3).unwrap().eval(5.0), 0.0);
+        assert_eq!(cost(&engine, 3, 3, 100.0), Some(0.0));
+        assert_eq!(profile(&engine, 3, 3).unwrap().eval(5.0), 0.0);
     }
 
     #[test]
@@ -844,7 +841,7 @@ mod tests {
             for a in td.ancestors_root_first(v) {
                 for t in [0.0, DAY / 3.0, DAY / 2.0] {
                     let want = shortest_path_cost(&g, a, v, t);
-                    let got = engine.cost_basic(a, v, t);
+                    let got = cost(&engine, a, v, t);
                     match (want, got) {
                         (Some(x), Some(y)) => {
                             assert!((x - y).abs() < 1e-5, "a={a} v={v} t={t}: {x} vs {y}")
@@ -871,8 +868,7 @@ mod tests {
         let store = ShortcutStore::empty(4);
         let frozen = FrozenTd::build(&td);
         let engine = QueryEngine::new(&td, &store, &frozen);
-        assert_eq!(engine.cost_basic(0, 3, 0.0), None);
-        assert!(engine.profile_basic(0, 3).is_none());
-        assert_eq!(engine.cost(0, 3, 0.0), None);
+        assert_eq!(cost(&engine, 0, 3, 0.0), None);
+        assert!(profile(&engine, 0, 3).is_none());
     }
 }

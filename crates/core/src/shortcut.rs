@@ -102,6 +102,9 @@ pub(crate) type StoredPair = (VertexId, Option<Plf>, Option<Plf>);
 pub struct ShortcutStore {
     /// Per vertex: `(ancestor, up, down)` entries sorted by ancestor id.
     pub(crate) per_node: Vec<Vec<StoredPair>>,
+    /// Number of stored pairs, kept beside the rows so the query engine
+    /// reads "is anything selected?" in O(1) per query.
+    pub(crate) pairs: usize,
 }
 
 impl ShortcutStore {
@@ -109,6 +112,7 @@ impl ShortcutStore {
     pub fn empty(n: usize) -> Self {
         ShortcutStore {
             per_node: vec![Vec::new(); n],
+            pairs: 0,
         }
     }
 
@@ -116,6 +120,7 @@ impl ShortcutStore {
         let row = &mut self.per_node[v as usize];
         let pos = row.partition_point(|e| e.0 < ancestor);
         row.insert(pos, (ancestor, up, down));
+        self.pairs += 1;
     }
 
     /// Inserts one pair (used by the update module's rebuild merge).
@@ -145,7 +150,7 @@ impl ShortcutStore {
 
     /// Number of selected pair instances.
     pub fn num_pairs(&self) -> usize {
-        self.per_node.iter().map(|r| r.len()).sum()
+        self.pairs
     }
 
     /// Total stored interpolation points (the paper's weight measure).
@@ -174,6 +179,7 @@ impl ShortcutStore {
     /// rebuild of their subtrees).
     pub fn clear_vertices(&mut self, vs: &[VertexId]) {
         for &v in vs {
+            self.pairs -= self.per_node[v as usize].len();
             self.per_node[v as usize].clear();
         }
     }

@@ -271,12 +271,13 @@ mod tests {
         let g = index.graph().clone();
         let n = g.num_vertices();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
+        let mut scratch = crate::CostScratch::default();
         for _ in 0..queries {
             let s = rng.gen_range(0..n) as u32;
             let d = rng.gen_range(0..n) as u32;
             let t = rng.gen_range(0.0..DAY);
             let want = shortest_path_cost(&g, s, d, t);
-            let got = index.query_cost(s, d, t);
+            let got = index.query_cost_with(&mut scratch, s, d, t);
             match (want, got) {
                 (Some(a), Some(b)) => assert!(
                     (a - b).abs() < 1e-5,
@@ -350,11 +351,12 @@ mod tests {
                 track_supports: true,
             },
         );
+        let mut scratch = crate::CostScratch::default();
         for s in 0..20u32 {
             for d in 0..20u32 {
                 for t in [0.0, DAY / 4.0, DAY / 2.0] {
-                    let a = index.query_cost(s, d, t);
-                    let b = fresh.query_cost(s, d, t);
+                    let a = index.query_cost_with(&mut scratch, s, d, t);
+                    let b = fresh.query_cost_with(&mut scratch, s, d, t);
                     match (a, b) {
                         (Some(x), Some(y)) => assert!(
                             (x - y).abs() < 1e-5,

@@ -16,8 +16,8 @@
 //!
 //! Rules (R1–R5), the marker grammar, and the escape hatch are documented in
 //! [`rules`] and `crates/lint/README.md`. Configuration — the Send/Sync pin
-//! registry and the unsafe-crate allowlist — lives in `crates/lint/pins.toml`
-//! (fixture corpora place a `pins.toml` at their own root instead).
+//! registry — lives in `crates/lint/pins.toml` (fixture corpora place a
+//! `pins.toml` at their own root instead).
 
 pub mod lexer;
 pub mod rules;
@@ -87,21 +87,17 @@ pub struct Pin {
     pub line: u32,
 }
 
-/// Parsed pins.toml: the pin registry plus the unsafe-crate allowlist.
+/// Parsed pins.toml: the pin registry.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
     /// `[pins]`: public index/scratch types requiring a `const` Send/Sync
     /// assertion somewhere in the workspace.
     pub pins: Vec<Pin>,
-    /// `[unsafe] allow = [...]`: crate dirs permitted `#![deny(unsafe_code)]`
-    /// (with scoped `#[allow]`s) instead of `#![forbid(unsafe_code)]`.
-    pub unsafe_allow: Vec<String>,
 }
 
 impl Config {
     /// Parses the tiny TOML subset pins.toml uses: `[section]` headers,
-    /// `key = "value"` and `key = ["a", "b"]` lines, `#` comments. Errors
-    /// carry the offending line.
+    /// `key = "value"` lines, `#` comments. Errors carry the offending line.
     pub fn parse(src: &str) -> Result<Config, String> {
         let mut config = Config::default();
         let mut section = String::new();
@@ -137,20 +133,6 @@ impl Config {
                         capability,
                         line: lineno,
                     });
-                }
-                "unsafe" if key == "allow" => {
-                    let inner = value
-                        .strip_prefix('[')
-                        .and_then(|v| v.strip_suffix(']'))
-                        .ok_or_else(|| {
-                            format!("pins.toml:{lineno}: `allow` must be a [\"...\"] list")
-                        })?;
-                    for item in inner.split(',') {
-                        let item = item.trim().trim_matches('"');
-                        if !item.is_empty() {
-                            config.unsafe_allow.push(item.to_string());
-                        }
-                    }
                 }
                 other => {
                     return Err(format!(
@@ -232,7 +214,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     for (path, rel) in discover(root)? {
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let report = rules::check_file(&rel, &src, &config);
+        let report = rules::check_file(&rel, &src);
         diagnostics.extend(report.diagnostics);
         for (ty, caps) in report.pins {
             let entry = asserted.entry(ty).or_default();
@@ -262,16 +244,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_parses_pins_and_allowlist() {
-        let cfg = Config::parse(
-            "# registry\n[pins]\nPlfArena = \"send+sync\"\nScratch = \"send\"\n\n[unsafe]\nallow = [\"api\"]\n",
-        )
-        .unwrap();
+    fn config_parses_pins() {
+        let cfg =
+            Config::parse("# registry\n[pins]\nPlfArena = \"send+sync\"\nScratch = \"send\"\n")
+                .unwrap();
         assert_eq!(cfg.pins.len(), 2);
         assert_eq!(cfg.pins[0].type_name, "PlfArena");
         assert_eq!(cfg.pins[0].capability, PinCapability::SendSync);
         assert_eq!(cfg.pins[1].capability, PinCapability::Send);
-        assert_eq!(cfg.unsafe_allow, vec!["api".to_string()]);
+        // The unsafe-crate allowlist is gone: every crate forbids `unsafe`.
+        assert!(Config::parse("[unsafe]\nallow = [\"api\"]\n").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | `hot-alloc`    | R1     | allocation idiom (`Vec::new`, `.push`, `.collect`, `.clone`, `format!`, …) in a hot region |
 //! | `hot-index`    | R1     | `[]` indexing in a hot function with no `debug_assert!` bound check in that function |
 //! | `hot-obs`      | R1     | metrics-registry call (`metrics()`, `phase()`, `.counter()`, `.render_prometheus()`, …) in a hot region — hot code records via scratch-resident `SearchStats` only |
-//! | `unsafe-forbid`| R2     | crate root missing `#![forbid(unsafe_code)]` (or `#![deny]` for allowlisted crates) |
+//! | `unsafe-forbid`| R2     | crate root missing `#![forbid(unsafe_code)]`              |
 //! | `unsafe-safety`| R2     | `unsafe` with no `// SAFETY:` / `# Safety` comment nearby |
 //! | `reader-lock`  | R3     | `Mutex`/`RwLock`/`mpsc`/`.lock()` in a `reader-path` file |
 //! | `pin-missing`  | R4     | pinned type lacks a `const` Send/Sync assertion anywhere |
@@ -129,7 +129,7 @@ pub struct FileReport {
 ///
 /// `rel_path` is the `/`-separated path relative to the workspace root —
 /// used verbatim in diagnostics and for the crate-root test of R2.
-pub fn check_file(rel_path: &str, src: &str, config: &Config) -> FileReport {
+pub fn check_file(rel_path: &str, src: &str) -> FileReport {
     let all = lex(src);
     // Code tokens: everything the compiler would see (comments stripped).
     let code: Vec<&Tok> = all.iter().filter(|t| !t.is_comment()).collect();
@@ -232,29 +232,19 @@ pub fn check_file(rel_path: &str, src: &str, config: &Config) -> FileReport {
 
     // ---- R2a: crate-root unsafe attribute ----------------------------
     if let Some(crate_dir) = crate_root_dir(rel_path) {
-        let attr = unsafe_code_attr(&code);
-        let want_deny = config.unsafe_allow.iter().any(|c| c == &crate_dir);
-        match (want_deny, attr) {
-            (false, Some("forbid")) | (true, Some("deny")) | (true, Some("forbid")) => {}
-            (false, found) => diagnostics.push(Diagnostic::new(
+        let found = unsafe_code_attr(&code);
+        if found != Some("forbid") {
+            diagnostics.push(Diagnostic::new(
                 rel_path,
                 1,
                 "unsafe-forbid",
                 match found {
                     Some(level) => format!(
-                        "crate `{crate_dir}` must carry `#![forbid(unsafe_code)]`, found `#![{level}(unsafe_code)]` (add the crate to the allowlist in pins.toml to permit `deny`)"
+                        "crate `{crate_dir}` must carry `#![forbid(unsafe_code)]`, found `#![{level}(unsafe_code)]`"
                     ),
                     None => format!("crate `{crate_dir}` is missing `#![forbid(unsafe_code)]`"),
                 },
-            )),
-            (true, _) => diagnostics.push(Diagnostic::new(
-                rel_path,
-                1,
-                "unsafe-forbid",
-                format!(
-                    "allowlisted crate `{crate_dir}` must still carry `#![deny(unsafe_code)]` with scoped `#[allow]`s"
-                ),
-            )),
+            ));
         }
     }
 

@@ -56,9 +56,15 @@ fn unsafe_forbid_fires() {
 
 #[test]
 fn unsafe_safety_fires() {
-    // The crate is allowlisted (fixture pins.toml), so only the missing
-    // SAFETY comment fires — not the crate-root attribute rule.
-    expect("unsafe_safety", &[("demo/src/lib.rs", 5, "unsafe-safety")]);
+    // A crate that weakens `forbid` to `deny` trips the crate-root rule,
+    // and its undocumented `unsafe` trips the SAFETY-comment rule too.
+    expect(
+        "unsafe_safety",
+        &[
+            ("demo/src/lib.rs", 1, "unsafe-forbid"),
+            ("demo/src/lib.rs", 5, "unsafe-safety"),
+        ],
+    );
 }
 
 #[test]

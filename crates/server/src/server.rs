@@ -484,15 +484,14 @@ fn serve_batch<I: RoutingIndex>(
     exec: &mut ParallelExecutor<'_, I>,
     incoming: &mut Vec<Pending>,
     batch: &mut Vec<Pending>,
-    queries: &mut Vec<CostQuery>,
-    budgets: &mut Vec<QueryBudget>,
+    queries: &mut Vec<(CostQuery, QueryBudget)>,
+    results: &mut Vec<Result<BoundedAnswer, QueryError>>,
 ) {
     let cfg = &shared.cfg;
     let now = Instant::now();
     let mode = OverloadMode::from_u8(shared.mode.load(Ordering::Relaxed));
     batch.clear();
     queries.clear();
-    budgets.clear();
     for p in incoming.drain(..) {
         // Deadline propagation, stage 2: requests that expired while queued
         // are shed with a typed reply before touching a worker.
@@ -504,14 +503,11 @@ fn serve_batch<I: RoutingIndex>(
             shared.fulfill(p, Err(ServeError::Shed(Rejected::DeadlineExpired)));
             continue;
         }
-        queries.push(p.query);
         // Stage 3: the client deadline rides into the search itself as the
         // budget's wall-clock bound, under the mode's settle cap.
-        budgets.push(control::slot_budget(
-            mode,
-            cfg.normal_settles,
-            cfg.degraded_settles,
-            p.deadline,
+        queries.push((
+            p.query,
+            control::slot_budget(mode, cfg.normal_settles, cfg.degraded_settles, p.deadline),
         ));
         batch.push(p);
     }
@@ -524,8 +520,8 @@ fn serve_batch<I: RoutingIndex>(
         m.server_batches_total.inc();
         m.server_batch_size.observe(batch.len() as u64);
     }
-    let results = exec.query_batch_bounded_each(queries, budgets);
-    for (mut p, result) in batch.drain(..).zip(results) {
+    exec.query_batch_bounded_into(queries, results);
+    for (mut p, result) in batch.drain(..).zip(results.drain(..)) {
         match result {
             // One bounded retry for contained panics only: the request goes
             // back to the queue *head*, where the next worker to pop — this
@@ -549,8 +545,8 @@ fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
     let cfg = &shared.cfg;
     let mut incoming: Vec<Pending> = Vec::new();
     let mut batch: Vec<Pending> = Vec::new();
-    let mut queries: Vec<CostQuery> = Vec::new();
-    let mut budgets: Vec<QueryBudget> = Vec::new();
+    let mut queries: Vec<(CostQuery, QueryBudget)> = Vec::new();
+    let mut results: Vec<Result<BoundedAnswer, QueryError>> = Vec::new();
     'epoch: loop {
         // One executor per epoch: its scratch stays warm across batches.
         let (epoch, snap) = shared.source.snapshot_with_epoch();
@@ -594,7 +590,7 @@ fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
                     &mut incoming,
                     &mut batch,
                     &mut queries,
-                    &mut budgets,
+                    &mut results,
                 )
             }));
             if r.is_err() {

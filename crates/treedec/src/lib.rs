@@ -13,8 +13,8 @@
 //!   treewidth/treeheight (Def. 4) and O(1) **LCA** via Euler tour + sparse
 //!   table (needed by Property 1's vertex-cut argument).
 //!
-//! The decomposition is the substrate shared by `td-core` (the paper's index)
-//! and `td-h2h` (the TD-H2H baseline).
+//! The decomposition is the substrate of `td-core`: the paper's index, and
+//! the TD-H2H baseline as that index with every pair selected.
 
 pub mod elimination;
 pub mod fxhash;

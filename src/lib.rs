@@ -16,9 +16,9 @@
 //!   named datasets;
 //! * [`dijkstra`] — non-index baselines and correctness oracles;
 //! * [`treedec`] — travel-function-preserved tree decomposition;
-//! * [`core`] — the paper's TD-tree index (TD-basic / TD-dp / TD-appro);
-//! * [`gtree`] — the TD-G-tree baseline;
-//! * [`h2h`] — the TD-H2H baseline.
+//! * [`core`] — the paper's TD-tree index (TD-basic / TD-dp / TD-appro, and
+//!   the TD-H2H baseline as the same index with every pair selected);
+//! * [`gtree`] — the TD-G-tree baseline.
 //!
 //! ## Quickstart
 //!
@@ -64,7 +64,6 @@ pub use td_dijkstra as dijkstra;
 pub use td_gen as gen;
 pub use td_graph as graph;
 pub use td_gtree as gtree;
-pub use td_h2h as h2h;
 pub use td_plf as plf;
 pub use td_store as store;
 pub use td_treedec as treedec;
@@ -80,7 +79,6 @@ pub mod prelude {
     pub use td_gen::{Dataset, ProfileConfig, Query, Workload, WorkloadConfig};
     pub use td_graph::{GraphBuilder, Path, TdGraph, VertexId};
     pub use td_gtree::{GtreeConfig, TdGtree};
-    pub use td_h2h::{H2hConfig, TdH2h};
     pub use td_plf::{Plf, DAY};
     pub use td_treedec::TreeDecomposition;
 }

@@ -1,6 +1,6 @@
 #![allow(clippy::print_stdout)]
 //! Racing reader/writer stress: reader threads hammer
-//! `ParallelExecutor::query_batch` on `LiveIndex` snapshots while a writer
+//! `ParallelExecutor::query_batch_into` on `LiveIndex` snapshots while a writer
 //! pushes live-traffic batches through the double-buffer epoch swap.
 //!
 //! Everything observable is deterministic and seeded: the graph, the update
@@ -86,7 +86,9 @@ fn racing_readers_agree_with_per_epoch_rebuilds() {
                     while !done.load(Ordering::Acquire) && seen.len() < 20_000 {
                         let (epoch, snap) = live.snapshot_with_epoch();
                         let mut exec = ParallelExecutor::new(snap.as_ref(), 2);
-                        seen.push((epoch, exec.query_batch(queries)));
+                        let mut answers = Vec::new();
+                        exec.query_batch_into(queries, &mut answers);
+                        seen.push((epoch, answers));
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     }
                     seen

@@ -98,7 +98,13 @@ fn invalid_queries_surface_as_typed_errors_not_panics() {
         (0, 2, f64::INFINITY, "not finite"),
         (0, 2, -5.0, "negative"),
     ] {
-        match index.query_cost_bounded(s, d, t, &QueryBudget::UNLIMITED) {
+        match index.query_cost_bounded_in(
+            &mut index.new_scratch(),
+            s,
+            d,
+            t,
+            &QueryBudget::UNLIMITED,
+        ) {
             Err(QueryError::InvalidQuery(why)) => assert!(
                 why.contains(needle),
                 "s={s} d={d} t={t}: message {why:?} does not mention {needle:?}"
@@ -110,7 +116,7 @@ fn invalid_queries_surface_as_typed_errors_not_panics() {
     // A valid query on the same index still answers exactly.
     assert_eq!(
         index
-            .query_cost_bounded(0, 2, 0.0, &QueryBudget::UNLIMITED)
+            .query_cost_bounded_in(&mut index.new_scratch(), 0, 2, 0.0, &QueryBudget::UNLIMITED)
             .unwrap(),
         BoundedAnswer::Exact(Some(70.0))
     );

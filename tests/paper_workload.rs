@@ -2,6 +2,7 @@
 //! intervals on a dataset analogue, with path validity and scalar/profile
 //! consistency for the paper's own index.
 
+use td_road::api::RoutingIndex;
 use td_road::core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::gen::{Dataset, Workload, WorkloadConfig};
 
@@ -17,6 +18,8 @@ fn paper_workload_runs_consistently() {
             ..Default::default()
         },
     );
+    // The shortcut-free reference: TD-basic over the same graph.
+    let basic_index = TdTreeIndex::build(g.clone(), IndexOptions::default());
     let wl = Workload::generate(
         n,
         &WorkloadConfig {
@@ -30,7 +33,7 @@ fn paper_workload_runs_consistently() {
     let mut answered = 0;
     for q in &wl.queries {
         let cost = index.query_cost(q.source, q.destination, q.depart);
-        let basic = index.query_cost_basic(q.source, q.destination, q.depart);
+        let basic = basic_index.query_cost(q.source, q.destination, q.depart);
         match (cost, basic) {
             (Some(a), Some(b)) => {
                 assert!(

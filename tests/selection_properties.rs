@@ -4,6 +4,7 @@
 //! never slower structure).
 
 use proptest::prelude::*;
+use td_road::api::RoutingIndex;
 use td_road::core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::gen::random_graph::seeded_graph;
 
@@ -115,10 +116,12 @@ proptest! {
             },
         );
         prop_assert!(ix.build_stats.selected_weight <= budget);
-        // Spot-check three queries against the basic sweep.
+        // Spot-check three queries against the basic sweep (a TD-basic
+        // index over the same graph).
+        let basic = TdTreeIndex::build(g, IndexOptions::default());
         for (s, d) in [(0u32, 24u32), (5, 13), (20, 2)] {
             let a = ix.query_cost(s, d, 30_000.0);
-            let b = ix.query_cost_basic(s, d, 30_000.0);
+            let b = basic.query_cost(s, d, 30_000.0);
             match (a, b) {
                 (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-5),
                 (None, None) => {}

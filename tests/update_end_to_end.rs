@@ -4,6 +4,7 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use td_road::api::RoutingIndex;
 use td_road::core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::dijkstra::shortest_path_cost;
 use td_road::gen::random_graph::random_profile;
