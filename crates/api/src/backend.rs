@@ -81,14 +81,9 @@ impl Backend {
                     weight_scale: cfg.dp_weight_scale(),
                 }),
             )),
-            // The full label is never repaired in place: no support lists.
-            Backend::TdH2h => Box::new(TdTreeIndex::build(
-                graph,
-                IndexOptions {
-                    track_supports: false,
-                    ..tree_opts(SelectionStrategy::All)
-                },
-            )),
+            Backend::TdH2h => {
+                Box::new(TdTreeIndex::build(graph, tree_opts(SelectionStrategy::All)))
+            }
             Backend::TdGtree => Box::new(TdGtree::build(
                 graph,
                 GtreeConfig {

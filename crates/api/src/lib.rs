@@ -18,12 +18,12 @@
 //!   sweep tables, PLF work vectors) so hot-path queries stop allocating,
 //!   with [`QuerySession::query_many`] amortising the reuse over a batch;
 //! * [`IncrementalIndex`] — the optional `update_edges` extension
-//!   (implemented by the TD-tree family when built with
+//!   (implemented by the TD-tree family, TD-H2H included, when built with
 //!   [`IndexConfig::track_supports`]);
 //! * [`ParallelExecutor`] + [`LiveIndex`] — the concurrent serving layer:
 //!   session-pooled parallel query batches over one shared index, and the
-//!   epoch/double-buffer live-update mode where readers query immutable
-//!   snapshots while a writer repairs a second copy;
+//!   epoch/copy-on-write live-update mode where readers query immutable
+//!   snapshots while a writer repairs a private clone and publishes it;
 //! * [`conformance`] — a backend-generic test suite instantiated for every
 //!   [`Backend`] in this crate's tests.
 //!

@@ -1,4 +1,4 @@
-//! Concurrent serving: [`ParallelExecutor`] and the epoch/double-buffer
+//! Concurrent serving: [`ParallelExecutor`] and the epoch/copy-on-write
 //! [`LiveIndex`].
 //!
 //! Every built index is immutable at query time and `Send + Sync` (a
@@ -15,13 +15,13 @@
 //! panic propagates) and [`ParallelExecutor::query_batch_bounded_into`]
 //! (validated, budget-bounded per slot, panic-contained).
 //!
-//! [`LiveIndex`] adds the writer side: two identical copies of an
-//! [`IncrementalIndex`]. Readers clone an [`Arc`] snapshot of the *active*
-//! copy and query it lock-free; [`LiveIndex::apply`] repairs the *standby*
-//! copy with [`IncrementalIndex::update_edges`], swaps it in atomically
-//! (bumping the epoch), then brings the retired copy level once the readers
-//! still holding it drain. Queries never observe a half-updated index and
-//! never block on the repair.
+//! [`LiveIndex`] adds the writer side: one published copy of an
+//! [`IncrementalIndex`]. Readers clone an [`Arc`] snapshot of it and query
+//! it lock-free; [`LiveIndex::apply`] clones it into a private copy, repairs
+//! that with [`IncrementalIndex::update_edges`] and publishes it atomically
+//! (bumping the epoch); the retired copy is freed once the readers still
+//! holding it drain. Queries never observe a half-updated index and never
+//! block on the repair.
 
 use crate::bounded::{BoundedAnswer, QueryError};
 use crate::index::{IncrementalIndex, RoutingIndex};
@@ -263,40 +263,37 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
 }
 
 /// An incrementally-updatable index served live: readers query immutable
-/// snapshots while a writer repairs a second copy, swapped in atomically
-/// between update batches.
+/// snapshots while a writer repairs a private copy, published atomically
+/// between update batches (copy-on-write).
 ///
-/// The double buffer holds two independent, identical copies of the index.
-/// [`LiveIndex::snapshot`] hands readers an [`Arc`] of the **active** copy —
-/// a lock is held only for the clone of the `Arc`, never across a query.
+/// The live index is one published [`Arc`], a writer lock and the epoch.
+/// [`LiveIndex::snapshot`] hands readers a clone of the published `Arc` — a
+/// lock is held only for that clone, never across a query.
 /// [`LiveIndex::apply`]:
 ///
-/// 1. repairs the **standby** copy with [`IncrementalIndex::update_edges`]
-///    (readers are unaffected — they hold the active copy);
-/// 2. swaps standby and active and bumps the epoch (atomic with respect to
-///    [`LiveIndex::snapshot_with_epoch`]);
-/// 3. levels the retired copy for the next batch: if no reader still holds
-///    it, the same changes are replayed onto it (cheap — edge-weight
-///    changes are absolute functions, so replaying the batch onto the copy
-///    that is exactly one batch behind makes the copies identical);
-///    otherwise the retired copy is abandoned to its readers and replaced
-///    by a clone of the just-published active copy.
+/// 1. clones the published index into a private copy and repairs it with
+///    [`IncrementalIndex::update_edges`] (readers are unaffected — nothing
+///    they can reach is written);
+/// 2. publishes the copy and bumps the epoch (atomic with respect to
+///    [`LiveIndex::snapshot_with_epoch`]); the retired index is freed when
+///    the last reader still holding it lets go.
 ///
-/// Writers are serialised by the standby lock. Writers never block readers,
-/// and readers never block writers — a snapshot held forever (even by the
-/// writer's own thread, across `apply`) costs one index clone, not a stall.
+/// One copy lives between updates, two during a repair. Writers are
+/// serialised by the writer lock. Writers never block readers, and readers
+/// never block writers — a snapshot held forever (even by the writer's own
+/// thread, across `apply`) keeps its epoch's index alive, not a stall.
 ///
 /// **Failure model.** Both locks recover from poisoning with
-/// [`PoisonError::into_inner`]: the protected values are plain `Arc` slots
-/// whose every mutation is a whole-value replacement or swap, so a panic
+/// [`PoisonError::into_inner`]: the protected values are a plain `Arc` slot
+/// whose only mutation is a whole-value replacement and a unit, so a panic
 /// mid-critical-section cannot leave them torn, and a crashed writer thread
 /// must not wedge every future reader. A failing [`IncrementalIndex::
-/// update_edges`] (surfaced by [`LiveIndex::try_apply`]) rolls the standby
-/// back to a clone of the published snapshot: the epoch does not move and
-/// readers never observe any part of the failed batch.
+/// update_edges`] (surfaced by [`LiveIndex::try_apply`]) drops the private
+/// copy: the published `Arc` and the epoch do not move and readers never
+/// observe any part of the failed batch.
 pub struct LiveIndex<I> {
     active: Mutex<Arc<I>>,
-    standby: Mutex<Arc<I>>,
+    writer: Mutex<()>,
     epoch: AtomicU64,
 }
 
@@ -304,9 +301,9 @@ pub struct LiveIndex<I> {
 #[derive(Clone, Debug, PartialEq)]
 pub enum UpdateError {
     /// [`IncrementalIndex::update_edges`] panicked (e.g. a change referred
-    /// to a nonexistent edge). The standby copy was rolled back to a clone
-    /// of the published snapshot; the epoch did not move and readers were
-    /// never exposed to the partial batch.
+    /// to a nonexistent edge). The half-repaired private copy was dropped;
+    /// the epoch did not move and readers were never exposed to the partial
+    /// batch.
     UpdatePanicked(String),
 }
 
@@ -314,7 +311,7 @@ impl std::fmt::Display for UpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             UpdateError::UpdatePanicked(msg) => {
-                write!(f, "live update panicked (standby rolled back): {msg}")
+                write!(f, "live update panicked (batch discarded): {msg}")
             }
         }
     }
@@ -322,19 +319,17 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
-impl<I: Clone> LiveIndex<I> {
-    /// Wraps `index`, cloning it once for the standby buffer. Epoch 0 is the
-    /// as-built state.
+impl<I> LiveIndex<I> {
+    /// Wraps `index` as the published snapshot. Epoch 0 is the as-built
+    /// state.
     pub fn new(index: I) -> LiveIndex<I> {
         LiveIndex {
-            standby: Mutex::new(Arc::new(index.clone())),
             active: Mutex::new(Arc::new(index)),
+            writer: Mutex::new(()),
             epoch: AtomicU64::new(0),
         }
     }
-}
 
-impl<I> LiveIndex<I> {
     /// The current epoch: the number of applied update batches.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
@@ -363,10 +358,9 @@ impl<I> LiveIndex<I> {
 
 impl<I: IncrementalIndex + Clone> LiveIndex<I> {
     /// Applies one batch of absolute edge-weight changes, making them
-    /// visible to new snapshots atomically. Returns the standby repair's
-    /// statistics (levelling the retired copy is not double-counted).
+    /// visible to new snapshots atomically. Returns the repair's statistics.
     /// Panics if the repair fails — but only *after* [`LiveIndex::try_apply`]
-    /// has rolled the standby back and released both locks, so even then no
+    /// has dropped the private copy and released both locks, so even then no
     /// lock is poisoned and readers keep answering from the published epoch.
     pub fn apply(&self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
         self.try_apply(changes)
@@ -375,47 +369,43 @@ impl<I: IncrementalIndex + Clone> LiveIndex<I> {
 
     /// [`LiveIndex::apply`] with the failure rung made a typed value: if
     /// [`IncrementalIndex::update_edges`] panics (a change naming a
-    /// nonexistent edge, a backend bug), the half-repaired standby is
-    /// discarded for a clone of the published snapshot, the epoch stays
-    /// put, and the error reports the contained panic. Readers are
-    /// unaffected throughout, and the next valid batch applies normally.
+    /// nonexistent edge, a backend bug), the half-repaired private copy is
+    /// dropped, the published snapshot and the epoch stay put, and the error
+    /// reports the contained panic. Readers are unaffected throughout, and
+    /// the next valid batch applies normally.
     pub fn try_apply(
         &self,
         changes: &[(VertexId, VertexId, Plf)],
     ) -> Result<UpdateStats, UpdateError> {
         let start = td_obs::ENABLED.then(std::time::Instant::now);
-        let mut standby = self.standby.lock().unwrap_or_else(PoisonError::into_inner);
-        // The standby copy is normally unique: readers clone only the
-        // active Arc, and the tail of the previous `try_apply` left this
-        // slot with either a drained retired copy or a fresh clone. Should
-        // it ever be shared, `Arc::make_mut` clones instead of panicking —
-        // the slot's content is always level with the published state.
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        // Only a writer replaces the published `Arc`, and this is the one
+        // writer: the copy below starts level with what readers see.
+        let published = self.snapshot();
         let repair = catch_unwind(AssertUnwindSafe(|| {
-            Arc::make_mut(&mut *standby).update_edges(changes)
+            let mut next = I::clone(&published);
+            let stats = next.update_edges(changes);
+            (next, stats)
         }));
-        let stats = match repair {
-            Ok(stats) => stats,
+        let (next, stats) = match repair {
+            Ok(repaired) => repaired,
             Err(payload) => {
-                // Roll back: discard the half-applied copy for a clone of
-                // what readers currently see. Epoch unchanged.
-                let published = self
-                    .active
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
-                *standby = Arc::new((*published).clone());
+                // The unwind dropped the half-applied copy. Epoch unchanged.
                 if td_obs::ENABLED {
                     td_obs::metrics().live_rollbacks_total.inc();
                 }
                 return Err(UpdateError::UpdatePanicked(panic_message(payload)));
             }
         };
-        let (published, epoch) = {
+        let next = Arc::new(next);
+        let epoch = {
             let mut active = self.active.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::swap(&mut *active, &mut *standby);
-            let epoch = self.epoch.fetch_add(1, Ordering::Release) + 1;
-            (active.clone(), epoch)
+            *active = next;
+            self.epoch.fetch_add(1, Ordering::Release) + 1
         };
+        // `published` still holds the retired index, so the store above
+        // freed nothing under the lock readers take.
+        drop(published);
         if let Some(start) = start {
             let m = td_obs::metrics();
             m.live_updates_total.inc();
@@ -423,30 +413,12 @@ impl<I: IncrementalIndex + Clone> LiveIndex<I> {
                 .observe(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             m.live_epoch.set(epoch.min(i64::MAX as u64) as i64);
         }
-        // Level the retired copy for the next batch. No reference can
-        // *appear* between the check and the mutation: this slot is
-        // unreachable from `snapshot`, so the strong count only falls. The
-        // replay is contained too — these changes just applied cleanly
-        // once, but a panic here must not leave a torn copy in the slot.
-        let levelled = match Arc::get_mut(&mut standby) {
-            Some(retired) => catch_unwind(AssertUnwindSafe(|| {
-                retired.update_edges(changes);
-            }))
-            .is_ok(),
-            // In-flight readers still hold the retired epoch; leave it to
-            // them and start the next double buffer from the state just
-            // published.
-            None => false,
-        };
-        if !levelled {
-            *standby = Arc::new((*published).clone());
-        }
         Ok(stats)
     }
 }
 
-// Compile-time pin: a live index (both buffers) is shared across reader and
-// writer threads; `Sync` for any `Send + Sync` inner index.
+// Compile-time pin: a live index is shared across reader and writer threads;
+// `Sync` for any `Send + Sync` inner index.
 const _: () = {
     const fn shared_across_threads<T: Send + Sync>() {}
     shared_across_threads::<LiveIndex<crate::AStarChIndex>>()
@@ -550,7 +522,7 @@ mod tests {
         assert!(new_cost > old_cost);
         assert!((new_cost - 135.0).abs() < 1e-9);
 
-        // A second batch exercises the levelled retired copy.
+        // A second batch repairs a copy of the first batch's result.
         live.apply(&[(0, 1, Plf::constant(60.0))]);
         assert_eq!(live.epoch(), 2);
         assert_eq!(live.snapshot().query_cost(0, 2, 0.0).unwrap(), old_cost);
@@ -669,19 +641,17 @@ mod tests {
         let live = LiveIndex::new(crate::AStarChIndex::new(tiny_graph()));
         let before = live.snapshot().query_cost(0, 2, 0.0);
         // Poison both locks: panic while holding each guard.
-        for poison in [true, false] {
+        fn poison<T>(lock: &Mutex<T>) {
             let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _guard = if poison {
-                    live.active.lock().unwrap()
-                } else {
-                    live.standby.lock().unwrap()
-                };
+                let _guard = lock.lock().unwrap();
                 panic!("deliberate poisoning");
             }));
             assert!(r.is_err());
         }
+        poison(&live.active);
+        poison(&live.writer);
         assert!(live.active.is_poisoned());
-        assert!(live.standby.is_poisoned());
+        assert!(live.writer.is_poisoned());
         // Readers and writers must keep working on the recovered locks.
         assert_eq!(live.snapshot().query_cost(0, 2, 0.0), before);
         assert_eq!(live.snapshot_with_epoch().0, 0);
@@ -691,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_update_rolls_standby_back_and_epoch_stays() {
+    fn failed_update_drops_the_private_copy_and_epoch_stays() {
         let live = LiveIndex::new(crate::AStarChIndex::new(tiny_graph()));
         let before = live.snapshot().query_cost(0, 2, 0.0);
         // Edge 0 -> 2 does not exist: update_edges panics mid-batch after
@@ -704,13 +674,116 @@ mod tests {
         // Epoch unmoved, readers unaffected, no partial batch visible.
         assert_eq!(live.epoch(), 0);
         assert_eq!(live.snapshot().query_cost(0, 2, 0.0), before);
-        // The rolled-back standby accepts the next valid batch.
+        // The next valid batch starts from the untouched published copy.
         live.apply(&[(0, 1, Plf::constant(600.0))]);
         assert_eq!(live.epoch(), 1);
         let after = live.snapshot().query_cost(0, 2, 0.0).unwrap();
         assert!((after - 135.0).abs() < 1e-9);
-        // And the retired copy levelled correctly for the batch after that.
+        // And the batch after that from the one just published.
         live.apply(&[(0, 1, Plf::constant(60.0))]);
         assert_eq!(live.snapshot().query_cost(0, 2, 0.0), before);
+    }
+
+    /// An A\*-CH index that counts its clones and its live instances.
+    struct Counted {
+        inner: crate::AStarChIndex,
+        /// `(clones so far, instances alive)`.
+        counts: Arc<(AtomicU64, AtomicU64)>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.counts.0.fetch_add(1, Ordering::SeqCst);
+            self.counts.1.fetch_add(1, Ordering::SeqCst);
+            Counted {
+                inner: self.inner.clone(),
+                counts: self.counts.clone(),
+            }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.counts.1.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl RoutingIndex for Counted {
+        fn backend_name(&self) -> &'static str {
+            self.inner.backend_name()
+        }
+        fn graph(&self) -> &TdGraph {
+            self.inner.graph()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn build_stats(&self) -> crate::IndexStats {
+            self.inner.build_stats()
+        }
+        fn new_scratch(&self) -> SessionScratch {
+            self.inner.new_scratch()
+        }
+        fn query_cost_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+            t: f64,
+        ) -> Option<f64> {
+            self.inner.query_cost_in(scratch, s, d, t)
+        }
+        fn query_profile_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+        ) -> Option<Plf> {
+            self.inner.query_profile_in(scratch, s, d)
+        }
+        fn query_path_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+            t: f64,
+        ) -> Option<(f64, td_graph::Path)> {
+            self.inner.query_path_in(scratch, s, d, t)
+        }
+    }
+
+    impl IncrementalIndex for Counted {
+        fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
+            self.inner.update_edges(changes)
+        }
+    }
+
+    #[test]
+    fn live_index_holds_one_copy_and_clones_once_per_applied_batch() {
+        let counts = Arc::new((AtomicU64::new(0), AtomicU64::new(1)));
+        let (clones, alive) = (
+            || counts.0.load(Ordering::SeqCst),
+            || counts.1.load(Ordering::SeqCst),
+        );
+        let live = LiveIndex::new(Counted {
+            inner: crate::AStarChIndex::new(tiny_graph()),
+            counts: counts.clone(),
+        });
+        assert_eq!((clones(), alive()), (0, 1), "new() must not clone");
+
+        // A reader holding epoch 0 keeps that copy alive across the swap.
+        let held = live.snapshot();
+        live.apply(&[(0, 1, Plf::constant(600.0))]);
+        assert_eq!((clones(), alive()), (1, 2));
+        drop(held);
+        assert_eq!(alive(), 1, "the retired copy dies with its last reader");
+        live.apply(&[(0, 1, Plf::constant(60.0))]);
+        assert_eq!((clones(), alive(), live.epoch()), (2, 1, 2));
+
+        // A failing batch costs its one clone and publishes nothing.
+        let before = live.snapshot();
+        live.try_apply(&[(0, 2, Plf::constant(1.0))]).unwrap_err();
+        assert!(Arc::ptr_eq(&before, &live.snapshot()));
+        assert_eq!((clones(), alive(), live.epoch()), (3, 1, 2));
     }
 }

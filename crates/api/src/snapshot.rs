@@ -5,9 +5,11 @@
 //! [`save_index`] writes any [`RoutingIndex`] trait object as a versioned,
 //! checksummed `.tdx` file, and [`load_index`] reconstructs the same backend
 //! — dispatching on the header's backend tag — answering every query
-//! **bit-identically** to the freshly built index, in a load that is a
-//! linear copy of flat arrays rather than a re-run of elimination,
-//! selection or partitioning.
+//! **bit-identically** to the freshly built index. A snapshot holds each
+//! backend's source-of-truth state only (graph, labels, selected shortcuts,
+//! contraction order, border matrices); the load is a linear copy of that
+//! plus a linear re-freeze of every derived query view, never a re-run of
+//! elimination, selection or partitioning.
 //!
 //! The in-memory variants ([`save_index_to`] / [`load_index_from`]) work
 //! over any `io::Write`/`io::Read`, which the conformance suite and the
@@ -266,21 +268,21 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<Box<dyn RoutingIndex>, Store
     })
 }
 
-/// Loads a TD-tree-family snapshot (`TD-basic` / `TD-appro` / `TD-dp`) as a
-/// concrete [`TdTreeIndex`] — the form the [`crate::LiveIndex`] double
-/// buffer needs (it requires `IncrementalIndex + Clone`, which the trait
-/// object cannot provide). A TD-H2H snapshot is rejected: that index is
-/// built without support lists and cannot be updated. Falls back to
-/// `<path>.prev` like [`load_index`].
+/// Loads a TD-tree-family snapshot (`TD-basic` / `TD-appro` / `TD-dp` /
+/// `TD-H2H`) as a concrete [`TdTreeIndex`] — the form [`crate::LiveIndex`]
+/// needs (it requires `IncrementalIndex + Clone`, which the trait object
+/// cannot provide). An index saved without support lists loads fine and
+/// panics on its first `update_edges`, exactly like a freshly built one.
+/// Falls back to `<path>.prev` like [`load_index`].
 pub fn load_tree_index(path: impl AsRef<Path>) -> Result<TdTreeIndex, StoreError> {
     load_with_fallback(path.as_ref(), |mut f| {
         let header = format::read_header(&mut f)?;
         match header.backend {
-            BackendTag::TdBasic | BackendTag::TdAppro | BackendTag::TdDp => {}
+            BackendTag::TdBasic | BackendTag::TdAppro | BackendTag::TdDp | BackendTag::TdH2h => {}
             other => {
                 return Err(StoreError::invalid(format!(
                     "snapshot holds {other}, not a TD-tree-family index \
-                     (TD-basic / TD-appro / TD-dp)"
+                     (TD-basic / TD-appro / TD-dp / TD-H2H)"
                 )))
             }
         }

@@ -134,6 +134,37 @@ fn load_tree_index_accepts_tree_family_only() {
 }
 
 #[test]
+fn td_h2h_built_with_supports_loads_as_an_updatable_tree_index() {
+    let path = temp_path("h2h-updatable");
+    let cfg = IndexConfig {
+        track_supports: true,
+        ..cfg()
+    };
+    let built = build_index(small_graph(), Backend::TdH2h, &cfg);
+    save_index(built.as_ref(), &path).expect("save");
+    let mut loaded = load_tree_index(&path).expect("TD-H2H is a tree-family index");
+    let pairs = loaded.shortcuts().num_pairs();
+
+    let mut updated_graph = small_graph();
+    let e = updated_graph.edges()[0].clone();
+    let w = td_plf::Plf::constant(e.weight.eval(0.0) + 500.0);
+    updated_graph
+        .set_weight(0, w.clone())
+        .expect("valid weight");
+    loaded.update_edges(&[(e.from, e.to, w)]);
+    // The full label is repaired in full, and to the fresh build's answers.
+    assert_eq!(loaded.shortcuts().num_pairs(), pairs);
+    let fresh = build_index(updated_graph, Backend::TdH2h, &cfg);
+    for (s, d, t) in [(0u32, 39u32, 100.0), (5, 17, 40_000.0), (30, 2, 80_000.0)] {
+        match (loaded.query_cost(s, d, t), fresh.query_cost(s, d, t)) {
+            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-5, "s={s} d={d}: {a} vs {b}"),
+            (a, b) => assert_eq!(a, b, "s={s} d={d}"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn wrong_magic_version_and_backend_are_typed_errors() {
     let buf = snapshot_bytes(Backend::TdAppro);
 
@@ -149,6 +180,14 @@ fn wrong_magic_version_and_backend_are_typed_errors() {
     assert!(matches!(
         load_index_from(&mut bad.as_slice()),
         Err(StoreError::UnsupportedVersion(_))
+    ));
+
+    // The previous format version is refused outright, not migrated.
+    let mut bad = buf.clone();
+    bad[8] = 1;
+    assert!(matches!(
+        load_index_from(&mut bad.as_slice()),
+        Err(StoreError::UnsupportedVersion(1))
     ));
 
     let mut bad = buf.clone();

@@ -54,7 +54,7 @@ fn serving_layer_is_thread_safe() {
     assert_send::<ParallelExecutor<dyn RoutingIndex>>();
 }
 
-/// The A\*-CH backend drives the `LiveIndex` double buffer like the TD-tree
+/// The A\*-CH backend drives the copy-on-write `LiveIndex` like the TD-tree
 /// family: per-worker potential scratch, epoch-tagged snapshots, updates by
 /// re-freeze + re-customization under the kept contraction order.
 #[test]
@@ -84,7 +84,7 @@ fn astar_ch_serves_through_live_index() {
                 "round={round} s={s} d={d} t={t}"
             );
         }
-        // Writer repairs the standby copy and swaps.
+        // Writer repairs a private clone and publishes it.
         let e = g.edges()[rng.gen_range(0..g.num_edges())].clone();
         let w = random_profile(&mut rng, 3, 60.0, 600.0);
         live.apply(&[(e.from, e.to, w)]);

@@ -19,8 +19,10 @@
 //!   with per-function `min_cost`/`max_cost` bounds the sweeps use to skip
 //!   relaxations that provably cannot win.
 //!
-//! Built once by `TdTreeIndex::build` (and re-frozen after incremental
-//! updates); borrowed by the query engine ([`crate::query`]).
+//! Derived data, never persisted: built from the tree by
+//! `TdTreeIndex::build` and again by a snapshot load, and re-frozen slot by
+//! slot after incremental updates; borrowed by the query engine
+//! ([`crate::query`]).
 
 use td_plf::{PlfArena, PlfId, PlfSlice, NO_PLF};
 use td_treedec::TreeDecomposition;
@@ -46,19 +48,6 @@ pub struct FrozenTd {
 }
 
 impl FrozenTd {
-    /// A placeholder over no nodes (used to temporarily detach the view from
-    /// an index during an in-place refresh; never queried).
-    pub fn empty() -> FrozenTd {
-        FrozenTd {
-            first: vec![0],
-            bag_depth: Vec::new(),
-            ws: Vec::new(),
-            wd: Vec::new(),
-            arena: PlfArena::new(),
-            stale_points: 0,
-        }
-    }
-
     /// Freezes `td`'s weight lists (a single linear copy).
     pub fn build(td: &TreeDecomposition) -> FrozenTd {
         let n = td.len();

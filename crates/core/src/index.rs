@@ -84,15 +84,21 @@ impl BuildStats {
 /// The paper's index: TFP tree decomposition + selected shortcuts.
 ///
 /// `Clone` produces an independent, equally-answering copy — the
-/// double-buffer building block behind `td-api`'s live-update mode, where a
-/// writer repairs one copy while readers keep querying the other.
+/// copy-on-write building block behind `td-api`'s live-update mode, where a
+/// writer repairs a private clone while readers keep querying the published
+/// one.
+///
+/// Every fact is stored once: which pairs are selected *is* the set of
+/// ancestor keys in the [`ShortcutStore`] rows (incremental updates read
+/// the selection back off them), and `frozen` is derived from `td` — by
+/// [`TdTreeIndex::build`], by a snapshot load, and slot by slot after an
+/// update.
 #[derive(Clone)]
 pub struct TdTreeIndex {
     pub(crate) graph: TdGraph,
     pub(crate) td: TreeDecomposition,
     pub(crate) frozen: FrozenTd,
     pub(crate) store: ShortcutStore,
-    pub(crate) selected_per_node: Vec<Vec<VertexId>>,
     /// Options the index was built with.
     pub options: IndexOptions,
     /// Construction statistics.
@@ -116,15 +122,15 @@ impl TdTreeIndex {
         let n = td.len();
         let width = td.stats().width;
 
-        let (store, selected_per_node) = match options.strategy {
-            SelectionStrategy::Basic => (ShortcutStore::empty(n), vec![Vec::new(); n]),
+        let store = match options.strategy {
+            SelectionStrategy::Basic => ShortcutStore::empty(n),
             SelectionStrategy::All => {
                 let t = Instant::now();
                 let store = build_all(&td, options.threads);
                 stats.build_secs = t.elapsed().as_secs_f64();
                 stats.selected_pairs = store.num_pairs();
                 stats.selected_weight = store.total_points() as u64;
-                (store, vec![Vec::new(); n])
+                store
             }
             SelectionStrategy::Greedy { budget } | SelectionStrategy::Dp { budget, .. } => {
                 let t = Instant::now();
@@ -147,9 +153,9 @@ impl TdTreeIndex {
 
                 let per_node = selection_per_node(n, &candidates, &selection);
                 let t = Instant::now();
-                let store = build_selected(&td, &per_node, options.threads, None);
+                let store = build_selected(&td, &per_node, options.threads);
                 stats.build_secs = t.elapsed().as_secs_f64();
-                (store, per_node)
+                store
             }
         };
 
@@ -162,7 +168,6 @@ impl TdTreeIndex {
             td,
             frozen,
             store,
-            selected_per_node,
             options,
             build_stats: stats,
         }
@@ -173,34 +178,14 @@ impl TdTreeIndex {
         &self.graph
     }
 
-    /// Mutable graph access for the update module.
-    pub(crate) fn graph_mut(&mut self) -> &mut TdGraph {
-        &mut self.graph
-    }
-
     /// The tree decomposition.
     pub fn tree(&self) -> &TreeDecomposition {
         &self.td
     }
 
-    /// Mutable tree access for the update module.
-    pub(crate) fn tree_mut(&mut self) -> &mut TreeDecomposition {
-        &mut self.td
-    }
-
     /// The selected shortcuts.
     pub fn shortcuts(&self) -> &ShortcutStore {
         &self.store
-    }
-
-    /// Mutable shortcut access for the update module.
-    pub(crate) fn shortcuts_mut(&mut self) -> &mut ShortcutStore {
-        &mut self.store
-    }
-
-    /// Selected ancestors per node (used by incremental rebuilds).
-    pub(crate) fn selected_per_node(&self) -> &[Vec<VertexId>] {
-        &self.selected_per_node
     }
 
     /// A query engine borrowing this index (hot loops run on the frozen
@@ -212,16 +197,6 @@ impl TdTreeIndex {
     /// The frozen flat view of the tree labels.
     pub fn frozen(&self) -> &FrozenTd {
         &self.frozen
-    }
-
-    /// Refreshes the flat label view of the given tree nodes after their
-    /// weight lists changed (called by the incremental update path).
-    pub(crate) fn refresh_frozen_nodes(&mut self, nodes: &[VertexId]) {
-        // `frozen` is swapped out to appease the borrow checker (it needs
-        // `&self.td` while being mutated); the placeholder is never queried.
-        let mut frozen = std::mem::replace(&mut self.frozen, FrozenTd::empty());
-        frozen.refresh_nodes(&self.td, nodes);
-        self.frozen = frozen;
     }
 
     /// Travel cost query `Q(s, d, t)` (Algo. 6; Algo. 3 sweeps when no

@@ -1,25 +1,26 @@
 //! Snapshot persistence ([`td_store::Persist`]) for the TD-tree index and
-//! its owned components: [`ShortcutStore`] and [`FrozenTd`].
+//! its owned [`ShortcutStore`].
 //!
-//! A [`TdTreeIndex`] snapshot is the complete build product — graph, tree
-//! decomposition, selected shortcuts, selection bookkeeping and the frozen
-//! label mirror — so loading reconstructs a query-identical index without
-//! re-running elimination, candidate weighing, selection or the shortcut
-//! DFS. The [`FrozenTd`] mirror is persisted **verbatim**, including its
-//! append-only arena layout and stale-point counter after `update_edges`
-//! refreshes, so a live-updated index round-trips its exact in-memory state
-//! (and keeps accepting further updates via the persisted support lists).
+//! A [`TdTreeIndex`] snapshot holds the source-of-truth state only — graph,
+//! tree decomposition (labels and support lists), selected shortcuts — so
+//! loading reconstructs a query-identical index without re-running
+//! elimination, candidate weighing, selection or the shortcut DFS. Which
+//! pairs are selected is the shortcut rows' own ancestor keys, and the
+//! [`FrozenTd`] label view is rebuilt from the loaded tree by
+//! [`FrozenTd::build`] (what [`TdTreeIndex::build`] does): derived data
+//! never sits in the file where a CRC-valid edit could desynchronise it
+//! from the labels it mirrors. A live-updated index therefore loads with a
+//! compacted arena, answers bit-identically, and keeps accepting further
+//! updates via the persisted support lists.
 
 use crate::frozen::FrozenTd;
 use crate::index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
 use crate::shortcut::ShortcutStore;
 use std::io::{Read, Write};
-use td_graph::{TdGraph, VertexId};
+use td_graph::TdGraph;
 use td_plf::persist::{read_plf_list, write_plf_list};
-use td_plf::{PlfArena, NO_PLF};
 use td_store::section::{
-    check_offsets, read_f64s, read_u32s, read_u64, read_u64s, tag4, write_f64s, write_u32s,
-    write_u64, write_u64s,
+    check_offsets, read_f64s, read_u32s, read_u64s, tag4, write_f64s, write_u32s, write_u64s,
 };
 use td_store::{Persist, StoreError};
 use td_treedec::TreeDecomposition;
@@ -27,17 +28,9 @@ use td_treedec::TreeDecomposition;
 const TAG_S_FIRST: u32 = tag4(*b"Sfst");
 const TAG_S_ANC: u32 = tag4(*b"Sanc");
 
-const TAG_Z_FIRST: u32 = tag4(*b"Zfst");
-const TAG_Z_BAG_DEPTH: u32 = tag4(*b"Zbdp");
-const TAG_Z_WS: u32 = tag4(*b"Zws ");
-const TAG_Z_WD: u32 = tag4(*b"Zwd ");
-const TAG_Z_STALE: u32 = tag4(*b"Zstl");
-
 const TAG_I_OPTIONS: u32 = tag4(*b"Iopt");
 const TAG_I_STATS_F: u32 = tag4(*b"Ibsf");
 const TAG_I_STATS_U: u32 = tag4(*b"Ibsu");
-const TAG_I_SEL_FIRST: u32 = tag4(*b"Isel");
-const TAG_I_SEL: u32 = tag4(*b"Isev");
 
 impl Persist for ShortcutStore {
     fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
@@ -104,49 +97,6 @@ impl Persist for ShortcutStore {
         Ok(ShortcutStore {
             per_node,
             pairs: anc.len(),
-        })
-    }
-}
-
-impl Persist for FrozenTd {
-    fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        write_u32s(w, TAG_Z_FIRST, &self.first)?;
-        write_u32s(w, TAG_Z_BAG_DEPTH, &self.bag_depth)?;
-        write_u32s(w, TAG_Z_WS, &self.ws)?;
-        write_u32s(w, TAG_Z_WD, &self.wd)?;
-        self.arena.write_into(w)?;
-        write_u64(w, TAG_Z_STALE, self.stale_points as u64)
-    }
-
-    fn read_from<R: Read>(r: &mut R) -> Result<FrozenTd, StoreError> {
-        let first = read_u32s(r, TAG_Z_FIRST)?;
-        let bag_depth = read_u32s(r, TAG_Z_BAG_DEPTH)?;
-        let ws = read_u32s(r, TAG_Z_WS)?;
-        let wd = read_u32s(r, TAG_Z_WD)?;
-        let arena = PlfArena::read_from(r)?;
-        let stale = read_u64(r, TAG_Z_STALE)?;
-        check_offsets(&first, bag_depth.len(), "frozen labels")?;
-        if ws.len() != bag_depth.len() || wd.len() != bag_depth.len() {
-            return Err(StoreError::invalid("frozen label arrays disagree"));
-        }
-        let funcs = arena.len() as u32;
-        if ws
-            .iter()
-            .chain(wd.iter())
-            .any(|&id| id != NO_PLF && id >= funcs)
-        {
-            return Err(StoreError::invalid("frozen label id out of arena range"));
-        }
-        if stale > arena.total_points() as u64 {
-            return Err(StoreError::invalid("stale point counter out of range"));
-        }
-        Ok(FrozenTd {
-            first,
-            bag_depth,
-            ws,
-            wd,
-            arena,
-            stale_points: stale as usize,
         })
     }
 }
@@ -218,17 +168,7 @@ impl Persist for TdTreeIndex {
         )?;
         self.graph.write_into(w)?;
         self.td.write_into(w)?;
-        self.frozen.write_into(w)?;
-        self.store.write_into(w)?;
-        let mut sel_first = Vec::with_capacity(self.selected_per_node.len() + 1);
-        let mut sel = Vec::new();
-        sel_first.push(0u32);
-        for row in &self.selected_per_node {
-            sel.extend_from_slice(row);
-            sel_first.push(sel.len() as u32);
-        }
-        write_u32s(w, TAG_I_SEL_FIRST, &sel_first)?;
-        write_u32s(w, TAG_I_SEL, &sel)
+        self.store.write_into(w)
     }
 
     fn read_from<R: Read>(r: &mut R) -> Result<TdTreeIndex, StoreError> {
@@ -260,10 +200,7 @@ impl Persist for TdTreeIndex {
 
         let graph = TdGraph::read_from(r)?;
         let td = TreeDecomposition::read_from(r)?;
-        let frozen = FrozenTd::read_from(r)?;
         let store = ShortcutStore::read_from(r)?;
-        let sel_first = read_u32s(r, TAG_I_SEL_FIRST)?;
-        let sel = read_u32s(r, TAG_I_SEL)?;
 
         let n = td.len();
         if graph.num_vertices() != n {
@@ -279,43 +216,24 @@ impl Persist for TdTreeIndex {
         if store.per_node.len() != n {
             return Err(StoreError::invalid("shortcut store row count mismatch"));
         }
-        // Every stored ancestor must actually be an ancestor slot reachable
-        // by the query engine; cheap sanity: id < n (validated) suffices —
-        // wrong pairs can only make queries miss shortcuts, which engine
-        // code treats as "no shortcut". Still, the frozen mirror must match
-        // the tree shape exactly (the sweeps index by it).
-        if frozen.first.len() != n + 1 {
-            return Err(StoreError::invalid("frozen mirror row count mismatch"));
+        // The rows are the selection `update_edges` rebuilds from, indexing
+        // the DFS vectors by each key's depth: a key must be a proper
+        // ancestor of its row's vertex.
+        if store
+            .pairs()
+            .any(|(v, a)| a == v || !td.is_ancestor_of(a, v))
+        {
+            return Err(StoreError::invalid(
+                "stored shortcut pair is not an ancestor pair",
+            ));
         }
-        for v in 0..n as u32 {
-            let node = td.node(v);
-            let range = frozen.range(v);
-            if range.len() != node.bag.len() {
-                return Err(StoreError::invalid("frozen mirror bag width mismatch"));
-            }
-            for (bi, idx) in range.enumerate() {
-                if frozen.bag_depth(idx) != td.node(node.bag[bi]).depth as usize {
-                    return Err(StoreError::invalid("frozen bag depth mismatch"));
-                }
-            }
-        }
-        if sel_first.len() != n + 1 {
-            return Err(StoreError::invalid("selection offsets inconsistent"));
-        }
-        check_offsets(&sel_first, sel.len(), "selected ancestors")?;
-        if sel.iter().any(|&a| a as usize >= n) {
-            return Err(StoreError::invalid("selected ancestor out of range"));
-        }
-        let selected_per_node: Vec<Vec<VertexId>> = (0..n)
-            .map(|v| sel[sel_first[v] as usize..sel_first[v + 1] as usize].to_vec())
-            .collect();
+        let frozen = FrozenTd::build(&td);
 
         Ok(TdTreeIndex {
             graph,
             td,
             frozen,
             store,
-            selected_per_node,
             options,
             build_stats,
         })
@@ -397,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn updated_index_round_trips_with_stale_state_and_stays_updatable() {
+    fn updated_index_round_trips_and_stays_updatable() {
         let g = seeded_graph(4, 25, 15, 3);
         let mut index = TdTreeIndex::build(
             g,
@@ -417,8 +335,12 @@ mod tests {
             })
             .collect();
         index.update_edges(&changes);
+        assert!(index.frozen.stale_points > 0, "the update left no garbage");
 
+        // The frozen view is rebuilt on load, not carried: compacted, yet
+        // answering bit-identically.
         let mut back = roundtrip(&index);
+        assert_eq!(back.frozen.stale_points, 0);
         assert_bit_identical(&index, &back, 0xabcd);
 
         // The loaded index accepts further updates (supports round-trip),
@@ -433,6 +355,31 @@ mod tests {
         index.update_edges(&more);
         back.update_edges(&more);
         assert_bit_identical(&index, &back, 0x1234);
+    }
+
+    #[test]
+    fn non_ancestor_shortcut_pair_is_rejected() {
+        let g = seeded_graph(11, 30, 20, 3);
+        let mut index = TdTreeIndex::build(
+            g,
+            IndexOptions {
+                strategy: SelectionStrategy::Greedy { budget: 800 },
+                ..Default::default()
+            },
+        );
+        // A leaf is no ancestor of the root: key the root's row by one.
+        let root = index.td.root;
+        let leaf = (0..30u32)
+            .find(|&v| v != root && index.td.node(v).children.is_empty())
+            .unwrap();
+        index.store.per_node[root as usize] = vec![(leaf, None, None)];
+        index.store.pairs = index.store.pairs().count();
+        let mut buf = Vec::new();
+        index.write_into(&mut buf).unwrap();
+        assert!(matches!(
+            TdTreeIndex::read_from(&mut buf.as_slice()),
+            Err(StoreError::Invalid(_))
+        ));
     }
 
     #[test]

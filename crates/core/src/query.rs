@@ -306,9 +306,10 @@ impl<'a> QueryEngine<'a> {
         // Shortcut values over the cut: (depth of w, cost s→w, cost w→d).
         // An unscanned (empty) cut covers nothing.
         let mut full_cover = self.scan_cut;
+        // Best total over the cut's shortcut pairs: the answer under a full
+        // cover, the sweeps' pruning bound otherwise.
         let mut bound: Option<f64> = None;
         seeds.clear();
-        let mut jump_total: Option<f64> = None;
         for &w in cut.iter() {
             let kw = self.td.node(w).depth as usize;
             // s → w.
@@ -345,9 +346,6 @@ impl<'a> QueryEngine<'a> {
                             if bound.is_none_or(|b| total < b) {
                                 bound = Some(total);
                             }
-                            if jump_total.is_none_or(|b| total < b) {
-                                jump_total = Some(total);
-                            }
                         }
                     }
                 }
@@ -356,7 +354,7 @@ impl<'a> QueryEngine<'a> {
 
         if full_cover {
             // Situation (1): O(w) combination from shortcuts alone.
-            return jump_total;
+            return bound;
         }
 
         // Situations (2)/(3): sweeps, pruned by the bound when present.
@@ -364,7 +362,7 @@ impl<'a> QueryEngine<'a> {
         self.sweep_down_scalar_into(d, &up.arr, upto, t, bound, down);
         debug_assert_eq!(down.arr.len(), down.path.len());
         let swept = down.arr[down.path.len() - 1].map(|a| a - t);
-        match (swept, jump_total) {
+        match (swept, bound) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }

@@ -123,17 +123,6 @@ impl ShortcutStore {
         self.pairs += 1;
     }
 
-    /// Inserts one pair (used by the update module's rebuild merge).
-    pub(crate) fn insert_pair(
-        &mut self,
-        v: VertexId,
-        ancestor: VertexId,
-        up: Option<Plf>,
-        down: Option<Plf>,
-    ) {
-        self.insert(v, ancestor, up, down);
-    }
-
     /// The pair instance `⟨v, ancestor⟩`, if selected.
     pub fn get(&self, v: VertexId, ancestor: VertexId) -> Option<(&Option<Plf>, &Option<Plf>)> {
         let row = &self.per_node[v as usize];
@@ -216,30 +205,64 @@ pub fn weigh_candidates(td: &TreeDecomposition, width: usize, threads: usize) ->
     run_pass(td, width, threads, &PassMode::Weigh, None).candidates
 }
 
+/// Runs a storing pass and moves the pairs it emits into `store`'s rows.
+fn store_pass(
+    store: &mut ShortcutStore,
+    td: &TreeDecomposition,
+    threads: usize,
+    mode: &PassMode<'_>,
+    only_subtrees_of: Option<&[VertexId]>,
+) {
+    for (v, a, up, down) in run_pass(td, 0, threads, mode, only_subtrees_of).stored {
+        store.insert(v, a, up, down);
+    }
+}
+
 /// Builds the selected shortcut pairs (second pass). `selected[v]` lists the
 /// chosen ancestors of `v` (any order).
 pub fn build_selected(
     td: &TreeDecomposition,
     selected: &[Vec<VertexId>],
     threads: usize,
-    only_subtrees_of: Option<&[VertexId]>,
 ) -> ShortcutStore {
-    let out = run_pass(td, 0, threads, &PassMode::Store(selected), only_subtrees_of);
     let mut store = ShortcutStore::empty(td.len());
-    for (v, a, up, down) in out.stored {
-        store.insert(v, a, up, down);
-    }
+    store_pass(&mut store, td, threads, &PassMode::Store(selected), None);
     store
 }
 
 /// Builds *all* pairs (TD-H2H's full label, single pass).
 pub fn build_all(td: &TreeDecomposition, threads: usize) -> ShortcutStore {
-    let out = run_pass(td, 0, threads, &PassMode::StoreAll, None);
     let mut store = ShortcutStore::empty(td.len());
-    for (v, a, up, down) in out.stored {
-        store.insert(v, a, up, down);
-    }
+    store_pass(&mut store, td, threads, &PassMode::StoreAll, None);
     store
+}
+
+/// Rebuilds in place the rows of every vertex inside the subtrees rooted at
+/// `roots`, after tree labels changed (incremental updates), and returns how
+/// many vertices that was. What is stored is what is selected: each row's
+/// ancestor keys are read off before the row is cleared, then the second
+/// pass re-runs restricted to those subtrees.
+pub(crate) fn rebuild_subtrees(
+    store: &mut ShortcutStore,
+    td: &TreeDecomposition,
+    roots: &[VertexId],
+    threads: usize,
+) -> usize {
+    let mut affected = Vec::new();
+    let mut selected: Vec<Vec<VertexId>> = vec![Vec::new(); td.len()];
+    let mut seen = vec![false; td.len()];
+    let mut stack: Vec<VertexId> = roots.to_vec();
+    while let Some(v) = stack.pop() {
+        if std::mem::replace(&mut seen[v as usize], true) {
+            continue;
+        }
+        affected.push(v);
+        selected[v as usize] = store.per_node[v as usize].iter().map(|e| e.0).collect();
+        stack.extend(td.node(v).children.iter().copied());
+    }
+    store.clear_vertices(&affected);
+    store_pass(store, td, threads, &PassMode::Store(&selected), Some(roots));
+    affected.len()
 }
 
 /// DFS driver: sequential down to a branching frontier, then parallel over
@@ -618,7 +641,7 @@ mod tests {
                 selected[v as usize].push(p);
             }
         }
-        let store = build_selected(&td, &selected, 2, None);
+        let store = build_selected(&td, &selected, 2);
         let want: usize = selected.iter().map(|s| s.len()).sum();
         assert_eq!(store.num_pairs(), want);
         let full = build_all(&td, 2);

@@ -26,7 +26,7 @@
 //! DFS re-runs restricted to those subtrees, re-storing only selected pairs.
 
 use crate::index::TdTreeIndex;
-use crate::shortcut::build_selected;
+use crate::shortcut::rebuild_subtrees;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use td_graph::VertexId;
@@ -60,7 +60,7 @@ impl TdTreeIndex {
     /// paper's experiment).
     pub fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
         assert!(
-            self.tree().supports.is_some(),
+            self.td.supports.is_some(),
             "index must be built with track_supports: true to support updates"
         );
         let mut stats = UpdateStats::default();
@@ -69,15 +69,13 @@ impl TdTreeIndex {
         // Apply to the stored graph.
         for (u, v, w) in changes {
             let e = self
-                .graph()
+                .graph
                 .find_edge(*u, *v)
                 .unwrap_or_else(|| panic!("updated edge {u} -> {v} does not exist"));
-            if self.graph().weight(e).approx_eq(w, 1e-9) {
+            if self.graph.weight(e).approx_eq(w, 1e-9) {
                 continue;
             }
-            self.graph_mut()
-                .set_weight(e, w.clone())
-                .expect("validated");
+            self.graph.set_weight(e, w.clone()).expect("validated");
             stats.changed_edges += 1;
         }
 
@@ -90,7 +88,7 @@ impl TdTreeIndex {
         // Seed: recompute the recorded values of every changed original edge.
         for (u, v, _) in changes {
             let (u, v) = (*u, *v);
-            let earlier = if self.tree().order[u as usize] < self.tree().order[v as usize] {
+            let earlier = if self.td.order[u as usize] < self.td.order[v as usize] {
                 u
             } else {
                 v
@@ -99,7 +97,7 @@ impl TdTreeIndex {
             if self.refresh_pair(earlier, other) {
                 changed_nodes.insert(earlier);
                 if queued.insert(earlier) {
-                    dirty.push(Reverse((self.tree().order[earlier as usize], earlier)));
+                    dirty.push(Reverse((self.td.order[earlier as usize], earlier)));
                 }
             }
         }
@@ -108,10 +106,14 @@ impl TdTreeIndex {
             queued.remove(&m);
             stats.replayed_eliminations += 1;
             // Inputs of m changed ⇒ every pair among bag(m) may change.
-            let bag = self.tree().node(m).bag.clone();
-            for (ii, &i) in bag.iter().enumerate() {
-                for &j in bag.iter().skip(ii + 1) {
-                    let earlier = if self.tree().order[i as usize] < self.tree().order[j as usize] {
+            // Walked by position: `refresh_pair` takes `&mut self` (it
+            // rewrites weight lists, never a bag).
+            let width = self.td.node(m).bag.len();
+            for ii in 0..width {
+                for jj in ii + 1..width {
+                    let bag = &self.td.node(m).bag;
+                    let (i, j) = (bag[ii], bag[jj]);
+                    let earlier = if self.td.order[i as usize] < self.td.order[j as usize] {
                         i
                     } else {
                         j
@@ -120,7 +122,7 @@ impl TdTreeIndex {
                     if self.refresh_pair(earlier, other) {
                         changed_nodes.insert(earlier);
                         if queued.insert(earlier) {
-                            dirty.push(Reverse((self.tree().order[earlier as usize], earlier)));
+                            dirty.push(Reverse((self.td.order[earlier as usize], earlier)));
                         }
                     }
                 }
@@ -131,33 +133,16 @@ impl TdTreeIndex {
 
         // Phase 2: rebuild shortcut vectors for affected subtrees.
         let t1 = std::time::Instant::now();
-        if !changed_nodes.is_empty() && self.shortcuts().num_pairs() > 0 {
-            let roots: Vec<VertexId> = changed_nodes.iter().copied().collect();
-            // Vertices in affected subtrees (to clear + count).
-            let affected = subtree_vertices(self, &roots);
-            stats.rebuilt_subtree_nodes = affected.len();
-            self.shortcuts_mut().clear_vertices(&affected);
-            let selected = self.selected_per_node().to_vec();
-            let rebuilt =
-                build_selected(self.tree(), &selected, self.options.threads, Some(&roots));
-            // Merge rebuilt entries into the store.
-            let td_len = self.tree().len();
-            let mut merged = std::mem::replace(
-                self.shortcuts_mut(),
-                crate::shortcut::ShortcutStore::empty(td_len),
-            );
-            for (v, a) in rebuilt.pairs() {
-                let (up, down) = rebuilt.get(v, a).expect("just enumerated");
-                merged_insert(&mut merged, v, a, up.clone(), down.clone());
-            }
-            *self.shortcuts_mut() = merged;
+        let roots: Vec<VertexId> = changed_nodes.into_iter().collect();
+        if !roots.is_empty() && self.store.num_pairs() > 0 {
+            stats.rebuilt_subtree_nodes =
+                rebuild_subtrees(&mut self.store, &self.td, &roots, self.options.threads);
         }
         // The changed nodes' weight lists must be re-frozen so the query
         // sweeps keep reading current functions — O(changed labels), not a
         // full rebuild of the mirror.
-        if !changed_nodes.is_empty() {
-            let nodes: Vec<VertexId> = changed_nodes.iter().copied().collect();
-            self.refresh_frozen_nodes(&nodes);
+        if !roots.is_empty() {
+            self.frozen.refresh_nodes(&self.td, &roots);
         }
         stats.rebuild_secs = t1.elapsed().as_secs_f64();
         stats
@@ -168,30 +153,29 @@ impl TdTreeIndex {
     /// either stored direction changed.
     fn refresh_pair(&mut self, earlier: VertexId, other: VertexId) -> bool {
         let key = (earlier.min(other), earlier.max(other));
-        let supports: Vec<VertexId> = self
-            .tree()
+        let supports: &[VertexId] = self
+            .td
             .supports
             .as_ref()
             .expect("checked by update_edges")
             .get(&key)
-            .cloned()
-            .unwrap_or_default();
+            .map_or(&[], Vec::as_slice);
 
         // Direction earlier → other.
         let mut fwd: Option<Plf> = self
-            .graph()
+            .graph
             .find_edge(earlier, other)
-            .map(|e| self.graph().weight(e).clone());
+            .map(|e| self.graph.weight(e).clone());
         // Direction other → earlier.
         let mut bwd: Option<Plf> = self
-            .graph()
+            .graph
             .find_edge(other, earlier)
-            .map(|e| self.graph().weight(e).clone());
+            .map(|e| self.graph.weight(e).clone());
 
-        for &m in &supports {
-            let node = self.tree().node(m);
-            let pe = self.tree().bag_position(m, earlier);
-            let po = self.tree().bag_position(m, other);
+        for &m in supports {
+            let node = self.td.node(m);
+            let pe = self.td.bag_position(m, earlier);
+            let po = self.td.bag_position(m, other);
             let (Some(pe), Some(po)) = (pe, po) else {
                 continue;
             };
@@ -204,14 +188,13 @@ impl TdTreeIndex {
         }
 
         let pos = self
-            .tree()
+            .td
             .bag_position(earlier, other)
             .expect("pair is recorded at the earlier endpoint's node");
-        let node = &self.tree().nodes[earlier as usize];
+        let node = &mut self.td.nodes[earlier as usize];
         let fwd_changed = !plf_opt_eq(&node.ws[pos], &fwd);
         let bwd_changed = !plf_opt_eq(&node.wd[pos], &bwd);
         if fwd_changed || bwd_changed {
-            let node = &mut self.tree_mut().nodes[earlier as usize];
             node.ws[pos] = fwd;
             node.wd[pos] = bwd;
             true
@@ -227,34 +210,6 @@ fn plf_opt_eq(a: &Option<Plf>, b: &Option<Plf>) -> bool {
         (None, None) => true,
         _ => false,
     }
-}
-
-fn merged_insert(
-    store: &mut crate::shortcut::ShortcutStore,
-    v: VertexId,
-    a: VertexId,
-    up: Option<Plf>,
-    down: Option<Plf>,
-) {
-    // ShortcutStore has no public insert; emulate via a tiny local builder.
-    store.insert_pair(v, a, up, down);
-}
-
-/// All vertices inside the subtrees rooted at `roots` (deduplicated).
-fn subtree_vertices(index: &TdTreeIndex, roots: &[VertexId]) -> Vec<VertexId> {
-    let td = index.tree();
-    let mut seen = vec![false; td.len()];
-    let mut out = Vec::new();
-    let mut stack: Vec<VertexId> = roots.to_vec();
-    while let Some(v) = stack.pop() {
-        if seen[v as usize] {
-            continue;
-        }
-        seen[v as usize] = true;
-        out.push(v);
-        stack.extend(td.node(v).children.iter().copied());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -367,6 +322,53 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// What is stored is what is selected: an update rebuilds exactly the
+    /// keys the rows held, to the values a fresh full label has on the
+    /// updated graph — for the full label itself like for any selection.
+    #[test]
+    fn update_keeps_the_selected_keys_and_matches_a_fresh_full_label() {
+        let g = seeded_graph(3, 30, 20, 3);
+        let build = |g: td_graph::TdGraph, strategy| {
+            TdTreeIndex::build(
+                g,
+                IndexOptions {
+                    strategy,
+                    threads: 2,
+                    track_supports: true,
+                },
+            )
+        };
+        for strategy in [
+            SelectionStrategy::All,
+            SelectionStrategy::Greedy { budget: 2_000 },
+        ] {
+            let mut index = build(g.clone(), strategy);
+            let keys_before: Vec<_> = index.shortcuts().pairs().collect();
+            assert!(!keys_before.is_empty());
+            let e = g.edge(0);
+            let stats = index.update_edges(&[(e.from, e.to, Plf::constant(7.0))]);
+            assert!(stats.changed_nodes > 0 && stats.rebuilt_subtree_nodes > 0);
+
+            let fresh = build(index.graph().clone(), SelectionStrategy::All);
+            let keys: Vec<_> = index.shortcuts().pairs().collect();
+            assert_eq!(keys, keys_before, "{strategy:?}: selection drifted");
+            assert_eq!(index.shortcuts().num_pairs(), keys.len());
+            if strategy == SelectionStrategy::All {
+                assert_eq!(keys, fresh.shortcuts().pairs().collect::<Vec<_>>());
+                assert_eq!(index.shortcuts().num_pairs(), fresh.shortcuts().num_pairs());
+            }
+            for (v, a) in keys {
+                let got = index.shortcuts().get(v, a).unwrap();
+                let want = fresh.shortcuts().get(v, a).unwrap();
+                assert!(
+                    plf_opt_eq(got.0, want.0) && plf_opt_eq(got.1, want.1),
+                    "{strategy:?}: pair ({v}, {a}) differs from the fresh label"
+                );
+            }
+            verify_against_oracle(&index, 3, 40);
         }
     }
 

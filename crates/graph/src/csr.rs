@@ -130,49 +130,6 @@ impl CsrGraph {
         tails.iter().copied().zip(edges.iter().copied())
     }
 
-    /// The raw CSR arrays `(first_out, head, out_edge, first_in, tail,
-    /// in_edge)` — the serialization surface of the persistence module.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_parts(
-        &self,
-    ) -> (
-        &[u32],
-        &[VertexId],
-        &[EdgeId],
-        &[u32],
-        &[VertexId],
-        &[EdgeId],
-    ) {
-        (
-            &self.first_out,
-            &self.head,
-            &self.out_edge,
-            &self.first_in,
-            &self.tail,
-            &self.in_edge,
-        )
-    }
-
-    /// Reassembles a CSR graph from raw arrays. The persistence module
-    /// validates every invariant before calling this.
-    pub(crate) fn from_raw_parts(
-        first_out: Vec<u32>,
-        head: Vec<VertexId>,
-        out_edge: Vec<EdgeId>,
-        first_in: Vec<u32>,
-        tail: Vec<VertexId>,
-        in_edge: Vec<EdgeId>,
-    ) -> CsrGraph {
-        CsrGraph {
-            first_out,
-            head,
-            out_edge,
-            first_in,
-            tail,
-            in_edge,
-        }
-    }
-
     /// Heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         (self.first_out.capacity() + self.first_in.capacity()) * std::mem::size_of::<u32>()
@@ -256,19 +213,6 @@ impl FrozenGraph {
     #[inline]
     pub fn max_cost(&self, e: EdgeId) -> f64 {
         self.weights.max_cost(e)
-    }
-
-    /// Reassembles the frozen view from its persisted parts, recomputing the
-    /// interleaved per-out-slot min bounds (a deterministic linear pass over
-    /// the persisted arena). The persistence module has already validated
-    /// that arena function ids cover every edge id.
-    pub(crate) fn from_parts(csr: CsrGraph, weights: PlfArena) -> FrozenGraph {
-        let out_min = csr.out_edge.iter().map(|&e| weights.min_cost(e)).collect();
-        FrozenGraph {
-            csr,
-            weights,
-            out_min,
-        }
     }
 
     /// Heap footprint in bytes (topology + weight arena + bound array).

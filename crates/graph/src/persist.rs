@@ -1,5 +1,4 @@
-//! Snapshot persistence ([`td_store::Persist`]) for [`TdGraph`],
-//! [`CsrGraph`] and [`FrozenGraph`].
+//! Snapshot persistence ([`td_store::Persist`]) for [`TdGraph`].
 //!
 //! A [`TdGraph`] is stored as its edge list in edge-id order (`from`/`to`
 //! arrays plus the weight functions as a PLF list); reading replays
@@ -8,29 +7,20 @@
 //! order is insertion order), so the loaded graph is indistinguishable from
 //! the saved one.
 //!
-//! A [`CsrGraph`] is stored as its six flat arrays verbatim; reading
-//! validates offset monotonicity, id ranges, and that forward and reverse
-//! directions describe the same edge set before reassembling — a corrupt
-//! file yields a typed error, never an out-of-bounds query later.
+//! The frozen views ([`CsrGraph`](crate::CsrGraph),
+//! [`FrozenGraph`](crate::FrozenGraph)) are never persisted: every loader
+//! re-freezes the graph it just read, so derived data cannot disagree with
+//! its source.
 
-use crate::csr::{CsrGraph, FrozenGraph};
 use crate::graph::TdGraph;
 use std::io::{Read, Write};
 use td_plf::persist::{read_plf_list, write_plf_list};
-use td_plf::PlfArena;
-use td_store::section::{check_offsets, read_u32s, read_u64, tag4, write_u32s, write_u64};
+use td_store::section::{read_u32s, read_u64, tag4, write_u32s, write_u64};
 use td_store::{Persist, StoreError};
 
 const TAG_G_VERTS: u32 = tag4(*b"Gnum");
 const TAG_G_FROM: u32 = tag4(*b"Gfrm");
 const TAG_G_TO: u32 = tag4(*b"Gto ");
-
-const TAG_C_FIRST_OUT: u32 = tag4(*b"Cfo ");
-const TAG_C_HEAD: u32 = tag4(*b"Chd ");
-const TAG_C_OUT_EDGE: u32 = tag4(*b"Coe ");
-const TAG_C_FIRST_IN: u32 = tag4(*b"Cfi ");
-const TAG_C_TAIL: u32 = tag4(*b"Ctl ");
-const TAG_C_IN_EDGE: u32 = tag4(*b"Cie ");
 
 impl Persist for TdGraph {
     fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
@@ -64,116 +54,6 @@ impl Persist for TdGraph {
                 .map_err(|e| StoreError::invalid(format!("invalid edge: {e}")))?;
         }
         Ok(g)
-    }
-}
-
-/// Validates one CSR direction: `[0]`-rooted non-decreasing offsets covering
-/// the flat arrays, endpoint ids `< n`, edge ids `< m`.
-fn check_direction(
-    what: &str,
-    first: &[u32],
-    verts: &[u32],
-    edges: &[u32],
-    n: usize,
-    m: usize,
-) -> Result<(), StoreError> {
-    if first.len() != n + 1 || verts.len() != m || edges.len() != m {
-        return Err(StoreError::invalid(format!("{what}: bad offset array")));
-    }
-    check_offsets(first, m, what)?;
-    if verts.iter().any(|&v| v as usize >= n) {
-        return Err(StoreError::invalid(format!(
-            "{what}: vertex id out of range"
-        )));
-    }
-    if edges.iter().any(|&e| e as usize >= m) {
-        return Err(StoreError::invalid(format!("{what}: edge id out of range")));
-    }
-    Ok(())
-}
-
-impl Persist for CsrGraph {
-    fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        let (first_out, head, out_edge, first_in, tail, in_edge) = self.raw_parts();
-        write_u32s(w, TAG_C_FIRST_OUT, first_out)?;
-        write_u32s(w, TAG_C_HEAD, head)?;
-        write_u32s(w, TAG_C_OUT_EDGE, out_edge)?;
-        write_u32s(w, TAG_C_FIRST_IN, first_in)?;
-        write_u32s(w, TAG_C_TAIL, tail)?;
-        write_u32s(w, TAG_C_IN_EDGE, in_edge)
-    }
-
-    fn read_from<R: Read>(r: &mut R) -> Result<CsrGraph, StoreError> {
-        let first_out = read_u32s(r, TAG_C_FIRST_OUT)?;
-        let head = read_u32s(r, TAG_C_HEAD)?;
-        let out_edge = read_u32s(r, TAG_C_OUT_EDGE)?;
-        let first_in = read_u32s(r, TAG_C_FIRST_IN)?;
-        let tail = read_u32s(r, TAG_C_TAIL)?;
-        let in_edge = read_u32s(r, TAG_C_IN_EDGE)?;
-
-        if first_out.is_empty() || first_out.len() != first_in.len() {
-            return Err(StoreError::invalid("CSR offset arrays disagree in length"));
-        }
-        let n = first_out.len() - 1;
-        let m = head.len();
-        check_direction("out direction", &first_out, &head, &out_edge, n, m)?;
-        check_direction("in direction", &first_in, &tail, &in_edge, n, m)?;
-
-        // The two directions must describe the same edge set: edge `e`
-        // appears exactly once per direction, and the in-direction's
-        // (tail, head) must match the out-direction's.
-        let mut endpoints: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX); m];
-        let mut seen = vec![false; m];
-        for v in 0..n {
-            for i in first_out[v] as usize..first_out[v + 1] as usize {
-                let e = out_edge[i] as usize;
-                if seen[e] {
-                    return Err(StoreError::invalid("edge id repeated in out direction"));
-                }
-                seen[e] = true;
-                endpoints[e] = (v as u32, head[i]);
-            }
-        }
-        let mut seen_in = vec![false; m];
-        for v in 0..n {
-            for i in first_in[v] as usize..first_in[v + 1] as usize {
-                let e = in_edge[i] as usize;
-                if seen_in[e] {
-                    return Err(StoreError::invalid("edge id repeated in in direction"));
-                }
-                seen_in[e] = true;
-                if endpoints[e] != (tail[i], v as u32) {
-                    return Err(StoreError::invalid(
-                        "in/out directions disagree on an edge's endpoints",
-                    ));
-                }
-            }
-        }
-
-        Ok(CsrGraph::from_raw_parts(
-            first_out, head, out_edge, first_in, tail, in_edge,
-        ))
-    }
-}
-
-impl Persist for FrozenGraph {
-    fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        self.csr.write_into(w)?;
-        self.weights.write_into(w)
-        // `out_min` is derived from (csr, weights) and recomputed on read.
-    }
-
-    fn read_from<R: Read>(r: &mut R) -> Result<FrozenGraph, StoreError> {
-        let csr = CsrGraph::read_from(r)?;
-        let weights = PlfArena::read_from(r)?;
-        if weights.len() != csr.num_edges() {
-            return Err(StoreError::invalid(format!(
-                "weight arena holds {} functions for {} edges",
-                weights.len(),
-                csr.num_edges()
-            )));
-        }
-        Ok(FrozenGraph::from_parts(csr, weights))
     }
 }
 
@@ -214,70 +94,6 @@ mod tests {
         for e in 0..g.num_edges() as u32 {
             assert_eq!(back.weight(e), g.weight(e));
         }
-    }
-
-    #[test]
-    fn csr_round_trips_exactly() {
-        let g = sample();
-        let csr = CsrGraph::build(&g);
-        let back = roundtrip(&csr);
-        for v in 0..csr.num_vertices() as u32 {
-            assert_eq!(
-                back.out_edges(v).collect::<Vec<_>>(),
-                csr.out_edges(v).collect::<Vec<_>>()
-            );
-            assert_eq!(
-                back.in_edges(v).collect::<Vec<_>>(),
-                csr.in_edges(v).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn frozen_graph_round_trips_with_recomputed_bounds() {
-        let g = sample();
-        let fg = g.freeze();
-        let back = roundtrip(&fg);
-        for e in 0..g.num_edges() as u32 {
-            assert_eq!(back.min_cost(e).to_bits(), fg.min_cost(e).to_bits());
-            for t in [-1.0, 0.0, 5.0, 20.0] {
-                assert_eq!(
-                    back.weight(e).eval(t).to_bits(),
-                    fg.weight(e).eval(t).to_bits()
-                );
-            }
-        }
-        for v in 0..fg.num_vertices() as u32 {
-            let (h1, e1, m1) = fg.out_slices_with_min(v);
-            let (h2, e2, m2) = back.out_slices_with_min(v);
-            assert_eq!(h1, h2);
-            assert_eq!(e1, e2);
-            assert_eq!(m1, m2);
-        }
-    }
-
-    #[test]
-    fn inconsistent_directions_are_rejected() {
-        let g = sample();
-        let csr = CsrGraph::build(&g);
-        let mut buf = Vec::new();
-        csr.write_into(&mut buf).unwrap();
-        // Forge a stream whose in-direction tail array names the wrong
-        // vertex: rebuild sections by hand with valid CRCs.
-        let (first_out, head, out_edge, first_in, tail, in_edge) = csr.raw_parts();
-        let mut bad_tail = tail.to_vec();
-        bad_tail[0] = bad_tail[0].wrapping_add(1) % 4;
-        let mut forged = Vec::new();
-        write_u32s(&mut forged, TAG_C_FIRST_OUT, first_out).unwrap();
-        write_u32s(&mut forged, TAG_C_HEAD, head).unwrap();
-        write_u32s(&mut forged, TAG_C_OUT_EDGE, out_edge).unwrap();
-        write_u32s(&mut forged, TAG_C_FIRST_IN, first_in).unwrap();
-        write_u32s(&mut forged, TAG_C_TAIL, &bad_tail).unwrap();
-        write_u32s(&mut forged, TAG_C_IN_EDGE, in_edge).unwrap();
-        assert!(matches!(
-            CsrGraph::read_from(&mut forged.as_slice()),
-            Err(StoreError::Invalid(_))
-        ));
     }
 
     #[test]

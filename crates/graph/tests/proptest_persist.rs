@@ -1,8 +1,8 @@
 //! Property tests: `.tdx` persistence round-trips arbitrary generated
-//! graphs and their frozen CSR views bit-identically.
+//! graphs bit-identically.
 
 use proptest::prelude::*;
-use td_graph::{CsrGraph, GraphBuilder, TdGraph};
+use td_graph::{GraphBuilder, TdGraph};
 use td_plf::{Plf, Pt};
 use td_store::Persist;
 
@@ -53,40 +53,6 @@ proptest! {
         }
         for e in 0..g.num_edges() as u32 {
             prop_assert_eq!(back.weight(e), g.weight(e));
-        }
-    }
-
-    #[test]
-    fn csr_persist_round_trips_exactly(g in arb_graph()) {
-        let csr = CsrGraph::build(&g);
-        let back = roundtrip(&csr);
-        prop_assert_eq!(back.num_vertices(), csr.num_vertices());
-        prop_assert_eq!(back.num_edges(), csr.num_edges());
-        for v in 0..csr.num_vertices() as u32 {
-            prop_assert_eq!(
-                back.out_edges(v).collect::<Vec<_>>(),
-                csr.out_edges(v).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                back.in_edges(v).collect::<Vec<_>>(),
-                csr.in_edges(v).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn frozen_graph_persist_preserves_weights_and_bounds(g in arb_graph()) {
-        let fg = g.freeze();
-        let back = roundtrip(&fg);
-        for e in 0..fg.num_edges() as u32 {
-            prop_assert_eq!(back.min_cost(e).to_bits(), fg.min_cost(e).to_bits());
-            prop_assert_eq!(back.max_cost(e).to_bits(), fg.max_cost(e).to_bits());
-            for t in [-10.0, 0.0, 15_000.0, 90_000.0] {
-                prop_assert_eq!(
-                    back.weight(e).eval(t).to_bits(),
-                    fg.weight(e).eval(t).to_bits()
-                );
-            }
         }
     }
 }

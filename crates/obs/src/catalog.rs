@@ -128,11 +128,11 @@ impl Metrics {
             ),
             live_rollbacks_total: r.counter(
                 "td_live_rollbacks_total",
-                "LiveIndex updates rolled back after a panic",
+                "LiveIndex updates discarded after a panic (published snapshot kept)",
             ),
             live_update_seconds: r.histogram_seconds(
                 "td_live_update_seconds",
-                "Wall time of LiveIndex try_apply (repair + swap)",
+                "Wall time of LiveIndex try_apply (clone + repair + publish)",
             ),
             snapshot_save_seconds: r.histogram_seconds(
                 "td_snapshot_save_seconds",

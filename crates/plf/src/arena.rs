@@ -21,7 +21,9 @@
 //!   without touching the points at all.
 //!
 //! The arena is append-only; mutation stays on [`Plf`]. Build with the PLF
-//! algebra, freeze with [`PlfArena::push`], query through [`PlfSlice`].
+//! algebra, freeze with [`PlfArena::push`], query through [`PlfSlice`]. An
+//! arena is derived data and has no on-disk form: snapshots hold the owned
+//! functions, and every loader re-pushes them.
 
 use crate::approx::clamped_segment_value;
 use crate::plf::{Plf, Pt, Via};
@@ -165,33 +167,6 @@ impl PlfArena {
     pub fn max_cost(&self, id: PlfId) -> f64 {
         debug_assert!((id as usize) < self.max_cost.len());
         self.max_cost[id as usize]
-    }
-
-    /// The raw SoA arrays `(times, values, vias, first_pt)` — the
-    /// serialization surface of the persistence module. The min/max bounds
-    /// are deliberately absent: they are derived data, recomputed on load.
-    pub(crate) fn raw_parts(&self) -> (&[f64], &[f64], &[Via], &[u32]) {
-        (&self.times, &self.values, &self.vias, &self.first_pt)
-    }
-
-    /// Reassembles an arena from raw arrays. The persistence module
-    /// validates every invariant before calling this.
-    pub(crate) fn from_raw_parts(
-        times: Vec<f64>,
-        values: Vec<f64>,
-        vias: Vec<Via>,
-        first_pt: Vec<u32>,
-        min_cost: Vec<f64>,
-        max_cost: Vec<f64>,
-    ) -> PlfArena {
-        PlfArena {
-            times,
-            values,
-            vias,
-            first_pt,
-            min_cost,
-            max_cost,
-        }
     }
 
     /// Heap footprint in bytes — the frozen representation's share of index

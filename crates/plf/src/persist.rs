@@ -1,14 +1,15 @@
-//! Snapshot persistence ([`td_store::Persist`]) for [`Plf`] and
-//! [`PlfArena`], plus the shared PLF-list encoding used by every index
-//! crate for `Vec<Option<Plf>>`-shaped label tables.
+//! Snapshot persistence ([`td_store::Persist`]) for [`Plf`], plus the shared
+//! PLF-list encoding used by every index crate for `Vec<Option<Plf>>`-shaped
+//! label tables.
 //!
 //! A PLF is stored SoA — `times`/`values`/`vias` — exactly as the frozen
 //! arena lays it out, so serialization is a linear copy and reading
 //! revalidates through [`Plf::new`] (non-empty, strictly increasing, finite,
 //! non-negative), turning any corrupt function into a typed
 //! [`StoreError::Invalid`] rather than a broken invariant at query time.
+//! A [`PlfArena`](crate::PlfArena) is never persisted: every frozen view is
+//! rebuilt on load from the owned functions it mirrors.
 
-use crate::arena::PlfArena;
 use crate::plf::{Plf, Pt, Via};
 use std::io::{Read, Write};
 use td_store::section::{
@@ -24,11 +25,6 @@ const TAG_L_COUNTS: u32 = tag4(*b"Lcnt");
 const TAG_L_TIMES: u32 = tag4(*b"Ltim");
 const TAG_L_VALUES: u32 = tag4(*b"Lval");
 const TAG_L_VIAS: u32 = tag4(*b"Lvia");
-
-const TAG_A_FIRST: u32 = tag4(*b"Afst");
-const TAG_A_TIMES: u32 = tag4(*b"Atim");
-const TAG_A_VALUES: u32 = tag4(*b"Aval");
-const TAG_A_VIAS: u32 = tag4(*b"Avia");
 
 /// Assembles one validated [`Plf`] from parallel SoA slices.
 fn plf_from_soa(times: &[f64], values: &[f64], vias: &[Via]) -> Result<Plf, StoreError> {
@@ -154,76 +150,6 @@ pub fn read_plf_list<R: Read>(r: &mut R) -> Result<Vec<Option<Plf>>, StoreError>
     Ok(out)
 }
 
-impl Persist for PlfArena {
-    fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        let (times, values, vias, first_pt) = self.raw_parts();
-        write_u32s(w, TAG_A_FIRST, first_pt)?;
-        write_f64s(w, TAG_A_TIMES, times)?;
-        write_f64s(w, TAG_A_VALUES, values)?;
-        write_u32s(w, TAG_A_VIAS, vias)
-        // The per-function min/max bounds are NOT persisted: query pruning
-        // trusts them, so a CRC-valid file carrying doctored bounds would
-        // load into a silently wrong index. They are recomputed on read
-        // with the exact fold `push` uses, bit-identically.
-    }
-
-    fn read_from<R: Read>(r: &mut R) -> Result<PlfArena, StoreError> {
-        let first_pt = read_u32s(r, TAG_A_FIRST)?;
-        let times = read_f64s(r, TAG_A_TIMES)?;
-        let values = read_f64s(r, TAG_A_VALUES)?;
-        let vias = read_u32s(r, TAG_A_VIAS)?;
-
-        // Offset invariants: `[0]`-rooted, strictly increasing (every
-        // function has ≥ 1 point), last offset covering the point arrays.
-        if first_pt.first() != Some(&0) {
-            return Err(StoreError::invalid("arena offsets must start at 0"));
-        }
-        if first_pt.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(StoreError::invalid(
-                "arena offsets must be strictly increasing",
-            ));
-        }
-        if *first_pt.last().expect("non-empty checked above") as usize != times.len() {
-            return Err(StoreError::invalid(
-                "arena offsets do not cover the point arrays",
-            ));
-        }
-        if times.len() != values.len() || times.len() != vias.len() {
-            return Err(StoreError::invalid("arena SoA arrays disagree in length"));
-        }
-        let functions = first_pt.len() - 1;
-        // Per-function invariants (what every push validated): finite,
-        // non-negative, strictly increasing times within a function — and
-        // the pruning bounds, recomputed with `push`'s exact fold.
-        let mut min_cost = Vec::with_capacity(functions);
-        let mut max_cost = Vec::with_capacity(functions);
-        for f in 0..functions {
-            let (lo, hi) = (first_pt[f] as usize, first_pt[f + 1] as usize);
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for i in lo..hi {
-                if !times[i].is_finite() || !values[i].is_finite() || values[i] < 0.0 {
-                    return Err(StoreError::invalid(format!(
-                        "arena function {f} has a non-finite or negative point"
-                    )));
-                }
-                if i > lo && times[i] <= times[i - 1] {
-                    return Err(StoreError::invalid(format!(
-                        "arena function {f} has non-increasing times"
-                    )));
-                }
-                min = min.min(values[i]);
-                max = max.max(values[i]);
-            }
-            min_cost.push(min);
-            max_cost.push(max);
-        }
-        Ok(PlfArena::from_raw_parts(
-            times, values, vias, first_pt, min_cost, max_cost,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,26 +172,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(roundtrip(&f), f);
-    }
-
-    #[test]
-    fn arena_round_trips_exactly() {
-        let mut arena = PlfArena::new();
-        arena.push(&Plf::from_pairs(&[(0.0, 1.0), (10.0, 2.0)]).unwrap());
-        arena.push(&Plf::constant(7.5));
-        let back = roundtrip(&arena);
-        assert_eq!(back.len(), arena.len());
-        assert_eq!(back.total_points(), arena.total_points());
-        for id in 0..arena.len() as u32 {
-            assert_eq!(back.min_cost(id), arena.min_cost(id));
-            assert_eq!(back.max_cost(id), arena.max_cost(id));
-            for t in [-1.0, 0.0, 5.0, 10.0, 99.0] {
-                assert_eq!(
-                    back.slice(id).eval(t).to_bits(),
-                    arena.slice(id).eval(t).to_bits()
-                );
-            }
-        }
     }
 
     #[test]
@@ -295,22 +201,5 @@ mod tests {
             .as_slice(),
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn arena_with_bad_offsets_is_invalid() {
-        let mut arena = PlfArena::new();
-        arena.push(&Plf::constant(1.0));
-        let mut buf = Vec::new();
-        arena.write_into(&mut buf).unwrap();
-        // Rewrite the offsets section `[0, 1]` as `[1, 1]` with a valid CRC
-        // by re-encoding the whole stream by hand.
-        let mut forged = Vec::new();
-        write_u32s(&mut forged, TAG_A_FIRST, &[1, 1]).unwrap();
-        forged.extend_from_slice(&buf[16 + 8 + 4..]); // skip original first section
-        assert!(matches!(
-            PlfArena::read_from(&mut forged.as_slice()),
-            Err(StoreError::Invalid(_))
-        ));
     }
 }

@@ -95,36 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn arena_persist_round_trips_bit_identically(
-        fs in proptest::collection::vec(fifo_plf(), 1..8),
-        ts in query_times(),
-    ) {
-        use td_store::Persist;
-        let mut arena = PlfArena::new();
-        for f in &fs {
-            arena.push(f);
-        }
-        let mut buf = Vec::new();
-        arena.write_into(&mut buf).expect("write");
-        let mut r = buf.as_slice();
-        let back = PlfArena::read_from(&mut r).expect("read");
-        prop_assert!(r.is_empty(), "trailing bytes after arena read");
-        prop_assert_eq!(back.len(), arena.len());
-        prop_assert_eq!(back.total_points(), arena.total_points());
-        for id in 0..arena.len() as u32 {
-            prop_assert_eq!(back.min_cost(id).to_bits(), arena.min_cost(id).to_bits());
-            prop_assert_eq!(back.max_cost(id).to_bits(), arena.max_cost(id).to_bits());
-            for &t in &ts {
-                prop_assert_eq!(
-                    back.slice(id).eval(t).to_bits(),
-                    arena.slice(id).eval(t).to_bits()
-                );
-                prop_assert_eq!(back.slice(id).eval_with_via(t).1, arena.slice(id).eval_with_via(t).1);
-            }
-        }
-    }
-
-    #[test]
     fn arena_holds_many_functions_without_crosstalk(
         fs in proptest::collection::vec(fifo_plf(), 1..8),
         ts in query_times(),

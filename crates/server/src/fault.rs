@@ -130,9 +130,9 @@ const FILTER_WORDS: usize = 64;
 /// The decision depends only on `(seed, s, d, t)`, so a given query either
 /// always faults or never does — which is what lets the panic-storm soak
 /// assert that *non*-panicking slots stay bit-identical to a clean run. In
-/// `transient` mode a 4096-bit filter (shared across clones, so both
-/// buffers of a `LiveIndex` agree) remembers signatures that already fired,
-/// making the single bounded retry succeed.
+/// `transient` mode a 4096-bit filter (shared across clones, so every
+/// epoch's copy inside a `LiveIndex` agrees) remembers signatures that
+/// already fired, making the single bounded retry succeed.
 pub struct HostileIndex<I> {
     inner: I,
     seed: u64,

@@ -51,7 +51,7 @@ use crate::update::{UpdateLane, UpdateRejected};
 enum Source<I> {
     /// A fixed immutable index: epoch is always 0.
     Fixed(Arc<I>),
-    /// A live double-buffered index: snapshots follow the epoch.
+    /// A live copy-on-write index: snapshots follow the epoch.
     Live(Arc<LiveIndex<I>>),
 }
 
@@ -620,9 +620,9 @@ fn updater_loop<I: IncrementalIndex + Clone>(shared: &Shared<I>) {
         shared.update.begin_apply(shared.started);
         let mut applied = false;
         for attempt in 0..2u32 {
-            // `try_apply` already contains panics and rolls the standby
-            // back; the outer catch_unwind is belt-and-braces so even an
-            // unexpected unwind cannot kill the lane.
+            // `try_apply` already contains panics and drops the half-
+            // repaired copy; the outer catch_unwind is belt-and-braces so
+            // even an unexpected unwind cannot kill the lane.
             let outcome = catch_unwind(AssertUnwindSafe(|| live.try_apply(&changes)));
             match outcome {
                 Ok(Ok(_)) => {

@@ -2,7 +2,7 @@
 //!
 //! Live traffic refreshes ride a *separate* bounded queue drained by a
 //! dedicated updater thread, so an update storm contends with queries only
-//! through `LiveIndex`'s double buffer — never through the serving workers.
+//! through `LiveIndex`'s snapshot swap — never through the serving workers.
 //! A watchdog (checked by a worker after every batch, so it needs no
 //! thread of its own) declares the lane stuck when one apply overruns its
 //! budget; a stuck lane sheds *updates* with a typed refusal while query

@@ -10,7 +10,7 @@ pub const MAGIC: [u8; 8] = *b"TDXSNAP1";
 /// Current format version. Bump on any incompatible layout change; readers
 /// reject versions they do not understand with
 /// [`StoreError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Endianness marker value. Every multi-byte integer in the format is
 /// little-endian by definition; this marker, written as LE, additionally

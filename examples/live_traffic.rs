@@ -3,10 +3,10 @@
 //! concurrently.
 //!
 //! An accident multiplies travel times on a handful of road segments during
-//! the morning. The index lives inside a `LiveIndex` double buffer: reader
+//! the morning. The index lives inside a copy-on-write `LiveIndex`: reader
 //! threads keep answering query batches from immutable snapshots the whole
 //! time, while the incident is repaired incrementally (support-list replay +
-//! top-down shortcut rebuild) on the writer copy and swapped in atomically.
+//! top-down shortcut rebuild) on a private clone and published atomically.
 //! No reader ever blocks on the repair or observes a half-updated index.
 //!
 //! Run with: `cargo run --release --example live_traffic`
@@ -52,8 +52,8 @@ fn main() {
 
     let (s, d) = (1u32, n - 2);
     let depart = 8.0 * 3600.0;
-    // The double buffer clones the index once; from here on readers see
-    // atomically-swapped snapshots while updates repair the other copy.
+    // From here on readers see atomically-published snapshots while each
+    // update repairs a private clone of the current one.
     let live = LiveIndex::new(index);
 
     let snap = live.snapshot();
@@ -99,17 +99,25 @@ fn main() {
                 scope.spawn(move || {
                     let (mut batches, mut answered, mut epochs_seen) = (0u64, 0u64, [false; 2]);
                     let mut out = Vec::new();
-                    while !done.load(Ordering::Acquire) {
+                    loop {
                         let (epoch, snap) = live.snapshot_with_epoch();
                         let mut exec = ParallelExecutor::new(snap.as_ref(), 2);
                         epochs_seen[(epoch as usize).min(1)] = true;
                         // Serve from this snapshot until the epoch advances,
                         // so the executor's workers stay warmed (zero allocs
-                        // per query) across steady-state batches.
-                        while !done.load(Ordering::Acquire) && live.epoch() == epoch {
+                        // per query) across steady-state batches — and at
+                        // least once, so a reader always gets to serve the
+                        // epoch the writer publishes just before stopping it.
+                        loop {
                             exec.query_batch_into(queries, &mut out);
                             batches += 1;
                             answered += out.iter().flatten().count() as u64;
+                            if done.load(Ordering::Acquire) || live.epoch() != epoch {
+                                break;
+                            }
+                        }
+                        if done.load(Ordering::Acquire) && live.epoch() == epoch {
+                            break;
                         }
                     }
                     (batches, answered, epochs_seen)

@@ -1,7 +1,7 @@
 #![allow(clippy::print_stdout)]
 //! Racing reader/writer stress: reader threads hammer
 //! `ParallelExecutor::query_batch_into` on `LiveIndex` snapshots while a writer
-//! pushes live-traffic batches through the double-buffer epoch swap.
+//! pushes live-traffic batches through the copy-on-write epoch swap.
 //!
 //! Everything observable is deterministic and seeded: the graph, the update
 //! batches, and the query workload. The thread interleaving is not — that
@@ -96,7 +96,7 @@ fn racing_readers_agree_with_per_epoch_rebuilds() {
             })
             .collect();
 
-        // Writer: push every batch through the double buffer while the
+        // Writer: push every batch through the live index while the
         // readers race, leaving them a little time inside each epoch.
         for batch in &batches {
             std::thread::sleep(std::time::Duration::from_millis(10));
