@@ -60,7 +60,7 @@ pub struct AStarChIndex {
 impl AStarChIndex {
     /// Freezes `graph` and contracts its min-cost weights.
     pub fn new(graph: TdGraph) -> AStarChIndex {
-        let freeze_span = td_obs::ENABLED.then(|| td_obs::phase("freeze"));
+        let freeze_span = td_obs::phase("freeze");
         let frozen = graph.freeze();
         drop(freeze_span);
         let ch = ContractionHierarchy::build(&frozen);

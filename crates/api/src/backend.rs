@@ -59,7 +59,7 @@ impl Backend {
 
     /// Builds this backend's index over `graph`.
     pub fn build(self, graph: TdGraph, cfg: &IndexConfig) -> Box<dyn RoutingIndex> {
-        let _span = td_obs::ENABLED.then(|| td_obs::phase("build"));
+        let _span = td_obs::phase("build");
         let tree_opts = |strategy| IndexOptions {
             strategy,
             threads: cfg.threads,
@@ -130,9 +130,6 @@ impl FromStr for Backend {
 pub struct IndexConfig {
     /// Shortcut budget `N` in interpolation points (TD-appro / TD-dp).
     pub budget: u64,
-    /// Weight bucketing for the DP knapsack (TD-dp): `0` = auto-scale so the
-    /// DP row stays around 10k cells, `1` = exact, larger = coarser.
-    pub weight_scale: u32,
     /// Worker threads for construction passes (0 = all cores).
     pub threads: usize,
     /// Track support lists so the TD-tree family accepts
@@ -160,7 +157,6 @@ impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
             budget: 10_000,
-            weight_scale: 0,
             threads: 0,
             track_supports: false,
             max_leaf: 32,
@@ -170,14 +166,10 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// The effective DP weight scale: explicit, or auto-derived from the
-    /// budget to keep the knapsack row near 10k cells.
+    /// The weight bucketing of TD-dp's knapsack, derived from the budget so
+    /// the DP row stays near 10k cells (`1` = exact, larger = coarser).
     pub fn dp_weight_scale(&self) -> u32 {
-        if self.weight_scale != 0 {
-            self.weight_scale
-        } else {
-            self.budget.div_ceil(10_000).max(1) as u32
-        }
+        self.budget.div_ceil(10_000).max(1) as u32
     }
 }
 

@@ -5,7 +5,9 @@
 //!
 //! 1. `query_cost` agrees with the TD-Dijkstra oracle;
 //! 2. `query_profile` evaluated at the departure time agrees with
-//!    `query_cost` (and with the oracle);
+//!    `query_cost` (and with the oracle) — on TD-Dijkstra and TD-A\*-CH this
+//!    is the targeted corridor profile search checked end to end against
+//!    the scalar search;
 //! 3. `query_path` returns a valid path whose replayed cost equals the
 //!    reported cost, which in turn equals the oracle's;
 //! 4. `memory_bytes() > 0` and `build_stats()` is sane;
@@ -23,10 +25,10 @@
 //!    `query_cost`, or returns a flagged interval containing the exact
 //!    answer, or a typed error — never an unflagged wrong exact claim
 //!    ([`check_bounded_queries`]);
-//! 10. the corridor-bounded profile searches — one-to-all rails and the
-//!     targeted `s → d` variant — are **value-identical** to the unbounded
-//!     label-correcting oracle on the union probe grid
-//!     ([`check_corridor_profiles`]).
+//! 10. the targeted `s → d` corridor profile search — on its own and as
+//!     the `query_profile` of the two search backends that run it — is
+//!     **value-identical** to the unbounded one-to-all label-correcting
+//!     search on the union probe grid ([`check_corridor_profiles`]).
 //!
 //! The suite is instantiated for every backend in this crate's tests and is
 //! public so downstream crates can run it against new backends.
@@ -35,7 +37,8 @@ use crate::{
     build_index, Backend, BoundedAnswer, IndexConfig, ParallelExecutor, QueryBudget, QueryError,
     QuerySession, RoutingIndex,
 };
-use td_graph::{TdGraph, VertexId};
+use td_graph::{FrozenGraph, TdGraph, VertexId};
+use td_plf::Plf;
 
 /// Absolute tolerance for cost comparisons. TD-G-tree assembles answers
 /// from refined PLF matrices, which accumulate slightly more float error
@@ -145,18 +148,28 @@ pub fn check_backend(
     // 9. Bounded queries walk the degradation ladder soundly.
     check_bounded_queries(index.as_ref(), queries);
 
-    // 10. Corridor-bounded profile searches (one-to-all and targeted) are
-    // value-exact against the unbounded oracle.
+    // 10. The targeted corridor profile search is value-exact against the
+    // unbounded one-to-all search, and so is the `query_profile` of the two
+    // backends that answer with it.
     check_corridor_profiles(graph, queries);
+    if matches!(backend, Backend::Dijkstra | Backend::AStarCh) {
+        let fg = graph.freeze();
+        check_profiles_against_one_to_all(graph, &fg, queries, name, |s, d| {
+            index.query_profile(s, d)
+        });
+    }
 }
 
-/// Conformance step 10: the corridor-bounded profile search
-/// ([`td_dijkstra::profile_search_frozen_corridor`]) must return **exact**
-/// labels: identical reachability, and value-identical envelopes at every
-/// breakpoint of *either* representation, every midpoint between them, and
-/// both rays. The corridor may only skip compounds whose min bound clears
-/// the scalar upper rail by more than ε — such candidates never touch any
-/// envelope, so pruning cannot change *what* the search computes.
+/// Conformance step 10: the targeted corridor profile search
+/// ([`td_dijkstra::profile_search_frozen_corridor_to`]) must return the
+/// **exact** `f_{s,d}` on every `(s, d)` pair of the workload: the same
+/// reachability verdict as the unbounded one-to-all search
+/// ([`td_dijkstra::profile_search_frozen`]), and a value-identical envelope
+/// at every breakpoint of *either* representation, every midpoint between
+/// them, and both rays. The corridor may only skip compounds whose best
+/// continuation to `d` clears the everywhere-valid `s → d` upper bound by
+/// more than ε — such candidates never touch `d`'s envelope, so pruning
+/// cannot change *what* the search computes there.
 ///
 /// The comparison is on function **values**, not interpolation points:
 /// both searches simplify with the ε-tolerant collinearity rule, and
@@ -165,45 +178,31 @@ pub fn check_backend(
 /// tolerance-equal but differently-anchored representations. The values
 /// agree to float noise (~1e-14 observed); [`COST_EPS`] is the assertion
 /// bound, consistent with the rest of the suite.
-///
-/// The *targeted* search
-/// ([`td_dijkstra::profile_search_frozen_corridor_to`]) is checked on every
-/// `(s, d)` pair of the workload under the same contract: its destination
-/// label must be value-identical to the unbounded one-to-all oracle's, and
-/// its reachability verdict must agree.
 pub fn check_corridor_profiles(graph: &TdGraph, queries: &[(VertexId, VertexId, f64)]) {
     let fg = graph.freeze();
+    check_profiles_against_one_to_all(graph, &fg, queries, "targeted corridor", |s, d| {
+        td_dijkstra::profile_search_frozen_corridor_to(graph, &fg, s, d).0
+    });
+}
+
+/// Step 10's contract for any `s → d` profile answer: `answer(s, d)` agrees
+/// in reachability with, and is value-identical to, the unbounded
+/// one-to-all label at `d`.
+fn check_profiles_against_one_to_all(
+    graph: &TdGraph,
+    fg: &FrozenGraph,
+    queries: &[(VertexId, VertexId, f64)],
+    name: &str,
+    answer: impl Fn(VertexId, VertexId) -> Option<Plf>,
+) {
     let mut sources: Vec<VertexId> = queries.iter().map(|&(s, _, _)| s).collect();
     sources.sort_unstable();
     sources.dedup();
     for s in sources {
-        let want = td_dijkstra::profile_search_frozen(graph, &fg, s);
-        let (got, stats) = td_dijkstra::profile_search_frozen_corridor(graph, &fg, s);
-        assert_eq!(
-            want.dist.len(),
-            got.dist.len(),
-            "corridor s={s}: label count diverges"
-        );
-        for (v, (w, g)) in want.dist.iter().zip(&got.dist).enumerate() {
-            let ctx = format!(
-                "corridor s={s} v={v} (skipped={}, relaxed={})",
-                stats.skipped, stats.relaxed
-            );
-            match (w, g) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert_plf_value_identical(a, b, &ctx),
-                other => panic!("{ctx}: reachability disagreement {other:?}"),
-            }
-        }
-        // Targeted s → d corridor search against the same oracle, on every
-        // destination the workload actually queries from this source.
-        for &(qs, d, _) in queries.iter().filter(|&&(qs, _, _)| qs == s) {
-            let (label, tstats) = td_dijkstra::profile_search_frozen_corridor_to(graph, &fg, qs, d);
-            let ctx = format!(
-                "targeted corridor s={qs} d={d} (skipped={}, relaxed={})",
-                tstats.skipped, tstats.relaxed
-            );
-            match (&want.dist[d as usize], &label) {
+        let want = td_dijkstra::profile_search_frozen(graph, fg, s);
+        for &(_, d, _) in queries.iter().filter(|&&(qs, _, _)| qs == s) {
+            let ctx = format!("{name} s={s} d={d}");
+            match (&want.dist[d as usize], &answer(s, d)) {
                 (None, None) => {}
                 (Some(a), Some(b)) => assert_plf_value_identical(a, b, &ctx),
                 other => panic!("{ctx}: reachability disagreement {other:?}"),
@@ -214,7 +213,7 @@ pub fn check_corridor_profiles(graph: &TdGraph, queries: &[(VertexId, VertexId, 
 
 /// Value-identity on the union probe grid: every breakpoint of either
 /// representation, every midpoint between adjacent probes, and both rays.
-fn assert_plf_value_identical(a: &td_plf::Plf, b: &td_plf::Plf, ctx: &str) {
+fn assert_plf_value_identical(a: &Plf, b: &Plf, ctx: &str) {
     let mut ts: Vec<f64> = a.points().iter().chain(b.points()).map(|p| p.t).collect();
     ts.sort_unstable_by(f64::total_cmp);
     ts.dedup();

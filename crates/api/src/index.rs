@@ -143,8 +143,7 @@ pub trait RoutingIndex: Send + Sync {
     /// [`RoutingIndex::query_cost_in`] plus a per-query [`QueryTrace`] (wall
     /// time and search counters): the underlying query runs unchanged, then
     /// the scratch's counters are drained (no allocation once the scratch is
-    /// warmed). With `td-obs` built in `disabled` mode the trace is all
-    /// zeros and the clock is never read.
+    /// warmed).
     fn query_cost_traced_in(
         &self,
         scratch: &mut SessionScratch,
@@ -152,13 +151,12 @@ pub trait RoutingIndex: Send + Sync {
         d: VertexId,
         t: f64,
     ) -> (Option<f64>, QueryTrace) {
-        let start = td_obs::ENABLED.then(std::time::Instant::now);
+        let start = std::time::Instant::now();
         let cost = self.query_cost_in(scratch, s, d, t);
-        let mut trace = QueryTrace::default();
-        if let Some(start) = start {
-            trace.stats = self.take_search_stats(scratch).unwrap_or_default();
-            trace.nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        }
+        let trace = QueryTrace {
+            stats: self.take_search_stats(scratch).unwrap_or_default(),
+            nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+        };
         (cost, trace)
     }
 
@@ -471,11 +469,12 @@ impl RoutingIndex for DijkstraOracle {
 
     fn query_profile_in(
         &self,
-        _scratch: &mut SessionScratch,
+        scratch: &mut SessionScratch,
         s: VertexId,
         d: VertexId,
     ) -> Option<Plf> {
-        profile_by_search(self.graph(), s, d)
+        let sc: &mut SearchScratch = scratch.get_or_default();
+        profile_by_search(self.graph(), self.frozen(), &mut sc.stats, s, d)
     }
 
     fn query_path_in(
@@ -557,11 +556,12 @@ impl RoutingIndex for AStarChIndex {
 
     fn query_profile_in(
         &self,
-        _scratch: &mut SessionScratch,
+        scratch: &mut SessionScratch,
         s: VertexId,
         d: VertexId,
     ) -> Option<Plf> {
-        profile_by_search(self.graph(), s, d)
+        let sc: &mut AStarChScratch = scratch.get_or_default();
+        profile_by_search(self.graph(), self.frozen(), &mut sc.search.stats, s, d)
     }
 
     fn query_path_in(

@@ -1,9 +1,11 @@
 //! The non-index TD-Dijkstra baseline behind the [`RoutingIndex`] trait.
 
 use td_dijkstra::{
-    profile_search_to, search, BoundedCost, QueryBudget, SearchScratch, ZeroPotential,
+    profile_search_frozen_corridor_to, search, BoundedCost, QueryBudget, SearchScratch,
+    ZeroPotential,
 };
 use td_graph::{FrozenGraph, TdGraph, VertexId};
+use td_obs::SearchStats;
 use td_plf::Plf;
 
 #[allow(unused_imports)] // rustdoc link
@@ -63,13 +65,25 @@ impl DijkstraOracle {
     }
 }
 
-/// Cost function query by a full profile search from `s` — how the two
-/// search backends answer profiles (a potential bounds a single departure).
-pub(crate) fn profile_by_search(graph: &TdGraph, s: VertexId, d: VertexId) -> Option<Plf> {
+/// Cost function query by the targeted corridor profile search `s → d` —
+/// how the two search backends answer profiles (a potential bounds a single
+/// departure; the corridor's two scalar rails bound the whole day). The
+/// search's counters land in `stats`, the scratch's [`SearchStats`], which
+/// is reset first exactly as [`search`] resets it.
+pub(crate) fn profile_by_search(
+    graph: &TdGraph,
+    frozen: &FrozenGraph,
+    stats: &mut SearchStats,
+    s: VertexId,
+    d: VertexId,
+) -> Option<Plf> {
+    stats.reset();
     if s == d {
         return Some(Plf::zero());
     }
-    profile_search_to(graph, s, |v| v == d).dist[d as usize].clone()
+    let (profile, work) = profile_search_frozen_corridor_to(graph, frozen, s, d);
+    stats.merge(&work);
+    profile
 }
 
 /// Snapshot persistence: the oracle's only independent state is the input

@@ -174,13 +174,9 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
         let index = self.index;
         self.run(out, |scratch, w, i| {
             let (s, d, t) = queries[i];
-            if td_obs::ENABLED {
-                let (cost, trace) = index.query_cost_traced_in(scratch, s, d, t);
-                td_obs::metrics().record_query(w, &trace);
-                cost
-            } else {
-                index.query_cost_in(scratch, s, d, t)
-            }
+            let (cost, trace) = index.query_cost_traced_in(scratch, s, d, t);
+            td_obs::metrics().record_query(w, &trace);
+            cost
         });
     }
 
@@ -214,7 +210,7 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
         let index = self.index;
         self.run(out, |scratch, w, i| {
             let ((s, d, t), budget) = queries[i];
-            let start = td_obs::ENABLED.then(std::time::Instant::now);
+            let start = std::time::Instant::now();
             let answer = match catch_unwind(AssertUnwindSafe(|| {
                 index.query_cost_bounded_in(scratch, s, d, t, &budget)
             })) {
@@ -230,33 +226,35 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
                     Err(QueryError::Panicked(panic_message(payload)))
                 }
             };
-            if let Some(start) = start {
-                let m = td_obs::metrics();
-                match &answer {
-                    Ok(BoundedAnswer::Exact(_)) => &m.ladder_exact,
-                    Ok(BoundedAnswer::Approximate { .. }) => &m.ladder_approximate,
-                    Err(QueryError::BudgetExhausted) => &m.ladder_budget_exhausted,
-                    Err(QueryError::Panicked(_)) => &m.ladder_panicked,
-                    Err(QueryError::InvalidQuery(_)) => &m.ladder_invalid,
-                }
-                .add_shard(w, 1);
-                let trace = td_obs::QueryTrace {
-                    stats: index.take_search_stats(scratch).unwrap_or_default(),
-                    nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                };
-                m.record_query(w, &trace);
+            let m = td_obs::metrics();
+            match &answer {
+                Ok(BoundedAnswer::Exact(_)) => &m.ladder_exact,
+                Ok(BoundedAnswer::Approximate { .. }) => &m.ladder_approximate,
+                Err(QueryError::BudgetExhausted) => &m.ladder_budget_exhausted,
+                Err(QueryError::Panicked(_)) => &m.ladder_panicked,
+                Err(QueryError::InvalidQuery(_)) => &m.ladder_invalid,
             }
+            .add_shard(w, 1);
+            let trace = td_obs::QueryTrace {
+                stats: index.take_search_stats(scratch).unwrap_or_default(),
+                nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            };
+            m.record_query(w, &trace);
             answer
         });
     }
 
-    /// Answers a batch of cost-function (profile) queries on all workers.
+    /// Answers a batch of cost-function (profile) queries on all workers,
+    /// exporting each search backend's counters like the cost batches do.
     pub fn profile_batch(&mut self, pairs: &[(VertexId, VertexId)]) -> Vec<Option<Plf>> {
         let mut out = vec![None; pairs.len()];
         let index = self.index;
-        self.run(&mut out, |scratch, _w, i| {
+        self.run(&mut out, |scratch, w, i| {
             let (s, d) = pairs[i];
-            index.query_profile_in(scratch, s, d)
+            let profile = index.query_profile_in(scratch, s, d);
+            let stats = index.take_search_stats(scratch).unwrap_or_default();
+            td_obs::metrics().record_search(w, &stats);
+            profile
         });
         out
     }
@@ -377,7 +375,7 @@ impl<I: IncrementalIndex + Clone> LiveIndex<I> {
         &self,
         changes: &[(VertexId, VertexId, Plf)],
     ) -> Result<UpdateStats, UpdateError> {
-        let start = td_obs::ENABLED.then(std::time::Instant::now);
+        let start = std::time::Instant::now();
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // Only a writer replaces the published `Arc`, and this is the one
         // writer: the copy below starts level with what readers see.
@@ -391,9 +389,7 @@ impl<I: IncrementalIndex + Clone> LiveIndex<I> {
             Ok(repaired) => repaired,
             Err(payload) => {
                 // The unwind dropped the half-applied copy. Epoch unchanged.
-                if td_obs::ENABLED {
-                    td_obs::metrics().live_rollbacks_total.inc();
-                }
+                td_obs::metrics().live_rollbacks_total.inc();
                 return Err(UpdateError::UpdatePanicked(panic_message(payload)));
             }
         };
@@ -406,13 +402,11 @@ impl<I: IncrementalIndex + Clone> LiveIndex<I> {
         // `published` still holds the retired index, so the store above
         // freed nothing under the lock readers take.
         drop(published);
-        if let Some(start) = start {
-            let m = td_obs::metrics();
-            m.live_updates_total.inc();
-            m.live_update_seconds
-                .observe(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            m.live_epoch.set(epoch.min(i64::MAX as u64) as i64);
-        }
+        let m = td_obs::metrics();
+        m.live_updates_total.inc();
+        m.live_update_seconds
+            .observe(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        m.live_epoch.set(epoch.min(i64::MAX as u64) as i64);
         Ok(stats)
     }
 }

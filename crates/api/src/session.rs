@@ -110,17 +110,6 @@ impl<'a, I: RoutingIndex + ?Sized> QuerySession<'a, I> {
         self.index.query_cost_in(&mut self.scratch, s, d, t)
     }
 
-    /// [`QuerySession::query_cost`] plus the per-query
-    /// [`td_obs::QueryTrace`] (wall time and search counters).
-    pub fn query_cost_traced(
-        &mut self,
-        s: VertexId,
-        d: VertexId,
-        t: f64,
-    ) -> (Option<f64>, td_obs::QueryTrace) {
-        self.index.query_cost_traced_in(&mut self.scratch, s, d, t)
-    }
-
     /// Shortest travel cost function query `f_{s,d}(t)`.
     pub fn query_profile(&mut self, s: VertexId, d: VertexId) -> Option<Plf> {
         self.index.query_profile_in(&mut self.scratch, s, d)

@@ -41,19 +41,6 @@ use td_gtree::TdGtree;
 use td_store::{fault::FaultyWriter, format, section, BackendTag, Persist, StoreError};
 
 impl Backend {
-    /// The snapshot backend tag of this backend.
-    pub fn snapshot_tag(&self) -> BackendTag {
-        match self {
-            Backend::TdBasic => BackendTag::TdBasic,
-            Backend::TdAppro => BackendTag::TdAppro,
-            Backend::TdDp => BackendTag::TdDp,
-            Backend::TdH2h => BackendTag::TdH2h,
-            Backend::TdGtree => BackendTag::TdGtree,
-            Backend::Dijkstra => BackendTag::Dijkstra,
-            Backend::AStarCh => BackendTag::AStarCh,
-        }
-    }
-
     /// The backend named by a snapshot tag.
     pub fn from_snapshot_tag(tag: BackendTag) -> Backend {
         match tag {
@@ -123,8 +110,7 @@ pub(crate) fn prev_path(path: &Path) -> PathBuf {
 /// best-effort parent-directory fsync. At every intermediate state at least
 /// one of `<path>` / `<path>.prev` is a complete, loadable snapshot.
 pub fn save_index(index: &dyn RoutingIndex, path: impl AsRef<Path>) -> Result<(), StoreError> {
-    let _span = td_obs::ENABLED
-        .then(|| td_obs::PhaseTimer::observing(td_obs::metrics().snapshot_save_seconds.clone()));
+    let _span = td_obs::PhaseTimer::observing(td_obs::metrics().snapshot_save_seconds.clone());
     save_pipeline(index, path.as_ref(), None)
 }
 
@@ -194,8 +180,7 @@ fn load_with_fallback<T>(
     path: &Path,
     parse: impl Fn(&mut dyn Read) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
-    let _span = td_obs::ENABLED
-        .then(|| td_obs::PhaseTimer::observing(td_obs::metrics().snapshot_load_seconds.clone()));
+    let _span = td_obs::PhaseTimer::observing(td_obs::metrics().snapshot_load_seconds.clone());
     let primary = std::fs::File::open(path)
         .map_err(StoreError::from)
         .and_then(|f| parse(&mut std::io::BufReader::new(f)));
@@ -209,11 +194,9 @@ fn load_with_fallback<T>(
         .and_then(|f| parse(&mut std::io::BufReader::new(f)));
     match fallback {
         Ok(value) => {
-            if td_obs::ENABLED {
-                td_obs::metrics()
-                    .snapshot_fallback(err.variant_name())
-                    .inc();
-            }
+            td_obs::metrics()
+                .snapshot_fallback(err.variant_name())
+                .inc();
             eprintln!(
                 "td-api: snapshot {} unreadable ({err}); \
                  loaded previous generation {}",

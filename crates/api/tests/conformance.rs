@@ -140,3 +140,50 @@ fn incremental_extension_repairs_the_td_tree() {
         }
     }
 }
+
+#[test]
+fn profile_queries_on_the_search_backends_report_their_corridor_work() {
+    use td_graph::TdGraph;
+    use td_plf::Plf;
+    // The detour fixture of td-dijkstra's
+    // `targeted_corridor_prunes_dead_end_branches`: 0 → 1 → 2 is the only
+    // way to d = 2; the branch 0 → 3 → 4 → 5 cannot reach it and dies at
+    // its entry edge.
+    let mut g = TdGraph::with_vertices(6);
+    g.add_edge(0, 1, Plf::constant(3.0)).unwrap();
+    g.add_edge(1, 2, Plf::from_pairs(&[(0.0, 4.0), (40.0, 9.0)]).unwrap())
+        .unwrap();
+    g.add_edge(0, 3, Plf::constant(1.0)).unwrap();
+    g.add_edge(3, 4, Plf::constant(1.0)).unwrap();
+    g.add_edge(4, 5, Plf::constant(1.0)).unwrap();
+    for backend in [Backend::Dijkstra, Backend::AStarCh] {
+        let index = build_index(g.clone(), backend, &IndexConfig::default());
+        let mut scratch = index.new_scratch();
+        let profile = index.query_profile_in(&mut scratch, 0, 2).unwrap();
+        assert_eq!(
+            Some(profile.eval(0.0)),
+            index.query_cost(0, 2, 0.0),
+            "{backend}"
+        );
+        let stats = index
+            .take_search_stats(&mut scratch)
+            .unwrap_or_else(|| panic!("{backend}: a search backend reports stats"));
+        assert_eq!(
+            (stats.relaxed, stats.corridor_kills),
+            (2, 1),
+            "{backend}: two compounds on the chain, one kill at the branch"
+        );
+        // Drained: each query's counters are observed exactly once.
+        assert_eq!(
+            index.take_search_stats(&mut scratch),
+            Some(Default::default())
+        );
+        // A profile batch exports them: the catalog's counter moves (other
+        // tests of this binary can only move it further).
+        let kills = &td_obs::metrics().search_corridor_kills;
+        let before = kills.get();
+        let profiles = td_api::ParallelExecutor::new(index.as_ref(), 1).profile_batch(&[(0, 2)]);
+        assert_eq!(profiles, [Some(profile)], "{backend}");
+        assert!(kills.get() > before, "{backend}: kill not exported");
+    }
+}

@@ -17,8 +17,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use td_api::{AStarChIndex, AStarChScratch, ParallelExecutor};
 use td_dijkstra::{BoundedCost, QueryBudget};
@@ -26,39 +24,9 @@ use td_gen::Dataset;
 use td_plf::DAY;
 use td_server::{FaultPlan, HostileIndex};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
-// contract (layout validity, pointer provenance) is forwarded unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to `System.alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: delegates to `System.dealloc`; `ptr` came from this allocator.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: delegates to `System.realloc` with the caller's layout/size.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
+#[path = "../support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocs;
 
 /// Interleaved A/B timing: mean ns per rep of each side after a warm-up.
 fn compare2(mut a: impl FnMut(), mut b: impl FnMut(), budget_ms: u128) -> (f64, f64) {

@@ -13,52 +13,19 @@
 //!
 //! Acceptance bar (ISSUE 9): tracing + export costs ≤ 2% over the plain
 //! path. A miss warns loudly by default; set OBS_ASSERT=1 to make it fatal
-//! (quiet perf-regression gate). Build with `--features obs-disabled` to
-//! prove the compiled-out layer benches within noise as well.
+//! (quiet perf-regression gate).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use td_api::{AStarChIndex, RoutingIndex, SessionScratch};
 use td_gen::Dataset;
 use td_plf::DAY;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
-// contract (layout validity, pointer provenance) is forwarded unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to `System.alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: delegates to `System.dealloc`; `ptr` came from this allocator.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: delegates to `System.realloc` with the caller's layout/size.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
+#[path = "../support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocs;
 
 /// Interleaved A/B timing: mean ns per rep of each side after a warm-up.
 fn compare2(mut a: impl FnMut(), mut b: impl FnMut(), budget_ms: u128) -> (f64, f64) {
@@ -99,7 +66,7 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
     let metrics = td_obs::metrics();
 
     // Correctness gate before any timing: traced == plain, bit for bit, and
-    // (when the layer is compiled in) the trace actually carries counters.
+    // the trace actually carries counters.
     let mut sc_a = SessionScratch::none();
     let mut sc_b = SessionScratch::none();
     for &(s, d, t) in &qs {
@@ -110,7 +77,7 @@ fn bench_obs_overhead(criterion: &mut Criterion) {
             want.map(f64::to_bits),
             "s={s} d={d} t={t}"
         );
-        if td_obs::ENABLED && want.is_some() {
+        if want.is_some() {
             assert!(trace.stats.settled > 0, "s={s} d={d} t={t}: empty trace");
             assert!(trace.nanos > 0, "s={s} d={d} t={t}: no latency");
         }

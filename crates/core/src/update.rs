@@ -24,7 +24,10 @@
 //! **Phase 2 — shortcut rebuild.** Every node whose `Ws`/`Wd` changed
 //! invalidates its own and its descendants' ancestor vectors; the shortcut
 //! DFS re-runs restricted to those subtrees, re-storing only selected pairs.
+//! The frozen label view is then re-derived from the repaired tree, like
+//! every other frozen view in the workspace.
 
+use crate::frozen::FrozenTd;
 use crate::index::TdTreeIndex;
 use crate::shortcut::rebuild_subtrees;
 use std::cmp::Reverse;
@@ -138,11 +141,9 @@ impl TdTreeIndex {
             stats.rebuilt_subtree_nodes =
                 rebuild_subtrees(&mut self.store, &self.td, &roots, self.options.threads);
         }
-        // The changed nodes' weight lists must be re-frozen so the query
-        // sweeps keep reading current functions — O(changed labels), not a
-        // full rebuild of the mirror.
+        // The query sweeps read the labels through the frozen view only.
         if !roots.is_empty() {
-            self.frozen.refresh_nodes(&self.td, &roots);
+            self.frozen = FrozenTd::build(&self.td);
         }
         stats.rebuild_secs = t1.elapsed().as_secs_f64();
         stats
@@ -220,7 +221,7 @@ mod tests {
     use rand::rngs::StdRng;
     use td_dijkstra::shortest_path_cost;
     use td_gen::random_graph::{random_profile, seeded_graph};
-    use td_plf::DAY;
+    use td_plf::{DAY, NO_PLF};
 
     fn verify_against_oracle(index: &TdTreeIndex, seed: u64, queries: usize) {
         let g = index.graph().clone();
@@ -242,6 +243,29 @@ mod tests {
                 other => panic!("seed={seed} s={s} d={d}: {other:?}"),
             }
         }
+    }
+
+    /// After an update the frozen view is what a fresh freeze of the repaired
+    /// tree gives: the same slot layout, every id resolving to bit-identical
+    /// points, and no point in the arena that no label owns.
+    fn assert_frozen_is_a_fresh_freeze(index: &TdTreeIndex) {
+        let (got, want) = (&index.frozen, FrozenTd::build(index.tree()));
+        assert_eq!(got.first, want.first);
+        assert_eq!(got.bag_depth, want.bag_depth);
+        for (ids, fresh) in [(&got.ws, &want.ws), (&got.wd, &want.wd)] {
+            assert_eq!(ids.len(), fresh.len());
+            for (&a, &b) in ids.iter().zip(fresh) {
+                assert_eq!(a == NO_PLF, b == NO_PLF);
+                if a != NO_PLF {
+                    assert_eq!(got.slice(a).to_plf(), want.slice(b).to_plf());
+                }
+            }
+        }
+        let label_points: usize = (index.tree().nodes.iter())
+            .flat_map(|node| node.ws.iter().chain(&node.wd).flatten())
+            .map(Plf::len)
+            .sum();
+        assert!(got.arena().total_points() <= label_points);
     }
 
     #[test]
@@ -270,6 +294,7 @@ mod tests {
                 }
                 let stats = index.update_edges(&changes);
                 assert!(stats.changed_edges > 0, "round {round} changed nothing");
+                assert_frozen_is_a_fresh_freeze(&index);
                 verify_against_oracle(&index, seed * 10 + round, 25);
             }
         }
@@ -296,6 +321,7 @@ mod tests {
             changes.push((edge.from, edge.to, random_profile(&mut rng, 3, 10.0, 400.0)));
         }
         index.update_edges(&changes);
+        assert_frozen_is_a_fresh_freeze(&index);
 
         // Rebuild from the updated graph.
         let fresh = TdTreeIndex::build(

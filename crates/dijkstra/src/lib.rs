@@ -20,7 +20,11 @@
 //!   ([`shortest_path_cost`] / [`shortest_path`]) every search and index is
 //!   tested against;
 //! * [`profile`] — label-correcting search computing the *shortest travel
-//!   cost function* `f_{s,v}(t)` for the whole day (Def. 2).
+//!   cost function* for the whole day (Def. 2): one frozen loop behind the
+//!   one-to-all [`profile_search_frozen`] (`f_{s,v}` for every `v`) and the
+//!   targeted [`profile_search_frozen_corridor_to`] (`f_{s,d}` alone, every
+//!   off-corridor branch pruned), plus the `TdGraph` reference
+//!   [`profile_search`].
 
 pub mod astar;
 pub mod budget;
@@ -34,8 +38,6 @@ pub use potential::{
     ChPotential, ChPotentialScratch, FullPotential, FullPotentialScratch, Potential, ZeroPotential,
 };
 pub use profile::{
-    profile_corridor, profile_search, profile_search_frozen, profile_search_frozen_bounded,
-    profile_search_frozen_corridor, profile_search_frozen_corridor_to, profile_search_to,
-    CorridorStats, ProfileCorridor, ProfileResult,
+    profile_search, profile_search_frozen, profile_search_frozen_corridor_to, ProfileResult,
 };
 pub use scalar::{shortest_path, shortest_path_cost};

@@ -9,14 +9,17 @@
 //! ```
 //!
 //! Terminates on FIFO graphs with strictly positive edge costs (every
-//! improvement lowers the function value somewhere by a bounded amount). Used
-//! as the correctness oracle for every index in the workspace, and as the
-//! matrix builder inside TD-G-tree.
+//! improvement lowers the function value somewhere by a bounded amount).
+//! [`profile_search`] on the `TdGraph` is the reference every index is tested
+//! against; the one frozen loop has two callers — one-to-all
+//! ([`profile_search_frozen`], TD-G-tree's matrix builder) and targeted
+//! `s → d` ([`profile_search_frozen_corridor_to`], what TD-Dijkstra and
+//! TD-A\*-CH answer profile queries with).
 
 use crate::astar::Entry;
-use crate::budget::QueryBudget;
 use std::collections::{BinaryHeap, VecDeque};
 use td_graph::{FrozenGraph, Path, TdGraph, VertexId};
+use td_obs::SearchStats;
 use td_plf::{fle, Plf, EPS_COST};
 
 /// Result of a profile search from a source vertex.
@@ -70,75 +73,24 @@ impl ProfileResult {
 /// most re-relaxations of already-tight labels, which is where the
 /// label-correcting search spends its time.
 pub fn profile_search_frozen(g: &TdGraph, fg: &FrozenGraph, s: VertexId) -> ProfileResult {
-    let (result, complete) = profile_search_frozen_bounded(g, fg, s, &QueryBudget::UNLIMITED);
-    debug_assert!(complete, "unlimited budget cannot exhaust");
-    result
+    profile_frozen_impl(g, fg, s, Prune::None, &mut SearchStats::default())
 }
 
-/// [`profile_search_frozen`] under a [`QueryBudget`]: the settle cap counts
-/// relaxation rounds (queue pops) and the deadline is checked on the same
-/// stride as [`crate::search`]. Returns the labels plus a completeness
-/// flag: when `false`, the search stopped early and every present label is
-/// a pointwise *upper bound* on the true cost function (label-correcting
-/// labels only ever decrease), while absent labels say nothing — exactly
-/// the safe side for an anytime profile answer.
-pub fn profile_search_frozen_bounded(
-    g: &TdGraph,
-    fg: &FrozenGraph,
-    s: VertexId,
-    budget: &QueryBudget,
-) -> (ProfileResult, bool) {
-    let mut stats = CorridorStats::default();
-    profile_frozen_impl(g, fg, s, budget, Prune::None, &mut stats)
-}
-
-/// Scalar `[lower, upper]` corridor for a profile search from one source:
-/// for every vertex `v`, `lo[v] ≤ f_{s,v}(t) ≤ hi[v]` at every departure
-/// time `t`. `lo` is a Dijkstra over the per-edge `min_cost` bounds, `hi`
-/// one over `max_cost` — both stream straight off the frozen arrays the
-/// arena precomputed, so deriving the corridor costs two cheap scalar
-/// searches (no PLF is touched). Unreachable vertices hold `INFINITY` in
-/// both rails.
-#[derive(Clone, Debug)]
-pub struct ProfileCorridor {
-    /// Admissible lower bound on `f_{s,v}` everywhere.
-    pub lo: Vec<f64>,
-    /// Upper bound on `f_{s,v}` everywhere: some concrete path achieves a
-    /// cost ≤ `hi[v]` at every departure time.
-    pub hi: Vec<f64>,
-}
-
-/// Computes the scalar min/max corridor from `s` (the Strasser–Wagner–Zeitz
-/// prelude to corridor-bounded profile computation).
-pub fn profile_corridor(fg: &FrozenGraph, s: VertexId) -> ProfileCorridor {
-    ProfileCorridor {
-        lo: static_rail_dists(fg, s, Walk::Forward, Rail::Min),
-        hi: static_rail_dists(fg, s, Walk::Forward, Rail::Max),
-    }
-}
-
-/// Which adjacency a static rail walks: out-edges from a source, or
-/// in-edges back from a destination.
-#[derive(Clone, Copy)]
-enum Walk {
-    Forward,
-    Backward,
-}
-
-/// Which per-edge scalar bound weighs a static rail.
+/// The two scalar rails that frame a targeted corridor.
 #[derive(Clone, Copy)]
 enum Rail {
-    Min,
-    Max,
+    /// Out-edges from the source, each weighted by its whole-day
+    /// `max_cost`: upper-bounds every `f_{origin,v}`.
+    UpperFromSource,
+    /// In-edges back from the destination, each weighted by its whole-day
+    /// `min_cost`: lower-bounds the cost of any `v → origin` path at any
+    /// departure time.
+    LowerToTarget,
 }
 
-/// Static Dijkstra from `origin` over one scalar rail of the frozen graph:
-/// every edge weighted by its whole-day `min_cost` or `max_cost`, walked
-/// along `walk`. `Forward`/`Min` lower-bounds and `Forward`/`Max`
-/// upper-bounds every `f_{origin,v}`; `Backward`/`Min` lower-bounds the cost
-/// of any `v → origin` path at any departure time. `INFINITY` marks vertices
-/// the walk cannot reach.
-fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, walk: Walk, rail: Rail) -> Vec<f64> {
+/// Static Dijkstra from `origin` over one scalar rail of the frozen graph.
+/// `INFINITY` marks vertices the walk cannot reach.
+fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, rail: Rail) -> Vec<f64> {
     let n = fg.num_vertices();
     let mut dist = vec![f64::INFINITY; n];
     let mut done = vec![false; n];
@@ -153,17 +105,17 @@ fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, walk: Walk, rail: Rail)
             continue;
         }
         done[u as usize] = true;
-        let (neighbours, edges) = match walk {
-            Walk::Forward => fg.csr.out_slices(u),
-            Walk::Backward => fg.csr.in_slices(u),
+        let (neighbours, edges) = match rail {
+            Rail::UpperFromSource => fg.csr.out_slices(u),
+            Rail::LowerToTarget => fg.csr.in_slices(u),
         };
         for (&v, &e) in neighbours.iter().zip(edges.iter()) {
             if done[v as usize] {
                 continue;
             }
             let w = match rail {
-                Rail::Min => fg.min_cost(e),
-                Rail::Max => fg.max_cost(e),
+                Rail::UpperFromSource => fg.max_cost(e),
+                Rail::LowerToTarget => fg.min_cost(e),
             };
             let cand = key + w;
             if cand < dist[v as usize] {
@@ -178,69 +130,6 @@ fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, walk: Walk, rail: Rail)
     dist
 }
 
-/// Skip/relax counters of a corridor-bounded profile search — surfaced so
-/// benches and conformance can report how much work the corridor saved and
-/// assert exactness against the unbounded search regardless.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CorridorStats {
-    /// Compound/merge operations skipped by the corridor win test alone
-    /// (the candidate's scalar lower bound cleared the corridor's upper
-    /// rail by more than [`EPS_COST`]).
-    pub skipped: u64,
-    /// Compound operations actually performed.
-    pub relaxed: u64,
-}
-
-impl CorridorStats {
-    /// These counters mapped onto the workspace-wide [`td_obs::SearchStats`]
-    /// vocabulary, so profile searches export through the same telemetry
-    /// pipeline as the scalar/A* loops: skips become `corridor_kills`,
-    /// compounds become `relaxed`.
-    pub fn as_search_stats(&self) -> td_obs::SearchStats {
-        td_obs::SearchStats {
-            relaxed: self.relaxed,
-            corridor_kills: self.skipped,
-            ..td_obs::SearchStats::default()
-        }
-    }
-}
-
-/// Corridor-bounded profile search: [`profile_search_frozen`] plus the
-/// corridor win test. A candidate compound over edge `(u, v)` is linked and
-/// merged only if its scalar lower bound `min(dist[u]) + min_cost(e)` beats
-/// the corridor's upper rail `hi[v]` somewhere in the window — tested
-/// epsilon-tolerantly ([`fle`] with [`EPS_COST`]), so a compound that *ties*
-/// the rail within epsilon is never dropped.
-///
-/// **Exactness:** `hi[v]` is realized by a concrete path, so the final label
-/// satisfies `f_{s,v} ≤ hi[v]` pointwise; a skipped candidate is everywhere
-/// `> hi[v] + ε` and therefore nowhere on the lower envelope. Along the
-/// max-metric shortest path realizing `hi[v]` every prefix relaxation has
-/// `min(dist[u]) + min_cost(e) ≤ hi[v]`, so the witness path itself is never
-/// skipped and reachability is preserved. Conformance asserts the result
-/// *value-identical* to the unbounded search on the union probe grid (the
-/// representations may keep differently-anchored but tolerance-equal
-/// breakpoints, because `simplify` is ε-tolerant and the two searches merge
-/// over different grids).
-pub fn profile_search_frozen_corridor(
-    g: &TdGraph,
-    fg: &FrozenGraph,
-    s: VertexId,
-) -> (ProfileResult, CorridorStats) {
-    let corridor = profile_corridor(fg, s);
-    let mut stats = CorridorStats::default();
-    let (result, complete) = profile_frozen_impl(
-        g,
-        fg,
-        s,
-        &QueryBudget::UNLIMITED,
-        Prune::Rails(&corridor),
-        &mut stats,
-    );
-    debug_assert!(complete, "unlimited budget cannot exhaust");
-    (result, stats)
-}
-
 /// *Targeted* corridor profile search `s → d`: computes the exact shortest
 /// travel cost function `f_{s,d}(t)` while pruning every relaxation that
 /// provably cannot contribute to `d`'s lower envelope.
@@ -252,54 +141,49 @@ pub fn profile_search_frozen_corridor(
 /// `v → d` continuation. A compound over `(u, v)` is skipped when
 /// `min(dist[u]) + min_cost(e) + rev_lo[v] > ub + ε` (ε-tolerant via
 /// [`fle`]/[`EPS_COST`]): any `s → … → u → v → … → d` path through it costs
-/// more than `ub` at every time and is nowhere on `f_{s,d}`. Unlike the
-/// one-to-all rails this cuts *whole subgraphs* — every branch that wanders
-/// away from the `s → d` corridor dies at its first off-corridor edge.
+/// more than `ub` at every time and is nowhere on `f_{s,d}`. This cuts
+/// *whole subgraphs*: every branch that wanders away from the `s → d`
+/// corridor dies at its first off-corridor edge.
 ///
 /// **Exactness at `d`** (intermediate labels are deliberately partial): for
 /// any departure `t`, walk the optimal path `P_t`. By induction its prefix
 /// labels satisfy `label_u(t) ≤ cost(prefix, t)`, so at each edge the test
 /// value is ≤ `cost(P_t, t) = f_{s,d}(t) ≤ ub` — the optimal path is never
-/// pruned, at any `t`. Equality is value-level, same contract as
-/// [`profile_search_frozen_corridor`].
+/// pruned, at any `t`. Equality with the unbounded search's label at `d` is
+/// value-level (conformance step 10): `simplify` is ε-tolerant and the two
+/// searches merge over different grids, so breakpoints may be anchored
+/// differently.
 ///
-/// Returns `None` iff `d` is unreachable from `s`.
+/// Returns `None` iff `d` is unreachable from `s`, and the search's work in
+/// the workspace-wide [`SearchStats`] vocabulary: compounds performed are
+/// `relaxed`, compounds the corridor win test skipped are `corridor_kills`.
 pub fn profile_search_frozen_corridor_to(
     g: &TdGraph,
     fg: &FrozenGraph,
     s: VertexId,
     d: VertexId,
-) -> (Option<Plf>, CorridorStats) {
-    let mut stats = CorridorStats::default();
-    let ub = static_rail_dists(fg, s, Walk::Forward, Rail::Max)[d as usize];
+) -> (Option<Plf>, SearchStats) {
+    let mut stats = SearchStats::default();
+    let ub = static_rail_dists(fg, s, Rail::UpperFromSource)[d as usize];
     if ub.is_infinite() {
         // Max-metric reachability equals reachability (same adjacency,
         // finite weights): d cannot be reached at all.
         return (None, stats);
     }
-    let rev_lo = static_rail_dists(fg, d, Walk::Backward, Rail::Min);
-    let (mut result, complete) = profile_frozen_impl(
-        g,
-        fg,
-        s,
-        &QueryBudget::UNLIMITED,
-        Prune::Target {
-            rev_lo: &rev_lo,
-            ub,
-        },
-        &mut stats,
-    );
-    debug_assert!(complete, "unlimited budget cannot exhaust");
+    let rev_lo = static_rail_dists(fg, d, Rail::LowerToTarget);
+    let prune = Prune::Target {
+        rev_lo: &rev_lo,
+        ub,
+    };
+    let mut result = profile_frozen_impl(g, fg, s, prune, &mut stats);
     (result.dist[d as usize].take(), stats)
 }
 
-/// Which corridor win test [`profile_frozen_impl`] applies per relaxation.
+/// Whether [`profile_frozen_impl`] applies the corridor win test.
 #[derive(Clone, Copy)]
 enum Prune<'a> {
-    /// Unbounded label-correcting search.
+    /// Unbounded one-to-all label-correcting search.
     None,
-    /// One-to-all rails: skip when the candidate's min bound clears `hi[v]`.
-    Rails(&'a ProfileCorridor),
     /// Targeted `s → d`: skip when even the best continuation through `v`
     /// clears the everywhere-valid `s → d` upper bound.
     Target { rev_lo: &'a [f64], ub: f64 },
@@ -309,10 +193,9 @@ fn profile_frozen_impl(
     g: &TdGraph,
     fg: &FrozenGraph,
     s: VertexId,
-    budget: &QueryBudget,
     prune: Prune<'_>,
-    stats: &mut CorridorStats,
-) -> (ProfileResult, bool) {
+    stats: &mut SearchStats,
+) -> ProfileResult {
     debug_assert_eq!(g.num_vertices(), fg.num_vertices());
     debug_assert_eq!(g.num_edges(), fg.num_edges());
     let n = g.num_vertices();
@@ -335,9 +218,6 @@ fn profile_frozen_impl(
     let mut pops = 0usize;
     let pop_limit = 64 * n * n + 1024;
     while let Some(u) = queue.pop_front() {
-        if budget.exhausted(pops as u64) {
-            return (ProfileResult { source: s, dist }, false);
-        }
         pops += 1;
         assert!(
             pops <= pop_limit,
@@ -358,30 +238,19 @@ fn profile_frozen_impl(
             if dist[v as usize].is_some() && du_min + emin >= lab_max[v as usize] {
                 continue;
             }
-            // Corridor win test: the candidate can only contribute to the
-            // lower envelope if its scalar lower bound beats the corridor's
-            // upper rail somewhere — epsilon-tolerant (`fle`/`EPS_COST`), so
-            // a compound tying the rail within epsilon is never dropped.
-            // The targeted variant adds the backward rail: even the best
-            // continuation from `v` must still beat the `s → d` bound.
-            match prune {
-                Prune::None => {}
-                Prune::Rails(c) => {
-                    debug_assert!((v as usize) < c.hi.len());
-                    if !fle(du_min + emin, c.hi[v as usize], EPS_COST) {
-                        stats.skipped += 1;
-                        continue;
-                    }
-                }
-                Prune::Target { rev_lo, ub } => {
-                    debug_assert!((v as usize) < rev_lo.len());
-                    if !fle(du_min + emin + rev_lo[v as usize], ub, EPS_COST) {
-                        stats.skipped += 1;
-                        continue;
-                    }
+            // Corridor win test: the candidate can only contribute to `d`'s
+            // lower envelope if even its best continuation from `v` beats
+            // the everywhere-valid `s → d` upper bound — epsilon-tolerant
+            // (`fle`/`EPS_COST`), so a compound tying the bound within
+            // epsilon is never dropped.
+            if let Prune::Target { rev_lo, ub } = prune {
+                debug_assert!((v as usize) < rev_lo.len());
+                if !fle(du_min + emin + rev_lo[v as usize], ub, EPS_COST) {
+                    stats.corridor_kill(1);
+                    continue;
                 }
             }
-            stats.relaxed += 1;
+            stats.relax(1);
             let cand = du.compound(g.weight(e), u);
             // Exact bounds, one fused pass over the points the compound just
             // wrote (still cache-hot). Exactness matters: the loose
@@ -417,24 +286,7 @@ fn profile_frozen_impl(
             }
         }
     }
-    (ProfileResult { source: s, dist }, true)
-}
-
-/// Profile search from `s`, restricted to vertices for which `keep` returns
-/// true (the search still *traverses* everything reachable; `keep` only
-/// controls which functions are retained — memory matters on big graphs).
-pub fn profile_search_to(
-    g: &TdGraph,
-    s: VertexId,
-    keep: impl Fn(VertexId) -> bool,
-) -> ProfileResult {
-    let mut r = profile_search(g, s);
-    for v in 0..g.num_vertices() as u32 {
-        if !keep(v) && v != s {
-            r.dist[v as usize] = None;
-        }
-    }
-    r
+    ProfileResult { source: s, dist }
 }
 
 /// Profile search from `s` over the whole graph.
@@ -593,125 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn keep_filter_drops_labels() {
-        let g = fig1_subnetwork();
-        let prof = profile_search_to(&g, 0, |v| v == 3);
-        assert!(prof.dist[1].is_none());
-        assert!(prof.dist[2].is_none());
-        assert!(prof.dist[3].is_some());
-        assert!(prof.dist[0].is_some()); // source always kept
-    }
-
-    #[test]
     fn source_label_is_zero() {
         let g = fig1_subnetwork();
         let prof = profile_search(&g, 0);
         assert_eq!(prof.cost(0, 33.0), Some(0.0));
-    }
-
-    fn assert_bit_identical_labels(a: &ProfileResult, b: &ProfileResult, ctx: &str) {
-        assert_eq!(a.source, b.source, "{ctx}");
-        assert_eq!(a.dist.len(), b.dist.len(), "{ctx}");
-        for (v, (x, y)) in a.dist.iter().zip(&b.dist).enumerate() {
-            // Plf PartialEq is derived — exact on every breakpoint
-            // coordinate and witness, i.e. bit-identity.
-            assert_eq!(x, y, "{ctx}: label at v={v} diverges");
-        }
-    }
-
-    #[test]
-    fn corridor_rails_bound_the_profiles() {
-        let g = fig1_subnetwork();
-        let fg = g.freeze();
-        for s in 0..4u32 {
-            let corridor = profile_corridor(&fg, s);
-            let prof = profile_search_frozen(&g, &fg, s);
-            for v in 0..4u32 {
-                match &prof.dist[v as usize] {
-                    Some(f) => {
-                        let (fmin, fmax) = f.value_bounds();
-                        assert!(corridor.lo[v as usize] <= fmin + 1e-9, "s={s} v={v}");
-                        assert!(fmax <= corridor.hi[v as usize] + 1e-9, "s={s} v={v}");
-                    }
-                    None => {
-                        assert!(corridor.lo[v as usize].is_infinite(), "s={s} v={v}");
-                        assert!(corridor.hi[v as usize].is_infinite(), "s={s} v={v}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corridor_search_is_bit_identical_to_unbounded() {
-        let g = fig1_subnetwork();
-        let fg = g.freeze();
-        for s in 0..4u32 {
-            let want = profile_search_frozen(&g, &fg, s);
-            let (got, stats) = profile_search_frozen_corridor(&g, &fg, s);
-            assert_bit_identical_labels(&want, &got, &format!("s={s}"));
-            assert!(stats.relaxed > 0 || s == 3, "s={s}: nothing relaxed");
-        }
-    }
-
-    #[test]
-    fn corridor_skips_hopeless_detours_and_stays_exact() {
-        // The 2-hop detour s → w → v costs ≥ 200 everywhere and reaches v
-        // *first* (the cheap path has 3 hops), so the unbounded search forms
-        // a throwaway label from it while the corridor (hi[v] = 10) skips
-        // the compound outright — and the final labels must still match
-        // bitwise, because the throwaway label is everywhere > hi[v] + ε
-        // and the later merge erases every trace of it.
-        let mut g = TdGraph::with_vertices(5);
-        g.add_edge(0, 1, Plf::constant(100.0)).unwrap(); // s → w
-        g.add_edge(
-            1,
-            4,
-            Plf::from_pairs(&[(0.0, 100.0), (50.0, 120.0)]).unwrap(),
-        )
-        .unwrap(); // w → v
-        g.add_edge(0, 2, Plf::constant(5.0)).unwrap(); // s → a
-        g.add_edge(2, 3, Plf::constant(2.5)).unwrap(); // a → b
-        g.add_edge(3, 4, Plf::constant(2.5)).unwrap(); // b → v
-        let fg = g.freeze();
-        let want = profile_search_frozen(&g, &fg, 0);
-        let (got, stats) = profile_search_frozen_corridor(&g, &fg, 0);
-        assert_bit_identical_labels(&want, &got, "detour");
-        assert!(
-            stats.skipped >= 1,
-            "the w → v compound must be corridor-skipped, got {stats:?}"
-        );
-    }
-
-    #[test]
-    fn corridor_never_drops_an_epsilon_tie() {
-        // Satellite regression (ISSUE 8): two 2-hop paths whose total costs
-        // are equal within EPS_COST across the whole window. hi[v] comes
-        // from the cheaper one; the dearer path relaxes v *first* (while v
-        // has no label, so the corridor test is the sole decider) with a min
-        // bound exceeding hi[v] by 5e-8 < EPS_COST. The epsilon-tolerant win
-        // test (`fle`) must NOT skip it — a strict `<=` would drop the tie
-        // and change which witness the final envelope keeps.
-        let tie_leg = 5.0 + 5e-8;
-        let mut g = TdGraph::with_vertices(4);
-        g.add_edge(0, 2, Plf::constant(5.0)).unwrap(); // s → b (first)
-        g.add_edge(2, 3, Plf::constant(tie_leg)).unwrap(); // b → v
-        g.add_edge(0, 1, Plf::constant(5.0)).unwrap(); // s → a
-        g.add_edge(1, 3, Plf::constant(5.0)).unwrap(); // a → v
-        let fg = g.freeze();
-        let want = profile_search_frozen(&g, &fg, 0);
-        let (got, stats) = profile_search_frozen_corridor(&g, &fg, 0);
-        assert_bit_identical_labels(&want, &got, "eps-tie");
-        assert_eq!(
-            stats.skipped, 0,
-            "an epsilon-tie must never be corridor-skipped"
-        );
-        // Sanity: the rail is the cheaper path, and the tie is within EPS.
-        let corridor = profile_corridor(&fg, 0);
-        assert_eq!(corridor.hi[3], 10.0);
-        assert!(td_plf::feq(10.0 + 5e-8, corridor.hi[3], td_plf::EPS_COST));
-        // The tie's witness (via b = 2) won the envelope in both runs.
-        assert_eq!(got.dist[3].as_ref().unwrap().eval_with_via(0.0).1, 2);
     }
 
     /// Value-level equality on the union probe grid — the exactness
@@ -772,7 +509,7 @@ mod tests {
         // One skip kills the whole branch: 0→3 is pruned, so 3, 4, 5 are
         // never visited — the subgraph dies at its first off-corridor edge.
         assert_eq!(
-            stats.skipped, 1,
+            stats.corridor_kills, 1,
             "the dead-end branch must be pruned at its entry edge, got {stats:?}"
         );
         assert_eq!(stats.relaxed, 2, "only the s → 1 → d chain compounds");
@@ -780,9 +517,9 @@ mod tests {
 
     #[test]
     fn targeted_corridor_never_drops_an_epsilon_tie() {
-        // Same tie construction as the one-to-all regression: both 2-hop
-        // paths sum to ub within EPS_COST, so the targeted win test must
-        // keep both — fle tolerance, not strict comparison.
+        // Both 2-hop paths sum to ub within EPS_COST (the dearer one, via
+        // b = 2, exceeds it by 5e-8 and relaxes v first), so the targeted
+        // win test must keep both — fle tolerance, not strict comparison.
         let tie_leg = 5.0 + 5e-8;
         let mut g = TdGraph::with_vertices(4);
         g.add_edge(0, 2, Plf::constant(5.0)).unwrap();
@@ -792,7 +529,10 @@ mod tests {
         let fg = g.freeze();
         let want = profile_search_frozen(&g, &fg, 0);
         let (got, stats) = profile_search_frozen_corridor_to(&g, &fg, 0, 3);
-        assert_eq!(stats.skipped, 0, "an epsilon-tie must never be pruned");
+        assert_eq!(
+            stats.corridor_kills, 0,
+            "an epsilon-tie must never be pruned"
+        );
         assert_eq!(want.dist[3].as_ref(), got.as_ref());
         assert_eq!(got.unwrap().eval_with_via(0.0).1, 2);
     }
@@ -804,7 +544,7 @@ mod tests {
         let fg = g.freeze();
         let (got, stats) = profile_search_frozen_corridor_to(&g, &fg, 0, 2);
         assert!(got.is_none(), "unreachable d must yield None");
-        assert_eq!(stats, CorridorStats::default(), "no search was run");
+        assert_eq!(stats, SearchStats::default(), "no search was run");
         let (zero, _) = profile_search_frozen_corridor_to(&g, &fg, 0, 0);
         assert_eq!(zero.unwrap().eval(12.0), 0.0, "s == d is the zero profile");
     }

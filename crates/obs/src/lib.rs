@@ -18,10 +18,8 @@
 //!   record into plain-`u64` [`SearchStats`] fields resident in the query
 //!   scratch; totals are exported to the shards once per query, outside the
 //!   loop.
-//! * **Compile-out.** With the `disabled` cargo feature, every
-//!   [`SearchStats`] recorder method is an empty `#[inline(always)]` body
-//!   and [`ENABLED`] is `false` so callers can gate their clock reads and
-//!   shard exports out entirely.
+//! * **Always on.** There is one build: what the layer costs is what the
+//!   `obs_overhead` gate measures it to cost (≤ 2 %, 0 allocations).
 
 #![forbid(unsafe_code)]
 
@@ -38,8 +36,3 @@ pub use metric::{
 pub use registry::Registry;
 pub use span::PhaseTimer;
 pub use stats::{QueryTrace, SearchStats};
-
-/// `false` when the crate is built with the `disabled` feature: recorder
-/// methods are no-ops and callers should skip clock reads / shard exports
-/// (`if td_obs::ENABLED { ... }` compiles the block out).
-pub const ENABLED: bool = cfg!(not(feature = "disabled"));

@@ -4,9 +4,7 @@
 //! locks, no shared atomics. [`SearchStats`] therefore lives *inside* the
 //! per-query scratch as plain `u64` fields; the loops bump them through
 //! `#[inline(always)]` recorder methods, and the caller exports the totals
-//! to the sharded registry counters once per query. Under the `disabled`
-//! feature every recorder body compiles to nothing, so the loops are
-//! bit-identical to the uninstrumented build.
+//! to the sharded registry counters once per query.
 
 /// Per-query search counters, filled by the frozen scalar search, G-tree and
 /// profile loops and exported once per query.
@@ -23,7 +21,7 @@ pub struct SearchStats {
     pub plf_evals_batched: u64,
     /// Arcs skipped by the `min_cost` / potential lower-bound prune.
     pub minbound_prunes: u64,
-    /// Profile-search label extractions skipped by the corridor filter.
+    /// Profile-search compounds skipped by the targeted corridor win test.
     pub corridor_kills: u64,
     /// Heap pushes (successful label improvements).
     pub heap_pushes: u64,
@@ -34,12 +32,7 @@ macro_rules! recorder {
         $(#[$doc])*
         #[inline(always)]
         pub fn $name(&mut self, n: u64) {
-            #[cfg(not(feature = "disabled"))]
-            {
-                self.$field += n;
-            }
-            #[cfg(feature = "disabled")]
-            let _ = n;
+            self.$field += n;
         }
     };
 }
@@ -109,16 +102,12 @@ mod tests {
         st.settle(2);
         st.relax(10);
         st.heap_push(3);
-        if crate::ENABLED {
-            assert_eq!(st.settled, 2);
-            assert_eq!(st.relaxed, 10);
-            assert_eq!(st.heap_pushes, 3);
-        } else {
-            assert_eq!(st, SearchStats::default());
-        }
+        assert_eq!(st.settled, 2);
+        assert_eq!(st.relaxed, 10);
+        assert_eq!(st.heap_pushes, 3);
         let taken = st.take();
         assert_eq!(st, SearchStats::default());
-        assert_eq!(taken.settled, if crate::ENABLED { 2 } else { 0 });
+        assert_eq!(taken.settled, 2);
     }
 
     #[test]

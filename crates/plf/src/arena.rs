@@ -102,14 +102,6 @@ impl PlfArena {
         self.times.len()
     }
 
-    /// Interpolation points of function `id`.
-    #[inline]
-    // td-lint: hot
-    pub fn points_of(&self, id: PlfId) -> usize {
-        debug_assert!((id as usize) < self.len());
-        (self.first_pt[id as usize + 1] - self.first_pt[id as usize]) as usize
-    }
-
     /// Freezes a copy of `f`'s points into the arena and returns its id.
     pub fn push(&mut self, f: &Plf) -> PlfId {
         self.push_points(f.points())

@@ -1,8 +1,9 @@
-//! Server tuning knobs.
+//! The four values a deployment sizes to its traffic. Everything else the
+//! server decides by is a constant beside the one function that reads it:
+//! the overload watermarks and settle caps in `control`, the panic-retry
+//! bound and the update lane's capacity and watchdog in `server`.
 
 use std::time::Duration;
-
-use crate::control::OverloadPolicy;
 
 /// Configuration of a [`crate::TdServer`]. `Default` is sized for tests and
 /// small deployments; production fronts tune the queue and batch shape to
@@ -22,23 +23,6 @@ pub struct ServerConfig {
     /// than one boundary (a backlogged server does not pause), so this adds
     /// less than itself to a request's latency. Zero turns the wait off.
     pub coalesce_window: Duration,
-    /// Settle cap per query in Normal mode (`u64::MAX` = uncapped).
-    pub normal_settles: u64,
-    /// Settle cap per query in Degraded/Shedding mode — the
-    /// approximate-first budget.
-    pub degraded_settles: u64,
-    /// Bounded retries for [`td_api::QueryError::Panicked`] slots.
-    /// Deterministic failures (`InvalidQuery`, `BudgetExhausted`) are never
-    /// retried.
-    pub panic_retries: u32,
-    /// Overload controller watermarks and windows.
-    pub overload: OverloadPolicy,
-    /// Pending live-update batches the update lane buffers before shedding.
-    pub update_queue_capacity: usize,
-    /// How long one `try_apply` may run before the watchdog declares the
-    /// update lane stuck and sheds further updates (query service is never
-    /// paused either way).
-    pub update_watchdog: Duration,
 }
 
 impl Default for ServerConfig {
@@ -48,12 +32,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             max_batch: 64,
             coalesce_window: Duration::from_micros(500),
-            normal_settles: u64::MAX,
-            degraded_settles: 20_000,
-            panic_retries: 1,
-            overload: OverloadPolicy::default(),
-            update_queue_capacity: 64,
-            update_watchdog: Duration::from_secs(2),
         }
     }
 }

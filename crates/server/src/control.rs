@@ -21,9 +21,9 @@
 //!   already-admitted requests keep their latency. Entered on the shed
 //!   watermark; left through Degraded, never straight to Normal.
 //!
-//! Watermarks use hysteresis (`recover_below` sits well under
-//! `degrade_above`) so the controller cannot flap on a queue hovering at
-//! one boundary.
+//! Watermarks use hysteresis (`RECOVER_BELOW` sits well under
+//! `DEGRADE_ABOVE`) so the controller cannot flap on a queue hovering at
+//! one boundary. Each is a constant beside the function that reads it.
 
 use std::time::{Duration, Instant};
 
@@ -63,42 +63,9 @@ impl OverloadMode {
     }
 }
 
-/// Watermarks and windows of the overload controller.
-#[derive(Clone, Copy, Debug)]
-pub struct OverloadPolicy {
-    /// Queue fill fraction at which Normal degrades (default 0.5).
-    pub degrade_above: f64,
-    /// Queue fill fraction at which the server starts shedding (0.85).
-    pub shed_above: f64,
-    /// Fill fraction the queue must fall to before stepping one rung back
-    /// toward Normal — the hysteresis band (0.25).
-    pub recover_below: f64,
-    /// Recent-window p99 above `baseline × this` also degrades (8.0).
-    pub p99_multiple: f64,
-    /// Minimum observations before a window's p99 is trusted (64).
-    pub min_window: u64,
-    /// Noise floor for the latency baseline, nanoseconds (200 µs): a
-    /// baseline below this is clamped up so microsecond jitter on tiny
-    /// graphs cannot trip the p99 rule.
-    pub baseline_floor_nanos: u64,
-}
-
-impl Default for OverloadPolicy {
-    fn default() -> OverloadPolicy {
-        OverloadPolicy {
-            degrade_above: 0.5,
-            shed_above: 0.85,
-            recover_below: 0.25,
-            p99_multiple: 8.0,
-            min_window: 64,
-            baseline_floor_nanos: 200_000,
-        }
-    }
-}
-
-/// One controller observation window: recent accepted-request p99 (0 when
-/// the window held fewer than `min_window` samples) and the calibrated
-/// fault-free baseline (0 until calibrated).
+/// One controller observation window: recent accepted-request p99 (0 until
+/// a full window of replies has been seen) and the calibrated fault-free
+/// baseline (0 until calibrated).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Window {
     /// Recent p99, nanoseconds; 0 = not enough samples this window.
@@ -133,6 +100,16 @@ pub fn admission_decision(
     None
 }
 
+/// Queue fill fraction at which Normal degrades.
+const DEGRADE_ABOVE: f64 = 0.5;
+/// Queue fill fraction at which the server starts shedding.
+const SHED_ABOVE: f64 = 0.85;
+/// Fill fraction the queue must fall to before stepping one rung back
+/// toward Normal — the hysteresis band.
+const RECOVER_BELOW: f64 = 0.25;
+/// A recent-window p99 above the baseline times this also degrades.
+const P99_MULTIPLE: f64 = 8.0;
+
 /// One transition of the overload state machine, evaluated by a serving
 /// worker after every batch.
 // td-lint: hot
@@ -141,26 +118,25 @@ pub fn next_mode(
     depth: usize,
     capacity: usize,
     window: Window,
-    policy: &OverloadPolicy,
 ) -> OverloadMode {
     let cap = capacity.max(1) as f64;
     let fill = depth as f64 / cap;
     let p99_hot = window.baseline_nanos > 0
         && window.p99_nanos > 0
-        && (window.p99_nanos as f64) > (window.baseline_nanos.max(1) as f64) * policy.p99_multiple;
-    if fill >= policy.shed_above {
+        && (window.p99_nanos as f64) > (window.baseline_nanos.max(1) as f64) * P99_MULTIPLE;
+    if fill >= SHED_ABOVE {
         return OverloadMode::Shedding;
     }
     match mode {
         OverloadMode::Normal => {
-            if fill >= policy.degrade_above || p99_hot {
+            if fill >= DEGRADE_ABOVE || p99_hot {
                 OverloadMode::Degraded
             } else {
                 OverloadMode::Normal
             }
         }
         OverloadMode::Degraded => {
-            if fill <= policy.recover_below && !p99_hot {
+            if fill <= RECOVER_BELOW && !p99_hot {
                 OverloadMode::Normal
             } else {
                 OverloadMode::Degraded
@@ -170,7 +146,7 @@ pub fn next_mode(
         // never straight to Normal: the rung below re-examines the window
         // before full budgets return.
         OverloadMode::Shedding => {
-            if fill <= policy.recover_below {
+            if fill <= RECOVER_BELOW {
                 OverloadMode::Degraded
             } else {
                 OverloadMode::Shedding
@@ -219,15 +195,21 @@ pub fn burst_wait(
     Some(Duration::from_nanos((window - now % window) as u64))
 }
 
+/// Settle cap per query in Normal mode: uncapped.
+const NORMAL_SETTLES: u64 = u64::MAX;
+/// Settle cap per query in Degraded/Shedding mode — the approximate-first
+/// budget.
+const DEGRADED_SETTLES: u64 = 20_000;
+
 /// The settle cap dispatched queries run under in `mode`.
 // td-lint: hot
 #[inline]
-pub fn settle_cap(mode: OverloadMode, normal: u64, degraded: u64) -> u64 {
+pub fn settle_cap(mode: OverloadMode) -> u64 {
     match mode {
-        OverloadMode::Normal => normal,
+        OverloadMode::Normal => NORMAL_SETTLES,
         // Shedding applies the degraded cap too: the backlog being drained
         // is exactly the work that must finish fast.
-        OverloadMode::Degraded | OverloadMode::Shedding => degraded,
+        OverloadMode::Degraded | OverloadMode::Shedding => DEGRADED_SETTLES,
     }
 }
 
@@ -235,28 +217,14 @@ pub fn settle_cap(mode: OverloadMode, normal: u64, degraded: u64) -> u64 {
 /// tightened (never loosened) by the request's own client deadline.
 // td-lint: hot
 #[inline]
-pub fn slot_budget(
-    mode: OverloadMode,
-    normal: u64,
-    degraded: u64,
-    deadline: Option<Instant>,
-) -> QueryBudget {
-    QueryBudget::settles(settle_cap(mode, normal, degraded)).tightened_to(deadline)
+pub fn slot_budget(mode: OverloadMode, deadline: Option<Instant>) -> QueryBudget {
+    QueryBudget::settles(settle_cap(mode)).tightened_to(deadline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    const POLICY: OverloadPolicy = OverloadPolicy {
-        degrade_above: 0.5,
-        shed_above: 0.85,
-        recover_below: 0.25,
-        p99_multiple: 8.0,
-        min_window: 64,
-        baseline_floor_nanos: 200_000,
-    };
 
     fn quiet() -> Window {
         Window {
@@ -298,40 +266,22 @@ mod tests {
     fn watermarks_walk_the_state_machine_with_hysteresis() {
         let m = OverloadMode::Normal;
         // Below the degrade watermark nothing happens.
-        assert_eq!(
-            next_mode(m, 49, 100, quiet(), &POLICY),
-            OverloadMode::Normal
-        );
-        let m = next_mode(m, 50, 100, quiet(), &POLICY);
+        assert_eq!(next_mode(m, 49, 100, quiet()), OverloadMode::Normal);
+        let m = next_mode(m, 50, 100, quiet());
         assert_eq!(m, OverloadMode::Degraded);
         // Inside the hysteresis band the rung holds.
-        assert_eq!(
-            next_mode(m, 40, 100, quiet(), &POLICY),
-            OverloadMode::Degraded
-        );
-        assert_eq!(
-            next_mode(m, 26, 100, quiet(), &POLICY),
-            OverloadMode::Degraded
-        );
+        assert_eq!(next_mode(m, 40, 100, quiet()), OverloadMode::Degraded);
+        assert_eq!(next_mode(m, 26, 100, quiet()), OverloadMode::Degraded);
         // Draining below recover_below steps back to Normal.
-        assert_eq!(
-            next_mode(m, 25, 100, quiet(), &POLICY),
-            OverloadMode::Normal
-        );
+        assert_eq!(next_mode(m, 25, 100, quiet()), OverloadMode::Normal);
         // The shed watermark fires from any rung.
-        let m = next_mode(OverloadMode::Normal, 85, 100, quiet(), &POLICY);
+        let m = next_mode(OverloadMode::Normal, 85, 100, quiet());
         assert_eq!(m, OverloadMode::Shedding);
-        assert_eq!(
-            next_mode(m, 84, 100, quiet(), &POLICY),
-            OverloadMode::Shedding
-        );
+        assert_eq!(next_mode(m, 84, 100, quiet()), OverloadMode::Shedding);
         // Shedding exits through Degraded, never straight to Normal.
-        let m = next_mode(m, 10, 100, quiet(), &POLICY);
+        let m = next_mode(m, 10, 100, quiet());
         assert_eq!(m, OverloadMode::Degraded);
-        assert_eq!(
-            next_mode(m, 10, 100, quiet(), &POLICY),
-            OverloadMode::Normal
-        );
+        assert_eq!(next_mode(m, 10, 100, quiet()), OverloadMode::Normal);
     }
 
     #[test]
@@ -341,16 +291,16 @@ mod tests {
             baseline_nanos: 1_000_000,
         };
         assert_eq!(
-            next_mode(OverloadMode::Normal, 1, 100, hot, &POLICY),
+            next_mode(OverloadMode::Normal, 1, 100, hot),
             OverloadMode::Degraded
         );
         // And holds Degraded until the window cools.
         assert_eq!(
-            next_mode(OverloadMode::Degraded, 1, 100, hot, &POLICY),
+            next_mode(OverloadMode::Degraded, 1, 100, hot),
             OverloadMode::Degraded
         );
         assert_eq!(
-            next_mode(OverloadMode::Degraded, 1, 100, quiet(), &POLICY),
+            next_mode(OverloadMode::Degraded, 1, 100, quiet()),
             OverloadMode::Normal
         );
         // An uncalibrated baseline (0) never trips the rule.
@@ -359,7 +309,7 @@ mod tests {
             baseline_nanos: 0,
         };
         assert_eq!(
-            next_mode(OverloadMode::Normal, 1, 100, uncal, &POLICY),
+            next_mode(OverloadMode::Normal, 1, 100, uncal),
             OverloadMode::Normal
         );
     }
@@ -415,14 +365,14 @@ mod tests {
 
     #[test]
     fn budgets_follow_the_mode_and_the_deadline() {
-        assert_eq!(settle_cap(OverloadMode::Normal, u64::MAX, 1000), u64::MAX);
-        assert_eq!(settle_cap(OverloadMode::Degraded, u64::MAX, 1000), 1000);
-        assert_eq!(settle_cap(OverloadMode::Shedding, u64::MAX, 1000), 1000);
+        assert_eq!(settle_cap(OverloadMode::Normal), u64::MAX);
+        assert_eq!(settle_cap(OverloadMode::Degraded), DEGRADED_SETTLES);
+        assert_eq!(settle_cap(OverloadMode::Shedding), DEGRADED_SETTLES);
         let d = Instant::now() + Duration::from_millis(5);
-        let b = slot_budget(OverloadMode::Degraded, u64::MAX, 1000, Some(d));
-        assert_eq!(b.max_settles(), 1000);
+        let b = slot_budget(OverloadMode::Degraded, Some(d));
+        assert_eq!(b.max_settles(), DEGRADED_SETTLES);
         assert_eq!(b.deadline(), Some(d));
-        let b = slot_budget(OverloadMode::Normal, u64::MAX, 1000, None);
+        let b = slot_budget(OverloadMode::Normal, None);
         assert_eq!(b.max_settles(), u64::MAX);
         assert_eq!(b.deadline(), None);
     }

@@ -21,9 +21,13 @@
 //!   [`ServeError`], the write-once reply slot behind [`RequestHandle`].
 //! * [`queue`](TdServer) — the bounded MPMC admission queue (producers
 //!   never block; depth is capped by construction).
+//! * [`config`](ServerConfig) — the four values a deployment sizes to its
+//!   traffic (`workers`, `queue_capacity`, `max_batch`, `coalesce_window`);
+//!   every other value the server decides by is a constant beside the one
+//!   function that reads it.
 //! * [`control`](OverloadMode) — the pure control plane: the burst-wait and
 //!   grab-size rules and the Normal → Degraded → Shedding state machine
-//!   with hysteresis.
+//!   with hysteresis, watermarks and settle caps included.
 //! * [`server`](TdServer) — the run-to-completion serving workers (a lone
 //!   request is served at once; only a burst is let assemble, until the
 //!   next `coalesce_window` boundary), the single bounded panic retry, and
@@ -50,7 +54,7 @@ mod update;
 pub use config::ServerConfig;
 pub use control::{
     admission_decision, burst_wait, grab_size, next_mode, settle_cap, slot_budget, OverloadMode,
-    OverloadPolicy, Window,
+    Window,
 };
 pub use fault::{
     silence_contained_panics, splitmix64, FaultPlan, HostileIndex, PanicSilence, INJECTED_PANIC,

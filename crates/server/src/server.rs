@@ -21,15 +21,17 @@
 //! included), and fulfils the reply slots. After every batch it ticks the
 //! shared overload controller — queue depth and the recent latency window
 //! walk the Normal → Degraded → Shedding state machine — and checks the
-//! update watchdog. An optional updater thread applies live traffic
-//! refreshes through [`LiveIndex::try_apply`] with rollback-and-retry — an
-//! update storm sheds *updates*, never queries.
+//! update watchdog (the window size, baseline floor, retry bound, lane
+//! capacity and watchdog limit are constants here, each beside its one
+//! reader). An optional updater thread applies live traffic refreshes
+//! through [`LiveIndex::try_apply`] with rollback-and-retry — an update
+//! storm sheds *updates*, never queries.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use td_api::{
     BoundedAnswer, CostQuery, IncrementalIndex, LiveIndex, ParallelExecutor, QueryError,
@@ -149,6 +151,13 @@ impl RejectCounters {
     }
 }
 
+/// Replies a latency window must hold before [`Shared::tick`] trusts its p99.
+const MIN_WINDOW: u64 = 64;
+/// Noise floor for the latency baseline, nanoseconds (200 µs): a baseline
+/// below this is clamped up so microsecond jitter on tiny graphs cannot
+/// trip the p99 rule.
+const BASELINE_FLOOR_NANOS: u64 = 200_000;
+
 /// The overload controller's state, shared by the workers behind
 /// `Shared::controller`: the latency window's delta base and the calibrated
 /// baseline.
@@ -195,9 +204,7 @@ impl<I: RoutingIndex> Shared<I> {
             kind.fetch_add(1, Ordering::Relaxed);
             let nanos = p.submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             self.latency.observe(nanos);
-            if td_obs::ENABLED {
-                td_obs::metrics().server_request_seconds.observe(nanos);
-            }
+            td_obs::metrics().server_request_seconds.observe(nanos);
         } else {
             self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
         }
@@ -205,9 +212,7 @@ impl<I: RoutingIndex> Shared<I> {
 
     fn record_reject(&self, r: &Rejected) {
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        if td_obs::ENABLED {
-            self.rejects.of(r).inc();
-        }
+        self.rejects.of(r).inc();
     }
 
     /// Re-evaluates the overload state machine after a batch; true when
@@ -216,17 +221,16 @@ impl<I: RoutingIndex> Shared<I> {
     /// it, so a window is consumed once and no transition is overwritten by
     /// a concurrent tick that saw an older window.
     fn tick(&self) -> bool {
-        let policy = &self.cfg.overload;
         let mut ctl = lock_recover(&self.controller);
         let mode = OverloadMode::from_u8(self.mode.load(Ordering::Relaxed));
         let replied = self.counters.replied.load(Ordering::Relaxed);
         let mut consumed = false;
         // Merging the histogram's shards is paid once per window, not per
         // batch: nothing is read until enough replies have gone out.
-        if replied.wrapping_sub(ctl.seen) >= policy.min_window {
+        if replied.wrapping_sub(ctl.seen) >= MIN_WINDOW {
             let snap = self.latency.snapshot();
             let delta = snap.diff(&ctl.prev);
-            if delta.count() >= policy.min_window {
+            if delta.count() >= MIN_WINDOW {
                 ctl.window.p99_nanos = delta.quantile(0.99);
                 ctl.prev = snap;
                 ctl.seen = replied;
@@ -234,22 +238,19 @@ impl<I: RoutingIndex> Shared<I> {
                 // The first full window observed in Normal mode calibrates
                 // the baseline (clamped up to the noise floor).
                 if ctl.window.baseline_nanos == 0 && mode == OverloadMode::Normal {
-                    ctl.window.baseline_nanos =
-                        ctl.window.p99_nanos.max(policy.baseline_floor_nanos);
+                    ctl.window.baseline_nanos = ctl.window.p99_nanos.max(BASELINE_FLOOR_NANOS);
                 }
             }
         }
         let depth = self.queue.depth();
-        let next = control::next_mode(mode, depth, self.queue.capacity(), ctl.window, policy);
+        let next = control::next_mode(mode, depth, self.queue.capacity(), ctl.window);
         if next != mode {
             self.mode.store(next.as_u8(), Ordering::Relaxed);
         }
-        if td_obs::ENABLED {
-            let m = td_obs::metrics();
-            m.server_queue_depth
-                .set(depth.min(i64::MAX as usize) as i64);
-            m.server_overload_state.set(next.as_u8() as i64);
-        }
+        let m = td_obs::metrics();
+        m.server_queue_depth
+            .set(depth.min(i64::MAX as usize) as i64);
+        m.server_overload_state.set(next.as_u8() as i64);
         consumed
     }
 }
@@ -267,6 +268,9 @@ pub struct TdServer<I: RoutingIndex + 'static> {
     updater: Option<JoinHandle<()>>,
 }
 
+/// Pending live-update batches the update lane buffers before shedding.
+const UPDATE_QUEUE_CAPACITY: usize = 64;
+
 impl<I: RoutingIndex + 'static> TdServer<I> {
     /// Serves a fixed immutable index.
     pub fn serve(index: Arc<I>, cfg: ServerConfig) -> TdServer<I> {
@@ -279,7 +283,7 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
         }
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(cfg.queue_capacity),
-            update: UpdateLane::new(cfg.update_queue_capacity),
+            update: UpdateLane::new(UPDATE_QUEUE_CAPACITY),
             has_update_lane: live,
             shutdown: AtomicBool::new(false),
             mode: AtomicU8::new(OverloadMode::Normal.as_u8()),
@@ -352,9 +356,7 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
         match shared.queue.push_back(pending) {
             Ok(()) => {
                 shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                if td_obs::ENABLED {
-                    td_obs::metrics().server_admitted_total.inc();
-                }
+                td_obs::metrics().server_admitted_total.inc();
                 Ok(RequestHandle {
                     slot,
                     submitted: now,
@@ -393,11 +395,6 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
     /// The overload controller's current rung.
     pub fn mode(&self) -> OverloadMode {
         OverloadMode::from_u8(self.shared.mode.load(Ordering::Relaxed))
-    }
-
-    /// Current admission-queue depth (advisory).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
     }
 
     /// A snapshot of the serving counters.
@@ -478,6 +475,10 @@ impl<I: RoutingIndex + 'static> Drop for TdServer<I> {
     }
 }
 
+/// Bounded retries for a [`QueryError::Panicked`] slot. Deterministic
+/// failures (`InvalidQuery`, `BudgetExhausted`) are never retried.
+const PANIC_RETRIES: u32 = 1;
+
 /// Serves one worker's batch: shed expired, budget, execute, retry/reply.
 fn serve_batch<I: RoutingIndex>(
     shared: &Shared<I>,
@@ -487,7 +488,6 @@ fn serve_batch<I: RoutingIndex>(
     queries: &mut Vec<(CostQuery, QueryBudget)>,
     results: &mut Vec<Result<BoundedAnswer, QueryError>>,
 ) {
-    let cfg = &shared.cfg;
     let now = Instant::now();
     let mode = OverloadMode::from_u8(shared.mode.load(Ordering::Relaxed));
     batch.clear();
@@ -497,29 +497,22 @@ fn serve_batch<I: RoutingIndex>(
         // are shed with a typed reply before touching a worker.
         if p.deadline.is_some_and(|d| now >= d) {
             shared.counters.shed_expired.fetch_add(1, Ordering::Relaxed);
-            if td_obs::ENABLED {
-                td_obs::metrics().server_shed_expired_total.inc();
-            }
+            td_obs::metrics().server_shed_expired_total.inc();
             shared.fulfill(p, Err(ServeError::Shed(Rejected::DeadlineExpired)));
             continue;
         }
         // Stage 3: the client deadline rides into the search itself as the
         // budget's wall-clock bound, under the mode's settle cap.
-        queries.push((
-            p.query,
-            control::slot_budget(mode, cfg.normal_settles, cfg.degraded_settles, p.deadline),
-        ));
+        queries.push((p.query, control::slot_budget(mode, p.deadline)));
         batch.push(p);
     }
     if batch.is_empty() {
         return;
     }
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-    if td_obs::ENABLED {
-        let m = td_obs::metrics();
-        m.server_batches_total.inc();
-        m.server_batch_size.observe(batch.len() as u64);
-    }
+    let m = td_obs::metrics();
+    m.server_batches_total.inc();
+    m.server_batch_size.observe(batch.len() as u64);
     exec.query_batch_bounded_into(queries, results);
     for (mut p, result) in batch.drain(..).zip(results.drain(..)) {
         match result {
@@ -527,12 +520,10 @@ fn serve_batch<I: RoutingIndex>(
             // back to the queue *head*, where the next worker to pop — this
             // one or another — takes it at once. Deterministic failures —
             // InvalidQuery, BudgetExhausted — are never retried.
-            Err(QueryError::Panicked(_)) if p.attempts < cfg.panic_retries => {
+            Err(QueryError::Panicked(_)) if p.attempts < PANIC_RETRIES => {
                 p.attempts += 1;
                 shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                if td_obs::ENABLED {
-                    td_obs::metrics().server_retries_total.inc();
-                }
+                td_obs::metrics().server_retries_total.inc();
                 shared.queue.push_front(p);
             }
             Ok(answer) => shared.fulfill(p, Ok(answer)),
@@ -540,6 +531,11 @@ fn serve_batch<I: RoutingIndex>(
         }
     }
 }
+
+/// How long one `try_apply` may run before the watchdog declares the update
+/// lane stuck and sheds further updates (query service is never paused
+/// either way).
+const UPDATE_WATCHDOG: Duration = Duration::from_secs(2);
 
 fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
     let cfg = &shared.cfg;
@@ -606,7 +602,7 @@ fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
             shared.tick();
             shared
                 .update
-                .watchdog_check(shared.started, cfg.update_watchdog);
+                .watchdog_check(shared.started, UPDATE_WATCHDOG);
         }
     }
 }
@@ -865,7 +861,6 @@ mod tests {
         // Idle workers never tick: the two racers below are the only ones.
         let server = TdServer::serve(Arc::new(AStarChIndex::new(line(3))), config(2));
         let shared = &*server.shared;
-        let min_window = shared.cfg.overload.min_window;
         let feed = |replies: u64, nanos: u64| {
             for _ in 0..replies {
                 shared.latency.observe(nanos);
@@ -892,17 +887,17 @@ mod tests {
             })
         };
         // One reply short of a window: nothing to take.
-        feed(min_window - 1, 100_000);
+        feed(MIN_WINDOW - 1, 100_000);
         assert_eq!(race(), 0);
         feed(1, 100_000);
         assert_eq!(race(), 1, "the first window calibrates the baseline");
         for round in 0..100 {
             // A quiet window, then one far above 8x the baseline (which
             // sits at the 200 µs floor).
-            feed(min_window, 100_000);
+            feed(MIN_WINDOW, 100_000);
             assert_eq!(race(), 1, "round {round}: quiet window");
             assert_eq!(server.mode(), OverloadMode::Normal, "round {round}");
-            feed(min_window, 10_000_000);
+            feed(MIN_WINDOW, 10_000_000);
             assert_eq!(race(), 1, "round {round}: hot window");
             assert_eq!(server.mode(), OverloadMode::Degraded, "round {round}");
         }

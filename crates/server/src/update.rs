@@ -35,7 +35,7 @@ pub enum UpdateRejected {
     QueueFull {
         /// Lane depth observed at the refusal.
         depth: usize,
-        /// The configured lane capacity.
+        /// The lane's capacity.
         capacity: usize,
     },
     /// The server is shutting down.
@@ -190,23 +190,17 @@ impl UpdateLane {
 
     pub(crate) fn count_applied(&self) {
         self.applied.fetch_add(1, Ordering::Relaxed);
-        if td_obs::ENABLED {
-            td_obs::metrics().server_update_applied_total.inc();
-        }
+        td_obs::metrics().server_update_applied_total.inc();
     }
 
     pub(crate) fn count_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
-        if td_obs::ENABLED {
-            td_obs::metrics().server_update_retries_total.inc();
-        }
+        td_obs::metrics().server_update_retries_total.inc();
     }
 
     pub(crate) fn count_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        if td_obs::ENABLED {
-            td_obs::metrics().server_update_shed_total.inc();
-        }
+        td_obs::metrics().server_update_shed_total.inc();
     }
 
     pub(crate) fn stats(&self) -> LaneStats {

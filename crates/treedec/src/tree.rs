@@ -213,12 +213,6 @@ impl TreeDecomposition {
         &self.nodes[v as usize]
     }
 
-    /// The paper's `height(X(v))` (= depth + 1, root has height 1).
-    #[inline]
-    pub fn height_of(&self, v: VertexId) -> u32 {
-        self.nodes[v as usize].depth + 1
-    }
-
     /// Lowest common ancestor of `X(u)` and `X(v)` (Property 1: its bag ∪
     /// vertex is a vertex cut separating `u` and `v`).
     #[inline]
