@@ -1,6 +1,10 @@
 //! The allocation discipline README claims for every backend, checked where
 //! CI runs it: a warmed scratch answers travel-cost queries with **zero**
-//! heap allocations, alone and inside a [`ParallelExecutor`] worker.
+//! heap allocations, alone and inside a [`ParallelExecutor`] worker. The
+//! cost-function query builds functions and so allocates; what is pinned for
+//! it on the four TD-tree backends is that a warmed scratch allocates the
+//! same number of times on every run, and never more than it did before the
+//! linear-time PLF kernels.
 //!
 //! One `#[test]` in a binary of its own, so no other test's thread can bump
 //! the process-wide counter while a count is taken.
@@ -12,6 +16,17 @@ use counting_alloc::allocs;
 use std::hint::black_box;
 use td_api::{build_index, Backend, IndexConfig, ParallelExecutor, SessionScratch};
 use td_gen::{Dataset, Workload, WorkloadConfig};
+
+/// Allocations of one pass over the mix's 40 pairs through
+/// `query_profile_in` on a twice-warmed scratch, as counted on the commit
+/// before the forward-cursor kernels (three `Vec`s per `minimum`, a clone
+/// per shortcut seed in the cut scan, in the seed list and in the slot).
+const PROFILE_ALLOCS_BEFORE: [(Backend, u64); 4] = [
+    (Backend::TdBasic, 8779),
+    (Backend::TdAppro, 5515),
+    (Backend::TdDp, 5476),
+    (Backend::TdH2h, 1080),
+];
 
 #[test]
 fn warmed_cost_queries_allocate_nothing_on_any_backend() {
@@ -32,6 +47,10 @@ fn warmed_cost_queries_allocate_nothing_on_any_backend() {
         .iter()
         .map(|q| (q.source, q.destination, q.depart))
         .collect();
+    // The mix lists each pair's ten departure times back to back.
+    let mut pairs: Vec<(u32, u32)> = mix.iter().map(|&(s, d, _)| (s, d)).collect();
+    pairs.dedup();
+    assert_eq!(pairs.len(), 40);
     for backend in Backend::ALL {
         let index = build_index(g.clone(), backend, &cfg);
         let index = index.as_ref();
@@ -49,6 +68,26 @@ fn warmed_cost_queries_allocate_nothing_on_any_backend() {
             0,
             "{backend}: a warmed scratch must not allocate"
         );
+
+        if let Some(&(_, before)) = PROFILE_ALLOCS_BEFORE.iter().find(|(b, _)| *b == backend) {
+            let answer_pairs = |scratch: &mut SessionScratch| {
+                for &(s, d) in &pairs {
+                    black_box(index.query_profile_in(scratch, s, d));
+                }
+            };
+            answer_pairs(&mut scratch);
+            answer_pairs(&mut scratch);
+            let count = allocs(|| answer_pairs(&mut scratch));
+            assert_eq!(
+                allocs(|| answer_pairs(&mut scratch)),
+                count,
+                "{backend}: a warmed profile pass must allocate the same every run"
+            );
+            assert!(
+                count <= before,
+                "{backend}: 40 warmed profile queries allocate {count} times, {before} before"
+            );
+        }
 
         // What a batch allocates is its two scoped spawns, however many
         // queries the warmed workers answer. Which chunks a worker takes

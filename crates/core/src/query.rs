@@ -30,7 +30,10 @@
 //! precomputed bag depths and arena-resident breakpoints. The profile
 //! sweeps compound whole functions, so they borrow the owned `Ws`/`Wd`
 //! labels from the tree and take depths and O(1) label minima from the
-//! matching frozen slots.
+//! matching frozen slots. Each profile slot keeps the `(min, max)` of the
+//! function it holds beside it, so a relaxation whose lower bound
+//! `min(cost[k]) + min(w)` cannot get below the destination slot's maximum
+//! is dropped before its `compound` is built.
 //!
 //! ## Scratch buffers
 //!
@@ -38,7 +41,10 @@
 //! [`ProfileScratch`] (`Default::default()` is a valid cold one). `td-api`'s
 //! `QuerySession` holds one per thread: after the first few queries warm the
 //! buffers up to the tree's depth, a scalar query performs **no heap
-//! allocation at all**.
+//! allocation at all**. A profile query still allocates every function it
+//! builds: one copy per shortcut seed and per first-hop label, and the raw
+//! and simplified point lists of each `compound` / `minimum` that the slot
+//! bounds did not decide.
 
 use crate::frozen::FrozenTd;
 use crate::shortcut::ShortcutStore;
@@ -105,6 +111,10 @@ pub struct ProfileSweepBufs {
     pub path: Vec<VertexId>,
     /// `cost[k]` = travel cost function between `path[k]` and the endpoint.
     pub cost: Vec<Option<Plf>>,
+    /// `bounds[k]` = `(min, max)` over all departure times of `cost[k]`,
+    /// refreshed whenever the slot is written (`+∞` until then: nothing is
+    /// dominated by an empty slot).
+    bounds: Vec<(f64, f64)>,
     fixed: Vec<bool>,
 }
 
@@ -112,21 +122,27 @@ impl ProfileSweepBufs {
     fn reset(&mut self, len: usize) {
         self.cost.clear();
         self.cost.resize(len, None);
+        self.bounds.clear();
+        self.bounds.resize(len, (f64::INFINITY, f64::INFINITY));
         self.fixed.clear();
         self.fixed.resize(len, false);
     }
 }
 
-/// Reusable scratch for profile (cost function) queries. The result PLFs are
-/// owned by the caller and still allocate; the sweep tables, seed lists and
-/// cut vector are reused across queries.
+/// Reusable scratch for profile (cost function) queries. The sweep tables
+/// (slots, slot bounds, root paths), the seed key lists and the cut vector
+/// are reused across queries; the functions in the slots are not — every
+/// seed copy, first-hop label copy and operator result is a fresh
+/// allocation, dropped when the next query resets the tables.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileScratch {
     up: ProfileSweepBufs,
     down: ProfileSweepBufs,
     cut: Vec<VertexId>,
-    seeds_s: Vec<(usize, Plf)>,
-    seeds_d: Vec<(usize, Plf)>,
+    /// `(depth, cut vertex)` keys of the shortcut pairs seeding each sweep;
+    /// the functions stay in the store until the sweep copies them.
+    seeds_s: Vec<(usize, VertexId)>,
+    seeds_d: Vec<(usize, VertexId)>,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -376,22 +392,31 @@ impl<'a> QueryEngine<'a> {
     /// (`REV = false`, Algo. 3 lines 1-10) `v` is the source and `cost[k]` =
     /// `f_{v, path[k]}(t)` through the `Ws` labels; reversed (line 11,
     /// "repeat for cost_d") `v` is the destination and `cost[k]` =
-    /// `f_{path[k], v}(t)` through `Wd`. `seeds` carries shortcut functions
-    /// (exact, skipped by relaxation per Algo. 6 line 15); `bound` enables
-    /// NIL pruning (Algo. 6 line 20).
+    /// `f_{path[k], v}(t)` through `Wd`. `seeds` keys the selected pairs
+    /// `⟨v, ancestor⟩` whose stored function (exact, skipped by relaxation
+    /// per Algo. 6 line 15) fills the ancestor's slot; `bound` enables NIL
+    /// pruning (Algo. 6 line 20).
     fn sweep_up_profile_into<const REV: bool>(
         &self,
         v: VertexId,
-        seeds: &[(usize, Plf)],
+        seeds: &[(usize, VertexId)],
         bound: Option<&Plf>,
         bufs: &mut ProfileSweepBufs,
     ) {
         self.root_path_into(v, &mut bufs.path);
         let end = bufs.path.len() - 1;
         bufs.reset(end + 1);
-        for (k, f) in seeds {
-            bufs.cost[*k] = Some(f.clone());
-            bufs.fixed[*k] = true;
+        for &(k, ancestor) in seeds {
+            let (up, down) = self
+                .store
+                .get(v, ancestor)
+                .expect("seed keys name stored pairs");
+            let f = if REV { down } else { up }
+                .as_ref()
+                .expect("seed keys name reachable directions");
+            bufs.bounds[k] = f.value_bounds();
+            bufs.cost[k] = Some(f.clone());
+            bufs.fixed[k] = true;
         }
         let bound_max = bound.map(|b| b.max_value());
         for k in (0..=end).rev() {
@@ -399,15 +424,14 @@ impl<'a> QueryEngine<'a> {
             // line 20) when it can never beat the shortcut bound anywhere.
             let mut cur_min = 0.0; // the endpoint's own label is the zero function
             if k != end {
-                let Some(f) = &bufs.cost[k] else { continue };
-                let fmin = f.min_value();
-                if let Some(bm) = bound_max {
-                    if fmin > bm {
-                        bufs.cost[k] = None; // NIL
-                        continue;
-                    }
+                if bufs.cost[k].is_none() {
+                    continue;
                 }
-                cur_min = fmin;
+                cur_min = bufs.bounds[k].0;
+                if bound_max.is_some_and(|bm| cur_min > bm) {
+                    bufs.cost[k] = None; // NIL
+                    continue;
+                }
             }
             // The function algebra needs the owned labels; depths and label
             // minima come from the matching frozen slots.
@@ -419,19 +443,22 @@ impl<'a> QueryEngine<'a> {
                 if bufs.fixed[ku] {
                     continue;
                 }
-                // Edge-level prune (same argument as the slot NIL): the
-                // compound's minimum is ≥ min(cost[k]) + min(w); when that
-                // clears the bound's maximum, every propagated value loses
-                // the final combination against the bound. The frozen arena
-                // serves the edge minimum in O(1).
-                let w_min = || {
-                    if REV {
+                // Edge-level prunes, both before the compound is built: its
+                // minimum is ≥ min(cost[k]) + min(w), the slot minimum kept
+                // beside cost[k] plus the edge minimum the frozen arena
+                // serves in O(1). When that clears the bound's maximum,
+                // every propagated value loses the final combination against
+                // the bound (same argument as the slot NIL); when it reaches
+                // the destination slot's maximum, the candidate is nowhere
+                // below what the slot holds and `min_into` would keep the
+                // slot (ties included).
+                let lb = cur_min
+                    + if REV {
                         self.frozen.wd_min(idx)
                     } else {
                         self.frozen.ws_min(idx)
-                    }
-                };
-                if bound_max.is_some_and(|bm| cur_min + w_min() > bm) {
+                    };
+                if bound_max.is_some_and(|bm| lb > bm) || lb >= bufs.bounds[ku].1 {
                     continue;
                 }
                 let cand = if k == end {
@@ -445,6 +472,10 @@ impl<'a> QueryEngine<'a> {
                     }
                 };
                 min_into(&mut bufs.cost[ku], cand);
+                bufs.bounds[ku] = bufs.cost[ku]
+                    .as_ref()
+                    .expect("min_into leaves a function")
+                    .value_bounds();
             }
         }
     }
@@ -470,45 +501,41 @@ impl<'a> QueryEngine<'a> {
         } = scratch;
         let x = self.lca_and_cut(s, d, cut);
 
-        // Collect shortcut functions over the cut (an unscanned, empty cut
-        // covers nothing).
+        // Scan the cut's shortcut pairs (an unscanned, empty cut covers
+        // nothing): borrow each stored function, key the sweeps' seeds, and
+        // fold the through-`w` totals into the bound.
         let mut full_cover = self.scan_cut;
         seeds_s.clear();
         seeds_d.clear();
         let mut bound: Option<Plf> = None;
         for &w in cut.iter() {
             let kw = self.td.node(w).depth as usize;
-            let up_f: Option<Option<Plf>> = if w == s {
-                Some(Some(Plf::zero()))
-            } else {
-                self.store.get(s, w).map(|(up, _)| up.clone())
-            };
-            let down_f: Option<Option<Plf>> = if w == d {
-                Some(Some(Plf::zero()))
-            } else {
-                self.store.get(d, w).map(|(_, down)| down.clone())
-            };
-            if up_f.is_none() || down_f.is_none() {
+            // Outer `None`: pair not selected (or `w` is the endpoint itself,
+            // whose leg is the zero function); inner `None`: unreachable.
+            let up_f: Option<Option<&Plf>> =
+                if w == s { None } else { self.store.get(s, w) }.map(|(up, _)| up.as_ref());
+            let down_f: Option<Option<&Plf>> =
+                if w == d { None } else { self.store.get(d, w) }.map(|(_, down)| down.as_ref());
+            if (w != s && up_f.is_none()) || (w != d && down_f.is_none()) {
                 full_cover = false;
             }
-            if let Some(Some(f)) = &up_f {
-                if w != s {
-                    seeds_s.push((kw, f.clone()));
-                }
+            if let Some(Some(_)) = up_f {
+                seeds_s.push((kw, w));
             }
-            if let Some(Some(f)) = &down_f {
-                if w != d {
-                    seeds_d.push((kw, f.clone()));
-                }
+            if let Some(Some(_)) = down_f {
+                seeds_d.push((kw, w));
             }
-            if let (Some(Some(fu)), Some(Some(fd))) = (&up_f, &down_f) {
-                let total = if w == s {
-                    fd.clone()
-                } else if w == d {
-                    fu.clone()
-                } else {
-                    fu.compound(fd, w)
-                };
+            let total = if w == s {
+                down_f.flatten().cloned()
+            } else if w == d {
+                up_f.flatten().cloned()
+            } else {
+                match (up_f.flatten(), down_f.flatten()) {
+                    (Some(fu), Some(fd)) => Some(fu.compound(fd, w)),
+                    _ => None,
+                }
+            };
+            if let Some(total) = total {
                 min_into(&mut bound, total);
             }
         }

@@ -35,63 +35,117 @@ pub struct NodeVectors {
     pub up: Vec<Option<Plf>>,
     /// `down[k]`: ancestor at depth `k` → node.
     pub down: Vec<Option<Plf>>,
+    /// Minimum of `up[k]` / `down[k]` over all departure times, kept in the
+    /// DFS frame so the nodes below bound a compound without scanning it.
+    up_min: Vec<f64>,
+    down_min: Vec<f64>,
+}
+
+impl NodeVectors {
+    fn up_at(&self, k: usize) -> Option<(&Plf, f64)> {
+        self.up[k].as_ref().map(|f| (f, self.up_min[k]))
+    }
+
+    fn down_at(&self, k: usize) -> Option<(&Plf, f64)> {
+        self.down[k].as_ref().map(|f| (f, self.down_min[k]))
+    }
+}
+
+/// Fact 1's accumulator for one direction towards one ancestor: the best
+/// function so far with its `(min, max)` beside it (`+∞` while unreachable).
+struct Best {
+    f: Option<Plf>,
+    bounds: (f64, f64),
+}
+
+impl Best {
+    const UNREACHABLE: Best = Best {
+        f: None,
+        bounds: (f64::INFINITY, f64::INFINITY),
+    };
+
+    /// Folds in a term whose values are all ≥ `lower_bound` — unless that
+    /// already reaches the accumulator's maximum: the term is then nowhere
+    /// below it and `min_into` would keep the accumulator (ties included),
+    /// so it is never built.
+    fn relax(&mut self, lower_bound: f64, term: impl FnOnce() -> Plf) {
+        if lower_bound >= self.bounds.1 {
+            return;
+        }
+        min_into(&mut self.f, term());
+        let f = self.f.as_ref().expect("min_into leaves a function");
+        self.bounds = f.value_bounds();
+    }
 }
 
 /// Computes `v`'s ancestor vectors from the DFS stack (Fact 1).
 ///
 /// `stack[k]` must hold the vectors of `v`'s ancestor at depth `k`;
-/// `stack.len() == depth(v)`.
+/// `stack.len() == depth(v)`. Every term `Compound(label, rest)` is bounded
+/// below by `min(label) + min(rest)` — the label minimum pre-fetched per bag
+/// member, the rest's read from its frame — and skipped when that cannot get
+/// below the maximum of what the slot already holds.
 pub fn compute_vectors(td: &TreeDecomposition, v: VertexId, stack: &[NodeVectors]) -> NodeVectors {
     let node = td.node(v);
     let d = node.depth as usize;
     debug_assert_eq!(stack.len(), d);
-    let mut up: Vec<Option<Plf>> = vec![None; d];
-    let mut down: Vec<Option<Plf>> = vec![None; d];
-    // Pre-fetch bag depths once.
-    let bag_depths: Vec<usize> = node
-        .bag
-        .iter()
-        .map(|&u| td.node(u).depth as usize)
+    let mut vecs = NodeVectors {
+        up: Vec::with_capacity(d),
+        down: Vec::with_capacity(d),
+        up_min: Vec::with_capacity(d),
+        down_min: Vec::with_capacity(d),
+    };
+    // Pre-fetch each bag member's depth and label minima once.
+    let min_of = |w: &Option<Plf>| w.as_ref().map_or(f64::INFINITY, Plf::min_value);
+    let bag: Vec<(usize, f64, f64)> = (0..node.bag.len())
+        .map(|bi| {
+            let du = td.node(node.bag[bi]).depth as usize;
+            (du, min_of(&node.ws[bi]), min_of(&node.wd[bi]))
+        })
         .collect();
     for k in 0..d {
-        let mut best_up: Option<Plf> = None;
-        let mut best_down: Option<Plf> = None;
+        let (mut best_up, mut best_down) = (Best::UNREACHABLE, Best::UNREACHABLE);
         for (bi, &u) in node.bag.iter().enumerate() {
-            let du = bag_depths[bi];
+            let (du, ws_min, wd_min) = bag[bi];
             if let Some(ws) = &node.ws[bi] {
                 // v → anc[k] through bag member u.
-                let term = if du == k {
-                    Some(ws.clone())
-                } else if du < k {
-                    // u is above the target: u → anc[k] is the target's down
-                    // entry at u's depth.
-                    stack[k].down[du].as_ref().map(|f| ws.compound(f, u))
+                if du == k {
+                    best_up.relax(ws_min, || ws.clone());
                 } else {
-                    // u is below the target: u → anc[k] is u's up entry.
-                    stack[du].up[k].as_ref().map(|f| ws.compound(f, u))
-                };
-                if let Some(t) = term {
-                    min_into(&mut best_up, t);
+                    // u above the target: u → anc[k] is the target's down
+                    // entry at u's depth; u below it: u's own up entry.
+                    let rest = if du < k {
+                        stack[k].down_at(du)
+                    } else {
+                        stack[du].up_at(k)
+                    };
+                    if let Some((f, f_min)) = rest {
+                        best_up.relax(ws_min + f_min, || ws.compound(f, u));
+                    }
                 }
             }
             if let Some(wd) = &node.wd[bi] {
                 // anc[k] → v through bag member u.
-                let term = if du == k {
-                    Some(wd.clone())
-                } else if du < k {
-                    stack[k].up[du].as_ref().map(|f| f.compound(wd, u))
+                if du == k {
+                    best_down.relax(wd_min, || wd.clone());
                 } else {
-                    stack[du].down[k].as_ref().map(|f| f.compound(wd, u))
-                };
-                if let Some(t) = term {
-                    min_into(&mut best_down, t);
+                    let rest = if du < k {
+                        stack[k].up_at(du)
+                    } else {
+                        stack[du].down_at(k)
+                    };
+                    if let Some((f, f_min)) = rest {
+                        best_down.relax(f_min + wd_min, || f.compound(wd, u));
+                    }
                 }
             }
         }
-        up[k] = best_up;
-        down[k] = best_down;
+        vecs.up_min.push(best_up.bounds.0);
+        vecs.down_min.push(best_down.bounds.0);
+        vecs.up.push(best_up.f);
+        vecs.down.push(best_down.f);
     }
-    NodeVectors { up, down }
+    vecs
 }
 
 /// One stored pair: `(ancestor, up function, down function)`.

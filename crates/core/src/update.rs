@@ -33,7 +33,7 @@ use crate::shortcut::rebuild_subtrees;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use td_graph::VertexId;
-use td_plf::{ops::min_into, Plf};
+use td_plf::Plf;
 use td_treedec::fxhash::FxHashSet;
 
 /// Counters describing one `update_edges` call.
@@ -181,10 +181,10 @@ impl TdTreeIndex {
                 continue;
             };
             if let (Some(a), Some(b)) = (&node.wd[pe], &node.ws[po]) {
-                min_into(&mut fwd, a.compound(b, m));
+                fold_as_reduction(&mut fwd, a.compound(b, m));
             }
             if let (Some(a), Some(b)) = (&node.wd[po], &node.ws[pe]) {
-                min_into(&mut bwd, a.compound(b, m));
+                fold_as_reduction(&mut bwd, a.compound(b, m));
             }
         }
 
@@ -203,6 +203,18 @@ impl TdTreeIndex {
             false
         }
     }
+}
+
+/// `acc = min(acc, cand)` by the arithmetic of `td-treedec`'s reduction — a
+/// plain [`Plf::minimum`] per candidate. The change test below compares at
+/// 1e-9, so an untouched pair must replay to the function the build
+/// recorded; `min_into`'s bound dominance returns an input as it stands,
+/// which can differ from the re-simplified merge by up to `EPS_COST`.
+fn fold_as_reduction(acc: &mut Option<Plf>, cand: Plf) {
+    *acc = Some(match acc.take() {
+        Some(a) => a.minimum(&cand),
+        None => cand,
+    });
 }
 
 fn plf_opt_eq(a: &Option<Plf>, b: &Option<Plf>) -> bool {

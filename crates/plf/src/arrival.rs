@@ -5,21 +5,9 @@
 //! directly (profile search dominance, `compound` pre-images, upper-bound
 //! pruning in Algo. 6).
 
-use crate::plf::{Plf, Pt};
+use crate::plf::Plf;
 
 impl Plf {
-    /// The arrival function `A(t) = t + w(t)` as a PLF over the same
-    /// breakpoints. Note: `A` is *not* a travel-cost function (its values are
-    /// absolute times), so it bypasses the non-negativity invariant by
-    /// shifting — callers only evaluate it.
-    ///
-    /// Only meaningful inside the representation's breakpoint span; on the
-    /// clamped rays the true arrival has slope 1 while a PLF clamps, so use
-    /// [`Plf::arrival`] for pointwise values instead.
-    pub fn arrival_breakpoints(&self) -> Vec<(f64, f64)> {
-        self.points().iter().map(|p| (p.t, p.t + p.v)).collect()
-    }
-
     /// Earliest departure time `t ≥ from` whose arrival `t + w(t)` is at most
     /// `deadline`, or `None` if no such departure exists at or after `from`
     /// (checked on breakpoints and rays; requires FIFO for correctness).
@@ -53,16 +41,6 @@ impl Plf {
         }
         Some(lo)
     }
-
-    /// Shifts all values by a constant (clamped at 0 to keep the invariant).
-    pub fn add_constant(&self, c: f64) -> Plf {
-        Plf::from_raw(
-            self.points()
-                .iter()
-                .map(|p| Pt::with_via(p.t, (p.v + c).max(0.0), p.via))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -71,12 +49,6 @@ mod tests {
 
     fn plf(pairs: &[(f64, f64)]) -> Plf {
         Plf::from_pairs(pairs).unwrap()
-    }
-
-    #[test]
-    fn arrival_breakpoints_shift() {
-        let f = plf(&[(0.0, 10.0), (20.0, 10.0)]);
-        assert_eq!(f.arrival_breakpoints(), vec![(0.0, 10.0), (20.0, 30.0)]);
     }
 
     #[test]
@@ -98,15 +70,5 @@ mod tests {
         assert!(f.latest_departure_before(25.0, 20.0).is_none());
         let d = f.latest_departure_before(45.0, 20.0).unwrap();
         assert!((d - 35.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn add_constant_lifts_values() {
-        let f = plf(&[(0.0, 5.0), (10.0, 7.0)]);
-        let g = f.add_constant(3.0);
-        assert_eq!(g.eval(0.0), 8.0);
-        assert_eq!(g.eval(10.0), 10.0);
-        let h = f.add_constant(-100.0); // clamped at 0
-        assert_eq!(h.eval(0.0), 0.0);
     }
 }

@@ -15,9 +15,16 @@
 //! of `g` contributes at most one pre-image and the result has at most
 //! `|f| + |g|` points before simplification; non-FIFO inputs are still handled
 //! exactly (segments with decreasing `A` are scanned in reverse).
+//!
+//! Under FIFO every scan ascends — the candidate times, the arrival times
+//! `A(t)` at which `g` is probed, and the windows of `g`'s breakpoints that
+//! each segment of `f` pre-images — so the operator walks `f` and `g` once
+//! through forward cursors: O(|f| + |g|). Only a non-FIFO `f` sends a
+//! cursor backwards (it then re-seeks by binary search); the result is the
+//! same either way.
 
 use crate::approx::EPS_TIME;
-use crate::plf::{Plf, Pt, Via};
+use crate::plf::{Cursor, Plf, Pt, Via};
 
 impl Plf {
     /// `Compound(self, g)` with the bridge vertex `via` stamped on every
@@ -34,6 +41,7 @@ impl Plf {
         if !times.windows(2).all(|w| w[0] <= w[1]) {
             times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
         }
+        let (mut fc, mut gc) = (Cursor::new(self), Cursor::new(g));
         let mut pts: Vec<Pt> = Vec::with_capacity(times.len());
         for t in times {
             if let Some(last) = pts.last() {
@@ -41,24 +49,13 @@ impl Plf {
                     continue;
                 }
             }
-            let fv = self.eval(t);
-            let v = fv + g.eval(t + fv);
+            let fv = fc.at(t).0;
+            let v = fv + gc.at(t + fv).0;
             pts.push(Pt::with_via(t, v, via));
         }
         let mut out = Plf::from_raw(pts);
         out.simplify();
         out
-    }
-
-    /// Scalar compound: the cost of continuing over `g` after having already
-    /// spent `cost_so_far` when departing at `depart`. Returns the total cost
-    /// `cost_so_far + g(depart + cost_so_far)`.
-    ///
-    /// This is the relaxation step of the *travel cost query* (Fig. 8 a/c/e/g):
-    /// the same `Compound` but evaluated at a single departure time.
-    #[inline]
-    pub fn compound_scalar(cost_so_far: f64, depart: f64, g: &Plf) -> f64 {
-        cost_so_far + g.eval(depart + cost_so_far)
     }
 }
 
@@ -75,7 +72,9 @@ fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
         times.push(s - fp[0].v);
     }
 
-    // Interior segments of f.
+    // Interior segments of f. `gc` stands at the start of each segment's
+    // window of g breakpoints; consecutive FIFO windows ascend.
+    let mut gc = Cursor::new(g);
     for w in fp.windows(2) {
         let (p0, p1) = (w[0], w[1]);
         times.push(p0.t);
@@ -84,9 +83,9 @@ fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
         if a1 > a0 + EPS_TIME {
             // A strictly increasing on this segment: pre-image of each g
             // breakpoint strictly inside (a0, a1).
-            let lo = gp.partition_point(|p| p.t <= a0 + EPS_TIME);
-            let hi = gp.partition_point(|p| p.t < a1 - EPS_TIME);
-            for s in gp[lo..hi].iter().map(|p| p.t) {
+            let lo = gc.seek(a0 + EPS_TIME);
+            let window = gp[lo..].iter().map(|p| p.t);
+            for s in window.take_while(|&s| s < a1 - EPS_TIME) {
                 let t = p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
                 times.push(t.clamp(p0.t, p1.t));
             }
@@ -107,7 +106,7 @@ fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
 
     // Right ray of f: A(t) = t + v_last, slope 1, covering (A(t_last), ∞).
     let a_last = last.t + last.v;
-    let lo = gp.partition_point(|p| p.t <= a_last + EPS_TIME);
+    let lo = gc.seek(a_last + EPS_TIME);
     for s in gp[lo..].iter().map(|p| p.t) {
         times.push(s - last.v);
     }
@@ -234,17 +233,6 @@ mod tests {
             left.approx_eq(&right, 1e-6),
             "left={left:?}\nright={right:?}"
         );
-    }
-
-    #[test]
-    fn compound_scalar_matches_function_compound() {
-        let f = plf(&[(0.0, 10.0), (20.0, 10.0), (60.0, 15.0)]);
-        let g = plf(&[(0.0, 5.0), (30.0, 10.0), (60.0, 15.0)]);
-        let h = f.compound(&g, NO_VIA);
-        for t in [0.0, 7.5, 20.0, 33.3, 59.0, 61.0] {
-            let scalar = Plf::compound_scalar(f.eval(t), t, &g);
-            assert!((h.eval(t) - scalar).abs() < 1e-9);
-        }
     }
 
     #[test]

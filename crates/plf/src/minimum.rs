@@ -10,51 +10,48 @@
 //! exact. Each output segment keeps the **winning side's witness**, which is
 //! how `min{Compound(…), Compound(…)}` ends up recording the right
 //! intermediate vertex (Example 2.3).
+//!
+//! Both passes — values over the merged breakpoint grid, witnesses at the
+//! segment midpoints — probe at ascending times, so each walks the two
+//! inputs once through forward cursors: O(|f| + |g|), no binary search.
+//! Callers that fold candidates into an accumulator go through
+//! [`crate::ops::min_into`], which lets the functions' value bounds decide
+//! before any point is touched.
 
 use crate::approx::{EPS_COST, EPS_TIME};
-use crate::plf::{Plf, Pt};
+use crate::plf::{Cursor, Plf, Pt};
+
+/// The merged breakpoint grid of `a` and `b`, ascending; a breakpoint of `b`
+/// within [`EPS_TIME`] after one of `a` is the same instant.
+fn merged_times<'a>(a: &'a [Pt], b: &'a [Pt]) -> impl Iterator<Item = f64> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || match (a.get(i), b.get(j)) {
+        (Some(p), Some(q)) if p.t <= q.t => {
+            i += 1;
+            if q.t - p.t <= EPS_TIME {
+                j += 1;
+            }
+            Some(p.t)
+        }
+        (Some(p), None) => {
+            i += 1;
+            Some(p.t)
+        }
+        (_, Some(q)) => {
+            j += 1;
+            Some(q.t)
+        }
+        (None, None) => None,
+    })
+}
 
 impl Plf {
     /// The pointwise minimum `t ↦ min(self(t), other(t))`, witnesses taken
     /// from whichever side is smaller on each segment.
     pub fn minimum(&self, other: &Plf) -> Plf {
-        // Merged candidate times.
-        let mut times: Vec<f64> =
-            Vec::with_capacity(self.len() + other.len() + self.len().min(other.len()));
-        {
-            let a = self.points();
-            let b = other.points();
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() || j < b.len() {
-                let t = match (a.get(i), b.get(j)) {
-                    (Some(p), Some(q)) => {
-                        if p.t <= q.t {
-                            i += 1;
-                            if (q.t - p.t) <= EPS_TIME {
-                                j += 1;
-                            }
-                            p.t
-                        } else {
-                            j += 1;
-                            q.t
-                        }
-                    }
-                    (Some(p), None) => {
-                        i += 1;
-                        p.t
-                    }
-                    (None, Some(q)) => {
-                        j += 1;
-                        q.t
-                    }
-                    (None, None) => unreachable!(),
-                };
-                times.push(t);
-            }
-        }
-
-        // Emit min at every merged time, plus crossings inside sub-segments.
-        let mut pts: Vec<Pt> = Vec::with_capacity(times.len() * 2);
+        let (a, b) = (self.points(), other.points());
+        // Every merged time emits one point and at most one crossing.
+        let mut pts: Vec<Pt> = Vec::with_capacity(2 * (a.len() + b.len()));
         let push = |t: f64, v: f64, pts: &mut Vec<Pt>| {
             if let Some(last) = pts.last() {
                 if t - last.t <= EPS_TIME {
@@ -63,31 +60,33 @@ impl Plf {
             }
             pts.push(Pt::new(t, v.max(0.0)));
         };
-        for k in 0..times.len() {
-            let ta = times[k];
-            let fa = self.eval(ta);
-            let ga = other.eval(ta);
+
+        // Emit min at every merged time, plus crossings inside sub-segments.
+        let (mut f, mut g) = (Cursor::new(self), Cursor::new(other));
+        let mut times = merged_times(a, b);
+        let mut ta = times.next().expect("non-empty by invariant");
+        let (mut fa, mut ga) = (f.at(ta).0, g.at(ta).0);
+        loop {
             push(ta, fa.min(ga), &mut pts);
-            if k + 1 < times.len() {
-                let tb = times[k + 1];
-                let fb = self.eval(tb);
-                let gb = other.eval(tb);
-                let da = fa - ga;
-                let db = fb - gb;
-                if (da > EPS_COST && db < -EPS_COST) || (da < -EPS_COST && db > EPS_COST) {
-                    // Strict crossing inside (ta, tb).
-                    let s = da / (da - db);
-                    let tx = ta + s * (tb - ta);
-                    if tx - ta > EPS_TIME && tb - tx > EPS_TIME {
-                        let vx = fa + s * (fb - fa); // == ga + s*(gb-ga)
-                        push(tx, vx, &mut pts);
-                    }
+            let Some(tb) = times.next() else { break };
+            let (fb, gb) = (f.at(tb).0, g.at(tb).0);
+            let da = fa - ga;
+            let db = fb - gb;
+            if (da > EPS_COST && db < -EPS_COST) || (da < -EPS_COST && db > EPS_COST) {
+                // Strict crossing inside (ta, tb).
+                let s = da / (da - db);
+                let tx = ta + s * (tb - ta);
+                if tx - ta > EPS_TIME && tb - tx > EPS_TIME {
+                    let vx = fa + s * (fb - fa); // == ga + s*(gb-ga)
+                    push(tx, vx, &mut pts);
                 }
             }
+            (ta, fa, ga) = (tb, fb, gb);
         }
 
         // Witness pass: each segment takes the winner's witness, probed at the
         // segment midpoint (ties favour `self`).
+        let (mut f, mut g) = (Cursor::new(self), Cursor::new(other));
         let n = pts.len();
         for k in 0..n {
             let probe = if k + 1 < n {
@@ -95,21 +94,14 @@ impl Plf {
             } else {
                 pts[k].t + 1.0 // right ray: both sides constant beyond
             };
-            let (fv, fvia) = self.eval_with_via(probe);
-            let (gv, gvia) = other.eval_with_via(probe);
+            let (fv, fvia) = f.at(probe);
+            let (gv, gvia) = g.at(probe);
             pts[k].via = if fv <= gv + EPS_COST { fvia } else { gvia };
         }
 
         let mut out = Plf::from_raw(pts);
         out.simplify();
         out
-    }
-
-    /// Minimum over an iterator of functions; `None` when the iterator is
-    /// empty. The fold order does not affect the value.
-    pub fn min_many<'a>(mut iter: impl Iterator<Item = &'a Plf>) -> Option<Plf> {
-        let first = iter.next()?.clone();
-        Some(iter.fold(first, |acc, f| acc.minimum(f)))
     }
 }
 
@@ -208,21 +200,6 @@ mod tests {
         let h = f.minimum(&g);
         // Kinks at the four crossings + valley points.
         assert!(h.len() >= 7, "h={h:?}");
-    }
-
-    #[test]
-    fn min_many_folds() {
-        let fs = [
-            plf(&[(0.0, 9.0), (10.0, 9.0)]),
-            plf(&[(0.0, 5.0), (10.0, 20.0)]),
-            plf(&[(0.0, 20.0), (10.0, 4.0)]),
-        ];
-        let h = Plf::min_many(fs.iter()).unwrap();
-        for t in [0.0, 2.5, 5.0, 7.5, 10.0] {
-            let want = fs.iter().map(|f| f.eval(t)).fold(f64::INFINITY, f64::min);
-            assert!((h.eval(t) - want).abs() < 1e-9);
-        }
-        assert!(Plf::min_many(std::iter::empty()).is_none());
     }
 
     #[test]

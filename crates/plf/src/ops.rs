@@ -1,53 +1,39 @@
-//! Convenience combinators over the core operators.
+//! The accumulator form of [`Plf::minimum`], with bound dominance in front.
 
-use crate::plf::{Plf, Via, NO_VIA};
+use crate::approx::EPS_COST;
+use crate::plf::Plf;
 
 /// Minimum of an optional accumulator and a new function — the
 /// `cost[u] = min{cost[u], Compound(…)}` pattern of Algo. 3 lines 6-9 and
 /// Algo. 6 lines 16-19, with `None` playing the role of `+∞`.
+///
+/// The two functions' value bounds decide first. A candidate whose minimum
+/// is ≥ the accumulator's maximum is dropped — ties keep the accumulator, as
+/// [`Plf::minimum`] keeps `self`. One whose maximum is below the
+/// accumulator's minimum by more than [`EPS_COST`] (the tolerance inside
+/// which `minimum`'s witness pass still prefers `self`) replaces it. Either
+/// way the result is one of the two inputs unchanged and equals `minimum`'s
+/// in value and in witness; everything else is merged.
 pub fn min_into(acc: &mut Option<Plf>, f: Plf) {
-    match acc {
-        None => *acc = Some(f),
-        Some(a) => *a = a.minimum(&f),
+    let Some(a) = acc else {
+        *acc = Some(f);
+        return;
+    };
+    let (f_min, f_max) = f.value_bounds();
+    let (a_min, a_max) = a.value_bounds();
+    if f_min >= a_max {
+        return;
     }
-}
-
-/// Scalar version of [`min_into`]: `acc = min(acc, v)` with `None` as `+∞`.
-pub fn min_scalar_into(acc: &mut Option<f64>, v: f64) {
-    match acc {
-        None => *acc = Some(v),
-        Some(a) => {
-            if v < *a {
-                *a = v;
-            }
-        }
-    }
-}
-
-/// Compounds a chain of functions left to right:
-/// `fs\[0\] ∘ fs\[1\] ∘ … ∘ fs[k-1]` (travel them in order). Bridges are not
-/// meaningful for an anonymous chain, so witnesses are cleared.
-pub fn compound_chain(fs: &[&Plf]) -> Option<Plf> {
-    let mut iter = fs.iter();
-    let first = (*iter.next()?).clone();
-    Some(iter.fold(first, |acc, f| acc.compound(f, NO_VIA)))
-}
-
-/// `Compound` of two *optional* functions: `None` (unreachable) absorbs.
-pub fn compound_opt(f: &Option<Plf>, g: &Option<Plf>, via: Via) -> Option<Plf> {
-    match (f, g) {
-        (Some(f), Some(g)) => Some(f.compound(g, via)),
-        _ => None,
-    }
+    *a = if f_max < a_min - EPS_COST {
+        f
+    } else {
+        a.minimum(&f)
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn plf(pairs: &[(f64, f64)]) -> Plf {
-        Plf::from_pairs(pairs).unwrap()
-    }
 
     #[test]
     fn min_into_from_infinity() {
@@ -58,35 +44,5 @@ mod tests {
         assert_eq!(acc.as_ref().unwrap().eval(0.0), 3.0);
         min_into(&mut acc, Plf::constant(9.0));
         assert_eq!(acc.as_ref().unwrap().eval(0.0), 3.0);
-    }
-
-    #[test]
-    fn min_scalar_into_behaviour() {
-        let mut acc = None;
-        min_scalar_into(&mut acc, 5.0);
-        min_scalar_into(&mut acc, 7.0);
-        min_scalar_into(&mut acc, 2.0);
-        assert_eq!(acc, Some(2.0));
-    }
-
-    #[test]
-    fn compound_chain_orders_left_to_right() {
-        let a = plf(&[(0.0, 10.0), (100.0, 20.0)]);
-        let b = Plf::constant(5.0);
-        let c = Plf::constant(2.0);
-        let chain = compound_chain(&[&a, &b, &c]).unwrap();
-        for t in [0.0, 50.0, 100.0] {
-            let want = a.eval(t) + 5.0 + 2.0;
-            assert!((chain.eval(t) - want).abs() < 1e-9);
-        }
-        assert!(compound_chain(&[]).is_none());
-    }
-
-    #[test]
-    fn compound_opt_absorbs_none() {
-        let f = Some(Plf::constant(1.0));
-        assert!(compound_opt(&f, &None, NO_VIA).is_none());
-        assert!(compound_opt(&None, &f, NO_VIA).is_none());
-        assert!(compound_opt(&f, &f, NO_VIA).is_some());
     }
 }

@@ -1,4 +1,11 @@
 //! The [`Plf`] type: interpolation points, evaluation (Eq. 1) and validation.
+//!
+//! A single evaluation is a binary search ([`Plf::eval`]). The operators
+//! (`minimum`, `compound`, [`Plf::approx_eq`]) probe at ascending times, so
+//! they evaluate through one private forward cursor instead and walk each
+//! input once: O(|f| + |g|) per operation. The cursor binary-searches only
+//! when a probe lands before the segment it stands on, which needs a
+//! non-FIFO first leg inside `compound` (a decreasing arrival time).
 
 use crate::approx::{clamped_segment_value, feq, EPS_COST, EPS_TIME};
 
@@ -163,53 +170,17 @@ impl Plf {
         *self.pts.last().expect("non-empty by invariant")
     }
 
-    /// Index of the segment containing `t`: largest `i` with `pts[i].t ≤ t`,
-    /// or `None` when `t` precedes the first point (left ray).
-    #[inline]
-    pub(crate) fn segment_index(&self, t: f64) -> Option<usize> {
-        if t < self.pts[0].t {
-            return None;
-        }
-        // partition_point returns the count of points with p.t <= t; it is
-        // ≥ 1 here because pts[0].t ≤ t, so the subtraction cannot wrap.
-        let n = self.pts.partition_point(|p| p.t <= t);
-        debug_assert!(n >= 1 && n <= self.pts.len());
-        Some(n - 1)
-    }
-
-    /// Value of the segment starting at point `i` evaluated at `t`, routed
-    /// through the shared right-ray clamp ([`clamped_segment_value`]) so
-    /// owned and frozen evaluation cannot diverge past the last breakpoint.
-    #[inline]
-    fn value_on_segment(&self, i: usize, t: f64) -> f64 {
-        debug_assert!(i < self.pts.len());
-        let a = self.pts[i];
-        let next = self.pts.get(i + 1).map(|b| (b.t, b.v));
-        clamped_segment_value(a.t, a.v, next, t)
-    }
-
     /// Evaluates the function at departure time `t` per Eq. (1): clamped below
     /// `t_1` and above `t_k`, linear in between.
-    ///
-    /// All indexing below is provably in range (`segment_index` returns
-    /// `i < len`), but the safe accesses are kept: after inlining, LLVM
-    /// elides the bounds checks against the slice length already loaded for
-    /// `partition_point`, so `unsafe` would buy nothing measurable here.
     #[inline]
     pub fn eval(&self, t: f64) -> f64 {
-        match self.segment_index(t) {
-            None => self.pts[0].v,
-            Some(i) => self.value_on_segment(i, t),
-        }
+        self.eval_with_via(t).0
     }
 
     /// Evaluates the function and returns the witness of the segment serving `t`.
     #[inline]
     pub fn eval_with_via(&self, t: f64) -> (f64, Via) {
-        match self.segment_index(t) {
-            None => (self.pts[0].v, self.pts[0].via),
-            Some(i) => (self.value_on_segment(i, t), self.pts[i].via),
-        }
+        value_at(&self.pts, self.pts.partition_point(|p| p.t <= t), t)
     }
 
     /// Arrival time when departing at `t`: `t + w(t)`.
@@ -254,14 +225,14 @@ impl Plf {
     }
 
     /// True iff `self` and `other` describe the same function within `tol`,
-    /// compared at the union of their breakpoints (sufficient for PLFs).
+    /// compared at the union of their breakpoints (sufficient for PLFs):
+    /// one forward walk of both functions per breakpoint list.
     pub fn approx_eq(&self, other: &Plf, tol: f64) -> bool {
-        let probe = |p: &Pt| p.t;
-        self.pts
-            .iter()
-            .map(probe)
-            .chain(other.pts.iter().map(probe))
-            .all(|t| feq(self.eval(t), other.eval(t), tol))
+        let agree_at = |probes: &[Pt]| {
+            let (mut f, mut g) = (Cursor::new(self), Cursor::new(other));
+            probes.iter().all(|p| feq(f.at(p.t).0, g.at(p.t).0, tol))
+        };
+        agree_at(&self.pts) && agree_at(&other.pts)
     }
 
     /// Replaces every witness with `via`. Used when a whole function is known
@@ -295,6 +266,63 @@ impl Plf {
     /// Consumes the PLF and returns its points.
     pub fn into_points(self) -> Vec<Pt> {
         self.pts
+    }
+}
+
+/// `(value, witness)` at `t`, given the number `n` of points with `p.t ≤ t`:
+/// the left ray for `n == 0`, else the segment starting at point `n − 1`,
+/// routed through the shared right-ray clamp ([`clamped_segment_value`]) so
+/// owned and frozen evaluation cannot diverge past the last breakpoint.
+#[inline]
+fn value_at(pts: &[Pt], n: usize, t: f64) -> (f64, Via) {
+    debug_assert!(n <= pts.len());
+    let Some(i) = n.checked_sub(1) else {
+        return (pts[0].v, pts[0].via);
+    };
+    let (a, next) = (pts[i], pts.get(n).map(|b| (b.t, b.v)));
+    (clamped_segment_value(a.t, a.v, next, t), a.via)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Backwards probes this thread's cursors served by binary search.
+    pub(crate) static FALLBACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Forward evaluation cursor over one function's points: the same values as
+/// [`Plf::eval_with_via`], amortised O(1) per probe while probe times ascend.
+pub(crate) struct Cursor<'a> {
+    pts: &'a [Pt],
+    /// Number of points with `p.t ≤` the last probe.
+    n: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(f: &'a Plf) -> Self {
+        Cursor { pts: &f.pts, n: 0 }
+    }
+
+    /// Number of points with `p.t ≤ t`: steps forward from the last probe,
+    /// and binary-searches only when `t` precedes the segment it stands on.
+    #[inline]
+    pub(crate) fn seek(&mut self, t: f64) -> usize {
+        if self.n > 0 && t < self.pts[self.n - 1].t {
+            self.n = self.pts.partition_point(|p| p.t <= t);
+            #[cfg(test)]
+            FALLBACKS.with(|c| c.set(c.get() + 1));
+        } else {
+            while self.pts.get(self.n).is_some_and(|p| p.t <= t) {
+                self.n += 1;
+            }
+        }
+        self.n
+    }
+
+    /// `(value, witness)` at `t`: [`Plf::eval_with_via`]'s arithmetic, with
+    /// the segment found by stepping instead of searching.
+    #[inline]
+    pub(crate) fn at(&mut self, t: f64) -> (f64, Via) {
+        value_at(self.pts, self.seek(t), t)
     }
 }
 
@@ -411,12 +439,52 @@ mod tests {
     }
 
     #[test]
-    fn segment_index_boundaries() {
+    fn forward_cursors_never_fall_back_on_fifo_inputs() {
+        // The linear-time claim as an assertion: over FIFO functions (slopes
+        // of exactly −1 included) no operator sends a cursor backwards, so
+        // none of them runs a binary search.
+        use proptest::prelude::*;
+        let fifo = || {
+            collection::vec((0.1f64..3000.0, 0u8..4, 0.0f64..1.0), 0..40).prop_map(|segs| {
+                let mut pts = vec![Pt::new(0.0, 1800.0)];
+                for (dt, kind, u) in segs {
+                    let prev = *pts.last().unwrap();
+                    let lo = (prev.v - dt).max(0.0);
+                    let v = if kind == 0 {
+                        lo
+                    } else {
+                        lo + u * (prev.v + dt - lo)
+                    };
+                    pts.push(Pt::new(prev.t + dt, v));
+                }
+                Plf::new(pts).unwrap()
+            })
+        };
+        let mut runner = proptest::TestRunner::from_name("fifo_cursor_fallbacks");
+        for _ in 0..500 {
+            let (f, g) = (fifo().generate(&mut runner), fifo().generate(&mut runner));
+            assert!(f.is_fifo() && g.is_fifo());
+            let before = FALLBACKS.with(|c| c.get());
+            let h = f.compound(&g, 3).minimum(&g.compound(&f, 4));
+            let _ = h.approx_eq(&f.minimum(&g), 1e-9);
+            assert_eq!(FALLBACKS.with(|c| c.get()), before, "f={f:?}\ng={g:?}");
+        }
+        // The counter does count: an overtaking first leg probes backwards.
+        let before = FALLBACKS.with(|c| c.get());
+        let f = plf(&[(0.0, 50.0), (10.0, 10.0), (20.0, 10.0)]);
+        let _ = f.compound(&plf(&[(0.0, 1.0), (30.0, 9.0), (45.0, 3.0)]), 1);
+        assert!(FALLBACKS.with(|c| c.get()) > before);
+    }
+
+    #[test]
+    fn cursor_seek_boundaries() {
         let f = plf(&[(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)]);
-        assert_eq!(f.segment_index(-1.0), None);
-        assert_eq!(f.segment_index(0.0), Some(0));
-        assert_eq!(f.segment_index(9.999), Some(0));
-        assert_eq!(f.segment_index(10.0), Some(1));
-        assert_eq!(f.segment_index(25.0), Some(2));
+        let mut c = Cursor::new(&f);
+        for (t, n) in [(-1.0, 0), (0.0, 1), (9.999, 1), (10.0, 2), (25.0, 3)] {
+            assert_eq!(c.seek(t), n, "forwards to t={t}");
+        }
+        for (t, n) in [(10.0, 2), (9.999, 1), (-1.0, 0), (0.0, 1)] {
+            assert_eq!(c.seek(t), n, "backwards to t={t}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! the workspace silently relies on.
 
 use proptest::prelude::*;
-use td_plf::{Plf, NO_VIA};
+use td_plf::{ops::min_into, Plf, Pt, EPS_COST, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
 /// roughly a day, values in [0, 3600].
@@ -160,5 +160,407 @@ proptest! {
         // compound is at least the sum of the individual minima.
         let h = f.compound(&g, NO_VIA);
         prop_assert!(h.min_value() >= f.min_value() + g.min_value() - 1e-7);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the linear-time kernels against the binary-search
+// bodies they replaced, bit for bit, on FIFO and non-FIFO inputs.
+// ---------------------------------------------------------------------------
+
+/// Strategy: a function with none of `fifo_plf`'s manners — slopes below −1
+/// (overtaking), slopes of exactly −1 (flat arrival), breakpoints barely more
+/// than `EPS_TIME` apart, single-point constants, per-segment witnesses, and
+/// a time base shifted so that a pair may overlap only on its clamped rays.
+fn wild_plf() -> impl Strategy<Value = Plf> {
+    (
+        proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u8..6, 0.0f64..1.0, 0u32..4), 0..12),
+        0.0f64..3600.0,
+        0u8..5,
+    )
+        .prop_map(|(segs, v0, shift)| {
+            let t0 = match shift {
+                0 => -40_000.0,
+                1 => 50_000.0,
+                _ => 0.0,
+            };
+            let mut pts = vec![Pt::with_via(t0, v0, 7)];
+            for (gap_kind, gap, slope_kind, slope, via) in segs {
+                let prev = *pts.last().unwrap();
+                let dt = if gap_kind == 0 {
+                    1.5e-7 + gap * 1e-6
+                } else {
+                    0.1 + gap * 3000.0
+                };
+                let slope = match slope_kind {
+                    0 => -1.0 - 3.0 * slope,
+                    1 => -1.0,
+                    2 => 0.0,
+                    _ => -1.0 + 2.0 * slope,
+                };
+                let via = if via == 3 { NO_VIA } else { via };
+                pts.push(Pt::with_via(
+                    prev.t + dt,
+                    (prev.v + slope * dt).max(0.0),
+                    via,
+                ));
+            }
+            Plf::new(pts).expect("generated points are valid")
+        })
+}
+
+/// Strategy: a wild pair whose second function has some breakpoints snapped
+/// to within `EPS_TIME` of the first's — the merged grid's "same instant".
+fn wild_pair() -> impl Strategy<Value = (Plf, Plf)> {
+    (
+        wild_plf(),
+        wild_plf(),
+        proptest::collection::vec(0.0f64..1.0, 12),
+    )
+        .prop_map(|(f, g, draws)| {
+            let mut pts = g.into_points();
+            for (k, p) in pts.iter_mut().enumerate() {
+                if draws[k] < 0.3 {
+                    let anchor = f.points()[k % f.len()].t;
+                    p.t = anchor + (draws[k] - 0.15) * 6e-7; // ± 0.9 EPS_TIME
+                }
+            }
+            pts.sort_by(|a, b| a.t.partial_cmp(&b.t).expect("finite times"));
+            let mut kept: Vec<Pt> = Vec::with_capacity(pts.len());
+            for p in pts {
+                if kept.last().is_none_or(|q| p.t - q.t > 2.0 * EPS_TIME) {
+                    kept.push(p);
+                }
+            }
+            (f, Plf::new(kept).expect("re-spaced points are valid"))
+        })
+}
+
+fn fifo_pair() -> impl Strategy<Value = (Plf, Plf)> {
+    (fifo_plf(), fifo_plf())
+}
+
+/// `(t, v, via)` of every point, as bits.
+fn bits(f: &Plf) -> Vec<(u64, u64, u32)> {
+    f.points()
+        .iter()
+        .map(|p| (p.t.to_bits(), p.v.to_bits(), p.via))
+        .collect()
+}
+
+/// The operators as they stood before the forward cursor: every evaluation a
+/// binary search (`Plf::eval` / `eval_with_via`), every window of `g` two
+/// `partition_point`s. Kept verbatim as the reference; `None` where the old
+/// body itself had no answer (see `compound`).
+mod oracle {
+    use td_plf::{feq, Plf, Pt, Via, EPS_COST, EPS_TIME};
+
+    fn finish(pts: Vec<Pt>) -> Option<Plf> {
+        // The old bodies built their result unchecked; a rounding-negative
+        // value is the one thing the checked constructor would refuse.
+        let mut out = Plf::new(pts).ok()?;
+        out.simplify();
+        Some(out)
+    }
+
+    pub fn minimum(f: &Plf, other: &Plf) -> Option<Plf> {
+        let mut times: Vec<f64> = Vec::new();
+        let (a, b) = (f.points(), other.points());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let t = match (a.get(i), b.get(j)) {
+                (Some(p), Some(q)) => {
+                    if p.t <= q.t {
+                        i += 1;
+                        if (q.t - p.t) <= EPS_TIME {
+                            j += 1;
+                        }
+                        p.t
+                    } else {
+                        j += 1;
+                        q.t
+                    }
+                }
+                (Some(p), None) => {
+                    i += 1;
+                    p.t
+                }
+                (None, Some(q)) => {
+                    j += 1;
+                    q.t
+                }
+                (None, None) => unreachable!(),
+            };
+            times.push(t);
+        }
+        let mut pts: Vec<Pt> = Vec::with_capacity(times.len() * 2);
+        let push = |t: f64, v: f64, pts: &mut Vec<Pt>| {
+            if let Some(last) = pts.last() {
+                if t - last.t <= EPS_TIME {
+                    return;
+                }
+            }
+            pts.push(Pt::new(t, v.max(0.0)));
+        };
+        for k in 0..times.len() {
+            let ta = times[k];
+            let fa = f.eval(ta);
+            let ga = other.eval(ta);
+            push(ta, fa.min(ga), &mut pts);
+            if k + 1 < times.len() {
+                let tb = times[k + 1];
+                let fb = f.eval(tb);
+                let gb = other.eval(tb);
+                let da = fa - ga;
+                let db = fb - gb;
+                if (da > EPS_COST && db < -EPS_COST) || (da < -EPS_COST && db > EPS_COST) {
+                    let s = da / (da - db);
+                    let tx = ta + s * (tb - ta);
+                    if tx - ta > EPS_TIME && tb - tx > EPS_TIME {
+                        let vx = fa + s * (fb - fa);
+                        push(tx, vx, &mut pts);
+                    }
+                }
+            }
+        }
+        let n = pts.len();
+        for k in 0..n {
+            let probe = if k + 1 < n {
+                0.5 * (pts[k].t + pts[k + 1].t)
+            } else {
+                pts[k].t + 1.0
+            };
+            let (fv, fvia) = f.eval_with_via(probe);
+            let (gv, gvia) = other.eval_with_via(probe);
+            pts[k].via = if fv <= gv + EPS_COST { fvia } else { gvia };
+        }
+        finish(pts)
+    }
+
+    pub fn compound(f: &Plf, g: &Plf, via: Via) -> Option<Plf> {
+        let mut times = candidate_times(f, g)?;
+        if !times.windows(2).all(|w| w[0] <= w[1]) {
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        }
+        let mut pts: Vec<Pt> = Vec::with_capacity(times.len());
+        for t in times {
+            if let Some(last) = pts.last() {
+                if t - last.t <= EPS_TIME {
+                    continue;
+                }
+            }
+            let fv = f.eval(t);
+            let v = fv + g.eval(t + fv);
+            pts.push(Pt::with_via(t, v, via));
+        }
+        finish(pts)
+    }
+
+    fn candidate_times(f: &Plf, g: &Plf) -> Option<Vec<f64>> {
+        let fp = f.points();
+        let gp = g.points();
+        let mut times = Vec::with_capacity(fp.len() + gp.len());
+        let a_first = fp[0].t + fp[0].v;
+        for s in gp.iter().map(|p| p.t).take_while(|&s| s < a_first) {
+            times.push(s - fp[0].v);
+        }
+        for w in fp.windows(2) {
+            let (p0, p1) = (w[0], w[1]);
+            times.push(p0.t);
+            let a0 = p0.t + p0.v;
+            let a1 = p1.t + p1.v;
+            if a1 > a0 + EPS_TIME {
+                let lo = gp.partition_point(|p| p.t <= a0 + EPS_TIME);
+                let hi = gp.partition_point(|p| p.t < a1 - EPS_TIME);
+                // The old body indexed `gp[lo..hi]` and so panicked on an
+                // arrival window narrower than 2 EPS_TIME holding a
+                // breakpoint of g (`hi < lo`); no answer to compare there.
+                for s in gp.get(lo..hi)?.iter().map(|p| p.t) {
+                    let t = p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
+                    times.push(t.clamp(p0.t, p1.t));
+                }
+            } else if a1 < a0 - EPS_TIME {
+                let lo = gp.partition_point(|p| p.t <= a1 + EPS_TIME);
+                let hi = gp.partition_point(|p| p.t < a0 - EPS_TIME);
+                for s in gp.get(lo..hi)?.iter().rev().map(|p| p.t) {
+                    let t = p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
+                    times.push(t.clamp(p0.t, p1.t));
+                }
+            }
+        }
+        let last = fp[fp.len() - 1];
+        times.push(last.t);
+        let a_last = last.t + last.v;
+        let lo = gp.partition_point(|p| p.t <= a_last + EPS_TIME);
+        for s in gp[lo..].iter().map(|p| p.t) {
+            times.push(s - last.v);
+        }
+        Some(times)
+    }
+
+    pub fn approx_eq(f: &Plf, other: &Plf, tol: f64) -> bool {
+        let probe = |p: &Pt| p.t;
+        f.points()
+            .iter()
+            .map(probe)
+            .chain(other.points().iter().map(probe))
+            .all(|t| feq(f.eval(t), other.eval(t), tol))
+    }
+}
+
+/// All three operators on one pair, both operand orders, against the oracle.
+/// Returns how many operator results were compared.
+fn assert_kernels_match_oracle(f: &Plf, g: &Plf) -> usize {
+    let mut compared = 0;
+    for (f, g) in [(f, g), (g, f)] {
+        if let Some(want) = oracle::minimum(f, g) {
+            assert_eq!(
+                bits(&f.minimum(g)),
+                bits(&want),
+                "minimum\nf={f:?}\ng={g:?}"
+            );
+            compared += 1;
+        }
+        if let Some(want) = oracle::compound(f, g, 5) {
+            assert_eq!(
+                bits(&f.compound(g, 5)),
+                bits(&want),
+                "compound\nf={f:?}\ng={g:?}"
+            );
+            compared += 1;
+        }
+        for tol in [0.0, 1e-9, 1e-3, 50.0] {
+            assert_eq!(
+                f.approx_eq(g, tol),
+                oracle::approx_eq(f, g, tol),
+                "approx_eq at {tol}"
+            );
+        }
+        // Equal and nearly-equal operands: the `true` half of approx_eq.
+        let h = g.minimum(g);
+        assert_eq!(g.approx_eq(&h, 1e-9), oracle::approx_eq(g, &h, 1e-9));
+    }
+    compared
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1200))]
+
+    #[test]
+    fn kernels_match_the_binary_search_oracle_on_fifo_pairs((f, g) in fifo_pair()) {
+        prop_assert_eq!(assert_kernels_match_oracle(&f, &g), 4);
+    }
+
+    #[test]
+    fn kernels_match_the_binary_search_oracle_on_wild_pairs((f, g) in wild_pair()) {
+        // ≥ 3 of 4: the oracle may have no answer for one narrow window.
+        prop_assert!(assert_kernels_match_oracle(&f, &g) >= 3);
+    }
+
+    #[test]
+    fn kernels_match_the_oracle_on_operator_outputs(
+        (f, g) in wild_pair(), (h, k) in fifo_pair()
+    ) {
+        // Operator results as inputs: crossings, simplified grids, mixed
+        // witnesses — shapes no generator draws directly.
+        let a = f.compound(&h, 1).minimum(&g);
+        let b = k.minimum(&h).compound(&g, 2);
+        assert_kernels_match_oracle(&a, &b);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `min_into`: bound dominance returns one input unchanged, and that input is
+// what `minimum` would have computed.
+// ---------------------------------------------------------------------------
+
+/// `f` shifted in value so that the level `from` lands exactly on `to`
+/// (witnesses and times kept).
+fn rebased(f: &Plf, from: f64, to: f64) -> Plf {
+    let pts = f.points().iter();
+    let pts = pts.map(|p| Pt::with_via(p.t, (p.v - from) + to, p.via));
+    Plf::new(pts.collect()).expect("rebased values stay non-negative")
+}
+
+/// `got` is `want` as a function: same value on the union grid (within the
+/// tolerance the properties above grant `minimum`'s own simplification),
+/// same witness at every segment midpoint and on both rays.
+fn assert_same_function(got: &Plf, want: &Plf, inputs: [&Plf; 2]) {
+    for t in probe_times(&[got, want, inputs[0], inputs[1]]) {
+        assert!(
+            (got.eval(t) - want.eval(t)).abs() < 1e-6,
+            "t={t}: {} vs {}",
+            got.eval(t),
+            want.eval(t)
+        );
+    }
+    for h in [got, want] {
+        let p = h.points();
+        let mids = p.windows(2).map(|w| 0.5 * (w[0].t + w[1].t));
+        for t in mids.chain([h.first().t - 1.0, h.last().t + 1.0]) {
+            assert_eq!(
+                got.eval_with_via(t).1,
+                want.eval_with_via(t).1,
+                "witness at t={t}"
+            );
+        }
+    }
+}
+
+// (Unsnapped pairs: a snapped breakpoint makes a near-vertical segment, over
+// which `minimum`'s EPS_TIME de-duplication is itself only value-exact up to
+// the jump.)
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn min_into_keeps_the_accumulator_against_a_dominated_candidate(
+        a in wild_plf(), g in wild_plf(), gap in 0.0f64..2.0
+    ) {
+        // gap < 1 ⇒ exactly equal bounds (f_min == acc_max): the tie keeps acc.
+        let gap = (gap - 1.0).max(0.0);
+        let f = rebased(&g, g.min_value(), a.max_value() + gap);
+        prop_assert!(f.min_value() >= a.max_value());
+        let mut acc = Some(a.clone());
+        min_into(&mut acc, f.clone());
+        let got = acc.expect("min_into leaves a function");
+        prop_assert_eq!(bits(&got), bits(&a));
+        assert_same_function(&got, &a.minimum(&f), [&a, &f]);
+    }
+
+    #[test]
+    fn min_into_replaces_the_accumulator_by_a_dominating_candidate(
+        a in wild_plf(), g in wild_plf(), gap in 0.0f64..2.0
+    ) {
+        let a = rebased(&a, 0.0, 100_000.0);
+        let f = rebased(&g, g.max_value(), a.min_value() - EPS_COST * (1.0 + gap) - 1e-9);
+        prop_assert!(f.max_value() < a.min_value() - EPS_COST);
+        let mut acc = Some(a.clone());
+        min_into(&mut acc, f.clone());
+        let got = acc.expect("min_into leaves a function");
+        prop_assert_eq!(bits(&got), bits(&f));
+        assert_same_function(&got, &a.minimum(&f), [&a, &f]);
+    }
+
+    #[test]
+    fn min_into_merges_whatever_bounds_do_not_decide(
+        a in wild_plf(), g in wild_plf(), within in 0.0f64..1.0
+    ) {
+        // Overlapping value ranges — and a candidate below the accumulator
+        // by less than EPS_COST, where `minimum` still prefers self's
+        // witness, so it must not count as dominating: both are exactly
+        // `minimum`.
+        let high = rebased(&a, 0.0, 100_000.0);
+        let barely = rebased(&g, g.max_value(), high.min_value() - EPS_COST * within * 0.99);
+        prop_assert!(barely.max_value() >= high.min_value() - EPS_COST);
+        for (a, f) in [(a, g), (high, barely)] {
+            let decided = f.min_value() >= a.max_value()
+                || f.max_value() < a.min_value() - EPS_COST;
+            let mut acc = Some(a.clone());
+            min_into(&mut acc, f.clone());
+            if !decided {
+                prop_assert_eq!(bits(&acc.expect("a function")), bits(&a.minimum(&f)));
+            }
+        }
     }
 }
