@@ -378,6 +378,43 @@ mod tests {
         }
     }
 
+    /// The selection is a function of the graph and the budget alone: the
+    /// workers' split frontier and finishing order (both move with
+    /// `threads`) must not reach `select_*`'s tie-breaks or its utility sum.
+    #[test]
+    fn selection_does_not_depend_on_threads() {
+        let g = seeded_graph(11, 120, 80, 3);
+        for strategy in [
+            SelectionStrategy::Greedy { budget: 3_000 },
+            SelectionStrategy::Dp {
+                budget: 3_000,
+                weight_scale: 1,
+            },
+        ] {
+            let build = |threads| {
+                TdTreeIndex::build(
+                    g.clone(),
+                    IndexOptions {
+                        strategy,
+                        threads,
+                        track_supports: false,
+                    },
+                )
+            };
+            let (one, eight) = (build(1), build(8));
+            assert!(one.build_stats.selected_pairs > 0);
+            assert!(
+                one.shortcuts().pairs().eq(eight.shortcuts().pairs()),
+                "{strategy:?}: the selected pairs differ"
+            );
+            assert_eq!(
+                one.build_stats.selected_utility.to_bits(),
+                eight.build_stats.selected_utility.to_bits(),
+                "{strategy:?}"
+            );
+        }
+    }
+
     #[test]
     fn bigger_budget_stores_more() {
         let g = seeded_graph(6, 40, 25, 3);

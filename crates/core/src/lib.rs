@@ -7,7 +7,8 @@
 //! selected shortcuts.
 //!
 //! * [`index`] — [`TdTreeIndex`]: construction (Algo. 2 via `td-treedec`),
-//!   shortcut materialisation (Fact 1, two-pass, parallel), memory accounting;
+//!   shortcut materialisation (Fact 1: weigh every pair, store the closure of
+//!   the selected ones, in parallel), memory accounting;
 //! * [`select`] — the shortcut-selection knapsack (Def. 8): exact dynamic
 //!   programming (Algo. 4, with divide-and-conquer reconstruction and weight
 //!   bucketing for large budgets) and the 0.5-approximation dual greedy

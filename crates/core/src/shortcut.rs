@@ -1,5 +1,6 @@
 //! Shortcut machinery: ancestor vectors (Fact 1), candidate weighing
-//! (Def. 7) and the two-pass, parallel materialisation.
+//! (Def. 7) and the parallel materialisation — weigh everything, store the
+//! closure.
 //!
 //! A *shortcut pair instance* `⟨i, j⟩` (Def. 6) stores the exact shortest
 //! travel-cost functions `s⟨i,j⟩(t)` (up: `i → j`) and `s⟨j,i⟩(t)` (down)
@@ -12,13 +13,25 @@
 //! ```
 //!
 //! The engine runs a DFS from the root keeping, per node on the current root
-//! path, the full *ancestor vector* (both directions to every ancestor).
-//! Because `X(i)\{i} ⊆ Anc(X(i))` (Property 2), every term above is available
-//! on the DFS stack. Peak memory is `O(h² · c)` per path — this is how the
-//! index weighs **all** `O(n·h)` candidates (Def. 8 needs their exact
+//! path, its *ancestor vector* (both directions to its ancestors). Because
+//! `X(i)\{i} ⊆ Anc(X(i))` (Property 2), every term above is available on the
+//! DFS stack. Peak memory is `O(h² · c)` per path — this is how the index
+//! weighs **all** `O(n·h)` candidates (Def. 8 needs their exact
 //! interpolation-point weights) without materialising TD-H2H's `O(n·h·c)`
-//! label space. Selection then runs, and a second pass stores only the
-//! chosen pairs. TD-H2H is the same engine with "store everything".
+//! label space.
+//!
+//! Every pass is driven by one relevance table, `need[v]`: the ancestor
+//! depths of `v` whose entries some emitted pair reads. Entry `(v, k)` reads
+//! only `(u, k)` for bag members `u` below depth `k` and
+//! `(anc_k(v), depth(u))` for bag members above it — always an entry of a
+//! proper ancestor — so one deepest-first sweep from the rows to emit closes
+//! the table (`need_closure`). The weigh pass and TD-H2H's "store
+//! everything" emit every pair, so their table is every depth; the store
+//! pass after selection and the rebuild after an update compute only the
+//! closure of the rows they emit (about a tenth of all entries on a road
+//! network at the default budget), and the DFS never enters a subtree that
+//! holds none of it. An entry outside the table is `Entry::Skipped`, not
+//! "unreachable": reading one panics instead of dropping a Fact-1 term.
 
 use crate::select::Candidate;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,28 +40,45 @@ use td_graph::VertexId;
 use td_plf::{ops::min_into, Plf};
 use td_treedec::TreeDecomposition;
 
-/// Both direction functions from one node to all its ancestors, indexed by
-/// ancestor depth (position in the root-first ancestor list).
-#[derive(Clone, Debug, Default)]
-pub struct NodeVectors {
-    /// `up[k]`: node → ancestor at depth `k` (`None` = unreachable).
-    pub up: Vec<Option<Plf>>,
-    /// `down[k]`: ancestor at depth `k` → node.
-    pub down: Vec<Option<Plf>>,
-    /// Minimum of `up[k]` / `down[k]` over all departure times, kept in the
-    /// DFS frame so the nodes below bound a compound without scanning it.
-    up_min: Vec<f64>,
-    down_min: Vec<f64>,
+/// One ancestor-vector entry of a DFS frame.
+#[derive(Clone, Debug)]
+enum Entry {
+    /// Outside the pass's `need` table: never computed.
+    Skipped,
+    /// Computed: no path in this direction.
+    Unreachable,
+    /// Computed: the function and its minimum over all departure times, kept
+    /// in the frame so the nodes below bound a compound without scanning it.
+    Reachable(Plf, f64),
 }
 
-impl NodeVectors {
-    fn up_at(&self, k: usize) -> Option<(&Plf, f64)> {
-        self.up[k].as_ref().map(|f| (f, self.up_min[k]))
+impl Entry {
+    /// The computed function (`None` = unreachable) with its minimum.
+    ///
+    /// Panics on a skipped entry, in release builds too: the `need` table
+    /// missed a dependency, and answering "unreachable" would silently drop
+    /// a Fact-1 term.
+    fn get(&self) -> Option<(&Plf, f64)> {
+        match self {
+            Entry::Skipped => panic!("ancestor-vector entry read outside the need closure"),
+            Entry::Unreachable => None,
+            Entry::Reachable(f, min) => Some((f, *min)),
+        }
     }
 
-    fn down_at(&self, k: usize) -> Option<(&Plf, f64)> {
-        self.down[k].as_ref().map(|f| (f, self.down_min[k]))
+    fn function(&self) -> Option<&Plf> {
+        self.get().map(|(f, _)| f)
     }
+}
+
+/// Both direction functions from one node to its ancestors, indexed by
+/// ancestor depth (position in the root-first ancestor list).
+#[derive(Clone, Debug)]
+struct NodeVectors {
+    /// `up[k]`: node → ancestor at depth `k`.
+    up: Vec<Entry>,
+    /// `down[k]`: ancestor at depth `k` → node.
+    down: Vec<Entry>,
 }
 
 /// Fact 1's accumulator for one direction towards one ancestor: the best
@@ -76,24 +106,36 @@ impl Best {
         let f = self.f.as_ref().expect("min_into leaves a function");
         self.bounds = f.value_bounds();
     }
+
+    fn into_entry(self) -> Entry {
+        match self.f {
+            Some(f) => Entry::Reachable(f, self.bounds.0),
+            None => Entry::Unreachable,
+        }
+    }
 }
 
-/// Computes `v`'s ancestor vectors from the DFS stack (Fact 1).
+/// Computes the entries `need` (sorted ancestor depths) of `v`'s ancestor
+/// vectors from the DFS stack (Fact 1); every other entry stays
+/// `Entry::Skipped`.
 ///
 /// `stack[k]` must hold the vectors of `v`'s ancestor at depth `k`;
 /// `stack.len() == depth(v)`. Every term `Compound(label, rest)` is bounded
 /// below by `min(label) + min(rest)` — the label minimum pre-fetched per bag
 /// member, the rest's read from its frame — and skipped when that cannot get
 /// below the maximum of what the slot already holds.
-pub fn compute_vectors(td: &TreeDecomposition, v: VertexId, stack: &[NodeVectors]) -> NodeVectors {
+fn compute_vectors(
+    td: &TreeDecomposition,
+    v: VertexId,
+    need: &[u32],
+    stack: &[NodeVectors],
+) -> NodeVectors {
     let node = td.node(v);
     let d = node.depth as usize;
     debug_assert_eq!(stack.len(), d);
     let mut vecs = NodeVectors {
-        up: Vec::with_capacity(d),
-        down: Vec::with_capacity(d),
-        up_min: Vec::with_capacity(d),
-        down_min: Vec::with_capacity(d),
+        up: vec![Entry::Skipped; d],
+        down: vec![Entry::Skipped; d],
     };
     // Pre-fetch each bag member's depth and label minima once.
     let min_of = |w: &Option<Plf>| w.as_ref().map_or(f64::INFINITY, Plf::min_value);
@@ -103,7 +145,8 @@ pub fn compute_vectors(td: &TreeDecomposition, v: VertexId, stack: &[NodeVectors
             (du, min_of(&node.ws[bi]), min_of(&node.wd[bi]))
         })
         .collect();
-    for k in 0..d {
+    for &k in need {
+        let k = k as usize;
         let (mut best_up, mut best_down) = (Best::UNREACHABLE, Best::UNREACHABLE);
         for (bi, &u) in node.bag.iter().enumerate() {
             let (du, ws_min, wd_min) = bag[bi];
@@ -115,9 +158,9 @@ pub fn compute_vectors(td: &TreeDecomposition, v: VertexId, stack: &[NodeVectors
                     // u above the target: u → anc[k] is the target's down
                     // entry at u's depth; u below it: u's own up entry.
                     let rest = if du < k {
-                        stack[k].down_at(du)
+                        stack[k].down[du].get()
                     } else {
-                        stack[du].up_at(k)
+                        stack[du].up[k].get()
                     };
                     if let Some((f, f_min)) = rest {
                         best_up.relax(ws_min + f_min, || ws.compound(f, u));
@@ -130,9 +173,9 @@ pub fn compute_vectors(td: &TreeDecomposition, v: VertexId, stack: &[NodeVectors
                     best_down.relax(wd_min, || wd.clone());
                 } else {
                     let rest = if du < k {
-                        stack[k].up_at(du)
+                        stack[k].up[du].get()
                     } else {
-                        stack[du].down_at(k)
+                        stack[du].down[k].get()
                     };
                     if let Some((f, f_min)) = rest {
                         best_down.relax(f_min + wd_min, || f.compound(wd, u));
@@ -140,10 +183,8 @@ pub fn compute_vectors(td: &TreeDecomposition, v: VertexId, stack: &[NodeVectors
                 }
             }
         }
-        vecs.up_min.push(best_up.bounds.0);
-        vecs.down_min.push(best_down.bounds.0);
-        vecs.up.push(best_up.f);
-        vecs.down.push(best_down.f);
+        vecs.up[k] = best_up.into_entry();
+        vecs.down[k] = best_down.into_entry();
     }
     vecs
 }
@@ -254,9 +295,13 @@ struct PassOutput {
 }
 
 /// Weighs every candidate pair (first pass): returns `Candidate`s with exact
-/// utilities (Def. 7) and interpolation-point weights.
+/// utilities (Def. 7) and interpolation-point weights, sorted by `(node,
+/// ancestor)` — the workers finish in scheduling order, and selection's
+/// tie-breaks and utility sum must not depend on it.
 pub fn weigh_candidates(td: &TreeDecomposition, width: usize, threads: usize) -> Vec<Candidate> {
-    run_pass(td, width, threads, &PassMode::Weigh, None).candidates
+    let mut candidates = run_pass(td, width, threads, &PassMode::Weigh).candidates;
+    candidates.sort_unstable_by_key(|c| (c.node, c.ancestor));
+    candidates
 }
 
 /// Runs a storing pass and moves the pairs it emits into `store`'s rows.
@@ -265,14 +310,13 @@ fn store_pass(
     td: &TreeDecomposition,
     threads: usize,
     mode: &PassMode<'_>,
-    only_subtrees_of: Option<&[VertexId]>,
 ) {
-    for (v, a, up, down) in run_pass(td, 0, threads, mode, only_subtrees_of).stored {
+    for (v, a, up, down) in run_pass(td, 0, threads, mode).stored {
         store.insert(v, a, up, down);
     }
 }
 
-/// Builds the selected shortcut pairs (second pass). `selected[v]` lists the
+/// Builds the selected shortcut pairs (the store pass). `selected[v]` lists the
 /// chosen ancestors of `v` (any order).
 pub fn build_selected(
     td: &TreeDecomposition,
@@ -280,22 +324,22 @@ pub fn build_selected(
     threads: usize,
 ) -> ShortcutStore {
     let mut store = ShortcutStore::empty(td.len());
-    store_pass(&mut store, td, threads, &PassMode::Store(selected), None);
+    store_pass(&mut store, td, threads, &PassMode::Store(selected));
     store
 }
 
 /// Builds *all* pairs (TD-H2H's full label, single pass).
 pub fn build_all(td: &TreeDecomposition, threads: usize) -> ShortcutStore {
     let mut store = ShortcutStore::empty(td.len());
-    store_pass(&mut store, td, threads, &PassMode::StoreAll, None);
+    store_pass(&mut store, td, threads, &PassMode::StoreAll);
     store
 }
 
 /// Rebuilds in place the rows of every vertex inside the subtrees rooted at
 /// `roots`, after tree labels changed (incremental updates), and returns how
 /// many vertices that was. What is stored is what is selected: each row's
-/// ancestor keys are read off before the row is cleared, then the second
-/// pass re-runs restricted to those subtrees.
+/// ancestor keys are read off before the row is cleared, then the store pass
+/// re-runs on those rows alone — it computes their closure and nothing else.
 pub(crate) fn rebuild_subtrees(
     store: &mut ShortcutStore,
     td: &TreeDecomposition,
@@ -315,64 +359,92 @@ pub(crate) fn rebuild_subtrees(
         stack.extend(td.node(v).children.iter().copied());
     }
     store.clear_vertices(&affected);
-    store_pass(store, td, threads, &PassMode::Store(&selected), Some(roots));
+    store_pass(store, td, threads, &PassMode::Store(&selected));
     affected.len()
 }
 
+/// A pass's relevance table. `need[v]` is `None` when nothing in `v`'s
+/// subtree has an entry to compute — the DFS never goes there — and otherwise
+/// the sorted ancestor depths of `v` whose entries some emitted pair reads
+/// (empty for a vertex that is only passed through).
+type Need = Vec<Option<Vec<u32>>>;
+
+/// The table of a pass that emits every pair: every depth, everywhere — four
+/// bytes per pair the pass goes on to weigh or store, the price of walking
+/// the one `need` loop in `compute_vectors` instead of a second one.
+fn need_everything(td: &TreeDecomposition) -> Need {
+    (td.nodes.iter())
+        .map(|node| Some((0..node.depth).collect()))
+        .collect()
+}
+
+/// The table of a pass that emits the rows `selected`: their closure under
+/// Fact 1's reads. Every read points at a proper ancestor's entry, so one
+/// sweep in elimination order (each vertex before its ancestors) closes it in
+/// `O(closure × width)`.
+fn need_closure(td: &TreeDecomposition, selected: &[Vec<VertexId>]) -> Need {
+    let mut need: Need = (selected.iter())
+        .map(|row| {
+            (!row.is_empty()).then(|| row.iter().map(|&a| td.node(a).depth).collect::<Vec<_>>())
+        })
+        .collect();
+    let mut by_step: Vec<VertexId> = vec![0; td.len()];
+    for (v, &step) in td.order.iter().enumerate() {
+        by_step[step as usize] = v as VertexId;
+    }
+    let mut anc = Vec::new();
+    for v in by_step {
+        let Some(mut depths) = need[v as usize].take() else {
+            continue;
+        };
+        depths.sort_unstable();
+        depths.dedup();
+        let node = td.node(v);
+        if let Some(p) = node.parent {
+            need[p as usize].get_or_insert_with(Vec::new);
+        }
+        td.ancestors_root_first_into(v, &mut anc);
+        for &u in &node.bag {
+            let du = td.node(u).depth;
+            for &k in &depths {
+                // The reads of `compute_vectors`: through `u` below the
+                // target, `u`'s own entry towards it; through `u` above it,
+                // the target's entry at `u`'s depth.
+                let (owner, entry) = match du.cmp(&k) {
+                    std::cmp::Ordering::Greater => (u, k),
+                    std::cmp::Ordering::Less => (anc[k as usize], du),
+                    std::cmp::Ordering::Equal => continue,
+                };
+                need[owner as usize]
+                    .get_or_insert_with(Vec::new)
+                    .push(entry);
+            }
+        }
+        need[v as usize] = Some(depths);
+    }
+    need
+}
+
 /// DFS driver: sequential down to a branching frontier, then parallel over
-/// subtrees with cloned prefix stacks.
-///
-/// `only_subtrees_of`: when set, vectors are still computed wherever needed,
-/// but output is only produced for vertices inside the subtrees rooted at the
-/// given vertices, and branches containing none of them are skipped entirely
-/// (incremental updates).
+/// subtrees with cloned prefix stacks. Only `need`'s entries are computed and
+/// only the subtrees it marks are entered.
 fn run_pass(
     td: &TreeDecomposition,
     width: usize,
     threads: usize,
     mode: &PassMode<'_>,
-    only_subtrees_of: Option<&[VertexId]>,
 ) -> PassOutput {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         threads
     };
-
-    // Relevance marking for incremental rebuilds.
-    // affected[v]: v's output must be produced (v is in a target subtree).
-    // on_path[v]: v's subtree contains an affected vertex (must be visited).
-    let marks = only_subtrees_of.map(|roots| {
-        let n = td.len();
-        let mut affected = vec![false; n];
-        for &r in roots {
-            affected[r as usize] = true;
-        }
-        // Propagate down: preorder.
-        let mut order: Vec<VertexId> = vec![td.root];
-        let mut i = 0;
-        while i < order.len() {
-            let v = order[i];
-            i += 1;
-            for &c in &td.node(v).children {
-                if affected[v as usize] {
-                    affected[c as usize] = true;
-                }
-                order.push(c);
-            }
-        }
-        let mut on_path = affected.clone();
-        for &v in order.iter().rev() {
-            if on_path[v as usize] {
-                if let Some(p) = td.node(v).parent {
-                    on_path[p as usize] = true;
-                }
-            }
-        }
-        (affected, on_path)
-    });
-    let should_visit = |v: VertexId| marks.as_ref().is_none_or(|(_, p)| p[v as usize]);
-    let should_emit = |v: VertexId| marks.as_ref().is_none_or(|(a, _)| a[v as usize]);
+    let need = match mode {
+        PassMode::Store(selected) => need_closure(td, selected),
+        PassMode::Weigh | PassMode::StoreAll => need_everything(td),
+    };
+    let needed_children =
+        |v: VertexId| (td.node(v).children.iter().copied()).filter(|&c| need[c as usize].is_some());
 
     // Sequential descent collecting parallel jobs: split once the frontier is
     // wide enough.
@@ -380,22 +452,17 @@ fn run_pass(
     let mut output = PassOutput::default();
     let mut jobs: Vec<(VertexId, Vec<NodeVectors>)> = Vec::new();
     // (vertex, prefix depth) queue; prefix stacks owned per entry.
-    let mut queue: Vec<(VertexId, Vec<NodeVectors>)> = vec![(td.root, Vec::new())];
-    while let Some((v, stack)) = queue.pop() {
-        if !should_visit(v) {
-            continue;
-        }
-        if jobs.len() + queue.len() >= target_jobs || td.node(v).children.is_empty() {
+    let mut queue: Vec<(VertexId, Vec<NodeVectors>)> = Vec::new();
+    if need[td.root as usize].is_some() {
+        queue.push((td.root, Vec::new()));
+    }
+    while let Some((v, mut stack)) = queue.pop() {
+        if jobs.len() + queue.len() >= target_jobs || needed_children(v).next().is_none() {
             jobs.push((v, stack));
             continue;
         }
-        let vecs = compute_vectors(td, v, &stack);
-        emit(td, v, width, &vecs, mode, should_emit(v), &mut output);
-        let mut stack = stack;
-        stack.push(vecs);
-        for &c in &td.node(v).children {
-            queue.push((c, stack.clone()));
-        }
+        stack.push(visit(td, v, &need, &stack, width, mode, &mut output));
+        queue.extend(needed_children(v).map(|c| (c, stack.clone())));
     }
 
     if jobs.is_empty() {
@@ -415,16 +482,7 @@ fn run_pass(
                         break;
                     }
                     let (root, prefix) = &jobs[i];
-                    subtree_dfs(
-                        td,
-                        *root,
-                        prefix.clone(),
-                        width,
-                        mode,
-                        &should_visit,
-                        &should_emit,
-                        &mut local,
-                    );
+                    subtree_dfs(td, *root, prefix.clone(), &need, width, mode, &mut local);
                 }
                 // Poison only means another worker panicked after pushing
                 // a complete `local`; the Vec itself is still well-formed.
@@ -446,35 +504,29 @@ fn run_pass(
 }
 
 /// Iterative DFS over one subtree with an explicit vector stack.
-#[allow(clippy::too_many_arguments)]
 fn subtree_dfs(
     td: &TreeDecomposition,
     root: VertexId,
     mut stack: Vec<NodeVectors>,
+    need: &Need,
     width: usize,
     mode: &PassMode<'_>,
-    should_visit: &dyn Fn(VertexId) -> bool,
-    should_emit: &dyn Fn(VertexId) -> bool,
     out: &mut PassOutput,
 ) {
     let base_depth = stack.len();
     // Frame: (vertex, next child index).
     let mut frames: Vec<(VertexId, usize)> = Vec::new();
-    let vecs = compute_vectors(td, root, &stack);
-    emit(td, root, width, &vecs, mode, should_emit(root), out);
-    stack.push(vecs);
+    stack.push(visit(td, root, need, &stack, width, mode, out));
     frames.push((root, 0));
     while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
         let children = &td.node(v).children;
         if *ci < children.len() {
             let c = children[*ci];
             *ci += 1;
-            if !should_visit(c) {
+            if need[c as usize].is_none() {
                 continue;
             }
-            let vecs = compute_vectors(td, c, &stack);
-            emit(td, c, width, &vecs, mode, should_emit(c), out);
-            stack.push(vecs);
+            stack.push(visit(td, c, need, &stack, width, mode, out));
             frames.push((c, 0));
         } else {
             frames.pop();
@@ -484,27 +536,29 @@ fn subtree_dfs(
     debug_assert_eq!(stack.len(), base_depth);
 }
 
-/// Produces a node's output for the current pass mode.
-fn emit(
+/// Computes `v`'s needed entries on top of `stack` and produces its output
+/// for the current pass mode.
+fn visit(
     td: &TreeDecomposition,
     v: VertexId,
+    need: &Need,
+    stack: &[NodeVectors],
     width: usize,
-    vecs: &NodeVectors,
     mode: &PassMode<'_>,
-    emit_output: bool,
     out: &mut PassOutput,
-) {
-    if !emit_output {
-        return;
-    }
+) -> NodeVectors {
+    let need_v = need[v as usize]
+        .as_deref()
+        .expect("the DFS only enters needed subtrees");
+    let vecs = compute_vectors(td, v, need_v, stack);
     let d = td.node(v).depth as usize;
+    let points = |e: &Entry| e.function().map_or(0, Plf::len);
     match mode {
         PassMode::Weigh => {
             let anc = td.ancestors_root_first(v);
             let n = td.len() as f64;
             for (k, &j) in anc.iter().enumerate().take(d) {
-                let weight = vecs.up[k].as_ref().map_or(0, |f| f.len())
-                    + vecs.down[k].as_ref().map_or(0, |f| f.len());
+                let weight = points(&vecs.up[k]) + points(&vecs.down[k]);
                 if weight == 0 {
                     continue; // both directions unreachable: nothing to store
                 }
@@ -523,30 +577,27 @@ fn emit(
             }
         }
         PassMode::Store(selected) => {
-            if selected[v as usize].is_empty() {
-                return;
-            }
-            let anc = td.ancestors_root_first(v);
             for &a in &selected[v as usize] {
                 let k = td.node(a).depth as usize;
                 debug_assert!(
-                    k < d && anc[k] == a,
+                    k < d && td.is_ancestor_of(a, v),
                     "selected ancestor must be on the root path"
                 );
-                out.stored
-                    .push((v, a, vecs.up[k].clone(), vecs.down[k].clone()));
+                let (up, down) = (vecs.up[k].function(), vecs.down[k].function());
+                out.stored.push((v, a, up.cloned(), down.cloned()));
             }
         }
         PassMode::StoreAll => {
             let anc = td.ancestors_root_first(v);
             for (k, &a) in anc.iter().enumerate().take(d) {
-                if vecs.up[k].is_some() || vecs.down[k].is_some() {
-                    out.stored
-                        .push((v, a, vecs.up[k].clone(), vecs.down[k].clone()));
+                let (up, down) = (vecs.up[k].function(), vecs.down[k].function());
+                if up.is_some() || down.is_some() {
+                    out.stored.push((v, a, up.cloned(), down.cloned()));
                 }
             }
         }
     }
+    vecs
 }
 
 #[cfg(test)]
@@ -626,20 +677,7 @@ mod tests {
         let seq = build_all(&td, 1);
         let par = build_all(&td, 8);
         assert_eq!(seq.num_pairs(), par.num_pairs());
-        for (v, a) in seq.pairs() {
-            let (su, sd) = seq.get(v, a).unwrap();
-            let (pu, pd) = par.get(v, a).unwrap();
-            match (su, pu) {
-                (Some(x), Some(y)) => assert!(x.approx_eq(y, 1e-9)),
-                (None, None) => {}
-                _ => panic!("up mismatch at ({v},{a})"),
-            }
-            match (sd, pd) {
-                (Some(x), Some(y)) => assert!(x.approx_eq(y, 1e-9)),
-                (None, None) => {}
-                _ => panic!("down mismatch at ({v},{a})"),
-            }
-        }
+        assert_eq!(seq.per_node, par.per_node);
     }
 
     #[test]
@@ -679,40 +717,177 @@ mod tests {
         }
     }
 
+    /// Whatever is selected, the store pass computes its closure to the bits
+    /// the full label holds: empty rows, one deep pair, every vertex's root
+    /// and parent, random subsets and every pair, sequentially and with more
+    /// workers than cores.
     #[test]
-    fn build_selected_stores_exactly_the_selection() {
-        let g = seeded_graph(8, 30, 20, 3);
-        let td = TreeDecomposition::build(&g);
-        let mut selected: Vec<Vec<VertexId>> = vec![Vec::new(); td.len()];
-        // Select: every node's root and parent (when distinct).
-        for v in 0..td.len() as u32 {
-            let anc = td.ancestors_root_first(v);
-            if let Some(&r) = anc.first() {
-                selected[v as usize].push(r);
+    fn demand_built_rows_equal_the_full_label() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let graphs = (0..6).map(|seed| (seed, 40 + 5 * seed as usize, 30));
+        for (seed, vertices, extra) in graphs.chain([(8u64, 30, 20)]) {
+            let g = seeded_graph(seed, vertices, extra, 3);
+            let td = TreeDecomposition::build(&g);
+            let full = build_all(&td, 1);
+            let n = td.len();
+            let all_rows: Vec<Vec<VertexId>> = (full.per_node.iter())
+                .map(|row| row.iter().map(|e| e.0).collect())
+                .collect();
+            let deepest = (0..n as u32)
+                .max_by_key(|&v| (td.node(v).depth, v))
+                .expect("non-empty");
+            let mut one_deep_pair = vec![Vec::new(); n];
+            one_deep_pair[deepest as usize] = vec![td.root];
+            let root_and_parent: Vec<Vec<VertexId>> = (0..n as u32)
+                .map(|v| {
+                    let mut row: Vec<_> = (td.node(v).parent.into_iter())
+                        .chain([td.root])
+                        .filter(|&a| a != v)
+                        .collect();
+                    row.dedup();
+                    row
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1ec7);
+            let mut selections = vec![
+                vec![Vec::new(); n],
+                one_deep_pair,
+                root_and_parent,
+                all_rows.clone(),
+            ];
+            for keep in [0.05, 0.3, 0.8] {
+                selections.push(
+                    (all_rows.iter())
+                        .map(|row| {
+                            row.iter()
+                                .copied()
+                                .filter(|_| rng.gen_range(0.0..1.0) < keep)
+                                .collect()
+                        })
+                        .collect(),
+                );
             }
-            if anc.len() >= 2 {
-                let p = *anc.last().unwrap();
-                selected[v as usize].push(p);
+            for (si, selected) in selections.iter().enumerate() {
+                for threads in [1, 8] {
+                    let store = build_selected(&td, selected, threads);
+                    let want: usize = selected.iter().map(Vec::len).sum();
+                    assert_eq!(store.num_pairs(), want, "seed={seed} selection={si}");
+                    for (v, row) in store.per_node.iter().enumerate() {
+                        let full_row = (full.per_node[v].iter())
+                            .filter(|e| selected[v].contains(&e.0))
+                            .cloned()
+                            .collect::<Vec<_>>();
+                        assert_eq!(
+                            row, &full_row,
+                            "seed={seed} selection={si} threads={threads} v={v}"
+                        );
+                    }
+                }
             }
         }
-        let store = build_selected(&td, &selected, 2);
-        let want: usize = selected.iter().map(|s| s.len()).sum();
-        assert_eq!(store.num_pairs(), want);
-        let full = build_all(&td, 2);
-        for (v, a) in store.pairs() {
-            let (u1, d1) = store.get(v, a).unwrap();
-            let (u2, d2) = full.get(v, a).unwrap();
-            match (u1, u2) {
-                (Some(x), Some(y)) => assert!(x.approx_eq(y, 1e-9)),
-                (None, None) => {}
-                _ => panic!("selected build differs from full build"),
-            }
-            match (d1, d2) {
-                (Some(x), Some(y)) => assert!(x.approx_eq(y, 1e-9)),
-                (None, None) => {}
-                _ => panic!("selected build differs from full build"),
-            }
+    }
+
+    /// A ring 0‥5 with the chord 1–4 and a pendant 6 on 3. Min-degree
+    /// elimination (ties by id) gives
+    ///
+    /// ```text
+    /// 5 ─ 4 ─ 1 ┬ 0            bags: X(4) = {5}, X(1) = {4, 5},
+    ///           └ 3 ┬ 2              X(0) = {1, 5}, X(3) = {1, 4},
+    ///               └ 6              X(2) = {3, 1}, X(6) = {3}
+    /// ```
+    fn hand_tree() -> TreeDecomposition {
+        let mut b = td_graph::GraphBuilder::new(7);
+        for (u, v) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (3, 6),
+            (1, 4),
+        ] {
+            b.bidirectional(u, v, Plf::constant(1.0)).unwrap();
         }
+        let td = TreeDecomposition::build(&b.build());
+        let shape: Vec<_> = (0..7)
+            .map(|v| (td.node(v).parent, td.node(v).bag.clone()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (Some(1), vec![1, 5]),
+                (Some(4), vec![4, 5]),
+                (Some(3), vec![3, 1]),
+                (Some(1), vec![1, 4]),
+                (Some(5), vec![5]),
+                (None, vec![]),
+                (Some(3), vec![3]),
+            ]
+        );
+        td
+    }
+
+    /// Runs Fact 1 down the path 5 → 4 → 1 → 3 → 2 of [`hand_tree`].
+    fn compute_hand_path(td: &TreeDecomposition, need: &Need) -> Vec<NodeVectors> {
+        let mut stack = Vec::new();
+        for v in [5, 4, 1, 3, 2] {
+            let need_v = need[v as usize].as_deref().expect("on the path");
+            let vecs = compute_vectors(td, v, need_v, &stack);
+            stack.push(vecs);
+        }
+        stack
+    }
+
+    #[test]
+    fn need_is_exactly_the_closure_of_the_emitted_rows() {
+        let td = hand_tree();
+        // ⟨2,5⟩ (depth 0) reads (3,0) and (1,0); (3,0) reads (1,0) and (4,0);
+        // (1,0) reads (4,0); (4,0) reads nothing — all through members below
+        // the target. ⟨2,1⟩ (depth 2) reads (3,2); (3,2) has member 4 above
+        // the target, so it reads the target's entry (1,1), which in turn
+        // reads (4,0) through member 5. ⟨6,3⟩ is a label: no reads at all.
+        let mut selected = vec![Vec::new(); 7];
+        selected[2] = vec![5, 1];
+        selected[6] = vec![3];
+        let need = need_closure(&td, &selected);
+        assert_eq!(
+            need,
+            [
+                None, // 0: not emitted, not read, no needed descendant
+                Some(vec![0, 1]),
+                Some(vec![0, 2]),
+                Some(vec![0, 2]),
+                Some(vec![0]),
+                Some(vec![]), // the root: passed through only
+                Some(vec![3]),
+            ]
+        );
+        // The closure is enough for Fact 1, to the full label's bits.
+        let frames = compute_hand_path(&td, &need);
+        let full = build_all(&td, 1);
+        let (up, down) = full.get(2, 1).expect("stored");
+        assert_eq!(frames[4].up[2].function(), up.as_ref());
+        assert_eq!(frames[4].down[2].function(), down.as_ref());
+        // An empty selection needs nothing, not even the root.
+        assert!(need_closure(&td, &vec![Vec::new(); 7])
+            .iter()
+            .all(Option::is_none));
+    }
+
+    /// The guard `Entry::Skipped` exists for: with one dependency missing
+    /// from the table, Fact 1 stops instead of treating it as unreachable.
+    #[test]
+    #[should_panic(expected = "outside the need closure")]
+    fn a_read_outside_the_closure_panics() {
+        let td = hand_tree();
+        let mut selected = vec![Vec::new(); 7];
+        selected[2] = vec![1];
+        let mut need = need_closure(&td, &selected);
+        assert_eq!(need[1], Some(vec![1]));
+        need[1] = Some(vec![]); // (3,2) reads (1,1)
+        compute_hand_path(&td, &need);
     }
 
     #[test]

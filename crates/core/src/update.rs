@@ -22,10 +22,15 @@
 //! recomputed from their full support lists rather than min-merged.
 //!
 //! **Phase 2 — shortcut rebuild.** Every node whose `Ws`/`Wd` changed
-//! invalidates its own and its descendants' ancestor vectors; the shortcut
-//! DFS re-runs restricted to those subtrees, re-storing only selected pairs.
-//! The frozen label view is then re-derived from the repaired tree, like
-//! every other frozen view in the workspace.
+//! invalidates its own and its descendants' ancestor vectors, so the stored
+//! rows of those vertices are rebuilt: their ancestor keys are read off (the
+//! rows *are* the selection), and the store pass re-runs on those rows alone.
+//! Like the build's store pass it is demand-driven — it computes the Fact-1
+//! closure of the pairs it emits (`shortcut::need_closure`), not the whole
+//! vectors of every descendant, and it never enters a subtree that holds no
+//! stored pair of an affected vertex. The frozen label view is then
+//! re-derived from the repaired tree, like every other frozen view in the
+//! workspace.
 
 use crate::frozen::FrozenTd;
 use crate::index::TdTreeIndex;
@@ -407,6 +412,78 @@ mod tests {
                 );
             }
             verify_against_oracle(&index, 3, 40);
+        }
+    }
+
+    /// Phase 2 to the bit: after increases, decreases and an edge named twice
+    /// in one batch, the rows of every vertex under a changed node are what
+    /// the store pass gives for the same keys on the repaired tree, every
+    /// other row keeps its bits, and `rebuilt_subtree_nodes` counts the
+    /// vertices under the changed nodes.
+    #[test]
+    fn rebuilt_rows_are_the_store_pass_on_the_repaired_tree() {
+        use crate::shortcut::build_selected;
+        let g = seeded_graph(3, 30, 20, 3);
+        for strategy in [
+            SelectionStrategy::Greedy { budget: 2_000 },
+            SelectionStrategy::Dp {
+                budget: 2_000,
+                weight_scale: 1,
+            },
+            SelectionStrategy::All,
+        ] {
+            let mut index = TdTreeIndex::build(
+                g.clone(),
+                IndexOptions {
+                    strategy,
+                    threads: 2,
+                    track_supports: true,
+                },
+            );
+            let edge = |e: u32| (g.edge(e).from, g.edge(e).to);
+            let weight = |e: u32, factor: f64| {
+                let (u, v) = edge(e);
+                (u, v, Plf::constant(g.edge(e).weight.min_value() * factor))
+            };
+            let batches = [
+                vec![weight(0, 4.0)],
+                vec![weight(0, 0.25), weight(7, 0.5)],
+                vec![weight(3, 3.0), weight(11, 0.5), weight(3, 0.2)],
+            ];
+            for (round, changes) in batches.iter().enumerate() {
+                let before = index.clone();
+                let stats = index.update_edges(changes);
+                let what = format!("{strategy:?} round {round}");
+                assert!(stats.changed_nodes > 0, "{what}: nothing changed");
+
+                let n = index.td.len();
+                let relabelled = |v: usize| {
+                    let (old, new) = (&before.td.nodes[v], &index.td.nodes[v]);
+                    old.ws != new.ws || old.wd != new.wd
+                };
+                let mut affected = vec![false; n];
+                let mut stack: Vec<usize> = (0..n).filter(|&v| relabelled(v)).collect();
+                assert_eq!(stats.changed_nodes, stack.len(), "{what}");
+                while let Some(v) = stack.pop() {
+                    if !std::mem::replace(&mut affected[v], true) {
+                        stack.extend(index.td.nodes[v].children.iter().map(|&c| c as usize));
+                    }
+                }
+                let affected_count = affected.iter().filter(|&&a| a).count();
+                assert_eq!(stats.rebuilt_subtree_nodes, affected_count, "{what}");
+
+                let keys: Vec<Vec<VertexId>> = (before.store.per_node.iter())
+                    .map(|row| row.iter().map(|e| e.0).collect())
+                    .collect();
+                let want = build_selected(&index.td, &keys, 1);
+                assert_eq!(index.store.num_pairs(), before.store.num_pairs(), "{what}");
+                for (v, row) in index.store.per_node.iter().enumerate() {
+                    assert_eq!(row, &want.per_node[v], "{what}: row {v}");
+                    if !affected[v] {
+                        assert_eq!(row, &before.store.per_node[v], "{what}: untouched row {v}");
+                    }
+                }
+            }
         }
     }
 
