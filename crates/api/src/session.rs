@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! Reusable per-query state: [`SessionScratch`] and [`QuerySession`].

@@ -16,12 +16,11 @@
 //! timed interleaved.
 //!
 //! Acceptance bar (ISSUE 8): corridor ≥ 1.3× on the dense profile
-//! workload. A miss warns loudly by default; set PLF_BATCH_ASSERT=1 to
-//! make it fatal (quiet perf-regression gate, like BUDGET_ASSERT).
+//! workload; a miss is fatal.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::hint::black_box;
 use std::time::Instant;
 use td_dijkstra::{profile_search_frozen, profile_search_frozen_corridor_to};
 use td_gen::random_graph::{random_profile, seeded_graph};
@@ -50,15 +49,7 @@ fn compare2(mut a: impl FnMut(), mut b: impl FnMut(), budget_ms: u128) -> (f64, 
     (ta as f64 / r, tb as f64 / r)
 }
 
-/// Loud-by-default perf gate, fatal under PLF_BATCH_ASSERT=1.
-fn gate(msg: String) {
-    if std::env::var_os("PLF_BATCH_ASSERT").is_some() {
-        panic!("{msg}");
-    }
-    eprintln!("WARNING: {msg}");
-}
-
-fn bench_plf_batch(criterion: &mut Criterion) {
+fn main() {
     // ---- Kernel A/B: repeated eval vs eval_times_into -------------------
     let mut rng = StdRng::seed_from_u64(17);
     let mut arena = PlfArena::new();
@@ -207,36 +198,8 @@ fn bench_plf_batch(criterion: &mut Criterion) {
         tc / 1e6,
         speedup
     );
-    if speedup < 1.3 {
-        gate(format!(
-            "corridor profile search speedup {speedup:.2}x below the 1.3x bar"
-        ));
-    }
-
-    // Criterion visibility for trend tracking.
-    let mut group = criterion.benchmark_group("plf_batch");
-    {
-        let mut i = 0usize;
-        group.bench_function("kernel_batched_sweep", |b| {
-            b.iter(|| {
-                i = (i + 1) % runs.len();
-                eval_times_into(arena.slice(i as u32), &runs[i], &mut out_b);
-                black_box(&out);
-            })
-        });
-    }
-    {
-        let mut i = 0usize;
-        group.bench_function("corridor_profile_search", |b| {
-            b.iter(|| {
-                i = (i + 1) % pairs.len();
-                let (s, d) = pairs[i];
-                black_box(profile_search_frozen_corridor_to(&g, &fg, s, d))
-            })
-        });
-    }
-    group.finish();
+    assert!(
+        speedup >= 1.3,
+        "corridor profile search speedup {speedup:.2}x below the 1.3x bar"
+    );
 }
-
-criterion_group!(benches, bench_plf_batch);
-criterion_main!(benches);

@@ -6,12 +6,13 @@
 //! live-update storms with invalid batches, deadline storms) — and checks
 //! the robustness claims:
 //!
-//! * **exactly-once** (always fatal): every admitted request got one
-//!   terminal reply; no duplicates; no hung client — under both runs.
-//! * **typed rejection latency** and **accepted-request p99 bound**
-//!   (fatal under `SOAK_ASSERT=1`, loud warnings otherwise): rejections
-//!   stay O(µs)-grade and the faulted p99 stays within a fixed multiple of
-//!   the fault-free baseline, floored against 1-core CI noise.
+//! * **exactly-once**: every admitted request got one terminal reply; no
+//!   duplicates; no hung client — under both runs.
+//! * **typed rejection latency** and **accepted-request p99 bound**:
+//!   rejections stay O(µs)-grade and the faulted p99 stays within a fixed
+//!   multiple of the fault-free baseline, floored against 1-core CI noise.
+//!
+//! Every miss is fatal.
 
 use std::time::Duration;
 
@@ -54,16 +55,7 @@ fn report(tag: &str, r: &SoakReport) {
     );
 }
 
-fn gate(msg: String, fatal: bool) {
-    if fatal {
-        panic!("{msg}");
-    }
-    eprintln!("WARNING: {msg}");
-}
-
 fn main() {
-    let fatal = std::env::var_os("SOAK_ASSERT").is_some();
-
     let server_cfg = ServerConfig::default();
     let soak = SoakConfig {
         duration: Duration::from_millis(1500),
@@ -97,7 +89,6 @@ fn main() {
     );
     report("full-plan", &faulted);
 
-    // The invariants are invariants: fatal regardless of SOAK_ASSERT.
     assert!(
         faulted.exactly_once(),
         "faulted soak broke exactly-once (or hung): {faulted:?}"
@@ -112,29 +103,20 @@ fn main() {
         "update storm applied nothing — the live lane never ran"
     );
 
-    // Perf-shaped claims gate behind SOAK_ASSERT like BUDGET_ASSERT does.
-    if faulted.reject_p99_nanos > REJECT_P99_CAP_NANOS {
-        gate(
-            format!(
-                "rejected submits took p99 {:.3} ms (cap {:.3} ms)",
-                faulted.reject_p99_nanos as f64 / 1e6,
-                REJECT_P99_CAP_NANOS as f64 / 1e6,
-            ),
-            fatal,
-        );
-    }
+    assert!(
+        faulted.reject_p99_nanos <= REJECT_P99_CAP_NANOS,
+        "rejected submits took p99 {:.3} ms (cap {:.3} ms)",
+        faulted.reject_p99_nanos as f64 / 1e6,
+        REJECT_P99_CAP_NANOS as f64 / 1e6,
+    );
     let bound = (baseline.p99_nanos.max(P99_FLOOR_NANOS) as f64 * P99_MULTIPLE) as u64;
-    if faulted.p99_nanos > bound {
-        gate(
-            format!(
-                "faulted accepted-request p99 {:.3} ms exceeds {}x baseline bound {:.3} ms",
-                faulted.p99_nanos as f64 / 1e6,
-                P99_MULTIPLE,
-                bound as f64 / 1e6,
-            ),
-            fatal,
-        );
-    }
+    assert!(
+        faulted.p99_nanos <= bound,
+        "faulted accepted-request p99 {:.3} ms exceeds {}x baseline bound {:.3} ms",
+        faulted.p99_nanos as f64 / 1e6,
+        P99_MULTIPLE,
+        bound as f64 / 1e6,
+    );
     println!(
         "soak gate: ok (p99 {:.3} ms <= bound {:.3} ms)",
         faulted.p99_nanos as f64 / 1e6,

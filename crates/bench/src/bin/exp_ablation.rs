@@ -20,10 +20,7 @@ use td_gen::Dataset;
 use td_treedec::TreeDecomposition;
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.2;
-    }
+    let args = ExpArgs::parse(0.2);
     let g = Dataset::Sf.spec().build_scaled(3, args.scale, args.seed);
     let td = TreeDecomposition::build(&g);
     let width = td.stats().width;

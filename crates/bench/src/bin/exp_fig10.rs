@@ -15,10 +15,7 @@ use td_gen::random_graph::random_profile;
 use td_gen::Dataset;
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.25;
-    }
+    let args = ExpArgs::parse(0.25);
     let spec = Dataset::Sf.spec();
     let g = spec.build_scaled(3, args.scale, args.seed);
     let budget = spec.budget_at(args.scale) as u64;

@@ -12,10 +12,7 @@ use td_bench::{avg_micros, fmt_bytes, timed, Csv, ExpArgs};
 use td_gen::{Dataset, Workload, WorkloadConfig};
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.25;
-    }
+    let args = ExpArgs::parse(0.25);
     let spec = Dataset::Fla.spec();
     let g = spec.build_scaled(3, args.scale, args.seed);
     let n = g.num_vertices();

@@ -20,10 +20,7 @@ use td_bench::{Csv, ExpArgs};
 use td_gen::Dataset;
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.25; // sweep default: 15 builds per dataset group
-    }
+    let args = ExpArgs::parse(0.25); // sweep default: 15 builds per dataset group
     let cost_queries = args.pairs.min(300);
     let profile_queries = 150;
     let mut q_csv = Csv::new("fig8_queries");

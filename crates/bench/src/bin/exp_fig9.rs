@@ -15,10 +15,7 @@ use td_bench::{Csv, ExpArgs};
 use td_gen::Dataset;
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.25;
-    }
+    let args = ExpArgs::parse(0.25);
     let mut csv = Csv::new("fig9_construction_only");
     let header = "dataset,c,method,construction_s,memory_bytes";
 

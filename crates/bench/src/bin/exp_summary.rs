@@ -15,10 +15,7 @@ use td_bench::{Csv, ExpArgs};
 use td_gen::Dataset;
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.25;
-    }
+    let args = ExpArgs::parse(0.25);
     let mut csv = Csv::new("summary_dp_vs_appro");
     let header = "dataset,method,cost_query_ms,profile_query_ms,construction_s,memory_bytes";
     println!(

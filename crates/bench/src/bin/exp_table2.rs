@@ -9,7 +9,7 @@ use td_gen::Dataset;
 use td_treedec::TreeDecomposition;
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(1.0);
     let mut csv = Csv::new("table2_datasets");
     println!(
         "Table 2: Statistics of datasets (synthetic analogues at scale {})",

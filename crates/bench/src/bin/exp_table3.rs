@@ -13,7 +13,7 @@ use td_bench::{avg_micros, fmt_bytes, timed, Csv, ExpArgs};
 use td_gen::{Dataset, Workload, WorkloadConfig};
 
 fn main() {
-    let args = ExpArgs::parse();
+    let args = ExpArgs::parse(1.0);
     let d = Dataset::Cal;
     let g = d.spec().build_scaled(3, args.scale, args.seed);
     let n = g.num_vertices();

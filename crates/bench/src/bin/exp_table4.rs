@@ -15,10 +15,7 @@ use td_bench::{avg_micros, fmt_bytes, timed, Csv, ExpArgs};
 use td_gen::{Dataset, Workload, WorkloadConfig};
 
 fn main() {
-    let mut args = ExpArgs::parse();
-    if (args.scale - 1.0).abs() < 1e-12 && !std::env::args().any(|a| a == "--scale") {
-        args.scale = 0.35;
-    }
+    let args = ExpArgs::parse(0.35);
     let d = Dataset::WUsa;
     let g = d.spec().build_scaled(3, args.scale, args.seed);
     let n = g.num_vertices();

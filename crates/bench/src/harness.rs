@@ -11,7 +11,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, t0.elapsed().as_secs_f64())
 }
 
-/// Parses `--scale X`, `--c N`, `--quick`, `--full` style flags.
+/// Parses `--scale X`, `--pairs N`, `--quick`, `--full` style flags.
 #[derive(Clone, Debug)]
 pub struct ExpArgs {
     /// Dataset scale multiplier (vertex count factor).
@@ -30,24 +30,22 @@ pub struct ExpArgs {
     pub snapshot_save: Option<PathBuf>,
 }
 
-impl Default for ExpArgs {
-    fn default() -> Self {
-        ExpArgs {
-            scale: 1.0,
+impl ExpArgs {
+    /// Parses from `std::env::args`; `default_scale` is the binary's own
+    /// default, which `--scale`, `--quick` and `--full` override.
+    pub fn parse(default_scale: f64) -> ExpArgs {
+        Self::parse_from(default_scale, std::env::args().skip(1))
+    }
+
+    fn parse_from(default_scale: f64, mut args: impl Iterator<Item = String>) -> ExpArgs {
+        let mut a = ExpArgs {
+            scale: default_scale,
             seed: 42,
             threads: 0,
             pairs: 1000,
             snapshot_load: None,
             snapshot_save: None,
-        }
-    }
-}
-
-impl ExpArgs {
-    /// Parses from `std::env::args`.
-    pub fn parse() -> ExpArgs {
-        let mut a = ExpArgs::default();
-        let mut args = std::env::args().skip(1);
+        };
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--scale" => a.scale = args.next().and_then(|v| v.parse().ok()).expect("--scale X"),
@@ -159,5 +157,20 @@ pub fn fmt_bytes(b: usize) -> String {
         format!("{:.1}MB", b as f64 / (1024.0 * 1024.0))
     } else {
         format!("{:.1}KB", b as f64 / 1024.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_flags_survive_a_binary_default() {
+        let scale =
+            |flags: &[&str]| ExpArgs::parse_from(0.25, flags.iter().map(|f| f.to_string())).scale;
+        assert_eq!(scale(&[]), 0.25);
+        assert_eq!(scale(&["--full"]), 4.0);
+        assert_eq!(scale(&["--quick"]), 0.25);
+        assert_eq!(scale(&["--scale", "1.5", "--pairs", "20"]), 1.5);
     }
 }

@@ -1,9 +1,9 @@
 #![forbid(unsafe_code)]
 //! # td-bench — experiment harness and benchmarks
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3) plus Criterion
-//! micro-benchmarks. Binaries print paper-style rows and write CSV files into
-//! `results/`.
+//! One binary per table/figure of the paper (see DESIGN.md §3) plus four
+//! self-timed gate benches. Binaries print paper-style rows and write CSV
+//! files into `results/`.
 
 pub mod harness;
 pub mod sweep;

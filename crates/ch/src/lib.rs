@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 //! # td-ch — scalar contraction hierarchies over lower-bound metrics
 //!
@@ -86,7 +86,14 @@ impl MetricCsr {
     /// `v`'s upward edges as parallel `(heads, weights)` slices — every
     /// head has a higher rank than `v`.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn up_edges(&self, v: VertexId) -> (&[VertexId], &[f64]) {
         debug_assert!((v as usize + 1) < self.up_first.len());
         let lo = self.up_first[v as usize] as usize;
@@ -97,7 +104,14 @@ impl MetricCsr {
     /// The higher-ranked tails of down-edges into `v`, as parallel
     /// `(tails, weights)` slices — the backward search's adjacency.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn backward_up_edges(&self, v: VertexId) -> (&[VertexId], &[f64]) {
         debug_assert!((v as usize + 1) < self.down_first.len());
         let lo = self.down_first[v as usize] as usize;
@@ -419,7 +433,6 @@ impl ContractionHierarchy {
     /// (strictly increasing, `starts[0]` must be `0` so every departure
     /// time has a valid metric).
     pub fn build_with(fg: &FrozenGraph, starts: &[f64]) -> ContractionHierarchy {
-        // td-lint: allow(assert-policy) public build-time precondition, validated once per construction
         assert!(
             starts.first() == Some(&0.0) && starts.windows(2).all(|w| w[0] < w[1]),
             "window starts must be strictly increasing and begin at 0"
@@ -497,7 +510,6 @@ impl ContractionHierarchy {
     pub fn customize(&mut self, fg: &FrozenGraph) {
         let _span = td_obs::phase("ch_customize");
         let n = fg.num_vertices();
-        // td-lint: allow(assert-policy) build/update-time precondition guarding snapshot misuse
         assert_eq!(self.rank.len(), n, "order was built for a different graph");
         let mut order: Vec<VertexId> = (0..n as u32).collect();
         order.sort_unstable_by_key(|&v| self.rank[v as usize]);
@@ -596,14 +608,28 @@ impl ContractionHierarchy {
     /// largest window start ≤ `t` (index 0 — the whole-day minimum — for
     /// `t < 0`, which only proptest edge cases produce).
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn metric_index(&self, t: f64) -> usize {
         self.starts.partition_point(|&s| s <= t).saturating_sub(1)
     }
 
     /// The customized hierarchy of metric `idx`.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn metric(&self, idx: usize) -> &MetricCsr {
         debug_assert!(idx < self.metrics.len());
         &self.metrics[idx]
@@ -611,7 +637,14 @@ impl ContractionHierarchy {
 
     /// The customized hierarchy a query departing at `t` must use.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn metric_for(&self, t: f64) -> &MetricCsr {
         debug_assert!(!self.metrics.is_empty(), "customize runs before queries");
         &self.metrics[self.metric_index(t)]

@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! [`FrozenTd`]: the flat, cache-friendly query-time view of a tree
@@ -86,7 +86,14 @@ impl FrozenTd {
 
     /// Flat slot range of `v`'s bag.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn range(&self, v: td_graph::VertexId) -> std::ops::Range<usize> {
         debug_assert!((v as usize + 1) < self.first.len());
         self.first[v as usize] as usize..self.first[v as usize + 1] as usize
@@ -94,7 +101,14 @@ impl FrozenTd {
 
     /// Depth of the bag vertex in slot `idx`.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn bag_depth(&self, idx: usize) -> usize {
         debug_assert!(idx < self.bag_depth.len());
         self.bag_depth[idx] as usize
@@ -102,7 +116,14 @@ impl FrozenTd {
 
     /// Arena id of slot `idx`'s `Ws` (`NO_PLF` = absent).
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn ws_id(&self, idx: usize) -> PlfId {
         debug_assert!(idx < self.ws.len());
         self.ws[idx]
@@ -110,7 +131,14 @@ impl FrozenTd {
 
     /// Arena id of slot `idx`'s `Wd` (`NO_PLF` = absent).
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn wd_id(&self, idx: usize) -> PlfId {
         debug_assert!(idx < self.wd.len());
         self.wd[idx]
@@ -131,7 +159,14 @@ impl FrozenTd {
     /// Minimum of slot `idx`'s `Ws` over all departure times
     /// (`+∞` when absent) — O(1), precomputed at freeze time.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn ws_min(&self, idx: usize) -> f64 {
         debug_assert!(idx < self.ws.len());
         let id = self.ws[idx];
@@ -144,7 +179,14 @@ impl FrozenTd {
 
     /// Minimum of slot `idx`'s `Wd` (`+∞` when absent).
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn wd_min(&self, idx: usize) -> f64 {
         debug_assert!(idx < self.wd.len());
         let id = self.wd[idx];

@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! Query processing over the TD-tree (Algo. 3 and Algo. 6).
@@ -184,7 +184,14 @@ impl<'a> QueryEngine<'a> {
     /// Upward earliest-arrival sweep from `s` departing at `t` into `bufs`,
     /// optionally seeded with selected shortcuts towards cut vertices and
     /// pruned by a cost upper bound.
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub(crate) fn sweep_up_scalar_into(
         &self,
         s: VertexId,
@@ -246,7 +253,14 @@ impl<'a> QueryEngine<'a> {
     /// shortest path is some common ancestor, and the down-monotone leg from
     /// the apex may pass through other common ancestors before descending to
     /// `d`, so the prefix vertices must be relaxable too.
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub(crate) fn sweep_down_scalar_into(
         &self,
         d: VertexId,
@@ -299,7 +313,14 @@ impl<'a> QueryEngine<'a> {
     /// Travel cost query `Q(s, d, t)` — Algo. 6 when shortcuts exist,
     /// falling back to the basic sweeps (Algo. 3's scalar counterpart).
     /// Allocation-free once `scratch` is warm.
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub(crate) fn cost(
         &self,
         scratch: &mut CostScratch,
@@ -347,7 +368,6 @@ impl<'a> QueryEngine<'a> {
                 _ => full_cover = false,
             }
             if let Some(Some(cs)) = up_cost {
-                // td-lint: allow(hot-alloc) seed list is bounded by the cut width and reuses capacity
                 seeds.push((kw, t + cs));
                 if let Some(known) = down_known {
                     if known {

@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! The crate's one frozen scalar search: time-dependent A\* over the
@@ -106,15 +106,19 @@ impl SearchScratch {
         walk_parents(&self.parent, s, d)
     }
 
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn reset(&mut self, n: usize) -> u32 {
         debug_assert!(n < u32::MAX as usize, "vertex ids must fit in u32");
         if self.best.len() != n {
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.best = vec![f64::INFINITY; n];
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.parent = vec![u32::MAX; n];
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.stamp = vec![0; n];
             self.gen = 0;
         }
@@ -166,7 +170,14 @@ pub(crate) fn walk_parents(parent: &[VertexId], s: VertexId, d: VertexId) -> Pat
 /// target label (if a path was found) an upper bound, so the caller gets a
 /// bracketing interval, never a wrong exact claim. Completed runs perform
 /// bit-identical float operations whatever the budget.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub fn search<P: Potential>(
     scratch: &mut SearchScratch,
     fg: &FrozenGraph,
@@ -192,7 +203,6 @@ pub fn search<P: Potential>(
     scratch.best[s as usize] = t;
     scratch.parent[s as usize] = u32::MAX;
     scratch.stamp[s as usize] = gen;
-    // td-lint: allow(hot-alloc) heap retains warmed capacity across queries
     scratch.heap.push(Entry {
         key: t + hs,
         vertex: s,
@@ -288,7 +298,6 @@ pub fn search<P: Potential>(
                         target_best = cand;
                     }
                     scratch.stats.heap_push(1);
-                    // td-lint: allow(hot-alloc) heap retains warmed capacity across queries
                     scratch.heap.push(Entry {
                         key: cand + hvs[j],
                         vertex: v,

@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! Query budgets: cooperative cancellation for the frozen hot loops.
@@ -111,7 +111,14 @@ impl QueryBudget {
     /// [`DEADLINE_STRIDE`] settles when a deadline is armed. The stride
     /// includes 0, so an already-expired deadline exhausts the search
     /// before any work happens.
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     #[inline]
     pub fn exhausted(&self, settles: u64) -> bool {
         settles >= self.max_settles

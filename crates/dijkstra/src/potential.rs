@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! A\* potentials: admissible, consistent lower bounds on the remaining
@@ -94,12 +94,17 @@ pub struct FullPotentialScratch {
 }
 
 impl FullPotentialScratch {
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn reset(&mut self, n: usize) -> u32 {
         if self.h.len() != n {
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.h = vec![f64::INFINITY; n];
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.h_gen = vec![0; n];
             self.gen = 0;
         }
@@ -125,14 +130,20 @@ impl<'a> FullPotential<'a> {
 }
 
 impl Potential for FullPotential<'_> {
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn init(&mut self, d: VertexId, _t: f64) {
         debug_assert!((d as usize) < self.fg.num_vertices());
         let sc = &mut *self.scratch;
         let gen = sc.reset(self.fg.num_vertices());
         sc.h[d as usize] = 0.0;
         sc.h_gen[d as usize] = gen;
-        // td-lint: allow(hot-alloc) heap retains warmed capacity across queries
         sc.heap.push(Entry {
             key: 0.0,
             vertex: d,
@@ -152,7 +163,6 @@ impl Potential for FullPotential<'_> {
                 if cand < known {
                     sc.h[p as usize] = cand;
                     sc.h_gen[p as usize] = gen;
-                    // td-lint: allow(hot-alloc) heap retains warmed capacity across queries
                     sc.heap.push(Entry {
                         key: cand,
                         vertex: p,
@@ -163,7 +173,14 @@ impl Potential for FullPotential<'_> {
     }
 
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn h(&mut self, v: VertexId) -> f64 {
         debug_assert!((v as usize) < self.scratch.h_gen.len());
         if self.scratch.h_gen[v as usize] == self.scratch.gen {
@@ -219,16 +236,19 @@ impl ChPotentialScratch {
         self.init_settled = 0;
     }
 
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn reset(&mut self, n: usize) -> u32 {
         if self.memo.len() != n {
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.b = vec![f64::INFINITY; n];
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.b_gen = vec![0; n];
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.memo = vec![f64::INFINITY; n];
-            // td-lint: allow(hot-alloc) cold branch: only the first query at a new graph size
             self.memo_gen = vec![0; n];
             self.gen = 0;
         }
@@ -269,7 +289,14 @@ impl<'a> ChPotential<'a> {
 }
 
 impl Potential for ChPotential<'_> {
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn init(&mut self, d: VertexId, t: f64) {
         debug_assert!((d as usize) < self.ch.num_vertices());
         self.metric = self.ch.metric_for(t);
@@ -278,7 +305,6 @@ impl Potential for ChPotential<'_> {
         sc.init_settled = 0;
         sc.b[d as usize] = 0.0;
         sc.b_gen[d as usize] = gen;
-        // td-lint: allow(hot-alloc) heap retains warmed capacity across queries
         sc.heap.push(Entry {
             key: 0.0,
             vertex: d,
@@ -299,7 +325,6 @@ impl Potential for ChPotential<'_> {
                 if cand < known {
                     sc.b[u as usize] = cand;
                     sc.b_gen[u as usize] = gen;
-                    // td-lint: allow(hot-alloc) heap retains warmed capacity across queries
                     sc.heap.push(Entry {
                         key: cand,
                         vertex: u,
@@ -309,7 +334,14 @@ impl Potential for ChPotential<'_> {
         }
     }
 
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn h(&mut self, v: VertexId) -> f64 {
         let sc = &mut *self.scratch;
         let gen = sc.gen;
@@ -320,7 +352,6 @@ impl Potential for ChPotential<'_> {
         // Iterative DFS over the upward DAG: a vertex is computed once all
         // its up-neighbours are memoized; a vertex found already-memoized on
         // the stack (pushed twice via two parents) just pops.
-        // td-lint: allow(hot-alloc) stack retains warmed capacity across queries
         sc.stack.push(v);
         while let Some(&x) = sc.stack.last() {
             if sc.memo_gen[x as usize] == gen {
@@ -331,7 +362,6 @@ impl Potential for ChPotential<'_> {
             let mut pending = false;
             for &u in heads {
                 if sc.memo_gen[u as usize] != gen {
-                    // td-lint: allow(hot-alloc) stack retains warmed capacity across queries
                     sc.stack.push(u);
                     pending = true;
                 }

@@ -97,7 +97,14 @@ impl NodeMatrix {
 
     /// Frozen entry `from → to`: `(breakpoint slice, min cost bound)`.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn entry_frozen(&self, from: VertexId, to: VertexId) -> Option<(PlfSlice<'_>, f64)> {
         let i = *self.pos.get(&from)?;
         let j = *self.pos.get(&to)?;
@@ -236,7 +243,14 @@ impl TdGtree {
 
     /// Travel cost query reusing `scratch` (no fresh hash maps after
     /// warm-up).
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn query_cost_with(
         &self,
         scratch: &mut GtreeScratch,
@@ -655,7 +669,14 @@ fn all_pairs(
 /// min bound is admissible, so the skip is exact) batch through the
 /// `td-plf` arena kernel in one call. Final bests are a plain `min` fold,
 /// so the sweep order cannot change the result.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn relax_scalar_into(
     m: &NodeMatrix,
     arr: &HashMap<VertexId, f64>,

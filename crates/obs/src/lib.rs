@@ -3,8 +3,8 @@
 //! Bottom-of-stack observability for the time-dependent routing workspace:
 //! sharded [`Counter`]s and [`Gauge`]s on relaxed atomics, a log-bucketed
 //! latency [`Histogram`] with p50/p95/p99/max readout, RAII [`PhaseTimer`]
-//! spans, a scratch-resident [`SearchStats`] recorder for the `td-lint:
-//! hot` search loops, and a [`Registry`] with a deterministic
+//! spans, a scratch-resident [`SearchStats`] recorder for the hot search
+//! loops, and a [`Registry`] with a deterministic
 //! Prometheus-text exposition ([`Registry::render_prometheus`]).
 //!
 //! Design rules (see `crates/obs/README.md` for the full story):

@@ -280,7 +280,7 @@ fn render_histogram(out: &mut String, f: &Family, label: &str, h: &Histogram) {
     let _ = writeln!(out, "{}_count{} {}", f.name, label, snap.count());
 }
 
-// td-lint pins: scrape handles cross worker threads by design.
+// Compile-time pins: scrape handles cross worker threads by design.
 const _: () = {
     const fn shared_across_threads<T: Send + Sync>() {}
     shared_across_threads::<Registry>();

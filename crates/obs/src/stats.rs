@@ -1,7 +1,7 @@
 //! Scratch-resident search statistics.
 //!
-//! The frozen search loops are tagged `// td-lint: hot`: no allocation, no
-//! locks, no shared atomics. [`SearchStats`] therefore lives *inside* the
+//! The frozen search loops are hot: no allocation, no locks, no shared
+//! atomics. [`SearchStats`] therefore lives *inside* the
 //! per-query scratch as plain `u64` fields; the loops bump them through
 //! `#[inline(always)]` recorder methods, and the caller exports the totals
 //! to the sharded registry counters once per query.

@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! [`PlfArena`]: all interpolation points of a *frozen* function set in
@@ -113,7 +113,6 @@ impl PlfArena {
         debug_assert!(!pts.is_empty(), "a PLF needs at least one point");
         debug_assert!(pts.windows(2).all(|w| w[0].t < w[1].t));
         let id = self.len() as PlfId;
-        // td-lint: allow(assert-policy) build-time overflow guard; push never runs on the query path
         assert!(id != NO_PLF, "PlfArena overflow (u32::MAX functions)");
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -132,7 +131,14 @@ impl PlfArena {
 
     /// The borrowed view of function `id`.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn slice(&self, id: PlfId) -> PlfSlice<'_> {
         debug_assert!((id as usize) < self.len());
         let lo = self.first_pt[id as usize] as usize;
@@ -147,7 +153,14 @@ impl PlfArena {
     /// Precomputed minimum value of function `id` over all departure times —
     /// an admissible lower bound on any evaluation.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn min_cost(&self, id: PlfId) -> f64 {
         debug_assert!((id as usize) < self.min_cost.len());
         self.min_cost[id as usize]
@@ -155,7 +168,14 @@ impl PlfArena {
 
     /// Precomputed maximum value of function `id` over all departure times.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn max_cost(&self, id: PlfId) -> f64 {
         debug_assert!((id as usize) < self.max_cost.len());
         self.max_cost[id as usize]
@@ -227,7 +247,14 @@ impl<'a> PlfSlice<'a> {
     /// Index of the segment containing `t`: largest `i` with `times[i] ≤ t`,
     /// or `None` for the left ray.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn segment_index(&self, t: f64) -> Option<usize> {
         debug_assert!(!self.times.is_empty());
         if t < self.times[0] {
@@ -241,7 +268,14 @@ impl<'a> PlfSlice<'a> {
     /// ([`clamped_segment_value`]) so every entry point — and the batch
     /// kernels — extrapolate identically past the last breakpoint.
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn value_on_segment(&self, i: usize, t: f64) -> f64 {
         debug_assert!(i < self.times.len());
         let next = if i + 1 < self.times.len() {
@@ -254,7 +288,14 @@ impl<'a> PlfSlice<'a> {
 
     /// Evaluates at departure time `t` (Eq. 1), identical to [`Plf::eval`].
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn eval(&self, t: f64) -> f64 {
         debug_assert!(!self.times.is_empty());
         match self.segment_index(t) {
@@ -266,49 +307,20 @@ impl<'a> PlfSlice<'a> {
     /// Evaluates at `t` and returns the witness of the serving segment,
     /// identical to [`Plf::eval_with_via`].
     #[inline]
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     pub fn eval_with_via(&self, t: f64) -> (f64, Via) {
         debug_assert!(!self.times.is_empty());
         match self.segment_index(t) {
             None => (self.values[0], self.vias[0]),
             Some(i) => (self.value_on_segment(i, t), self.vias[i]),
         }
-    }
-
-    /// [`PlfSlice::eval`] with a monotone segment hint for sorted departure
-    /// sweeps: `hint` is the segment index returned by the previous call.
-    /// When queries arrive in ascending time order the search degenerates to
-    /// an amortised O(1) forward walk; out-of-order queries fall back to the
-    /// binary search. `hint` is updated in place; any starting value is
-    /// correct (it is only a speed hint).
-    #[inline]
-    // td-lint: hot
-    pub fn eval_with_hint(&self, t: f64, hint: &mut usize) -> f64 {
-        let n = self.times.len();
-        debug_assert!(n > 0);
-        let mut i = (*hint).min(n - 1);
-        if self.times[i] <= t {
-            // Walk forward from the hint while the next breakpoint still
-            // precedes t. Bounded by a few steps for near-sorted sweeps;
-            // gallops into binary search when the jump is large.
-            let mut steps = 0usize;
-            while i + 1 < n && self.times[i + 1] <= t {
-                i += 1;
-                steps += 1;
-                if steps == 8 {
-                    i += self.times[i + 1..].partition_point(|&x| x <= t);
-                    break;
-                }
-            }
-        } else if t < self.times[0] {
-            *hint = 0;
-            return self.values[0];
-        } else {
-            // Hint overshot (out-of-order query): binary search from scratch.
-            i = self.times.partition_point(|&x| x <= t) - 1;
-        }
-        *hint = i;
-        self.value_on_segment(i, t)
     }
 
     /// Arrival time when departing at `t`.
@@ -382,54 +394,6 @@ mod tests {
         assert_eq!(arena.max_cost(id), 9.0);
         assert_eq!(arena.slice(id).min_value(), 2.0);
         assert_eq!(arena.slice(id).max_value(), 9.0);
-    }
-
-    #[test]
-    fn eval_with_hint_ascending_sweep() {
-        let f = plf(&[(0.0, 5.0), (10.0, 7.0), (20.0, 3.0), (30.0, 3.5)]);
-        let mut arena = PlfArena::new();
-        let id = arena.push(&f);
-        let s = arena.slice(id);
-        let mut hint = 0usize;
-        let mut t = -3.0;
-        while t < 40.0 {
-            assert!(
-                (s.eval_with_hint(t, &mut hint) - f.eval(t)).abs() < 1e-12,
-                "t={t}"
-            );
-            t += 0.7;
-        }
-    }
-
-    #[test]
-    fn eval_with_hint_out_of_order_falls_back() {
-        let f = plf(&[(0.0, 5.0), (10.0, 7.0), (20.0, 3.0)]);
-        let mut arena = PlfArena::new();
-        let id = arena.push(&f);
-        let s = arena.slice(id);
-        let mut hint = 0usize;
-        for t in [25.0, 5.0, 19.9, -1.0, 10.0, 3.0] {
-            assert!(
-                (s.eval_with_hint(t, &mut hint) - f.eval(t)).abs() < 1e-12,
-                "t={t}"
-            );
-        }
-    }
-
-    #[test]
-    fn eval_with_hint_gallops_over_many_segments() {
-        let pts: Vec<(f64, f64)> = (0..64).map(|i| (i as f64, (i % 7) as f64)).collect();
-        let f = plf(&pts);
-        let mut arena = PlfArena::new();
-        let id = arena.push(&f);
-        let s = arena.slice(id);
-        let mut hint = 0usize;
-        for t in [0.5, 60.2, 63.9, 100.0] {
-            assert!(
-                (s.eval_with_hint(t, &mut hint) - f.eval(t)).abs() < 1e-12,
-                "t={t}"
-            );
-        }
     }
 
     #[test]

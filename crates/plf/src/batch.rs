@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (query-side file: no locks, no channels — readers never block)
 
 //! Batched PLF evaluation kernels over the SoA [`PlfArena`] layout.
@@ -7,12 +7,12 @@
 //!
 //! * [`eval_times_into`] — **one function, many departure times**: the
 //!   customization/profile shape. When the times are sorted ascending the
-//!   kernel makes a single hint-chained forward pass over the function's
-//!   `times`/`values` arrays: it walks the segment cursor forward exactly as
-//!   [`PlfSlice::eval_with_hint`] does (8-step walk, then gallop), finds the
-//!   *run* of query times served by the current segment, and interpolates the
-//!   whole run with explicit lane-width loops (`[f64; 8]` chunks) that
-//!   auto-vectorize. Unsorted inputs fall back to per-element
+//!   kernel makes a single forward pass over the function's
+//!   `times`/`values` arrays: it walks the segment cursor forward (8-step
+//!   walk, then gallop), finds the *run* of query times served by the
+//!   current segment, and interpolates the whole run with explicit
+//!   lane-width loops (`[f64; 8]` chunks) that auto-vectorize. Unsorted
+//!   inputs fall back to per-element
 //!   [`PlfSlice::eval`] — same bits, no sorting requirement, just slower.
 //! * [`eval_ids_at`] — **many functions, one departure time**: the settled-
 //!   node relaxation shape (all out-edge weights of one vertex at its arrival
@@ -40,13 +40,19 @@ const LANES: usize = 8;
 /// Evaluates one function at every time in `ts`, writing `out[j] =
 /// f.eval(ts[j])` bit-for-bit. `ts` and `out` must have equal lengths.
 ///
-/// Sorted-ascending `ts` (ties allowed) takes the one-pass hint-chained fast
+/// Sorted-ascending `ts` (ties allowed) takes the one-pass forward-cursor fast
 /// path; anything else is detected by a linear scan and falls back to
 /// per-element binary-search `eval`. Performs no heap allocation either way.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub fn eval_times_into(f: PlfSlice<'_>, ts: &[f64], out: &mut [f64]) {
     debug_assert_eq!(ts.len(), out.len());
-    // td-lint: allow(hot-panic) contract check on buffer lengths, not a value panic path
     assert!(ts.len() == out.len(), "ts/out length mismatch");
     if !is_sorted_ascending(ts) {
         // Out-of-order fallback: same bits via the scalar entry point.
@@ -72,8 +78,9 @@ pub fn eval_times_into(f: PlfSlice<'_>, ts: &[f64], out: &mut [f64]) {
     let mut seg = 0usize;
     while k < ts.len() {
         let t = ts[k];
-        // Advance the segment cursor to the largest i with times[i] ≤ t —
-        // the same walk-then-gallop as `eval_with_hint`.
+        // Advance the segment cursor to the largest i with times[i] ≤ t:
+        // a bounded walk for near-sorted sweeps, a gallop into binary search
+        // when the jump is large.
         let mut steps = 0usize;
         while seg + 1 < n && times[seg + 1] <= t {
             seg += 1;
@@ -143,10 +150,16 @@ pub fn eval_times_into(f: PlfSlice<'_>, ts: &[f64], out: &mut [f64]) {
 /// `ids[j] == NO_PLF` (absent table entries evaluate to "unreachable").
 ///
 /// `ids` and `out` must have equal lengths. Performs no heap allocation.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub fn eval_ids_at(arena: &PlfArena, ids: &[PlfId], t: f64, out: &mut [f64]) {
     debug_assert_eq!(ids.len(), out.len());
-    // td-lint: allow(hot-panic) contract check on buffer lengths, not a value panic path
     assert!(ids.len() == out.len(), "ids/out length mismatch");
     for (o, &id) in out.iter_mut().zip(ids) {
         *o = if id == NO_PLF {
@@ -160,7 +173,14 @@ pub fn eval_ids_at(arena: &PlfArena, ids: &[PlfId], t: f64, out: &mut [f64]) {
 /// True iff `ts` is sorted ascending (ties allowed). NaNs compare false and
 /// force the fallback path, matching scalar `eval`'s NaN behaviour.
 #[inline]
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn is_sorted_ascending(ts: &[f64]) -> bool {
     ts.windows(2).all(|w| {
         // debug_assert-documented indexing: windows(2) yields 2-element slices.

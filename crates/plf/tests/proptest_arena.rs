@@ -54,30 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn eval_with_hint_agrees_on_random_order(f in fifo_plf(), ts in query_times()) {
-        let mut arena = PlfArena::new();
-        let id = arena.push(&f);
-        let s = arena.slice(id);
-        let mut hint = 0usize;
-        for t in ts {
-            prop_assert_eq!(s.eval_with_hint(t, &mut hint), f.eval(t), "t={}", t);
-        }
-    }
-
-    #[test]
-    fn eval_with_hint_agrees_on_ascending_sweeps(f in fifo_plf(), ts in query_times()) {
-        let mut sorted = ts;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let mut arena = PlfArena::new();
-        let id = arena.push(&f);
-        let s = arena.slice(id);
-        let mut hint = 0usize;
-        for t in sorted {
-            prop_assert_eq!(s.eval_with_hint(t, &mut hint), f.eval(t), "t={}", t);
-        }
-    }
-
-    #[test]
     fn bounds_bound_all_sampled_evaluations(f in fifo_plf(), ts in query_times()) {
         let mut arena = PlfArena::new();
         let id = arena.push(&f);

@@ -5,15 +5,14 @@
 //!   path) and unsorted (fallback path) departure vectors;
 //! * `eval_ids_at` ≡ per-slice `eval` across whole arenas;
 //! * every eval entry point (`Plf::eval`, `Plf::eval_with_via`,
-//!   `PlfSlice::eval`, `eval_with_via`, `eval_with_hint`, both batch
-//!   kernels) agrees at the right-ray boundary
+//!   `PlfSlice::eval`, `eval_with_via`, both batch kernels) agrees at the
+//!   right-ray boundary
 //!   `t ∈ {last_bp − ε, last_bp, last_bp + ε, 1e12}` — the shared
 //!   `clamped_segment_value` helper makes divergence structurally
 //!   impossible, and this test keeps it that way;
-//! * `eval_with_hint` gallop hand-off boundaries: hints exactly at/past the
-//!   8-step gallop threshold, `t` landing on breakpoints, and stale hints
-//!   ≥ `times.len()` after a re-freeze compaction shrinks the function —
-//!   proving index-for-index agreement with the binary-search segment rule.
+//! * `eval_times_into`'s gallop hand-off boundaries: the segment cursor
+//!   parked exactly at/past the 8-step gallop threshold before a jump, `t`
+//!   landing on and beside breakpoints.
 
 use proptest::prelude::*;
 use td_plf::{eval_ids_at, eval_times_into, Plf, PlfArena, NO_PLF};
@@ -45,16 +44,6 @@ fn fifo_plf() -> impl Strategy<Value = Plf> {
 /// Random query times spanning the domain, including far outside it.
 fn query_times() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-500.0f64..40_000.0, 1..64)
-}
-
-/// The index `eval`'s binary search assigns to `t`: largest `i` with
-/// `times[i] ≤ t`, or 0 for the left ray (where the hint parks).
-fn expected_hint(times: &[f64], t: f64) -> usize {
-    if t < times[0] {
-        0
-    } else {
-        times.partition_point(|&x| x <= t) - 1
-    }
 }
 
 proptest! {
@@ -123,108 +112,38 @@ proptest! {
             prop_assert_eq!(f.eval_with_via(t).0.to_bits(), want, "t={}", t);
             prop_assert_eq!(s.eval(t).to_bits(), want, "t={}", t);
             prop_assert_eq!(s.eval_with_via(t).0.to_bits(), want, "t={}", t);
-            let mut hint = 0usize;
-            prop_assert_eq!(s.eval_with_hint(t, &mut hint).to_bits(), want, "t={}", t);
             prop_assert_eq!(b.to_bits(), want, "t={}", t);
             eval_ids_at(&arena, &[id], t, &mut single);
             prop_assert_eq!(single[0].to_bits(), want, "t={}", t);
         }
     }
-
-    #[test]
-    fn hint_agrees_index_for_index_from_any_start(
-        f in fifo_plf(),
-        ts in query_times(),
-        start in 0usize..64,
-    ) {
-        // Any starting hint — in range, at the boundary, or far past the end
-        // (a re-freeze compaction can shrink the function under a cached
-        // hint) — must land on exactly the index eval's binary search picks.
-        let mut arena = PlfArena::new();
-        let id = arena.push(&f);
-        let s = arena.slice(id);
-        for &t in &ts {
-            let mut hint = start;
-            let got = s.eval_with_hint(t, &mut hint);
-            prop_assert_eq!(got.to_bits(), s.eval(t).to_bits(), "t={}", t);
-            prop_assert_eq!(hint, expected_hint(s.times(), t), "t={} start={}", t, start);
-        }
-    }
 }
 
-/// Deterministic gallop hand-off boundaries: a 64-segment staircase walked
-/// with hints placed exactly at, just before, and past the 8-step gallop
-/// threshold, with `t` landing between and exactly **on** breakpoints.
+/// Deterministic gallop hand-off boundaries: on a 64-segment staircase the
+/// first query parks the segment cursor, the second jumps it by exactly,
+/// just under, and past the 8-step gallop threshold, landing between and
+/// exactly **on** breakpoints.
 #[test]
-fn gallop_handoff_boundaries_agree_index_for_index() {
+fn gallop_handoff_boundaries_are_bit_identical() {
     let pts: Vec<(f64, f64)> = (0..64).map(|i| (i as f64 * 10.0, (i % 7) as f64)).collect();
-    let f = Plf::from_pairs(&pts).unwrap();
     let mut arena = PlfArena::new();
-    let id = arena.push(&f);
+    let id = arena.push(&Plf::from_pairs(&pts).unwrap());
     let s = arena.slice(id);
-    let n = s.len();
-    for start in [0usize, 1, 7, 8, 9, 16, 62, 63, 64, 100, usize::MAX] {
+    let mut out = [0.0; 2];
+    for start in [0usize, 1, 7, 8, 9, 16, 62, 63] {
         for jump in [0usize, 1, 7, 8, 9, 10, 20, 63] {
-            // t lands exactly on breakpoint `jump`, and just before/after it.
-            let bp = pts[jump].0;
+            let Some(&(bp, _)) = pts.get(start + jump) else {
+                continue;
+            };
             for t in [bp - 0.5, bp, bp + 0.5] {
-                let mut hint = start;
-                let got = s.eval_with_hint(t, &mut hint);
+                let ts = [pts[start].0.min(t), t];
+                eval_times_into(s, &ts, &mut out);
                 assert_eq!(
-                    got.to_bits(),
+                    out[1].to_bits(),
                     s.eval(t).to_bits(),
                     "start={start} jump={jump} t={t}"
                 );
-                assert_eq!(
-                    hint,
-                    expected_hint(s.times(), t),
-                    "start={start} jump={jump} t={t}"
-                );
-                assert!(hint < n);
             }
         }
-    }
-}
-
-/// A stale hint that survives a re-freeze compaction (the arena re-frozen
-/// with a *shorter* function under the same id) must clamp and stay correct.
-#[test]
-fn stale_hint_after_compaction_shrink_is_safe() {
-    let long: Vec<(f64, f64)> = (0..32).map(|i| (i as f64, 1.0 + (i % 3) as f64)).collect();
-    let mut arena = PlfArena::new();
-    let id = arena.push(&Plf::from_pairs(&long).unwrap());
-    let mut hint = 0usize;
-    // Drive the hint deep into the long function.
-    arena.slice(id).eval_with_hint(30.5, &mut hint);
-    assert_eq!(hint, 30);
-
-    // Re-freeze: a fresh arena where the same id now holds 2 points.
-    let mut refrozen = PlfArena::new();
-    let id2 = refrozen.push(&Plf::from_pairs(&[(0.0, 5.0), (10.0, 7.0)]).unwrap());
-    assert_eq!(id, id2);
-    let s = refrozen.slice(id2);
-    // The cached hint (30) is ≥ times.len() (2); every query must clamp it
-    // and agree with eval, left ray included.
-    for t in [-1.0, 0.0, 4.0, 10.0, 25.0] {
-        let got = s.eval_with_hint(t, &mut hint);
-        assert_eq!(got.to_bits(), s.eval(t).to_bits(), "t={t}");
-        assert!(hint < s.len(), "t={t}");
-    }
-}
-
-/// `t` exactly on every breakpoint, swept ascending through one hint chain —
-/// the hand-off between the 8-step walk and the gallop happens repeatedly.
-#[test]
-fn ascending_breakpoint_sweep_through_one_hint() {
-    let pts: Vec<(f64, f64)> = (0..40).map(|i| (i as f64 * 3.0, (i % 5) as f64)).collect();
-    let f = Plf::from_pairs(&pts).unwrap();
-    let mut arena = PlfArena::new();
-    let id = arena.push(&f);
-    let s = arena.slice(id);
-    let mut hint = 0usize;
-    for (i, &(t, _)) in pts.iter().enumerate() {
-        let got = s.eval_with_hint(t, &mut hint);
-        assert_eq!(got.to_bits(), s.eval(t).to_bits(), "i={i}");
-        assert_eq!(hint, i, "hint must land exactly on the breakpoint index");
     }
 }

@@ -1,4 +1,4 @@
-// td-lint: reader-path
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 // (control plane: pure decision functions — no locks, no channels, no
 // allocation; the serving workers and admission path call these inline)
 
@@ -46,7 +46,14 @@ pub enum OverloadMode {
 
 impl OverloadMode {
     /// Decodes the atomic representation (unknown values read as Normal).
-    // td-lint: hot
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     #[inline]
     pub fn from_u8(v: u8) -> OverloadMode {
         match v {
@@ -78,7 +85,14 @@ pub struct Window {
 /// queue: shutdown and expired deadlines are always typed refusals;
 /// shedding mode refuses everything else. Queue capacity is enforced by the
 /// bounded queue itself (the push is the only race-free check).
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #[inline]
 pub fn admission_decision(
     shutting_down: bool,
@@ -112,7 +126,14 @@ const P99_MULTIPLE: f64 = 8.0;
 
 /// One transition of the overload state machine, evaluated by a serving
 /// worker after every batch.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub fn next_mode(
     mode: OverloadMode,
     depth: usize,
@@ -160,7 +181,14 @@ pub fn next_mode(
 /// (`depth` is what the blocking pop left behind), so an idle worker is
 /// never left out of a burst, and batches grow by themselves while every
 /// worker is busy. Never 0, never more than `max_batch`.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #[inline]
 pub fn grab_size(depth: usize, workers: usize, max_batch: usize) -> usize {
     (depth + 1)
@@ -177,7 +205,14 @@ pub fn grab_size(depth: usize, workers: usize, max_batch: usize) -> usize {
 /// crosses at most one (it is held for less than `window`), and one that
 /// already has — the rest of a burst being served, a backlog, a retried
 /// slot — is never held again. A zero window turns the wait off.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #[inline]
 pub fn burst_wait(
     behind: usize,
@@ -202,7 +237,14 @@ const NORMAL_SETTLES: u64 = u64::MAX;
 const DEGRADED_SETTLES: u64 = 20_000;
 
 /// The settle cap dispatched queries run under in `mode`.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #[inline]
 pub fn settle_cap(mode: OverloadMode) -> u64 {
     match mode {
@@ -215,7 +257,14 @@ pub fn settle_cap(mode: OverloadMode) -> u64 {
 
 /// The per-slot budget for one dispatched request: the mode's settle cap,
 /// tightened (never loosened) by the request's own client deadline.
-// td-lint: hot
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #[inline]
 pub fn slot_budget(mode: OverloadMode, deadline: Option<Instant>) -> QueryBudget {
     QueryBudget::settles(settle_cap(mode)).tightened_to(deadline)
