@@ -13,7 +13,10 @@
 //! `verify` walks every section checksum, fully reloads the index, and
 //! (with `--queries N`) replays a seeded workload against a fresh
 //! TD-Dijkstra oracle over the snapshot's own graph — the same agreement
-//! the conformance suite demands.
+//! the conformance suite demands. Every tenth probe also runs the
+//! cost-function query and checks its value at the probe's departure time
+//! (`profile agreement: k/k`), so the PLF kernels are checked on a loaded
+//! index too.
 //!
 //! `stats` loads the snapshot, drives a seeded serving workload through the
 //! parallel executor (exact, budget-bounded and profile queries), then
@@ -300,20 +303,36 @@ fn cmd_verify(args: &[String]) {
         let mut oracle = QuerySession::new(&oracle);
         let n = index.graph().num_vertices() as u64;
         let mut session = QuerySession::new(index.as_ref());
-        let mut checked = 0usize;
+        let (mut checked, mut profiles) = (0usize, 0usize);
+        let agrees = |want: Option<f64>, got: Option<f64>| match (want, got) {
+            (Some(a), Some(b)) => (a - b).abs() < 1e-4,
+            (a, b) => a.is_none() && b.is_none(),
+        };
         for i in 0..queries as u64 {
             let (s, d, t) = probe(seed, i, n);
             let want = oracle.query_cost(s, d, t);
             let got = session.query_cost(s, d, t);
-            match (want, got) {
-                (Some(a), Some(b)) if (a - b).abs() < 1e-4 => checked += 1,
-                (None, None) => checked += 1,
-                other => fail(format!(
-                    "oracle disagreement at s={s} d={d} t={t}: {other:?}"
-                )),
+            if !agrees(want, got) {
+                fail(format!(
+                    "oracle disagreement at s={s} d={d} t={t}: {:?}",
+                    (want, got)
+                ));
+            }
+            checked += 1;
+            // Every tenth probe: the cost-function query, evaluated at `t`.
+            if i % 10 == 0 {
+                let got = session.query_profile(s, d).map(|f| f.eval(t));
+                if !agrees(want, got) {
+                    fail(format!(
+                        "profile disagreement at s={s} d={d} t={t}: {:?}",
+                        (want, got)
+                    ));
+                }
+                profiles += 1;
             }
         }
         println!("oracle agreement: {checked}/{queries} queries OK");
+        println!("profile agreement: {profiles}/{profiles}");
     }
     println!("verify: OK");
 }

@@ -33,7 +33,11 @@
 //! matching frozen slots. Each profile slot keeps the `(min, max)` of the
 //! function it holds beside it, so a relaxation whose lower bound
 //! `min(cost[k]) + min(w)` cannot get below the destination slot's maximum
-//! is dropped before its `compound` is built.
+//! is dropped before its `compound` is touched. Every other relaxation goes
+//! through [`td_plf::ops::min_compound_into`], which walks the candidate's
+//! values against the slot first and builds it only if it gets below the
+//! slot somewhere — most candidates never do — and the chain combination
+//! prunes and relaxes its terms the same way.
 //!
 //! ## Scratch buffers
 //!
@@ -41,15 +45,16 @@
 //! [`ProfileScratch`] (`Default::default()` is a valid cold one). `td-api`'s
 //! `QuerySession` holds one per thread: after the first few queries warm the
 //! buffers up to the tree's depth, a scalar query performs **no heap
-//! allocation at all**. A profile query still allocates every function it
-//! builds: one copy per shortcut seed and per first-hop label, and the raw
-//! and simplified point lists of each `compound` / `minimum` that the slot
-//! bounds did not decide.
+//! allocation at all**. A profile query still allocates: one copy per
+//! shortcut seed and per first-hop label, the candidate times of every
+//! relaxation it walks, and the point lists of each compound it builds and
+//! of each `minimum` that neither the bounds nor the walk decided.
 
 use crate::frozen::FrozenTd;
 use crate::shortcut::ShortcutStore;
 use td_graph::VertexId;
-use td_plf::{ops::min_into, Plf, NO_PLF};
+use td_plf::ops::{min_compound_into, min_into};
+use td_plf::{Plf, NO_PLF};
 use td_treedec::TreeDecomposition;
 
 /// Query engine borrowing the tree and the selected shortcuts.
@@ -471,7 +476,8 @@ impl<'a> QueryEngine<'a> {
                 // the bound (same argument as the slot NIL); when it reaches
                 // the destination slot's maximum, the candidate is nowhere
                 // below what the slot holds and `min_into` would keep the
-                // slot (ties included).
+                // slot (ties included). Past both, the relaxation itself
+                // walks the candidate against the slot before building it.
                 let lb = cur_min
                     + if REV {
                         self.frozen.wd_min(idx)
@@ -481,21 +487,24 @@ impl<'a> QueryEngine<'a> {
                 if bound_max.is_some_and(|bm| lb > bm) || lb >= bufs.bounds[ku].1 {
                     continue;
                 }
-                let cand = if k == end {
-                    w.clone() // line 2: cost_s[u] ← X(s).Ws_u
+                let changed = if k == end {
+                    min_into(&mut bufs.cost[ku], w.clone()) // line 2: cost_s[u] ← X(s).Ws_u
                 } else {
-                    let cur = bufs.cost[k].as_ref().expect("checked above");
+                    // Bag members are ancestors: the slot lies above `k`.
+                    let (above, from_k) = bufs.cost.split_at_mut(k);
+                    let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
                     if REV {
-                        w.compound(cur, bufs.path[k])
+                        min_compound_into(slot, w, cur, bufs.path[k])
                     } else {
-                        cur.compound(w, bufs.path[k])
+                        min_compound_into(slot, cur, w, bufs.path[k])
                     }
                 };
-                min_into(&mut bufs.cost[ku], cand);
-                bufs.bounds[ku] = bufs.cost[ku]
-                    .as_ref()
-                    .expect("min_into leaves a function")
-                    .value_bounds();
+                if changed {
+                    bufs.bounds[ku] = bufs.cost[ku]
+                        .as_ref()
+                        .expect("a relaxation leaves a function")
+                        .value_bounds();
+                }
             }
         }
     }
@@ -545,18 +554,17 @@ impl<'a> QueryEngine<'a> {
             if let Some(Some(_)) = down_f {
                 seeds_d.push((kw, w));
             }
-            let total = if w == s {
-                down_f.flatten().cloned()
-            } else if w == d {
-                up_f.flatten().cloned()
-            } else {
-                match (up_f.flatten(), down_f.flatten()) {
-                    (Some(fu), Some(fd)) => Some(fu.compound(fd, w)),
-                    _ => None,
+            match (up_f.flatten(), down_f.flatten()) {
+                (_, Some(fd)) if w == s => {
+                    min_into(&mut bound, fd.clone());
                 }
-            };
-            if let Some(total) = total {
-                min_into(&mut bound, total);
+                (Some(fu), _) if w == d => {
+                    min_into(&mut bound, fu.clone());
+                }
+                (Some(fu), Some(fd)) => {
+                    min_compound_into(&mut bound, fu, fd, w);
+                }
+                _ => {}
             }
         }
 
@@ -571,7 +579,7 @@ impl<'a> QueryEngine<'a> {
         self.sweep_up_profile_into::<false>(s, seeds_s, bound.as_ref(), up);
         self.sweep_up_profile_into::<true>(d, seeds_d, bound.as_ref(), down);
         let mut result: Option<Plf> = bound;
-        combine_over_chain(&up.path, &up.cost, &down.cost, upto, s, d, &mut result);
+        combine_over_chain(up, down, upto, s, d, &mut result);
         result
     }
 }
@@ -586,32 +594,35 @@ impl<'a> QueryEngine<'a> {
 /// subset of the chain, so Property 1's combination is subsumed. (With
 /// *exact* shortcut functions, the cut alone suffices — that is situation (1)
 /// of Algo. 6.)
-#[allow(clippy::too_many_arguments)]
+///
+/// Like the sweeps, each term is first bounded below by its two slots'
+/// minima (an endpoint's own leg is the zero function) and dropped when that
+/// reaches the result's maximum.
 fn combine_over_chain(
-    path_s: &[VertexId],
-    cost_s: &[Option<Plf>],
-    cost_d: &[Option<Plf>],
+    up: &ProfileSweepBufs,
+    down: &ProfileSweepBufs,
     upto: usize,
     s: VertexId,
     d: VertexId,
     result: &mut Option<Plf>,
 ) {
-    for (k, &w) in path_s.iter().enumerate().take(upto + 1) {
-        let term = if w == s {
-            cost_d.get(k).cloned().flatten()
-        } else if w == d {
-            cost_s.get(k).cloned().flatten()
-        } else {
-            match (
-                cost_s.get(k).and_then(|o| o.as_ref()),
-                cost_d.get(k).and_then(|o| o.as_ref()),
-            ) {
-                (Some(a), Some(b)) => Some(a.compound(b, w)),
-                _ => None,
-            }
+    let max_of = |f: &Option<Plf>| f.as_ref().map_or(f64::INFINITY, |f| f.value_bounds().1);
+    let mut result_max = max_of(result);
+    for (k, &w) in up.path.iter().enumerate().take(upto + 1) {
+        let (cost_s, cost_d) = (up.cost[k].as_ref(), down.cost[k].as_ref());
+        let min_s = if w == s { 0.0 } else { up.bounds[k].0 };
+        let min_d = if w == d { 0.0 } else { down.bounds[k].0 };
+        if min_s + min_d >= result_max {
+            continue;
+        }
+        let changed = match (cost_s, cost_d) {
+            (_, Some(fd)) if w == s => min_into(result, fd.clone()),
+            (Some(fs), _) if w == d => min_into(result, fs.clone()),
+            (Some(fs), Some(fd)) => min_compound_into(result, fs, fd, w),
+            _ => false,
         };
-        if let Some(f) = term {
-            min_into(result, f);
+        if changed {
+            result_max = max_of(result);
         }
     }
 }

@@ -32,12 +32,20 @@
 //! network at the default budget), and the DFS never enters a subtree that
 //! holds none of it. An entry outside the table is `Entry::Skipped`, not
 //! "unreachable": reading one panics instead of dropping a Fact-1 term.
+//!
+//! Inside an entry almost every term loses to, or beats, the running minimum
+//! outright. Each `min{best, Compound(label, rest)}` is decided before
+//! anything is built — by the two minima against the running maximum, then
+//! by [`td_plf::ops::min_compound_into`]'s walk of the term's values against
+//! the running minimum — so a term is built only when it gets below the
+//! running minimum somewhere, and merged only when neither wins everywhere.
 
 use crate::select::Candidate;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use td_graph::VertexId;
-use td_plf::{ops::min_into, Plf};
+use td_plf::ops::{min_compound_into, min_into};
+use td_plf::Plf;
 use td_treedec::TreeDecomposition;
 
 /// One ancestor-vector entry of a DFS frame.
@@ -94,16 +102,27 @@ impl Best {
         bounds: (f64::INFINITY, f64::INFINITY),
     };
 
-    /// Folds in a term whose values are all ≥ `lower_bound` — unless that
-    /// already reaches the accumulator's maximum: the term is then nowhere
-    /// below it and `min_into` would keep the accumulator (ties included),
-    /// so it is never built.
-    fn relax(&mut self, lower_bound: f64, term: impl FnOnce() -> Plf) {
-        if lower_bound >= self.bounds.1 {
-            return;
+    /// Folds in `Compound(f, g)` through `via`, whose values are all ≥
+    /// `lower_bound` — unless that already reaches the accumulator's
+    /// maximum: the term is then nowhere below it and would be dropped
+    /// (ties included), so it is not touched at all. Otherwise the term is
+    /// walked against the accumulator and built only if it gets below it.
+    fn relax(&mut self, lower_bound: f64, f: &Plf, g: &Plf, via: VertexId) {
+        if lower_bound < self.bounds.1 && min_compound_into(&mut self.f, f, g, via) {
+            self.refresh();
         }
-        min_into(&mut self.f, term());
-        let f = self.f.as_ref().expect("min_into leaves a function");
+    }
+
+    /// Folds in a label — the direct term through the target itself — by
+    /// the same rule.
+    fn relax_label(&mut self, w: &Plf, w_min: f64) {
+        if w_min < self.bounds.1 && min_into(&mut self.f, w.clone()) {
+            self.refresh();
+        }
+    }
+
+    fn refresh(&mut self) {
+        let f = self.f.as_ref().expect("a relaxation leaves a function");
         self.bounds = f.value_bounds();
     }
 
@@ -123,7 +142,8 @@ impl Best {
 /// `stack.len() == depth(v)`. Every term `Compound(label, rest)` is bounded
 /// below by `min(label) + min(rest)` — the label minimum pre-fetched per bag
 /// member, the rest's read from its frame — and skipped when that cannot get
-/// below the maximum of what the slot already holds.
+/// below the maximum of what the slot already holds; past that test it is
+/// walked against the slot and built only if it gets below it somewhere.
 fn compute_vectors(
     td: &TreeDecomposition,
     v: VertexId,
@@ -153,7 +173,7 @@ fn compute_vectors(
             if let Some(ws) = &node.ws[bi] {
                 // v → anc[k] through bag member u.
                 if du == k {
-                    best_up.relax(ws_min, || ws.clone());
+                    best_up.relax_label(ws, ws_min);
                 } else {
                     // u above the target: u → anc[k] is the target's down
                     // entry at u's depth; u below it: u's own up entry.
@@ -163,14 +183,14 @@ fn compute_vectors(
                         stack[du].up[k].get()
                     };
                     if let Some((f, f_min)) = rest {
-                        best_up.relax(ws_min + f_min, || ws.compound(f, u));
+                        best_up.relax(ws_min + f_min, ws, f, u);
                     }
                 }
             }
             if let Some(wd) = &node.wd[bi] {
                 // anc[k] → v through bag member u.
                 if du == k {
-                    best_down.relax(wd_min, || wd.clone());
+                    best_down.relax_label(wd, wd_min);
                 } else {
                     let rest = if du < k {
                         stack[k].up[du].get()
@@ -178,7 +198,7 @@ fn compute_vectors(
                         stack[du].down[k].get()
                     };
                     if let Some((f, f_min)) = rest {
-                        best_down.relax(f_min + wd_min, || f.compound(wd, u));
+                        best_down.relax(f_min + wd_min, f, wd, u);
                     }
                 }
             }
@@ -700,20 +720,32 @@ mod tests {
 
     #[test]
     fn utility_probability_sums_to_lca_partition() {
-        // For fixed i, Σ_j over ancestors of p⟨i,j⟩·n + subtree(i) + (vertices
-        // outside root subtree…) — sanity: each vertex k with LCA(i,k)=j is
-        // counted once, so Σ_j covered(j) = n − subtree(lowest …). Simpler
-        // check: covered counts are positive and bounded by n.
-        let g = seeded_graph(6, 40, 25, 3);
-        let td = TreeDecomposition::build(&g);
-        let n = td.len() as f64;
-        let width = td.stats().width;
-        let cands = weigh_candidates(&td, width, 1);
-        for c in &cands {
-            let p = c.utility
-                / ((td.node(c.node).depth - td.node(c.ancestor).depth) as f64 * width as f64);
-            assert!(p > 0.0 && p <= 1.0 + 1e-9, "p={p} out of range");
-            let _ = n;
+        // p⟨v,j⟩·n counts the vertices k with LCA(X(v), X(k)) = X(j). Over
+        // v's ancestors j that is every vertex outside v's own subtree, each
+        // once: Σ_j p⟨v,j⟩·n = n − subtree(v) (the covered counts telescope
+        // down the root path), and v has one candidate per ancestor.
+        for seed in 0..8u64 {
+            let g = seeded_graph(seed, 40, 25, 3);
+            let td = TreeDecomposition::build(&g);
+            let n = td.len() as f64;
+            let width = td.stats().width as f64;
+            let cands = weigh_candidates(&td, td.stats().width, 1);
+            for v in 0..td.len() as VertexId {
+                let node = td.node(v);
+                let mine: Vec<&Candidate> = cands.iter().filter(|c| c.node == v).collect();
+                assert_eq!(mine.len(), node.depth as usize, "seed={seed} v={v}");
+                let covered: f64 = (mine.iter())
+                    .map(|c| {
+                        let levels = (node.depth - td.node(c.ancestor).depth) as f64;
+                        c.utility / (levels * width) * n
+                    })
+                    .sum();
+                let want = n - node.subtree_size as f64;
+                assert!(
+                    (covered - want).abs() < 1e-6,
+                    "seed={seed} v={v}: Σ p·n = {covered}, n − subtree(v) = {want}"
+                );
+            }
         }
     }
 

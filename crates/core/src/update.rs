@@ -213,8 +213,10 @@ impl TdTreeIndex {
 /// `acc = min(acc, cand)` by the arithmetic of `td-treedec`'s reduction — a
 /// plain [`Plf::minimum`] per candidate. The change test below compares at
 /// 1e-9, so an untouched pair must replay to the function the build
-/// recorded; `min_into`'s bound dominance returns an input as it stands,
-/// which can differ from the re-simplified merge by up to `EPS_COST`.
+/// recorded. `min_into` / `min_compound_into` return an input as it stands
+/// whenever it wins everywhere — by the value bounds or by their pointwise
+/// walk — and that can differ from the re-simplified merge by up to
+/// `EPS_COST`.
 fn fold_as_reduction(acc: &mut Option<Plf>, cand: Plf) {
     *acc = Some(match acc.take() {
         Some(a) => a.minimum(&cand),

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 use td_dijkstra::{profile_search_frozen, shortest_path};
 use td_graph::{GraphBuilder, Path, TdGraph, VertexId};
-use td_plf::{eval_ids_at, ops::min_into, Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
+use td_plf::{eval_ids_at, ops::min_compound_into, Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
 
 /// Reusable scratch for TD-G-tree scalar queries: the stage plan, the two
 /// partition-tree paths and the two arrival hash maps are recycled across
@@ -452,7 +452,7 @@ impl TdGtree {
         sources.sort_unstable();
         for b in sources {
             if let Some(f2) = self.mats[ld].entry(b, d) {
-                min_into(&mut best, cost[&b].compound(f2, b));
+                min_compound_into(&mut best, &cost[&b], f2, b);
             }
         }
         best
@@ -800,7 +800,7 @@ fn relax_profile(
                 continue;
             }
             if let Some(f2) = m.entry(b1, b2) {
-                min_into(&mut best, cost[&b1].compound(f2, b1));
+                min_compound_into(&mut best, &cost[&b1], f2, b1);
             }
         }
         if let Some(f) = best {

@@ -22,6 +22,11 @@
 //! through forward cursors: O(|f| + |g|). Only a non-FIFO `f` sends a
 //! cursor backwards (it then re-seeks by binary search); the result is the
 //! same either way.
+//!
+//! The operator is two steps — the candidate times, then one value per time
+//! — and [`crate::ops::min_compound_into`] runs them apart: it walks the
+//! values against an accumulator first and builds the function only when
+//! the accumulator does not already lie at or below it everywhere.
 
 use crate::approx::EPS_TIME;
 use crate::plf::{Cursor, Plf, Pt, Via};
@@ -34,34 +39,43 @@ impl Plf {
     /// `result.eval(t) == self.eval(t) + g.eval(t + self.eval(t))`
     /// up to floating-point rounding.
     pub fn compound(&self, g: &Plf, via: Via) -> Plf {
-        let mut times = candidate_times(self, g);
-        debug_assert!(!times.is_empty());
-        // Non-FIFO inputs can emit out-of-order candidates; sort defensively
-        // only when needed (the FIFO fast path is already sorted).
-        if !times.windows(2).all(|w| w[0] <= w[1]) {
-            times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        }
-        let (mut fc, mut gc) = (Cursor::new(self), Cursor::new(g));
-        let mut pts: Vec<Pt> = Vec::with_capacity(times.len());
-        for t in times {
-            if let Some(last) = pts.last() {
-                if t - last.t <= EPS_TIME {
-                    continue;
-                }
-            }
-            let fv = fc.at(t).0;
-            let v = fv + gc.at(t + fv).0;
-            pts.push(Pt::with_via(t, v, via));
-        }
-        let mut out = Plf::from_raw(pts);
-        out.simplify();
-        out
+        build(self, g, &candidate_times(self, g), via)
     }
 }
 
-/// Candidate breakpoint times of `Compound(f, g)`: `f`'s breakpoints merged
-/// with pre-images of `g`'s breakpoints under `A(t) = t + f(t)`.
-fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
+/// `Compound(f, g)` at the candidate `times` of [`candidate_times`]: one
+/// point per raw value, then simplified.
+pub(crate) fn build(f: &Plf, g: &Plf, times: &[f64], via: Via) -> Plf {
+    let pts = raw_values(f, g, times).map(|(t, v)| Pt::with_via(t, v, via));
+    let mut out = Plf::from_raw(pts.collect());
+    out.simplify();
+    out
+}
+
+/// The unsimplified breakpoints `(t, f(t) + g(t + f(t)))` of `Compound(f,
+/// g)`, one per candidate time; a time within [`EPS_TIME`] after the last one
+/// kept is the same instant.
+pub(crate) fn raw_values<'a>(
+    f: &'a Plf,
+    g: &'a Plf,
+    times: &'a [f64],
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    let (mut fc, mut gc) = (Cursor::new(f), Cursor::new(g));
+    let mut last = f64::NEG_INFINITY;
+    times.iter().filter_map(move |&t| {
+        if t - last <= EPS_TIME {
+            return None;
+        }
+        last = t;
+        let fv = fc.at(t).0;
+        Some((t, fv + gc.at(t + fv).0))
+    })
+}
+
+/// Candidate breakpoint times of `Compound(f, g)`, ascending: `f`'s
+/// breakpoints merged with pre-images of `g`'s breakpoints under
+/// `A(t) = t + f(t)`.
+pub(crate) fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
     let fp = f.points();
     let gp = g.points();
     let mut times = Vec::with_capacity(fp.len() + gp.len());
@@ -109,6 +123,11 @@ fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
     let lo = gc.seek(a_last + EPS_TIME);
     for s in gp[lo..].iter().map(|p| p.t) {
         times.push(s - last.v);
+    }
+    // Non-FIFO inputs can emit out-of-order candidates; sort defensively
+    // only when needed (the FIFO fast path is already sorted).
+    if !times.windows(2).all(|w| w[0] <= w[1]) {
+        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     }
     times
 }

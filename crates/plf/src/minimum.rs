@@ -15,8 +15,9 @@
 //! segment midpoints — probe at ascending times, so each walks the two
 //! inputs once through forward cursors: O(|f| + |g|), no binary search.
 //! Callers that fold candidates into an accumulator go through
-//! [`crate::ops::min_into`], which lets the functions' value bounds decide
-//! before any point is touched.
+//! [`crate::ops::min_into`] / [`crate::ops::min_compound_into`], which let
+//! the value bounds and then one pointwise walk decide, and call this only
+//! for a pair where neither side wins everywhere.
 
 use crate::approx::{EPS_COST, EPS_TIME};
 use crate::plf::{Cursor, Plf, Pt};

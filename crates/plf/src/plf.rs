@@ -467,6 +467,13 @@ mod tests {
             let before = FALLBACKS.with(|c| c.get());
             let h = f.compound(&g, 3).minimum(&g.compound(&f, 4));
             let _ = h.approx_eq(&f.minimum(&g), 1e-9);
+            // The relaxation's walks: against `f`, which lies below
+            // `Compound(f, g)` (the pre-build walk runs to the end), and
+            // against a constant the compound may cross (built, walked,
+            // merged).
+            for acc in [f.clone(), Plf::constant(1800.0)] {
+                crate::ops::min_compound_into(&mut Some(acc), &f, &g, 5);
+            }
             assert_eq!(FALLBACKS.with(|c| c.get()), before, "f={f:?}\ng={g:?}");
         }
         // The counter does count: an overtaking first leg probes backwards.

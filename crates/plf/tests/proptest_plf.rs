@@ -2,7 +2,8 @@
 //! the workspace silently relies on.
 
 use proptest::prelude::*;
-use td_plf::{ops::min_into, Plf, Pt, EPS_COST, EPS_TIME, NO_VIA};
+use td_plf::ops::{min_compound_into, min_into};
+use td_plf::{Plf, Pt, EPS_COST, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
 /// roughly a day, values in [0, 3600].
@@ -482,13 +483,16 @@ fn rebased(f: &Plf, from: f64, to: f64) -> Plf {
     Plf::new(pts.collect()).expect("rebased values stay non-negative")
 }
 
-/// `got` is `want` as a function: same value on the union grid (within the
-/// tolerance the properties above grant `minimum`'s own simplification),
-/// same witness at every segment midpoint and on both rays.
+/// `got` is `want` as a function: same value within [`EPS_COST`] at every
+/// breakpoint of the two and of `inputs`, same witness at every segment
+/// midpoint and on both rays.
 fn assert_same_function(got: &Plf, want: &Plf, inputs: [&Plf; 2]) {
-    for t in probe_times(&[got, want, inputs[0], inputs[1]]) {
+    // Both sides are linear between consecutive breakpoints of the two, so
+    // the union grid bounds the difference everywhere.
+    let grid = [got, want, inputs[0], inputs[1]].map(Plf::points).concat();
+    for t in grid.iter().map(|p| p.t) {
         assert!(
-            (got.eval(t) - want.eval(t)).abs() < 1e-6,
+            (got.eval(t) - want.eval(t)).abs() <= EPS_COST,
             "t={t}: {} vs {}",
             got.eval(t),
             want.eval(t)
@@ -543,24 +547,107 @@ proptest! {
     }
 
     #[test]
-    fn min_into_merges_whatever_bounds_do_not_decide(
+    fn min_into_merges_only_what_bounds_and_walk_leave_undecided(
         a in wild_plf(), g in wild_plf(), within in 0.0f64..1.0
     ) {
-        // Overlapping value ranges — and a candidate below the accumulator
-        // by less than EPS_COST, where `minimum` still prefers self's
-        // witness, so it must not count as dominating: both are exactly
-        // `minimum`.
+        // Overlapping value ranges; a candidate below the accumulator by
+        // less than EPS_COST, where `minimum` still prefers self's witness,
+        // so it must not count as dominating; and the accumulator itself
+        // shifted by 0 and ±EPS_COST/2 — ties at every breakpoint.
         let high = rebased(&a, 0.0, 100_000.0);
         let barely = rebased(&g, g.max_value(), high.min_value() - EPS_COST * within * 0.99);
         prop_assert!(barely.max_value() >= high.min_value() - EPS_COST);
-        for (a, f) in [(a, g), (high, barely)] {
-            let decided = f.min_value() >= a.max_value()
-                || f.max_value() < a.min_value() - EPS_COST;
+        let mut pairs = vec![(a.clone(), g), (high, barely)];
+        for shift in [0.0, 0.5 * EPS_COST, -0.5 * EPS_COST, -2.0 * EPS_COST] {
+            pairs.push((a.clone(), shifted(&a, shift, 9)));
+        }
+        for (a, f) in pairs {
+            let want = a.minimum(&f);
             let mut acc = Some(a.clone());
-            min_into(&mut acc, f.clone());
-            if !decided {
-                prop_assert_eq!(bits(&acc.expect("a function")), bits(&a.minimum(&f)));
+            let changed = min_into(&mut acc, f.clone());
+            let got = acc.expect("min_into leaves a function");
+            // The walk's two rules, restated at every breakpoint of either.
+            let grid = || a.points().iter().chain(f.points()).map(|p| p.t);
+            if grid().all(|t| a.eval(t) <= f.eval(t)) {
+                prop_assert!(!changed);
+                prop_assert_eq!(bits(&got), bits(&a));
+                assert_same_function(&got, &want, [&a, &f]);
+            } else if grid().all(|t| f.eval(t) < a.eval(t) - EPS_COST) {
+                prop_assert!(changed);
+                prop_assert_eq!(bits(&got), bits(&f));
+                assert_same_function(&got, &want, [&a, &f]);
+            } else {
+                prop_assert!(changed);
+                prop_assert_eq!(bits(&got), bits(&want));
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `min_compound_into`: `min_into` of the compound, without building it when
+// the accumulator already lies at or below it.
+// ---------------------------------------------------------------------------
+
+/// `f` with every value moved by `delta` (clamped at 0) and every witness
+/// set to `via`.
+fn shifted(f: &Plf, delta: f64, via: u32) -> Plf {
+    let pts = f.points().iter();
+    let pts = pts.map(|p| Pt::with_via(p.t, (p.v + delta).max(0.0), via));
+    Plf::new(pts.collect()).expect("shifted values stay valid")
+}
+
+/// Every accumulator the relaxation is checked against for `Compound(f, g)`:
+/// `+∞`, an unrelated function, and the compound itself under another
+/// witness shifted by 0, ±EPS_COST/2 and ±1 — ties, near-ties and plain
+/// dominance both ways.
+fn accumulators(h: &Plf, other: &Plf) -> Vec<Option<Plf>> {
+    let mut accs = vec![None, Some(other.clone())];
+    for delta in [0.0, 0.5 * EPS_COST, -0.5 * EPS_COST, 1.0, -1.0] {
+        accs.push(Some(shifted(h, delta, 9)));
+    }
+    accs
+}
+
+/// `min_compound_into(acc, f, g)` equals `min_into(acc, f.compound(g))`
+/// equals `acc.minimum(&f.compound(g))`: the same value on the union grid,
+/// the same witness at every segment midpoint and on both rays — and an
+/// accumulator reported unchanged is its own bits.
+fn assert_relaxation_is_min_of_compound(f: &Plf, g: &Plf, other: &Plf) {
+    let h = f.compound(g, 5);
+    for acc in accumulators(&h, other) {
+        let mut got = acc.clone();
+        let changed = min_compound_into(&mut got, f, g, 5);
+        let got = got.expect("a relaxation leaves a function");
+        let mut folded = acc.clone();
+        min_into(&mut folded, h.clone());
+        let folded = folded.expect("min_into leaves a function");
+        let want = acc.as_ref().map_or_else(|| h.clone(), |a| a.minimum(&h));
+        let a = acc.as_ref().unwrap_or(&h);
+        assert_same_function(&got, &folded, [a, &h]);
+        assert_same_function(&got, &want, [a, &h]);
+        if !changed {
+            assert_eq!(bits(&got), bits(a), "unchanged yet rewritten");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn min_compound_into_is_min_into_of_the_compound_on_wild_inputs(
+        f in wild_plf(), g in wild_plf(), other in wild_plf()
+    ) {
+        // Non-FIFO first legs, constants, breakpoints barely EPS_TIME apart
+        // and pairs whose domains overlap only on their clamped rays.
+        assert_relaxation_is_min_of_compound(&f, &g, &other);
+    }
+
+    #[test]
+    fn min_compound_into_is_min_into_of_the_compound_on_fifo_inputs(
+        f in fifo_plf(), g in fifo_plf(), other in fifo_plf()
+    ) {
+        assert_relaxation_is_min_of_compound(&f, &g, &other);
     }
 }
