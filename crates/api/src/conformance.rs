@@ -25,10 +25,10 @@
 //!    `query_cost`, or returns a flagged interval containing the exact
 //!    answer, or a typed error — never an unflagged wrong exact claim
 //!    ([`check_bounded_queries`]);
-//! 10. the targeted `s → d` corridor profile search — on its own and as
-//!     the `query_profile` of the two search backends that run it — is
+//! 10. the targeted `s → d` corridor profile search
+//!     ([`check_corridor_profiles`]) and every backend's `query_profile` are
 //!     **value-identical** to the unbounded one-to-all label-correcting
-//!     search on the union probe grid ([`check_corridor_profiles`]).
+//!     search on the union probe grid.
 //!
 //! The suite is instantiated for every backend in this crate's tests and is
 //! public so downstream crates can run it against new backends.
@@ -149,15 +149,11 @@ pub fn check_backend(
     check_bounded_queries(index.as_ref(), queries);
 
     // 10. The targeted corridor profile search is value-exact against the
-    // unbounded one-to-all search, and so is the `query_profile` of the two
-    // backends that answer with it.
+    // unbounded one-to-all search, and so is every backend's
+    // `query_profile`.
     check_corridor_profiles(graph, queries);
-    if matches!(backend, Backend::Dijkstra | Backend::AStarCh) {
-        let fg = graph.freeze();
-        check_profiles_against_one_to_all(graph, &fg, queries, name, |s, d| {
-            index.query_profile(s, d)
-        });
-    }
+    let fg = graph.freeze();
+    check_profiles_against_one_to_all(graph, &fg, queries, name, |s, d| index.query_profile(s, d));
 }
 
 /// Conformance step 10: the targeted corridor profile search

@@ -131,10 +131,11 @@ pub trait RoutingIndex: Send + Sync {
     }
 
     /// Drains the [`SearchStats`] the most recent `*_in` query left in
-    /// `scratch`. Search backends (TD-Dijkstra, TD-A\*-CH, TD-G-tree)
-    /// override this; the default `None` covers label/matrix backends whose
-    /// queries run no graph search. Draining resets the scratch counters,
-    /// so each query's stats are observed exactly once.
+    /// `scratch`. Search backends (TD-Dijkstra, TD-A\*-CH, TD-G-tree) and
+    /// the TD-tree family's profile sweeps override this; the default
+    /// `None` covers backends whose queries count nothing. Draining resets
+    /// the scratch counters, so each query's stats are observed exactly
+    /// once.
     fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
         let _ = scratch;
         None
@@ -349,6 +350,20 @@ impl RoutingIndex for TdTreeIndex {
     ) -> Option<(f64, Path)> {
         let sc: &mut TdTreeScratch = scratch.get_or_default();
         self.query_path_with(&mut sc.cost, s, d, t)
+    }
+
+    /// The profile sweeps' counters: relaxations that reached the prune
+    /// tests, slot-maximum prunes, and corridor drops (slots, seeds,
+    /// relaxations and chain terms). The scalar sweeps record nothing.
+    fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
+        let sc: &mut TdTreeScratch = scratch.get_or_default();
+        let counts = std::mem::take(&mut sc.profile.counts);
+        Some(SearchStats {
+            relaxed: counts.relaxed,
+            minbound_prunes: counts.slot_prunes,
+            corridor_kills: counts.corridor_drops,
+            ..SearchStats::default()
+        })
     }
 
     fn write_snapshot(&self, mut w: &mut dyn std::io::Write) -> Result<(), td_store::StoreError> {

@@ -3,7 +3,10 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use td_api::conformance::check_backend;
-use td_api::{build_index, Backend, IncrementalIndex, IndexConfig, QuerySession, RoutingIndexExt};
+use td_api::{
+    build_index, Backend, IncrementalIndex, IndexConfig, ParallelExecutor, QuerySession,
+    RoutingIndexExt,
+};
 use td_gen::random_graph::seeded_graph;
 use td_graph::VertexId;
 use td_plf::DAY;
@@ -142,7 +145,7 @@ fn incremental_extension_repairs_the_td_tree() {
 }
 
 #[test]
-fn profile_queries_on_the_search_backends_report_their_corridor_work() {
+fn profile_queries_report_their_corridor_work() {
     use td_graph::TdGraph;
     use td_plf::Plf;
     // The detour fixture of td-dijkstra's
@@ -182,8 +185,57 @@ fn profile_queries_on_the_search_backends_report_their_corridor_work() {
         // tests of this binary can only move it further).
         let kills = &td_obs::metrics().search_corridor_kills;
         let before = kills.get();
-        let profiles = td_api::ParallelExecutor::new(index.as_ref(), 1).profile_batch(&[(0, 2)]);
+        let profiles = ParallelExecutor::new(index.as_ref(), 1).profile_batch(&[(0, 2)]);
         assert_eq!(profiles, [Some(profile)], "{backend}");
         assert!(kills.get() > before, "{backend}: kill not exported");
+    }
+
+    // The TD-tree family's profile sweeps report through the same fields.
+    // On this graph the corridor drops work on TD-basic (no seeds, no cut
+    // bound: the corridor is the only global bound) and on TD-appro; TD-H2H
+    // covers every cut and returns before the bounds phase.
+    let n = 40;
+    let g = seeded_graph(0, n, 28, 3);
+    let cfg = IndexConfig {
+        budget: 3_000,
+        max_leaf: 12,
+        ..Default::default()
+    };
+    let pairs: Vec<(VertexId, VertexId)> = workload(n, 30, 0xc0de)
+        .into_iter()
+        .map(|(s, d, _)| (s, d))
+        .collect();
+    for backend in [Backend::TdBasic, Backend::TdAppro, Backend::TdH2h] {
+        let index = build_index(g.clone(), backend, &cfg);
+        let mut scratch = index.new_scratch();
+        let mut total = td_obs::SearchStats::default();
+        for &(s, d) in &pairs {
+            index.query_profile_in(&mut scratch, s, d);
+            let stats = index
+                .take_search_stats(&mut scratch)
+                .unwrap_or_else(|| panic!("{backend}: the profile sweeps report stats"));
+            total.merge(&stats);
+            assert_eq!(
+                index.take_search_stats(&mut scratch),
+                Some(Default::default()),
+                "{backend}: drained"
+            );
+        }
+        if backend == Backend::TdH2h {
+            assert_eq!(
+                total,
+                Default::default(),
+                "{backend}: full cover sweeps nothing"
+            );
+            continue;
+        }
+        assert!(
+            total.relaxed > 0 && total.corridor_kills > 0,
+            "{backend}: the corridor must fire ({total:?})"
+        );
+        let kills = &td_obs::metrics().search_corridor_kills;
+        let before = kills.get();
+        ParallelExecutor::new(index.as_ref(), 1).profile_batch(&pairs);
+        assert!(kills.get() > before, "{backend}: kills not exported");
     }
 }

@@ -16,8 +16,11 @@
 //!   index root-path tables by depth, never by vertex id);
 //! * `ws`/`wd` — arena ids of the slot's functions ([`NO_PLF`] = absent);
 //! * `arena` — every breakpoint of every label in contiguous SoA storage,
-//!   with per-function `min_cost`/`max_cost` bounds the sweeps use to skip
-//!   relaxations that provably cannot win.
+//!   with per-function `min_cost`/`max_cost` bounds. The scalar sweeps use
+//!   the minima to skip relaxations that provably cannot win; the profile
+//!   query's bounds phase reads both ([`FrozenTd::ws_min`] …
+//!   [`FrozenTd::wd_max`]) to frame its `s → d` corridor before any function
+//!   is touched.
 //!
 //! Derived data, never persisted and never patched: built from the tree by
 //! `TdTreeIndex::build`, again by a snapshot load, and again at the end of
@@ -197,6 +200,47 @@ impl FrozenTd {
         }
     }
 
+    /// Maximum of slot `idx`'s `Ws` over all departure times (`+∞` when
+    /// absent) — O(1), the arena's precomputed `max_cost`.
+    #[inline]
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    pub fn ws_max(&self, idx: usize) -> f64 {
+        debug_assert!(idx < self.ws.len());
+        let id = self.ws[idx];
+        if id == NO_PLF {
+            f64::INFINITY
+        } else {
+            self.arena.max_cost(id)
+        }
+    }
+
+    /// Maximum of slot `idx`'s `Wd` (`+∞` when absent).
+    #[inline]
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    pub fn wd_max(&self, idx: usize) -> f64 {
+        debug_assert!(idx < self.wd.len());
+        let id = self.wd[idx];
+        if id == NO_PLF {
+            f64::INFINITY
+        } else {
+            self.arena.max_cost(id)
+        }
+    }
+
     /// Heap footprint in bytes — counted by `TdTreeIndex::memory_bytes`.
     pub fn heap_bytes(&self) -> usize {
         self.first.capacity() * std::mem::size_of::<u32>()
@@ -237,6 +281,7 @@ mod tests {
                             assert!((s.eval(t) - f.eval(t)).abs() < 1e-12);
                         }
                         assert_eq!(fz.ws_min(idx), f.min_value());
+                        assert_eq!(fz.ws_max(idx), f.max_value());
                     }
                     None => assert_eq!(fz.ws_id(idx), NO_PLF),
                 }
@@ -247,6 +292,7 @@ mod tests {
                             assert!((s.eval(t) - f.eval(t)).abs() < 1e-12);
                         }
                         assert_eq!(fz.wd_min(idx), f.min_value());
+                        assert_eq!(fz.wd_max(idx), f.max_value());
                     }
                     None => assert_eq!(fz.wd_id(idx), NO_PLF),
                 }

@@ -18,26 +18,43 @@
 //!
 //! With shortcuts (Algo. 6) there are three situations: (1) all cut
 //! shortcuts selected → `O(w(T_G))` combination; (2) a subset selected →
-//! upper bound `f⁺` prunes the sweeps (NIL-marking); (3) none → basic sweep.
-//! TD-basic, TD-appro / TD-dp and TD-H2H are therefore one query at three
-//! shortcut budgets (0, `N`, everything): over a store holding no pair the
-//! cut scan can find nothing, so the engine skips it and runs Algo. 3's
-//! sweeps directly — the same answer, bit for bit, without the lookups.
+//! seeded sweeps, NIL-marked against an upper bound; (3) none → basic
+//! sweeps, NIL-marked the same way. The scalar query's bound is the cut's
+//! `f⁺`. The profile query's is the corridor's `U` (below), which is at or
+//! below `f⁺`'s maximum and exists in situation (3) too. TD-basic,
+//! TD-appro / TD-dp and TD-H2H are therefore one query at three shortcut
+//! budgets (0, `N`, everything): over a store holding no pair the cut scan
+//! can find nothing, so the engine skips it and runs Algo. 3's sweeps
+//! directly — the same answer, bit for bit, without the lookups.
 //!
 //! ## Layout
 //!
 //! The scalar sweeps walk the [`FrozenTd`] view alone: flat bag slots,
-//! precomputed bag depths and arena-resident breakpoints. The profile
-//! sweeps compound whole functions, so they borrow the owned `Ws`/`Wd`
-//! labels from the tree and take depths and O(1) label minima from the
-//! matching frozen slots. Each profile slot keeps the `(min, max)` of the
-//! function it holds beside it, so a relaxation whose lower bound
-//! `min(cost[k]) + min(w)` cannot get below the destination slot's maximum
-//! is dropped before its `compound` is touched. Every other relaxation goes
-//! through [`td_plf::ops::min_compound_into`], which walks the candidate's
-//! values against the slot first and builds it only if it gets below the
-//! slot somewhere — most candidates never do — and the chain combination
-//! prunes and relaxes its terms the same way.
+//! precomputed bag depths and arena-resident breakpoints. The profile query
+//! runs in two phases:
+//!
+//! * **Bounds (the corridor).** Plain-`f64` sweeps over the same frozen
+//!   slots, in the shape of the scalar sweeps, using the O(1) label minima
+//!   and maxima. They give each root-path depth a `(min, max)` `reach` from
+//!   its endpoint and a lower bound `rest` to the other endpoint. They also
+//!   give one upper bound `U ≥ max_t f_{s,d}(t)`: the best summed maxima
+//!   through the common chain, capped by `f⁺`'s maximum.
+//! * **Functions.** The profile sweeps compound whole functions, so they
+//!   borrow the owned `Ws`/`Wd` labels from the tree and take depths and
+//!   label minima from the matching frozen slots. A seed, a slot, a
+//!   relaxation or a chain term whose lower bound plus `rest` exceeds `U`
+//!   (by more than `EPS_COST`) is dropped: everything it could produce lies
+//!   above `f_{s,d}` at every departure. Each slot keeps the `(min, max)` of
+//!   the function it holds beside it, so a relaxation whose lower bound
+//!   `min(cost[k]) + min(w)` cannot get below the destination slot's
+//!   maximum is dropped as well, before its `compound` is touched. Every
+//!   other relaxation goes through [`td_plf::ops::min_compound_into`], which
+//!   walks the candidate's values against the slot first and builds it only
+//!   if it gets below the slot somewhere — most candidates never do — and
+//!   the chain combination prunes and relaxes its terms the same way.
+//!
+//! [`ProfileScratch::counts`] records what the function phase relaxed,
+//! pruned by slot maximum and dropped by the corridor.
 //!
 //! ## Scratch buffers
 //!
@@ -46,15 +63,16 @@
 //! `QuerySession` holds one per thread: after the first few queries warm the
 //! buffers up to the tree's depth, a scalar query performs **no heap
 //! allocation at all**. A profile query still allocates: one copy per
-//! shortcut seed and per first-hop label, the candidate times of every
-//! relaxation it walks, and the point lists of each compound it builds and
-//! of each `minimum` that neither the bounds nor the walk decided.
+//! shortcut seed inside the corridor and per first-hop label, the candidate
+//! times of every relaxation it walks, and the point lists of each compound
+//! it builds and of each `minimum` that neither the bounds nor the walk
+//! decided.
 
 use crate::frozen::FrozenTd;
 use crate::shortcut::ShortcutStore;
 use td_graph::VertexId;
 use td_plf::ops::{min_compound_into, min_into};
-use td_plf::{Plf, NO_PLF};
+use td_plf::{Plf, EPS_COST, NO_PLF};
 use td_treedec::TreeDecomposition;
 
 /// Query engine borrowing the tree and the selected shortcuts.
@@ -121,6 +139,13 @@ pub struct ProfileSweepBufs {
     /// dominated by an empty slot).
     bounds: Vec<(f64, f64)>,
     fixed: Vec<bool>,
+    /// `reach[k]` = scalar `(min, max)` bounds on what the sweep can put in
+    /// slot `k`, from label bounds alone (the bounds phase; `+∞` =
+    /// unreached).
+    reach: Vec<(f64, f64)>,
+    /// `rest[k]` = lower bound on the cost between `path[k]` and the other
+    /// endpoint.
+    rest: Vec<f64>,
 }
 
 impl ProfileSweepBufs {
@@ -131,14 +156,44 @@ impl ProfileSweepBufs {
         self.bounds.resize(len, (f64::INFINITY, f64::INFINITY));
         self.fixed.clear();
         self.fixed.resize(len, false);
+        self.reach.clear();
+        self.reach.resize(len, (f64::INFINITY, f64::INFINITY));
+        self.rest.clear();
+        self.rest.resize(len, f64::INFINITY);
+    }
+
+    /// The leg this table contributes to a chain term at depth `k`, with its
+    /// minimum: the endpoint's own is the zero function (`None`, 0), an
+    /// empty slot is no leg at all.
+    fn leg(&self, k: usize) -> Option<(Option<&Plf>, f64)> {
+        if k == self.path.len() - 1 {
+            Some((None, 0.0))
+        } else {
+            Some((Some(self.cost[k].as_ref()?), self.bounds[k].0))
+        }
     }
 }
 
+/// Work counters of the most recent profile query (reset when the next one
+/// starts). `td-api` drains them into `SearchStats` as `relaxed` /
+/// `minbound_prunes` / `corridor_kills`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProfileCounts {
+    /// Sweep relaxations that reached the prune tests.
+    pub relaxed: u64,
+    /// Relaxations dropped because they cannot get below the destination
+    /// slot's maximum.
+    pub slot_prunes: u64,
+    /// Slots, seeds, relaxations and chain terms dropped because they cannot
+    /// get below the corridor's `s → d` upper bound.
+    pub corridor_drops: u64,
+}
+
 /// Reusable scratch for profile (cost function) queries. The sweep tables
-/// (slots, slot bounds, root paths), the seed key lists and the cut vector
-/// are reused across queries; the functions in the slots are not — every
-/// seed copy, first-hop label copy and operator result is a fresh
-/// allocation, dropped when the next query resets the tables.
+/// (slots, slot bounds, corridor bounds, root paths), the seed key lists
+/// and the cut vector are reused across queries; the functions in the slots
+/// are not — every seed copy, first-hop label copy and operator result is a
+/// fresh allocation, dropped when the next query resets the tables.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileScratch {
     up: ProfileSweepBufs,
@@ -148,6 +203,8 @@ pub struct ProfileScratch {
     /// the functions stay in the store until the sweep copies them.
     seeds_s: Vec<(usize, VertexId)>,
     seeds_d: Vec<(usize, VertexId)>,
+    /// What the most recent profile query did.
+    pub counts: ProfileCounts,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -413,126 +470,34 @@ impl<'a> QueryEngine<'a> {
     // Profile (cost function) queries
     // ------------------------------------------------------------------
 
-    /// Upward function sweep along `v`'s root path into `bufs`. Forward
-    /// (`REV = false`, Algo. 3 lines 1-10) `v` is the source and `cost[k]` =
-    /// `f_{v, path[k]}(t)` through the `Ws` labels; reversed (line 11,
-    /// "repeat for cost_d") `v` is the destination and `cost[k]` =
-    /// `f_{path[k], v}(t)` through `Wd`. `seeds` keys the selected pairs
-    /// `⟨v, ancestor⟩` whose stored function (exact, skipped by relaxation
-    /// per Algo. 6 line 15) fills the ancestor's slot; `bound` enables NIL
-    /// pruning (Algo. 6 line 20).
-    fn sweep_up_profile_into<const REV: bool>(
-        &self,
-        v: VertexId,
-        seeds: &[(usize, VertexId)],
-        bound: Option<&Plf>,
-        bufs: &mut ProfileSweepBufs,
-    ) {
-        self.root_path_into(v, &mut bufs.path);
-        let end = bufs.path.len() - 1;
-        bufs.reset(end + 1);
-        for &(k, ancestor) in seeds {
-            let (up, down) = self
-                .store
-                .get(v, ancestor)
-                .expect("seed keys name stored pairs");
-            let f = if REV { down } else { up }
-                .as_ref()
-                .expect("seed keys name reachable directions");
-            bufs.bounds[k] = f.value_bounds();
-            bufs.cost[k] = Some(f.clone());
-            bufs.fixed[k] = true;
-        }
-        let bound_max = bound.map(|b| b.max_value());
-        for k in (0..=end).rev() {
-            // At processing time cost[k] is final: NIL-prune it (Algo. 6
-            // line 20) when it can never beat the shortcut bound anywhere.
-            let mut cur_min = 0.0; // the endpoint's own label is the zero function
-            if k != end {
-                if bufs.cost[k].is_none() {
-                    continue;
-                }
-                cur_min = bufs.bounds[k].0;
-                if bound_max.is_some_and(|bm| cur_min > bm) {
-                    bufs.cost[k] = None; // NIL
-                    continue;
-                }
-            }
-            // The function algebra needs the owned labels; depths and label
-            // minima come from the matching frozen slots.
-            let node = self.td.node(bufs.path[k]);
-            let labels = if REV { &node.wd } else { &node.ws };
-            for (w, idx) in labels.iter().zip(self.frozen.range(bufs.path[k])) {
-                let Some(w) = w else { continue };
-                let ku = self.frozen.bag_depth(idx);
-                if bufs.fixed[ku] {
-                    continue;
-                }
-                // Edge-level prunes, both before the compound is built: its
-                // minimum is ≥ min(cost[k]) + min(w), the slot minimum kept
-                // beside cost[k] plus the edge minimum the frozen arena
-                // serves in O(1). When that clears the bound's maximum,
-                // every propagated value loses the final combination against
-                // the bound (same argument as the slot NIL); when it reaches
-                // the destination slot's maximum, the candidate is nowhere
-                // below what the slot holds and `min_into` would keep the
-                // slot (ties included). Past both, the relaxation itself
-                // walks the candidate against the slot before building it.
-                let lb = cur_min
-                    + if REV {
-                        self.frozen.wd_min(idx)
-                    } else {
-                        self.frozen.ws_min(idx)
-                    };
-                if bound_max.is_some_and(|bm| lb > bm) || lb >= bufs.bounds[ku].1 {
-                    continue;
-                }
-                let changed = if k == end {
-                    min_into(&mut bufs.cost[ku], w.clone()) // line 2: cost_s[u] ← X(s).Ws_u
-                } else {
-                    // Bag members are ancestors: the slot lies above `k`.
-                    let (above, from_k) = bufs.cost.split_at_mut(k);
-                    let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
-                    if REV {
-                        min_compound_into(slot, w, cur, bufs.path[k])
-                    } else {
-                        min_compound_into(slot, cur, w, bufs.path[k])
-                    }
-                };
-                if changed {
-                    bufs.bounds[ku] = bufs.cost[ku]
-                        .as_ref()
-                        .expect("a relaxation leaves a function")
-                        .value_bounds();
-                }
-            }
-        }
+    /// The stored function of seed `⟨v, ancestor⟩` in the sweep's direction.
+    fn seed<const REV: bool>(&self, v: VertexId, ancestor: VertexId) -> &'a Plf {
+        let (up, down) = self
+            .store
+            .get(v, ancestor)
+            .expect("seed keys name stored pairs");
+        if REV { down } else { up }
+            .as_ref()
+            .expect("seed keys name reachable directions")
     }
 
-    /// Cost function query `f_{s,d}(t)` — Algo. 6 (falls back to Algo. 3
-    /// when no shortcut covers the cut), reusing `scratch`'s sweep tables
-    /// and seed lists.
-    pub(crate) fn profile(
+    /// Algo. 6's cut scan (an unscanned, empty cut covers nothing): borrows
+    /// each stored function over the LCA cut, keys the sweeps' seeds, and
+    /// folds the through-`w` totals into the bound `f⁺`. Returns the LCA's
+    /// depth, `f⁺`, and whether every cut pair is stored (situation (1)).
+    fn scan_cut_pairs(
         &self,
         scratch: &mut ProfileScratch,
         s: VertexId,
         d: VertexId,
-    ) -> Option<Plf> {
-        if s == d {
-            return Some(Plf::zero());
-        }
+    ) -> (usize, Option<Plf>, bool) {
         let ProfileScratch {
-            up,
-            down,
             cut,
             seeds_s,
             seeds_d,
+            ..
         } = scratch;
         let x = self.lca_and_cut(s, d, cut);
-
-        // Scan the cut's shortcut pairs (an unscanned, empty cut covers
-        // nothing): borrow each stored function, key the sweeps' seeds, and
-        // fold the through-`w` totals into the bound.
         let mut full_cover = self.scan_cut;
         seeds_s.clear();
         seeds_d.clear();
@@ -567,19 +532,258 @@ impl<'a> QueryEngine<'a> {
                 _ => {}
             }
         }
+        (self.td.node(x).depth as usize, bound, full_cover)
+    }
 
+    /// The scalar bounds phase: frames the `s → d` corridor from label
+    /// bounds alone, before any function is touched. Fills both sides'
+    /// `reach` and `rest` tables and returns the upper bound
+    /// `U ≥ max_t f_{s,d}(t)`: the smaller of `f⁺`'s maximum (`bound_max`,
+    /// `+∞` without one) and the best `smax[k] + dmax[k]` over the common
+    /// chain — a fixed path's summed edge maxima bound its travel time at
+    /// every departure.
+    fn corridor(
+        &self,
+        scratch: &mut ProfileScratch,
+        s: VertexId,
+        d: VertexId,
+        upto: usize,
+        bound_max: f64,
+    ) -> f64 {
+        let ProfileScratch {
+            up,
+            down,
+            seeds_s,
+            seeds_d,
+            ..
+        } = scratch;
+        self.reach_sweep::<false>(s, seeds_s, up);
+        self.reach_sweep::<true>(d, seeds_d, down);
+        let upper = (0..=upto)
+            .map(|k| up.reach[k].1 + down.reach[k].1)
+            .fold(bound_max, f64::min);
+        self.rest_pass::<false>(up, &down.reach, upto);
+        self.rest_pass::<true>(down, &up.reach, upto);
+        upper
+    }
+
+    /// Bounds phase, per side: lays out `v`'s root path in `bufs` and runs
+    /// the function sweep's shape on `(min, max)` pairs. A seeded slot holds
+    /// its stored function's bounds and, as in the function sweep, is not
+    /// relaxed into.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    fn reach_sweep<const REV: bool>(
+        &self,
+        v: VertexId,
+        seeds: &[(usize, VertexId)],
+        bufs: &mut ProfileSweepBufs,
+    ) {
+        self.root_path_into(v, &mut bufs.path);
+        let end = bufs.path.len() - 1;
+        bufs.reset(end + 1);
+        bufs.reach[end] = (0.0, 0.0);
+        for &(k, ancestor) in seeds {
+            bufs.reach[k] = self.seed::<REV>(v, ancestor).value_bounds();
+            bufs.fixed[k] = true;
+        }
+        let fz = self.frozen;
+        for k in (0..=end).rev() {
+            let (lo, hi) = bufs.reach[k];
+            if lo == f64::INFINITY {
+                continue;
+            }
+            for idx in fz.range(bufs.path[k]) {
+                let ku = fz.bag_depth(idx);
+                if bufs.fixed[ku] {
+                    continue;
+                }
+                let (w_lo, w_hi) = if REV {
+                    (fz.wd_min(idx), fz.wd_max(idx))
+                } else {
+                    (fz.ws_min(idx), fz.ws_max(idx))
+                };
+                let r = &mut bufs.reach[ku];
+                *r = (r.0.min(lo + w_lo), r.1.min(hi + w_hi));
+            }
+        }
+    }
+
+    /// Bounds phase, per side, top-down: `rest[k]` = the least of crossing
+    /// the chain at `k` onto the other side's slot (`k ≤ upto`, bounded by
+    /// `other[k]`'s minimum) and going up one label first. Relaxations into
+    /// seeded slots count too, so `rest[k]` bounds the true distance between
+    /// `path[k]` and the other endpoint, not only what the sweep builds.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    fn rest_pass<const REV: bool>(
+        &self,
+        bufs: &mut ProfileSweepBufs,
+        other: &[(f64, f64)],
+        upto: usize,
+    ) {
+        let fz = self.frozen;
+        for (k, &v) in bufs.path.iter().enumerate() {
+            let mut r = if k <= upto { other[k].0 } else { f64::INFINITY };
+            for idx in fz.range(v) {
+                let w_lo = if REV { fz.wd_min(idx) } else { fz.ws_min(idx) };
+                r = r.min(w_lo + bufs.rest[fz.bag_depth(idx)]);
+            }
+            bufs.rest[k] = r;
+        }
+    }
+
+    /// Upward function sweep along the root path [`Self::reach_sweep`] laid
+    /// out in `bufs`, ending at `v`. Forward (`REV = false`, Algo. 3 lines
+    /// 1-10) `v` is the source and `cost[k]` = `f_{v, path[k]}(t)` through
+    /// the `Ws` labels; reversed (line 11, "repeat for cost_d") `v` is the
+    /// destination and `cost[k]` = `f_{path[k], v}(t)` through `Wd`. `seeds`
+    /// keys the selected pairs `⟨v, ancestor⟩` whose stored function (exact,
+    /// skipped by relaxation per Algo. 6 line 15) fills the ancestor's slot.
+    /// `limit` is the corridor's upper bound plus `EPS_COST`: a seed, slot
+    /// or relaxation whose lower bound through `rest` exceeds it is NIL
+    /// (Algo. 6 line 20, with a bound every query has).
+    fn sweep_up_profile_into<const REV: bool>(
+        &self,
+        seeds: &[(usize, VertexId)],
+        limit: f64,
+        bufs: &mut ProfileSweepBufs,
+        counts: &mut ProfileCounts,
+    ) {
+        let end = bufs.path.len() - 1;
+        let v = bufs.path[end];
+        for &(k, ancestor) in seeds {
+            // Dropped before its copy; the slot stays fixed and empty, as
+            // the NIL below would leave it.
+            if bufs.reach[k].0 + bufs.rest[k] > limit {
+                counts.corridor_drops += 1;
+                continue;
+            }
+            bufs.bounds[k] = bufs.reach[k];
+            bufs.cost[k] = Some(self.seed::<REV>(v, ancestor).clone());
+        }
+        for k in (0..=end).rev() {
+            // At processing time cost[k] is final: NIL it when nothing
+            // through it can get below the corridor's upper bound.
+            let mut cur_min = 0.0; // the endpoint's own label is the zero function
+            if k != end {
+                if bufs.cost[k].is_none() {
+                    continue;
+                }
+                cur_min = bufs.bounds[k].0;
+                if cur_min + bufs.rest[k] > limit {
+                    bufs.cost[k] = None; // NIL
+                    counts.corridor_drops += 1;
+                    continue;
+                }
+            }
+            // The function algebra needs the owned labels; depths and label
+            // minima come from the matching frozen slots.
+            let node = self.td.node(bufs.path[k]);
+            let labels = if REV { &node.wd } else { &node.ws };
+            for (w, idx) in labels.iter().zip(self.frozen.range(bufs.path[k])) {
+                let Some(w) = w else { continue };
+                let ku = self.frozen.bag_depth(idx);
+                if bufs.fixed[ku] {
+                    continue;
+                }
+                counts.relaxed += 1;
+                // Edge-level prunes, both before the compound is built: its
+                // minimum is ≥ min(cost[k]) + min(w), the slot minimum kept
+                // beside cost[k] plus the edge minimum the frozen arena
+                // serves in O(1). When that plus `rest[ku]` clears the
+                // corridor, every value it could propagate loses the final
+                // combination (same argument as the slot NIL); when it
+                // reaches the destination slot's maximum, the candidate is
+                // nowhere below what the slot holds and `min_into` would
+                // keep the slot (ties included). Past both, the relaxation
+                // itself walks the candidate against the slot before
+                // building it.
+                let lb = cur_min
+                    + if REV {
+                        self.frozen.wd_min(idx)
+                    } else {
+                        self.frozen.ws_min(idx)
+                    };
+                if lb + bufs.rest[ku] > limit {
+                    counts.corridor_drops += 1;
+                    continue;
+                }
+                if lb >= bufs.bounds[ku].1 {
+                    counts.slot_prunes += 1;
+                    continue;
+                }
+                let changed = if k == end {
+                    min_into(&mut bufs.cost[ku], w.clone()) // line 2: cost_s[u] ← X(s).Ws_u
+                } else {
+                    // Bag members are ancestors: the slot lies above `k`.
+                    let (above, from_k) = bufs.cost.split_at_mut(k);
+                    let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
+                    if REV {
+                        min_compound_into(slot, w, cur, bufs.path[k])
+                    } else {
+                        min_compound_into(slot, cur, w, bufs.path[k])
+                    }
+                };
+                if changed {
+                    bufs.bounds[ku] = bufs.cost[ku]
+                        .as_ref()
+                        .expect("a relaxation leaves a function")
+                        .value_bounds();
+                }
+            }
+        }
+    }
+
+    /// Cost function query `f_{s,d}(t)` — Algo. 6 (falls back to Algo. 3
+    /// when no shortcut covers the cut), reusing `scratch`'s sweep tables
+    /// and seed lists.
+    pub(crate) fn profile(
+        &self,
+        scratch: &mut ProfileScratch,
+        s: VertexId,
+        d: VertexId,
+    ) -> Option<Plf> {
+        scratch.counts = ProfileCounts::default();
+        if s == d {
+            return Some(Plf::zero());
+        }
+        let (upto, bound, full_cover) = self.scan_cut_pairs(scratch, s, d);
         if full_cover {
             // Situation (1): combine shortcuts directly (lines 1-2).
             return bound;
         }
 
-        // Situations (2)/(3): pruned sweeps + combination over the common
-        // ancestor chain.
-        let upto = self.td.node(x).depth as usize;
-        self.sweep_up_profile_into::<false>(s, seeds_s, bound.as_ref(), up);
-        self.sweep_up_profile_into::<true>(d, seeds_d, bound.as_ref(), down);
+        // Situations (2)/(3): the bounds phase frames the corridor, then
+        // pruned sweeps + combination over the common ancestor chain. The
+        // ε keeps a term tying the upper bound, as the search backends'
+        // corridor does.
+        let bound_max = bound.as_ref().map_or(f64::INFINITY, Plf::max_value);
+        let limit = self.corridor(scratch, s, d, upto, bound_max) + EPS_COST;
+        let ProfileScratch {
+            up,
+            down,
+            seeds_s,
+            seeds_d,
+            counts,
+            ..
+        } = scratch;
+        self.sweep_up_profile_into::<false>(seeds_s, limit, up, counts);
+        self.sweep_up_profile_into::<true>(seeds_d, limit, down, counts);
         let mut result: Option<Plf> = bound;
-        combine_over_chain(up, down, upto, s, d, &mut result);
+        combine_over_chain(up, down, upto, limit, counts, &mut result);
         result
     }
 }
@@ -596,30 +800,34 @@ impl<'a> QueryEngine<'a> {
 /// of Algo. 6.)
 ///
 /// Like the sweeps, each term is first bounded below by its two slots'
-/// minima (an endpoint's own leg is the zero function) and dropped when that
-/// reaches the result's maximum.
+/// minima and dropped when that exceeds the corridor's `limit` or reaches
+/// the result's maximum.
 fn combine_over_chain(
     up: &ProfileSweepBufs,
     down: &ProfileSweepBufs,
     upto: usize,
-    s: VertexId,
-    d: VertexId,
+    limit: f64,
+    counts: &mut ProfileCounts,
     result: &mut Option<Plf>,
 ) {
     let max_of = |f: &Option<Plf>| f.as_ref().map_or(f64::INFINITY, |f| f.value_bounds().1);
     let mut result_max = max_of(result);
     for (k, &w) in up.path.iter().enumerate().take(upto + 1) {
-        let (cost_s, cost_d) = (up.cost[k].as_ref(), down.cost[k].as_ref());
-        let min_s = if w == s { 0.0 } else { up.bounds[k].0 };
-        let min_d = if w == d { 0.0 } else { down.bounds[k].0 };
+        let (Some((cost_s, min_s)), Some((cost_d, min_d))) = (up.leg(k), down.leg(k)) else {
+            continue;
+        };
+        if min_s + min_d > limit {
+            counts.corridor_drops += 1;
+            continue;
+        }
         if min_s + min_d >= result_max {
             continue;
         }
         let changed = match (cost_s, cost_d) {
-            (_, Some(fd)) if w == s => min_into(result, fd.clone()),
-            (Some(fs), _) if w == d => min_into(result, fs.clone()),
+            (None, Some(fd)) => min_into(result, fd.clone()),
+            (Some(fs), None) => min_into(result, fs.clone()),
             (Some(fs), Some(fd)) => min_compound_into(result, fs, fd, w),
-            _ => false,
+            (None, None) => false, // s == d returns before the sweeps
         };
         if changed {
             result_max = max_of(result);
@@ -827,6 +1035,80 @@ mod tests {
                     bits(scanning.profile(&mut ps_b, s, d)),
                     "seed={seed} s={s} d={d}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn corridor_bounds_hold_against_exact_profiles() {
+        // The bounds phase on its own, not through an answer: over an empty,
+        // a partial and a full store, `U` must be at or above the exact
+        // `max f_{s,d}`, and each `rest` at or below the exact minimum
+        // between its path vertex and the other endpoint. A wrong bound that
+        // happens not to change an answer still fails here.
+        use crate::index::{IndexOptions, SelectionStrategy, TdTreeIndex};
+        const TOL: f64 = 1e-6;
+        for seed in 0..4u64 {
+            let n = 30;
+            let g = seeded_graph(seed, n, 20, 3);
+            let partial = TdTreeIndex::build(
+                g.clone(),
+                IndexOptions {
+                    strategy: SelectionStrategy::Greedy { budget: 150 },
+                    threads: 1,
+                    track_supports: false,
+                },
+            );
+            let (td, frozen) = (&partial.td, &partial.frozen);
+            let (none, full) = (ShortcutStore::empty(n), build_all(td, 1));
+            assert!(
+                (1..full.num_pairs()).contains(&partial.store.num_pairs()),
+                "seed={seed}: the Greedy store must be partial"
+            );
+            let exact: Vec<_> = (0..n as u32).map(|v| profile_search(&g, v).dist).collect();
+            let f = |u: VertexId, v: VertexId| exact[u as usize][v as usize].as_ref();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xb0d);
+            let pairs: Vec<(u32, u32)> = (0..40)
+                .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                .filter(|(s, d)| s != d)
+                .collect();
+            for store in [&none, &partial.store, &full] {
+                let engine = QueryEngine::new(td, store, frozen);
+                let mut scratch = ProfileScratch::default();
+                for &(s, d) in &pairs {
+                    let ctx = format!("seed={seed} pairs={} s={s} d={d}", store.num_pairs());
+                    let (upto, bound, _) = engine.scan_cut_pairs(&mut scratch, s, d);
+                    let bound_max = bound.as_ref().map_or(f64::INFINITY, Plf::max_value);
+                    let upper = engine.corridor(&mut scratch, s, d, upto, bound_max);
+                    if let Some(fsd) = f(s, d) {
+                        assert!(
+                            upper + TOL >= fsd.max_value(),
+                            "{ctx}: U = {upper} below max f = {}",
+                            fsd.max_value()
+                        );
+                    }
+                    let ProfileScratch { up, down, .. } = &scratch;
+                    for (k, &w) in up.path.iter().enumerate() {
+                        if let Some(fwd) = f(w, d) {
+                            assert!(
+                                up.rest[k] <= fwd.min_value() + TOL,
+                                "{ctx} k={k}: rest_s {} above min f(w, d) = {}",
+                                up.rest[k],
+                                fwd.min_value()
+                            );
+                        }
+                    }
+                    for (k, &w) in down.path.iter().enumerate() {
+                        if let Some(fsw) = f(s, w) {
+                            assert!(
+                                down.rest[k] <= fsw.min_value() + TOL,
+                                "{ctx} k={k}: rest_d {} above min f(s, w) = {}",
+                                down.rest[k],
+                                fsw.min_value()
+                            );
+                        }
+                    }
+                }
             }
         }
     }
