@@ -151,9 +151,9 @@ impl TdTreeIndex {
                 stats.selected_weight = selection.weight;
                 stats.selected_utility = selection.utility;
 
-                let per_node = selection_per_node(n, &candidates, &selection);
+                let (per_node, points) = selection_per_node(n, &candidates, &selection);
                 let t = Instant::now();
-                let store = build_selected(&td, &per_node, options.threads);
+                let store = build_selected(&td, &per_node, &points, options.threads);
                 stats.build_secs = t.elapsed().as_secs_f64();
                 store
             }
@@ -248,18 +248,21 @@ impl TdTreeIndex {
     }
 }
 
-/// Groups a selection into per-node ancestor lists.
+/// Groups a selection into per-node ancestor lists, with each node's total
+/// weight (the interpolation points its row will store).
 pub(crate) fn selection_per_node(
     n: usize,
     candidates: &[Candidate],
     selection: &Selection,
-) -> Vec<Vec<VertexId>> {
+) -> (Vec<Vec<VertexId>>, Vec<u64>) {
     let mut per_node: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    let mut points = vec![0u64; n];
     for &i in &selection.chosen {
         let c = &candidates[i];
         per_node[c.node as usize].push(c.ancestor);
+        points[c.node as usize] += u64::from(c.weight);
     }
-    per_node
+    (per_node, points)
 }
 
 #[cfg(test)]

@@ -30,7 +30,10 @@
 //! ## Layout
 //!
 //! The scalar sweeps walk the [`FrozenTd`] view alone: flat bag slots,
-//! precomputed bag depths and arena-resident breakpoints. The profile query
+//! precomputed bag depths and arena-resident breakpoints. The shortcut
+//! store is arena-resident too: the scalar cut scan evaluates its functions
+//! in place as [`td_plf::PlfSlice`]s, and the profile query reads a seed's
+//! bounds from its chunk's O(1) `min_cost` / `max_cost`. The profile query
 //! runs in two phases:
 //!
 //! * **Bounds (the corridor).** Plain-`f64` sweeps over the same frozen
@@ -66,13 +69,15 @@
 //! shortcut seed inside the corridor and per first-hop label, the candidate
 //! times of every relaxation it walks, and the point lists of each compound
 //! it builds and of each `minimum` that neither the bounds nor the walk
-//! decided.
+//! decided. The cut scan's through-`w` totals compound two stored legs;
+//! those are copied into two functions the scratch owns and refills, so
+//! they allocate only while they grow.
 
 use crate::frozen::FrozenTd;
-use crate::shortcut::ShortcutStore;
+use crate::shortcut::{ShortcutStore, DOWN, UP};
 use td_graph::VertexId;
 use td_plf::ops::{min_compound_into, min_into};
-use td_plf::{Plf, EPS_COST, NO_PLF};
+use td_plf::{Plf, PlfArena, PlfId, PlfSlice, EPS_COST, NO_PLF};
 use td_treedec::TreeDecomposition;
 
 /// Query engine borrowing the tree and the selected shortcuts.
@@ -203,6 +208,9 @@ pub struct ProfileScratch {
     /// the functions stay in the store until the sweep copies them.
     seeds_s: Vec<(usize, VertexId)>,
     seeds_d: Vec<(usize, VertexId)>,
+    /// Owned copies of the two legs of the cut scan's current through-`w`
+    /// total (`s → w`, `w → d`), refilled in place for every one.
+    legs: [Option<Plf>; 2],
     /// What the most recent profile query did.
     pub counts: ProfileCounts,
 }
@@ -409,42 +417,32 @@ impl<'a> QueryEngine<'a> {
         // cover, the sweeps' pruning bound otherwise.
         let mut bound: Option<f64> = None;
         seeds.clear();
+        // Both endpoints' shortcut rows, resolved once for the whole cut.
+        let (row_s, row_d) = (self.store.row(s, UP), self.store.row(d, DOWN));
         for &w in cut.iter() {
             let kw = self.td.node(w).depth as usize;
-            // s → w.
+            // s → w, evaluated in place in the store's arena.
             let up_cost: Option<Option<f64>> = if w == s {
                 Some(Some(0.0))
             } else {
-                self.store
-                    .get(s, w)
-                    .map(|(up, _)| up.as_ref().map(|f| f.eval(t)))
+                row_s.get(w).map(|f| f.map(|f| f.eval(t)))
             };
-            // w → d, departing at the arrival through the shortcut.
-            let down_known: Option<bool> = if w == d {
-                Some(true)
-            } else {
-                self.store.get(d, w).map(|(_, down)| down.is_some())
-            };
-            match (&up_cost, &down_known) {
-                (Some(_), Some(_)) => {}
-                _ => full_cover = false,
+            // w → d, departing at the arrival through the shortcut (`None`
+            // for `w == d`, whose leg is the zero function).
+            let down_f: Option<Option<PlfSlice<'_>>> = if w == d { None } else { row_d.get(w) };
+            if up_cost.is_none() || (w != d && down_f.is_none()) {
+                full_cover = false;
             }
             if let Some(Some(cs)) = up_cost {
                 seeds.push((kw, t + cs));
-                if let Some(known) = down_known {
-                    if known {
-                        let total = if w == d {
-                            Some(cs)
-                        } else {
-                            self.store
-                                .get(d, w)
-                                .and_then(|(_, down)| down.as_ref().map(|f| cs + f.eval(t + cs)))
-                        };
-                        if let Some(total) = total {
-                            if bound.is_none_or(|b| total < b) {
-                                bound = Some(total);
-                            }
-                        }
+                let total = match down_f {
+                    None if w == d => Some(cs),
+                    Some(Some(f)) => Some(cs + f.eval(t + cs)),
+                    _ => None,
+                };
+                if let Some(total) = total {
+                    if bound.is_none_or(|b| total < b) {
+                        bound = Some(total);
                     }
                 }
             }
@@ -470,21 +468,23 @@ impl<'a> QueryEngine<'a> {
     // Profile (cost function) queries
     // ------------------------------------------------------------------
 
-    /// The stored function of seed `⟨v, ancestor⟩` in the sweep's direction.
-    fn seed<const REV: bool>(&self, v: VertexId, ancestor: VertexId) -> &'a Plf {
-        let (up, down) = self
-            .store
-            .get(v, ancestor)
+    /// Where the stored function of seed `⟨v, ancestor⟩` in the sweep's
+    /// direction lives: its chunk and its id there.
+    fn seed<const REV: bool>(&self, v: VertexId, ancestor: VertexId) -> (&'a PlfArena, PlfId) {
+        let (chunk, id) = (self.store.row(v, if REV { DOWN } else { UP }))
+            .locate(ancestor)
             .expect("seed keys name stored pairs");
-        if REV { down } else { up }
-            .as_ref()
-            .expect("seed keys name reachable directions")
+        debug_assert!(id != NO_PLF, "seed keys name reachable directions");
+        (chunk, id)
     }
 
-    /// Algo. 6's cut scan (an unscanned, empty cut covers nothing): borrows
-    /// each stored function over the LCA cut, keys the sweeps' seeds, and
-    /// folds the through-`w` totals into the bound `f⁺`. Returns the LCA's
-    /// depth, `f⁺`, and whether every cut pair is stored (situation (1)).
+    /// Algo. 6's cut scan (an unscanned, empty cut covers nothing): reads
+    /// each stored function over the LCA cut in place, keys the sweeps'
+    /// seeds, and folds the through-`w` totals into the bound `f⁺`. A total
+    /// through both legs is walked and built by `min_compound_into`, over
+    /// copies of the legs in `scratch.legs` — reused, so they allocate only
+    /// while they grow. Returns the LCA's depth, `f⁺`, and whether every cut
+    /// pair is stored (situation (1)).
     fn scan_cut_pairs(
         &self,
         scratch: &mut ProfileScratch,
@@ -495,6 +495,7 @@ impl<'a> QueryEngine<'a> {
             cut,
             seeds_s,
             seeds_d,
+            legs: [leg_s, leg_d],
             ..
         } = scratch;
         let x = self.lca_and_cut(s, d, cut);
@@ -502,14 +503,13 @@ impl<'a> QueryEngine<'a> {
         seeds_s.clear();
         seeds_d.clear();
         let mut bound: Option<Plf> = None;
+        let (row_s, row_d) = (self.store.row(s, UP), self.store.row(d, DOWN));
         for &w in cut.iter() {
             let kw = self.td.node(w).depth as usize;
             // Outer `None`: pair not selected (or `w` is the endpoint itself,
             // whose leg is the zero function); inner `None`: unreachable.
-            let up_f: Option<Option<&Plf>> =
-                if w == s { None } else { self.store.get(s, w) }.map(|(up, _)| up.as_ref());
-            let down_f: Option<Option<&Plf>> =
-                if w == d { None } else { self.store.get(d, w) }.map(|(_, down)| down.as_ref());
+            let up_f = if w == s { None } else { row_s.get(w) };
+            let down_f = if w == d { None } else { row_d.get(w) };
             if (w != s && up_f.is_none()) || (w != d && down_f.is_none()) {
                 full_cover = false;
             }
@@ -521,13 +521,17 @@ impl<'a> QueryEngine<'a> {
             }
             match (up_f.flatten(), down_f.flatten()) {
                 (_, Some(fd)) if w == s => {
-                    min_into(&mut bound, fd.clone());
+                    min_into(&mut bound, fd.to_plf());
                 }
                 (Some(fu), _) if w == d => {
-                    min_into(&mut bound, fu.clone());
+                    min_into(&mut bound, fu.to_plf());
                 }
                 (Some(fu), Some(fd)) => {
-                    min_compound_into(&mut bound, fu, fd, w);
+                    let fu_copy = leg_s.get_or_insert_with(Plf::zero);
+                    let fd_copy = leg_d.get_or_insert_with(Plf::zero);
+                    fu.copy_into(fu_copy);
+                    fd.copy_into(fd_copy);
+                    min_compound_into(&mut bound, fu_copy, fd_copy, w);
                 }
                 _ => {}
             }
@@ -590,7 +594,8 @@ impl<'a> QueryEngine<'a> {
         bufs.reset(end + 1);
         bufs.reach[end] = (0.0, 0.0);
         for &(k, ancestor) in seeds {
-            bufs.reach[k] = self.seed::<REV>(v, ancestor).value_bounds();
+            let (chunk, id) = self.seed::<REV>(v, ancestor);
+            bufs.reach[k] = (chunk.min_cost(id), chunk.max_cost(id));
             bufs.fixed[k] = true;
         }
         let fz = self.frozen;
@@ -672,7 +677,8 @@ impl<'a> QueryEngine<'a> {
                 continue;
             }
             bufs.bounds[k] = bufs.reach[k];
-            bufs.cost[k] = Some(self.seed::<REV>(v, ancestor).clone());
+            let (chunk, id) = self.seed::<REV>(v, ancestor);
+            bufs.cost[k] = Some(chunk.slice(id).to_plf());
         }
         for k in (0..=end).rev() {
             // At processing time cost[k] is final: NIL it when nothing

@@ -39,13 +39,26 @@
 //! by [`td_plf::ops::min_compound_into`]'s walk of the term's values against
 //! the running minimum — so a term is built only when it gets below the
 //! running minimum somewhere, and merged only when neither wins everywhere.
+//!
+//! What a storing pass emits is frozen on the spot. Each DFS job writes its
+//! pairs' functions straight from the frame into an arena of its own, sized
+//! up front from the rows' weights (exact after the weigh pass; the old
+//! rows' before an update) and trimmed when the job ends, and the
+//! [`ShortcutStore`] keeps those arenas as its chunks, in job order, behind
+//! CSR rows: no owned copy of a stored function is ever held beside the
+//! arena, and the layout does not depend on scheduling. An update drops the
+//! affected rows' functions from their chunks, compacting each in place,
+//! re-runs the pass on those rows and keeps its arenas as further chunks, so
+//! dead slices never accumulate and no stored point is copied until the
+//! chunk count passes its bound and the smallest chunks are merged.
 
 use crate::select::Candidate;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use td_graph::VertexId;
 use td_plf::ops::{min_compound_into, min_into};
-use td_plf::Plf;
+use td_plf::{Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
 use td_treedec::TreeDecomposition;
 
 /// One ancestor-vector entry of a DFS frame.
@@ -209,91 +222,429 @@ fn compute_vectors(
     vecs
 }
 
-/// One stored pair: `(ancestor, up function, down function)`.
-pub(crate) type StoredPair = (VertexId, Option<Plf>, Option<Plf>);
+/// Direction index of a stored pair's up function (`v → ancestor`).
+pub(crate) const UP: usize = 0;
+/// Direction index of a stored pair's down function (`ancestor → v`).
+pub(crate) const DOWN: usize = 1;
 
-/// The stored, selected shortcuts.
-#[derive(Clone, Debug, Default)]
+/// Chunks an update leaves a store with at most, unless the store had more
+/// already: a pass makes one per DFS job, four per thread plus the descent
+/// above them, and an update adds those of its own pass.
+pub(crate) const MAX_CHUNKS: usize = 64;
+
+/// The stored, selected shortcuts, structure-of-arrays.
+///
+/// Rows are CSR: `first[v]..first[v + 1]` are `v`'s pairs, sorted by
+/// ancestor id, in `anc` and in the two id arrays `ids[UP]` / `ids[DOWN]`
+/// ([`NO_PLF`] = that direction is unreachable). The points live in
+/// [`PlfArena`] chunks at 20 B each: a store pass keeps the arena each DFS
+/// job wrote its pairs into, in job order, a load keeps one arena per
+/// direction list, and an update adds the arenas of its pass. Each
+/// direction of a row lives in one chunk, `chunk_of[dir][v]`, so a lookup is
+/// a binary search over the row's keys and two array reads.
+#[derive(Clone, Debug)]
 pub struct ShortcutStore {
-    /// Per vertex: `(ancestor, up, down)` entries sorted by ancestor id.
-    pub(crate) per_node: Vec<Vec<StoredPair>>,
-    /// Number of stored pairs, kept beside the rows so the query engine
-    /// reads "is anything selected?" in O(1) per query.
-    pub(crate) pairs: usize,
+    /// `n + 1` row offsets into `anc` and `ids`.
+    first: Vec<u32>,
+    /// Per pair: the ancestor.
+    anc: Vec<VertexId>,
+    /// Per direction, per pair: the function's id in its row's chunk.
+    ids: [Vec<PlfId>; 2],
+    /// Per direction, per vertex: the chunk holding that row's functions.
+    chunk_of: [Vec<u32>; 2],
+    chunks: Vec<PlfArena>,
 }
 
 impl ShortcutStore {
     /// An empty store over `n` vertices (TD-basic).
     pub fn empty(n: usize) -> Self {
         ShortcutStore {
-            per_node: vec![Vec::new(); n],
-            pairs: 0,
+            first: vec![0; n + 1],
+            anc: Vec::new(),
+            ids: Default::default(),
+            chunk_of: [vec![0; n], vec![0; n]],
+            chunks: Vec::new(),
         }
     }
 
-    fn insert(&mut self, v: VertexId, ancestor: VertexId, up: Option<Plf>, down: Option<Plf>) {
-        let row = &mut self.per_node[v as usize];
-        let pos = row.partition_point(|e| e.0 < ancestor);
-        row.insert(pos, (ancestor, up, down));
-        self.pairs += 1;
+    /// Assembles a store from a storing pass's outputs: each output that
+    /// stored a pair becomes a chunk, in pass order, and the rows are sorted
+    /// into CSR. Every array is allocated at its exact size.
+    fn from_pass(n: usize, outputs: Vec<PassOutput>) -> ShortcutStore {
+        let mut rows: Vec<(VertexId, VertexId, u32, [PlfId; 2])> =
+            Vec::with_capacity(outputs.iter().map(|o| o.stored.len()).sum());
+        let mut chunks =
+            Vec::with_capacity(outputs.iter().filter(|o| !o.stored.is_empty()).count());
+        for out in outputs.into_iter().filter(|o| !o.stored.is_empty()) {
+            let c = chunks.len() as u32;
+            rows.extend(out.stored.iter().map(|&(v, a, ids)| (v, a, c, ids)));
+            chunks.push(out.arena);
+        }
+        rows.sort_unstable_by_key(|&(v, a, ..)| (v, a));
+        debug_assert!(rows.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let mut first = vec![0u32; n + 1];
+        let mut chunk_of = [vec![0; n], vec![0; n]];
+        for &(v, _, c, _) in &rows {
+            first[v as usize + 1] += 1;
+            chunk_of[UP][v as usize] = c;
+            chunk_of[DOWN][v as usize] = c;
+        }
+        for v in 0..n {
+            first[v + 1] += first[v];
+        }
+        ShortcutStore {
+            first,
+            anc: rows.iter().map(|r| r.1).collect(),
+            ids: [UP, DOWN].map(|dir| rows.iter().map(|r| r.3[dir]).collect()),
+            chunk_of,
+            chunks,
+        }
     }
 
-    /// The pair instance `⟨v, ancestor⟩`, if selected.
-    pub fn get(&self, v: VertexId, ancestor: VertexId) -> Option<(&Option<Plf>, &Option<Plf>)> {
-        let row = &self.per_node[v as usize];
-        let pos = row.partition_point(|e| e.0 < ancestor);
-        row.get(pos)
-            .filter(|e| e.0 == ancestor)
-            .map(|e| (&e.1, &e.2))
+    /// Number of vertices (rows).
+    pub(crate) fn num_vertices(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// `v`'s pairs, as positions in the flat arrays.
+    fn range(&self, v: VertexId) -> Range<usize> {
+        self.first[v as usize] as usize..self.first[v as usize + 1] as usize
+    }
+
+    /// `v`'s row in direction `dir` ([`UP`] / [`DOWN`]), resolved once for
+    /// a query that looks up many of its pairs.
+    pub(crate) fn row(&self, v: VertexId, dir: usize) -> Row<'_> {
+        let range = self.range(v);
+        Row {
+            keys: &self.anc[range.clone()],
+            ids: &self.ids[dir][range],
+            chunk: self.chunks.get(self.chunk_of[dir][v as usize] as usize),
+        }
+    }
+
+    /// `v`'s ancestor keys, ascending.
+    pub(crate) fn keys(&self, v: VertexId) -> &[VertexId] {
+        &self.anc[self.range(v)]
+    }
+
+    /// The flat position of the pair `⟨v, ancestor⟩`, if selected.
+    fn find(&self, v: VertexId, ancestor: VertexId) -> Option<usize> {
+        let row = self.range(v);
+        let keys = &self.anc[row.clone()];
+        let pos = keys.partition_point(|&a| a < ancestor);
+        (keys.get(pos) == Some(&ancestor)).then_some(row.start + pos)
+    }
+
+    /// Direction `dir` of the pair at flat position `i` of `v`'s row (`None`
+    /// = unreachable).
+    fn function(&self, v: VertexId, i: usize, dir: usize) -> Option<PlfSlice<'_>> {
+        let id = self.ids[dir][i];
+        (id != NO_PLF).then(|| self.chunks[self.chunk_of[dir][v as usize] as usize].slice(id))
+    }
+
+    /// The pair instance `⟨v, ancestor⟩`, if selected: its up and down
+    /// functions (`None` = unreachable), evaluated in place.
+    pub fn get(
+        &self,
+        v: VertexId,
+        ancestor: VertexId,
+    ) -> Option<(Option<PlfSlice<'_>>, Option<PlfSlice<'_>>)> {
+        let i = self.find(v, ancestor)?;
+        Some((self.function(v, i, UP), self.function(v, i, DOWN)))
     }
 
     /// True iff the pair `⟨v, ancestor⟩` was selected.
     pub fn has(&self, v: VertexId, ancestor: VertexId) -> bool {
-        self.get(v, ancestor).is_some()
+        self.find(v, ancestor).is_some()
+    }
+
+    /// Interpolation points of `v`'s row, both directions.
+    pub(crate) fn row_points(&self, v: VertexId) -> usize {
+        (self.range(v))
+            .flat_map(|i| [UP, DOWN].map(|dir| self.function(v, i, dir)))
+            .map(|f| f.map_or(0, |f| f.len()))
+            .sum()
     }
 
     /// Number of selected pair instances.
     pub fn num_pairs(&self) -> usize {
-        self.pairs
+        self.anc.len()
     }
 
     /// Total stored interpolation points (the paper's weight measure).
     pub fn total_points(&self) -> usize {
-        self.per_node
-            .iter()
-            .flatten()
-            .map(|(_, u, d)| u.as_ref().map_or(0, |f| f.len()) + d.as_ref().map_or(0, |f| f.len()))
-            .sum()
+        self.chunks.iter().map(PlfArena::total_points).sum()
     }
 
-    /// Heap bytes of all stored functions.
+    /// Heap bytes of what is stored: the row arrays and, in every chunk,
+    /// 20 B a point and 20 B a function, by capacity. A chunk's own
+    /// bookkeeping — the arena header and its leading offset — is left out,
+    /// so equal rows report equal bytes however their points are chunked:
+    /// a built store and its reload, or builds on different thread counts.
     pub fn bytes(&self) -> usize {
-        self.per_node
-            .iter()
-            .flatten()
-            .map(|(_, u, d)| {
-                u.as_ref().map_or(0, |f| f.heap_bytes())
-                    + d.as_ref().map_or(0, |f| f.heap_bytes())
-                    + std::mem::size_of::<(VertexId, Option<Plf>, Option<Plf>)>()
-            })
-            .sum()
-    }
-
-    /// Drops all entries of the given vertices (used by updates before a
-    /// rebuild of their subtrees).
-    pub fn clear_vertices(&mut self, vs: &[VertexId]) {
-        for &v in vs {
-            self.pairs -= self.per_node[v as usize].len();
-            self.per_node[v as usize].clear();
-        }
+        let words = [&self.first, &self.anc]
+            .into_iter()
+            .chain(&self.ids)
+            .chain(&self.chunk_of)
+            .map(Vec::capacity)
+            .sum::<usize>();
+        let chunks = (self.chunks.iter())
+            .map(|c| c.heap_bytes() - std::mem::size_of::<u32>())
+            .sum::<usize>();
+        words * std::mem::size_of::<u32>() + chunks
     }
 
     /// Iterates over all `(vertex, ancestor)` selected pairs.
     pub fn pairs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.per_node
-            .iter()
-            .enumerate()
-            .flat_map(|(v, row)| row.iter().map(move |e| (v as VertexId, e.0)))
+        (0..self.num_vertices() as VertexId)
+            .flat_map(move |v| self.keys(v).iter().map(move |&a| (v, a)))
+    }
+
+    /// The row offsets and the ancestor of every pair, in row order.
+    pub(crate) fn rows(&self) -> (&[u32], &[VertexId]) {
+        (&self.first, &self.anc)
+    }
+
+    /// Direction `dir` of every pair, in row order (`None` = unreachable).
+    pub(crate) fn functions(
+        &self,
+        dir: usize,
+    ) -> impl Iterator<Item = Option<PlfSlice<'_>>> + Clone + '_ {
+        (0..self.num_vertices() as VertexId)
+            .flat_map(move |v| self.range(v).map(move |i| self.function(v, i, dir)))
+    }
+
+    /// A store over rows read back from their flat lists: `ids[dir]` indexes
+    /// `arenas[dir]`, one chunk per direction. The caller has checked the
+    /// offsets, the keys and the list lengths.
+    pub(crate) fn from_lists(
+        first: Vec<u32>,
+        anc: Vec<VertexId>,
+        ids: [Vec<PlfId>; 2],
+        arenas: [PlfArena; 2],
+    ) -> ShortcutStore {
+        let n = first.len() - 1;
+        ShortcutStore {
+            first,
+            anc,
+            ids,
+            chunk_of: [vec![UP as u32; n], vec![DOWN as u32; n]],
+            chunks: arenas.into(),
+        }
+    }
+
+    /// Drops every function of the rows `rows` — their ids become
+    /// [`NO_PLF`] — and compacts each chunk that held one in place, trimmed
+    /// to its new size; the kept functions of those chunks are renumbered.
+    /// The scratch is the dropped ids. [`Self::fill_rows`] then installs the
+    /// rows' new functions.
+    fn clear_rows(&mut self, rows: &[VertexId]) {
+        let mut dropped: Vec<Vec<PlfId>> = vec![Vec::new(); self.chunks.len()];
+        for &v in rows {
+            let range = self.range(v);
+            for dir in [UP, DOWN] {
+                let gone = &mut dropped[self.chunk_of[dir][v as usize] as usize];
+                for id in &mut self.ids[dir][range.clone()] {
+                    if *id != NO_PLF {
+                        gone.push(std::mem::replace(id, NO_PLF));
+                    }
+                }
+            }
+        }
+        if dropped.iter().all(Vec::is_empty) {
+            return;
+        }
+        for (chunk, gone) in self.chunks.iter_mut().zip(&mut dropped) {
+            if !gone.is_empty() {
+                gone.sort_unstable();
+                chunk.remove_functions(gone);
+                chunk.shrink_to_fit();
+            }
+        }
+        for dir in [UP, DOWN] {
+            for v in 0..self.num_vertices() {
+                let gone = &dropped[self.chunk_of[dir][v] as usize];
+                if gone.is_empty() {
+                    continue;
+                }
+                let range = self.range(v as VertexId);
+                for id in &mut self.ids[dir][range] {
+                    if *id != NO_PLF {
+                        *id -= gone.partition_point(|&d| d < *id) as PlfId;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Installs `fresh` — a store pass over exactly the keys of the rows
+    /// [`Self::clear_rows`] emptied — without copying a point: each arena
+    /// of the pass joins the store as a chunk of its own, and a chunk no row
+    /// reads any more is released. No dead slice is retained, so the store
+    /// holds the functions and the bytes a fresh pass over the same keys
+    /// gives. An update adds chunks, so past [`MAX_CHUNKS`] (or the count
+    /// the store had, if higher) the smallest are merged.
+    fn fill_rows(&mut self, fresh: Vec<PassOutput>) {
+        let cap = self.chunks.len().max(MAX_CHUNKS);
+        for out in fresh.into_iter().filter(|o| !o.stored.is_empty()) {
+            let c = self.chunks.len() as u32;
+            for &(v, a, ids) in &out.stored {
+                let i = self.find(v, a).expect("a rebuilt row keeps its keys");
+                for dir in [UP, DOWN] {
+                    self.ids[dir][i] = ids[dir];
+                    self.chunk_of[dir][v as usize] = c;
+                }
+            }
+            self.chunks.push(out.arena);
+        }
+        self.release_unread_chunks();
+        while self.chunks.len() > cap {
+            self.merge_smallest_chunks();
+        }
+    }
+
+    /// Releases every chunk that no row with pairs points at and renumbers
+    /// the rest, order kept. (A row without pairs never reads its chunk; it
+    /// is pointed at the first.)
+    fn release_unread_chunks(&mut self) {
+        let mut read = vec![false; self.chunks.len()];
+        for v in 0..self.num_vertices() {
+            if self.range(v as VertexId).is_empty() {
+                self.chunk_of[UP][v] = 0;
+                self.chunk_of[DOWN][v] = 0;
+            } else {
+                read[self.chunk_of[UP][v] as usize] = true;
+                read[self.chunk_of[DOWN][v] as usize] = true;
+            }
+        }
+        if read.iter().all(|&r| r) {
+            return;
+        }
+        let index: Vec<u32> = (read.iter())
+            .scan(0, |next, &r| {
+                *next += u32::from(r);
+                Some(*next - u32::from(r))
+            })
+            .collect();
+        let mut c = 0;
+        self.chunks.retain(|_| {
+            c += 1;
+            read[c - 1]
+        });
+        for of in &mut self.chunk_of {
+            of.iter_mut().for_each(|c| *c = index[*c as usize]);
+        }
+    }
+
+    /// Appends the smallest chunk to the next smallest — the least copying
+    /// that takes one chunk away — and releases it.
+    fn merge_smallest_chunks(&mut self) {
+        let mut by_size: Vec<usize> = (0..self.chunks.len()).collect();
+        by_size.sort_by_key(|&c| self.chunks[c].total_points());
+        let (from, into) = (by_size[0], by_size[1]);
+        let source = std::mem::take(&mut self.chunks[from]);
+        let first = self.chunks[into].append(&source);
+        for dir in [UP, DOWN] {
+            for v in 0..self.num_vertices() {
+                if self.chunk_of[dir][v] as usize != from {
+                    continue;
+                }
+                self.chunk_of[dir][v] = into as u32;
+                let range = self.range(v as VertexId);
+                for id in &mut self.ids[dir][range] {
+                    if *id != NO_PLF {
+                        *id += first;
+                    }
+                }
+            }
+        }
+        self.release_unread_chunks();
+    }
+}
+
+/// One direction of one store row: its ancestor keys, their function ids
+/// and the chunk holding those functions (`None` only for a row with no
+/// pairs in a store with no chunk).
+#[derive(Clone, Copy)]
+pub(crate) struct Row<'a> {
+    keys: &'a [VertexId],
+    ids: &'a [PlfId],
+    chunk: Option<&'a PlfArena>,
+}
+
+impl<'a> Row<'a> {
+    /// Where the function of the pair `⟨v, ancestor⟩` lives, if the pair is
+    /// selected: its chunk — which serves the O(1) `min_cost` / `max_cost`
+    /// — and its id there ([`NO_PLF`] = unreachable).
+    #[inline]
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    pub(crate) fn locate(&self, ancestor: VertexId) -> Option<(&'a PlfArena, PlfId)> {
+        let pos = self.keys.partition_point(|&a| a < ancestor);
+        if self.keys.get(pos) != Some(&ancestor) {
+            return None;
+        }
+        Some((self.chunk?, self.ids[pos]))
+    }
+
+    /// The function of the pair `⟨v, ancestor⟩`, if the pair is selected
+    /// (`Some(None)` = unreachable), to evaluate in place.
+    #[inline]
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    pub(crate) fn get(&self, ancestor: VertexId) -> Option<Option<PlfSlice<'a>>> {
+        let (chunk, id) = self.locate(ancestor)?;
+        Some((id != NO_PLF).then(|| chunk.slice(id)))
+    }
+}
+
+/// One row as owned `(ancestor, up, down)` triples, what tests compare.
+#[cfg(test)]
+pub(crate) type OwnedRow = Vec<(VertexId, Option<Plf>, Option<Plf>)>;
+
+#[cfg(test)]
+impl ShortcutStore {
+    /// Number of arena chunks the points are spread over.
+    pub(crate) fn num_chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Every row, copied out of the arenas.
+    pub(crate) fn owned_rows(&self) -> Vec<OwnedRow> {
+        (0..self.num_vertices() as VertexId)
+            .map(|v| {
+                (self.range(v))
+                    .map(|i| {
+                        let f = |dir| self.function(v, i, dir).map(|f| f.to_plf());
+                        (self.anc[i], f(UP), f(DOWN))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A one-chunk store holding `rows` (each sorted by ancestor).
+    pub(crate) fn from_owned_rows(rows: &[OwnedRow]) -> ShortcutStore {
+        let mut out = PassOutput::default();
+        for (v, row) in rows.iter().enumerate() {
+            for (a, up, down) in row {
+                let ids = [up, down].map(|f| f.as_ref().map_or(NO_PLF, |f| out.arena.push(f)));
+                out.stored.push((v as VertexId, *a, ids));
+            }
+        }
+        ShortcutStore::from_pass(rows.len(), vec![out])
     }
 }
 
@@ -301,17 +652,41 @@ impl ShortcutStore {
 enum PassMode<'a> {
     /// Record `(utility, weight)` candidates for every ancestor pair.
     Weigh,
-    /// Store vectors for the selected ancestors of each node.
-    Store(&'a [Vec<VertexId>]),
+    /// Store vectors for the listed ancestors of each node. `points[v]` is
+    /// the interpolation points `v`'s row is expected to hold — exact from
+    /// the weigh pass, the old row's before an update — and sizes each job's
+    /// arena up front; an arena grows past it if it must and is trimmed
+    /// when its job ends.
+    Store(&'a [Vec<VertexId>], &'a [u64]),
     /// Store vectors for *all* ancestors (TD-H2H).
     StoreAll,
 }
 
-/// Output of one DFS pass.
+/// Output of one DFS job (or of the sequential descent above the jobs).
 #[derive(Default)]
 struct PassOutput {
     candidates: Vec<Candidate>,
-    stored: Vec<(VertexId, VertexId, Option<Plf>, Option<Plf>)>,
+    /// `(vertex, ancestor, [up, down])` of each stored pair, ids in `arena`.
+    stored: Vec<(VertexId, VertexId, [PlfId; 2])>,
+    /// The stored functions' points, written straight from the DFS frames.
+    arena: PlfArena,
+}
+
+impl PassOutput {
+    /// An output whose arena holds `(functions, points)` without growing.
+    fn sized((functions, points): (usize, usize)) -> PassOutput {
+        PassOutput {
+            candidates: Vec::new(),
+            stored: Vec::with_capacity(functions / 2),
+            arena: PlfArena::with_capacity(functions, points),
+        }
+    }
+
+    /// Stores the pair `⟨v, ancestor⟩` from its two frame entries.
+    fn store(&mut self, v: VertexId, ancestor: VertexId, entries: [&Entry; 2]) {
+        let ids = entries.map(|e| e.function().map_or(NO_PLF, |f| self.arena.push(f)));
+        self.stored.push((v, ancestor, ids));
+    }
 }
 
 /// Weighs every candidate pair (first pass): returns `Candidate`s with exact
@@ -319,47 +694,42 @@ struct PassOutput {
 /// ancestor)` — the workers finish in scheduling order, and selection's
 /// tie-breaks and utility sum must not depend on it.
 pub fn weigh_candidates(td: &TreeDecomposition, width: usize, threads: usize) -> Vec<Candidate> {
-    let mut candidates = run_pass(td, width, threads, &PassMode::Weigh).candidates;
+    let outputs = run_pass(td, width, threads, &PassMode::Weigh);
+    let mut candidates = Vec::with_capacity(outputs.iter().map(|o| o.candidates.len()).sum());
+    for out in outputs {
+        candidates.extend(out.candidates);
+    }
     candidates.sort_unstable_by_key(|c| (c.node, c.ancestor));
     candidates
 }
 
-/// Runs a storing pass and moves the pairs it emits into `store`'s rows.
-fn store_pass(
-    store: &mut ShortcutStore,
-    td: &TreeDecomposition,
-    threads: usize,
-    mode: &PassMode<'_>,
-) {
-    for (v, a, up, down) in run_pass(td, 0, threads, mode).stored {
-        store.insert(v, a, up, down);
-    }
-}
-
-/// Builds the selected shortcut pairs (the store pass). `selected[v]` lists the
-/// chosen ancestors of `v` (any order).
+/// Builds the selected shortcut pairs (the store pass). `selected[v]` lists
+/// the chosen ancestors of `v` (any order) and `points[v]` their weights'
+/// sum, the interpolation points of `v`'s row, which size the arenas.
 pub fn build_selected(
     td: &TreeDecomposition,
     selected: &[Vec<VertexId>],
+    points: &[u64],
     threads: usize,
 ) -> ShortcutStore {
-    let mut store = ShortcutStore::empty(td.len());
-    store_pass(&mut store, td, threads, &PassMode::Store(selected));
-    store
+    let outputs = run_pass(td, 0, threads, &PassMode::Store(selected, points));
+    ShortcutStore::from_pass(td.len(), outputs)
 }
 
 /// Builds *all* pairs (TD-H2H's full label, single pass).
 pub fn build_all(td: &TreeDecomposition, threads: usize) -> ShortcutStore {
-    let mut store = ShortcutStore::empty(td.len());
-    store_pass(&mut store, td, threads, &PassMode::StoreAll);
-    store
+    let outputs = run_pass(td, 0, threads, &PassMode::StoreAll);
+    ShortcutStore::from_pass(td.len(), outputs)
 }
 
-/// Rebuilds in place the rows of every vertex inside the subtrees rooted at
-/// `roots`, after tree labels changed (incremental updates), and returns how
-/// many vertices that was. What is stored is what is selected: each row's
-/// ancestor keys are read off before the row is cleared, then the store pass
-/// re-runs on those rows alone — it computes their closure and nothing else.
+/// Rebuilds the rows of every vertex inside the subtrees rooted at `roots`,
+/// after tree labels changed (incremental updates), and returns how many
+/// vertices that was. What is stored is what is selected: each row's
+/// ancestor keys are read off, their old functions dropped
+/// ([`ShortcutStore::clear_rows`]), the store pass runs on those rows alone —
+/// it computes their closure and nothing else — and its arenas join the
+/// store ([`ShortcutStore::fill_rows`]). The old rows' sizes size the new
+/// ones.
 pub(crate) fn rebuild_subtrees(
     store: &mut ShortcutStore,
     td: &TreeDecomposition,
@@ -368,6 +738,7 @@ pub(crate) fn rebuild_subtrees(
 ) -> usize {
     let mut affected = Vec::new();
     let mut selected: Vec<Vec<VertexId>> = vec![Vec::new(); td.len()];
+    let mut points = vec![0u64; td.len()];
     let mut seen = vec![false; td.len()];
     let mut stack: Vec<VertexId> = roots.to_vec();
     while let Some(v) = stack.pop() {
@@ -375,12 +746,44 @@ pub(crate) fn rebuild_subtrees(
             continue;
         }
         affected.push(v);
-        selected[v as usize] = store.per_node[v as usize].iter().map(|e| e.0).collect();
+        selected[v as usize] = store.keys(v).to_vec();
+        points[v as usize] = store.row_points(v) as u64;
         stack.extend(td.node(v).children.iter().copied());
     }
-    store.clear_vertices(&affected);
-    store_pass(store, td, threads, &PassMode::Store(&selected));
+    store.clear_rows(&affected);
+    let fresh = run_pass(td, 0, threads, &PassMode::Store(&selected, &points));
+    store.fill_rows(fresh);
     affected.len()
+}
+
+/// The vertices in elimination order: each before its ancestors.
+fn elimination_order(td: &TreeDecomposition) -> Vec<VertexId> {
+    let mut by_step: Vec<VertexId> = vec![0; td.len()];
+    for (v, &step) in td.order.iter().enumerate() {
+        by_step[step as usize] = v as VertexId;
+    }
+    by_step
+}
+
+/// Per vertex: `(functions, points)` of the rows in its subtree — two
+/// functions a pair, an upper bound that is exact when both directions are
+/// reachable.
+fn subtree_sizes(
+    td: &TreeDecomposition,
+    rows: &[Vec<VertexId>],
+    points: &[u64],
+) -> Vec<(usize, usize)> {
+    let mut size: Vec<(usize, usize)> = (rows.iter().zip(points))
+        .map(|(row, &p)| (2 * row.len(), p as usize))
+        .collect();
+    for v in elimination_order(td) {
+        if let Some(p) = td.node(v).parent {
+            let (f, pts) = size[v as usize];
+            size[p as usize].0 += f;
+            size[p as usize].1 += pts;
+        }
+    }
+    size
 }
 
 /// A pass's relevance table. `need[v]` is `None` when nothing in `v`'s
@@ -408,12 +811,8 @@ fn need_closure(td: &TreeDecomposition, selected: &[Vec<VertexId>]) -> Need {
             (!row.is_empty()).then(|| row.iter().map(|&a| td.node(a).depth).collect::<Vec<_>>())
         })
         .collect();
-    let mut by_step: Vec<VertexId> = vec![0; td.len()];
-    for (v, &step) in td.order.iter().enumerate() {
-        by_step[step as usize] = v as VertexId;
-    }
     let mut anc = Vec::new();
-    for v in by_step {
+    for v in elimination_order(td) {
         let Some(mut depths) = need[v as usize].take() else {
             continue;
         };
@@ -447,29 +846,39 @@ fn need_closure(td: &TreeDecomposition, selected: &[Vec<VertexId>]) -> Need {
 
 /// DFS driver: sequential down to a branching frontier, then parallel over
 /// subtrees with cloned prefix stacks. Only `need`'s entries are computed and
-/// only the subtrees it marks are entered.
+/// only the subtrees it marks are entered. Returns one output for the
+/// sequential descent and one per job, in job order — the order the store
+/// keeps their arenas in, whatever the workers' finishing order.
 fn run_pass(
     td: &TreeDecomposition,
     width: usize,
     threads: usize,
     mode: &PassMode<'_>,
-) -> PassOutput {
+) -> Vec<PassOutput> {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         threads
     };
     let need = match mode {
-        PassMode::Store(selected) => need_closure(td, selected),
+        PassMode::Store(selected, _) => need_closure(td, selected),
         PassMode::Weigh | PassMode::StoreAll => need_everything(td),
     };
     let needed_children =
         |v: VertexId| (td.node(v).children.iter().copied()).filter(|&c| need[c as usize].is_some());
+    // A job's output, sized to its subtree's rows when the pass knows them.
+    let sizes = match mode {
+        PassMode::Store(selected, points) => subtree_sizes(td, selected, points),
+        PassMode::Weigh | PassMode::StoreAll => Vec::new(),
+    };
+    let output_for = |root: VertexId| {
+        (sizes.get(root as usize)).map_or_else(PassOutput::default, |&s| PassOutput::sized(s))
+    };
 
     // Sequential descent collecting parallel jobs: split once the frontier is
     // wide enough.
     let target_jobs = threads * 4;
-    let mut output = PassOutput::default();
+    let mut descent = PassOutput::default();
     let mut jobs: Vec<(VertexId, Vec<NodeVectors>)> = Vec::new();
     // (vertex, prefix depth) queue; prefix stacks owned per entry.
     let mut queue: Vec<(VertexId, Vec<NodeVectors>)> = Vec::new();
@@ -481,46 +890,41 @@ fn run_pass(
             jobs.push((v, stack));
             continue;
         }
-        stack.push(visit(td, v, &need, &stack, width, mode, &mut output));
+        stack.push(visit(td, v, &need, &stack, width, mode, &mut descent));
         queue.extend(needed_children(v).map(|c| (c, stack.clone())));
     }
-
-    if jobs.is_empty() {
-        return output;
-    }
+    descent.arena.shrink_to_fit();
 
     // Parallel phase.
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<PassOutput>> = Mutex::new(Vec::new());
+    let collected: Mutex<Vec<(usize, PassOutput)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
         for _ in 0..threads.min(jobs.len()) {
-            scope.spawn(|| {
-                let mut local = PassOutput::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let (root, prefix) = &jobs[i];
-                    subtree_dfs(td, *root, prefix.clone(), &need, width, mode, &mut local);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() {
+                    break;
                 }
-                // Poison only means another worker panicked after pushing
-                // a complete `local`; the Vec itself is still well-formed.
+                let (root, prefix) = &jobs[i];
+                let mut out = output_for(*root);
+                subtree_dfs(td, *root, prefix.clone(), &need, width, mode, &mut out);
+                out.arena.shrink_to_fit();
+                // Poison only means another worker panicked after pushing a
+                // complete output; the Vec itself is still well-formed.
                 collected
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .push(local);
+                    .push((i, out));
             });
         }
     });
-    for local in collected
+    let mut collected = collected
         .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        output.candidates.extend(local.candidates);
-        output.stored.extend(local.stored);
-    }
-    output
+        .unwrap_or_else(PoisonError::into_inner);
+    collected.sort_unstable_by_key(|&(i, _)| i);
+    std::iter::once(descent)
+        .chain(collected.into_iter().map(|(_, out)| out))
+        .collect()
 }
 
 /// Iterative DFS over one subtree with an explicit vector stack.
@@ -596,23 +1000,22 @@ fn visit(
                 });
             }
         }
-        PassMode::Store(selected) => {
+        PassMode::Store(selected, _) => {
             for &a in &selected[v as usize] {
                 let k = td.node(a).depth as usize;
                 debug_assert!(
                     k < d && td.is_ancestor_of(a, v),
                     "selected ancestor must be on the root path"
                 );
-                let (up, down) = (vecs.up[k].function(), vecs.down[k].function());
-                out.stored.push((v, a, up.cloned(), down.cloned()));
+                out.store(v, a, [&vecs.up[k], &vecs.down[k]]);
             }
         }
         PassMode::StoreAll => {
             let anc = td.ancestors_root_first(v);
             for (k, &a) in anc.iter().enumerate().take(d) {
-                let (up, down) = (vecs.up[k].function(), vecs.down[k].function());
-                if up.is_some() || down.is_some() {
-                    out.stored.push((v, a, up.cloned(), down.cloned()));
+                let entries = [&vecs.up[k], &vecs.down[k]];
+                if entries.iter().any(|e| e.function().is_some()) {
+                    out.store(v, a, entries);
                 }
             }
         }
@@ -627,6 +1030,25 @@ mod tests {
     use td_gen::random_graph::seeded_graph;
     use td_plf::DAY;
 
+    /// The weights the weigh pass gives the rows `selected`: their pairs'
+    /// points in `full`, which holds them all.
+    fn weights(full: &ShortcutStore, selected: &[Vec<VertexId>]) -> Vec<u64> {
+        (0..selected.len() as VertexId)
+            .map(|v| {
+                (selected[v as usize].iter())
+                    .map(|&a| {
+                        let (up, down) = full.get(v, a).expect("full holds every pair");
+                        [up, down]
+                            .into_iter()
+                            .flatten()
+                            .map(|f| f.len() as u64)
+                            .sum::<u64>()
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
     /// The ancestor vectors must equal the true shortest travel-cost
     /// functions — the crux of Fact 1.
     #[test]
@@ -639,7 +1061,7 @@ mod tests {
             for v in 0..n as u32 {
                 let prof = profile_search(&g, v);
                 for a in td.ancestors_root_first(v) {
-                    let up = store.get(v, a).and_then(|(u, _)| u.as_ref());
+                    let up = store.get(v, a).and_then(|(u, _)| u);
                     match (&prof.dist[a as usize], up) {
                         (Some(want), Some(got)) => {
                             for k in 0..8 {
@@ -672,7 +1094,7 @@ mod tests {
                 if !td.is_ancestor_of(a, v) || a == v {
                     continue;
                 }
-                let down = store.get(v, a).and_then(|(_, d)| d.as_ref());
+                let down = store.get(v, a).and_then(|(_, d)| d);
                 match (&prof.dist[v as usize], down) {
                     (Some(want), Some(got)) => {
                         for k in 0..6 {
@@ -697,7 +1119,7 @@ mod tests {
         let seq = build_all(&td, 1);
         let par = build_all(&td, 8);
         assert_eq!(seq.num_pairs(), par.num_pairs());
-        assert_eq!(seq.per_node, par.per_node);
+        assert_eq!(seq.owned_rows(), par.owned_rows());
     }
 
     #[test]
@@ -712,7 +1134,7 @@ mod tests {
             let (up, down) = store
                 .get(c.node, c.ancestor)
                 .expect("candidate was weighed");
-            let w = up.as_ref().map_or(0, |f| f.len()) + down.as_ref().map_or(0, |f| f.len());
+            let w = up.map_or(0, |f| f.len()) + down.map_or(0, |f| f.len());
             assert_eq!(c.weight as usize, w, "pair ({}, {})", c.node, c.ancestor);
             assert!(c.utility >= 0.0);
         }
@@ -762,10 +1184,10 @@ mod tests {
             let g = seeded_graph(seed, vertices, extra, 3);
             let td = TreeDecomposition::build(&g);
             let full = build_all(&td, 1);
+            let full_rows = full.owned_rows();
             let n = td.len();
-            let all_rows: Vec<Vec<VertexId>> = (full.per_node.iter())
-                .map(|row| row.iter().map(|e| e.0).collect())
-                .collect();
+            let all_rows: Vec<Vec<VertexId>> =
+                (0..n as VertexId).map(|v| full.keys(v).to_vec()).collect();
             let deepest = (0..n as u32)
                 .max_by_key(|&v| (td.node(v).depth, v))
                 .expect("non-empty");
@@ -801,20 +1223,24 @@ mod tests {
                 );
             }
             for (si, selected) in selections.iter().enumerate() {
+                let want_rows: Vec<OwnedRow> = (full_rows.iter().zip(selected))
+                    .map(|(row, keys)| {
+                        row.iter()
+                            .filter(|e| keys.contains(&e.0))
+                            .cloned()
+                            .collect()
+                    })
+                    .collect();
+                let points = weights(&full, selected);
                 for threads in [1, 8] {
-                    let store = build_selected(&td, selected, threads);
+                    let store = build_selected(&td, selected, &points, threads);
                     let want: usize = selected.iter().map(Vec::len).sum();
                     assert_eq!(store.num_pairs(), want, "seed={seed} selection={si}");
-                    for (v, row) in store.per_node.iter().enumerate() {
-                        let full_row = (full.per_node[v].iter())
-                            .filter(|e| selected[v].contains(&e.0))
-                            .cloned()
-                            .collect::<Vec<_>>();
-                        assert_eq!(
-                            row, &full_row,
-                            "seed={seed} selection={si} threads={threads} v={v}"
-                        );
-                    }
+                    assert_eq!(
+                        store.owned_rows(),
+                        want_rows,
+                        "seed={seed} selection={si} threads={threads}"
+                    );
                 }
             }
         }
@@ -900,8 +1326,11 @@ mod tests {
         let frames = compute_hand_path(&td, &need);
         let full = build_all(&td, 1);
         let (up, down) = full.get(2, 1).expect("stored");
-        assert_eq!(frames[4].up[2].function(), up.as_ref());
-        assert_eq!(frames[4].down[2].function(), down.as_ref());
+        assert_eq!(frames[4].up[2].function().cloned(), up.map(|f| f.to_plf()));
+        assert_eq!(
+            frames[4].down[2].function().cloned(),
+            down.map(|f| f.to_plf())
+        );
         // An empty selection needs nothing, not even the root.
         assert!(need_closure(&td, &vec![Vec::new(); 7])
             .iter()
@@ -922,17 +1351,74 @@ mod tests {
         compute_hand_path(&td, &need);
     }
 
+    /// The footprint the store's layout promises: 20 B a point (two `f64`
+    /// and a `u32` witness, no padding, no per-function allocation) plus a
+    /// fixed cost per pair and per row, whatever the chunking. An
+    /// array-of-structs point (24 B), a `Vec` per function or spare capacity
+    /// brings the cost back above it; a built store, its reload (one chunk
+    /// per direction) and a one-thread build report the same bytes.
     #[test]
-    fn store_lookup_and_accounting() {
-        let g = seeded_graph(9, 20, 10, 3);
+    fn the_store_costs_twenty_bytes_a_point_plus_fixed_overheads() {
+        use std::mem::size_of;
+        const PER_POINT: usize = 2 * size_of::<f64>() + size_of::<u32>();
+        // Ancestor and two ids, then per function an offset and two bounds.
+        const PER_PAIR: usize =
+            3 * size_of::<u32>() + 2 * (size_of::<u32>() + 2 * size_of::<f64>());
+        // An offset and two chunk indices.
+        const PER_ROW: usize = 3 * size_of::<u32>();
+        assert_eq!(PER_POINT, 20);
+        let g = seeded_graph(9, 60, 40, 3);
         let td = TreeDecomposition::build(&g);
-        let store = build_all(&td, 1);
-        assert!(store.total_points() > 0);
-        assert!(store.bytes() > 0);
-        assert!(!store.has(0, 0));
-        let mut store2 = store.clone();
-        let all: Vec<VertexId> = (0..20).collect();
-        store2.clear_vertices(&all);
-        assert_eq!(store2.num_pairs(), 0);
+        let n = td.len();
+        let all = build_all(&td, 2);
+        let some: Vec<Vec<VertexId>> = (0..n as VertexId)
+            .map(|v| all.keys(v).iter().copied().step_by(3).collect())
+            .collect();
+        let loaded = {
+            use td_store::Persist;
+            let mut buf = Vec::new();
+            all.write_into(&mut buf).unwrap();
+            ShortcutStore::read_from(&mut buf.as_slice()).unwrap()
+        };
+        assert!(all.num_chunks() > 2 && loaded.num_chunks() == 2);
+        assert_eq!(loaded.bytes(), all.bytes());
+        assert_eq!(build_all(&td, 1).bytes(), all.bytes());
+        let selected = build_selected(&td, &some, &weights(&all, &some), 2);
+        for (what, store) in [
+            ("all", all),
+            ("selected", selected),
+            ("loaded", loaded),
+            ("empty", ShortcutStore::empty(n)),
+        ] {
+            let bound =
+                PER_POINT * store.total_points() + PER_PAIR * store.num_pairs() + PER_ROW * (n + 1);
+            assert!(
+                store.bytes() <= bound,
+                "{what}: {} B stored, {bound} B allowed",
+                store.bytes()
+            );
+            assert!(store
+                .pairs()
+                .all(|(v, a)| store.has(v, a) && !store.has(a, v)));
+        }
+    }
+
+    /// Merging chunks — what keeps an updated store within [`MAX_CHUNKS`] —
+    /// moves functions without changing one or leaving a dead slice: down
+    /// to a single chunk, every row and the bytes stay the build's.
+    #[test]
+    fn merging_chunks_keeps_every_function_and_the_bytes() {
+        let g = seeded_graph(11, 80, 50, 3);
+        let td = TreeDecomposition::build(&g);
+        let mut store = build_all(&td, 8);
+        let (rows, bytes) = (store.owned_rows(), store.bytes());
+        assert!(store.num_chunks() > 4);
+        while store.num_chunks() > 1 {
+            let before = store.num_chunks();
+            store.merge_smallest_chunks();
+            assert_eq!(store.num_chunks(), before - 1);
+            assert_eq!(store.owned_rows(), rows);
+            assert_eq!(store.bytes(), bytes);
+        }
     }
 }

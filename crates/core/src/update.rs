@@ -28,9 +28,12 @@
 //! Like the build's store pass it is demand-driven — it computes the Fact-1
 //! closure of the pairs it emits (`shortcut::need_closure`), not the whole
 //! vectors of every descendant, and it never enters a subtree that holds no
-//! stored pair of an affected vertex. The frozen label view is then
-//! re-derived from the repaired tree, like every other frozen view in the
-//! workspace.
+//! stored pair of an affected vertex. The rebuilt rows' old functions are
+//! dropped from their store chunks first, each chunk compacted in place, and
+//! the re-emitted ones appended to the same chunks at exact size, so the
+//! store stays what a fresh pass over the same keys would build, with no
+//! dead slices. The frozen label view is re-derived from the repaired tree,
+//! like every other frozen view in the workspace.
 
 use crate::frozen::FrozenTd;
 use crate::index::TdTreeIndex;
@@ -405,11 +408,13 @@ mod tests {
                 assert_eq!(keys, fresh.shortcuts().pairs().collect::<Vec<_>>());
                 assert_eq!(index.shortcuts().num_pairs(), fresh.shortcuts().num_pairs());
             }
+            let owned = |f: Option<td_plf::PlfSlice<'_>>| f.map(|f| f.to_plf());
             for (v, a) in keys {
                 let got = index.shortcuts().get(v, a).unwrap();
                 let want = fresh.shortcuts().get(v, a).unwrap();
                 assert!(
-                    plf_opt_eq(got.0, want.0) && plf_opt_eq(got.1, want.1),
+                    plf_opt_eq(&owned(got.0), &owned(want.0))
+                        && plf_opt_eq(&owned(got.1), &owned(want.1)),
                     "{strategy:?}: pair ({v}, {a}) differs from the fresh label"
                 );
             }
@@ -474,18 +479,92 @@ mod tests {
                 let affected_count = affected.iter().filter(|&&a| a).count();
                 assert_eq!(stats.rebuilt_subtree_nodes, affected_count, "{what}");
 
-                let keys: Vec<Vec<VertexId>> = (before.store.per_node.iter())
-                    .map(|row| row.iter().map(|e| e.0).collect())
+                let keys: Vec<Vec<VertexId>> = (0..n as VertexId)
+                    .map(|v| before.store.keys(v).to_vec())
                     .collect();
-                let want = build_selected(&index.td, &keys, 1);
+                let points: Vec<u64> = (0..n as VertexId)
+                    .map(|v| before.store.row_points(v) as u64)
+                    .collect();
+                let want = build_selected(&index.td, &keys, &points, 1).owned_rows();
+                let (rows, old) = (index.store.owned_rows(), before.store.owned_rows());
                 assert_eq!(index.store.num_pairs(), before.store.num_pairs(), "{what}");
-                for (v, row) in index.store.per_node.iter().enumerate() {
-                    assert_eq!(row, &want.per_node[v], "{what}: row {v}");
+                for (v, row) in rows.iter().enumerate() {
+                    assert_eq!(row, &want[v], "{what}: row {v}");
                     if !affected[v] {
-                        assert_eq!(row, &before.store.per_node[v], "{what}: untouched row {v}");
+                        assert_eq!(row, &old[v], "{what}: untouched row {v}");
                     }
                 }
             }
+        }
+    }
+
+    /// An update drops the functions it replaces instead of leaving them
+    /// behind. After twenty batches — increases, decreases, and back to the
+    /// original weights — on a built and on a reloaded index, the store
+    /// holds what a fresh store pass over the same keys holds: every
+    /// function to the bit and the same bytes, so no dead slice survives;
+    /// and the chunks the updates added stay within their bound.
+    #[test]
+    fn twenty_updates_leave_the_store_a_fresh_pass_would_build() {
+        use crate::shortcut::{build_all, build_selected, MAX_CHUNKS};
+        use td_store::Persist;
+        let g = seeded_graph(5, 40, 25, 3);
+        for (strategy, reload) in [
+            (SelectionStrategy::Greedy { budget: 3_000 }, false),
+            (SelectionStrategy::Greedy { budget: 3_000 }, true),
+            (SelectionStrategy::All, false),
+        ] {
+            let options = IndexOptions {
+                strategy,
+                threads: 2,
+                track_supports: true,
+            };
+            let mut index = TdTreeIndex::build(g.clone(), options);
+            if reload {
+                let mut buf = Vec::new();
+                index.write_into(&mut buf).unwrap();
+                index = TdTreeIndex::read_from(&mut buf.as_slice()).unwrap();
+            }
+            let what = format!("{strategy:?}, reloaded: {reload}");
+            let mut rng = StdRng::seed_from_u64(20);
+            let mut edges: Vec<u32> = Vec::new();
+            for round in 0..20 {
+                // Each three rounds: raise three edges, lower them, restore
+                // them.
+                if round % 3 == 0 {
+                    edges = (0..3)
+                        .map(|_| rng.gen_range(0..g.num_edges()) as u32)
+                        .collect();
+                }
+                let changes: Vec<_> = (edges.iter())
+                    .map(|&e| {
+                        let edge = g.edge(e);
+                        let w = match round % 3 {
+                            0 => Plf::constant(edge.weight.max_value() * 3.0),
+                            1 => Plf::constant(edge.weight.min_value() * 0.5),
+                            _ => edge.weight.clone(),
+                        };
+                        (edge.from, edge.to, w)
+                    })
+                    .collect();
+                index.update_edges(&changes);
+                assert!(index.store.num_chunks() <= MAX_CHUNKS, "{what}");
+            }
+            let fresh = match strategy {
+                SelectionStrategy::All => build_all(&index.td, options.threads),
+                _ => {
+                    let keys: Vec<Vec<VertexId>> = (0..index.td.len() as VertexId)
+                        .map(|v| index.store.keys(v).to_vec())
+                        .collect();
+                    let points: Vec<u64> = (0..index.td.len() as VertexId)
+                        .map(|v| index.store.row_points(v) as u64)
+                        .collect();
+                    build_selected(&index.td, &keys, &points, options.threads)
+                }
+            };
+            assert_eq!(index.store.owned_rows(), fresh.owned_rows(), "{what}");
+            assert_eq!(index.store.bytes(), fresh.bytes(), "{what}");
+            verify_against_oracle(&index, 20, 25);
         }
     }
 

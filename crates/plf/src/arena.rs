@@ -20,10 +20,14 @@
 //!   query loops can prune (`dist + min_cost ≥ best` ⇒ skip evaluation)
 //!   without touching the points at all.
 //!
-//! The arena is append-only; mutation stays on [`Plf`]. Build with the PLF
-//! algebra, freeze with [`PlfArena::push`], query through [`PlfSlice`]. An
-//! arena is derived data and has no on-disk form: snapshots hold the owned
-//! functions, and every loader re-pushes them.
+//! A stored function is never edited; mutation stays on [`Plf`]. Build with
+//! the PLF algebra, freeze with [`PlfArena::push`], query through
+//! [`PlfSlice`]; a store that replaces functions drops the old ones with
+//! [`PlfArena::remove_functions`], which compacts in place, and concatenates
+//! arenas with [`PlfArena::append`]. An arena has no
+//! on-disk form of its own: its functions are written in the shared PLF-list
+//! encoding, which [`crate::persist::read_plf_arena`] reads straight back
+//! into one.
 
 use crate::approx::clamped_segment_value;
 use crate::plf::{Plf, Pt, Via};
@@ -110,23 +114,111 @@ impl PlfArena {
     /// Freezes a raw point list (same invariants as [`Plf`]: non-empty,
     /// strictly increasing times).
     pub fn push_points(&mut self, pts: &[Pt]) -> PlfId {
-        debug_assert!(!pts.is_empty(), "a PLF needs at least one point");
         debug_assert!(pts.windows(2).all(|w| w[0].t < w[1].t));
+        self.times.extend(pts.iter().map(|p| p.t));
+        self.values.extend(pts.iter().map(|p| p.v));
+        self.vias.extend(pts.iter().map(|p| p.via));
+        self.close()
+    }
+
+    /// Appends one point to the function being pushed; [`Self::close`] ends
+    /// it.
+    pub(crate) fn push_pt(&mut self, p: Pt) {
+        self.times.push(p.t);
+        self.values.push(p.v);
+        self.vias.push(p.via);
+    }
+
+    /// Ends the function whose points were appended since the last one and
+    /// returns its id; its bounds are folded as [`Plf::value_bounds`] does.
+    pub(crate) fn close(&mut self) -> PlfId {
         let id = self.len() as PlfId;
         assert!(id != NO_PLF, "PlfArena overflow (u32::MAX functions)");
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for p in pts {
-            self.times.push(p.t);
-            self.values.push(p.v);
-            self.vias.push(p.via);
-            lo = lo.min(p.v);
-            hi = hi.max(p.v);
-        }
+        let start = *self.first_pt.last().expect("starts as [0]") as usize;
+        debug_assert!(self.times.len() > start, "a PLF needs at least one point");
+        let (lo, hi) = (self.values[start..].iter())
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
         self.first_pt.push(self.times.len() as u32);
         self.min_cost.push(lo);
         self.max_cost.push(hi);
         id
+    }
+
+    /// Removes the functions `ids` (ascending, distinct) and moves every
+    /// later one down in place, order kept: function `id` becomes `id − (the
+    /// number of removed ids below it)`. Nothing is allocated and the
+    /// capacity is kept.
+    pub fn remove_functions(&mut self, ids: &[PlfId]) {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let Some(&first) = ids.first() else {
+            return;
+        };
+        let mut removed = ids.iter().peekable();
+        let (mut fn_w, mut pt_w) = (first as usize, self.first_pt[first as usize] as usize);
+        let mut lo = pt_w;
+        for id in first as usize..self.len() {
+            // Only offsets up to `id` have been written, so `first_pt[id +
+            // 1]` is still the original end.
+            let hi = self.first_pt[id + 1] as usize;
+            if removed.next_if_eq(&&(id as PlfId)).is_none() {
+                self.times.copy_within(lo..hi, pt_w);
+                self.values.copy_within(lo..hi, pt_w);
+                self.vias.copy_within(lo..hi, pt_w);
+                pt_w += hi - lo;
+                self.first_pt[fn_w + 1] = pt_w as u32;
+                self.min_cost[fn_w] = self.min_cost[id];
+                self.max_cost[fn_w] = self.max_cost[id];
+                fn_w += 1;
+            }
+            lo = hi;
+        }
+        assert!(removed.next().is_none(), "removed id out of range");
+        self.times.truncate(pt_w);
+        self.values.truncate(pt_w);
+        self.vias.truncate(pt_w);
+        self.first_pt.truncate(fn_w + 1);
+        self.min_cost.truncate(fn_w);
+        self.max_cost.truncate(fn_w);
+    }
+
+    /// Copies every function of `other` to the end of this arena, in order
+    /// and with its bounds, and returns the id the first one got: function
+    /// `id` of `other` is `first + id` here. An arena without spare capacity
+    /// has none afterwards either.
+    pub fn append(&mut self, other: &PlfArena) -> PlfId {
+        let first = self.len() as PlfId;
+        let base = self.times.len() as u32;
+        assert!(
+            self.len() + other.len() < NO_PLF as usize,
+            "PlfArena overflow (u32::MAX functions)"
+        );
+        self.times.reserve_exact(other.times.len());
+        self.values.reserve_exact(other.times.len());
+        self.vias.reserve_exact(other.times.len());
+        self.first_pt.reserve_exact(other.len());
+        self.min_cost.reserve_exact(other.len());
+        self.max_cost.reserve_exact(other.len());
+        self.times.extend_from_slice(&other.times);
+        self.values.extend_from_slice(&other.values);
+        self.vias.extend_from_slice(&other.vias);
+        self.first_pt
+            .extend(other.first_pt[1..].iter().map(|&end| base + end));
+        self.min_cost.extend_from_slice(&other.min_cost);
+        self.max_cost.extend_from_slice(&other.max_cost);
+        first
+    }
+
+    /// Drops spare capacity, so [`Self::heap_bytes`] counts what is stored
+    /// (a no-op on an arena filled to the capacity it was made with).
+    pub fn shrink_to_fit(&mut self) {
+        self.times.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.vias.shrink_to_fit();
+        self.first_pt.shrink_to_fit();
+        self.min_cost.shrink_to_fit();
+        self.max_cost.shrink_to_fit();
     }
 
     /// The borrowed view of function `id`.
@@ -244,6 +336,18 @@ impl<'a> PlfSlice<'a> {
         self.values
     }
 
+    /// Segment witnesses.
+    #[inline]
+    pub fn vias(&self) -> &'a [Via] {
+        self.vias
+    }
+
+    /// The points as owned [`Pt`]s, in order.
+    fn points(&self) -> impl Iterator<Item = Pt> + 'a {
+        let (times, values, vias) = (self.times, self.values, self.vias);
+        (0..times.len()).map(move |i| Pt::with_via(times[i], values[i], vias[i]))
+    }
+
     /// Index of the segment containing `t`: largest `i` with `times[i] ≤ t`,
     /// or `None` for the left ray.
     #[inline]
@@ -344,14 +448,19 @@ impl<'a> PlfSlice<'a> {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Copies the view back into an owned [`Plf`].
+    /// Copies the view back into an owned [`Plf`] (one allocation, like
+    /// cloning the function it was pushed from).
     pub fn to_plf(&self) -> Plf {
-        Plf::new(
-            (0..self.times.len())
-                .map(|i| Pt::with_via(self.times[i], self.values[i], self.vias[i]))
-                .collect(),
-        )
-        .expect("arena slices satisfy the Plf invariants")
+        // Every arena function was pushed from a valid point list.
+        Plf::from_raw(self.points().collect())
+    }
+
+    /// Refills `f` with this view's points, keeping `f`'s allocation: a
+    /// scratch copy that allocates only when it has to grow.
+    pub fn copy_into(&self, f: &mut Plf) {
+        let pts = f.pts_mut();
+        pts.clear();
+        pts.extend(self.points());
     }
 }
 
@@ -406,6 +515,70 @@ mod tests {
         assert_eq!(s.eval_with_via(5.0).1, 7);
         assert_eq!(s.eval_with_via(10.0).1, 9);
         assert!(s.to_plf().approx_eq(&f, 0.0));
+    }
+
+    #[test]
+    fn copy_into_refills_a_scratch_function_in_place() {
+        let f = Plf::new(vec![
+            Pt::with_via(0.0, 5.0, 3),
+            Pt::with_via(50.0, 2.0, 8),
+            Pt::with_via(100.0, 9.0, 1),
+        ])
+        .unwrap();
+        let mut src = PlfArena::new();
+        src.push(&Plf::constant(4.0));
+        let id = src.push(&f);
+        let mut scratch =
+            Plf::from_pairs(&[(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]).unwrap();
+        let before = scratch.heap_bytes();
+        src.slice(id).copy_into(&mut scratch);
+        assert_eq!(scratch, f);
+        assert_eq!(scratch.heap_bytes(), before);
+    }
+
+    #[test]
+    fn removal_compacts_in_place_and_appending_renumbers() {
+        let fs: Vec<Plf> = (0..6)
+            .map(|k| {
+                let pts = (0..=k).map(|i| (i as f64, (k * 10 + i) as f64));
+                Plf::from_pairs(&pts.collect::<Vec<_>>()).unwrap()
+            })
+            .collect();
+        let mut arena = PlfArena::new();
+        for f in &fs {
+            arena.push(f);
+        }
+        let bytes = arena.heap_bytes();
+        arena.remove_functions(&[1, 2, 4]);
+        assert_eq!(arena.heap_bytes(), bytes, "the capacity is kept");
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.total_points(), 1 + 4 + 6);
+        for (id, k) in [0, 3, 5].into_iter().enumerate() {
+            assert_eq!(arena.slice(id as PlfId).to_plf(), fs[k]);
+            assert_eq!(arena.min_cost(id as PlfId), fs[k].min_value());
+            assert_eq!(arena.max_cost(id as PlfId), fs[k].max_value());
+        }
+        arena.remove_functions(&[]);
+        assert_eq!(arena.len(), 3);
+        // Appending another arena: its functions follow, renumbered from
+        // the first free id, bounds kept, no spare capacity.
+        arena.shrink_to_fit();
+        let mut other = PlfArena::new();
+        other.push(&fs[1]);
+        other.push(&fs[0]);
+        other.shrink_to_fit();
+        assert_eq!(arena.append(&other), 3);
+        let exact = arena.heap_bytes();
+        arena.shrink_to_fit();
+        assert_eq!(arena.heap_bytes(), exact);
+        assert_eq!(arena.len(), 5);
+        for (id, f) in [(3, &fs[1]), (4, &fs[0])] {
+            assert_eq!(arena.slice(id).to_plf(), *f);
+            assert_eq!(arena.max_cost(id), f.max_value());
+        }
+        arena.remove_functions(&[0, 1, 2, 3, 4]);
+        assert!(arena.is_empty() && arena.total_points() == 0);
+        assert_eq!(PlfArena::new().append(&other), 0);
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //!
 //! A PLF is stored SoA — `times`/`values`/`vias` — exactly as the frozen
 //! arena lays it out, so serialization is a linear copy and reading
-//! revalidates through [`Plf::new`] (non-empty, strictly increasing, finite,
-//! non-negative), turning any corrupt function into a typed
-//! [`StoreError::Invalid`] rather than a broken invariant at query time.
-//! A [`PlfArena`](crate::PlfArena) is never persisted: every frozen view is
-//! rebuilt on load from the owned functions it mirrors.
+//! revalidates against [`Plf::new`]'s invariants (non-empty, strictly
+//! increasing, finite, non-negative), turning any corrupt function into a
+//! typed [`StoreError::Invalid`] rather than a broken invariant at query
+//! time. A list has one encoding whoever holds the functions: it is written
+//! from owned functions ([`write_plf_list`]) or from arena slices
+//! ([`write_slice_list`]), and read back into owned functions
+//! ([`read_plf_list`]) or straight into an arena ([`read_plf_arena`]). An
+//! arena's derived parts — ids, offsets, bounds — are never in the file.
 
+use crate::arena::{PlfArena, PlfId, PlfSlice, NO_PLF};
 use crate::plf::{Plf, Pt, Via};
 use std::io::{Read, Write};
+use std::ops::Range;
 use td_store::section::{
     read_f64s, read_u32s, tag4, write_f64_iter, write_f64s, write_u32_iter, write_u32s,
 };
@@ -71,83 +76,179 @@ where
     W: Write,
     I: Iterator<Item = Option<&'a Plf>> + Clone,
 {
-    let mut counts: Vec<u32> = Vec::new();
-    let mut total = 0u64;
-    for item in items.clone() {
-        let c = item.map_or(0, |f| f.len() as u32);
-        counts.push(c);
-        total += u64::from(c);
-    }
-    write_u32s(w, TAG_L_COUNTS, &counts)?;
+    let counts = items.clone().map(|f| f.map_or(0, Plf::len));
     let points = || items.clone().flatten().flat_map(|f| f.points().iter());
-    write_f64_iter(w, TAG_L_TIMES, total, points().map(|p| p.t))?;
-    write_f64_iter(w, TAG_L_VALUES, total, points().map(|p| p.v))?;
-    write_u32_iter(w, TAG_L_VIAS, total, points().map(|p| p.via))
+    write_list(
+        w,
+        counts,
+        points().map(|p| p.t),
+        points().map(|p| p.v),
+        points().map(|p| p.via),
+    )
 }
 
-/// Reads a list written by [`write_plf_list`], enforcing exactly the
-/// [`Plf::new`] invariants (non-empty, strictly increasing beyond
-/// `EPS_TIME`, finite, non-negative).
+/// [`write_plf_list`] for functions frozen in arenas: the same four
+/// sections, so a reader cannot tell which of the two wrote them.
+pub fn write_slice_list<'a, W, I>(w: &mut W, items: I) -> Result<(), StoreError>
+where
+    W: Write,
+    I: Iterator<Item = Option<PlfSlice<'a>>> + Clone,
+{
+    let counts = items.clone().map(|f| f.map_or(0, |f| f.len()));
+    let slices = || items.clone().flatten();
+    write_list(
+        w,
+        counts,
+        slices().flat_map(|f| f.times().iter().copied()),
+        slices().flat_map(|f| f.values().iter().copied()),
+        slices().flat_map(|f| f.vias().iter().copied()),
+    )
+}
+
+/// The list encoding's four sections, from per-slot point counts and the
+/// concatenated point coordinates.
+fn write_list<W: Write>(
+    w: &mut W,
+    counts: impl Iterator<Item = usize>,
+    times: impl Iterator<Item = f64>,
+    values: impl Iterator<Item = f64>,
+    vias: impl Iterator<Item = Via>,
+) -> Result<(), StoreError> {
+    let counts: Vec<u32> = counts.map(|c| c as u32).collect();
+    let total = counts.iter().map(|&c| u64::from(c)).sum();
+    write_u32s(w, TAG_L_COUNTS, &counts)?;
+    write_f64_iter(w, TAG_L_TIMES, total, times)?;
+    write_f64_iter(w, TAG_L_VALUES, total, values)?;
+    write_u32_iter(w, TAG_L_VIAS, total, vias)
+}
+
+/// The raw sections of one list, checked for consistent lengths.
+struct RawList {
+    counts: Vec<u32>,
+    times: Vec<u8>,
+    values: Vec<u8>,
+    vias: Vec<u8>,
+}
+
+impl RawList {
+    fn read<R: Read>(r: &mut R) -> Result<RawList, StoreError> {
+        use td_store::section::{elem, read_raw};
+
+        let counts = read_u32s(r, TAG_L_COUNTS)?;
+        let times = read_raw(r, TAG_L_TIMES, elem::F64)?;
+        let values = read_raw(r, TAG_L_VALUES, elem::F64)?;
+        let vias = read_raw(r, TAG_L_VIAS, elem::U32)?;
+        let points = times.len() / 8;
+        if values.len() != times.len() || vias.len() != points * 4 {
+            return Err(StoreError::invalid(
+                "PLF list SoA arrays disagree in length",
+            ));
+        }
+        let total: u64 = counts.iter().map(|&c| c as u64).sum();
+        if total != points as u64 {
+            return Err(StoreError::invalid(format!(
+                "PLF list counts sum to {total} but {points} points are stored"
+            )));
+        }
+        Ok(RawList {
+            counts,
+            times,
+            values,
+            vias,
+        })
+    }
+
+    /// Point `i` of the concatenated arrays, decoded from the raw
+    /// little-endian payloads (no intermediate `Vec<f64>`).
+    fn point(&self, i: usize) -> Pt {
+        let le8 = |raw: &[u8]| {
+            f64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8-byte chunk"))
+        };
+        let via = self.vias[4 * i..4 * i + 4]
+            .try_into()
+            .expect("4-byte chunk");
+        Pt::with_via(le8(&self.times), le8(&self.values), Via::from_le_bytes(via))
+    }
+
+    /// Each slot's point range in order (`None` for an absent slot).
+    fn slots(&self) -> impl Iterator<Item = Option<Range<usize>>> + '_ {
+        let mut at = 0usize;
+        self.counts.iter().map(move |&c| {
+            let range = at..at + c as usize;
+            at = range.end;
+            (c > 0).then_some(range)
+        })
+    }
+
+    /// Hands `push` the points of one slot in order, each checked against
+    /// exactly the [`Plf::new`] invariants before it is handed out — one
+    /// pass, no second validation.
+    fn decode(&self, range: Range<usize>, mut push: impl FnMut(Pt)) -> Result<(), StoreError> {
+        use crate::approx::EPS_TIME;
+
+        let mut prev = f64::NEG_INFINITY;
+        for i in range.clone() {
+            let p = self.point(i);
+            if !p.t.is_finite() || !p.v.is_finite() {
+                return Err(StoreError::invalid("PLF point is not finite"));
+            }
+            if p.v < 0.0 {
+                return Err(StoreError::invalid("PLF point has a negative cost"));
+            }
+            if i > range.start && p.t - prev <= EPS_TIME {
+                return Err(StoreError::invalid("PLF times not strictly increasing"));
+            }
+            prev = p.t;
+            push(p);
+        }
+        Ok(())
+    }
+}
+
+/// Reads a list written by [`write_plf_list`] (or [`write_slice_list`])
+/// into owned functions, enforcing exactly the [`Plf::new`] invariants
+/// (non-empty, strictly increasing beyond `EPS_TIME`, finite,
+/// non-negative).
 ///
 /// This is the hottest loop of a snapshot load — an index holds millions of
 /// interpolation points — so points are decoded straight from the raw
-/// little-endian section payloads into their final `Pt` vectors, validating
-/// inline: no intermediate `Vec<f64>` materialisation and no second
-/// validation pass.
+/// section payloads into their final `Pt` vectors.
 pub fn read_plf_list<R: Read>(r: &mut R) -> Result<Vec<Option<Plf>>, StoreError> {
-    use crate::approx::EPS_TIME;
-    use td_store::section::{elem, read_raw};
-
-    let counts = read_u32s(r, TAG_L_COUNTS)?;
-    let times = read_raw(r, TAG_L_TIMES, elem::F64)?;
-    let values = read_raw(r, TAG_L_VALUES, elem::F64)?;
-    let vias = read_raw(r, TAG_L_VIAS, elem::U32)?;
-    let points = times.len() / 8;
-    if values.len() != times.len() || vias.len() != points * 4 {
-        return Err(StoreError::invalid(
-            "PLF list SoA arrays disagree in length",
-        ));
-    }
-    let total: u64 = counts.iter().map(|&c| c as u64).sum();
-    if total != points as u64 {
-        return Err(StoreError::invalid(format!(
-            "PLF list counts sum to {total} but {points} points are stored"
-        )));
-    }
-    let le8 = |raw: &[u8], i: usize| {
-        f64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8-byte chunk"))
-    };
-    let mut out = Vec::with_capacity(counts.len());
-    let mut at = 0usize;
-    for &c in &counts {
-        if c == 0 {
-            out.push(None);
-            continue;
-        }
-        let c = c as usize;
-        let mut pts = Vec::with_capacity(c);
-        let mut prev = f64::NEG_INFINITY;
-        for i in at..at + c {
-            let t = le8(&times, i);
-            let v = le8(&values, i);
-            let via = Via::from_le_bytes(vias[4 * i..4 * i + 4].try_into().expect("4-byte chunk"));
-            if !t.is_finite() || !v.is_finite() {
-                return Err(StoreError::invalid("PLF point is not finite"));
+    let raw = RawList::read(r)?;
+    let mut out = Vec::with_capacity(raw.counts.len());
+    for slot in raw.slots() {
+        out.push(match slot {
+            None => None,
+            Some(range) => {
+                let mut pts = Vec::with_capacity(range.len());
+                raw.decode(range, |p| pts.push(p))?;
+                // Exactly `Plf::new`'s invariants were just enforced.
+                Some(Plf::from_raw(pts))
             }
-            if v < 0.0 {
-                return Err(StoreError::invalid("PLF point has a negative cost"));
-            }
-            if i > at && t - prev <= EPS_TIME {
-                return Err(StoreError::invalid("PLF times not strictly increasing"));
-            }
-            prev = t;
-            pts.push(Pt::with_via(t, v, via));
-        }
-        // Exactly `Plf::new`'s invariants were just enforced inline.
-        out.push(Some(Plf::from_raw(pts)));
-        at += c;
+        });
     }
     Ok(out)
+}
+
+/// Reads a list written by [`write_plf_list`] (or [`write_slice_list`])
+/// straight into a fresh arena sized exactly to it, validating as
+/// [`read_plf_list`] does: no owned [`Plf`] is built on the way. Returns the
+/// arena and each slot's id in it ([`NO_PLF`] for an absent slot).
+pub fn read_plf_arena<R: Read>(r: &mut R) -> Result<(PlfArena, Vec<PlfId>), StoreError> {
+    let raw = RawList::read(r)?;
+    let functions = raw.counts.iter().filter(|&&c| c > 0).count();
+    let mut arena = PlfArena::with_capacity(functions, raw.times.len() / 8);
+    let mut ids = Vec::with_capacity(raw.counts.len());
+    for slot in raw.slots() {
+        ids.push(match slot {
+            None => NO_PLF,
+            Some(range) => {
+                raw.decode(range, |p| arena.push_pt(p))?;
+                arena.close()
+            }
+        });
+    }
+    Ok((arena, ids))
 }
 
 #[cfg(test)]
@@ -183,6 +284,49 @@ mod tests {
         write_plf_list(&mut buf, items.iter().copied()).unwrap();
         let back = read_plf_list(&mut buf.as_slice()).unwrap();
         assert_eq!(back, vec![Some(a), None, Some(b), None]);
+    }
+
+    #[test]
+    fn slice_lists_share_the_encoding_and_read_into_an_arena() {
+        let a = Plf::new(vec![Pt::with_via(0.0, 1.0, 6), Pt::with_via(5.0, 3.0, 2)]).unwrap();
+        let b = Plf::constant(9.0);
+        let mut owned = Vec::new();
+        write_plf_list(&mut owned, [Some(&a), None, Some(&b)].into_iter()).unwrap();
+        let mut arena = PlfArena::new();
+        let ids = [arena.push(&a), arena.push(&b)];
+        let slices = [Some(ids[0]), None, Some(ids[1])].map(|id| id.map(|id| arena.slice(id)));
+        let mut frozen = Vec::new();
+        write_slice_list(&mut frozen, slices.into_iter()).unwrap();
+        assert_eq!(owned, frozen, "one encoding, whoever holds the functions");
+
+        let (back, back_ids) = read_plf_arena(&mut frozen.as_slice()).unwrap();
+        assert_eq!(back_ids.len(), 3);
+        assert_eq!(back_ids[1], NO_PLF);
+        assert_eq!(back.slice(back_ids[0]).to_plf(), a);
+        assert_eq!(back.slice(back_ids[2]).to_plf(), b);
+        assert_eq!(back.heap_bytes(), {
+            let mut exact = back.clone();
+            exact.shrink_to_fit();
+            exact.heap_bytes()
+        });
+    }
+
+    #[test]
+    fn invalid_points_are_rejected_by_both_readers() {
+        // A negative cost: valid sections, an invalid function.
+        let bad = [Pt::new(0.0, 1.0), Pt::new(5.0, -2.0)];
+        let mut arena = PlfArena::new();
+        let id = arena.push_points(&bad);
+        let mut buf = Vec::new();
+        write_slice_list(&mut buf, [Some(arena.slice(id))].into_iter()).unwrap();
+        assert!(matches!(
+            read_plf_list(&mut buf.as_slice()),
+            Err(StoreError::Invalid(_))
+        ));
+        assert!(matches!(
+            read_plf_arena(&mut buf.as_slice()),
+            Err(StoreError::Invalid(_))
+        ));
     }
 
     #[test]

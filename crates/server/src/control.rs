@@ -25,7 +25,7 @@
 //! `DEGRADE_ABOVE`) so the controller cannot flap on a queue hovering at
 //! one boundary. Each is a constant beside the function that reads it.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use td_dijkstra::QueryBudget;
 
@@ -196,40 +196,6 @@ pub fn grab_size(depth: usize, workers: usize, max_batch: usize) -> usize {
         .clamp(1, max_batch.max(1))
 }
 
-/// How long a worker that popped a request with `behind` more queued behind
-/// it sleeps before it grabs. Nothing for a lone request: it is served at
-/// once. With company a burst is arriving, and the worker lets it assemble
-/// until the next multiple of `window` on the server's clock (`admitted` and
-/// `now` are both times since the server started). Boundaries are shared,
-/// so sleeping workers wake together and split the burst evenly; a request
-/// crosses at most one (it is held for less than `window`), and one that
-/// already has — the rest of a burst being served, a backlog, a retried
-/// slot — is never held again. A zero window turns the wait off.
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-#[inline]
-pub fn burst_wait(
-    behind: usize,
-    admitted: Duration,
-    now: Duration,
-    window: Duration,
-) -> Option<Duration> {
-    if behind == 0 || window.is_zero() {
-        return None;
-    }
-    let (now, window) = (now.as_nanos(), window.as_nanos());
-    if now / window > admitted.as_nanos() / window {
-        return None;
-    }
-    Some(Duration::from_nanos((window - now % window) as u64))
-}
-
 /// Settle cap per query in Normal mode: uncapped.
 const NORMAL_SETTLES: u64 = u64::MAX;
 /// Settle cap per query in Degraded/Shedding mode — the approximate-first
@@ -382,34 +348,6 @@ mod tests {
         for depth in 0..200 {
             assert_eq!(grab_size(depth, 1, 64), (depth + 1).min(64));
         }
-    }
-
-    #[test]
-    fn burst_wait_holds_company_until_the_next_boundary_once() {
-        let us = Duration::from_micros;
-        let w = us(500);
-        // A lone request is never held, whatever the window.
-        assert_eq!(burst_wait(0, us(1_200), us(1_234), w), None);
-        assert_eq!(burst_wait(0, us(0), us(7), Duration::from_secs(10)), None);
-        // With company: until the next boundary of the server's clock.
-        assert_eq!(burst_wait(1, us(1_000), us(1_000), w), Some(us(500)));
-        assert_eq!(burst_wait(31, us(1_250), us(1_290), w), Some(us(210)));
-        assert_eq!(burst_wait(31, us(1_250), us(1_499), w), Some(us(1)));
-        // A request that has crossed a boundary goes now: the rest of a
-        // burst being served, a backlog, a retried slot.
-        assert_eq!(burst_wait(5, us(1_499), us(1_500), w), None);
-        assert_eq!(burst_wait(5, us(1_250), us(1_640), w), None);
-        assert_eq!(burst_wait(5, us(100), us(9_100), w), None);
-        // So whoever is held is let go within a window of its admission.
-        for now in (0..2_000).step_by(7) {
-            for age in (0..now.min(700)).step_by(13) {
-                if let Some(held) = burst_wait(2, us(now - age), us(now), w) {
-                    assert!(us(age) + held <= w, "now {now} age {age}");
-                }
-            }
-        }
-        // A zero window turns the wait off.
-        assert_eq!(burst_wait(5, us(70), us(77), Duration::ZERO), None);
     }
 
     #[test]

@@ -21,16 +21,16 @@
 //!   [`ServeError`], the write-once reply slot behind [`RequestHandle`].
 //! * [`queue`](TdServer) — the bounded MPMC admission queue (producers
 //!   never block; depth is capped by construction).
-//! * [`config`](ServerConfig) — the four values a deployment sizes to its
-//!   traffic (`workers`, `queue_capacity`, `max_batch`, `coalesce_window`);
-//!   every other value the server decides by is a constant beside the one
-//!   function that reads it.
-//! * [`control`](OverloadMode) — the pure control plane: the burst-wait and
-//!   grab-size rules and the Normal → Degraded → Shedding state machine
-//!   with hysteresis, watermarks and settle caps included.
-//! * [`server`](TdServer) — the run-to-completion serving workers (a lone
-//!   request is served at once; only a burst is let assemble, until the
-//!   next `coalesce_window` boundary), the single bounded panic retry, and
+//! * [`config`](ServerConfig) — the three values a deployment sizes to its
+//!   traffic (`workers`, `queue_capacity`, `max_batch`); every other value
+//!   the server decides by is a constant beside the one function that reads
+//!   it.
+//! * [`control`](OverloadMode) — the pure control plane: the grab-size rule
+//!   and the Normal → Degraded → Shedding state machine with hysteresis,
+//!   watermarks and settle caps included.
+//! * [`server`](TdServer) — the work-conserving, run-to-completion serving
+//!   workers (no timer on the request path: a worker pops, takes its share
+//!   of what is queued and runs it), the single bounded panic retry, and
 //!   the supervised live-update lane.
 //! * [`fault`](FaultPlan) / [`soak`](run_soak) — deterministic fault
 //!   injection and the time-boxed chaos harness that proves the invariants
@@ -53,8 +53,7 @@ mod update;
 
 pub use config::ServerConfig;
 pub use control::{
-    admission_decision, burst_wait, grab_size, next_mode, settle_cap, slot_budget, OverloadMode,
-    Window,
+    admission_decision, grab_size, next_mode, settle_cap, slot_budget, OverloadMode, Window,
 };
 pub use fault::{
     silence_contained_panics, splitmix64, FaultPlan, HostileIndex, PanicSilence, INJECTED_PANIC,

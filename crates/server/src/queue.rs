@@ -7,9 +7,7 @@
 //! silent latency collapse. The consumers (the serving workers) block on
 //! the condvar only while the queue is empty: each takes one request with
 //! `pop_wait` and tops its batch up with whatever `drain_into` finds already
-//! queued — the queue itself never makes a consumer wait for more (the one
-//! bounded pause for an arriving burst is the worker's, see
-//! `control::burst_wait`).
+//! queued — nothing on the request path waits for more to arrive.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

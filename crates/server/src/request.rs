@@ -188,7 +188,7 @@ impl RequestHandle {
     }
 }
 
-/// An admitted request travelling through queue → coalescer → executor.
+/// An admitted request travelling through queue → worker grab → executor.
 pub(crate) struct Pending {
     pub query: CostQuery,
     pub deadline: Option<Instant>,

@@ -8,17 +8,15 @@
 //! ```
 //!
 //! `workers` run-to-completion threads share the admission queue. Each
-//! blocks only while the queue is empty. A lone request is served at once;
-//! when more are already queued behind the one a worker popped, a burst is
-//! arriving and the worker lets it assemble until the next multiple of
-//! `coalesce_window` on the server's clock ([`control::burst_wait`] — at
-//! most one boundary per request, so never a whole window and never on a
-//! backlog). The boundaries are shared: sleeping workers wake together and
-//! each takes an even share of what is queued *then*
-//! ([`control::grab_size`]). It builds per-slot budgets from the overload
-//! mode and each request's own deadline, runs the batch inline on its own
-//! one-worker [`ParallelExecutor`] (panic containment and scratch reuse
-//! included), and fulfils the reply slots. After every batch it ticks the
+//! blocks only while the queue is empty and is work-conserving otherwise:
+//! it pops a request, takes an even share of what is queued behind it
+//! ([`control::grab_size`]) and runs the batch at once — there is no timer
+//! on the request path, so a lone request and a backlog alike are served at
+//! CPU speed, and batches grow by themselves while every worker is busy.
+//! It builds per-slot budgets from the overload mode and each request's own
+//! deadline, runs the batch inline on its own one-worker
+//! [`ParallelExecutor`] (panic containment and scratch reuse included), and
+//! fulfils the reply slots. After every batch it ticks the
 //! shared overload controller — queue depth and the recent latency window
 //! walk the Normal → Degraded → Shedding state machine — and checks the
 //! update watchdog (the window size, baseline floor, retry bound, lane
@@ -554,19 +552,6 @@ fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
                     Popped::Closed => return, // drained: every admitted request replied
                     Popped::Item(p) => incoming.push(p),
                 }
-                // More queued behind a head that has crossed no boundary
-                // yet: a burst is arriving, let it assemble. A plain sleep:
-                // a full batch or a shutdown waits out the rest of the
-                // window (< 500 µs by default) with it.
-                let now = Instant::now();
-                if let Some(rest) = control::burst_wait(
-                    shared.queue.depth(),
-                    incoming[0].submitted - shared.started,
-                    now - shared.started,
-                    cfg.coalesce_window,
-                ) {
-                    std::thread::sleep(rest);
-                }
                 let grab = control::grab_size(shared.queue.depth(), cfg.workers, cfg.max_batch);
                 if grab > 1 {
                     shared.queue.drain_into(grab - 1, &mut incoming);
@@ -713,40 +698,18 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_waits_for_the_boundary_and_a_lone_request_is_never_held() {
-        let window = std::time::Duration::from_millis(40);
-        let cfg = ServerConfig {
-            coalesce_window: window,
-            ..config(1)
-        };
-        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), cfg);
-        // Two queued while the worker is parked: it pops the first, finds
-        // company, and serves both just after the next boundary of the
-        // server's clock (unheld, they would be answered well before it).
-        let tick = |t: Instant| (t - server.shared.started).as_nanos() / window.as_nanos();
+    fn requests_queued_behind_a_busy_worker_are_answered_by_one_grab() {
+        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), config(1));
+        // Three queued while the only worker is parked after its first
+        // batch: once let go it pops the first and takes the other two with
+        // it in the same grab — nothing waits for more to arrive.
         let held = lock_recover(&server.shared.controller);
         one_batch_per_worker(&server, &held, (0, 3, 0.0));
-        let first = server.submit(0, 3, 0.0, None).unwrap();
-        let second = server.submit(0, 2, 0.0, None).unwrap();
+        let queued = [(0, 3), (0, 2), (1, 3)].map(|(s, d)| server.submit(s, d, 0.0, None).unwrap());
         drop(held);
-        assert_eq!(exact(&second.wait()), Some(20.0));
-        assert_eq!(
-            tick(Instant::now()),
-            tick(first.submitted) + 1,
-            "not held once"
-        );
-        assert_eq!(exact(&first.try_reply().expect("same batch")), Some(30.0));
+        let replies = queued.map(|h| exact(&h.wait()));
+        assert_eq!(replies, [Some(30.0), Some(20.0), Some(20.0)]);
         assert_eq!(server.shutdown().batches, 2);
-        // Alone on an idle server that would hold a burst for ten seconds:
-        // answered at once.
-        let cfg = ServerConfig {
-            coalesce_window: std::time::Duration::from_secs(10),
-            ..config(1)
-        };
-        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), cfg);
-        let lone = server.submit(0, 3, 0.0, None).unwrap();
-        let reply = lone.wait_timeout(std::time::Duration::from_secs(5));
-        assert_eq!(exact(&reply.expect("a lone request was held")), Some(30.0));
     }
 
     #[test]

@@ -70,7 +70,6 @@ fn storm(workers: usize) {
 
     let cfg = ServerConfig {
         workers,
-        coalesce_window: Duration::from_micros(50),
         ..ServerConfig::default()
     };
     let clean = TdServer::serve(Arc::new(AStarChIndex::new(grid(side))), cfg);
