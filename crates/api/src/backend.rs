@@ -130,7 +130,9 @@ impl FromStr for Backend {
 pub struct IndexConfig {
     /// Shortcut budget `N` in interpolation points (TD-appro / TD-dp).
     pub budget: u64,
-    /// Worker threads for construction passes (0 = all cores).
+    /// Worker threads for the TD-tree family's shortcut passes (0 = all
+    /// cores), split by estimated work (`td_core::IndexOptions::threads`);
+    /// what is stored does not depend on it.
     pub threads: usize,
     /// Track support lists so the TD-tree family accepts
     /// [`crate::IncrementalIndex::update_edges`].

@@ -5,9 +5,19 @@
 //! `--save PATH` writes the TD-appro index as a `.tdx` snapshot after
 //! building it; `--load PATH` skips that build entirely and times the
 //! snapshot load instead — the restart path a deployment actually takes.
+//! A build also runs again on one thread, and the probe prints how much
+//! faster the two shortcut passes (weigh, build) ran on all cores.
 use td_bench::timed;
-use td_core::{IndexOptions, SelectionStrategy, TdTreeIndex};
+use td_core::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_gen::Dataset;
+
+/// The construction phases' wall times.
+fn phases(st: &BuildStats) -> String {
+    format!(
+        "decompose {:.2}s weigh {:.2}s select {:.2}s build {:.2}s",
+        st.decompose_secs, st.weigh_secs, st.select_secs, st.build_secs
+    )
+}
 
 fn main() {
     let mut scale: f64 = 0.25;
@@ -48,21 +58,34 @@ fn main() {
         );
         idx
     } else {
-        let (idx, secs) = timed(|| {
+        let build = |threads| {
             TdTreeIndex::build(
                 g.clone(),
                 IndexOptions {
                     strategy: SelectionStrategy::Greedy {
                         budget: budget as u64,
                     },
-                    threads: 0,
+                    threads,
                     track_supports: false,
                 },
             )
-        });
-        println!("TD-appro build: {secs:.2}s (weigh {:.2}s select {:.2}s build {:.2}s) candidates={} selected={} budget={}",
-            idx.build_stats.weigh_secs, idx.build_stats.select_secs, idx.build_stats.build_secs,
-            idx.build_stats.candidates, idx.build_stats.selected_pairs, budget);
+        };
+        let (idx, secs) = timed(|| build(0));
+        let st = &idx.build_stats;
+        println!(
+            "TD-appro build: {secs:.2}s ({}) candidates={} selected={} budget={budget}",
+            phases(st),
+            st.candidates,
+            st.selected_pairs
+        );
+        let (one, secs) = timed(|| build(1));
+        let one = &one.build_stats;
+        println!("TD-appro build on 1 thread: {secs:.2}s ({})", phases(one));
+        println!(
+            "shortcut passes on all cores: weigh {:.2}x, build {:.2}x the 1-thread speed",
+            one.weigh_secs / st.weigh_secs,
+            one.build_secs / st.build_secs
+        );
         idx
     };
     if let Some(path) = &save {

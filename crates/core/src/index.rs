@@ -37,7 +37,11 @@ pub enum SelectionStrategy {
 pub struct IndexOptions {
     /// Shortcut selection strategy.
     pub strategy: SelectionStrategy,
-    /// Worker threads for the shortcut passes (0 = all cores).
+    /// Worker threads for the shortcut passes (0 = all cores). Each pass
+    /// splits its DFS by estimated work into jobs of at most
+    /// `1 / (2 · threads)` of it (a subtree with nothing to split at
+    /// aside), packed into at most `4 · threads` outputs; the selection
+    /// and every stored bit are the same for any value.
     pub threads: usize,
     /// Track support lists to enable [`TdTreeIndex::update_edges`].
     pub track_supports: bool,
@@ -382,8 +386,9 @@ mod tests {
     }
 
     /// The selection is a function of the graph and the budget alone: the
-    /// workers' split frontier and finishing order (both move with
-    /// `threads`) must not reach `select_*`'s tie-breaks or its utility sum.
+    /// pass's split into jobs and the workers' finishing order (both move
+    /// with `threads`) must not reach `select_*`'s tie-breaks or its
+    /// utility sum.
     #[test]
     fn selection_does_not_depend_on_threads() {
         let g = seeded_graph(11, 120, 80, 3);

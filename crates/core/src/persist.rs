@@ -288,7 +288,8 @@ mod tests {
                 index.shortcuts().total_points()
             );
             // The reload reports the size the build did, though its shortcut
-            // points sit in one chunk per direction instead of one per job.
+            // points sit in one chunk per direction instead of one per
+            // planned output.
             assert_eq!(back.memory_bytes(), index.memory_bytes(), "{strategy:?}");
             assert_eq!(back.shortcuts().num_pairs(), index.shortcuts().num_pairs());
             assert_bit_identical(&index, &back, 0xfeed);

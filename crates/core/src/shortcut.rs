@@ -40,11 +40,24 @@
 //! the running minimum — so a term is built only when it gets below the
 //! running minimum somewhere, and merged only when neither wins everywhere.
 //!
-//! What a storing pass emits is frozen on the spot. Each DFS job writes its
-//! pairs' functions straight from the frame into an arena of its own, sized
-//! up front from the rows' weights (exact after the weigh pass; the old
-//! rows' before an update) and trimmed when the job ends, and the
-//! [`ShortcutStore`] keeps those arenas as its chunks, in job order, behind
+//! Every pass splits its DFS by estimated work, not by subtree count: a
+//! vertex costs `1 + |need[v]| · |bag(v)|`, the relaxations
+//! `compute_vectors` runs there, summed over subtrees in one sweep
+//! (`plan_pass`). A sequential descent enters every subtree whose estimate
+//! exceeds `total / (2 · threads)`, and every other needed subtree below it
+//! is a job, run by one worker on the descent's frames, which the jobs share
+//! (`Arc`) instead of copying. Road-network trees are skewed: on the
+//! benchmark graph, stopping once the frontier held `4 · threads` subtrees
+//! left one of them 97–99.6 % of the weigh pass, and so one worker nearly
+//! all of it. The jobs, heaviest first, are packed longest-first into at most
+//! `4 · threads` outputs, so the plan, like everything it stores, depends on
+//! the tree and `threads` alone.
+//!
+//! What a storing pass emits is frozen on the spot. Each output's jobs write
+//! their pairs' functions straight from the frame into an arena of its own,
+//! sized up front from the rows' weights (exact after the weigh pass; the old
+//! rows' before an update) and trimmed when the output is done, and the
+//! [`ShortcutStore`] keeps those arenas as its chunks, in plan order, behind
 //! CSR rows: no owned copy of a stored function is ever held beside the
 //! arena, and the layout does not depend on scheduling. An update drops the
 //! affected rows' functions from their chunks, compacting each in place,
@@ -53,9 +66,10 @@
 //! chunk count passes its bound and the smallest chunks are merged.
 
 use crate::select::Candidate;
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use td_graph::VertexId;
 use td_plf::ops::{min_compound_into, min_into};
 use td_plf::{Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
@@ -101,6 +115,11 @@ struct NodeVectors {
     /// `down[k]`: ancestor at depth `k` → node.
     down: Vec<Entry>,
 }
+
+/// A DFS stack: the vectors of each node on the current root path, root
+/// first. Frames are shared, so a job starts on the descent's frames
+/// without copying them.
+type Frames = Vec<Arc<NodeVectors>>;
 
 /// Fact 1's accumulator for one direction towards one ancestor: the best
 /// function so far with its `(min, max)` beside it (`+∞` while unreachable).
@@ -161,7 +180,7 @@ fn compute_vectors(
     td: &TreeDecomposition,
     v: VertexId,
     need: &[u32],
-    stack: &[NodeVectors],
+    stack: &[Arc<NodeVectors>],
 ) -> NodeVectors {
     let node = td.node(v);
     let d = node.depth as usize;
@@ -228,8 +247,8 @@ pub(crate) const UP: usize = 0;
 pub(crate) const DOWN: usize = 1;
 
 /// Chunks an update leaves a store with at most, unless the store had more
-/// already: a pass makes one per DFS job, four per thread plus the descent
-/// above them, and an update adds those of its own pass.
+/// already: a pass makes one per output, at most four per thread, plus the
+/// descent above them, and an update adds those of its own pass.
 pub(crate) const MAX_CHUNKS: usize = 64;
 
 /// The stored, selected shortcuts, structure-of-arrays.
@@ -237,8 +256,8 @@ pub(crate) const MAX_CHUNKS: usize = 64;
 /// Rows are CSR: `first[v]..first[v + 1]` are `v`'s pairs, sorted by
 /// ancestor id, in `anc` and in the two id arrays `ids[UP]` / `ids[DOWN]`
 /// ([`NO_PLF`] = that direction is unreachable). The points live in
-/// [`PlfArena`] chunks at 20 B each: a store pass keeps the arena each DFS
-/// job wrote its pairs into, in job order, a load keeps one arena per
+/// [`PlfArena`] chunks at 20 B each: a store pass keeps the arena each of
+/// its outputs wrote its pairs into, in plan order, a load keeps one arena per
 /// direction list, and an update adds the arenas of its pass. Each
 /// direction of a row lives in one chunk, `chunk_of[dir][v]`, so a lookup is
 /// a binary search over the row's keys and two array reads.
@@ -654,15 +673,16 @@ enum PassMode<'a> {
     Weigh,
     /// Store vectors for the listed ancestors of each node. `points[v]` is
     /// the interpolation points `v`'s row is expected to hold — exact from
-    /// the weigh pass, the old row's before an update — and sizes each job's
-    /// arena up front; an arena grows past it if it must and is trimmed
-    /// when its job ends.
+    /// the weigh pass, the old row's before an update — and sizes each
+    /// output's arena up front; an arena grows past it if it must and is
+    /// trimmed when its output is done.
     Store(&'a [Vec<VertexId>], &'a [u64]),
     /// Store vectors for *all* ancestors (TD-H2H).
     StoreAll,
 }
 
-/// Output of one DFS job (or of the sequential descent above the jobs).
+/// What one plan output's DFS jobs emit (or the sequential descent above
+/// them).
 #[derive(Default)]
 struct PassOutput {
     candidates: Vec<Candidate>,
@@ -765,27 +785,6 @@ fn elimination_order(td: &TreeDecomposition) -> Vec<VertexId> {
     by_step
 }
 
-/// Per vertex: `(functions, points)` of the rows in its subtree — two
-/// functions a pair, an upper bound that is exact when both directions are
-/// reachable.
-fn subtree_sizes(
-    td: &TreeDecomposition,
-    rows: &[Vec<VertexId>],
-    points: &[u64],
-) -> Vec<(usize, usize)> {
-    let mut size: Vec<(usize, usize)> = (rows.iter().zip(points))
-        .map(|(row, &p)| (2 * row.len(), p as usize))
-        .collect();
-    for v in elimination_order(td) {
-        if let Some(p) = td.node(v).parent {
-            let (f, pts) = size[v as usize];
-            size[p as usize].0 += f;
-            size[p as usize].1 += pts;
-        }
-    }
-    size
-}
-
 /// A pass's relevance table. `need[v]` is `None` when nothing in `v`'s
 /// subtree has an entry to compute — the DFS never goes there — and otherwise
 /// the sorted ancestor depths of `v` whose entries some emitted pair reads
@@ -844,11 +843,118 @@ fn need_closure(td: &TreeDecomposition, selected: &[Vec<VertexId>]) -> Need {
     need
 }
 
-/// DFS driver: sequential down to a branching frontier, then parallel over
-/// subtrees with cloned prefix stacks. Only `need`'s entries are computed and
-/// only the subtrees it marks are entered. Returns one output for the
-/// sequential descent and one per job, in job order — the order the store
-/// keeps their arenas in, whatever the workers' finishing order.
+/// The estimated work of visiting `v`: `1 + |need[v]| · |bag(v)|`, the
+/// relaxations `compute_vectors` runs there (0 where the DFS never goes).
+fn estimate(td: &TreeDecomposition, need: &Need, v: VertexId) -> u64 {
+    need[v as usize]
+        .as_ref()
+        .map_or(0, |need_v| 1 + (need_v.len() * td.node(v).bag.len()) as u64)
+}
+
+/// Per vertex, summed over its subtree: the pass's [`estimate`]d work and
+/// the `(functions, points)` of the rows it stores there. Sizes are known to
+/// a store pass only — two functions a pair, an upper bound that is exact
+/// when both directions are reachable, and the rows' weights — and are zero
+/// for the other modes.
+fn subtree_totals(
+    td: &TreeDecomposition,
+    need: &Need,
+    mode: &PassMode<'_>,
+) -> Vec<(u64, (usize, usize))> {
+    let mut totals: Vec<(u64, (usize, usize))> = (0..td.len())
+        .map(|v| {
+            let size = match mode {
+                PassMode::Store(selected, points) => (2 * selected[v].len(), points[v] as usize),
+                PassMode::Weigh | PassMode::StoreAll => (0, 0),
+            };
+            (estimate(td, need, v as VertexId), size)
+        })
+        .collect();
+    for v in elimination_order(td) {
+        if let Some(p) = td.node(v).parent {
+            let (work, (functions, points)) = totals[v as usize];
+            let (p_work, (p_functions, p_points)) = &mut totals[p as usize];
+            *p_work += work;
+            *p_functions += functions;
+            *p_points += points;
+        }
+    }
+    totals
+}
+
+/// How a pass splits its DFS between the sequential descent and the
+/// workers. It follows from the tree, `need` and `threads` alone, never from
+/// timing, so neither do the outputs a store keeps as chunks.
+#[derive(Default)]
+struct Plan {
+    /// The vertices the sequential descent visits, each after its parent.
+    descent: Vec<VertexId>,
+    /// Each job — a needed subtree below the descent, run whole by one
+    /// worker — as its root and estimated work, heaviest first, ties by id.
+    jobs: Vec<(VertexId, u64)>,
+    /// The outputs the jobs are packed into, at most `4 · threads`.
+    outputs: Vec<PlannedOutput>,
+}
+
+/// One output of a [`Plan`]: the jobs one worker runs into one arena.
+#[derive(Default)]
+struct PlannedOutput {
+    /// The jobs' roots, heaviest first.
+    roots: Vec<VertexId>,
+    /// Their estimated work.
+    work: u64,
+    /// `(functions, points)` the arena is sized to.
+    size: (usize, usize),
+}
+
+/// Plans a pass over `need` on `threads` workers: the descent enters every
+/// needed subtree whose estimate exceeds `total / (2 · threads)` and has a
+/// needed child, every other needed subtree below it is a job, and the
+/// jobs, heaviest first, go longest-processing-time-first into at most
+/// `4 · threads` outputs — each to the lightest so far, ties to the first.
+fn plan_pass(td: &TreeDecomposition, need: &Need, mode: &PassMode<'_>, threads: usize) -> Plan {
+    let totals = subtree_totals(td, need, mode);
+    let split = totals[td.root as usize].0 / (2 * threads as u64);
+    let mut plan = Plan::default();
+    let mut queue: Vec<VertexId> = Vec::new();
+    if need[td.root as usize].is_some() {
+        queue.push(td.root);
+    }
+    while let Some(v) = queue.pop() {
+        let mut children = (td.node(v).children.iter().copied())
+            .filter(|&c| need[c as usize].is_some())
+            .peekable();
+        if totals[v as usize].0 > split && children.peek().is_some() {
+            plan.descent.push(v);
+            queue.extend(children);
+        } else {
+            plan.jobs.push((v, totals[v as usize].0));
+        }
+    }
+    plan.jobs
+        .sort_unstable_by_key(|&(v, work)| (Reverse(work), v));
+    plan.outputs = (0..plan.jobs.len().min(4 * threads))
+        .map(|_| PlannedOutput::default())
+        .collect();
+    for &(root, work) in &plan.jobs {
+        let out = (plan.outputs.iter_mut())
+            .min_by_key(|out| out.work)
+            .expect("a job leaves at least one output");
+        let (functions, points) = totals[root as usize].1;
+        out.roots.push(root);
+        out.work += work;
+        out.size.0 += functions;
+        out.size.1 += points;
+    }
+    plan
+}
+
+/// Runs a pass: the sequential descent of [`plan_pass`], then the planned
+/// outputs in parallel, each job on the descent's frames. Only `need`'s
+/// entries are computed and only the subtrees it marks are entered. Returns
+/// one output for the descent and then the plan's, in plan order — the
+/// order the store keeps their arenas in, whatever the workers' finishing
+/// order.
 fn run_pass(
     td: &TreeDecomposition,
     width: usize,
@@ -864,50 +970,43 @@ fn run_pass(
         PassMode::Store(selected, _) => need_closure(td, selected),
         PassMode::Weigh | PassMode::StoreAll => need_everything(td),
     };
-    let needed_children =
-        |v: VertexId| (td.node(v).children.iter().copied()).filter(|&c| need[c as usize].is_some());
-    // A job's output, sized to its subtree's rows when the pass knows them.
-    let sizes = match mode {
-        PassMode::Store(selected, points) => subtree_sizes(td, selected, points),
-        PassMode::Weigh | PassMode::StoreAll => Vec::new(),
-    };
-    let output_for = |root: VertexId| {
-        (sizes.get(root as usize)).map_or_else(PassOutput::default, |&s| PassOutput::sized(s))
-    };
+    let plan = plan_pass(td, &need, mode, threads);
 
-    // Sequential descent collecting parallel jobs: split once the frontier is
-    // wide enough.
-    let target_jobs = threads * 4;
+    // The descent, each vertex on its ancestors' frames; a job's ancestors
+    // are all descended into, so its stack is theirs.
     let mut descent = PassOutput::default();
-    let mut jobs: Vec<(VertexId, Vec<NodeVectors>)> = Vec::new();
-    // (vertex, prefix depth) queue; prefix stacks owned per entry.
-    let mut queue: Vec<(VertexId, Vec<NodeVectors>)> = Vec::new();
-    if need[td.root as usize].is_some() {
-        queue.push((td.root, Vec::new()));
-    }
-    while let Some((v, mut stack)) = queue.pop() {
-        if jobs.len() + queue.len() >= target_jobs || needed_children(v).next().is_none() {
-            jobs.push((v, stack));
-            continue;
-        }
-        stack.push(visit(td, v, &need, &stack, width, mode, &mut descent));
-        queue.extend(needed_children(v).map(|c| (c, stack.clone())));
+    let mut frames: Vec<Option<Arc<NodeVectors>>> = vec![None; td.len()];
+    let stack_of = |frames: &[Option<Arc<NodeVectors>>], v: VertexId| -> Frames {
+        (td.ancestors_root_first(v).iter())
+            .map(|&a| {
+                frames[a as usize]
+                    .clone()
+                    .expect("the descent visits a job's ancestors")
+            })
+            .collect()
+    };
+    for &v in &plan.descent {
+        let stack = stack_of(&frames, v);
+        frames[v as usize] = Some(visit(td, v, &need, &stack, width, mode, &mut descent));
     }
     descent.arena.shrink_to_fit();
 
-    // Parallel phase.
+    // Parallel phase: a worker takes the next output and runs its jobs.
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, PassOutput)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    let collected: Mutex<Vec<(usize, PassOutput)>> =
+        Mutex::new(Vec::with_capacity(plan.outputs.len()));
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
+        for _ in 0..threads.min(plan.outputs.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
+                let Some(planned) = plan.outputs.get(i) else {
                     break;
+                };
+                let mut out = PassOutput::sized(planned.size);
+                for &root in &planned.roots {
+                    let stack = stack_of(&frames, root);
+                    subtree_dfs(td, root, stack, &need, width, mode, &mut out);
                 }
-                let (root, prefix) = &jobs[i];
-                let mut out = output_for(*root);
-                subtree_dfs(td, *root, prefix.clone(), &need, width, mode, &mut out);
                 out.arena.shrink_to_fit();
                 // Poison only means another worker panicked after pushing a
                 // complete output; the Vec itself is still well-formed.
@@ -931,7 +1030,7 @@ fn run_pass(
 fn subtree_dfs(
     td: &TreeDecomposition,
     root: VertexId,
-    mut stack: Vec<NodeVectors>,
+    mut stack: Frames,
     need: &Need,
     width: usize,
     mode: &PassMode<'_>,
@@ -966,11 +1065,11 @@ fn visit(
     td: &TreeDecomposition,
     v: VertexId,
     need: &Need,
-    stack: &[NodeVectors],
+    stack: &[Arc<NodeVectors>],
     width: usize,
     mode: &PassMode<'_>,
     out: &mut PassOutput,
-) -> NodeVectors {
+) -> Arc<NodeVectors> {
     let need_v = need[v as usize]
         .as_deref()
         .expect("the DFS only enters needed subtrees");
@@ -1020,7 +1119,7 @@ fn visit(
             }
         }
     }
-    vecs
+    Arc::new(vecs)
 }
 
 #[cfg(test)]
@@ -1288,12 +1387,12 @@ mod tests {
     }
 
     /// Runs Fact 1 down the path 5 → 4 → 1 → 3 → 2 of [`hand_tree`].
-    fn compute_hand_path(td: &TreeDecomposition, need: &Need) -> Vec<NodeVectors> {
+    fn compute_hand_path(td: &TreeDecomposition, need: &Need) -> Frames {
         let mut stack = Vec::new();
         for v in [5, 4, 1, 3, 2] {
             let need_v = need[v as usize].as_deref().expect("on the path");
             let vecs = compute_vectors(td, v, need_v, &stack);
-            stack.push(vecs);
+            stack.push(Arc::new(vecs));
         }
         stack
     }
@@ -1400,6 +1499,67 @@ mod tests {
             assert!(store
                 .pairs()
                 .all(|(v, a)| store.has(v, a) && !store.has(a, v)));
+        }
+    }
+
+    /// The plan splits a pass by estimated work. On the benchmark graph (the
+    /// CAL analogue at scale 0.5), for the weigh pass's table and a store
+    /// pass's closure: every job fits in its `total / (2 · threads)` share
+    /// unless its root has no needed child to split it at, the outputs and
+    /// the descent stay within a store's `4 · threads + 1` chunks, and every
+    /// job lands in one output. The descent does at most 5 % of the weigh
+    /// pass; a closure, which thins out with depth, leaves it more (5.9 % of
+    /// the parent rows' at 4 threads). Splitting the weigh pass by frontier
+    /// count instead left one job 97–99.6 % of the work.
+    #[test]
+    fn the_plan_splits_the_pass_by_estimated_work() {
+        let g = td_gen::Dataset::Cal.spec().build_scaled(3, 0.5, 42);
+        let td = TreeDecomposition::build(&g);
+        let n = td.len();
+        let parent_rows: Vec<Vec<VertexId>> = (0..n as VertexId)
+            .map(|v| td.node(v).parent.into_iter().collect())
+            .collect();
+        let no_points = vec![0; n];
+        // (pass, its table, its mode, the descent's largest share in %)
+        let passes = [
+            ("weigh", need_everything(&td), PassMode::Weigh, 5),
+            (
+                "store",
+                need_closure(&td, &parent_rows),
+                PassMode::Store(&parent_rows, &no_points),
+                10,
+            ),
+        ];
+        for (what, need, mode, descent_pct) in &passes {
+            for threads in [2, 4] {
+                let what = format!("{what}, {threads} threads");
+                let plan = plan_pass(&td, need, mode, threads);
+                let descent: u64 = (plan.descent.iter()).map(|&v| estimate(&td, need, v)).sum();
+                let total = descent + plan.jobs.iter().map(|&(_, work)| work).sum::<u64>();
+                assert_eq!(total, subtree_totals(&td, need, mode)[td.root as usize].0);
+                let share = total / (2 * threads as u64);
+                for &(root, work) in &plan.jobs {
+                    let splittable =
+                        (td.node(root).children.iter()).any(|&c| need[c as usize].is_some());
+                    assert!(
+                        work <= share || !splittable,
+                        "{what}: job {root} holds {work} of {total}"
+                    );
+                }
+                // With the descent's, at most 4 · threads + 1 chunks.
+                assert!(plan.outputs.len() <= 4 * threads, "{what}");
+                let mut packed: Vec<VertexId> = (plan.outputs.iter())
+                    .flat_map(|out| out.roots.iter().copied())
+                    .collect();
+                let mut roots: Vec<VertexId> = plan.jobs.iter().map(|&(root, _)| root).collect();
+                packed.sort_unstable();
+                roots.sort_unstable();
+                assert_eq!(packed, roots, "{what}");
+                assert!(
+                    descent * 100 <= descent_pct * total,
+                    "{what}: the descent holds {descent} of {total}"
+                );
+            }
         }
     }
 

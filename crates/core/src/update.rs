@@ -28,10 +28,11 @@
 //! Like the build's store pass it is demand-driven — it computes the Fact-1
 //! closure of the pairs it emits (`shortcut::need_closure`), not the whole
 //! vectors of every descendant, and it never enters a subtree that holds no
-//! stored pair of an affected vertex. The rebuilt rows' old functions are
-//! dropped from their store chunks first, each chunk compacted in place, and
-//! the re-emitted ones appended to the same chunks at exact size, so the
-//! store stays what a fresh pass over the same keys would build, with no
+//! stored pair of an affected vertex, and it splits that closure between
+//! its workers by estimated work like every pass. The rebuilt rows' old
+//! functions are dropped from their store chunks first, each chunk compacted
+//! in place, and the pass's arenas join the store as chunks of their own, so
+//! the store stays what a fresh pass over the same keys would build, with no
 //! dead slices. The frozen label view is re-derived from the repaired tree,
 //! like every other frozen view in the workspace.
 
@@ -503,7 +504,10 @@ mod tests {
     /// original weights — on a built and on a reloaded index, the store
     /// holds what a fresh store pass over the same keys holds: every
     /// function to the bit and the same bytes, so no dead slice survives;
-    /// and the chunks the updates added stay within their bound.
+    /// and the chunks the updates added stay within their bound. Updated on
+    /// one thread and on four in lockstep, the two stores hold the same
+    /// functions and bytes after every batch: the rebuild splits its closure
+    /// by work, and what it stores does not depend on the split.
     #[test]
     fn twenty_updates_leave_the_store_a_fresh_pass_would_build() {
         use crate::shortcut::{build_all, build_selected, MAX_CHUNKS};
@@ -514,17 +518,22 @@ mod tests {
             (SelectionStrategy::Greedy { budget: 3_000 }, true),
             (SelectionStrategy::All, false),
         ] {
-            let options = IndexOptions {
-                strategy,
-                threads: 2,
-                track_supports: true,
-            };
-            let mut index = TdTreeIndex::build(g.clone(), options);
-            if reload {
+            let build = |threads| {
+                let options = IndexOptions {
+                    strategy,
+                    threads,
+                    track_supports: true,
+                };
+                let index = TdTreeIndex::build(g.clone(), options);
+                if !reload {
+                    return index;
+                }
                 let mut buf = Vec::new();
                 index.write_into(&mut buf).unwrap();
-                index = TdTreeIndex::read_from(&mut buf.as_slice()).unwrap();
-            }
+                TdTreeIndex::read_from(&mut buf.as_slice()).unwrap()
+            };
+            let (mut index, mut index_t4) = (build(1), build(4));
+            let options = index.options;
             let what = format!("{strategy:?}, reloaded: {reload}");
             let mut rng = StdRng::seed_from_u64(20);
             let mut edges: Vec<u32> = Vec::new();
@@ -548,7 +557,17 @@ mod tests {
                     })
                     .collect();
                 index.update_edges(&changes);
-                assert!(index.store.num_chunks() <= MAX_CHUNKS, "{what}");
+                index_t4.update_edges(&changes);
+                let what = format!("{what}, round {round}");
+                for store in [&index.store, &index_t4.store] {
+                    assert!(store.num_chunks() <= MAX_CHUNKS, "{what}");
+                }
+                assert_eq!(
+                    index.store.owned_rows(),
+                    index_t4.store.owned_rows(),
+                    "{what}"
+                );
+                assert_eq!(index.store.bytes(), index_t4.store.bytes(), "{what}");
             }
             let fresh = match strategy {
                 SelectionStrategy::All => build_all(&index.td, options.threads),
