@@ -28,7 +28,7 @@
 //! 10. the targeted `s → d` corridor profile search
 //!     ([`check_corridor_profiles`]) and every backend's `query_profile` are
 //!     **value-identical** to the unbounded one-to-all label-correcting
-//!     search on the union probe grid.
+//!     reference search on the union probe grid.
 //!
 //! The suite is instantiated for every backend in this crate's tests and is
 //! public so downstream crates can run it against new backends.
@@ -37,7 +37,7 @@ use crate::{
     build_index, Backend, BoundedAnswer, IndexConfig, ParallelExecutor, QueryBudget, QueryError,
     QuerySession, RoutingIndex,
 };
-use td_graph::{FrozenGraph, TdGraph, VertexId};
+use td_graph::{TdGraph, VertexId};
 use td_plf::Plf;
 
 /// Absolute tolerance for cost comparisons. TD-G-tree assembles answers
@@ -152,41 +152,41 @@ pub fn check_backend(
     // unbounded one-to-all search, and so is every backend's
     // `query_profile`.
     check_corridor_profiles(graph, queries);
-    let fg = graph.freeze();
-    check_profiles_against_one_to_all(graph, &fg, queries, name, |s, d| index.query_profile(s, d));
+    check_profiles_against_one_to_all(graph, queries, name, |s, d| index.query_profile(s, d));
 }
 
 /// Conformance step 10: the targeted corridor profile search
 /// ([`td_dijkstra::profile_search_frozen_corridor_to`]) must return the
 /// **exact** `f_{s,d}` on every `(s, d)` pair of the workload: the same
-/// reachability verdict as the unbounded one-to-all search
-/// ([`td_dijkstra::profile_search_frozen`]), and a value-identical envelope
+/// reachability verdict as the unbounded one-to-all reference search
+/// ([`td_dijkstra::profile_search`]), and a value-identical envelope
 /// at every breakpoint of *either* representation, every midpoint between
 /// them, and both rays. The corridor may only skip compounds whose best
 /// continuation to `d` clears the everywhere-valid `s → d` upper bound by
 /// more than ε — such candidates never touch `d`'s envelope, so pruning
 /// cannot change *what* the search computes there.
 ///
+/// The reference builds every compound and merges with a plain
+/// [`Plf::minimum`], so it shares no merge decision with the frozen search
+/// or the indexes, which all fold through `td_plf::ops::min_compound_into`.
 /// The comparison is on function **values**, not interpolation points:
-/// both searches simplify with the ε-tolerant collinearity rule, and
-/// merging a provably-hopeless candidate (which the corridor skips and the
-/// baseline performs) subdivides segments, so near-flat regions may keep
-/// tolerance-equal but differently-anchored representations. The values
-/// agree to float noise (~1e-14 observed); [`COST_EPS`] is the assertion
-/// bound, consistent with the rest of the suite.
+/// both sides simplify with the ε-tolerant collinearity rule, and a merge
+/// one side decides without building keeps a representation the other
+/// re-simplifies, so near-flat regions may keep tolerance-equal but
+/// differently-anchored breakpoints. [`COST_EPS`] is the assertion bound,
+/// consistent with the rest of the suite.
 pub fn check_corridor_profiles(graph: &TdGraph, queries: &[(VertexId, VertexId, f64)]) {
     let fg = graph.freeze();
-    check_profiles_against_one_to_all(graph, &fg, queries, "targeted corridor", |s, d| {
+    check_profiles_against_one_to_all(graph, queries, "targeted corridor", |s, d| {
         td_dijkstra::profile_search_frozen_corridor_to(graph, &fg, s, d).0
     });
 }
 
 /// Step 10's contract for any `s → d` profile answer: `answer(s, d)` agrees
-/// in reachability with, and is value-identical to, the unbounded
+/// in reachability with, and is value-identical to, the reference
 /// one-to-all label at `d`.
 fn check_profiles_against_one_to_all(
     graph: &TdGraph,
-    fg: &FrozenGraph,
     queries: &[(VertexId, VertexId, f64)],
     name: &str,
     answer: impl Fn(VertexId, VertexId) -> Option<Plf>,
@@ -195,7 +195,7 @@ fn check_profiles_against_one_to_all(
     sources.sort_unstable();
     sources.dedup();
     for s in sources {
-        let want = td_dijkstra::profile_search_frozen(graph, fg, s);
+        let want = td_dijkstra::profile_search(graph, s);
         for &(_, d, _) in queries.iter().filter(|&&(qs, _, _)| qs == s) {
             let ctx = format!("{name} s={s} d={d}");
             match (&want.dist[d as usize], &answer(s, d)) {

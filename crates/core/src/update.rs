@@ -21,6 +21,13 @@
 //! decreases are exact (no stale-minimum problem), because values are
 //! recomputed from their full support lists rather than min-merged.
 //!
+//! The replay folds the base edge and the supports in the order the
+//! reduction met them, through the reduction's own kernel
+//! ([`td_plf::ops::min_compound_into`]), so a pair whose inputs kept their
+//! bits replays to the bits the build recorded. "Differs" is therefore
+//! plain `!=`: no tolerance hides drift, and an updated tree's `Ws`/`Wd`
+//! are a fresh build's on the updated graph, bit for bit.
+//!
 //! **Phase 2 — shortcut rebuild.** Every node whose `Ws`/`Wd` changed
 //! invalidates its own and its descendants' ancestor vectors, so the stored
 //! rows of those vertices are rebuilt: their ancestor keys are read off (the
@@ -42,6 +49,7 @@ use crate::shortcut::rebuild_subtrees;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use td_graph::VertexId;
+use td_plf::ops::min_compound_into;
 use td_plf::Plf;
 use td_treedec::fxhash::FxHashSet;
 
@@ -190,10 +198,10 @@ impl TdTreeIndex {
                 continue;
             };
             if let (Some(a), Some(b)) = (&node.wd[pe], &node.ws[po]) {
-                fold_as_reduction(&mut fwd, a.compound(b, m));
+                min_compound_into(&mut fwd, a, b, m);
             }
             if let (Some(a), Some(b)) = (&node.wd[po], &node.ws[pe]) {
-                fold_as_reduction(&mut bwd, a.compound(b, m));
+                min_compound_into(&mut bwd, a, b, m);
             }
         }
 
@@ -202,37 +210,13 @@ impl TdTreeIndex {
             .bag_position(earlier, other)
             .expect("pair is recorded at the earlier endpoint's node");
         let node = &mut self.td.nodes[earlier as usize];
-        let fwd_changed = !plf_opt_eq(&node.ws[pos], &fwd);
-        let bwd_changed = !plf_opt_eq(&node.wd[pos], &bwd);
-        if fwd_changed || bwd_changed {
+        if node.ws[pos] != fwd || node.wd[pos] != bwd {
             node.ws[pos] = fwd;
             node.wd[pos] = bwd;
             true
         } else {
             false
         }
-    }
-}
-
-/// `acc = min(acc, cand)` by the arithmetic of `td-treedec`'s reduction — a
-/// plain [`Plf::minimum`] per candidate. The change test below compares at
-/// 1e-9, so an untouched pair must replay to the function the build
-/// recorded. `min_into` / `min_compound_into` return an input as it stands
-/// whenever it wins everywhere — by the value bounds or by their pointwise
-/// walk — and that can differ from the re-simplified merge by up to
-/// `EPS_COST`.
-fn fold_as_reduction(acc: &mut Option<Plf>, cand: Plf) {
-    *acc = Some(match acc.take() {
-        Some(a) => a.minimum(&cand),
-        None => cand,
-    });
-}
-
-fn plf_opt_eq(a: &Option<Plf>, b: &Option<Plf>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => a.approx_eq(b, 1e-9),
-        (None, None) => true,
-        _ => false,
     }
 }
 
@@ -414,8 +398,7 @@ mod tests {
                 let got = index.shortcuts().get(v, a).unwrap();
                 let want = fresh.shortcuts().get(v, a).unwrap();
                 assert!(
-                    plf_opt_eq(&owned(got.0), &owned(want.0))
-                        && plf_opt_eq(&owned(got.1), &owned(want.1)),
+                    owned(got.0) == owned(want.0) && owned(got.1) == owned(want.1),
                     "{strategy:?}: pair ({v}, {a}) differs from the fresh label"
                 );
             }

@@ -10,8 +10,14 @@
 //!
 //! Terminates on FIFO graphs with strictly positive edge costs (every
 //! improvement lowers the function value somewhere by a bounded amount).
+//!
 //! [`profile_search`] on the `TdGraph` is the reference every index is tested
-//! against; the one frozen loop has two callers — one-to-all
+//! against. It builds every compound and merges it with a plain
+//! [`Plf::minimum`] on purpose: it shares no decision with the indexes it
+//! judges. The one frozen loop folds each relaxation through
+//! [`min_compound_into`], the kernel the TD-tree sweeps, the shortcut DFS,
+//! the reduction and the G-tree use, and requeues a vertex when the kernel
+//! reports that its label changed. It has two callers — one-to-all
 //! ([`profile_search_frozen`], TD-G-tree's matrix builder) and targeted
 //! `s → d` ([`profile_search_frozen_corridor_to`], what TD-Dijkstra and
 //! TD-A\*-CH answer profile queries with).
@@ -20,6 +26,7 @@ use crate::astar::Entry;
 use std::collections::{BinaryHeap, VecDeque};
 use td_graph::{FrozenGraph, Path, TdGraph, VertexId};
 use td_obs::SearchStats;
+use td_plf::ops::min_compound_into;
 use td_plf::{fle, Plf, EPS_COST};
 
 /// Result of a profile search from a source vertex.
@@ -64,10 +71,11 @@ impl ProfileResult {
 /// [`profile_search`] over the frozen CSR/arena layout.
 ///
 /// `fg` must be `g.freeze()` (same vertex/edge ids): adjacency walks and the
-/// per-edge `min_cost` bounds come from the frozen arrays, while the function
-/// algebra (compound/minimum) still runs on `g`'s owned [`Plf`]s. Tracks a
-/// lower bound on each label's minimum and an upper bound on its maximum so
-/// a relaxation is skipped — without touching any breakpoints — when
+/// per-edge `min_cost` bounds come from the frozen arrays, while each
+/// relaxation folds `Compound(dist[u], w_e)` into `dist[v]` through
+/// [`min_compound_into`] on `g`'s owned [`Plf`]s — a compound the label
+/// already lies at or below is never built. Keeps each label's value bounds
+/// so a relaxation is skipped — without touching any breakpoints — when
 /// `min(dist[u]) + min_cost(e) ≥ max(dist[v])`, i.e. when the candidate can
 /// never improve the existing label anywhere. On road networks this prunes
 /// most re-relaxations of already-tight labels, which is where the
@@ -155,8 +163,10 @@ fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, rail: Rail) -> Vec<f64>
 /// differently.
 ///
 /// Returns `None` iff `d` is unreachable from `s`, and the search's work in
-/// the workspace-wide [`SearchStats`] vocabulary: compounds performed are
-/// `relaxed`, compounds the corridor win test skipped are `corridor_kills`.
+/// the workspace-wide [`SearchStats`] vocabulary: queue pops are `settled`,
+/// relaxations that reach the kernel (built or decided unbuilt) are
+/// `relaxed`, and compounds the corridor win test skipped are
+/// `corridor_kills`.
 pub fn profile_search_frozen_corridor_to(
     g: &TdGraph,
     fg: &FrozenGraph,
@@ -200,11 +210,9 @@ fn profile_frozen_impl(
     debug_assert_eq!(g.num_edges(), fg.num_edges());
     let n = g.num_vertices();
     let mut dist: Vec<Option<Plf>> = vec![None; n];
-    // lab_min[v] ≤ min(dist[v]) and lab_max[v] ≥ max(dist[v]), maintained in
-    // O(1) per relaxation from the arena's per-edge bounds — never by
-    // scanning breakpoints: a compound's values lie within
-    // [min f + min g, max f + max g], and a pointwise minimum's within
-    // [min of mins, min of maxes].
+    // lab_min[v] / lab_max[v] are the value bounds of dist[v], taken by one
+    // scan of a label each time the kernel changes it, so the adjacency walk
+    // below prunes on plain floats without touching a breakpoint.
     let mut lab_min = vec![f64::INFINITY; n];
     let mut lab_max = vec![f64::INFINITY; n];
     let mut in_queue = vec![false; n];
@@ -224,6 +232,7 @@ fn profile_frozen_impl(
             "profile search failed to converge after {pops} relaxation rounds — \
              the graph likely contains a (near-)zero-cost cycle"
         );
+        stats.settle(1);
         in_queue[u as usize] = false;
         let du = dist[u as usize]
             .clone()
@@ -251,34 +260,10 @@ fn profile_frozen_impl(
                 }
             }
             stats.relax(1);
-            let cand = du.compound(g.weight(e), u);
-            // Exact bounds, one fused pass over the points the compound just
-            // wrote (still cache-hot). Exactness matters: the loose
-            // sum-of-maxes bound degrades multiplicatively along paths and
-            // stops the prune from ever firing on compound-heavy graphs.
-            let (cand_min, cand_max) = cand.value_bounds();
-            let improved = match &dist[v as usize] {
-                None => true,
-                Some(old) => {
-                    let merged = old.minimum(&cand);
-                    if merged.approx_eq(old, 1e-7) {
-                        false
-                    } else {
-                        dist[v as usize] = Some(merged);
-                        lab_min[v as usize] = lab_min[v as usize].min(cand_min);
-                        lab_max[v as usize] = lab_max[v as usize].min(cand_max);
-                        if !in_queue[v as usize] {
-                            in_queue[v as usize] = true;
-                            queue.push_back(v);
-                        }
-                        continue;
-                    }
-                }
-            };
-            if improved {
-                dist[v as usize] = Some(cand);
-                lab_min[v as usize] = cand_min;
-                lab_max[v as usize] = cand_max;
+            let label = &mut dist[v as usize];
+            if min_compound_into(label, &du, g.weight(e), u) {
+                let new = label.as_ref().expect("a changed label is set");
+                (lab_min[v as usize], lab_max[v as usize]) = new.value_bounds();
                 if !in_queue[v as usize] {
                     in_queue[v as usize] = true;
                     queue.push_back(v);
@@ -535,6 +520,33 @@ mod tests {
         );
         assert_eq!(want.dist[3].as_ref(), got.as_ref());
         assert_eq!(got.unwrap().eval_with_via(0.0).1, 2);
+    }
+
+    /// Queue pops of the frozen loop over 20 seeded corridor queries on
+    /// CAL-0.25, as counted when the loop still built every compound and
+    /// asked `old.minimum(&cand).approx_eq(old, 1e-7)` whether the label
+    /// changed. The kernel's own change report must not make the
+    /// label-correcting loop churn: a change that pops more fails here, far
+    /// below the 64·n² guard; one that pops fewer lowers the ceiling.
+    const CAL_CORRIDOR_POPS_CEILING: u64 = 12_412;
+
+    #[test]
+    fn the_profile_loop_pops_no_more_than_the_pinned_count() {
+        use rand::prelude::*;
+        let g = td_gen::Dataset::Cal.build(3, 0.25, 42);
+        let fg = g.freeze();
+        let n = g.num_vertices();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let pops: u64 = (0..20)
+            .map(|_| {
+                let (s, d) = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+                profile_search_frozen_corridor_to(&g, &fg, s, d).1.settled
+            })
+            .sum();
+        assert!(
+            pops <= CAL_CORRIDOR_POPS_CEILING,
+            "{pops} pops, ceiling {CAL_CORRIDOR_POPS_CEILING}"
+        );
     }
 
     #[test]

@@ -420,19 +420,10 @@ impl TdGtree {
         let path_s = self.pt.path_up(ls, lca);
         let path_d = self.pt.path_up(ld, lca);
 
-        let mut cost: HashMap<VertexId, Plf> = HashMap::new();
-        for &b in &self.pt.nodes[ls].borders {
-            if let Some(f) = self.mats[ls].entry(s, b) {
-                match cost.entry(b) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        *e.get_mut() = e.get().minimum(f);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(f.clone());
-                    }
-                }
-            }
-        }
+        // `borders` is sorted and deduplicated: one entry per border.
+        let mut cost: HashMap<VertexId, Plf> = (self.pt.nodes[ls].borders.iter())
+            .filter_map(|&b| Some((b, self.mats[ls].entry(s, b)?.clone())))
+            .collect();
         for &n in &path_s[1..path_s.len().saturating_sub(1)] {
             cost = relax_profile(&self.mats[n], &cost, &self.pt.nodes[n].borders);
         }

@@ -2,14 +2,21 @@
 //!
 //! [`EliminationGraph`] holds the evolving TFP-graph `G'` during Algo. 2:
 //! undirected adjacency sets (for min-degree bookkeeping) plus directed weight
-//! functions. Eliminating `v` connects every pair of its neighbours with the
-//! compound weight through `v` (or the minimum with an existing edge),
-//! exactly as Algo. 1 lines 2-8 prescribe, stamping `v` as the witness.
+//! functions. Eliminating `v` folds the compound weight through `v` into
+//! every ordered pair of its neighbours, `w'_{i,j} = min{w'_{i,j},
+//! Compound(w'_{i,v}, w'_{v,j})}` (Algo. 1 lines 2-8), stamping `v` as the
+//! witness. The fold is [`min_compound_into`], the kernel under every other
+//! `min{acc, Compound(…)}` in the workspace: it builds the compound only
+//! when the existing edge does not already lie at or below it, and keeps
+//! whichever input wins everywhere as it stands. `td-core`'s update replay
+//! folds the same supports through the same call, so it reproduces these
+//! bits exactly.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use td_graph::{TdGraph, VertexId};
+use td_plf::ops::min_compound_into;
 use td_plf::Plf;
 
 /// Counters describing one full elimination run.
@@ -17,7 +24,7 @@ use td_plf::Plf;
 pub struct ReductionStats {
     /// Fill-in edges inserted (new neighbour pairs).
     pub fill_edges: usize,
-    /// `Compound` invocations performed.
+    /// `Compound` candidates folded into `G'` (built or decided unbuilt).
     pub compounds: usize,
     /// Maximum bag size observed (= treewidth + 1 once finished).
     pub max_bag: usize,
@@ -162,17 +169,13 @@ impl EliminationGraph {
                 let Some(w_vj) = ws[jj].as_ref() else {
                     continue;
                 };
-                // Candidate i → j through v, witness v.
-                let cand = w_iv.compound(w_vj, v);
+                // w'_{i,j} = min{w'_{i,j}, Compound(w'_{i,v}, w'_{v,j})},
+                // witness v.
+                let slot = &mut self.out[i as usize];
+                let mut acc = slot.remove(&j);
+                min_compound_into(&mut acc, w_iv, w_vj, v);
                 self.stats.compounds += 1;
-                match self.out[i as usize].get_mut(&j) {
-                    Some(existing) => {
-                        *existing = existing.minimum(&cand);
-                    }
-                    None => {
-                        self.out[i as usize].insert(j, cand);
-                    }
-                }
+                slot.insert(j, acc.expect("a compound was folded in"));
             }
         }
 
@@ -237,8 +240,9 @@ mod tests {
         let mut eg = EliminationGraph::new(&g);
         eg.eliminate(1);
         assert_eq!(eg.weight(0, 2).unwrap().eval(0.0), 7.0);
-        assert_eq!(eg.weight(2, 0).unwrap().eval(0.0), 2.0);
-        // The direction where the direct edge wins keeps NO_VIA.
+        // The direction where the direct edge wins keeps it as it stands:
+        // the same points, bit for bit, and its NO_VIA witness.
+        assert_eq!(eg.weight(2, 0), Some(&Plf::constant(2.0)));
         assert_eq!(eg.weight(2, 0).unwrap().eval_with_via(0.0).1, NO_VIA);
         assert_eq!(eg.weight(0, 2).unwrap().eval_with_via(0.0).1, 1);
         assert_eq!(eg.stats.fill_edges, 0);

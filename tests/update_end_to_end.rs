@@ -82,6 +82,14 @@ fn updated_index_matches_fresh_rebuild_on_profiles() {
         .collect();
     index.update_edges(&changes);
     let fresh = TdTreeIndex::build(index.graph().clone(), opts);
+    // The replay folds through the reduction's own kernel, so every
+    // weight list is the fresh build's to the bit.
+    let (updated, rebuilt) = (&index.tree().nodes, &fresh.tree().nodes);
+    assert_eq!(updated.len(), rebuilt.len());
+    for (v, (a, b)) in updated.iter().zip(rebuilt).enumerate() {
+        assert_eq!(a.bag, b.bag, "node {v}: bag");
+        assert!(a.ws == b.ws && a.wd == b.wd, "node {v}: Ws/Wd differ");
+    }
     for _ in 0..30 {
         let s = rng.gen_range(0..n) as u32;
         let d = rng.gen_range(0..n) as u32;
