@@ -19,15 +19,16 @@ use td_gen::{Dataset, Workload, WorkloadConfig};
 
 /// Allocations of one pass over the mix's 40 pairs through
 /// `query_profile_in` on a twice-warmed scratch, as counted with the
-/// corridor-first profile query (a seed copy, a first-hop label copy, the
-/// candidate times of a walked relaxation and the points of a built
-/// compound each allocate). A change that re-grows any of them fails here;
-/// one that shrinks them lowers the ceiling.
+/// corridor-first profile query and the one-pass compound (a seed copy, a
+/// first-hop label copy, the breakpoint list of a walked relaxation and the
+/// simplified points of a compound built from it each allocate). A change
+/// that re-grows any of them fails here; one that shrinks them lowers the
+/// ceiling.
 const PROFILE_ALLOCS_CEILING: [(Backend, u64); 4] = [
-    (Backend::TdBasic, 5056),
-    (Backend::TdAppro, 4112),
-    (Backend::TdDp, 4146),
-    (Backend::TdH2h, 515),
+    (Backend::TdBasic, 1825),
+    (Backend::TdAppro, 1598),
+    (Backend::TdDp, 1605),
+    (Backend::TdH2h, 172),
 ];
 
 #[test]

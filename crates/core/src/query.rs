@@ -66,12 +66,13 @@
 //! `QuerySession` holds one per thread: after the first few queries warm the
 //! buffers up to the tree's depth, a scalar query performs **no heap
 //! allocation at all**. A profile query still allocates: one copy per
-//! shortcut seed inside the corridor and per first-hop label, the candidate
-//! times of every relaxation it walks, and the point lists of each compound
-//! it builds and of each `minimum` that neither the bounds nor the walk
-//! decided. The cut scan's through-`w` totals compound two stored legs;
-//! those are copied into two functions the scratch owns and refills, so
-//! they allocate only while they grow.
+//! shortcut seed inside the corridor and per first-hop label, the
+//! breakpoint list (times with their values, made in one pass) of every
+//! relaxation it walks, the simplified points of each compound it builds
+//! from such a list, and the point lists of each `minimum` that neither the
+//! bounds nor the walk decided. The cut scan's through-`w` totals compound
+//! two stored legs; those are copied into two functions the scratch owns
+//! and refills, so they allocate only while they grow.
 
 use crate::frozen::FrozenTd;
 use crate::shortcut::{ShortcutStore, DOWN, UP};

@@ -549,6 +549,31 @@ mod tests {
         );
     }
 
+    /// The frozen loop settles from every source of 600 random graphs (200
+    /// in three shapes; a few in debug builds, always with seeds 117 and
+    /// 122). It requeues a vertex whenever the kernel reports a change, so
+    /// a kernel that reported a last-ulp difference as one would churn
+    /// until the 64·n² guard panics: with an exact keep rule in
+    /// `min_compound_into`'s walk, seed 117 (n = 50, s = 43) and seed 122
+    /// (n = 60, s = 37) never settle.
+    #[test]
+    fn the_frozen_profile_loop_settles_on_random_graphs() {
+        let seeds: Vec<u64> = if cfg!(debug_assertions) {
+            (0..6).chain([117, 122]).collect()
+        } else {
+            (0..200).collect()
+        };
+        for (n, extra, points) in [(50, 35, 4), (40, 25, 3), (60, 40, 3)] {
+            for &seed in &seeds {
+                let g = td_gen::random_graph::seeded_graph(seed, n, extra, points);
+                let fg = g.freeze();
+                for s in 0..n as u32 {
+                    profile_search_frozen(&g, &fg, s);
+                }
+            }
+        }
+    }
+
     #[test]
     fn targeted_corridor_handles_unreachable_and_self() {
         let mut g = TdGraph::with_vertices(3);

@@ -16,17 +16,19 @@
 //! `|f| + |g|` points before simplification; non-FIFO inputs are still handled
 //! exactly (segments with decreasing `A` are scanned in reverse).
 //!
-//! Under FIFO every scan ascends — the candidate times, the arrival times
+//! Under FIFO every scan ascends — the breakpoint times, the arrival times
 //! `A(t)` at which `g` is probed, and the windows of `g`'s breakpoints that
 //! each segment of `f` pre-images — so the operator walks `f` and `g` once
 //! through forward cursors: O(|f| + |g|). Only a non-FIFO `f` sends a
 //! cursor backwards (it then re-seeks by binary search); the result is the
 //! same either way.
 //!
-//! The operator is two steps — the candidate times, then one value per time
-//! — and [`crate::ops::min_compound_into`] runs them apart: it walks the
-//! values against an accumulator first and builds the function only when
-//! the accumulator does not already lie at or below it everywhere.
+//! Most breakpoints need no evaluation at all. At a pre-image `t` of `g`'s
+//! breakpoint `(s, g_s)` the arrival is `s` by construction, so the value is
+//! `(s − t) + g_s`; at one of `f`'s breakpoints `f(t)` is the point's own
+//! value and only `g` is probed. `breakpoints` emits every `(t, value)` in
+//! that one walk, and [`crate::ops::min_compound_into`] walks the list
+//! against an accumulator before it builds the function from it.
 
 use crate::approx::EPS_TIME;
 use crate::plf::{Cursor, Plf, Pt, Via};
@@ -39,97 +41,102 @@ impl Plf {
     /// `result.eval(t) == self.eval(t) + g.eval(t + self.eval(t))`
     /// up to floating-point rounding.
     pub fn compound(&self, g: &Plf, via: Via) -> Plf {
-        build(self, g, &candidate_times(self, g), via)
+        from_breakpoints(breakpoints(self, g, via))
     }
 }
 
-/// `Compound(f, g)` at the candidate `times` of [`candidate_times`]: one
-/// point per raw value, then simplified.
-pub(crate) fn build(f: &Plf, g: &Plf, times: &[f64], via: Via) -> Plf {
-    let pts = raw_values(f, g, times).map(|(t, v)| Pt::with_via(t, v, via));
-    let mut out = Plf::from_raw(pts.collect());
+/// `Compound(f, g)` from its [`breakpoints`]: the points, simplified.
+pub(crate) fn from_breakpoints(pts: Vec<Pt>) -> Plf {
+    let mut out = Plf::from_raw(pts);
     out.simplify();
     out
 }
 
-/// The unsimplified breakpoints `(t, f(t) + g(t + f(t)))` of `Compound(f,
-/// g)`, one per candidate time; a time within [`EPS_TIME`] after the last one
-/// kept is the same instant.
-pub(crate) fn raw_values<'a>(
-    f: &'a Plf,
-    g: &'a Plf,
-    times: &'a [f64],
-) -> impl Iterator<Item = (f64, f64)> + 'a {
-    let (mut fc, mut gc) = (Cursor::new(f), Cursor::new(g));
-    let mut last = f64::NEG_INFINITY;
-    times.iter().filter_map(move |&t| {
-        if t - last <= EPS_TIME {
-            return None;
-        }
-        last = t;
-        let fv = fc.at(t).0;
-        Some((t, fv + gc.at(t + fv).0))
-    })
-}
-
-/// Candidate breakpoint times of `Compound(f, g)`, ascending: `f`'s
-/// breakpoints merged with pre-images of `g`'s breakpoints under
-/// `A(t) = t + f(t)`.
-pub(crate) fn candidate_times(f: &Plf, g: &Plf) -> Vec<f64> {
+/// The unsimplified breakpoints of `Compound(f, g)`, ascending, each with
+/// the witness `via`: `f`'s breakpoints merged with the pre-images of `g`'s
+/// breakpoints under `A(t) = t + f(t)`. A time within [`EPS_TIME`] after the
+/// last one kept is the same instant.
+///
+/// One walk emits each time with its value. A pre-image strictly inside a
+/// segment where `A` increases, or on one of `f`'s rays, takes its value
+/// from `g`'s breakpoint `(s, g_s)`: `f(t) = s − t` there, and `g(A(t)) =
+/// g_s`. A breakpoint `p` of `f` is worth `p.v + g(p.t + p.v)`. Only a
+/// pre-image rounded onto a segment end and every pre-image on a non-FIFO
+/// segment evaluate `f` and `g` at their time.
+///
+/// The walk emits its times in ascending order, non-FIFO inputs included,
+/// so the same-instant test runs as each point is emitted. The left ray's
+/// pre-images fall before `f`'s first breakpoint and the right ray's after
+/// its last. Each segment's pre-images are clamped into it, and they ascend
+/// within it: the pre-image is monotone in `s`, its rounding is too, and a
+/// segment where `A` decreases is enumerated in reverse.
+pub(crate) fn breakpoints(f: &Plf, g: &Plf, via: Via) -> Vec<Pt> {
     let fp = f.points();
     let gp = g.points();
-    let mut times = Vec::with_capacity(fp.len() + gp.len());
+    let mut out: Vec<Pt> = Vec::with_capacity(fp.len() + gp.len());
+    let mut emit = |t: f64, v: f64| match out.last() {
+        Some(p) if t - p.t <= EPS_TIME => debug_assert!(t >= p.t, "time {t} emitted after {}", p.t),
+        _ => out.push(Pt::with_via(t, v, via)),
+    };
 
     // Left ray of f: A(t) = t + v_first, slope 1, covering (-∞, A(t_first)).
-    let a_first = fp[0].t + fp[0].v;
-    for s in gp.iter().map(|p| p.t).take_while(|&s| s < a_first) {
-        times.push(s - fp[0].v);
+    let first = fp[0];
+    let a_first = first.t + first.v;
+    for q in gp.iter().take_while(|q| q.t < a_first) {
+        emit(q.t - first.v, first.v + q.v);
     }
 
-    // Interior segments of f. `gc` stands at the start of each segment's
-    // window of g breakpoints; consecutive FIFO windows ascend.
-    let mut gc = Cursor::new(g);
+    // Interior segments of f. `window` stands at the start of each segment's
+    // window of g breakpoints; consecutive FIFO windows ascend, and so do
+    // the arrival times `arrival` probes g at.
+    let (mut window, mut arrival) = (Cursor::new(g), Cursor::new(g));
+    let mut fc = Cursor::new(f);
+    let eval = |fc: &mut Cursor, arrival: &mut Cursor, t: f64| {
+        let fv = fc.at(t).0;
+        fv + arrival.at(t + fv).0
+    };
     for w in fp.windows(2) {
         let (p0, p1) = (w[0], w[1]);
-        times.push(p0.t);
+        emit(p0.t, p0.v + arrival.at(p0.t + p0.v).0);
         let a0 = p0.t + p0.v;
         let a1 = p1.t + p1.v;
+        let pre_image = |s: f64| p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
         if a1 > a0 + EPS_TIME {
             // A strictly increasing on this segment: pre-image of each g
             // breakpoint strictly inside (a0, a1).
-            let lo = gc.seek(a0 + EPS_TIME);
-            let window = gp[lo..].iter().map(|p| p.t);
-            for s in window.take_while(|&s| s < a1 - EPS_TIME) {
-                let t = p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
-                times.push(t.clamp(p0.t, p1.t));
+            let lo = window.seek(a0 + EPS_TIME);
+            for q in gp[lo..].iter().take_while(|q| q.t < a1 - EPS_TIME) {
+                let t = pre_image(q.t);
+                if p0.t < t && t < p1.t {
+                    // `s − t` is f(t), which rounding must not take below 0.
+                    emit(t, (q.t - t).max(0.0) + q.v);
+                } else {
+                    let t = t.clamp(p0.t, p1.t);
+                    emit(t, eval(&mut fc, &mut arrival, t));
+                }
             }
         } else if a1 < a0 - EPS_TIME {
             // Non-FIFO segment: A decreasing; enumerate in reverse so emitted
             // times still ascend within the segment.
             let lo = gp.partition_point(|p| p.t <= a1 + EPS_TIME);
             let hi = gp.partition_point(|p| p.t < a0 - EPS_TIME);
-            for s in gp[lo..hi].iter().rev().map(|p| p.t) {
-                let t = p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
-                times.push(t.clamp(p0.t, p1.t));
+            for q in gp[lo..hi].iter().rev() {
+                let t = pre_image(q.t).clamp(p0.t, p1.t);
+                emit(t, eval(&mut fc, &mut arrival, t));
             }
         }
         // Flat arrival (a0 ≈ a1): g∘A constant on the segment, no crossings.
     }
     let last = fp[fp.len() - 1];
-    times.push(last.t);
+    let a_last = last.t + last.v;
+    emit(last.t, last.v + arrival.at(a_last).0);
 
     // Right ray of f: A(t) = t + v_last, slope 1, covering (A(t_last), ∞).
-    let a_last = last.t + last.v;
-    let lo = gc.seek(a_last + EPS_TIME);
-    for s in gp[lo..].iter().map(|p| p.t) {
-        times.push(s - last.v);
+    let lo = window.seek(a_last + EPS_TIME);
+    for q in &gp[lo..] {
+        emit(q.t - last.v, last.v + q.v);
     }
-    // Non-FIFO inputs can emit out-of-order candidates; sort defensively
-    // only when needed (the FIFO fast path is already sorted).
-    if !times.windows(2).all(|w| w[0] <= w[1]) {
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    }
-    times
+    out
 }
 
 #[cfg(test)]

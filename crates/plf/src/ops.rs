@@ -8,9 +8,18 @@
 //! Between consecutive breakpoints both are linear, so a side that wins at
 //! every breakpoint wins everywhere, and [`Plf::minimum`] would return that
 //! side's values and witnesses: only a mixed pair is merged.
+//!
+//! [`min_compound_into`] walks the compound's breakpoint list, made in one
+//! pass by the compound operator, and builds the compound from that same
+//! list only when it must. Its walk keeps the accumulator unless the
+//! compound gets below it by more than [`EPS_COST`] somewhere: the
+//! tolerance of [`min_into`]'s take rule and of `minimum`'s witness rule.
+//! Without it, a last-ulp difference between two ways of computing one
+//! value would count as a change, and a label-correcting loop that requeues
+//! on changes would not settle.
 
 use crate::approx::{lerp, EPS_COST};
-use crate::compound::{build, candidate_times, raw_values};
+use crate::compound::{breakpoints, from_breakpoints};
 use crate::plf::{Cursor, Plf, Pt, Via};
 
 /// Minimum of an optional accumulator and a new function — the
@@ -49,23 +58,23 @@ pub fn min_into(acc: &mut Option<Plf>, f: Plf) -> bool {
 
 /// `acc = min{acc, Compound(f, g, via)}` — [`min_into`] of
 /// [`Plf::compound`], without building a compound the accumulator already
-/// lies at or below. Returns whether the accumulator changed.
+/// lies at or below within [`EPS_COST`]. Returns whether the accumulator
+/// changed.
 ///
-/// The compound's candidate times are computed once. Its values at those
-/// times are walked against `acc` through forward cursors, the compound
-/// interpolated between them exactly as its unsimplified point list would
-/// be; the walk stops at the first time the candidate gets below `acc`, and
-/// only then is the compound built — from the same times — and folded in by
-/// [`min_into`].
+/// The compound's unsimplified breakpoints are made once, with their
+/// values, and walked against `acc` through a forward cursor, the compound
+/// interpolated between them as its point list would be. The accumulator
+/// stays, unchanged and reported so, unless the compound gets below it by
+/// more than [`EPS_COST`] at some breakpoint of either; it may therefore
+/// stay up to [`EPS_COST`] above the compound in places. Otherwise the walk
+/// stops at that breakpoint, and the compound is built from the same list
+/// and folded in by [`min_into`].
 pub fn min_compound_into(acc: &mut Option<Plf>, f: &Plf, g: &Plf, via: Via) -> bool {
-    let times = candidate_times(f, g);
-    if acc
-        .as_ref()
-        .is_some_and(|a| at_or_below(a, raw_values(f, g, &times)))
-    {
+    let pts = breakpoints(f, g, via);
+    if acc.as_ref().is_some_and(|a| never_below(a, &pts)) {
         return false;
     }
-    min_into(acc, build(f, g, &times, via))
+    min_into(acc, from_breakpoints(pts))
 }
 
 /// The input [`Plf::minimum`] returns as it stands.
@@ -93,31 +102,31 @@ fn pointwise_winner(acc: &Plf, f: &Plf) -> Option<Side> {
     Some(if keep { Side::Acc } else { Side::Candidate })
 }
 
-/// True iff `acc(t) ≤ c(t)` at every breakpoint of either function, where
-/// `c` is the function through the ascending points `raw` with `Plf`'s
-/// clamped rays — hence everywhere.
-fn at_or_below(acc: &Plf, raw: impl Iterator<Item = (f64, f64)>) -> bool {
+/// True iff `acc(t) ≤ c(t) + EPS_COST` at every breakpoint of either
+/// function, where `c` is the function through the ascending points `cp`
+/// with `Plf`'s clamped rays — hence everywhere.
+fn never_below(acc: &Plf, cp: &[Pt]) -> bool {
     let ap = acc.points();
     let mut ac = Cursor::new(acc);
     let mut i = 0; // acc's breakpoints before here are checked
-    let mut prev: Option<(f64, f64)> = None;
-    for (t, c) in raw {
-        // acc's breakpoints before `t` meet `c` on its segment ending at
-        // `(t, c)`, or on its left ray.
-        while let Some(p) = ap.get(i).filter(|p| p.t < t) {
-            let cv = prev.map_or(c, |(t0, c0)| lerp(t0, c0, t, c, p.t));
-            if p.v > cv {
+    let mut prev: Option<&Pt> = None;
+    for q in cp {
+        // acc's breakpoints before `q` meet `c` on its segment ending at
+        // `q`, or on its left ray.
+        while let Some(p) = ap.get(i).filter(|p| p.t < q.t) {
+            let cv = prev.map_or(q.v, |o| lerp(o.t, o.v, q.t, q.v, p.t));
+            if p.v > cv + EPS_COST {
                 return false;
             }
             i += 1;
         }
-        if ac.at(t).0 > c {
+        if ac.at(q.t).0 > q.v + EPS_COST {
             return false;
         }
-        prev = Some((t, c));
+        prev = Some(q);
     }
     // The rest meet `c`'s right ray.
-    prev.is_some_and(|(_, c)| ap[i..].iter().all(|p| p.v <= c))
+    prev.is_some_and(|q| ap[i..].iter().all(|p| p.v <= q.v + EPS_COST))
 }
 
 #[cfg(test)]
@@ -170,5 +179,26 @@ mod tests {
         let mut acc = None;
         assert!(min_compound_into(&mut acc, &f, &g, NO_VIA));
         assert_eq!(acc, Some(f.compound(&g, NO_VIA)));
+    }
+
+    #[test]
+    fn the_walk_keeps_an_accumulator_up_to_eps_above_the_compound() {
+        let f = plf(&[(0.0, 5.0), (100.0, 8.0)]);
+        let g = plf(&[(0.0, 7.0), (60.0, 9.0), (130.0, 4.0)]);
+        let h = f.compound(&g, 3);
+        let above = |delta: f64| {
+            let pts = h.points().iter().map(|p| Pt::with_via(p.t, p.v + delta, 9));
+            Plf::new(pts.collect()).unwrap()
+        };
+        // Above the compound by less than EPS_COST everywhere: no change,
+        // and the accumulator keeps its own bits and witness.
+        let kept = above(0.9 * EPS_COST);
+        let mut acc = Some(kept.clone());
+        assert!(!min_compound_into(&mut acc, &f, &g, 3));
+        assert_eq!(acc, Some(kept));
+        // By more than EPS_COST everywhere: `min_into` takes the compound.
+        let mut acc = Some(above(1.1 * EPS_COST));
+        assert!(min_compound_into(&mut acc, &f, &g, 3));
+        assert_eq!(acc, Some(h));
     }
 }

@@ -9,11 +9,11 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use td_road::api::{build_index, Backend, IndexConfig, QuerySession};
-use td_road::dijkstra::shortest_path_cost;
-use td_road::gen::random_graph::seeded_graph;
+use td_road::dijkstra::{profile_search, shortest_path_cost};
+use td_road::gen::random_graph::{random_profile, seeded_graph};
 use td_road::gen::Dataset;
-use td_road::graph::TdGraph;
-use td_road::plf::DAY;
+use td_road::graph::{GraphBuilder, TdGraph};
+use td_road::plf::{Plf, DAY, EPS_COST};
 
 fn check_all_backends(g: &TdGraph, budget: u64, seed: u64, queries: usize) {
     let n = g.num_vertices();
@@ -103,6 +103,77 @@ fn agreement_on_profiles_across_backends() {
                     (None, None) => {}
                     _ => panic!("s={s} d={d}: reachability disagreement {vals:?}"),
                 }
+            }
+        }
+    }
+}
+
+/// A seeded ladder of `rungs` rungs: two directed chains `a_i → a_{i+1}` and
+/// `b_i → b_{i+1}` (vertices `2i` and `2i + 1`) joined by two-way rungs,
+/// every edge a random FIFO profile. Every vertex past the first rung is
+/// reached two ways, so each label on the way down is a minimum of
+/// compounds of the labels before it.
+fn seeded_ladder(seed: u64, rungs: usize, max_points: usize) -> TdGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new(2 * rungs);
+    for i in 0..rungs as u32 {
+        let (a, c) = (2 * i, 2 * i + 1);
+        let w = random_profile(&mut rng, max_points, 5.0, 500.0);
+        b.bidirectional(a, c, w).expect("valid rung");
+        if i + 1 < rungs as u32 {
+            for (u, v) in [(a, a + 2), (c, c + 2)] {
+                let w = random_profile(&mut rng, max_points, 5.0, 500.0);
+                b.edge(u, v, w).expect("valid chain edge");
+            }
+        }
+    }
+    b.build()
+}
+
+/// Largest `|f − g|` on the union of the two functions' breakpoints — the
+/// largest difference anywhere, both being linear in between.
+fn max_difference(f: &Plf, g: &Plf) -> f64 {
+    let grid = f.points().iter().chain(g.points());
+    let diffs = grid.map(|p| (f.eval(p.t) - g.eval(p.t)).abs());
+    diffs.fold(0.0, f64::max)
+}
+
+/// Every fold may leave a label up to `EPS_COST` above the exact minimum
+/// (`min_compound_into`'s keep rule, and `simplify`), and the error of one
+/// level passes into the compounds of the next. Down a 60-rung ladder of
+/// random profiles the answers of every backend stay within
+/// `EPS_COST / 100` of the reference `profile_search` at every breakpoint
+/// of either (measured: ≤ 1e-10), so there an answer compared at
+/// `EPS_COST` has spent almost none of that budget on the index. A 1e-9
+/// bias on every compound breakpoint fails it. Random profiles make no
+/// near-ties; a chain of routes within `EPS_COST` of each other at every
+/// step can drift by up to `EPS_COST` per step, and this test builds none.
+#[test]
+fn profiles_stay_well_inside_eps_cost_down_a_deep_chain() {
+    let cfg = IndexConfig {
+        budget: 4_000,
+        max_leaf: 12,
+        ..Default::default()
+    };
+    let seeds = if cfg!(debug_assertions) {
+        0..1
+    } else {
+        0..3u64
+    };
+    for seed in seeds {
+        let g = seeded_ladder(seed, 60, 4);
+        let want = profile_search(&g, 0);
+        for backend in Backend::ALL {
+            let ix = build_index(g.clone(), backend, &cfg);
+            let mut sess = QuerySession::new(ix.as_ref());
+            for d in 0..g.num_vertices() as u32 {
+                let got = sess.query_profile(0, d).expect("the ladder is connected");
+                let want = want.dist[d as usize].as_ref().expect("reachable");
+                let diff = max_difference(&got, want);
+                assert!(
+                    diff <= EPS_COST / 100.0,
+                    "{backend:?} seed={seed} d={d}: {diff:e} from the reference"
+                );
             }
         }
     }
