@@ -183,7 +183,9 @@ impl Histogram {
 }
 
 /// A merged, read-only view of a [`Histogram`]: plain `u64` buckets that
-/// merge by addition, plus exact sum and max.
+/// merge by addition, plus exact sum and max. A snapshot is cumulative —
+/// everything observed since the histogram was created. Scrapes and
+/// reports read it; no control decision does.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     pub buckets: [u64; BUCKETS],
@@ -214,23 +216,6 @@ impl HistSnapshot {
         }
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
-    }
-
-    /// The observations recorded since `earlier` was taken from the same
-    /// histogram (bucket-wise saturating subtraction). Windowed quantiles —
-    /// e.g. an overload controller's "recent p99" — come from diffing two
-    /// scrapes of a monotonically growing histogram. The `max` of a window
-    /// cannot be recovered from cumulative state, so the diff keeps the
-    /// cumulative max (quantiles stay clamped correctly, just less tightly).
-    #[must_use]
-    pub fn diff(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        let mut out = HistSnapshot::default();
-        for (k, (a, b)) in self.buckets.iter().zip(earlier.buckets.iter()).enumerate() {
-            out.buckets[k] = a.saturating_sub(*b);
-        }
-        out.sum = self.sum.wrapping_sub(earlier.sum);
-        out.max = self.max;
-        out
     }
 
     /// Estimated `q`-quantile (`0.0 ..= 1.0`) in raw ticks: the upper bound
@@ -313,26 +298,6 @@ mod tests {
         // p99 rank 5 -> value 1000, bucket [1024)?? 1000 is in [512, 1024)
         // -> bound 1023, clamped by max -> 1000.
         assert_eq!(s.quantile(0.99), 1000);
-    }
-
-    #[test]
-    fn diff_isolates_the_window() {
-        let h = Histogram::new();
-        for v in [10u64, 20, 30] {
-            h.observe(v);
-        }
-        let earlier = h.snapshot();
-        for v in [1000u64, 2000] {
-            h.observe(v);
-        }
-        let window = h.snapshot().diff(&earlier);
-        assert_eq!(window.count(), 2);
-        assert_eq!(window.sum, 3000);
-        // Window quantiles see only the new observations.
-        assert!(window.quantile(0.5) >= 1000);
-        // Diffing identical snapshots yields the empty window.
-        let snap = h.snapshot();
-        assert_eq!(snap.diff(&snap).count(), 0);
     }
 
     #[test]

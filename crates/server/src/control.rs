@@ -5,10 +5,10 @@
 //! The overload control plane, as data-in/data-out functions.
 //!
 //! Admission decisions and overload-state transitions are pure: they read a
-//! few integers (queue depth, window p99) and return a verdict. All the
-//! policy — watermarks, hysteresis, the p99 multiple — lives here where it
-//! is unit-testable without threads, while the mechanics (locks, metrics,
-//! the actual shedding) stay in the server.
+//! few integers (queue depth and capacity, the current mode) and return a
+//! verdict. All the policy — watermarks and hysteresis — lives here where
+//! it is unit-testable without threads, while the mechanics (the atomic
+//! mode, metrics, the actual shedding) stay in the server.
 //!
 //! The state machine has three rungs, degrading in the same spirit as the
 //! query ladder (exact → approximate → typed refusal):
@@ -16,14 +16,15 @@
 //! * **Normal** — full settle budgets, everything admitted.
 //! * **Degraded** — approximate-first: dispatched queries get a tight
 //!   settle cap, trading exactness for bounded latency while the backlog
-//!   drains. Entered on the degrade watermark or a p99 blow-up.
+//!   drains. Entered on the degrade watermark.
 //! * **Shedding** — new work is refused with [`Rejected::Overloaded`] so
 //!   already-admitted requests keep their latency. Entered on the shed
 //!   watermark; left through Degraded, never straight to Normal.
 //!
-//! Watermarks use hysteresis (`RECOVER_BELOW` sits well under
-//! `DEGRADE_ABOVE`) so the controller cannot flap on a queue hovering at
-//! one boundary. Each is a constant beside the function that reads it.
+//! Queue fill is the one signal: watermarks use hysteresis (`RECOVER_BELOW`
+//! sits well under `DEGRADE_ABOVE`) so the controller cannot flap on a
+//! queue hovering at one boundary. Each is a constant beside the function
+//! that reads it.
 
 use std::time::Instant;
 
@@ -70,17 +71,6 @@ impl OverloadMode {
     }
 }
 
-/// One controller observation window: recent accepted-request p99 (0 until
-/// a full window of replies has been seen) and the calibrated fault-free
-/// baseline (0 until calibrated).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Window {
-    /// Recent p99, nanoseconds; 0 = not enough samples this window.
-    pub p99_nanos: u64,
-    /// Baseline p99, nanoseconds; 0 = not yet calibrated.
-    pub baseline_nanos: u64,
-}
-
 /// The admission verdict, decided in O(µs) before the request touches the
 /// queue: shutdown and expired deadlines are always typed refusals;
 /// shedding mode refuses everything else. Queue capacity is enforced by the
@@ -121,8 +111,6 @@ const SHED_ABOVE: f64 = 0.85;
 /// Fill fraction the queue must fall to before stepping one rung back
 /// toward Normal — the hysteresis band.
 const RECOVER_BELOW: f64 = 0.25;
-/// A recent-window p99 above the baseline times this also degrades.
-const P99_MULTIPLE: f64 = 8.0;
 
 /// One transition of the overload state machine, evaluated by a serving
 /// worker after every batch.
@@ -134,37 +122,28 @@ const P99_MULTIPLE: f64 = 8.0;
     clippy::todo,
     clippy::unimplemented
 )]
-pub fn next_mode(
-    mode: OverloadMode,
-    depth: usize,
-    capacity: usize,
-    window: Window,
-) -> OverloadMode {
-    let cap = capacity.max(1) as f64;
-    let fill = depth as f64 / cap;
-    let p99_hot = window.baseline_nanos > 0
-        && window.p99_nanos > 0
-        && (window.p99_nanos as f64) > (window.baseline_nanos.max(1) as f64) * P99_MULTIPLE;
+pub fn next_mode(mode: OverloadMode, depth: usize, capacity: usize) -> OverloadMode {
+    let fill = depth as f64 / capacity.max(1) as f64;
     if fill >= SHED_ABOVE {
         return OverloadMode::Shedding;
     }
     match mode {
         OverloadMode::Normal => {
-            if fill >= DEGRADE_ABOVE || p99_hot {
+            if fill >= DEGRADE_ABOVE {
                 OverloadMode::Degraded
             } else {
                 OverloadMode::Normal
             }
         }
         OverloadMode::Degraded => {
-            if fill <= RECOVER_BELOW && !p99_hot {
+            if fill <= RECOVER_BELOW {
                 OverloadMode::Normal
             } else {
                 OverloadMode::Degraded
             }
         }
         // Shedding steps back through Degraded once the backlog drains,
-        // never straight to Normal: the rung below re-examines the window
+        // never straight to Normal: the rung below re-examines the queue
         // before full budgets return.
         OverloadMode::Shedding => {
             if fill <= RECOVER_BELOW {
@@ -241,13 +220,6 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn quiet() -> Window {
-        Window {
-            p99_nanos: 1_000_000,
-            baseline_nanos: 1_000_000,
-        }
-    }
-
     #[test]
     fn admission_orders_its_refusals() {
         let now = Instant::now();
@@ -281,52 +253,22 @@ mod tests {
     fn watermarks_walk_the_state_machine_with_hysteresis() {
         let m = OverloadMode::Normal;
         // Below the degrade watermark nothing happens.
-        assert_eq!(next_mode(m, 49, 100, quiet()), OverloadMode::Normal);
-        let m = next_mode(m, 50, 100, quiet());
+        assert_eq!(next_mode(m, 49, 100), OverloadMode::Normal);
+        let m = next_mode(m, 50, 100);
         assert_eq!(m, OverloadMode::Degraded);
         // Inside the hysteresis band the rung holds.
-        assert_eq!(next_mode(m, 40, 100, quiet()), OverloadMode::Degraded);
-        assert_eq!(next_mode(m, 26, 100, quiet()), OverloadMode::Degraded);
+        assert_eq!(next_mode(m, 40, 100), OverloadMode::Degraded);
+        assert_eq!(next_mode(m, 26, 100), OverloadMode::Degraded);
         // Draining below recover_below steps back to Normal.
-        assert_eq!(next_mode(m, 25, 100, quiet()), OverloadMode::Normal);
+        assert_eq!(next_mode(m, 25, 100), OverloadMode::Normal);
         // The shed watermark fires from any rung.
-        let m = next_mode(OverloadMode::Normal, 85, 100, quiet());
+        let m = next_mode(OverloadMode::Normal, 85, 100);
         assert_eq!(m, OverloadMode::Shedding);
-        assert_eq!(next_mode(m, 84, 100, quiet()), OverloadMode::Shedding);
+        assert_eq!(next_mode(m, 84, 100), OverloadMode::Shedding);
         // Shedding exits through Degraded, never straight to Normal.
-        let m = next_mode(m, 10, 100, quiet());
+        let m = next_mode(m, 10, 100);
         assert_eq!(m, OverloadMode::Degraded);
-        assert_eq!(next_mode(m, 10, 100, quiet()), OverloadMode::Normal);
-    }
-
-    #[test]
-    fn p99_blowup_degrades_without_queue_pressure() {
-        let hot = Window {
-            p99_nanos: 9_000_000,
-            baseline_nanos: 1_000_000,
-        };
-        assert_eq!(
-            next_mode(OverloadMode::Normal, 1, 100, hot),
-            OverloadMode::Degraded
-        );
-        // And holds Degraded until the window cools.
-        assert_eq!(
-            next_mode(OverloadMode::Degraded, 1, 100, hot),
-            OverloadMode::Degraded
-        );
-        assert_eq!(
-            next_mode(OverloadMode::Degraded, 1, 100, quiet()),
-            OverloadMode::Normal
-        );
-        // An uncalibrated baseline (0) never trips the rule.
-        let uncal = Window {
-            p99_nanos: 9_000_000,
-            baseline_nanos: 0,
-        };
-        assert_eq!(
-            next_mode(OverloadMode::Normal, 1, 100, uncal),
-            OverloadMode::Normal
-        );
+        assert_eq!(next_mode(m, 10, 100), OverloadMode::Normal);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   the server decides by is a constant beside the one function that reads
 //!   it.
 //! * [`control`](OverloadMode) — the pure control plane: the grab-size rule
-//!   and the Normal → Degraded → Shedding state machine with hysteresis,
-//!   watermarks and settle caps included.
+//!   and the Normal → Degraded → Shedding state machine, decided from queue
+//!   fill alone (watermarks with hysteresis), settle caps included.
 //! * [`server`](TdServer) — the work-conserving, run-to-completion serving
 //!   workers (no timer on the request path: a worker pops, takes its share
 //!   of what is queued and runs it), the single bounded panic retry, and
@@ -53,7 +53,7 @@ mod update;
 
 pub use config::ServerConfig;
 pub use control::{
-    admission_decision, grab_size, next_mode, settle_cap, slot_budget, OverloadMode, Window,
+    admission_decision, grab_size, next_mode, settle_cap, slot_budget, OverloadMode,
 };
 pub use fault::{
     silence_contained_panics, splitmix64, FaultPlan, HostileIndex, PanicSilence, INJECTED_PANIC,

@@ -16,18 +16,19 @@
 //! It builds per-slot budgets from the overload mode and each request's own
 //! deadline, runs the batch inline on its own one-worker
 //! [`ParallelExecutor`] (panic containment and scratch reuse included), and
-//! fulfils the reply slots. After every batch it ticks the
-//! shared overload controller — queue depth and the recent latency window
-//! walk the Normal → Degraded → Shedding state machine — and checks the
-//! update watchdog (the window size, baseline floor, retry bound, lane
-//! capacity and watchdog limit are constants here, each beside its one
-//! reader). An optional updater thread applies live traffic refreshes
-//! through [`LiveIndex::try_apply`] with rollback-and-retry — an update
-//! storm sheds *updates*, never queries.
+//! fulfils the reply slots. After every batch it ticks the overload
+//! controller — queue fill walks the Normal → Degraded → Shedding state
+//! machine, published with one compare-and-swap, no lock — and checks the
+//! update watchdog (the retry bound, lane capacity and watchdog limit are
+//! constants here, each beside its one reader). Every server reads its
+//! index through a [`LiveIndex`]: a fixed index is one that no update lane
+//! moves past epoch 0. The updater thread of [`TdServer::serve_live`]
+//! applies live traffic refreshes through [`LiveIndex::try_apply`] with
+//! rollback-and-retry — an update storm sheds *updates*, never queries.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,35 +42,10 @@ use td_obs::HistSnapshot;
 use td_plf::Plf;
 
 use crate::config::ServerConfig;
-use crate::control::{self, OverloadMode, Window};
+use crate::control::{self, OverloadMode};
 use crate::queue::{AdmissionQueue, Popped};
 use crate::request::{Pending, Rejected, ReplySlot, RequestHandle, ServeError, ServeResult};
-use crate::sync::lock_recover;
 use crate::update::{UpdateLane, UpdateRejected};
-
-/// Where the workers get their index snapshots.
-enum Source<I> {
-    /// A fixed immutable index: epoch is always 0.
-    Fixed(Arc<I>),
-    /// A live copy-on-write index: snapshots follow the epoch.
-    Live(Arc<LiveIndex<I>>),
-}
-
-impl<I> Source<I> {
-    fn snapshot_with_epoch(&self) -> (u64, Arc<I>) {
-        match self {
-            Source::Fixed(index) => (0, Arc::clone(index)),
-            Source::Live(live) => live.snapshot_with_epoch(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            Source::Fixed(_) => 0,
-            Source::Live(live) => live.epoch(),
-        }
-    }
-}
 
 /// Monotonic serving counters, snapshot as [`ServerStats`].
 #[derive(Default)]
@@ -149,41 +125,22 @@ impl RejectCounters {
     }
 }
 
-/// Replies a latency window must hold before [`Shared::tick`] trusts its p99.
-const MIN_WINDOW: u64 = 64;
-/// Noise floor for the latency baseline, nanoseconds (200 µs): a baseline
-/// below this is clamped up so microsecond jitter on tiny graphs cannot
-/// trip the p99 rule.
-const BASELINE_FLOOR_NANOS: u64 = 200_000;
-
-/// The overload controller's state, shared by the workers behind
-/// `Shared::controller`: the latency window's delta base and the calibrated
-/// baseline.
-#[derive(Default)]
-struct Controller {
-    /// `counters.replied` when the last window was accepted.
-    seen: u64,
-    prev: HistSnapshot,
-    window: Window,
-}
-
 /// State shared by clients, the serving workers, and the updater.
 struct Shared<I> {
     /// As given, except `workers`: resolved to the real thread count.
     cfg: ServerConfig,
-    source: Source<I>,
+    /// The index the workers snapshot; only `serve_live`'s updater moves
+    /// its epoch.
+    source: Arc<LiveIndex<I>>,
     queue: AdmissionQueue,
     update: UpdateLane,
-    has_update_lane: bool,
     shutdown: AtomicBool,
     /// Current [`OverloadMode`] (its `as_u8`), read lock-free at admission.
     mode: AtomicU8,
     started: Instant,
-    /// Private admission→reply latency histogram: powers the overload
-    /// controller's recent-p99 window and per-server soak reports without
-    /// mixing servers through the global catalog.
+    /// Private admission→reply latency histogram: per-server soak reports
+    /// without mixing servers through the global catalog.
     latency: td_obs::Histogram,
-    controller: Mutex<Controller>,
     counters: Counters,
     rejects: RejectCounters,
 }
@@ -213,43 +170,43 @@ impl<I: RoutingIndex> Shared<I> {
         self.rejects.of(r).inc();
     }
 
-    /// Re-evaluates the overload state machine after a batch; true when
-    /// this call consumed a latency window. Workers serialise on the
-    /// controller lock and the mode is read, decided and published inside
-    /// it, so a window is consumed once and no transition is overwritten by
-    /// a concurrent tick that saw an older window.
-    fn tick(&self) -> bool {
-        let mut ctl = lock_recover(&self.controller);
-        let mode = OverloadMode::from_u8(self.mode.load(Ordering::Relaxed));
-        let replied = self.counters.replied.load(Ordering::Relaxed);
-        let mut consumed = false;
-        // Merging the histogram's shards is paid once per window, not per
-        // batch: nothing is read until enough replies have gone out.
-        if replied.wrapping_sub(ctl.seen) >= MIN_WINDOW {
-            let snap = self.latency.snapshot();
-            let delta = snap.diff(&ctl.prev);
-            if delta.count() >= MIN_WINDOW {
-                ctl.window.p99_nanos = delta.quantile(0.99);
-                ctl.prev = snap;
-                ctl.seen = replied;
-                consumed = true;
-                // The first full window observed in Normal mode calibrates
-                // the baseline (clamped up to the noise floor).
-                if ctl.window.baseline_nanos == 0 && mode == OverloadMode::Normal {
-                    ctl.window.baseline_nanos = ctl.window.p99_nanos.max(BASELINE_FLOOR_NANOS);
-                }
-            }
-        }
+    /// Re-evaluates the overload state machine after a batch and returns
+    /// the transition this call published, if any. The decision is made
+    /// from the mode read at the start and published with one
+    /// `compare_exchange` from that value, so a tick that read a mode a
+    /// racing tick has since replaced publishes nothing: every published
+    /// transition starts from the mode it replaced.
+    fn tick(&self) -> Option<(OverloadMode, OverloadMode)> {
+        let read = self.mode.load(Ordering::Relaxed);
+        let mode = OverloadMode::from_u8(read);
         let depth = self.queue.depth();
-        let next = control::next_mode(mode, depth, self.queue.capacity(), ctl.window);
-        if next != mode {
-            self.mode.store(next.as_u8(), Ordering::Relaxed);
-        }
+        let next = control::next_mode(mode, depth, self.queue.capacity());
         let m = td_obs::metrics();
         m.server_queue_depth
             .set(depth.min(i64::MAX as usize) as i64);
-        m.server_overload_state.set(next.as_u8() as i64);
-        consumed
+        if next == mode
+            || self
+                .mode
+                .compare_exchange(read, next.as_u8(), Ordering::SeqCst, Ordering::Relaxed)
+                .is_err()
+        {
+            return None;
+        }
+        // Mirror the mode into the gauge, then read it again: a racing
+        // tick may publish between this CAS and the gauge write, so repeat
+        // until the value written is still current. The fences order each
+        // gauge write between the mode CASes around it.
+        let mut shown = next.as_u8();
+        loop {
+            fence(Ordering::SeqCst);
+            m.server_overload_state.set(i64::from(shown));
+            fence(Ordering::SeqCst);
+            let now = self.mode.load(Ordering::Relaxed);
+            if now == shown {
+                return Some((mode, next));
+            }
+            shown = now;
+        }
     }
 }
 
@@ -270,24 +227,23 @@ pub struct TdServer<I: RoutingIndex + 'static> {
 const UPDATE_QUEUE_CAPACITY: usize = 64;
 
 impl<I: RoutingIndex + 'static> TdServer<I> {
-    /// Serves a fixed immutable index.
-    pub fn serve(index: Arc<I>, cfg: ServerConfig) -> TdServer<I> {
-        TdServer::start(Source::Fixed(index), cfg, false)
+    /// Serves a fixed index: epoch 0 of a [`LiveIndex`] that no update lane
+    /// advances.
+    pub fn serve(index: I, cfg: ServerConfig) -> TdServer<I> {
+        TdServer::start(Arc::new(LiveIndex::new(index)), cfg)
     }
 
-    fn start(source: Source<I>, mut cfg: ServerConfig, live: bool) -> TdServer<I> {
+    fn start(source: Arc<LiveIndex<I>>, mut cfg: ServerConfig) -> TdServer<I> {
         if cfg.workers == 0 {
             cfg.workers = std::thread::available_parallelism().map_or(1, |p| p.get());
         }
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(cfg.queue_capacity),
             update: UpdateLane::new(UPDATE_QUEUE_CAPACITY),
-            has_update_lane: live,
             shutdown: AtomicBool::new(false),
             mode: AtomicU8::new(OverloadMode::Normal.as_u8()),
             started: Instant::now(),
             latency: td_obs::Histogram::new(),
-            controller: Mutex::new(Controller::default()),
             counters: Counters::default(),
             rejects: RejectCounters::new(),
             cfg,
@@ -383,7 +339,7 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
         &self,
         changes: Vec<(VertexId, VertexId, Plf)>,
     ) -> Result<(), UpdateRejected> {
-        if !self.shared.has_update_lane {
+        if self.updater.is_none() {
             self.shared.update.count_shed();
             return Err(UpdateRejected::LaneUnavailable);
         }
@@ -456,7 +412,7 @@ impl<I: IncrementalIndex + Clone + 'static> TdServer<I> {
     /// supervised update lane applies [`TdServer::submit_update`] batches
     /// through [`LiveIndex::try_apply`] with rollback-and-retry.
     pub fn serve_live(live: Arc<LiveIndex<I>>, cfg: ServerConfig) -> TdServer<I> {
-        let mut server = TdServer::start(Source::Live(live), cfg, true);
+        let mut server = TdServer::start(live, cfg);
         let shared = Arc::clone(&server.shared);
         let updater = std::thread::Builder::new()
             .name("td-server-update".into())
@@ -593,10 +549,7 @@ fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
 }
 
 fn updater_loop<I: IncrementalIndex + Clone>(shared: &Shared<I>) {
-    let live = match &shared.source {
-        Source::Live(live) => Arc::clone(live),
-        Source::Fixed(_) => return,
-    };
+    let live = &shared.source;
     while let Some(changes) = shared.update.pop_wait() {
         shared.update.begin_apply(shared.started);
         let mut applied = false;
@@ -637,16 +590,20 @@ const _: () = {
     shared_across_threads::<crate::fault::HostileIndex<td_api::AStarChIndex>>();
     shared_across_threads::<crate::fault::FaultPlan>();
     shared_across_threads::<ServerStats>();
-    shared_across_threads::<Controller>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, HostileIndex};
-    use std::sync::{Barrier, MutexGuard};
-    use td_api::AStarChIndex;
-    use td_graph::TdGraph;
+    use std::sync::{Barrier, Condvar, Mutex, MutexGuard, PoisonError};
+    use td_api::{AStarChIndex, IndexStats, SessionScratch};
+    use td_core::UpdateStats;
+    use td_graph::{Path, TdGraph};
+
+    /// `td_server_overload_state` is one process-wide gauge: the tests whose
+    /// servers change mode hold this, so the tick race reads its own writes.
+    static MODE_MOVES: Mutex<()> = Mutex::new(());
 
     /// A two-way path 0 – 1 – … – n-1, every edge 10 s.
     fn line(n: u32) -> TdGraph {
@@ -665,20 +622,162 @@ mod tests {
         }
     }
 
-    /// Parks the workers one by one. A worker ticks the controller after
-    /// every batch, so while the test holds the controller lock each worker
-    /// serves exactly one batch and then waits for the lock: `workers`
-    /// requests sent one at a time are answered by `workers` different
-    /// threads, and nobody pops from the queue afterwards until the guard
-    /// is dropped. (Take the lock once per server, before its first
-    /// request: a worker still parked from an earlier hold is one short.)
-    fn one_batch_per_worker<I: RoutingIndex>(
+    /// Where the tests park serving workers: inside a query. While the gate
+    /// is closed every [`Gated`] bounded cost query blocks on it, and it
+    /// counts the callers it holds.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<GateState>,
+        moved: Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        closed: bool,
+        held: usize,
+    }
+
+    impl Gate {
+        fn state(&self) -> MutexGuard<'_, GateState> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn wait<'a>(&self, st: MutexGuard<'a, GateState>) -> MutexGuard<'a, GateState> {
+            self.moved.wait(st).unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Closes the gate until the returned guard drops. Declared after
+        /// the server, the guard drops first when an assertion fails, so
+        /// every parked worker is let go before the server joins them.
+        fn close(&self) -> Closed<'_> {
+            self.state().closed = true;
+            Closed(self)
+        }
+
+        fn pass(&self) {
+            let mut st = self.state();
+            if !st.closed {
+                return;
+            }
+            st.held += 1;
+            self.moved.notify_all();
+            while st.closed {
+                st = self.wait(st);
+            }
+            st.held -= 1;
+        }
+
+        /// Blocks until the gate holds `n` callers.
+        fn await_held(&self, n: usize) {
+            let mut st = self.state();
+            while st.held < n {
+                st = self.wait(st);
+            }
+        }
+    }
+
+    struct Closed<'a>(&'a Gate);
+
+    impl Drop for Closed<'_> {
+        fn drop(&mut self) {
+            self.0.state().closed = false;
+            self.0.moved.notify_all();
+        }
+    }
+
+    /// `AStarChIndex` behind a [`Gate`]: the serving path's one query call
+    /// passes the gate first.
+    #[derive(Clone)]
+    struct Gated {
+        inner: AStarChIndex,
+        gate: Arc<Gate>,
+    }
+
+    fn gated_line(n: u32) -> (Gated, Arc<Gate>) {
+        let gate = Arc::new(Gate::default());
+        let index = Gated {
+            inner: AStarChIndex::new(line(n)),
+            gate: Arc::clone(&gate),
+        };
+        (index, gate)
+    }
+
+    impl RoutingIndex for Gated {
+        fn backend_name(&self) -> &'static str {
+            self.inner.backend_name()
+        }
+        fn graph(&self) -> &TdGraph {
+            self.inner.graph()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn build_stats(&self) -> IndexStats {
+            self.inner.build_stats()
+        }
+        fn new_scratch(&self) -> SessionScratch {
+            self.inner.new_scratch()
+        }
+        fn query_cost_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+            t: f64,
+        ) -> Option<f64> {
+            self.inner.query_cost_in(scratch, s, d, t)
+        }
+        fn query_profile_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+        ) -> Option<Plf> {
+            self.inner.query_profile_in(scratch, s, d)
+        }
+        fn query_path_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+            t: f64,
+        ) -> Option<(f64, Path)> {
+            self.inner.query_path_in(scratch, s, d, t)
+        }
+        fn query_cost_bounded_in(
+            &self,
+            scratch: &mut SessionScratch,
+            s: VertexId,
+            d: VertexId,
+            t: f64,
+            budget: &QueryBudget,
+        ) -> Result<BoundedAnswer, QueryError> {
+            self.gate.pass();
+            self.inner.query_cost_bounded_in(scratch, s, d, t, budget)
+        }
+    }
+
+    impl IncrementalIndex for Gated {
+        fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> UpdateStats {
+            self.inner.update_edges(changes)
+        }
+    }
+
+    /// Parks every worker in the closed gate: one request per worker, each
+    /// sent once the one before it is held. A held worker pops nothing, so
+    /// each request is held by a different thread, and nobody pops from the
+    /// queue afterwards until the gate opens.
+    fn park_every_worker<I: RoutingIndex>(
         server: &TdServer<I>,
-        _held: &MutexGuard<'_, Controller>,
+        gate: &Gate,
         query: CostQuery,
-    ) -> Vec<ServeResult> {
-        (0..server.shared.cfg.workers)
-            .map(|_| server.submit_query(query, None).unwrap().wait())
+    ) -> Vec<RequestHandle> {
+        (1..=server.shared.cfg.workers)
+            .map(|held| {
+                let handle = server.submit_query(query, None).unwrap();
+                gate.await_held(held);
+                handle
+            })
             .collect()
     }
 
@@ -691,7 +790,7 @@ mod tests {
 
     #[test]
     fn zero_workers_resolves_to_the_core_count_once() {
-        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(3))), config(0));
+        let server = TdServer::serve(AStarChIndex::new(line(3)), config(0));
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         assert_eq!(server.shared.cfg.workers, cores);
         assert_eq!(server.workers.len(), cores);
@@ -699,14 +798,16 @@ mod tests {
 
     #[test]
     fn requests_queued_behind_a_busy_worker_are_answered_by_one_grab() {
-        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), config(1));
-        // Three queued while the only worker is parked after its first
+        let (index, gate) = gated_line(4);
+        let server = TdServer::serve(index, config(1));
+        // Three queued while the only worker is parked inside its first
         // batch: once let go it pops the first and takes the other two with
         // it in the same grab — nothing waits for more to arrive.
-        let held = lock_recover(&server.shared.controller);
-        one_batch_per_worker(&server, &held, (0, 3, 0.0));
+        let held = gate.close();
+        let first = park_every_worker(&server, &gate, (0, 3, 0.0));
         let queued = [(0, 3), (0, 2), (1, 3)].map(|(s, d)| server.submit(s, d, 0.0, None).unwrap());
         drop(held);
+        assert_eq!(exact(&first[0].wait()), Some(30.0));
         let replies = queued.map(|h| exact(&h.wait()));
         assert_eq!(replies, [Some(30.0), Some(20.0), Some(20.0)]);
         assert_eq!(server.shutdown().batches, 2);
@@ -714,15 +815,17 @@ mod tests {
 
     #[test]
     fn shutdown_with_a_full_queue_drains_it_and_joins_every_thread() {
+        let _mode = MODE_MOVES.lock().unwrap_or_else(PoisonError::into_inner);
         for workers in [1usize, 2, 4] {
             let cfg = ServerConfig {
                 queue_capacity: 16,
                 ..config(workers)
             };
-            let server = TdServer::serve(Arc::new(AStarChIndex::new(line(4))), cfg);
+            let (index, gate) = gated_line(4);
+            let server = TdServer::serve(index, cfg);
             let shared = Arc::clone(&server.shared);
-            let held = lock_recover(&shared.controller);
-            one_batch_per_worker(&server, &held, (0, 3, 0.0));
+            let held = gate.close();
+            let parked = park_every_worker(&server, &gate, (0, 3, 0.0));
             // Nobody pops now: the queue fills to its cap and then refuses.
             let mut handles = Vec::new();
             let refusal = loop {
@@ -753,7 +856,7 @@ mod tests {
             assert_eq!(stats.replied, stats.admitted, "{workers} workers");
             assert_eq!(stats.duplicates, 0);
             assert_eq!(stats.exact, stats.admitted);
-            for h in handles {
+            for h in parked.into_iter().chain(handles) {
                 assert_eq!(exact(&h.try_reply().expect("drained")), Some(30.0));
             }
             // Every worker thread has returned and dropped its handle on
@@ -764,14 +867,17 @@ mod tests {
 
     #[test]
     fn every_worker_answers_from_the_new_snapshot_once_the_epoch_is_visible() {
-        let live = Arc::new(LiveIndex::new(AStarChIndex::new(line(4))));
+        let (index, gate) = gated_line(4);
+        let live = Arc::new(LiveIndex::new(index));
         let server = TdServer::serve_live(Arc::clone(&live), config(4));
         let query = (0, 3, 0.0);
-        {
-            let held = lock_recover(&server.shared.controller);
-            for reply in one_batch_per_worker(&server, &held, query) {
-                assert_eq!(exact(&reply), Some(30.0));
-            }
+        // Each of the four workers builds its epoch-0 executor and is held
+        // in a batch on it.
+        let held = gate.close();
+        let parked = park_every_worker(&server, &gate, query);
+        drop(held);
+        for handle in parked {
+            assert_eq!(exact(&handle.wait()), Some(30.0));
         }
         // All four workers now hold an epoch-0 executor and sleep in
         // `pop_wait` (or are on their way there). Publish a new weight and
@@ -800,15 +906,19 @@ mod tests {
             ..FaultPlan::none()
         };
         for workers in [1usize, 2] {
-            let index = HostileIndex::new(AStarChIndex::new(line(4)), &plan);
-            let server = TdServer::serve(Arc::new(index), config(workers));
-            // With two workers, the one that panicked re-queues the slot
-            // and parks on the controller lock: the other must take it.
-            // Alone, the same worker pops its own retry.
-            let held = (workers > 1).then(|| lock_recover(&server.shared.controller));
-            let reply = server.submit(0, 3, 0.0, None).unwrap().wait();
-            assert_eq!(exact(&reply), Some(30.0), "{workers} workers");
+            let (index, gate) = gated_line(4);
+            let server = TdServer::serve(HostileIndex::new(index, &plan), config(workers));
+            // The first run panics in the hostile wrapper, before the gate;
+            // the slot goes back to the queue head, and the worker that pops
+            // it — the same one or, with two, either — is held at the gate
+            // with the one reply still unsent.
+            let held = gate.close();
+            let handle = server.submit(0, 3, 0.0, None).unwrap();
+            gate.await_held(1);
+            assert!(handle.try_reply().is_none(), "{workers} workers");
+            assert_eq!(server.stats().retries, 1, "{workers} workers");
             drop(held);
+            assert_eq!(exact(&handle.wait()), Some(30.0), "{workers} workers");
             let stats = server.shutdown();
             assert_eq!(
                 (stats.admitted, stats.replied, stats.retries, stats.exact),
@@ -820,49 +930,49 @@ mod tests {
     }
 
     #[test]
-    fn racing_ticks_consume_a_window_once_and_keep_the_transition() {
-        // Idle workers never tick: the two racers below are the only ones.
-        let server = TdServer::serve(Arc::new(AStarChIndex::new(line(3))), config(2));
+    fn racing_ticks_publish_one_chain_of_single_rung_transitions() {
+        use OverloadMode::{Degraded, Normal, Shedding};
+        let _mode = MODE_MOVES.lock().unwrap_or_else(PoisonError::into_inner);
+        // Idle workers never tick, and the queue stays empty — below every
+        // watermark — so each racer decides one rung down from what it read.
+        let server = TdServer::serve(AStarChIndex::new(line(3)), config(2));
         let shared = &*server.shared;
-        let feed = |replies: u64, nanos: u64| {
-            for _ in 0..replies {
-                shared.latency.observe(nanos);
-            }
-            shared
-                .counters
-                .replied
-                .fetch_add(replies, Ordering::Relaxed);
-        };
-        // Two ticks released together; how many of them took the window.
-        let race = || {
-            let gate = Barrier::new(2);
-            std::thread::scope(|s| {
-                let racers = [(); 2].map(|()| {
-                    s.spawn(|| {
-                        gate.wait();
-                        shared.tick()
-                    })
-                });
-                racers
-                    .into_iter()
-                    .map(|r| usize::from(r.join().unwrap()))
-                    .sum::<usize>()
-            })
-        };
-        // One reply short of a window: nothing to take.
-        feed(MIN_WINDOW - 1, 100_000);
-        assert_eq!(race(), 0);
-        feed(1, 100_000);
-        assert_eq!(race(), 1, "the first window calibrates the baseline");
         for round in 0..100 {
-            // A quiet window, then one far above 8x the baseline (which
-            // sits at the 200 µs floor).
-            feed(MIN_WINDOW, 100_000);
-            assert_eq!(race(), 1, "round {round}: quiet window");
-            assert_eq!(server.mode(), OverloadMode::Normal, "round {round}");
-            feed(MIN_WINDOW, 10_000_000);
-            assert_eq!(race(), 1, "round {round}: hot window");
-            assert_eq!(server.mode(), OverloadMode::Degraded, "round {round}");
+            let racers = 2 + round % 3;
+            shared.mode.store(Shedding.as_u8(), Ordering::Relaxed);
+            let gate = Barrier::new(racers);
+            let mut published: Vec<_> = std::thread::scope(|s| {
+                let ticks: Vec<_> = (0..racers)
+                    .map(|_| {
+                        s.spawn(|| {
+                            gate.wait();
+                            shared.tick()
+                        })
+                    })
+                    .collect();
+                ticks
+                    .into_iter()
+                    .filter_map(|t| t.join().unwrap())
+                    .collect()
+            });
+            // Join order is not publish order; a chain runs down the rungs.
+            published.sort_by_key(|&(from, _)| std::cmp::Reverse(from));
+            // One rung each, chained from Shedding, and no second transition
+            // out of a mode another racer had already replaced.
+            assert!(
+                matches!(
+                    published[..],
+                    [(Shedding, Degraded)] | [(Shedding, Degraded), (Degraded, Normal)]
+                ),
+                "round {round}, {racers} racers: {published:?}"
+            );
+            let last = published[published.len() - 1].1;
+            assert_eq!(server.mode(), last, "round {round}");
+            assert_eq!(
+                td_obs::metrics().server_overload_state.get(),
+                i64::from(last.as_u8()),
+                "round {round}: the gauge lags the mode"
+            );
         }
     }
 }

@@ -118,7 +118,7 @@ where
 {
     let (num_vertices, edges, non_edge) = graph_shape(&index);
     let hostile = HostileIndex::new(index, &cfg.plan);
-    let server = TdServer::serve(Arc::new(hostile), server_cfg);
+    let server = TdServer::serve(hostile, server_cfg);
     drive(server, num_vertices, edges, non_edge, cfg)
 }
 

@@ -5,7 +5,6 @@
 //! time, and every non-panicking slot must be bit-identical to a clean run
 //! of the same query stream.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use td_api::{AStarChIndex, BoundedAnswer, QueryError};
@@ -72,11 +71,8 @@ fn storm(workers: usize) {
         workers,
         ..ServerConfig::default()
     };
-    let clean = TdServer::serve(Arc::new(AStarChIndex::new(grid(side))), cfg);
-    let hostile = TdServer::serve(
-        Arc::new(HostileIndex::new(AStarChIndex::new(grid(side)), &plan)),
-        cfg,
-    );
+    let clean = TdServer::serve(AStarChIndex::new(grid(side)), cfg);
+    let hostile = TdServer::serve(HostileIndex::new(AStarChIndex::new(grid(side)), &plan), cfg);
 
     let mut x = SEED;
     let mut faulted = 0u64;
@@ -165,10 +161,7 @@ fn storm(workers: usize) {
 
 #[test]
 fn shutdown_refuses_new_work_but_drains_admitted() {
-    let server = TdServer::serve(
-        Arc::new(AStarChIndex::new(grid(3))),
-        ServerConfig::default(),
-    );
+    let server = TdServer::serve(AStarChIndex::new(grid(3)), ServerConfig::default());
     let mut handles = Vec::new();
     for i in 0..32u32 {
         handles.push(server.submit(i % 9, (i + 3) % 9, 0.0, None).unwrap());
@@ -182,10 +175,7 @@ fn shutdown_refuses_new_work_but_drains_admitted() {
 
 #[test]
 fn expired_deadline_is_refused_typed_at_admission() {
-    let server = TdServer::serve(
-        Arc::new(AStarChIndex::new(grid(3))),
-        ServerConfig::default(),
-    );
+    let server = TdServer::serve(AStarChIndex::new(grid(3)), ServerConfig::default());
     let past = std::time::Instant::now() - Duration::from_millis(5);
     match server.submit(0, 8, 0.0, Some(past)) {
         Err(Rejected::DeadlineExpired) => {}
