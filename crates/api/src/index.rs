@@ -353,14 +353,15 @@ impl RoutingIndex for TdTreeIndex {
     }
 
     /// The profile sweeps' counters: relaxations that reached the prune
-    /// tests, slot-maximum prunes, and corridor drops (slots, seeds,
+    /// tests, bound prunes (slot-maximum prunes plus merges kept by
+    /// per-window bounds without a walk), and corridor drops (slots, seeds,
     /// relaxations and chain terms). The scalar sweeps record nothing.
     fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
         let sc: &mut TdTreeScratch = scratch.get_or_default();
         let counts = std::mem::take(&mut sc.profile.counts);
         Some(SearchStats {
             relaxed: counts.relaxed,
-            minbound_prunes: counts.slot_prunes,
+            minbound_prunes: counts.slot_prunes + counts.window_keeps,
             corridor_kills: counts.corridor_drops,
             ..SearchStats::default()
         })

@@ -16,7 +16,9 @@
 //! the conformance suite demands. Every tenth probe also runs the
 //! cost-function query and checks its value at the probe's departure time
 //! (`profile agreement: k/k`), so the PLF kernels are checked on a loaded
-//! index too.
+//! index too. On a TD-tree-family snapshot it then prints how those profile
+//! queries' merges ended, per query: kept by per-window bounds, kept by the
+//! merge kernel's walk, or changed.
 //!
 //! `stats` loads the snapshot, drives a seeded serving workload through the
 //! parallel executor (exact, budget-bounded and profile queries), then
@@ -333,8 +335,43 @@ fn cmd_verify(args: &[String]) {
         }
         println!("oracle agreement: {checked}/{queries} queries OK");
         println!("profile agreement: {profiles}/{profiles}");
+        if profiles > 0 && TREE_FAMILY.contains(&index.backend_name()) {
+            print_keep_split(path, seed, queries as u64, n);
+        }
     }
     println!("verify: OK");
+}
+
+/// The TD-tree family's backend names (`RoutingIndex::backend_name`).
+const TREE_FAMILY: [&str; 4] = ["TD-basic", "TD-appro", "TD-dp", "TD-H2H"];
+
+/// Reloads a TD-tree snapshot as its concrete index, replays `verify`'s
+/// profile probes, and prints how the sweeps' merges ended per query: kept
+/// by per-window bounds, kept by the merge kernel's walk, or changed.
+fn print_keep_split(path: &str, seed: u64, queries: u64, n: u64) {
+    let index = td_api::load_tree_index(path).unwrap_or_else(|e| fail(e));
+    let mut scratch = td_core::ProfileScratch::default();
+    let (mut window, mut walk, mut changed, mut profiles) = (0u64, 0u64, 0u64, 0u64);
+    for i in (0..queries).step_by(10) {
+        let (s, d, _) = probe(seed, i, n);
+        index.query_profile_with(&mut scratch, s, d);
+        let c = scratch.counts;
+        (window, walk, changed) = (
+            window + c.window_keeps,
+            walk + c.walk_keeps,
+            changed + c.changes,
+        );
+        profiles += 1;
+    }
+    let per = |x: u64| x as f64 / profiles as f64;
+    let keeps = (window + walk).max(1) as f64;
+    println!(
+        "profile merges per query: {:.1} window keeps, {:.1} walk keeps, {:.1} changed ({:.0} % of keeps by windows)",
+        per(window),
+        per(walk),
+        per(changed),
+        100.0 * window as f64 / keeps
+    );
 }
 
 /// Deterministic splitmix-style probe query `i` over an `n`-vertex graph.

@@ -19,16 +19,20 @@ use td_gen::{Dataset, Workload, WorkloadConfig};
 
 /// Allocations of one pass over the mix's 40 pairs through
 /// `query_profile_in` on a twice-warmed scratch, as counted with the
-/// corridor-first profile query and the one-pass compound (a seed copy, a
-/// first-hop label copy, the breakpoint list of a walked relaxation and the
-/// simplified points of a compound built from it each allocate). A change
-/// that re-grows any of them fails here; one that shrinks them lowers the
+/// corridor-first profile query, the one-pass compound and per-window keeps
+/// (a seed copy, a first-hop label copy, the breakpoint list of a walked
+/// relaxation and the simplified points of a compound built from it each
+/// allocate; a merge the windows keep allocates nothing). A change that
+/// re-grows any of them fails here; one that shrinks them lowers the
 /// ceiling.
-const PROFILE_ALLOCS_CEILING: [(Backend, u64); 4] = [
-    (Backend::TdBasic, 1825),
-    (Backend::TdAppro, 1598),
-    (Backend::TdDp, 1605),
-    (Backend::TdH2h, 172),
+///
+/// `(backend, release, debug)`: debug builds shadow every window keep with
+/// the walk it skips, on a copy of the slot, which allocates.
+const PROFILE_ALLOCS_CEILING: [(Backend, u64, u64); 4] = [
+    (Backend::TdBasic, 1677, 1973),
+    (Backend::TdAppro, 1473, 1723),
+    (Backend::TdDp, 1479, 1731),
+    (Backend::TdH2h, 172, 172),
 ];
 
 #[test]
@@ -72,7 +76,14 @@ fn warmed_cost_queries_allocate_nothing_on_any_backend() {
             "{backend}: a warmed scratch must not allocate"
         );
 
-        if let Some(&(_, ceiling)) = PROFILE_ALLOCS_CEILING.iter().find(|(b, _)| *b == backend) {
+        if let Some(&(_, release, debug)) =
+            PROFILE_ALLOCS_CEILING.iter().find(|(b, ..)| *b == backend)
+        {
+            let ceiling = if cfg!(debug_assertions) {
+                debug
+            } else {
+                release
+            };
             let answer_pairs = |scratch: &mut SessionScratch| {
                 for &(s, d) in &pairs {
                     black_box(index.query_profile_in(scratch, s, d));

@@ -50,14 +50,22 @@
 //!   above `f_{s,d}` at every departure. Each slot keeps the `(min, max)` of
 //!   the function it holds beside it, so a relaxation whose lower bound
 //!   `min(cost[k]) + min(w)` cannot get below the destination slot's
-//!   maximum is dropped as well, before its `compound` is touched. Every
-//!   other relaxation goes through [`td_plf::ops::min_compound_into`], which
-//!   walks the candidate's values against the slot first and builds it only
-//!   if it gets below the slot somewhere — most candidates never do — and
-//!   the chain combination prunes and relaxes its terms the same way.
+//!   maximum is dropped as well, before its `compound` is touched. A
+//!   relaxation into a filled slot then tries per-window bounds
+//!   ([`td_plf::window`]): when the slot's maximum in each of the day's 32
+//!   windows is at or below the compound's lower bound there, the slot is
+//!   kept before a single breakpoint of the compound is made. The slots'
+//!   windows are made lazily, one forward pass each, and cached beside
+//!   their `(min, max)` until the slot changes; the label's are made on the
+//!   fly. Every other relaxation goes through
+//!   [`td_plf::ops::min_compound_into`], which walks the candidate's values
+//!   against the slot first and builds it only if it gets below the slot
+//!   somewhere, and the chain combination prunes, window-tests and relaxes
+//!   its terms the same way.
 //!
 //! [`ProfileScratch::counts`] records what the function phase relaxed,
-//! pruned by slot maximum and dropped by the corridor.
+//! pruned by slot maximum and dropped by the corridor, and how each merge
+//! past the prunes ended: kept by the windows, kept by the walk, or changed.
 //!
 //! ## Scratch buffers
 //!
@@ -70,7 +78,10 @@
 //! breakpoint list (times with their values, made in one pass) of every
 //! relaxation it walks, the simplified points of each compound it builds
 //! from such a list, and the point lists of each `minimum` that neither the
-//! bounds nor the walk decided. The cut scan's through-`w` totals compound
+//! bounds nor the walk decided. A relaxation the windows keep allocates
+//! nothing, and the slots' windows live in the scratch, reused across
+//! queries (debug builds shadow each window keep with the walk it skips,
+//! which allocates). The cut scan's through-`w` totals compound
 //! two stored legs; those are copied into two functions the scratch owns
 //! and refills, so they allocate only while they grow.
 
@@ -78,7 +89,7 @@ use crate::frozen::FrozenTd;
 use crate::shortcut::{ShortcutStore, DOWN, UP};
 use td_graph::VertexId;
 use td_plf::ops::{min_compound_into, min_into};
-use td_plf::{Plf, PlfArena, PlfId, PlfSlice, EPS_COST, NO_PLF};
+use td_plf::{Plf, PlfArena, PlfId, PlfSlice, Windows, EPS_COST, NO_PLF};
 use td_treedec::TreeDecomposition;
 
 /// Query engine borrowing the tree and the selected shortcuts.
@@ -152,6 +163,8 @@ pub struct ProfileSweepBufs {
     /// `rest[k]` = lower bound on the cost between `path[k]` and the other
     /// endpoint.
     rest: Vec<f64>,
+    /// Per-window bounds of the slots' functions, made on first use.
+    windows: WindowCache,
 }
 
 impl ProfileSweepBufs {
@@ -166,6 +179,7 @@ impl ProfileSweepBufs {
         self.reach.resize(len, (f64::INFINITY, f64::INFINITY));
         self.rest.clear();
         self.rest.resize(len, f64::INFINITY);
+        self.windows.reset(len);
     }
 
     /// The leg this table contributes to a chain term at depth `k`, with its
@@ -180,9 +194,58 @@ impl ProfileSweepBufs {
     }
 }
 
+/// The [`Windows`] of a sweep's slots, cached beside `bounds`: made by one
+/// forward pass the first time a relaxation needs them, valid until the
+/// slot changes. A query resets only the flags, so the windows themselves
+/// are allocated once, while the scratch warms up.
+#[derive(Clone, Debug, Default)]
+struct WindowCache {
+    windows: Vec<Windows>,
+    fresh: Vec<bool>,
+}
+
+impl WindowCache {
+    fn reset(&mut self, len: usize) {
+        self.fresh.clear();
+        self.fresh.resize(len, false);
+        if self.windows.len() < len {
+            self.windows.resize(len, Windows::default());
+        }
+    }
+
+    /// Makes `windows[k]` those of `f`, the function in slot `k`, unless
+    /// they already are.
+    fn ensure(&mut self, k: usize, f: &Plf) {
+        if !self.fresh[k] {
+            self.windows[k] = Windows::of(f);
+            self.fresh[k] = true;
+        }
+    }
+
+    /// Slot `k` changed.
+    fn stale(&mut self, k: usize) {
+        self.fresh[k] = false;
+    }
+}
+
+/// `keep`, a per-window decision that `min{slot, Compound(f, g)}` keeps
+/// `slot`. Debug builds also run the walk it skips, on a copy of the slot,
+/// and assert that the walk keeps too.
+fn shadowed(keep: bool, slot: &Plf, f: &Plf, g: &Plf, via: VertexId) -> bool {
+    debug_assert!(
+        !keep || !min_compound_into(&mut Some(slot.clone()), f, g, via),
+        "a window keep the walk would not make (via {via})"
+    );
+    keep
+}
+
 /// Work counters of the most recent profile query (reset when the next one
 /// starts). `td-api` drains them into `SearchStats` as `relaxed` /
-/// `minbound_prunes` / `corridor_kills`.
+/// `minbound_prunes` (slot prunes and window keeps) / `corridor_kills`.
+///
+/// A sweep relaxation that passes the prunes ends as exactly one of a
+/// window keep, a walk keep or a change; so does a chain term that reaches
+/// the merge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfileCounts {
     /// Sweep relaxations that reached the prune tests.
@@ -193,13 +256,32 @@ pub struct ProfileCounts {
     /// Slots, seeds, relaxations and chain terms dropped because they cannot
     /// get below the corridor's `s → d` upper bound.
     pub corridor_drops: u64,
+    /// Relaxations and chain terms kept by per-window bounds, before any
+    /// breakpoint of their compound was made.
+    pub window_keeps: u64,
+    /// Relaxations and chain terms whose merge kernel ran and kept the slot.
+    pub walk_keeps: u64,
+    /// Relaxations and chain terms that changed their slot.
+    pub changes: u64,
+}
+
+impl ProfileCounts {
+    /// Counts a merge kernel's outcome.
+    fn merged(&mut self, changed: bool) {
+        if changed {
+            self.changes += 1;
+        } else {
+            self.walk_keeps += 1;
+        }
+    }
 }
 
 /// Reusable scratch for profile (cost function) queries. The sweep tables
-/// (slots, slot bounds, corridor bounds, root paths), the seed key lists
-/// and the cut vector are reused across queries; the functions in the slots
-/// are not — every seed copy, first-hop label copy and operator result is a
-/// fresh allocation, dropped when the next query resets the tables.
+/// (slots, slot bounds, the slots' per-window bounds, corridor bounds, root
+/// paths), the seed key lists and the cut vector are reused across queries;
+/// the functions in the slots are not — every seed copy, first-hop label
+/// copy and operator result is a fresh allocation, dropped when the next
+/// query resets the tables.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileScratch {
     up: ProfileSweepBufs,
@@ -715,7 +797,8 @@ impl<'a> QueryEngine<'a> {
                 // combination (same argument as the slot NIL); when it
                 // reaches the destination slot's maximum, the candidate is
                 // nowhere below what the slot holds and `min_into` would
-                // keep the slot (ties included). Past both, the relaxation
+                // keep the slot (ties included). Past both, per-window
+                // bounds may keep a filled slot; otherwise the relaxation
                 // itself walks the candidate against the slot before
                 // building it.
                 let lb = cur_min
@@ -738,17 +821,38 @@ impl<'a> QueryEngine<'a> {
                     // Bag members are ancestors: the slot lies above `k`.
                     let (above, from_k) = bufs.cost.split_at_mut(k);
                     let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
+                    let via = bufs.path[k];
+                    // Into a filled slot, the windows may decide the keep
+                    // before the compound's breakpoints are made.
+                    if let Some(held) = slot.as_ref() {
+                        let cache = &mut bufs.windows;
+                        cache.ensure(k, cur);
+                        cache.ensure(ku, held);
+                        let (acc, here, label) =
+                            (&cache.windows[ku], &cache.windows[k], &Windows::of(w));
+                        let ((f, fw), (g, gw)) = if REV {
+                            ((w, label), (cur, here))
+                        } else {
+                            ((cur, here), (w, label))
+                        };
+                        if shadowed(acc.under_compound(fw, gw), held, f, g, via) {
+                            counts.window_keeps += 1;
+                            continue;
+                        }
+                    }
                     if REV {
-                        min_compound_into(slot, w, cur, bufs.path[k])
+                        min_compound_into(slot, w, cur, via)
                     } else {
-                        min_compound_into(slot, cur, w, bufs.path[k])
+                        min_compound_into(slot, cur, w, via)
                     }
                 };
+                counts.merged(changed);
                 if changed {
                     bufs.bounds[ku] = bufs.cost[ku]
                         .as_ref()
                         .expect("a relaxation leaves a function")
                         .value_bounds();
+                    bufs.windows.stale(ku);
                 }
             }
         }
@@ -808,10 +912,11 @@ impl<'a> QueryEngine<'a> {
 ///
 /// Like the sweeps, each term is first bounded below by its two slots'
 /// minima and dropped when that exceeds the corridor's `limit` or reaches
-/// the result's maximum.
+/// the result's maximum; a compound term against a filled result then
+/// tries the per-window keep, its result's windows cached until it changes.
 fn combine_over_chain(
-    up: &ProfileSweepBufs,
-    down: &ProfileSweepBufs,
+    up: &mut ProfileSweepBufs,
+    down: &mut ProfileSweepBufs,
     upto: usize,
     limit: f64,
     counts: &mut ProfileCounts,
@@ -819,7 +924,8 @@ fn combine_over_chain(
 ) {
     let max_of = |f: &Option<Plf>| f.as_ref().map_or(f64::INFINITY, |f| f.value_bounds().1);
     let mut result_max = max_of(result);
-    for (k, &w) in up.path.iter().enumerate().take(upto + 1) {
+    let mut result_windows: Option<Windows> = None;
+    for k in 0..=upto {
         let (Some((cost_s, min_s)), Some((cost_d, min_d))) = (up.leg(k), down.leg(k)) else {
             continue;
         };
@@ -830,14 +936,31 @@ fn combine_over_chain(
         if min_s + min_d >= result_max {
             continue;
         }
+        let w = up.path[k];
         let changed = match (cost_s, cost_d) {
             (None, Some(fd)) => min_into(result, fd.clone()),
             (Some(fs), None) => min_into(result, fs.clone()),
-            (Some(fs), Some(fd)) => min_compound_into(result, fs, fd, w),
+            (Some(_), Some(_)) => {
+                let (fs, fd) = (up.cost[k].as_ref(), down.cost[k].as_ref());
+                let (fs, fd) = (fs.expect("a leg"), fd.expect("a leg"));
+                if let Some(held) = result.as_ref() {
+                    up.windows.ensure(k, fs);
+                    down.windows.ensure(k, fd);
+                    let acc = result_windows.get_or_insert_with(|| Windows::of(held));
+                    let keep = acc.under_compound(&up.windows.windows[k], &down.windows.windows[k]);
+                    if shadowed(keep, held, fs, fd, w) {
+                        counts.window_keeps += 1;
+                        continue;
+                    }
+                }
+                min_compound_into(result, fs, fd, w)
+            }
             (None, None) => false, // s == d returns before the sweeps
         };
+        counts.merged(changed);
         if changed {
             result_max = max_of(result);
+            result_windows = None;
         }
     }
 }
@@ -1118,6 +1241,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_relaxation_past_the_prunes_is_a_window_keep_a_walk_keep_or_a_change() {
+        // The census of the merges: with the corridor switched off (an
+        // infinite limit) every sweep relaxation is slot-pruned or ends as
+        // exactly one of the three outcomes. Debug builds also shadow every
+        // window keep with the walk it skips (`shadowed`).
+        use crate::index::{IndexOptions, SelectionStrategy, TdTreeIndex};
+        use td_gen::{Dataset, Workload, WorkloadConfig};
+        let g = Dataset::Cal.build(3, 0.1, 42);
+        let n = g.num_vertices();
+        let budget = Dataset::Cal.spec().budget_at(0.1) as u64;
+        let index = TdTreeIndex::build(
+            g,
+            IndexOptions {
+                strategy: SelectionStrategy::Greedy { budget },
+                ..Default::default()
+            },
+        );
+        let engine = QueryEngine::new(&index.td, &index.store, &index.frozen);
+        let mix = WorkloadConfig {
+            pairs: 150,
+            times_per_pair: 1,
+            seed: 42,
+        };
+        let mut scratch = ProfileScratch::default();
+        let mut total = ProfileCounts::default();
+        for (s, d) in Workload::generate(n, &mix).pairs() {
+            let (upto, bound, full_cover) = engine.scan_cut_pairs(&mut scratch, s, d);
+            if full_cover {
+                continue;
+            }
+            let bound_max = bound.as_ref().map_or(f64::INFINITY, Plf::max_value);
+            engine.corridor(&mut scratch, s, d, upto, bound_max);
+            let ProfileScratch {
+                up,
+                down,
+                seeds_s,
+                seeds_d,
+                ..
+            } = &mut scratch;
+            let mut counts = ProfileCounts::default();
+            engine.sweep_up_profile_into::<false>(seeds_s, f64::INFINITY, up, &mut counts);
+            engine.sweep_up_profile_into::<true>(seeds_d, f64::INFINITY, down, &mut counts);
+            assert_eq!(counts.corridor_drops, 0, "s={s} d={d}");
+            assert_eq!(
+                counts.relaxed,
+                counts.slot_prunes + counts.window_keeps + counts.walk_keeps + counts.changes,
+                "s={s} d={d}: {counts:?}"
+            );
+            total.window_keeps += counts.window_keeps;
+            total.walk_keeps += counts.walk_keeps;
+        }
+        assert!(
+            total.window_keeps > 0 && total.walk_keeps > 0,
+            "both kinds of keep occur on the mix: {total:?}"
+        );
     }
 
     #[test]

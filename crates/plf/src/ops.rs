@@ -17,6 +17,11 @@
 //! Without it, a last-ulp difference between two ways of computing one
 //! value would count as a change, and a label-correcting loop that requeues
 //! on changes would not settle.
+//!
+//! A caller that keeps per-window bounds of its accumulator can decide most
+//! keeps before calling here, without making the compound's breakpoints:
+//! [`crate::window::Windows::under_compound`] adds no tolerance, so it only
+//! keeps where this walk would.
 
 use crate::approx::{lerp, EPS_COST};
 use crate::compound::{breakpoints, from_breakpoints};
@@ -85,18 +90,20 @@ enum Side {
 
 /// Which side wins at every breakpoint of either function (see
 /// [`min_into`] for the two rules), or `None` as soon as neither can.
+///
+/// At its own breakpoint a function is worth the point's value (a cursor
+/// there returns `p.v` bit for bit), so only the other side is evaluated.
 fn pointwise_winner(acc: &Plf, f: &Plf) -> Option<Side> {
     let (mut keep, mut take) = (true, true);
-    let mut agree_at = |probes: &[Pt]| {
-        let (mut ac, mut fc) = (Cursor::new(acc), Cursor::new(f));
-        probes.iter().all(|p| {
-            let (av, fv) = (ac.at(p.t).0, fc.at(p.t).0);
-            keep &= av <= fv;
-            take &= fv < av - EPS_COST;
-            keep || take
-        })
+    let mut agree = |av: f64, fv: f64| {
+        keep &= av <= fv;
+        take &= fv < av - EPS_COST;
+        keep || take
     };
-    if !(agree_at(acc.points()) && agree_at(f.points())) {
+    let (mut ac, mut fc) = (Cursor::new(acc), Cursor::new(f));
+    if !(acc.points().iter().all(|p| agree(p.v, fc.at(p.t).0))
+        && f.points().iter().all(|p| agree(ac.at(p.t).0, p.v)))
+    {
         return None;
     }
     Some(if keep { Side::Acc } else { Side::Candidate })

@@ -484,6 +484,29 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_at_a_breakpoint_returns_its_value_bit_for_bit() {
+        // `ops::pointwise_winner` reads a function's own breakpoint values
+        // instead of evaluating them: `lerp` at `x0` returns `y0`.
+        use proptest::prelude::*;
+        let wild = collection::vec((1e-6f64..3000.0, 0.0f64..5000.0), 1..30).prop_map(|segs| {
+            let mut t = -7_000.0;
+            let pts = segs.into_iter().map(|(dt, v)| {
+                t += dt;
+                Pt::new(t, v)
+            });
+            Plf::new(pts.collect()).unwrap()
+        });
+        let mut runner = proptest::TestRunner::from_name("cursor_at_breakpoints");
+        for _ in 0..300 {
+            let f = wild.generate(&mut runner);
+            let mut c = Cursor::new(&f);
+            for p in f.points() {
+                assert_eq!(c.at(p.t).0.to_bits(), p.v.to_bits(), "f={f:?}");
+            }
+        }
+    }
+
+    #[test]
     fn cursor_seek_boundaries() {
         let f = plf(&[(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)]);
         let mut c = Cursor::new(&f);

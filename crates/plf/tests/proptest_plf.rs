@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use td_plf::ops::{min_compound_into, min_into};
+use td_plf::window::{compound_floor, Windows, WINDOWS, WINDOW_WIDTH};
 use td_plf::{Plf, Pt, EPS_COST, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
@@ -774,4 +775,166 @@ proptest! {
     ) {
         assert_relaxation_is_min_of_compound(&f, &g, &other);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Per-window bounds (`td_plf::window`): each window's `(min, max)` brackets
+// every value the function takes there, and a keep the windows decide is a
+// keep `min_compound_into`'s walk makes, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The windows holding `t`: one, or both neighbours at an inner cut.
+fn windows_at(t: f64) -> Vec<usize> {
+    let k = (t / WINDOW_WIDTH).floor().clamp(0.0, (WINDOWS - 1) as f64) as usize;
+    let mut out = vec![k];
+    if k > 0 && t == k as f64 * WINDOW_WIDTH {
+        out.push(k - 1);
+    }
+    out
+}
+
+/// Dense probes: every 97 s from well before the day to well past it, every
+/// cut, and every breakpoint with its close neighbours.
+fn window_probes(f: &Plf) -> Vec<f64> {
+    let mut ts: Vec<f64> = (0..1200).map(|i| -20_000.0 + 97.0 * i as f64).collect();
+    ts.extend((0..=WINDOWS).map(|k| k as f64 * WINDOW_WIDTH));
+    for p in f.points() {
+        ts.extend([p.t, p.t - 1e-6, p.t + 1e-6, p.t - 0.5, p.t + 0.5]);
+    }
+    ts.extend([-1e7, 1e7]);
+    ts
+}
+
+fn assert_windows_bracket(f: &Plf) {
+    let w = Windows::of(f);
+    for t in window_probes(f) {
+        let v = f.eval(t);
+        // Exact at breakpoints and cuts; an interpolated value may round
+        // past its segment's ends by an ulp or so.
+        let tol = 1e-9 * v.abs().max(1.0);
+        for k in windows_at(t) {
+            assert!(
+                w.lo[k] - tol <= v && v <= w.hi[k] + tol,
+                "t={t} window {k}: {v} outside [{}, {}]\nf={f:?}",
+                w.lo[k],
+                w.hi[k]
+            );
+        }
+    }
+}
+
+/// Accumulators at or just under the windows' floor of `Compound(f, g)`:
+/// a constant at its least window, a staircase touching each window's floor
+/// (the tightest shape the test still keeps), and the compound itself
+/// lowered by its largest rise above a window's floor.
+fn floor_accumulators(f: &Windows, g: &Windows, h: &Plf) -> Vec<Plf> {
+    let floor: Vec<f64> = (0..WINDOWS).map(|w| compound_floor(f, g, w)).collect();
+    let least = floor.iter().fold(f64::INFINITY, |m, &v| m.min(v));
+    let mut stairs = Vec::new();
+    for w in 0..WINDOWS {
+        let m = floor[w.saturating_sub(1)..=(w + 1).min(WINDOWS - 1)]
+            .iter()
+            .fold(f64::INFINITY, |a, &v| a.min(v))
+            .max(0.0);
+        let lo = w as f64 * WINDOW_WIDTH;
+        stairs.push(Pt::new(lo + 1.0, m));
+        stairs.push(Pt::new(lo + WINDOW_WIDTH - 1.0, m));
+    }
+    let hw = Windows::of(h);
+    let slack = (0..WINDOWS).fold(0.0f64, |s, w| s.max(hw.hi[w] - floor[w]));
+    vec![
+        Plf::constant(least.max(0.0)),
+        Plf::new(stairs).expect("staircase points ascend"),
+        shifted(h, -slack, 9),
+        shifted(h, -slack - 1.0, 9),
+    ]
+}
+
+/// Returns how many accumulators the windows kept.
+fn assert_window_keeps_are_walk_keeps(f: &Plf, g: &Plf, other: &Plf) -> usize {
+    let (fw, gw) = (Windows::of(f), Windows::of(g));
+    let h = f.compound(g, 5);
+    let mut accs: Vec<Plf> = accumulators(&h, other).into_iter().flatten().collect();
+    accs.extend(floor_accumulators(&fw, &gw, &h));
+    let mut kept = 0;
+    for acc in accs {
+        if !Windows::of(&acc).under_compound(&fw, &gw) {
+            continue;
+        }
+        kept += 1;
+        let mut got = Some(acc.clone());
+        assert!(
+            !min_compound_into(&mut got, f, g, 5),
+            "a window keep the walk changes\nacc={acc:?}\nf={f:?}\ng={g:?}"
+        );
+        assert_eq!(
+            bits(got.as_ref().unwrap()),
+            bits(&acc),
+            "kept yet rewritten"
+        );
+    }
+    kept
+}
+
+/// Strategy: a FIFO function over the whole day with rush-hour ramps, up to
+/// 20× steeper than `fifo_plf`'s, so that one window's departures arrive
+/// across several windows of the second leg.
+fn steep_plf() -> impl Strategy<Value = Plf> {
+    (
+        proptest::collection::vec((300.0f64..6000.0, 0u8..4, 0.0f64..1.0), 1..24),
+        0.0f64..3600.0,
+    )
+        .prop_map(|(segs, v0)| {
+            let mut pts = vec![Pt::new(-1000.0, v0)];
+            for (dt, kind, u) in segs {
+                let prev = *pts.last().unwrap();
+                let slope = if kind == 0 { 20.0 * u } else { 2.0 * u - 1.0 };
+                pts.push(Pt::new(
+                    prev.t + dt,
+                    (prev.v + slope * dt).clamp(0.0, 40_000.0),
+                ));
+            }
+            Plf::new(pts).expect("generated points are valid")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn window_bounds_bracket_every_value(f in wild_plf(), g in fifo_plf(), h in steep_plf()) {
+        // Non-FIFO segments, constants, times before 0 and past DAY.
+        assert_windows_bracket(&f);
+        assert_windows_bracket(&g);
+        assert_windows_bracket(&h);
+        assert_windows_bracket(&f.compound(&g, 1));
+    }
+}
+
+#[test]
+fn window_keeps_are_walk_keeps() {
+    let mut runner = proptest::TestRunner::from_name("window_keeps_are_walk_keeps");
+    let (mut kept, mut tried) = (0, 0);
+    for _ in 0..400 {
+        let (f, g) = fifo_pair().generate(&mut runner);
+        let other = fifo_plf().generate(&mut runner);
+        kept += assert_window_keeps_are_walk_keeps(&f, &g, &other);
+        let (f, g) = wild_pair().generate(&mut runner);
+        let other = wild_plf().generate(&mut runner);
+        kept += assert_window_keeps_are_walk_keeps(&f, &g, &other);
+        // A steep first leg spreads a window's arrivals over several of the
+        // second leg's windows.
+        let (f, g) = (
+            steep_plf().generate(&mut runner),
+            steep_plf().generate(&mut runner),
+        );
+        let other = fifo_plf().generate(&mut runner);
+        kept += assert_window_keeps_are_walk_keeps(&f, &g, &other);
+        tried += 3;
+    }
+    // The floor accumulators are built to be kept: most pairs must decide.
+    assert!(
+        kept >= 2 * tried,
+        "only {kept} window keeps over {tried} pairs"
+    );
 }
