@@ -336,7 +336,7 @@ fn cmd_verify(args: &[String]) {
         println!("oracle agreement: {checked}/{queries} queries OK");
         println!("profile agreement: {profiles}/{profiles}");
         if profiles > 0 && TREE_FAMILY.contains(&index.backend_name()) {
-            print_keep_split(path, seed, queries as u64, n);
+            print_merge_split(path, seed, queries as u64, n);
         }
     }
     println!("verify: OK");
@@ -347,30 +347,33 @@ const TREE_FAMILY: [&str; 4] = ["TD-basic", "TD-appro", "TD-dp", "TD-H2H"];
 
 /// Reloads a TD-tree snapshot as its concrete index, replays `verify`'s
 /// profile probes, and prints how the sweeps' merges ended per query: kept
-/// by per-window bounds, kept by the merge kernel's walk, or changed.
-fn print_keep_split(path: &str, seed: u64, queries: u64, n: u64) {
+/// by per-window bounds or by the merge kernel's walk, or changed — into an
+/// empty slot (a fill), by a take the windows or the walk decided, or by a
+/// merge.
+fn print_merge_split(path: &str, seed: u64, queries: u64, n: u64) {
     let index = td_api::load_tree_index(path).unwrap_or_else(|e| fail(e));
     let mut scratch = td_core::ProfileScratch::default();
-    let (mut window, mut walk, mut changed, mut profiles) = (0u64, 0u64, 0u64, 0u64);
+    let mut total = td_core::ProfileCounts::default();
+    let mut profiles = 0u64;
     for i in (0..queries).step_by(10) {
         let (s, d, _) = probe(seed, i, n);
         index.query_profile_with(&mut scratch, s, d);
-        let c = scratch.counts;
-        (window, walk, changed) = (
-            window + c.window_keeps,
-            walk + c.walk_keeps,
-            changed + c.changes,
-        );
+        total += scratch.counts;
         profiles += 1;
     }
     let per = |x: u64| x as f64 / profiles as f64;
-    let keeps = (window + walk).max(1) as f64;
+    let t = total;
+    let keeps = (t.window_keeps + t.walk_keeps).max(1) as f64;
     println!(
-        "profile merges per query: {:.1} window keeps, {:.1} walk keeps, {:.1} changed ({:.0} % of keeps by windows)",
-        per(window),
-        per(walk),
-        per(changed),
-        100.0 * window as f64 / keeps
+        "profile merges per query: {:.1} window keeps, {:.1} walk keeps ({:.0} % of keeps by windows); \
+         {:.1} fills, {:.1} window takes, {:.1} walk takes, {:.1} merges",
+        per(t.window_keeps),
+        per(t.walk_keeps),
+        100.0 * t.window_keeps as f64 / keeps,
+        per(t.fills),
+        per(t.window_takes),
+        per(t.walk_takes),
+        per(t.merges),
     );
 }
 

@@ -19,20 +19,20 @@ use td_gen::{Dataset, Workload, WorkloadConfig};
 
 /// Allocations of one pass over the mix's 40 pairs through
 /// `query_profile_in` on a twice-warmed scratch, as counted with the
-/// corridor-first profile query, the one-pass compound and per-window keeps
-/// (a seed copy, a first-hop label copy, the breakpoint list of a walked
-/// relaxation and the simplified points of a compound built from it each
-/// allocate; a merge the windows keep allocates nothing). A change that
-/// re-grows any of them fails here; one that shrinks them lowers the
-/// ceiling.
+/// corridor-first profile query, the one-pass compound, per-window keeps and
+/// takes, and compounds simplified in place (a seed copy, a first-hop label
+/// copy and the breakpoint list of a walked relaxation each allocate; a
+/// built compound is that list, simplified in place, so it allocates once;
+/// a merge the windows keep allocates nothing). A change that re-grows any
+/// of them fails here; one that shrinks them lowers the ceiling.
 ///
 /// `(backend, release, debug)`: debug builds shadow every window keep with
 /// the walk it skips, on a copy of the slot, which allocates.
 const PROFILE_ALLOCS_CEILING: [(Backend, u64, u64); 4] = [
-    (Backend::TdBasic, 1677, 1973),
-    (Backend::TdAppro, 1473, 1723),
-    (Backend::TdDp, 1479, 1731),
-    (Backend::TdH2h, 172, 172),
+    (Backend::TdBasic, 906, 1202),
+    (Backend::TdAppro, 871, 1121),
+    (Backend::TdDp, 870, 1122),
+    (Backend::TdH2h, 121, 121),
 ];
 
 #[test]

@@ -33,6 +33,6 @@ pub mod update;
 
 pub use frozen::FrozenTd;
 pub use index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
-pub use query::{CostScratch, ProfileScratch};
+pub use query::{CostScratch, ProfileCounts, ProfileScratch};
 pub use select::{Candidate, Selection};
 pub use update::UpdateStats;

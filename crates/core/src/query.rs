@@ -58,14 +58,20 @@
 //!   windows are made lazily, one forward pass each, and cached beside
 //!   their `(min, max)` until the slot changes; the label's are made on the
 //!   fly. Every other relaxation goes through
-//!   [`td_plf::ops::min_compound_into`], which walks the candidate's values
+//!   [`td_plf::ops::fold_compound_into`], which walks the candidate's values
 //!   against the slot first and builds it only if it gets below the slot
-//!   somewhere, and the chain combination prunes, window-tests and relaxes
-//!   its terms the same way.
+//!   somewhere. The kernel reads the slot's `(min, max)` from beside it and
+//!   leaves them current, and into a filled slot it gets the slot's cached
+//!   windows too: a built candidate below them by more than `EPS_COST` in
+//!   every window is taken without the pointwise walk, and its windows,
+//!   made for that test, become the slot's. The chain combination prunes,
+//!   window-tests and relaxes its terms the same way.
 //!
 //! [`ProfileScratch::counts`] records what the function phase relaxed,
 //! pruned by slot maximum and dropped by the corridor, and how each merge
-//! past the prunes ended: kept by the windows, kept by the walk, or changed.
+//! past the prunes ended: kept by the windows or by the walk, or changed —
+//! a fill of an empty slot, a take the windows or the walk decided, or a
+//! merge.
 //!
 //! ## Scratch buffers
 //!
@@ -76,19 +82,22 @@
 //! allocation at all**. A profile query still allocates: one copy per
 //! shortcut seed inside the corridor and per first-hop label, the
 //! breakpoint list (times with their values, made in one pass) of every
-//! relaxation it walks, the simplified points of each compound it builds
-//! from such a list, and the point lists of each `minimum` that neither the
-//! bounds nor the walk decided. A relaxation the windows keep allocates
-//! nothing, and the slots' windows live in the scratch, reused across
-//! queries (debug builds shadow each window keep with the walk it skips,
-//! which allocates). The cut scan's through-`w` totals compound
-//! two stored legs; those are copied into two functions the scratch owns
-//! and refills, so they allocate only while they grow.
+//! relaxation it walks — a compound built from such a list is that list,
+//! simplified in place, so it costs nothing more — and the point lists of
+//! each `minimum` that neither the bounds, the windows nor the walk
+//! decided. A relaxation the windows keep allocates nothing, and the slots'
+//! windows live in the scratch, reused across queries (debug builds shadow
+//! each window keep with the walk it skips, which allocates). The cut
+//! scan's through-`w` totals compound two stored legs; those are copied
+//! into two functions the scratch owns and refills, so they allocate only
+//! while they grow.
 
 use crate::frozen::FrozenTd;
 use crate::shortcut::{ShortcutStore, DOWN, UP};
 use td_graph::VertexId;
-use td_plf::ops::{min_compound_into, min_into};
+use td_plf::ops::{
+    fold_compound_into, fold_into, min_compound_into, min_into, Merge, EMPTY_BOUNDS,
+};
 use td_plf::{Plf, PlfArena, PlfId, PlfSlice, Windows, EPS_COST, NO_PLF};
 use td_treedec::TreeDecomposition;
 
@@ -172,7 +181,7 @@ impl ProfileSweepBufs {
         self.cost.clear();
         self.cost.resize(len, None);
         self.bounds.clear();
-        self.bounds.resize(len, (f64::INFINITY, f64::INFINITY));
+        self.bounds.resize(len, EMPTY_BOUNDS);
         self.fixed.clear();
         self.fixed.resize(len, false);
         self.reach.clear();
@@ -244,8 +253,8 @@ fn shadowed(keep: bool, slot: &Plf, f: &Plf, g: &Plf, via: VertexId) -> bool {
 /// `minbound_prunes` (slot prunes and window keeps) / `corridor_kills`.
 ///
 /// A sweep relaxation that passes the prunes ends as exactly one of a
-/// window keep, a walk keep or a change; so does a chain term that reaches
-/// the merge.
+/// window keep, a walk keep, a fill, a window take, a walk take or a merge;
+/// so does a chain term that reaches the merge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfileCounts {
     /// Sweep relaxations that reached the prune tests.
@@ -261,18 +270,43 @@ pub struct ProfileCounts {
     pub window_keeps: u64,
     /// Relaxations and chain terms whose merge kernel ran and kept the slot.
     pub walk_keeps: u64,
-    /// Relaxations and chain terms that changed their slot.
-    pub changes: u64,
+    /// Relaxations and chain terms into an empty slot.
+    pub fills: u64,
+    /// Relaxations and chain terms whose built compound replaced the slot,
+    /// decided by per-window bounds before the pointwise walk.
+    pub window_takes: u64,
+    /// Relaxations and chain terms whose candidate replaced the slot,
+    /// decided by value bounds or by the pointwise walk.
+    pub walk_takes: u64,
+    /// Relaxations and chain terms merged with the slot by `minimum`.
+    pub merges: u64,
+}
+
+impl std::ops::AddAssign for ProfileCounts {
+    /// Sums two queries' counts, field by field.
+    fn add_assign(&mut self, o: ProfileCounts) {
+        self.relaxed += o.relaxed;
+        self.slot_prunes += o.slot_prunes;
+        self.corridor_drops += o.corridor_drops;
+        self.window_keeps += o.window_keeps;
+        self.walk_keeps += o.walk_keeps;
+        self.fills += o.fills;
+        self.window_takes += o.window_takes;
+        self.walk_takes += o.walk_takes;
+        self.merges += o.merges;
+    }
 }
 
 impl ProfileCounts {
     /// Counts a merge kernel's outcome.
-    fn merged(&mut self, changed: bool) {
-        if changed {
-            self.changes += 1;
-        } else {
-            self.walk_keeps += 1;
-        }
+    fn record(&mut self, merge: Merge) {
+        *match merge {
+            Merge::Kept => &mut self.walk_keeps,
+            Merge::Filled => &mut self.fills,
+            Merge::WindowTake => &mut self.window_takes,
+            Merge::WalkTake => &mut self.walk_takes,
+            Merge::Merged => &mut self.merges,
+        } += 1;
     }
 }
 
@@ -815,43 +849,37 @@ impl<'a> QueryEngine<'a> {
                     counts.slot_prunes += 1;
                     continue;
                 }
-                let changed = if k == end {
-                    min_into(&mut bufs.cost[ku], w.clone()) // line 2: cost_s[u] ← X(s).Ws_u
+                let bounds = &mut bufs.bounds[ku];
+                let merge = if k == end {
+                    // line 2: cost_s[u] ← X(s).Ws_u
+                    fold_into(&mut bufs.cost[ku], bounds, None, w.clone())
                 } else {
                     // Bag members are ancestors: the slot lies above `k`.
                     let (above, from_k) = bufs.cost.split_at_mut(k);
                     let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
                     let via = bufs.path[k];
+                    let (f, g) = if REV { (w, cur) } else { (cur, w) };
                     // Into a filled slot, the windows may decide the keep
-                    // before the compound's breakpoints are made.
+                    // before the compound's breakpoints are made, and a
+                    // take before the built compound is walked.
+                    let mut windows = None;
                     if let Some(held) = slot.as_ref() {
                         let cache = &mut bufs.windows;
                         cache.ensure(k, cur);
                         cache.ensure(ku, held);
                         let (acc, here, label) =
                             (&cache.windows[ku], &cache.windows[k], &Windows::of(w));
-                        let ((f, fw), (g, gw)) = if REV {
-                            ((w, label), (cur, here))
-                        } else {
-                            ((cur, here), (w, label))
-                        };
+                        let (fw, gw) = if REV { (label, here) } else { (here, label) };
                         if shadowed(acc.under_compound(fw, gw), held, f, g, via) {
                             counts.window_keeps += 1;
                             continue;
                         }
+                        windows = Some(&mut cache.windows[ku]);
                     }
-                    if REV {
-                        min_compound_into(slot, w, cur, via)
-                    } else {
-                        min_compound_into(slot, cur, w, via)
-                    }
+                    fold_compound_into(slot, bounds, windows, f, g, via)
                 };
-                counts.merged(changed);
-                if changed {
-                    bufs.bounds[ku] = bufs.cost[ku]
-                        .as_ref()
-                        .expect("a relaxation leaves a function")
-                        .value_bounds();
+                counts.record(merge);
+                if !merge.windows_fresh() {
                     bufs.windows.stale(ku);
                 }
             }
@@ -922,8 +950,8 @@ fn combine_over_chain(
     counts: &mut ProfileCounts,
     result: &mut Option<Plf>,
 ) {
-    let max_of = |f: &Option<Plf>| f.as_ref().map_or(f64::INFINITY, |f| f.value_bounds().1);
-    let mut result_max = max_of(result);
+    let mut result_bounds = result.as_ref().map_or(EMPTY_BOUNDS, Plf::value_bounds);
+    // The result's windows while they are fresh.
     let mut result_windows: Option<Windows> = None;
     for k in 0..=upto {
         let (Some((cost_s, min_s)), Some((cost_d, min_d))) = (up.leg(k), down.leg(k)) else {
@@ -933,13 +961,14 @@ fn combine_over_chain(
             counts.corridor_drops += 1;
             continue;
         }
-        if min_s + min_d >= result_max {
+        if min_s + min_d >= result_bounds.1 {
             continue;
         }
         let w = up.path[k];
-        let changed = match (cost_s, cost_d) {
-            (None, Some(fd)) => min_into(result, fd.clone()),
-            (Some(fs), None) => min_into(result, fs.clone()),
+        let bounds = &mut result_bounds;
+        let merge = match (cost_s, cost_d) {
+            (None, Some(fd)) => fold_into(result, bounds, result_windows.as_mut(), fd.clone()),
+            (Some(fs), None) => fold_into(result, bounds, result_windows.as_mut(), fs.clone()),
             (Some(_), Some(_)) => {
                 let (fs, fd) = (up.cost[k].as_ref(), down.cost[k].as_ref());
                 let (fs, fd) = (fs.expect("a leg"), fd.expect("a leg"));
@@ -953,13 +982,12 @@ fn combine_over_chain(
                         continue;
                     }
                 }
-                min_compound_into(result, fs, fd, w)
+                fold_compound_into(result, bounds, result_windows.as_mut(), fs, fd, w)
             }
-            (None, None) => false, // s == d returns before the sweeps
+            (None, None) => Merge::Kept, // s == d returns before the sweeps
         };
-        counts.merged(changed);
-        if changed {
-            result_max = max_of(result);
+        counts.record(merge);
+        if !merge.windows_fresh() {
             result_windows = None;
         }
     }
@@ -1244,11 +1272,12 @@ mod tests {
     }
 
     #[test]
-    fn every_relaxation_past_the_prunes_is_a_window_keep_a_walk_keep_or_a_change() {
+    fn every_relaxation_past_the_prunes_ends_as_one_census_outcome() {
         // The census of the merges: with the corridor switched off (an
         // infinite limit) every sweep relaxation is slot-pruned or ends as
-        // exactly one of the three outcomes. Debug builds also shadow every
-        // window keep with the walk it skips (`shadowed`).
+        // exactly one of the six outcomes. Debug builds also shadow every
+        // window keep with the walk it skips (`shadowed`) and every window
+        // take with the pointwise walk (`ops::fold_into`).
         use crate::index::{IndexOptions, SelectionStrategy, TdTreeIndex};
         use td_gen::{Dataset, Workload, WorkloadConfig};
         let g = Dataset::Cal.build(3, 0.1, 42);
@@ -1287,17 +1316,36 @@ mod tests {
             engine.sweep_up_profile_into::<false>(seeds_s, f64::INFINITY, up, &mut counts);
             engine.sweep_up_profile_into::<true>(seeds_d, f64::INFINITY, down, &mut counts);
             assert_eq!(counts.corridor_drops, 0, "s={s} d={d}");
+            let c = counts;
+            let outcomes = [
+                c.slot_prunes,
+                c.window_keeps,
+                c.walk_keeps,
+                c.fills,
+                c.window_takes,
+                c.walk_takes,
+                c.merges,
+            ];
             assert_eq!(
-                counts.relaxed,
-                counts.slot_prunes + counts.window_keeps + counts.walk_keeps + counts.changes,
-                "s={s} d={d}: {counts:?}"
+                c.relaxed,
+                outcomes.iter().sum::<u64>(),
+                "s={s} d={d}: {c:?}"
             );
-            total.window_keeps += counts.window_keeps;
-            total.walk_keeps += counts.walk_keeps;
+            total += c;
         }
+        let t = total;
         assert!(
-            total.window_keeps > 0 && total.walk_keeps > 0,
-            "both kinds of keep occur on the mix: {total:?}"
+            [
+                t.window_keeps,
+                t.walk_keeps,
+                t.fills,
+                t.window_takes,
+                t.walk_takes,
+                t.merges
+            ]
+            .iter()
+            .all(|&x| x > 0),
+            "every outcome occurs on the mix: {t:?}"
         );
     }
 

@@ -36,9 +36,11 @@
 //! Inside an entry almost every term loses to, or beats, the running minimum
 //! outright. Each `min{best, Compound(label, rest)}` is decided before
 //! anything is built — by the two minima against the running maximum, then
-//! by [`td_plf::ops::min_compound_into`]'s walk of the term's values against
+//! by [`td_plf::ops::fold_compound_into`]'s walk of the term's values against
 //! the running minimum — so a term is built only when it gets below the
 //! running minimum somewhere, and merged only when neither wins everywhere.
+//! The running minimum's `(min, max)` lives beside it and is handed to the
+//! kernel, which keeps it current without rescanning.
 //!
 //! Every pass splits its DFS by estimated work, not by subtree count: a
 //! vertex costs `1 + |need[v]| · |bag(v)|`, the relaxations
@@ -71,7 +73,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use td_graph::VertexId;
-use td_plf::ops::{min_compound_into, min_into};
+use td_plf::ops::{fold_compound_into, fold_into, EMPTY_BOUNDS};
 use td_plf::{Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
 use td_treedec::TreeDecomposition;
 
@@ -131,7 +133,7 @@ struct Best {
 impl Best {
     const UNREACHABLE: Best = Best {
         f: None,
-        bounds: (f64::INFINITY, f64::INFINITY),
+        bounds: EMPTY_BOUNDS,
     };
 
     /// Folds in `Compound(f, g)` through `via`, whose values are all ≥
@@ -139,28 +141,31 @@ impl Best {
     /// maximum: the term is then nowhere below it and would be dropped
     /// (ties included), so it is not touched at all. Otherwise the term is
     /// walked against the accumulator and built only if it gets below it.
+    /// The merge kernel reads `bounds` instead of rescanning the
+    /// accumulator, and leaves them the new one's.
     fn relax(&mut self, lower_bound: f64, f: &Plf, g: &Plf, via: VertexId) {
-        if lower_bound < self.bounds.1 && min_compound_into(&mut self.f, f, g, via) {
-            self.refresh();
+        if lower_bound < self.bounds.1 {
+            fold_compound_into(&mut self.f, &mut self.bounds, None, f, g, via);
         }
     }
 
     /// Folds in a label — the direct term through the target itself — by
     /// the same rule.
     fn relax_label(&mut self, w: &Plf, w_min: f64) {
-        if w_min < self.bounds.1 && min_into(&mut self.f, w.clone()) {
-            self.refresh();
+        if w_min < self.bounds.1 {
+            fold_into(&mut self.f, &mut self.bounds, None, w.clone());
         }
     }
 
-    fn refresh(&mut self) {
-        let f = self.f.as_ref().expect("a relaxation leaves a function");
-        self.bounds = f.value_bounds();
-    }
-
+    /// The entry, sized exactly: a kernel result keeps the buffer it was
+    /// made in, and the DFS frames hold their entries for the rest of the
+    /// pass.
     fn into_entry(self) -> Entry {
         match self.f {
-            Some(f) => Entry::Reachable(f, self.bounds.0),
+            Some(mut f) => {
+                f.shrink_to_fit();
+                Entry::Reachable(f, self.bounds.0)
+            }
             None => Entry::Unreachable,
         }
     }

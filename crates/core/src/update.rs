@@ -211,6 +211,10 @@ impl TdTreeIndex {
             .expect("pair is recorded at the earlier endpoint's node");
         let node = &mut self.td.nodes[earlier as usize];
         if node.ws[pos] != fwd || node.wd[pos] != bwd {
+            // Stored labels are sized exactly, as a build's clones are.
+            for f in [&mut fwd, &mut bwd].into_iter().flatten() {
+                f.shrink_to_fit();
+            }
             node.ws[pos] = fwd;
             node.wd[pos] = bwd;
             true

@@ -216,8 +216,10 @@ pub struct ChPotentialScratch {
 
 impl ChPotentialScratch {
     /// Vertices settled by the backward-upward search of the last `init` —
-    /// the whole per-query setup; `benches/potentials.rs` asserts it stays
-    /// a small fraction of the graph.
+    /// the whole per-query setup. The unit test
+    /// `init_settles_a_fraction_of_the_graph` checks that it settles the
+    /// destination and never more than the graph; nothing asserts how small
+    /// a fraction it stays.
     pub fn last_init_settled(&self) -> usize {
         self.init_settled
     }

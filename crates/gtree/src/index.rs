@@ -623,7 +623,8 @@ fn all_pairs(
                 if i >= k {
                     break;
                 }
-                let prof = profile_search_frozen(g, &fg, i as u32);
+                let mut prof = profile_search_frozen(g, &fg, i as u32);
+                prof.dist.iter_mut().flatten().for_each(Plf::shrink_to_fit);
                 // A poisoned lock only means another worker panicked after
                 // finishing its own row; this row's slot is still writable.
                 *rows[i]

@@ -30,7 +30,7 @@
 //! into one.
 
 use crate::approx::clamped_segment_value;
-use crate::plf::{Plf, Pt, Via};
+use crate::plf::{bounds_by, Plf, Pt, Via};
 
 /// Index of a function inside a [`PlfArena`].
 pub type PlfId = u32;
@@ -130,16 +130,13 @@ impl PlfArena {
     }
 
     /// Ends the function whose points were appended since the last one and
-    /// returns its id; its bounds are folded as [`Plf::value_bounds`] does.
+    /// returns its id; its bounds are found as [`Plf::value_bounds`] finds them.
     pub(crate) fn close(&mut self) -> PlfId {
         let id = self.len() as PlfId;
         assert!(id != NO_PLF, "PlfArena overflow (u32::MAX functions)");
         let start = *self.first_pt.last().expect("starts as [0]") as usize;
         debug_assert!(self.times.len() > start, "a PLF needs at least one point");
-        let (lo, hi) = (self.values[start..].iter())
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
+        let (lo, hi) = bounds_by(&self.values[start..], |&v| v);
         self.first_pt.push(self.times.len() as u32);
         self.min_cost.push(lo);
         self.max_cost.push(hi);

@@ -10,13 +10,24 @@
 //! side's values and witnesses: only a mixed pair is merged.
 //!
 //! [`min_compound_into`] walks the compound's breakpoint list, made in one
-//! pass by the compound operator, and builds the compound from that same
-//! list only when it must. Its walk keeps the accumulator unless the
-//! compound gets below it by more than [`EPS_COST`] somewhere: the
-//! tolerance of [`min_into`]'s take rule and of `minimum`'s witness rule.
-//! Without it, a last-ulp difference between two ways of computing one
-//! value would count as a change, and a label-correcting loop that requeues
-//! on changes would not settle.
+//! pass by the compound operator, and builds the compound only when it
+//! must — by simplifying that same list in place, so the list becomes the
+//! function. Its walk keeps the accumulator unless the compound gets below
+//! it by more than [`EPS_COST`] somewhere: the tolerance of [`min_into`]'s
+//! take rule and of `minimum`'s witness rule. Without it, a last-ulp
+//! difference between two ways of computing one value would count as a
+//! change, and a label-correcting loop that requeues on changes would not
+//! settle.
+//!
+//! Each function is made once. [`fold_into`] and [`fold_compound_into`]
+//! are the same folds for a caller that keeps the accumulator's `(min,
+//! max)` beside it: they read those bounds instead of rescanning, and leave
+//! them the new accumulator's (a take's are the candidate's, found once).
+//! A caller that also keeps the accumulator's per-window bounds hands them
+//! in: a built candidate whose window maxima lie below them by more than
+//! [`EPS_COST`] everywhere is taken without the pointwise walk
+//! ([`Windows::over`]), and its windows become the accumulator's. The
+//! [`Merge`] they return says what decided.
 //!
 //! A caller that keeps per-window bounds of its accumulator can decide most
 //! keeps before calling here, without making the compound's breakpoints:
@@ -26,6 +37,45 @@
 use crate::approx::{lerp, EPS_COST};
 use crate::compound::{breakpoints, from_breakpoints};
 use crate::plf::{Cursor, Plf, Pt, Via};
+use crate::window::Windows;
+
+/// The `(min, max)` of an empty accumulator (`+∞`): nothing is dominated by
+/// it.
+pub const EMPTY_BOUNDS: (f64, f64) = (f64::INFINITY, f64::INFINITY);
+
+/// How a fold into an accumulator ended, and what decided it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// The accumulator stays, bit for bit.
+    Kept,
+    /// The accumulator was empty (`+∞`) and now holds the candidate.
+    Filled,
+    /// The candidate replaced the accumulator, decided by per-window
+    /// bounds ([`Windows::over`]) before any walk.
+    WindowTake,
+    /// The candidate replaced the accumulator, decided by the value bounds
+    /// or by the pointwise walk.
+    WalkTake,
+    /// Neither side wins everywhere: the accumulator holds their
+    /// [`Plf::minimum`].
+    Merged,
+}
+
+impl Merge {
+    /// Whether the accumulator changed.
+    #[inline]
+    pub fn changed(self) -> bool {
+        self != Merge::Kept
+    }
+
+    /// Whether windows handed to [`fold_into`] are still the accumulator's
+    /// afterwards: a keep leaves them, a take replaces them by the
+    /// candidate's; a fill or a merge leaves them stale.
+    #[inline]
+    pub fn windows_fresh(self) -> bool {
+        matches!(self, Merge::Kept | Merge::WindowTake | Merge::WalkTake)
+    }
+}
 
 /// Minimum of an optional accumulator and a new function — the
 /// `cost[u] = min{cost[u], Compound(…)}` pattern of Algo. 3 lines 6-9 and
@@ -38,27 +88,68 @@ use crate::plf::{Cursor, Plf, Pt, Via};
 /// which `minimum`'s witness pass still prefers `self`). The value bounds
 /// try first, the pointwise walk second; either way the result is one input
 /// unchanged and equals `minimum`'s in value and in witness. Everything else
-/// is merged.
+/// is merged. [`fold_into`] is the same fold for a caller that keeps the
+/// accumulator's bounds.
 pub fn min_into(acc: &mut Option<Plf>, f: Plf) -> bool {
+    let mut bounds = acc.as_ref().map_or(EMPTY_BOUNDS, Plf::value_bounds);
+    fold_into(acc, &mut bounds, None, f).changed()
+}
+
+/// [`min_into`] for a caller that keeps the accumulator's `(min, max)`
+/// beside it ([`EMPTY_BOUNDS`] while empty), and perhaps its [`Windows`]:
+/// neither is rescanned, and `bounds` is left the new accumulator's.
+///
+/// With `windows`, a candidate that is not kept by the bounds has its own
+/// windows made first, and [`Windows::over`] may take it before the walk.
+/// After a take the windows are the candidate's, so
+/// [`Merge::windows_fresh`] tells the caller whether they still describe
+/// the accumulator. Debug builds check every window take against the walk.
+pub fn fold_into(
+    acc: &mut Option<Plf>,
+    bounds: &mut (f64, f64),
+    windows: Option<&mut Windows>,
+    f: Plf,
+) -> Merge {
+    let f_bounds = f.value_bounds();
     let Some(a) = acc else {
         *acc = Some(f);
-        return true;
+        *bounds = f_bounds;
+        return Merge::Filled;
     };
-    let (f_min, f_max) = f.value_bounds();
-    let (a_min, a_max) = a.value_bounds();
-    if f_min >= a_max {
-        return false;
+    let (a_min, a_max) = *bounds;
+    debug_assert_eq!((a_min, a_max), a.value_bounds(), "stale accumulator bounds");
+    if f_bounds.0 >= a_max {
+        return Merge::Kept;
     }
-    *a = if f_max < a_min - EPS_COST {
-        f
+    let fw = windows.as_ref().map(|_| Windows::of(&f));
+    let by_windows = (windows.as_deref().zip(fw.as_ref()))
+        .is_some_and(|(aw, fw)| aw.over(fw, a_max + f_bounds.1));
+    let how = if by_windows {
+        Merge::WindowTake
+    } else if f_bounds.1 < a_min - EPS_COST {
+        Merge::WalkTake
     } else {
         match pointwise_winner(a, &f) {
-            Some(Side::Acc) => return false,
-            Some(Side::Candidate) => f,
-            None => a.minimum(&f),
+            Some(Side::Acc) => return Merge::Kept,
+            Some(Side::Candidate) => Merge::WalkTake,
+            None => Merge::Merged,
         }
     };
-    true
+    debug_assert!(
+        how != Merge::WindowTake || matches!(pointwise_winner(a, &f), Some(Side::Candidate)),
+        "a window take the walk would not make"
+    );
+    if how == Merge::Merged {
+        *a = a.minimum(&f);
+        *bounds = a.value_bounds();
+        return how;
+    }
+    if let (Some(aw), Some(fw)) = (windows, fw) {
+        *aw = fw;
+    }
+    *a = f;
+    *bounds = f_bounds;
+    how
 }
 
 /// `acc = min{acc, Compound(f, g, via)}` — [`min_into`] of
@@ -72,14 +163,36 @@ pub fn min_into(acc: &mut Option<Plf>, f: Plf) -> bool {
 /// stays, unchanged and reported so, unless the compound gets below it by
 /// more than [`EPS_COST`] at some breakpoint of either; it may therefore
 /// stay up to [`EPS_COST`] above the compound in places. Otherwise the walk
-/// stops at that breakpoint, and the compound is built from the same list
-/// and folded in by [`min_into`].
+/// stops at that breakpoint, the same list is simplified in place into the
+/// compound, and that is folded in by [`min_into`].
 pub fn min_compound_into(acc: &mut Option<Plf>, f: &Plf, g: &Plf, via: Via) -> bool {
+    compound_unless_kept(acc, f, g, via).is_some_and(|c| min_into(acc, c))
+}
+
+/// [`min_compound_into`] through [`fold_into`]: for a caller that keeps the
+/// accumulator's bounds, and perhaps its windows, beside it.
+pub fn fold_compound_into(
+    acc: &mut Option<Plf>,
+    bounds: &mut (f64, f64),
+    windows: Option<&mut Windows>,
+    f: &Plf,
+    g: &Plf,
+    via: Via,
+) -> Merge {
+    match compound_unless_kept(acc, f, g, via) {
+        Some(c) => fold_into(acc, bounds, windows, c),
+        None => Merge::Kept,
+    }
+}
+
+/// `Compound(f, g, via)`, unless its breakpoints' walk finds it nowhere
+/// below `acc` by more than [`EPS_COST`].
+fn compound_unless_kept(acc: &Option<Plf>, f: &Plf, g: &Plf, via: Via) -> Option<Plf> {
     let pts = breakpoints(f, g, via);
     if acc.as_ref().is_some_and(|a| never_below(a, &pts)) {
-        return false;
+        return None;
     }
-    min_into(acc, from_breakpoints(pts))
+    Some(from_breakpoints(pts))
 }
 
 /// The input [`Plf::minimum`] returns as it stands.

@@ -205,13 +205,7 @@ impl Plf {
     /// `(min_value, max_value)` in a single pass — for callers that need
     /// both bounds of a freshly built function while its points are hot.
     pub fn value_bounds(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for p in &self.pts {
-            lo = lo.min(p.v);
-            hi = hi.max(p.v);
-        }
-        (lo, hi)
+        bounds_by(&self.pts, |p| p.v)
     }
 
     /// True iff the FIFO (non-overtaking) property holds: every segment slope
@@ -257,6 +251,14 @@ impl Plf {
         self.pts.capacity() * std::mem::size_of::<Pt>()
     }
 
+    /// Drops the point buffer's spare capacity. An operator's result keeps
+    /// the buffer it was made in — a compound's is its breakpoint list,
+    /// simplified in place — so a function that is stored rather than
+    /// folded into is sized exactly first.
+    pub fn shrink_to_fit(&mut self) {
+        self.pts.shrink_to_fit();
+    }
+
     /// Mutable access for the operator modules in this crate.
     #[inline]
     pub(crate) fn pts_mut(&mut self) -> &mut Vec<Pt> {
@@ -267,6 +269,37 @@ impl Plf {
     pub fn into_points(self) -> Vec<Pt> {
         self.pts
     }
+}
+
+/// `(min, max)` of `value` over `items` (`(+∞, −∞)` for none), in one pass
+/// over four independent min/max chains: a single fold waits on the previous
+/// comparison at every point. Min and max are exact, so the grouping
+/// changes no bound.
+#[inline]
+pub(crate) fn bounds_by<T>(items: &[T], value: impl Fn(&T) -> f64) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let mut fold = |k: usize, v: f64| {
+        if v < lo[k] {
+            lo[k] = v;
+        }
+        if v > hi[k] {
+            hi[k] = v;
+        }
+    };
+    let mut quads = items.chunks_exact(4);
+    for q in &mut quads {
+        for (k, x) in q.iter().enumerate() {
+            fold(k, value(x));
+        }
+    }
+    for (k, x) in quads.remainder().iter().enumerate() {
+        fold(k, value(x));
+    }
+    (
+        lo[0].min(lo[1]).min(lo[2].min(lo[3])),
+        hi[0].max(hi[1]).max(hi[2].max(hi[3])),
+    )
 }
 
 /// `(value, witness)` at `t`, given the number `n` of points with `p.t ≤ t`:

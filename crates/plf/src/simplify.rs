@@ -10,68 +10,70 @@
 //! witnesses are valid per departure time, and extending one across a segment
 //! where a *different* predecessor achieved the minimum would make path
 //! recovery return non-shortest paths even though the cost values agree.
+//!
+//! The pass compacts a function's own point list in place. A compound's
+//! breakpoint list (`compound::breakpoints`) therefore becomes the stored
+//! function with no second buffer and no copy: nothing in this file above
+//! its tests allocates.
 
 use crate::approx::{lerp, EPS_COST, EPS_TIME};
-use crate::plf::{Plf, Pt};
+use crate::plf::Plf;
 
 impl Plf {
     /// Removes interior points that are collinear (within `tol`) with their
     /// neighbours and share the preceding segment's witness; also collapses
     /// flat, same-witness head/tail segments into the clamped rays. Exact up
     /// to `tol` in value and exact in witnesses.
-    #[allow(clippy::needless_range_loop)] // explicit stack algorithm over indices
+    ///
+    /// Compacts the points in place, so a freshly made point list becomes
+    /// the function without a second buffer: the kept points are a prefix
+    /// that never overtakes the point being read.
     pub fn simplify_with(&mut self, tol: f64) {
         let pts = self.pts_mut();
         if pts.len() <= 1 {
             return;
         }
-        let mut out: Vec<Pt> = Vec::with_capacity(pts.len());
-        out.push(pts[0]);
+        let mut kept = 1; // pts[..kept] is the simplified prefix
         for i in 1..pts.len() {
             let p = pts[i];
-            loop {
-                let n = out.len();
-                if n < 2 {
-                    break;
-                }
-                let a = out[n - 2];
-                let b = out[n - 1];
+            while kept >= 2 {
+                let (a, b) = (pts[kept - 2], pts[kept - 1]);
                 // b is droppable iff value-collinear on a–p and the witness of
                 // [b, p) equals the witness of [a, b).
                 let on_line = (lerp(a.t, a.v, p.t, p.v, b.t) - b.v).abs() <= tol;
                 if on_line && a.via == b.via {
-                    out.pop();
+                    kept -= 1;
                 } else {
                     break;
                 }
             }
-            out.push(p);
+            pts[kept] = p;
+            kept += 1;
         }
+        pts.truncate(kept);
         // Trailing flat segment with matching witness collapses into the
         // right ray.
-        if out.len() >= 2 {
-            let n = out.len();
-            let a = out[n - 2];
-            let b = out[n - 1];
+        if let [.., a, b] = pts[..] {
             if (a.v - b.v).abs() <= tol && a.via == b.via {
-                out.pop();
+                pts.pop();
             }
         }
         // Leading flat segment with matching witness collapses into the left
         // ray.
-        if out.len() >= 2 && (out[0].v - out[1].v).abs() <= tol && out[0].via == out[1].via {
-            out.remove(0);
+        if let [a, b, ..] = pts[..] {
+            if (a.v - b.v).abs() <= tol && a.via == b.via {
+                pts.remove(0);
+            }
         }
         // A single surviving point is the constant function; its anchor time
         // is semantically meaningless (both rays clamp to the same value), so
         // pin it to t = 0 like `Plf::constant`. Without this, two searches
         // reaching the same constant through different merge orders would
         // disagree on the leftover anchor even though the functions are equal.
-        if out.len() == 1 {
-            out[0].t = 0.0;
+        if let [only] = &mut pts[..] {
+            only.t = 0.0;
         }
-        debug_assert!(out.windows(2).all(|w| w[1].t - w[0].t > EPS_TIME));
-        *pts = out;
+        debug_assert!(pts.windows(2).all(|w| w[1].t - w[0].t > EPS_TIME));
     }
 
     /// [`Plf::simplify_with`] at the default cost tolerance.
@@ -90,7 +92,7 @@ impl Plf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plf::NO_VIA;
+    use crate::plf::{Pt, NO_VIA};
 
     fn plf(pairs: &[(f64, f64)]) -> Plf {
         Plf::from_pairs(pairs).unwrap()

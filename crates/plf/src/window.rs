@@ -20,7 +20,14 @@
 //! only keeps the walk's `EPS_COST` rule makes too. This is CATCHUp's
 //! per-window `Bounds` test, which decides a merge before linking
 //! (Strasser–Wagner–Zeitz).
+//!
+//! The same windows decide takes once a candidate is built: when its window
+//! maxima lie below the accumulator's window minima by more than `EPS_COST`
+//! (and a margin for interpolation rounding) in every window,
+//! [`Windows::over`] holds and the candidate replaces the accumulator as the
+//! pointwise walk would have replaced it, without that walk.
 
+use crate::approx::EPS_COST;
 use crate::plf::{Plf, Pt};
 use crate::DAY;
 
@@ -105,6 +112,21 @@ impl Windows {
     /// at a cut.
     pub fn under_compound(&self, f: &Windows, g: &Windows) -> bool {
         (0..WINDOWS).all(|w| self.hi[w] <= compound_floor(f, g, w))
+    }
+
+    /// True when `cand`, the windows of a built candidate, lies below
+    /// `self`, an accumulator's, by more than [`EPS_COST`] plus a rounding
+    /// margin in every window: then the candidate is below the accumulator
+    /// by more than [`EPS_COST`] at every breakpoint of either, and
+    /// [`crate::ops`]'s pointwise walk would take it. `scale` is at least
+    /// every value either function takes.
+    ///
+    /// The margin covers interpolation: a cut value here and a walk's value
+    /// between two breakpoints each round a `lerp` of the segment's ends, a
+    /// few ulps of the larger end; `1e-12 · scale` is thousands of those.
+    pub fn over(&self, cand: &Windows, scale: f64) -> bool {
+        let margin = EPS_COST + 1e-12 * scale;
+        (0..WINDOWS).all(|w| cand.hi[w] + margin < self.lo[w])
     }
 }
 

@@ -2,9 +2,10 @@
 //! the workspace silently relies on.
 
 use proptest::prelude::*;
-use td_plf::ops::{min_compound_into, min_into};
+use td_plf::approx::lerp;
+use td_plf::ops::{fold_into, min_compound_into, min_into, Merge};
 use td_plf::window::{compound_floor, Windows, WINDOWS, WINDOW_WIDTH};
-use td_plf::{Plf, Pt, EPS_COST, EPS_TIME, NO_VIA};
+use td_plf::{Plf, PlfArena, Pt, EPS_COST, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
 /// roughly a day, values in [0, 3600].
@@ -937,4 +938,273 @@ fn window_keeps_are_walk_keeps() {
         kept >= 2 * tried,
         "only {kept} window keeps over {tried} pairs"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Window takes (`Windows::over`): a candidate the windows take is one the
+// pointwise walk takes, bit for bit, down to margins within an ulp of
+// `EPS_COST`.
+// ---------------------------------------------------------------------------
+
+/// The gaps a near-tie candidate is put below its accumulator by: `EPS_COST`
+/// and its neighbouring floats (the walk's own boundary), the window test's
+/// margin `EPS_COST + 1e-12 · scale` and its neighbours, and clear wins.
+fn near_tie_gaps(scale: f64) -> Vec<f64> {
+    let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+    let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let edge = EPS_COST + 1e-12 * scale;
+    vec![
+        ulp_down(EPS_COST),
+        EPS_COST,
+        ulp_up(EPS_COST),
+        ulp_down(edge),
+        edge,
+        ulp_up(edge),
+        2.0 * edge,
+        1e-3,
+        1.0,
+    ]
+}
+
+/// Candidates against `acc`: `acc` itself lowered by every near-tie gap
+/// (under another witness), `other` lowered below `acc`'s least value, and
+/// `other` lowered to `acc`'s least value (bounds overlap; the windows may
+/// still separate them window by window).
+fn take_candidates(acc: &Plf, other: &Plf) -> Vec<Plf> {
+    let scale = 2.0 * acc.max_value().max(other.max_value());
+    let mut out: Vec<Plf> = near_tie_gaps(scale)
+        .into_iter()
+        .filter(|&gap| acc.min_value() >= gap)
+        .map(|gap| {
+            let pts = acc.points().iter();
+            Plf::new(pts.map(|p| Pt::with_via(p.t, p.v - gap, 9)).collect())
+                .expect("lowered values stay non-negative")
+        })
+        .collect();
+    for gap in [2.0 * EPS_COST, 1.0] {
+        if acc.min_value() >= other.max_value() - other.min_value() + gap {
+            out.push(rebased(other, other.max_value(), acc.min_value() - gap));
+        }
+    }
+    if acc.min_value() >= 1.0 {
+        out.push(rebased(other, other.min_value(), acc.min_value() - 1.0));
+    }
+    out
+}
+
+/// Returns whether the windows took `cand`: if they did, so does the walk
+/// (restated at every breakpoint of either), `fold_into` without windows
+/// takes it by the walk, and with windows reports a window take, leaves the
+/// same bits and bounds, and hands back the candidate's windows.
+fn assert_window_take_is_walk_take(acc: &Plf, cand: &Plf) -> bool {
+    let (aw, cw) = (Windows::of(acc), Windows::of(cand));
+    let (a_bounds, c_bounds) = (acc.value_bounds(), cand.value_bounds());
+    if !aw.over(&cw, a_bounds.1 + c_bounds.1) {
+        return false;
+    }
+    let grid = acc.points().iter().chain(cand.points()).map(|p| p.t);
+    for t in grid {
+        assert!(
+            cand.eval(t) < acc.eval(t) - EPS_COST,
+            "a window take the walk would not make at t={t}\nacc={acc:?}\ncand={cand:?}"
+        );
+    }
+    let (mut plain, mut plain_bounds) = (Some(acc.clone()), a_bounds);
+    let how = fold_into(&mut plain, &mut plain_bounds, None, cand.clone());
+    assert_eq!(how, Merge::WalkTake, "acc={acc:?}\ncand={cand:?}");
+    let (mut windowed, mut bounds, mut windows) = (Some(acc.clone()), a_bounds, aw);
+    let how = fold_into(&mut windowed, &mut bounds, Some(&mut windows), cand.clone());
+    assert_eq!(how, Merge::WindowTake);
+    let (plain, windowed) = (plain.expect("a take"), windowed.expect("a take"));
+    assert_eq!(bits(&windowed), bits(cand));
+    assert_eq!(bits(&plain), bits(cand));
+    assert_eq!((bounds, plain_bounds), (c_bounds, c_bounds));
+    assert_eq!(windows, cw, "a take hands back the candidate's windows");
+    true
+}
+
+#[test]
+fn window_takes_are_walk_takes() {
+    let mut runner = proptest::TestRunner::from_name("window_takes_are_walk_takes");
+    let (mut taken, mut accs) = (0, 0);
+    let mut check = |acc: &Plf, other: &Plf| {
+        accs += 1;
+        for cand in take_candidates(acc, other) {
+            taken += usize::from(assert_window_take_is_walk_take(acc, &cand));
+        }
+    };
+    for _ in 0..300 {
+        // Accumulators lifted above every generated value, so that every
+        // gap can be taken off them and `other` lowered under them.
+        let lift = |f: Plf| rebased(&f, 0.0, 50_000.0);
+        let (f, g) = fifo_pair().generate(&mut runner);
+        check(&lift(f), &g);
+        let (f, g) = wild_pair().generate(&mut runner);
+        check(&lift(f), &g);
+        let (f, g) = (
+            steep_plf().generate(&mut runner),
+            fifo_plf().generate(&mut runner),
+        );
+        check(&lift(f), &g);
+        // Built compounds, as the sweeps fold them.
+        let (f, g) = fifo_pair().generate(&mut runner);
+        let other = wild_plf().generate(&mut runner);
+        check(&lift(f.compound(&g, 5)), &other);
+        // Flat and near-flat accumulators at everyday costs, where the
+        // rounding margin is far below `EPS_COST`: only on these can a
+        // candidate lowered by a near-tie gap lie below in every window.
+        let (f, c) = (
+            wild_plf().generate(&mut runner),
+            (1.0f64..5000.0).generate(&mut runner),
+        );
+        check(&Plf::constant(c), &f);
+        let pts = f
+            .points()
+            .iter()
+            .map(|p| Pt::with_via(p.t, c + 1e-13 * p.v, p.via));
+        check(&Plf::new(pts.collect()).expect("valid points"), &f);
+    }
+    // Each accumulator meets `other` a whole second under its least value,
+    // which the windows must take; near ties add more.
+    assert!(
+        taken > accs,
+        "only {taken} window takes over {accs} accumulators"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// `simplify_with` compacts in place: bit for bit what the two-buffer pass it
+// replaced returned.
+// ---------------------------------------------------------------------------
+
+/// `simplify_with` as it stood with a second buffer, kept verbatim as the
+/// reference.
+fn simplified_two_buffers(pts: &[Pt], tol: f64) -> Vec<Pt> {
+    if pts.len() <= 1 {
+        return pts.to_vec();
+    }
+    let mut out: Vec<Pt> = Vec::with_capacity(pts.len());
+    out.push(pts[0]);
+    for &p in &pts[1..] {
+        loop {
+            let n = out.len();
+            if n < 2 {
+                break;
+            }
+            let a = out[n - 2];
+            let b = out[n - 1];
+            let on_line = (lerp(a.t, a.v, p.t, p.v, b.t) - b.v).abs() <= tol;
+            if on_line && a.via == b.via {
+                out.pop();
+            } else {
+                break;
+            }
+        }
+        out.push(p);
+    }
+    if out.len() >= 2 {
+        let n = out.len();
+        let a = out[n - 2];
+        let b = out[n - 1];
+        if (a.v - b.v).abs() <= tol && a.via == b.via {
+            out.pop();
+        }
+    }
+    if out.len() >= 2 && (out[0].v - out[1].v).abs() <= tol && out[0].via == out[1].via {
+        out.remove(0);
+    }
+    if out.len() == 1 {
+        out[0].t = 0.0;
+    }
+    out
+}
+
+/// Strategy: runs of points on one line, each nudged off it by nothing, a
+/// fraction of the tolerance, the tolerance itself or one ulp past it, with
+/// the witness switching between runs or inside one — the inputs on which
+/// the collinearity test and the witness rule decide.
+fn near_collinear_plf() -> impl Strategy<Value = Plf> {
+    (
+        proptest::collection::vec((0.5f64..900.0, 0u8..7, 0u8..4, -1.0f64..1.0), 0..30),
+        0.0f64..3600.0,
+        -1.0f64..2.0,
+    )
+        .prop_map(|(steps, v0, slope)| {
+            let mut pts = vec![Pt::with_via(0.0, v0 + 1.0, 1)];
+            let (mut t, mut line) = (0.0, v0 + 1.0);
+            for (dt, nudge, via, bend) in steps {
+                t += dt;
+                // A bend starts a new line through the last point.
+                let slope = if bend.abs() > 0.8 {
+                    slope + bend
+                } else {
+                    slope
+                };
+                line = (line + slope * dt).max(1.0);
+                let off = match nudge {
+                    0..=2 => 0.0,
+                    3 => 0.5 * EPS_COST,
+                    4 => EPS_COST,
+                    5 => f64::from_bits(EPS_COST.to_bits() + 1),
+                    _ => -EPS_COST,
+                };
+                let via = if via == 3 { NO_VIA } else { u32::from(via) };
+                pts.push(Pt::with_via(t, line + off, via));
+            }
+            Plf::new(pts).expect("generated points are valid")
+        })
+}
+
+/// Strategy: integer times and values on a quarter grid, two witnesses:
+/// differences and interpolations come out exact, so at a tolerance of a
+/// quarter the tests' `≤ tol` boundary is met exactly.
+fn grid_plf() -> impl Strategy<Value = Plf> {
+    proptest::collection::vec((1u8..4, 0u8..6, 1u32..3), 0..16).prop_map(|steps| {
+        let mut pts = vec![Pt::with_via(0.0, 1.0, 1)];
+        for (dt, quarters, via) in steps {
+            let prev = *pts.last().unwrap();
+            pts.push(Pt::with_via(
+                prev.t + f64::from(dt),
+                0.25 * f64::from(quarters),
+                via,
+            ));
+        }
+        Plf::new(pts).expect("generated points are valid")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn simplify_in_place_matches_the_two_buffer_pass(
+        f in near_collinear_plf(), g in wild_plf(), h in fifo_plf(), q in grid_plf(),
+        tol_kind in 0u8..3
+    ) {
+        let tol = [EPS_COST, 0.0, 1e-3][tol_kind as usize];
+        let cases = [(f, tol), (g.clone(), tol), (h.clone(), tol), (g.compound(&h, 5), tol), (q, 0.25)];
+        for (f, tol) in cases {
+            let want = simplified_two_buffers(f.points(), tol);
+            let mut got = f.clone();
+            got.simplify_with(tol);
+            let want: Vec<_> = want.iter().map(|p| (p.t.to_bits(), p.v.to_bits(), p.via)).collect();
+            prop_assert_eq!(bits(&got), want);
+        }
+    }
+
+    #[test]
+    fn chained_value_bounds_equal_the_fold(
+        f in wild_plf(), g in fifo_plf(), h in steep_plf(), n in near_collinear_plf()
+    ) {
+        // Lengths 1..=31 cover every remainder of the four chains. Signed
+        // zeros compare equal to each other, so they are read as +0.
+        let unsigned = |(lo, hi): (f64, f64)| ((lo + 0.0).to_bits(), (hi + 0.0).to_bits());
+        let mut arena = PlfArena::new();
+        for f in [f, g, h, n] {
+            let fold = (f.min_value(), f.max_value());
+            prop_assert_eq!(unsigned(f.value_bounds()), unsigned(fold));
+            let id = arena.push(&f);
+            prop_assert_eq!(unsigned((arena.min_cost(id), arena.max_cost(id))), unsigned(fold));
+        }
+    }
 }
