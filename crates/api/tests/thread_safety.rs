@@ -12,7 +12,7 @@ use td_api::{
     AStarChIndex, AStarChScratch, DijkstraOracle, LiveIndex, ParallelExecutor, QuerySession,
     RoutingIndex, SessionScratch,
 };
-use td_core::{FrozenTd, TdTreeIndex};
+use td_core::TdTreeIndex;
 
 fn assert_send_sync<T: Send + Sync + ?Sized>() {}
 fn assert_send<T: Send + ?Sized>() {}
@@ -23,7 +23,7 @@ fn frozen_views_are_send_sync() {
     assert_send_sync::<td_plf::PlfArena>();
     assert_send_sync::<td_graph::CsrGraph>();
     assert_send_sync::<td_graph::FrozenGraph>();
-    assert_send_sync::<FrozenTd>();
+    assert_send_sync::<td_treedec::Labels>();
     assert_send_sync::<td_ch::ContractionHierarchy>();
 }
 

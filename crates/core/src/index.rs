@@ -1,6 +1,5 @@
 //! The [`TdTreeIndex`]: construction, configuration and accounting.
 
-use crate::frozen::FrozenTd;
 use crate::query::{CostScratch, ProfileScratch, QueryEngine};
 use crate::select::{select_dp, select_greedy, Candidate, Selection};
 use crate::shortcut::{build_all, build_selected, weigh_candidates, ShortcutStore};
@@ -94,14 +93,13 @@ impl BuildStats {
 ///
 /// Every fact is stored once: which pairs are selected *is* the set of
 /// ancestor keys in the [`ShortcutStore`] rows (incremental updates read
-/// the selection back off them), and `frozen` is derived from `td` — by
-/// [`TdTreeIndex::build`], by a snapshot load, and slot by slot after an
-/// update.
+/// the selection back off them), and every `Ws`/`Wd` label lives in the
+/// tree's label store ([`td_treedec::Labels`]), which the query sweeps read
+/// in place and an update patches in place.
 #[derive(Clone)]
 pub struct TdTreeIndex {
     pub(crate) graph: TdGraph,
     pub(crate) td: TreeDecomposition,
-    pub(crate) frozen: FrozenTd,
     pub(crate) store: ShortcutStore,
     /// Options the index was built with.
     pub options: IndexOptions,
@@ -163,14 +161,9 @@ impl TdTreeIndex {
             }
         };
 
-        // Freeze the tree labels into the flat CSR/arena layout the query
-        // sweeps run on (a single linear copy of the stored breakpoints).
-        let frozen = FrozenTd::build(&td);
-
         TdTreeIndex {
             graph,
             td,
-            frozen,
             store,
             options,
             build_stats: stats,
@@ -192,15 +185,10 @@ impl TdTreeIndex {
         &self.store
     }
 
-    /// A query engine borrowing this index (hot loops run on the frozen
-    /// CSR/arena label layout).
+    /// A query engine borrowing this index (hot loops run on the tree's
+    /// CSR/arena label store and the shortcut store's arenas).
     fn engine(&self) -> QueryEngine<'_> {
-        QueryEngine::new(&self.td, &self.store, &self.frozen)
-    }
-
-    /// The frozen flat view of the tree labels.
-    pub fn frozen(&self) -> &FrozenTd {
-        &self.frozen
+        QueryEngine::new(&self.td, &self.store)
     }
 
     /// Travel cost query `Q(s, d, t)` (Algo. 6; Algo. 3 sweeps when no
@@ -244,11 +232,11 @@ impl TdTreeIndex {
         self.td.stats()
     }
 
-    /// Index memory: tree weight lists + their frozen CSR/arena mirror +
+    /// Index memory: the tree's label store (each `Ws`/`Wd` point once) +
     /// selected shortcuts, bytes. (The input graph is not counted — every
     /// compared method shares it.)
     pub fn memory_bytes(&self) -> usize {
-        self.td.stats().bytes + self.frozen.heap_bytes() + self.store.bytes()
+        self.td.stats().bytes + self.store.bytes()
     }
 }
 

@@ -22,7 +22,6 @@
 //! * [`update`] — incremental edge-weight updates (§5.2, Fig. 10): exact
 //!   support-list replay of the reduction plus top-down shortcut rebuild.
 
-pub mod frozen;
 pub mod index;
 pub mod paths;
 pub mod persist;
@@ -31,7 +30,6 @@ pub mod select;
 pub mod shortcut;
 pub mod update;
 
-pub use frozen::FrozenTd;
 pub use index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
 pub use query::{CostScratch, ProfileCounts, ProfileScratch};
 pub use select::{Candidate, Selection};

@@ -8,7 +8,8 @@
 //! 1. the *sweep level*: the scalar query tracks, per root-path vertex, which
 //!    (node, bag entry) relaxation achieved its earliest arrival;
 //! 2. the *function level*: each hop used a stored weight function
-//!    `X(v).Ws_u` / `X(v).Wd_u` whose witnesses are elimination bridges
+//!    `X(v).Ws_u` / `X(v).Wd_u`, read in place from the tree's label store,
+//!    whose witnesses are elimination bridges
 //!    (Algo. 1). [`expand_pair`] unfolds one hop recursively: a witness `m`
 //!    splits `i → j` into `i → m` (= `X(m).Wd_i`) and `m → j` (= `X(m).Ws_j`),
 //!    both recorded at `X(m)` because `i, j ∈ X(m)` when `m` was eliminated.
@@ -20,8 +21,8 @@
 
 use crate::query::{CostScratch, QueryEngine};
 use td_graph::{Path, VertexId};
-use td_plf::{Plf, NO_VIA};
-use td_treedec::TreeDecomposition;
+use td_plf::{PlfSlice, NO_VIA};
+use td_treedec::{TreeDecomposition, WD, WS};
 
 /// Expands the stored function `f` for the pair `from → to` at departure
 /// time `t`, appending all intermediate vertices and `to` itself to `out`.
@@ -30,7 +31,7 @@ pub fn expand_pair(
     td: &TreeDecomposition,
     from: VertexId,
     to: VertexId,
-    f: &Plf,
+    f: PlfSlice<'_>,
     t: f64,
     out: &mut Vec<VertexId>,
 ) -> f64 {
@@ -40,19 +41,13 @@ pub fn expand_pair(
         return cost;
     }
     let m = via;
-    let node = td.node(m);
-    let pos_from = td
-        .bag_position(m, from)
-        .expect("witness bridge must contain both endpoints");
-    let pos_to = td
-        .bag_position(m, to)
-        .expect("witness bridge must contain both endpoints");
-    let f1 = node.wd[pos_from]
-        .as_ref()
-        .expect("witnessed direction must exist");
-    let f2 = node.ws[pos_to]
-        .as_ref()
-        .expect("witnessed direction must exist");
+    let slot = |u| {
+        td.slot(m, u)
+            .expect("witness bridge must contain both endpoints")
+    };
+    let labels = td.labels();
+    let f1 = (labels.get(WD, slot(from))).expect("witnessed direction must exist");
+    let f2 = (labels.get(WS, slot(to))).expect("witnessed direction must exist");
     let c1 = expand_pair(td, from, m, f1, t, out);
     let c2 = expand_pair(td, m, to, f2, t + c1, out);
     c1 + c2
@@ -108,19 +103,19 @@ impl QueryEngine<'_> {
         // Emit: s → … → join → … → d.
         let mut vertices = vec![s];
         let mut now = t;
+        let labels = self.td.labels();
+        // The sweep's label: bag entry `bi` of `X(v)` in direction `dir`.
+        let label =
+            |dir, v, bi| (labels.get(dir, labels.range(v).start + bi)).expect("used by the sweep");
         for &(kv, kt, bi) in hops_s.iter().rev() {
             let v = up.path[kv];
             let u = up.path[kt];
-            let node = self.td.node(v);
-            let f = node.ws[bi].as_ref().expect("used by the sweep");
-            now += expand_pair(self.td, v, u, f, now, &mut vertices);
+            now += expand_pair(self.td, v, u, label(WS, v, bi), now, &mut vertices);
         }
         for &(ku, kt, bi) in hops_d.iter().rev() {
             let u = down.path[ku];
             let v = down.path[kt];
-            let node = self.td.node(v);
-            let f = node.wd[bi].as_ref().expect("used by the sweep");
-            now += expand_pair(self.td, u, v, f, now, &mut vertices);
+            now += expand_pair(self.td, u, v, label(WD, v, bi), now, &mut vertices);
         }
         debug_assert!(
             (now - arrival).abs() < 1e-6,
@@ -135,7 +130,6 @@ impl QueryEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frozen::FrozenTd;
     use crate::shortcut::ShortcutStore;
     use rand::prelude::*;
     use rand::rngs::StdRng;
@@ -150,8 +144,7 @@ mod tests {
             let g = seeded_graph(seed, n, 20, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let frozen = FrozenTd::build(&td);
-            let engine = QueryEngine::new(&td, &store, &frozen);
+            let engine = QueryEngine::new(&td, &store);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x9999);
             for _ in 0..30 {
                 let s = rng.gen_range(0..n) as u32;
@@ -186,8 +179,7 @@ mod tests {
         let g = seeded_graph(2, 12, 8, 3);
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(12);
-        let frozen = FrozenTd::build(&td);
-        let engine = QueryEngine::new(&td, &store, &frozen);
+        let engine = QueryEngine::new(&td, &store);
         let (c, p) = engine
             .path(&mut CostScratch::default(), 5, 5, 10.0)
             .unwrap();

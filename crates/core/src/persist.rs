@@ -11,14 +11,13 @@
 //! loading reconstructs a query-identical index without re-running
 //! elimination, candidate weighing, selection or the shortcut DFS. Which
 //! pairs are selected is the shortcut rows' own ancestor keys, and the
-//! [`FrozenTd`] label view is rebuilt from the loaded tree by
-//! [`FrozenTd::build`] (what [`TdTreeIndex::build`] does): derived data
-//! never sits in the file where a CRC-valid edit could desynchronise it
-//! from the labels it mirrors. A live-updated index loads answering
-//! bit-identically, and keeps accepting further updates via the persisted
-//! support lists.
+//! tree's label lists are read straight into the arenas of its label store,
+//! which the queries read as they stand: nothing derived from them sits in
+//! the file, where a CRC-valid edit could desynchronise it from the labels.
+//! A live-updated index loads answering bit-identically, and keeps
+//! accepting further updates, patched into the adopted arenas, via the
+//! persisted support lists.
 
-use crate::frozen::FrozenTd;
 use crate::index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
 use crate::shortcut::{ShortcutStore, DOWN, UP};
 use std::io::{Read, Write};
@@ -208,12 +207,9 @@ impl Persist for TdTreeIndex {
                 "stored shortcut pair is not an ancestor pair",
             ));
         }
-        let frozen = FrozenTd::build(&td);
-
         Ok(TdTreeIndex {
             graph,
             td,
-            frozen,
             store,
             options,
             build_stats,
@@ -318,13 +314,14 @@ mod tests {
             .collect();
         index.update_edges(&changes);
 
-        // The frozen view is rebuilt on load, not carried, and answers
-        // bit-identically.
+        // The loaded label arenas answer bit-identically.
         let mut back = roundtrip(&index);
         assert_bit_identical(&index, &back, 0xabcd);
 
         // The loaded index accepts further updates (supports round-trip),
-        // and both copies evolve identically.
+        // patched into the arenas the load adopted, and both copies evolve
+        // identically: the same answers, bytes and labels, which are a
+        // fresh build's.
         let more: Vec<_> = (0..3)
             .map(|_| {
                 let e = rng.gen_range(0..m) as u32;
@@ -333,8 +330,23 @@ mod tests {
             })
             .collect();
         index.update_edges(&more);
-        back.update_edges(&more);
+        let stats = back.update_edges(&more);
+        assert!(
+            stats.changed_nodes > 0,
+            "the update after the load patched no label"
+        );
         assert_bit_identical(&index, &back, 0x1234);
+        assert_eq!(back.memory_bytes(), index.memory_bytes());
+        let bytes = |index: &TdTreeIndex| {
+            let mut buf = Vec::new();
+            index.write_into(&mut buf).unwrap();
+            buf
+        };
+        assert!(
+            bytes(&back) == bytes(&index),
+            "the updated snapshots differ"
+        );
+        crate::update::tests::assert_labels_are_a_fresh_builds(&back);
     }
 
     #[test]

@@ -29,25 +29,27 @@
 //!
 //! ## Layout
 //!
-//! The scalar sweeps walk the [`FrozenTd`] view alone: flat bag slots,
-//! precomputed bag depths and arena-resident breakpoints. The shortcut
-//! store is arena-resident too: the scalar cut scan evaluates its functions
-//! in place as [`td_plf::PlfSlice`]s, and the profile query reads a seed's
-//! bounds from its chunk's O(1) `min_cost` / `max_cost`. The profile query
-//! runs in two phases:
+//! The scalar sweeps walk the tree's label store ([`td_treedec::Labels`])
+//! alone: flat bag slots, precomputed bag depths and arena-resident
+//! breakpoints. The shortcut store is arena-resident too: the scalar cut
+//! scan evaluates its functions in place as [`td_plf::PlfSlice`]s, and the
+//! profile query reads a seed's bounds from its chunk's O(1) `min_cost` /
+//! `max_cost`. The profile query runs in two phases:
 //!
-//! * **Bounds (the corridor).** Plain-`f64` sweeps over the same frozen
+//! * **Bounds (the corridor).** Plain-`f64` sweeps over the same label
 //!   slots, in the shape of the scalar sweeps, using the O(1) label minima
 //!   and maxima. They give each root-path depth a `(min, max)` `reach` from
 //!   its endpoint and a lower bound `rest` to the other endpoint. They also
 //!   give one upper bound `U ≥ max_t f_{s,d}(t)`: the best summed maxima
 //!   through the common chain, capped by `f⁺`'s maximum.
-//! * **Functions.** The profile sweeps compound whole functions, so they
-//!   borrow the owned `Ws`/`Wd` labels from the tree and take depths and
-//!   label minima from the matching frozen slots. A seed, a slot, a
-//!   relaxation or a chain term whose lower bound plus `rest` exceeds `U`
-//!   (by more than `EPS_COST`) is dropped: everything it could produce lies
-//!   above `f_{s,d}` at every departure. Each slot keeps the `(min, max)` of
+//! * **Functions.** The profile sweeps compound whole functions. They read
+//!   each label's depth, minimum and windows from its slot in place, and
+//!   copy it into a function the sweep reuses only once a relaxation has
+//!   passed every prune and window keep and must reach the merge kernel,
+//!   which takes owned functions. A seed, a slot, a relaxation or a chain
+//!   term whose lower bound plus `rest` exceeds `U` (by more than
+//!   `EPS_COST`) is dropped: everything it could produce lies above
+//!   `f_{s,d}` at every departure. Each slot keeps the `(min, max)` of
 //!   the function it holds beside it, so a relaxation whose lower bound
 //!   `min(cost[k]) + min(w)` cannot get below the destination slot's
 //!   maximum is dropped as well, before its `compound` is touched. A
@@ -57,7 +59,7 @@
 //!   kept before a single breakpoint of the compound is made. The slots'
 //!   windows are made lazily, one forward pass each, and cached beside
 //!   their `(min, max)` until the slot changes; the label's are made on the
-//!   fly. Every other relaxation goes through
+//!   fly from the label's slice. Every other relaxation goes through
 //!   [`td_plf::ops::fold_compound_into`], which walks the candidate's values
 //!   against the slot first and builds it only if it gets below the slot
 //!   somewhere. The kernel reads the slot's `(min, max)` from beside it and
@@ -80,7 +82,8 @@
 //! `QuerySession` holds one per thread: after the first few queries warm the
 //! buffers up to the tree's depth, a scalar query performs **no heap
 //! allocation at all**. A profile query still allocates: one copy per
-//! shortcut seed inside the corridor and per first-hop label, the
+//! shortcut seed inside the corridor and per first-hop label (the other
+//! labels are copied into a function each sweep reuses), the
 //! breakpoint list (times with their values, made in one pass) of every
 //! relaxation it walks — a compound built from such a list is that list,
 //! simplified in place, so it costs nothing more — and the point lists of
@@ -92,24 +95,22 @@
 //! into two functions the scratch owns and refills, so they allocate only
 //! while they grow.
 
-use crate::frozen::FrozenTd;
 use crate::shortcut::{ShortcutStore, DOWN, UP};
 use td_graph::VertexId;
 use td_plf::ops::{
     fold_compound_into, fold_into, min_compound_into, min_into, Merge, EMPTY_BOUNDS,
 };
 use td_plf::{Plf, PlfArena, PlfId, PlfSlice, Windows, EPS_COST, NO_PLF};
-use td_treedec::TreeDecomposition;
+use td_treedec::{TreeDecomposition, WD, WS};
 
 /// Query engine borrowing the tree and the selected shortcuts.
 pub(crate) struct QueryEngine<'a> {
-    /// The TFP tree decomposition.
+    /// The TFP tree decomposition, with its label store: what the scalar
+    /// sweeps walk, and where the profile sweeps read their labels and
+    /// O(1) label bounds.
     pub(crate) td: &'a TreeDecomposition,
     /// Selected shortcuts (empty for TD-basic).
     store: &'a ShortcutStore,
-    /// Frozen flat view of the tree labels: what the scalar sweeps walk,
-    /// and where the profile sweeps read their O(1) label minima.
-    frozen: &'a FrozenTd,
     /// Whether queries scan the LCA cut for shortcuts: false exactly when
     /// `store` holds no pair. The scan would then find nothing, leave the
     /// bound unset and fall through to the same two sweeps, so skipping it
@@ -174,6 +175,9 @@ pub struct ProfileSweepBufs {
     rest: Vec<f64>,
     /// Per-window bounds of the slots' functions, made on first use.
     windows: WindowCache,
+    /// The label of the relaxation at hand, copied out of the label store
+    /// for the merge kernel and refilled in place for the next one.
+    label: Option<Plf>,
 }
 
 impl ProfileSweepBufs {
@@ -333,17 +337,12 @@ pub struct ProfileScratch {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Creates an engine over `td`, its selected shortcuts and its frozen
-    /// label view (`frozen` must be [`FrozenTd::build`] of the same `td`).
-    pub(crate) fn new(
-        td: &'a TreeDecomposition,
-        store: &'a ShortcutStore,
-        frozen: &'a FrozenTd,
-    ) -> Self {
+    /// Creates an engine over `td` (with its label store) and its selected
+    /// shortcuts.
+    pub(crate) fn new(td: &'a TreeDecomposition, store: &'a ShortcutStore) -> Self {
         QueryEngine {
             td,
             store,
-            frozen,
             scan_cut: store.num_pairs() > 0,
         }
     }
@@ -396,7 +395,8 @@ impl<'a> QueryEngine<'a> {
             bufs.arr[k] = Some(a);
             bufs.fixed[k] = true; // Algo. 6 line 15: shortcut values are exact
         }
-        let fz = self.frozen;
+        let labels = self.td.labels();
+        let arena = labels.arena(WS);
         for k in (0..=ds).rev() {
             let Some(a) = bufs.arr[k] else { continue };
             if let Some(b) = bound {
@@ -410,20 +410,20 @@ impl<'a> QueryEngine<'a> {
             // improve the slot (or survive the NIL bound — any relaxation
             // with `a + min - t > b` would only write a value NIL-ed at its
             // own processing step).
-            for (bi, idx) in fz.range(bufs.path[k]).enumerate() {
-                let sid = fz.ws_id(idx);
+            for (bi, idx) in labels.range(bufs.path[k]).enumerate() {
+                let sid = labels.id(WS, idx);
                 if sid == NO_PLF {
                     continue;
                 }
-                let ku = fz.bag_depth(idx);
+                let ku = labels.bag_depth(idx);
                 if bufs.fixed[ku] {
                     continue;
                 }
-                let lb = a + fz.arena().min_cost(sid);
+                let lb = a + arena.min_cost(sid);
                 if bufs.arr[ku].is_some_and(|x| lb >= x) || bound.is_some_and(|b| lb - t > b) {
                     continue;
                 }
-                let cand = a + fz.slice(sid).eval(a);
+                let cand = a + arena.slice(sid).eval(a);
                 if bufs.arr[ku].is_none_or(|x| cand < x) {
                     bufs.arr[ku] = Some(cand);
                     bufs.pred[ku] = Some((k, bi));
@@ -464,23 +464,24 @@ impl<'a> QueryEngine<'a> {
         for (k, slot) in bufs.arr.iter_mut().enumerate().take(upto.min(dd) + 1) {
             *slot = init.get(k).copied().flatten();
         }
-        let fz = self.frozen;
+        let labels = self.td.labels();
+        let arena = labels.arena(WD);
         for k in 0..=dd {
             let mut best: Option<f64> = bufs.arr[k]; // seeded up-sweep arrival
             let mut best_pred = None;
-            for (bi, idx) in fz.range(bufs.path[k]).enumerate() {
-                let wid = fz.wd_id(idx);
+            for (bi, idx) in labels.range(bufs.path[k]).enumerate() {
+                let wid = labels.id(WD, idx);
                 if wid == NO_PLF {
                     continue;
                 }
-                let ku = fz.bag_depth(idx);
+                let ku = labels.bag_depth(idx);
                 let Some(a) = bufs.arr[ku] else { continue };
                 // Min-cost lower bound: skip the evaluation when it cannot
                 // beat the running best.
-                if best.is_some_and(|x| a + fz.arena().min_cost(wid) >= x) {
+                if best.is_some_and(|x| a + arena.min_cost(wid) >= x) {
                     continue;
                 }
-                let cand = a + fz.slice(wid).eval(a);
+                let cand = a + arena.slice(wid).eval(a);
                 if best.is_none_or(|x| cand < x) {
                     best = Some(cand);
                     best_pred = Some((ku, bi));
@@ -715,22 +716,18 @@ impl<'a> QueryEngine<'a> {
             bufs.reach[k] = (chunk.min_cost(id), chunk.max_cost(id));
             bufs.fixed[k] = true;
         }
-        let fz = self.frozen;
+        let (labels, dir) = (self.td.labels(), if REV { WD } else { WS });
         for k in (0..=end).rev() {
             let (lo, hi) = bufs.reach[k];
             if lo == f64::INFINITY {
                 continue;
             }
-            for idx in fz.range(bufs.path[k]) {
-                let ku = fz.bag_depth(idx);
+            for idx in labels.range(bufs.path[k]) {
+                let ku = labels.bag_depth(idx);
                 if bufs.fixed[ku] {
                     continue;
                 }
-                let (w_lo, w_hi) = if REV {
-                    (fz.wd_min(idx), fz.wd_max(idx))
-                } else {
-                    (fz.ws_min(idx), fz.ws_max(idx))
-                };
+                let (w_lo, w_hi) = (labels.min(dir, idx), labels.max(dir, idx));
                 let r = &mut bufs.reach[ku];
                 *r = (r.0.min(lo + w_lo), r.1.min(hi + w_hi));
             }
@@ -756,12 +753,11 @@ impl<'a> QueryEngine<'a> {
         other: &[(f64, f64)],
         upto: usize,
     ) {
-        let fz = self.frozen;
+        let (labels, dir) = (self.td.labels(), if REV { WD } else { WS });
         for (k, &v) in bufs.path.iter().enumerate() {
             let mut r = if k <= upto { other[k].0 } else { f64::INFINITY };
-            for idx in fz.range(v) {
-                let w_lo = if REV { fz.wd_min(idx) } else { fz.ws_min(idx) };
-                r = r.min(w_lo + bufs.rest[fz.bag_depth(idx)]);
+            for idx in labels.range(v) {
+                r = r.min(labels.min(dir, idx) + bufs.rest[labels.bag_depth(idx)]);
             }
             bufs.rest[k] = r;
         }
@@ -812,20 +808,21 @@ impl<'a> QueryEngine<'a> {
                     continue;
                 }
             }
-            // The function algebra needs the owned labels; depths and label
-            // minima come from the matching frozen slots.
-            let node = self.td.node(bufs.path[k]);
-            let labels = if REV { &node.wd } else { &node.ws };
-            for (w, idx) in labels.iter().zip(self.frozen.range(bufs.path[k])) {
-                let Some(w) = w else { continue };
-                let ku = self.frozen.bag_depth(idx);
+            // Each label is read in place — its depth, minimum and windows
+            // from its slot — and copied out only for the merge kernel.
+            let (labels, dir) = (self.td.labels(), if REV { WD } else { WS });
+            for idx in labels.range(bufs.path[k]) {
+                let Some(w) = labels.get(dir, idx) else {
+                    continue;
+                };
+                let ku = labels.bag_depth(idx);
                 if bufs.fixed[ku] {
                     continue;
                 }
                 counts.relaxed += 1;
                 // Edge-level prunes, both before the compound is built: its
                 // minimum is ≥ min(cost[k]) + min(w), the slot minimum kept
-                // beside cost[k] plus the edge minimum the frozen arena
+                // beside cost[k] plus the edge minimum the label arena
                 // serves in O(1). When that plus `rest[ku]` clears the
                 // corridor, every value it could propagate loses the final
                 // combination (same argument as the slot NIL); when it
@@ -835,12 +832,7 @@ impl<'a> QueryEngine<'a> {
                 // bounds may keep a filled slot; otherwise the relaxation
                 // itself walks the candidate against the slot before
                 // building it.
-                let lb = cur_min
-                    + if REV {
-                        self.frozen.wd_min(idx)
-                    } else {
-                        self.frozen.ws_min(idx)
-                    };
+                let lb = cur_min + labels.min(dir, idx);
                 if lb + bufs.rest[ku] > limit {
                     counts.corridor_drops += 1;
                     continue;
@@ -852,13 +844,13 @@ impl<'a> QueryEngine<'a> {
                 let bounds = &mut bufs.bounds[ku];
                 let merge = if k == end {
                     // line 2: cost_s[u] ← X(s).Ws_u
-                    fold_into(&mut bufs.cost[ku], bounds, None, w.clone())
+                    fold_into(&mut bufs.cost[ku], bounds, None, w.to_plf())
                 } else {
                     // Bag members are ancestors: the slot lies above `k`.
                     let (above, from_k) = bufs.cost.split_at_mut(k);
                     let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
                     let via = bufs.path[k];
-                    let (f, g) = if REV { (w, cur) } else { (cur, w) };
+                    let label = bufs.label.get_or_insert_with(Plf::zero);
                     // Into a filled slot, the windows may decide the keep
                     // before the compound's breakpoints are made, and a
                     // take before the built compound is walked.
@@ -867,15 +859,22 @@ impl<'a> QueryEngine<'a> {
                         let cache = &mut bufs.windows;
                         cache.ensure(k, cur);
                         cache.ensure(ku, held);
-                        let (acc, here, label) =
-                            (&cache.windows[ku], &cache.windows[k], &Windows::of(w));
-                        let (fw, gw) = if REV { (label, here) } else { (here, label) };
-                        if shadowed(acc.under_compound(fw, gw), held, f, g, via) {
+                        let (acc, here, lw) =
+                            (&cache.windows[ku], &cache.windows[k], &Windows::of_slice(w));
+                        let (fw, gw) = if REV { (lw, here) } else { (here, lw) };
+                        if acc.under_compound(fw, gw) {
+                            if cfg!(debug_assertions) {
+                                w.copy_into(label);
+                                let (f, g) = if REV { (&*label, cur) } else { (cur, &*label) };
+                                shadowed(true, held, f, g, via);
+                            }
                             counts.window_keeps += 1;
                             continue;
                         }
                         windows = Some(&mut cache.windows[ku]);
                     }
+                    w.copy_into(label);
+                    let (f, g) = if REV { (&*label, cur) } else { (cur, &*label) };
                     fold_compound_into(slot, bounds, windows, f, g, via)
                 };
                 counts.record(merge);
@@ -1023,8 +1022,7 @@ mod tests {
             let g = seeded_graph(seed, n, 25, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let frozen = FrozenTd::build(&td);
-            let engine = QueryEngine::new(&td, &store, &frozen);
+            let engine = QueryEngine::new(&td, &store);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
             for _ in 0..40 {
                 let s = rng.gen_range(0..n) as u32;
@@ -1051,8 +1049,7 @@ mod tests {
             let g = seeded_graph(seed, n, 18, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let frozen = FrozenTd::build(&td);
-            let engine = QueryEngine::new(&td, &store, &frozen);
+            let engine = QueryEngine::new(&td, &store);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
             for _ in 0..8 {
                 let s = rng.gen_range(0..n) as u32;
@@ -1095,9 +1092,8 @@ mod tests {
             let td = TreeDecomposition::build(&g);
             let full = build_all(&td, 2);
             let none = ShortcutStore::empty(n);
-            let frozen = FrozenTd::build(&td);
-            let fast = QueryEngine::new(&td, &full, &frozen);
-            let slow = QueryEngine::new(&td, &none, &frozen);
+            let fast = QueryEngine::new(&td, &full);
+            let slow = QueryEngine::new(&td, &none);
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..30 {
                 let s = rng.gen_range(0..n) as u32;
@@ -1153,12 +1149,11 @@ mod tests {
             let g = seeded_graph(seed, n, 20, 3);
             let td = TreeDecomposition::build(&g);
             let store = ShortcutStore::empty(n);
-            let frozen = FrozenTd::build(&td);
-            let skipping = QueryEngine::new(&td, &store, &frozen);
+            let skipping = QueryEngine::new(&td, &store);
             assert!(!skipping.scan_cut, "an empty store skips the scan");
             let scanning = QueryEngine {
                 scan_cut: true,
-                ..QueryEngine::new(&td, &store, &frozen)
+                ..QueryEngine::new(&td, &store)
             };
             let mut rng = StdRng::seed_from_u64(seed ^ 0xc07);
             let mut pairs: Vec<(u32, u32)> = (0..40)
@@ -1217,7 +1212,7 @@ mod tests {
                     track_supports: false,
                 },
             );
-            let (td, frozen) = (&partial.td, &partial.frozen);
+            let td = &partial.td;
             let (none, full) = (ShortcutStore::empty(n), build_all(td, 1));
             assert!(
                 (1..full.num_pairs()).contains(&partial.store.num_pairs()),
@@ -1231,7 +1226,7 @@ mod tests {
                 .filter(|(s, d)| s != d)
                 .collect();
             for store in [&none, &partial.store, &full] {
-                let engine = QueryEngine::new(td, store, frozen);
+                let engine = QueryEngine::new(td, store);
                 let mut scratch = ProfileScratch::default();
                 for &(s, d) in &pairs {
                     let ctx = format!("seed={seed} pairs={} s={s} d={d}", store.num_pairs());
@@ -1290,7 +1285,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let engine = QueryEngine::new(&index.td, &index.store, &index.frozen);
+        let engine = QueryEngine::new(&index.td, &index.store);
         let mix = WorkloadConfig {
             pairs: 150,
             times_per_pair: 1,
@@ -1359,9 +1354,8 @@ mod tests {
             let td = TreeDecomposition::build(&g);
             let full = build_all(&td, 2);
             let none = ShortcutStore::empty(n);
-            let frozen = FrozenTd::build(&td);
             for store in [&none, &full] {
-                let engine = QueryEngine::new(&td, store, &frozen);
+                let engine = QueryEngine::new(&td, store);
                 let mut cost_scratch = CostScratch::default();
                 let mut profile_scratch = ProfileScratch::default();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -1395,8 +1389,7 @@ mod tests {
         let g = seeded_graph(1, 10, 6, 3);
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(10);
-        let frozen = FrozenTd::build(&td);
-        let engine = QueryEngine::new(&td, &store, &frozen);
+        let engine = QueryEngine::new(&td, &store);
         assert_eq!(cost(&engine, 3, 3, 100.0), Some(0.0));
         assert_eq!(profile(&engine, 3, 3).unwrap().eval(5.0), 0.0);
     }
@@ -1408,8 +1401,7 @@ mod tests {
         let g = seeded_graph(4, 25, 15, 3);
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(25);
-        let frozen = FrozenTd::build(&td);
-        let engine = QueryEngine::new(&td, &store, &frozen);
+        let engine = QueryEngine::new(&td, &store);
         let mut checked = 0;
         for v in 0..25u32 {
             for a in td.ancestors_root_first(v) {
@@ -1440,8 +1432,7 @@ mod tests {
         g.add_edge(3, 2, Plf::constant(1.0)).unwrap();
         let td = TreeDecomposition::build(&g);
         let store = ShortcutStore::empty(4);
-        let frozen = FrozenTd::build(&td);
-        let engine = QueryEngine::new(&td, &store, &frozen);
+        let engine = QueryEngine::new(&td, &store);
         assert_eq!(cost(&engine, 0, 3, 0.0), None);
         assert!(profile(&engine, 0, 3).is_none());
     }

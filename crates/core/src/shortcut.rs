@@ -75,7 +75,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use td_graph::VertexId;
 use td_plf::ops::{fold_compound_into, fold_into, EMPTY_BOUNDS};
 use td_plf::{Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
-use td_treedec::TreeDecomposition;
+use td_treedec::{TreeDecomposition, WD, WS};
 
 /// One ancestor-vector entry of a DFS frame.
 #[derive(Clone, Debug)]
@@ -171,14 +171,20 @@ impl Best {
     }
 }
 
+/// A label copied out of the label store for the merge kernel, with its
+/// minimum (`None` = absent).
+type LabelCopy = Option<(Plf, f64)>;
+
 /// Computes the entries `need` (sorted ancestor depths) of `v`'s ancestor
 /// vectors from the DFS stack (Fact 1); every other entry stays
 /// `Entry::Skipped`.
 ///
 /// `stack[k]` must hold the vectors of `v`'s ancestor at depth `k`;
-/// `stack.len() == depth(v)`. Every term `Compound(label, rest)` is bounded
-/// below by `min(label) + min(rest)` — the label minimum pre-fetched per bag
-/// member, the rest's read from its frame — and skipped when that cannot get
+/// `stack.len() == depth(v)`. `v`'s labels are copied out of the tree's
+/// label store once per visit, for the merge kernel, each with its member's
+/// depth and its minimum. Every term `Compound(label, rest)` is bounded
+/// below by `min(label) + min(rest)` — the label minimum from the store,
+/// the rest's read from its frame — and skipped when that cannot get
 /// below the maximum of what the slot already holds; past that test it is
 /// walked against the slot and built only if it gets below it somewhere.
 fn compute_vectors(
@@ -194,23 +200,21 @@ fn compute_vectors(
         up: vec![Entry::Skipped; d],
         down: vec![Entry::Skipped; d],
     };
-    // Pre-fetch each bag member's depth and label minima once.
-    let min_of = |w: &Option<Plf>| w.as_ref().map_or(f64::INFINITY, Plf::min_value);
-    let bag: Vec<(usize, f64, f64)> = (0..node.bag.len())
-        .map(|bi| {
-            let du = td.node(node.bag[bi]).depth as usize;
-            (du, min_of(&node.ws[bi]), min_of(&node.wd[bi]))
+    let labels = td.labels();
+    let bag: Vec<(usize, [LabelCopy; 2])> = (labels.range(v))
+        .map(|idx| {
+            let copy = |dir| (labels.get(dir, idx)).map(|f| (f.to_plf(), labels.min(dir, idx)));
+            (labels.bag_depth(idx), [copy(WS), copy(WD)])
         })
         .collect();
     for &k in need {
         let k = k as usize;
         let (mut best_up, mut best_down) = (Best::UNREACHABLE, Best::UNREACHABLE);
-        for (bi, &u) in node.bag.iter().enumerate() {
-            let (du, ws_min, wd_min) = bag[bi];
-            if let Some(ws) = &node.ws[bi] {
+        for (&u, &(du, [ref ws, ref wd])) in node.bag.iter().zip(&bag) {
+            if let Some((ws, ws_min)) = ws {
                 // v → anc[k] through bag member u.
                 if du == k {
-                    best_up.relax_label(ws, ws_min);
+                    best_up.relax_label(ws, *ws_min);
                 } else {
                     // u above the target: u → anc[k] is the target's down
                     // entry at u's depth; u below it: u's own up entry.
@@ -224,10 +228,10 @@ fn compute_vectors(
                     }
                 }
             }
-            if let Some(wd) = &node.wd[bi] {
+            if let Some((wd, wd_min)) = wd {
                 // anc[k] → v through bag member u.
                 if du == k {
-                    best_down.relax_label(wd, wd_min);
+                    best_down.relax_label(wd, *wd_min);
                 } else {
                     let rest = if du < k {
                         stack[k].up[du].get()

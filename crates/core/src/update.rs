@@ -28,6 +28,13 @@
 //! plain `!=`: no tolerance hides drift, and an updated tree's `Ws`/`Wd`
 //! are a fresh build's on the updated graph, bit for bit.
 //!
+//! The labels live in the tree's label store ([`td_treedec::Labels`]). The
+//! replay reads a support's two legs through copies it refills in place,
+//! and patches a changed label in the store: the new function is appended
+//! with its bounds and the one it replaces is dead. When the replay ends,
+//! one compaction drops the dead functions, so the store holds what a
+//! fresh build stores, with nothing re-derived.
+//!
 //! **Phase 2 — shortcut rebuild.** Every node whose `Ws`/`Wd` changed
 //! invalidates its own and its descendants' ancestor vectors, so the stored
 //! rows of those vertices are rebuilt: their ancestor keys are read off (the
@@ -40,18 +47,17 @@
 //! functions are dropped from their store chunks first, each chunk compacted
 //! in place, and the pass's arenas join the store as chunks of their own, so
 //! the store stays what a fresh pass over the same keys would build, with no
-//! dead slices. The frozen label view is re-derived from the repaired tree,
-//! like every other frozen view in the workspace.
+//! dead slices.
 
-use crate::frozen::FrozenTd;
 use crate::index::TdTreeIndex;
 use crate::shortcut::rebuild_subtrees;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use td_graph::VertexId;
 use td_plf::ops::min_compound_into;
-use td_plf::Plf;
+use td_plf::{Plf, PlfId};
 use td_treedec::fxhash::FxHashSet;
+use td_treedec::{WD, WS};
 
 /// Counters describing one `update_edges` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -68,6 +74,14 @@ pub struct UpdateStats {
     pub replay_secs: f64,
     /// Phase 2 wall time, seconds.
     pub rebuild_secs: f64,
+}
+
+/// The replay's scratch: copies of the two legs of the compound at hand,
+/// refilled in place, and per direction the ids of the labels it replaced,
+/// dropped together when it ends.
+struct Replay {
+    legs: [Plf; 2],
+    dead: [Vec<PlfId>; 2],
 }
 
 impl TdTreeIndex {
@@ -101,6 +115,10 @@ impl TdTreeIndex {
 
         // Phase 1: replay. Dirty = eliminations whose *inputs* (recorded
         // pairs at that node) changed.
+        let mut replay = Replay {
+            legs: [Plf::zero(), Plf::zero()],
+            dead: Default::default(),
+        };
         let mut dirty: BinaryHeap<Reverse<(u32, VertexId)>> = BinaryHeap::new();
         let mut queued: FxHashSet<VertexId> = FxHashSet::default();
         let mut changed_nodes: FxHashSet<VertexId> = FxHashSet::default();
@@ -114,7 +132,7 @@ impl TdTreeIndex {
                 v
             };
             let other = if earlier == u { v } else { u };
-            if self.refresh_pair(earlier, other) {
+            if self.refresh_pair(earlier, other, &mut replay) {
                 changed_nodes.insert(earlier);
                 if queued.insert(earlier) {
                     dirty.push(Reverse((self.td.order[earlier as usize], earlier)));
@@ -139,7 +157,7 @@ impl TdTreeIndex {
                         j
                     };
                     let other = if earlier == i { j } else { i };
-                    if self.refresh_pair(earlier, other) {
+                    if self.refresh_pair(earlier, other, &mut replay) {
                         changed_nodes.insert(earlier);
                         if queued.insert(earlier) {
                             dirty.push(Reverse((self.td.order[earlier as usize], earlier)));
@@ -148,6 +166,7 @@ impl TdTreeIndex {
                 }
             }
         }
+        self.td.labels_mut().compact(replay.dead);
         stats.changed_nodes = changed_nodes.len();
         stats.replay_secs = t0.elapsed().as_secs_f64();
 
@@ -158,18 +177,15 @@ impl TdTreeIndex {
             stats.rebuilt_subtree_nodes =
                 rebuild_subtrees(&mut self.store, &self.td, &roots, self.options.threads);
         }
-        // The query sweeps read the labels through the frozen view only.
-        if !roots.is_empty() {
-            self.frozen = FrozenTd::build(&self.td);
-        }
         stats.rebuild_secs = t1.elapsed().as_secs_f64();
         stats
     }
 
     /// Recomputes the recorded value of the pair `(earlier, other)` (both
-    /// directions) from its base edge and support list. Returns true when
-    /// either stored direction changed.
-    fn refresh_pair(&mut self, earlier: VertexId, other: VertexId) -> bool {
+    /// directions) from its base edge and support list, and patches each
+    /// direction that changed into the label store. Returns true when either
+    /// did.
+    fn refresh_pair(&mut self, earlier: VertexId, other: VertexId, replay: &mut Replay) -> bool {
         let key = (earlier.min(other), earlier.max(other));
         let supports: &[VertexId] = self
             .td
@@ -190,49 +206,51 @@ impl TdTreeIndex {
             .find_edge(other, earlier)
             .map(|e| self.graph.weight(e).clone());
 
+        let labels = self.td.labels();
+        let [leg_a, leg_b] = &mut replay.legs;
         for &m in supports {
-            let node = self.td.node(m);
-            let pe = self.td.bag_position(m, earlier);
-            let po = self.td.bag_position(m, other);
-            let (Some(pe), Some(po)) = (pe, po) else {
+            let (Some(se), Some(so)) = (self.td.slot(m, earlier), self.td.slot(m, other)) else {
                 continue;
             };
-            if let (Some(a), Some(b)) = (&node.wd[pe], &node.ws[po]) {
-                min_compound_into(&mut fwd, a, b, m);
-            }
-            if let (Some(a), Some(b)) = (&node.wd[po], &node.ws[pe]) {
-                min_compound_into(&mut bwd, a, b, m);
+            // `from → m → to` is `X(m).Wd_from` then `X(m).Ws_to`.
+            for (acc, from, to) in [(&mut fwd, se, so), (&mut bwd, so, se)] {
+                if let (Some(a), Some(b)) = (labels.get(WD, from), labels.get(WS, to)) {
+                    a.copy_into(leg_a);
+                    b.copy_into(leg_b);
+                    min_compound_into(acc, leg_a, leg_b, m);
+                }
             }
         }
 
-        let pos = self
-            .td
-            .bag_position(earlier, other)
+        let idx = (self.td.slot(earlier, other))
             .expect("pair is recorded at the earlier endpoint's node");
-        let node = &mut self.td.nodes[earlier as usize];
-        if node.ws[pos] != fwd || node.wd[pos] != bwd {
-            // Stored labels are sized exactly, as a build's clones are.
-            for f in [&mut fwd, &mut bwd].into_iter().flatten() {
-                f.shrink_to_fit();
+        let labels = self.td.labels_mut();
+        let mut changed = false;
+        for (dir, f) in [(WS, fwd), (WD, bwd)] {
+            let same = match (labels.get(dir, idx), &f) {
+                (Some(held), Some(f)) => held == *f,
+                (None, None) => true,
+                _ => false,
+            };
+            if !same {
+                replay.dead[dir].push(labels.replace(dir, idx, f.as_ref()));
+                changed = true;
             }
-            node.ws[pos] = fwd;
-            node.wd[pos] = bwd;
-            true
-        } else {
-            false
         }
+        changed
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::index::{IndexOptions, SelectionStrategy};
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use td_dijkstra::shortest_path_cost;
     use td_gen::random_graph::{random_profile, seeded_graph};
-    use td_plf::{DAY, NO_PLF};
+    use td_plf::DAY;
+    use td_treedec::TreeDecomposition;
 
     fn verify_against_oracle(index: &TdTreeIndex, seed: u64, queries: usize) {
         let g = index.graph().clone();
@@ -256,27 +274,31 @@ mod tests {
         }
     }
 
-    /// After an update the frozen view is what a fresh freeze of the repaired
-    /// tree gives: the same slot layout, every id resolving to bit-identical
-    /// points, and no point in the arena that no label owns.
-    fn assert_frozen_is_a_fresh_freeze(index: &TdTreeIndex) {
-        let (got, want) = (&index.frozen, FrozenTd::build(index.tree()));
-        assert_eq!(got.first, want.first);
-        assert_eq!(got.bag_depth, want.bag_depth);
-        for (ids, fresh) in [(&got.ws, &want.ws), (&got.wd, &want.wd)] {
-            assert_eq!(ids.len(), fresh.len());
-            for (&a, &b) in ids.iter().zip(fresh) {
-                assert_eq!(a == NO_PLF, b == NO_PLF);
-                if a != NO_PLF {
-                    assert_eq!(got.slice(a).to_plf(), want.slice(b).to_plf());
-                }
+    /// After an update the label store holds exactly what a fresh build on
+    /// the updated graph stores: the same slots and depths, each slot's label
+    /// present or absent alike, bit-identical points, the same arena bounds
+    /// — a stale bound would silently break the scalar prunes — and the
+    /// same bytes, so no dead function survives.
+    pub(crate) fn assert_labels_are_a_fresh_builds(index: &TdTreeIndex) {
+        let fresh = TreeDecomposition::build(index.graph());
+        let (got, want) = (index.tree().labels(), fresh.labels());
+        let n = index.tree().len() as VertexId;
+        for v in 0..n {
+            assert_eq!(got.range(v), want.range(v), "v={v}");
+        }
+        for idx in 0..got.range(n - 1).end {
+            assert_eq!(got.bag_depth(idx), want.bag_depth(idx), "slot {idx}");
+            for dir in [WS, WD] {
+                let ctx = format!("slot {idx}, direction {dir}");
+                let (a, b) = (got.get(dir, idx), want.get(dir, idx));
+                assert_eq!(a.map(|f| f.to_plf()), b.map(|f| f.to_plf()), "{ctx}");
+                let bits = |x: f64| x.to_bits();
+                assert_eq!(bits(got.min(dir, idx)), bits(want.min(dir, idx)), "{ctx}");
+                assert_eq!(bits(got.max(dir, idx)), bits(want.max(dir, idx)), "{ctx}");
             }
         }
-        let label_points: usize = (index.tree().nodes.iter())
-            .flat_map(|node| node.ws.iter().chain(&node.wd).flatten())
-            .map(Plf::len)
-            .sum();
-        assert!(got.arena().total_points() <= label_points);
+        assert_eq!(got.total_points(), want.total_points());
+        assert_eq!(got.heap_bytes(), want.heap_bytes());
     }
 
     #[test]
@@ -305,7 +327,7 @@ mod tests {
                 }
                 let stats = index.update_edges(&changes);
                 assert!(stats.changed_edges > 0, "round {round} changed nothing");
-                assert_frozen_is_a_fresh_freeze(&index);
+                assert_labels_are_a_fresh_builds(&index);
                 verify_against_oracle(&index, seed * 10 + round, 25);
             }
         }
@@ -332,7 +354,7 @@ mod tests {
             changes.push((edge.from, edge.to, random_profile(&mut rng, 3, 10.0, 400.0)));
         }
         index.update_edges(&changes);
-        assert_frozen_is_a_fresh_freeze(&index);
+        assert_labels_are_a_fresh_builds(&index);
 
         // Rebuild from the updated graph.
         let fresh = TdTreeIndex::build(
@@ -453,8 +475,13 @@ mod tests {
 
                 let n = index.td.len();
                 let relabelled = |v: usize| {
-                    let (old, new) = (&before.td.nodes[v], &index.td.nodes[v]);
-                    old.ws != new.ws || old.wd != new.wd
+                    let (old, new) = (before.td.labels(), index.td.labels());
+                    let owned = |f: Option<td_plf::PlfSlice<'_>>| f.map(|f| f.to_plf());
+                    (old.range(v as VertexId)).any(|idx| {
+                        [WS, WD]
+                            .iter()
+                            .any(|&dir| owned(old.get(dir, idx)) != owned(new.get(dir, idx)))
+                    })
                 };
                 let mut affected = vec![false; n];
                 let mut stack: Vec<usize> = (0..n).filter(|&v| relabelled(v)).collect();

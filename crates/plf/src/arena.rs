@@ -461,6 +461,14 @@ impl<'a> PlfSlice<'a> {
     }
 }
 
+impl PartialEq<Plf> for PlfSlice<'_> {
+    /// Point by point, as `Plf == Plf` compares: the view holds the same
+    /// function as `f`, witnesses included.
+    fn eq(&self, f: &Plf) -> bool {
+        self.len() == f.len() && self.points().eq(f.points().iter().copied())
+    }
+}
+
 // Compile-time pin: frozen arenas are shared read-only across query
 // threads. A future `Rc`/`Cell` field fails this line instead of a test.
 const _: () = {

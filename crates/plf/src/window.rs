@@ -28,7 +28,8 @@
 //! pointwise walk would have replaced it, without that walk.
 
 use crate::approx::EPS_COST;
-use crate::plf::{Plf, Pt};
+use crate::arena::PlfSlice;
+use crate::plf::Plf;
 use crate::DAY;
 
 /// Number of departure windows over the day.
@@ -65,7 +66,17 @@ impl Windows {
     /// point's value, one inside a segment the segment's (its slope found
     /// once for all the cuts it spans), one on a ray the ray's.
     pub fn of(f: &Plf) -> Windows {
-        let pts = f.points();
+        Windows::of_points(f.points().iter().map(|p| (p.t, p.v)))
+    }
+
+    /// [`Windows::of`] for a function frozen in an arena: the same pass over
+    /// the same values, so the same bits.
+    pub fn of_slice(f: PlfSlice<'_>) -> Windows {
+        Windows::of_points(f.times().iter().copied().zip(f.values().iter().copied()))
+    }
+
+    /// The pass of [`Windows::of`] over `(t, v)` breakpoints in time order.
+    fn of_points(pts: impl Iterator<Item = (f64, f64)>) -> Windows {
         let mut out = Windows::default();
         let (mut w, mut cut) = (0, WINDOW_WIDTH); // the open window, its right cut
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -74,28 +85,28 @@ impl Windows {
             out.hi[w] = hi.max(v);
             (*lo, *hi) = (v, v);
         };
-        let mut prev: Option<Pt> = None;
-        for &p in pts {
-            if w < LAST && cut < p.t {
-                // The segment ending at `p`, or the left ray, flat at `p.v`.
-                let (a, slope) = match prev {
-                    Some(a) => (a, (p.v - a.v) / (p.t - a.t)),
-                    None => (p, 0.0),
+        let mut prev: Option<(f64, f64)> = None;
+        for (t, v) in pts {
+            if w < LAST && cut < t {
+                // The segment ending at `(t, v)`, or the left ray, flat at `v`.
+                let ((at, av), slope) = match prev {
+                    Some((at, av)) => ((at, av), (v - av) / (t - at)),
+                    None => ((t, v), 0.0),
                 };
-                while w < LAST && cut < p.t {
-                    close(w, &mut lo, &mut hi, a.v + (cut - a.t) * slope);
+                while w < LAST && cut < t {
+                    close(w, &mut lo, &mut hi, av + (cut - at) * slope);
                     (w, cut) = (w + 1, cut + WINDOW_WIDTH);
                 }
             }
-            if p.v < lo {
-                lo = p.v;
+            if v < lo {
+                lo = v;
             }
-            if p.v > hi {
-                hi = p.v;
+            if v > hi {
+                hi = v;
             }
-            prev = Some(p);
+            prev = Some((t, v));
         }
-        let right = prev.map_or(0.0, |p| p.v); // the right ray
+        let right = prev.map_or(0.0, |(_, v)| v); // the right ray
         while w < LAST {
             close(w, &mut lo, &mut hi, right);
             w += 1;

@@ -7,8 +7,10 @@
 //!   while preserving shortest travel-cost functions among its neighbours
 //!   (producing a TFP-graph, Def. 5);
 //! * **TFP tree decomposition** (Algo. 2): min-degree elimination, one tree
-//!   node `X(v)` per vertex storing the weight lists `Ws` (`v → u`) and `Wd`
-//!   (`u → v`) for every bag member `u ∈ X(v)\{v}`;
+//!   node `X(v)` per vertex with the weight lists `Ws` (`v → u`) and `Wd`
+//!   (`u → v`) for every bag member `u ∈ X(v)\{v}`, stored once in the
+//!   decomposition's flat [`Labels`] (CSR bag slots over one arena per
+//!   direction), the layout the query sweeps read;
 //! * the tree skeleton with parent/children links, depths, subtree sizes,
 //!   treewidth/treeheight (Def. 4) and O(1) **LCA** via Euler tour + sparse
 //!   table (needed by Property 1's vertex-cut argument).
@@ -18,10 +20,12 @@
 
 pub mod elimination;
 pub mod fxhash;
+pub mod labels;
 pub mod lca;
 pub mod persist;
 pub mod tree;
 
 pub use elimination::{EliminationGraph, ReductionStats};
+pub use labels::{Labels, WD, WS};
 pub use lca::LcaIndex;
 pub use tree::{TreeDecomposition, TreeNode, TreeStats};

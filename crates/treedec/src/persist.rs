@@ -3,22 +3,29 @@
 //! The decomposition is the expensive build product of Algo. 2 — loading it
 //! must not re-run elimination. Persisted verbatim: the tree skeleton
 //! (parent/depth/subtree arrays, bags CSR-flattened in elimination-sorted
-//! order), the `Ws`/`Wd` weight lists, the elimination order, the optional
-//! support lists (sorted by key for deterministic bytes), and the reduction
-//! counters. Rebuilt on load (cheap, deterministic): `children` lists from
-//! the parent array and the Euler-tour LCA index.
+//! order), the `Ws` and `Wd` label lists in slot order, the elimination
+//! order, the optional support lists (sorted by key for deterministic
+//! bytes), and the reduction counters. The label lists are the label
+//! store's arenas: a save writes them slot by slot, and a load reads each
+//! straight into an arena and adopts it, with the bag offsets as the slot
+//! offsets, so no label is decoded into an owned function on the way.
+//! Rebuilt on load (cheap, deterministic): `children` lists from the parent
+//! array, each slot's member depth, and the Euler-tour LCA index.
 //!
 //! Reading validates the skeleton before reassembly — parent/depth
 //! consistency (which implies acyclicity), elimination order being a
-//! permutation, bag members in range and sorted by elimination order with
-//! `bag[0]` = parent — so a corrupt file cannot smuggle in a malformed tree
-//! that would panic later inside a query.
+//! permutation, bag members in range, sorted by elimination order with
+//! `bag[0]` = parent, and each a proper ancestor of its node (Property 2;
+//! the sweeps index the root path by a member's depth) — so a corrupt file
+//! cannot smuggle in a malformed tree that would panic later inside a
+//! query.
 
 use crate::elimination::{ReductionStats, SupportMap};
+use crate::labels::{Labels, WD, WS};
 use crate::tree::{TreeDecomposition, TreeNode};
 use std::io::{Read, Write};
 use td_graph::VertexId;
-use td_plf::persist::{read_plf_list, write_plf_list};
+use td_plf::persist::{read_plf_arena, write_slice_list};
 use td_store::section::{
     check_offsets, read_u32s, read_u64, read_u64s, tag4, write_u32s, write_u64, write_u64s,
 };
@@ -67,18 +74,9 @@ impl Persist for TreeDecomposition {
         write_u32s(w, TAG_BAG_FIRST, &bag_first)?;
         write_u32s(w, TAG_BAG, &bag)?;
 
-        write_plf_list(
-            w,
-            self.nodes
-                .iter()
-                .flat_map(|nd| nd.ws.iter().map(|f| f.as_ref())),
-        )?;
-        write_plf_list(
-            w,
-            self.nodes
-                .iter()
-                .flat_map(|nd| nd.wd.iter().map(|f| f.as_ref())),
-        )?;
+        for dir in [WS, WD] {
+            write_slice_list(w, self.labels().list(dir))?;
+        }
 
         match &self.supports {
             None => write_u64(w, TAG_SUP_FLAG, 0)?,
@@ -120,8 +118,8 @@ impl Persist for TreeDecomposition {
         let subtree = read_u32s(r, TAG_SUBTREE)?;
         let bag_first = read_u32s(r, TAG_BAG_FIRST)?;
         let bag = read_u32s(r, TAG_BAG)?;
-        let ws = read_plf_list(r)?;
-        let wd = read_plf_list(r)?;
+        let ws = read_plf_arena(r)?;
+        let wd = read_plf_arena(r)?;
 
         let n = order.len();
         if n == 0 {
@@ -151,7 +149,7 @@ impl Persist for TreeDecomposition {
         if bag.iter().any(|&u| u as usize >= n) {
             return Err(StoreError::invalid("bag member out of range"));
         }
-        if ws.len() != bag.len() || wd.len() != bag.len() {
+        if ws.1.len() != bag.len() || wd.1.len() != bag.len() {
             return Err(StoreError::invalid(
                 "weight lists disagree with bag slot count",
             ));
@@ -183,8 +181,6 @@ impl Persist for TreeDecomposition {
         // Assemble nodes; bags must be sorted by elimination order with
         // bag[0] = parent (the structure every query walk relies on).
         let mut nodes: Vec<TreeNode> = Vec::with_capacity(n);
-        let mut ws_iter = ws.into_iter();
-        let mut wd_iter = wd.into_iter();
         for v in 0..n {
             let lo = bag_first[v] as usize;
             let hi = bag_first[v + 1] as usize;
@@ -205,12 +201,9 @@ impl Persist for TreeDecomposition {
                 }
                 _ => {}
             }
-            let count = hi - lo;
             nodes.push(TreeNode {
                 vertex: v as VertexId,
                 bag: b,
-                ws: ws_iter.by_ref().take(count).collect(),
-                wd: wd_iter.by_ref().take(count).collect(),
                 parent: if v as u32 == root {
                     None
                 } else {
@@ -270,9 +263,16 @@ impl Persist for TreeDecomposition {
             max_bag: rs[2] as usize,
         };
 
-        Ok(TreeDecomposition::from_parts(
-            nodes, order, root, supports, reduction,
-        ))
+        let bag_depth = bag.iter().map(|&u| depth[u as usize]).collect();
+        let labels = Labels::adopt(bag_first, bag_depth, [ws, wd]);
+        let td = TreeDecomposition::from_parts(nodes, order, root, supports, labels, reduction);
+        // Property 2: every bag member is a proper ancestor of its node.
+        if (0..n as VertexId)
+            .any(|v| (td.node(v).bag.iter()).any(|&u| u == v || !td.is_ancestor_of(u, v)))
+        {
+            return Err(StoreError::invalid("bag member is not an ancestor"));
+        }
+        Ok(td)
     }
 }
 
@@ -306,8 +306,15 @@ mod tests {
                 assert_eq!(a.children, b.children);
                 assert_eq!(a.depth, b.depth);
                 assert_eq!(a.subtree_size, b.subtree_size);
-                assert_eq!(a.ws, b.ws);
-                assert_eq!(a.wd, b.wd);
+            }
+            let (a, b) = (back.labels(), td.labels());
+            for dir in [WS, WD] {
+                let owned = |l: &Labels| {
+                    l.list(dir)
+                        .map(|f| f.map(|f| f.to_plf()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(owned(a), owned(b));
             }
             assert_eq!(back.supports, td.supports);
             assert_eq!(back.stats(), td.stats());
@@ -331,5 +338,43 @@ mod tests {
         for cut in (0..buf.len()).step_by(97) {
             assert!(TreeDecomposition::read_from(&mut &buf[..cut]).is_err());
         }
+    }
+
+    /// A bag member that is in range and keeps its bag sorted by elimination
+    /// order, but is not an ancestor of its node, is rejected by the load —
+    /// written through the crate's own writer, so every checksum is valid.
+    /// Loaded, it would send the sweeps past the end of a root path.
+    #[test]
+    fn non_ancestor_bag_member_is_rejected() {
+        let g = seeded_graph(7, 40, 25, 3);
+        let td = TreeDecomposition::build(&g);
+        let n = td.len() as VertexId;
+        let mut tried = 0;
+        for v in 0..n {
+            let bag = &td.node(v).bag;
+            for i in 1..bag.len() {
+                let fits = |x: VertexId| {
+                    td.order[x as usize] > td.order[bag[i - 1] as usize]
+                        && bag
+                            .get(i + 1)
+                            .is_none_or(|&y| td.order[x as usize] < td.order[y as usize])
+                };
+                let Some(x) = (0..n).find(|&x| x != v && fits(x) && !td.is_ancestor_of(x, v))
+                else {
+                    continue;
+                };
+                let mut bad = td.clone();
+                bad.nodes[v as usize].bag[i] = x;
+                let mut buf = Vec::new();
+                bad.write_into(&mut buf).unwrap();
+                let err = TreeDecomposition::read_from(&mut buf.as_slice()).err();
+                assert!(
+                    matches!(&err, Some(StoreError::Invalid(m)) if m.contains("not an ancestor")),
+                    "v={v} bag[{i}] = {x}: {err:?}"
+                );
+                tried += 1;
+            }
+        }
+        assert!(tried > 10, "only {tried} corruptions found");
     }
 }

@@ -1,6 +1,12 @@
-//! TFP tree decomposition (Algo. 2) and the tree skeleton.
+//! TFP tree decomposition (Algo. 2): the tree skeleton and its label store.
+//!
+//! A [`TreeNode`] is the skeleton only — the bag and the tree links. The
+//! `Ws`/`Wd` labels of every node live once, in the decomposition's
+//! [`Labels`]: one slot per bag member, in bag order, one arena per
+//! direction.
 
 use crate::elimination::{EliminationGraph, ReductionStats, SupportMap};
+use crate::labels::Labels;
 use crate::lca::LcaIndex;
 use td_graph::{TdGraph, VertexId};
 use td_plf::Plf;
@@ -9,18 +15,14 @@ use td_plf::Plf;
 ///
 /// `bag` is `X(v)\{v}` sorted by elimination order (ascending), so `bag\[0\]`
 /// is the parent vertex (Algo. 2 line 12) and, by Property 2, every bag
-/// member is an ancestor of `X(v)`.
+/// member is an ancestor of `X(v)`. The labels `X(v).Ws` / `X(v).Wd` of
+/// `bag[i]` are slot `labels().range(v).start + i` of the label store.
 #[derive(Clone, Debug)]
 pub struct TreeNode {
     /// The vertex this node corresponds to.
     pub vertex: VertexId,
     /// `X(v)\{v}` sorted by elimination order (parent first).
     pub bag: Vec<VertexId>,
-    /// `X(v).Ws`: weight function `v → bag[i]` (`None` when the reduced graph
-    /// had no such directed edge).
-    pub ws: Vec<Option<Plf>>,
-    /// `X(v).Wd`: weight function `bag[i] → v`.
-    pub wd: Vec<Option<Plf>>,
     /// Parent tree node's vertex (`None` for the root).
     pub parent: Option<VertexId>,
     /// Children tree nodes' vertices.
@@ -42,7 +44,8 @@ pub struct TreeStats {
     pub avg_depth: f64,
     /// Total interpolation points stored in all `Ws`/`Wd` lists.
     pub stored_points: usize,
-    /// Heap bytes of all stored weight functions.
+    /// Heap bytes of the label store: the bag slots with their depths and
+    /// ids, and both label arenas (each point counted once).
     pub bytes: usize,
     /// Elimination counters.
     pub reduction: ReductionStats,
@@ -59,6 +62,7 @@ pub struct TreeDecomposition {
     pub root: VertexId,
     /// Optional support lists for incremental updates.
     pub supports: Option<SupportMap>,
+    labels: Labels,
     lca: LcaIndex,
     reduction: ReductionStats,
 }
@@ -79,36 +83,34 @@ impl TreeDecomposition {
         assert!(n > 0, "cannot decompose an empty graph");
         let mut eg = EliminationGraph::with_supports(g, track_supports);
         let mut order = vec![0u32; n];
-        let mut nodes: Vec<Option<TreeNode>> = (0..n).map(|_| None).collect();
+        // Per vertex, its bag members with their `Ws`/`Wd` labels.
+        let mut slots: Vec<Vec<(VertexId, [Option<Plf>; 2])>> = vec![Vec::new(); n];
 
         for step in 0..n as u32 {
             let v = eg.pop_min_degree().expect("one pop per vertex");
             let (bag, ws, wd) = eg.eliminate(v);
             order[v as usize] = step;
-            nodes[v as usize] = Some(TreeNode {
-                vertex: v,
-                bag,
-                ws,
-                wd,
+            slots[v as usize] = (bag.into_iter().zip(ws.into_iter().zip(wd)))
+                .map(|(u, (s, d))| (u, [s, d]))
+                .collect();
+        }
+        let reduction = eg.stats;
+
+        // Sort each bag by elimination order, its labels moving with their
+        // member; bag[0] becomes the parent (Algo. 2 lines 10-13).
+        for bag in &mut slots {
+            bag.sort_by_key(|&(u, _)| order[u as usize]);
+        }
+        let mut nodes: Vec<TreeNode> = (slots.iter().enumerate())
+            .map(|(v, bag)| TreeNode {
+                vertex: v as VertexId,
+                bag: bag.iter().map(|&(u, _)| u).collect(),
                 parent: None,
                 children: Vec::new(),
                 depth: 0,
                 subtree_size: 1,
-            });
-        }
-        let reduction = eg.stats;
-
-        let mut nodes: Vec<TreeNode> = nodes.into_iter().map(|n| n.expect("all built")).collect();
-
-        // Sort each bag (and its weight lists) by elimination order; bag[0]
-        // becomes the parent (Algo. 2 lines 10-13).
-        for node in &mut nodes {
-            let mut idx: Vec<usize> = (0..node.bag.len()).collect();
-            idx.sort_by_key(|&i| order[node.bag[i] as usize]);
-            node.bag = idx.iter().map(|&i| node.bag[i]).collect();
-            node.ws = idx.iter().map(|&i| node.ws[i].clone()).collect();
-            node.wd = idx.iter().map(|&i| node.wd[i].clone()).collect();
-        }
+            })
+            .collect();
 
         // Root = vertex eliminated last.
         let root = (0..n as u32)
@@ -155,25 +157,21 @@ impl TreeDecomposition {
         }
 
         let supports = eg.supports.take();
-        let lca = LcaIndex::build(&nodes, root);
-        TreeDecomposition {
-            nodes,
-            order,
-            root,
-            supports,
-            lca,
-            reduction,
-        }
+        let depth: Vec<u32> = nodes.iter().map(|nd| nd.depth).collect();
+        let labels = Labels::freeze(slots, &depth);
+        Self::from_parts(nodes, order, root, supports, labels, reduction)
     }
 
-    /// Reassembles a decomposition from persisted parts, rebuilding the LCA
-    /// index (deterministic from the tree skeleton). The persistence module
-    /// validates the skeleton before calling this.
+    /// Reassembles a decomposition from its parts, building the LCA index
+    /// (deterministic from the tree skeleton). The persistence module
+    /// validates the skeleton and the label store's shape before calling
+    /// this.
     pub(crate) fn from_parts(
         nodes: Vec<TreeNode>,
         order: Vec<u32>,
         root: VertexId,
         supports: Option<SupportMap>,
+        labels: Labels,
         reduction: ReductionStats,
     ) -> TreeDecomposition {
         let lca = LcaIndex::build(&nodes, root);
@@ -182,9 +180,22 @@ impl TreeDecomposition {
             order,
             root,
             supports,
+            labels,
             lca,
             reduction,
         }
+    }
+
+    /// The `Ws`/`Wd` label store.
+    #[inline]
+    pub fn labels(&self) -> &Labels {
+        &self.labels
+    }
+
+    /// The label store, for an incremental update to patch
+    /// ([`Labels::replace`], then one [`Labels::compact`]).
+    pub fn labels_mut(&mut self) -> &mut Labels {
+        &mut self.labels
     }
 
     /// The elimination counters recorded during construction.
@@ -192,9 +203,10 @@ impl TreeDecomposition {
         self.reduction
     }
 
-    /// Position of `u` inside `X(v)`'s bag, if present.
-    pub fn bag_position(&self, v: VertexId, u: VertexId) -> Option<usize> {
-        self.nodes[v as usize].bag.iter().position(|&x| x == u)
+    /// The label-store slot of `u` inside `X(v)`'s bag, if present.
+    pub fn slot(&self, v: VertexId, u: VertexId) -> Option<usize> {
+        let i = self.nodes[v as usize].bag.iter().position(|&x| x == u)?;
+        Some(self.labels.range(v).start + i)
     }
 
     /// Number of tree nodes (= vertices).
@@ -278,20 +290,12 @@ impl TreeDecomposition {
         let height = self.nodes.iter().map(|n| n.depth + 1).max().unwrap_or(0) as usize;
         let avg_depth =
             self.nodes.iter().map(|n| n.depth as f64).sum::<f64>() / self.nodes.len() as f64;
-        let mut stored_points = 0usize;
-        let mut bytes = 0usize;
-        for n in &self.nodes {
-            for f in n.ws.iter().chain(n.wd.iter()).flatten() {
-                stored_points += f.len();
-                bytes += f.heap_bytes();
-            }
-        }
         TreeStats {
             width,
             height,
             avg_depth,
-            stored_points,
-            bytes,
+            stored_points: self.labels.total_points(),
+            bytes: self.labels.heap_bytes(),
             reduction: self.reduction,
         }
     }
@@ -333,8 +337,11 @@ mod tests {
             let node = td.node(v);
             assert_eq!(node.vertex, v);
             assert!(!node.bag.contains(&v), "bag must exclude its own vertex");
-            assert_eq!(node.bag.len(), node.ws.len());
-            assert_eq!(node.bag.len(), node.wd.len());
+            let slots = td.labels().range(v);
+            assert_eq!(node.bag.len(), slots.len());
+            for (&u, idx) in node.bag.iter().zip(slots) {
+                assert_eq!(td.labels().bag_depth(idx), td.node(u).depth as usize);
+            }
         }
     }
 

@@ -88,8 +88,9 @@ proptest! {
         for v in 0..n as u32 {
             let prof = td_dijkstra::profile_search(&g, v);
             let node = td.node(v);
-            for (i, &u) in node.bag.iter().enumerate() {
-                if let (Some(ws), Some(f)) = (&node.ws[i], &prof.dist[u as usize]) {
+            for (&u, idx) in node.bag.iter().zip(td.labels().range(v)) {
+                let ws = td.labels().get(td_treedec::WS, idx);
+                if let (Some(ws), Some(f)) = (ws, &prof.dist[u as usize]) {
                     for k in 0..5 {
                         let t = k as f64 * td_plf::DAY / 5.0;
                         prop_assert!(

@@ -10,19 +10,20 @@ use td_dijkstra::{profile_search, shortest_path_cost};
 use td_gen::random_graph::seeded_graph;
 use td_graph::{GraphBuilder, TdGraph};
 use td_plf::DAY;
-use td_treedec::TreeDecomposition;
+use td_treedec::{TreeDecomposition, WD, WS};
 
 /// Builds the fill-in graph from a decomposition: edges `v → u` (`Ws`) and
 /// `u → v` (`Wd`) for every tree node `X(v)` and bag member `u`.
 fn fill_in_graph(td: &TreeDecomposition, n: usize) -> TdGraph {
     let mut b = GraphBuilder::new(n);
+    let labels = td.labels();
     for node in &td.nodes {
-        for (i, &u) in node.bag.iter().enumerate() {
-            if let Some(w) = &node.ws[i] {
-                b.edge(node.vertex, u, w.clone()).unwrap();
+        for (&u, idx) in node.bag.iter().zip(labels.range(node.vertex)) {
+            if let Some(w) = labels.get(WS, idx) {
+                b.edge(node.vertex, u, w.to_plf()).unwrap();
             }
-            if let Some(w) = &node.wd[i] {
-                b.edge(u, node.vertex, w.clone()).unwrap();
+            if let Some(w) = labels.get(WD, idx) {
+                b.edge(u, node.vertex, w.to_plf()).unwrap();
             }
         }
     }
@@ -94,15 +95,18 @@ fn stored_functions_match_direct_edges_on_trees() {
     b.bidirectional(3, 4, w(4.0)).unwrap();
     let g = b.build();
     let td = TreeDecomposition::build(&g);
+    let labels = td.labels();
     for node in &td.nodes {
-        for (i, &u) in node.bag.iter().enumerate() {
+        for (&u, idx) in node.bag.iter().zip(labels.range(node.vertex)) {
             let e = g.find_edge(node.vertex, u);
             if let Some(e) = e {
-                assert!(node.ws[i].as_ref().unwrap().approx_eq(g.weight(e), 1e-9));
+                let ws = labels.get(WS, idx).unwrap().to_plf();
+                assert!(ws.approx_eq(g.weight(e), 1e-9));
             }
             let e = g.find_edge(u, node.vertex);
             if let Some(e) = e {
-                assert!(node.wd[i].as_ref().unwrap().approx_eq(g.weight(e), 1e-9));
+                let wd = labels.get(WD, idx).unwrap().to_plf();
+                assert!(wd.approx_eq(g.weight(e), 1e-9));
             }
         }
     }

@@ -10,6 +10,7 @@ use td_road::dijkstra::shortest_path_cost;
 use td_road::gen::random_graph::random_profile;
 use td_road::gen::Dataset;
 use td_road::plf::DAY;
+use td_road::treedec::{WD, WS};
 
 #[test]
 fn repeated_update_batches_stay_exact_on_road_network() {
@@ -84,11 +85,20 @@ fn updated_index_matches_fresh_rebuild_on_profiles() {
     let fresh = TdTreeIndex::build(index.graph().clone(), opts);
     // The replay folds through the reduction's own kernel, so every
     // weight list is the fresh build's to the bit.
-    let (updated, rebuilt) = (&index.tree().nodes, &fresh.tree().nodes);
+    let (updated, rebuilt) = (index.tree(), fresh.tree());
     assert_eq!(updated.len(), rebuilt.len());
-    for (v, (a, b)) in updated.iter().zip(rebuilt).enumerate() {
-        assert_eq!(a.bag, b.bag, "node {v}: bag");
-        assert!(a.ws == b.ws && a.wd == b.wd, "node {v}: Ws/Wd differ");
+    for v in 0..updated.len() as u32 {
+        assert_eq!(updated.node(v).bag, rebuilt.node(v).bag, "node {v}: bag");
+        let (a, b) = (updated.labels(), rebuilt.labels());
+        for idx in a.range(v) {
+            for dir in [WS, WD] {
+                let (x, y) = (a.get(dir, idx), b.get(dir, idx));
+                assert!(
+                    x.map(|f| f.to_plf()) == y.map(|f| f.to_plf()),
+                    "node {v}: Ws/Wd differ"
+                );
+            }
+        }
     }
     for _ in 0..30 {
         let s = rng.gen_range(0..n) as u32;
