@@ -7,9 +7,10 @@
 //! — dispatching on the header's backend tag — answering every query
 //! **bit-identically** to the freshly built index. A snapshot holds each
 //! backend's source-of-truth state only (graph, labels, selected shortcuts,
-//! contraction order, border matrices); the load is a linear copy of that
-//! plus a linear re-freeze of every derived query view, never a re-run of
-//! elimination, selection or partitioning.
+//! contraction order, border matrices); the load reads every label,
+//! shortcut row and matrix straight into the arenas queries read and
+//! re-freezes only the graph's query view — a linear copy, never a re-run
+//! of elimination, selection or partitioning.
 //!
 //! The in-memory variants ([`save_index_to`] / [`load_index_from`]) work
 //! over any `io::Write`/`io::Read`, which the conformance suite and the

@@ -3,10 +3,10 @@
 //!
 //! The yardstick is the file itself: one pass that reads every section and
 //! verifies its CRC32 without interpreting anything (what `tdx verify` does
-//! before it loads). A load does that same pass and decodes and re-freezes
-//! the index besides, so `load / checksum` is at least 1 and moves only
-//! with the load's own code: a faster build or a busier neighbour moves
-//! both sides alike. Each bar sits about 1.4× above the ratio measured
+//! before it loads). A load does that same pass and decodes the index into
+//! the arenas its queries read besides, so `load / checksum` is at least 1
+//! and moves only with the load's own code: a faster build or a busier
+//! neighbour moves both sides alike. Each bar sits about 1.4× above the ratio measured
 //! with the machine to itself, so a load that really got 2× slower fails
 //! while ordinary noise passes. The build-to-load ratio is printed for the
 //! record and not asserted: it moves with the build's speed, not the

@@ -66,12 +66,10 @@ impl Default for GtreeConfig {
 
 /// All-pairs travel-cost-function matrix over one node's anchor set.
 ///
-/// The `mat` of owned [`Plf`]s is the *build/profile* representation (the
-/// assembly passes min-merge and compound entries, and profile queries need
-/// whole functions). After construction, [`NodeMatrix::freeze`] lays every
-/// entry out in a contiguous [`PlfArena`]; the scalar query loops then walk
-/// `ids`/arena slices with precomputed `min_cost` bounds instead of chasing
-/// per-entry `Vec<Pt>` pointers.
+/// Every entry is stored once, in the node's contiguous [`PlfArena`]: the
+/// scalar query loops walk `ids`/arena slices with precomputed `min_cost`
+/// bounds, and the assembly passes and profile queries copy out the few
+/// whole functions they need.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeMatrix {
     /// Anchor vertices: all vertices for leaves, union of children borders
@@ -79,23 +77,28 @@ pub(crate) struct NodeMatrix {
     pub(crate) anchors: Vec<VertexId>,
     /// Anchor id lookup.
     pub(crate) pos: HashMap<VertexId, usize>,
-    /// Row-major `anchors² → Option<Plf>` (direction `i → j`).
-    pub(crate) mat: Vec<Option<Plf>>,
-    /// Row-major arena ids mirroring `mat` (`NO_PLF` = absent); filled by
-    /// [`NodeMatrix::freeze`].
+    /// Row-major `anchors²` arena ids (direction `i → j`; `NO_PLF` =
+    /// absent).
     pub(crate) ids: Vec<PlfId>,
-    /// Frozen breakpoints of every stored entry.
+    /// Breakpoints of every stored entry.
     pub(crate) arena: PlfArena,
 }
 
 impl NodeMatrix {
-    fn entry(&self, from: VertexId, to: VertexId) -> Option<&Plf> {
-        let i = *self.pos.get(&from)?;
-        let j = *self.pos.get(&to)?;
-        self.mat[i * self.anchors.len() + j].as_ref()
+    /// The matrix over `anchors` whose row-major entries are `ids` into
+    /// `arena`. A duplicate anchor keeps its last position.
+    pub(crate) fn new(anchors: Vec<VertexId>, ids: Vec<PlfId>, arena: PlfArena) -> NodeMatrix {
+        debug_assert_eq!(ids.len(), anchors.len() * anchors.len());
+        let pos = anchors.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        NodeMatrix {
+            anchors,
+            pos,
+            ids,
+            arena,
+        }
     }
 
-    /// Frozen entry `from → to`: `(breakpoint slice, min cost bound)`.
+    /// Entry `from → to`: `(breakpoint slice, min cost bound)`.
     #[inline]
     #[deny(
         clippy::unwrap_used,
@@ -105,7 +108,7 @@ impl NodeMatrix {
         clippy::todo,
         clippy::unimplemented
     )]
-    fn entry_frozen(&self, from: VertexId, to: VertexId) -> Option<(PlfSlice<'_>, f64)> {
+    fn entry(&self, from: VertexId, to: VertexId) -> Option<(PlfSlice<'_>, f64)> {
         let i = *self.pos.get(&from)?;
         let j = *self.pos.get(&to)?;
         debug_assert!(i * self.anchors.len() + j < self.ids.len());
@@ -116,35 +119,8 @@ impl NodeMatrix {
         Some((self.arena.slice(id), self.arena.min_cost(id)))
     }
 
-    /// Copies every stored entry into the contiguous arena (idempotent:
-    /// rebuilds from the current `mat`).
-    pub(crate) fn freeze(&mut self) {
-        let total: usize = self.mat.iter().flatten().map(|f| f.len()).sum();
-        let mut arena = PlfArena::with_capacity(self.mat.len(), total);
-        self.ids = self
-            .mat
-            .iter()
-            .map(|slot| match slot {
-                Some(f) => arena.push(f),
-                None => NO_PLF,
-            })
-            .collect();
-        self.arena = arena;
-    }
-
-    fn points(&self) -> usize {
-        self.mat.iter().flatten().map(|f| f.len()).sum()
-    }
-
     fn bytes(&self) -> usize {
-        self.mat
-            .iter()
-            .flatten()
-            .map(|f| f.heap_bytes())
-            .sum::<usize>()
-            + self.mat.capacity() * std::mem::size_of::<Option<Plf>>()
-            + self.ids.capacity() * std::mem::size_of::<PlfId>()
-            + self.arena.heap_bytes()
+        self.ids.capacity() * std::mem::size_of::<PlfId>() + self.arena.heap_bytes()
     }
 }
 
@@ -187,12 +163,6 @@ impl TdGtree {
             let outside: Vec<(VertexId, VertexId, Plf)> = border_pairs(&pt, &mats, idx, parent);
             let local = supergraph(&graph, &pt, &mats, idx, &anchors, Some(&outside));
             mats[idx] = all_pairs(&local, anchors);
-        }
-
-        // Freeze every refined matrix into its contiguous arena: the scalar
-        // query loops run exclusively on the frozen layout.
-        for m in &mut mats {
-            m.freeze();
         }
 
         TdGtree {
@@ -268,7 +238,7 @@ impl TdGtree {
         if ls == ld {
             // Same-leaf: the refined leaf matrix is globally exact.
             scratch.sweep.stats.eval_scalar(1);
-            return self.mats[ls].entry_frozen(s, d).map(|(f, _)| f.eval(t));
+            return self.mats[ls].entry(s, d).map(|(f, _)| f.eval(t));
         }
         let GtreeScratch {
             plan,
@@ -283,7 +253,7 @@ impl TdGtree {
         // Upward: arrivals at the source leaf's border set.
         cur.clear();
         for &b in &self.pt.nodes[ls].borders {
-            if let Some((f, _)) = self.mats[ls].entry_frozen(s, b) {
+            if let Some((f, _)) = self.mats[ls].entry(s, b) {
                 sweep.stats.eval_scalar(1);
                 let a = t + f.eval(t);
                 cur.entry(b).and_modify(|x| *x = x.min(a)).or_insert(a);
@@ -297,7 +267,7 @@ impl TdGtree {
         // Into d.
         let mut best: Option<f64> = None;
         for (&b, &a) in cur.iter() {
-            if let Some((f, min)) = self.mats[ld].entry_frozen(b, d) {
+            if let Some((f, min)) = self.mats[ld].entry(b, d) {
                 // Lower-bound prune: the final hop costs at least `min`.
                 if best.is_some_and(|x| a + min >= x) {
                     sweep.stats.prune(1);
@@ -357,7 +327,7 @@ impl TdGtree {
             Vec::with_capacity(plan.len() + 1);
         let mut cur: HashMap<VertexId, (f64, VertexId)> = HashMap::new();
         for &b in &self.pt.nodes[ls].borders {
-            if let Some(f) = self.mats[ls].entry(s, b) {
+            if let Some((f, _)) = self.mats[ls].entry(s, b) {
                 let a = t + f.eval(t);
                 match cur.entry(b) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -384,7 +354,7 @@ impl TdGtree {
         finals.sort_unstable();
         for b in finals {
             let (a, _) = last[&b];
-            if let Some(f) = self.mats[ld].entry(b, d) {
+            if let Some((f, _)) = self.mats[ld].entry(b, d) {
                 let total = a + f.eval(a);
                 if best.is_none_or(|(x, _)| total < x) {
                     best = Some((total, b));
@@ -406,7 +376,8 @@ impl TdGtree {
         Some(rev)
     }
 
-    /// Shortest travel cost function query `f_{s,d}(t)`.
+    /// Shortest travel cost function query `f_{s,d}(t)`: the cost query's
+    /// stage plan, relaxed with whole functions.
     pub fn query_profile(&self, s: VertexId, d: VertexId) -> Option<Plf> {
         if s == d {
             return Some(Plf::zero());
@@ -414,36 +385,27 @@ impl TdGtree {
         let ls = self.pt.leaf_of[s as usize];
         let ld = self.pt.leaf_of[d as usize];
         if ls == ld {
-            return self.mats[ls].entry(s, d).cloned();
+            return self.mats[ls].entry(s, d).map(|(f, _)| f.to_plf());
         }
-        let lca = self.pt.lca(ls, ld);
-        let path_s = self.pt.path_up(ls, lca);
-        let path_d = self.pt.path_up(ld, lca);
+        let (mut plan, mut path_s, mut path_d) = (Vec::new(), Vec::new(), Vec::new());
+        self.stage_plan_into(ls, ld, &mut plan, &mut path_s, &mut path_d);
 
         // `borders` is sorted and deduplicated: one entry per border.
         let mut cost: HashMap<VertexId, Plf> = (self.pt.nodes[ls].borders.iter())
-            .filter_map(|&b| Some((b, self.mats[ls].entry(s, b)?.clone())))
+            .filter_map(|&b| Some((b, self.mats[ls].entry(s, b)?.0.to_plf())))
             .collect();
-        for &n in &path_s[1..path_s.len().saturating_sub(1)] {
-            cost = relax_profile(&self.mats[n], &cost, &self.pt.nodes[n].borders);
-        }
-        let child_d = path_d[path_d.len() - 2];
-        cost = relax_profile(&self.mats[lca], &cost, &self.pt.nodes[child_d].borders);
-        for pi in (1..path_d.len() - 1).rev() {
-            let n = path_d[pi];
-            let next_down: Vec<VertexId> = if pi == 1 {
-                self.pt.nodes[ld].borders.clone()
-            } else {
-                self.pt.nodes[path_d[pi - 1]].borders.clone()
-            };
-            cost = relax_profile(&self.mats[n], &cost, &next_down);
+        // Each matrix entry is compounded from one reused copy.
+        let mut leg = Plf::zero();
+        for &(n, tgt) in &plan {
+            cost = relax_profile(&self.mats[n], &cost, &self.pt.nodes[tgt].borders, &mut leg);
         }
         let mut best: Option<Plf> = None;
         let mut sources: Vec<VertexId> = cost.keys().copied().collect();
         sources.sort_unstable();
         for b in sources {
-            if let Some(f2) = self.mats[ld].entry(b, d) {
-                min_compound_into(&mut best, &cost[&b], f2, b);
+            if let Some((f2, _)) = self.mats[ld].entry(b, d) {
+                f2.copy_into(&mut leg);
+                min_compound_into(&mut best, &cost[&b], &leg, b);
             }
         }
         best
@@ -456,16 +418,13 @@ impl TdGtree {
 
     /// Total cached interpolation points.
     pub fn total_points(&self) -> usize {
-        self.mats.iter().map(|m| m.points()).sum()
+        self.mats.iter().map(|m| m.arena.total_points()).sum()
     }
 
     /// Number of cached matrix entries (anchor pairs with a stored cost
     /// function) across all partition nodes.
     pub fn num_entries(&self) -> usize {
-        self.mats
-            .iter()
-            .map(|m| m.mat.iter().flatten().count())
-            .sum()
+        self.mats.iter().map(|m| m.arena.len()).sum()
     }
 
     /// Number of partition-tree nodes.
@@ -520,7 +479,7 @@ fn supergraph(
     idx: usize,
     anchors: &[VertexId],
     outside: Option<&[(VertexId, VertexId, Plf)]>,
-) -> (TdGraph, HashMap<VertexId, u32>, Vec<VertexId>) {
+) -> TdGraph {
     let mut local_of: HashMap<VertexId, u32> = HashMap::new();
     for (i, &v) in anchors.iter().enumerate() {
         local_of.insert(v, i as u32);
@@ -545,10 +504,10 @@ fn supergraph(
                     if x == y {
                         continue;
                     }
-                    if let (Some(f), Some(&lx), Some(&ly)) =
+                    if let (Some((f, _)), Some(&lx), Some(&ly)) =
                         (mats[c].entry(x, y), local_of.get(&x), local_of.get(&y))
                     {
-                        add_local_edge(&mut b, lx, ly, f.clone());
+                        add_local_edge(&mut b, lx, ly, f.to_plf());
                     }
                 }
             }
@@ -574,7 +533,7 @@ fn supergraph(
             }
         }
     }
-    (b.build(), local_of, anchors.to_vec())
+    b.build()
 }
 
 /// Parent's refined matrix entries among `idx`'s borders.
@@ -591,8 +550,8 @@ fn border_pairs(
             if x == y {
                 continue;
             }
-            if let Some(f) = mats[parent].entry(x, y) {
-                out.push((x, y, f.clone()));
+            if let Some((f, _)) = mats[parent].entry(x, y) {
+                out.push((x, y, f.to_plf()));
             }
         }
     }
@@ -602,12 +561,10 @@ fn border_pairs(
 /// All-pairs profile search over the local supergraph (one search per
 /// anchor, parallelised across rows). The local graph is frozen once into
 /// the CSR/arena layout and shared read-only by all workers, so every row's
-/// search walks flat adjacency with per-edge min-cost pruning.
-fn all_pairs(
-    local: &(TdGraph, HashMap<VertexId, u32>, Vec<VertexId>),
-    anchors: Vec<VertexId>,
-) -> NodeMatrix {
-    let (g, _, order) = local;
+/// search walks flat adjacency with per-edge min-cost pruning. The rows are
+/// then pushed, row-major, into an arena sized exactly to them; the owned
+/// rows live only while this one node is assembled.
+fn all_pairs(g: &TdGraph, anchors: Vec<VertexId>) -> NodeMatrix {
     let fg = g.freeze();
     let k = anchors.len();
     let threads = std::thread::available_parallelism()
@@ -623,8 +580,7 @@ fn all_pairs(
                 if i >= k {
                     break;
                 }
-                let mut prof = profile_search_frozen(g, &fg, i as u32);
-                prof.dist.iter_mut().flatten().for_each(Plf::shrink_to_fit);
+                let prof = profile_search_frozen(g, &fg, i as u32);
                 // A poisoned lock only means another worker panicked after
                 // finishing its own row; this row's slot is still writable.
                 *rows[i]
@@ -633,25 +589,19 @@ fn all_pairs(
             });
         }
     });
-    let mut mat: Vec<Option<Plf>> = Vec::with_capacity(k * k);
-    for row in rows {
-        mat.extend(
+    let entries: Vec<Option<Plf>> = rows
+        .into_iter()
+        .flat_map(|row| {
             row.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-    }
-    let mut pos = HashMap::with_capacity(k);
-    for (i, &v) in anchors.iter().enumerate() {
-        pos.insert(v, i);
-    }
-    debug_assert_eq!(&anchors, order);
-    NodeMatrix {
-        anchors,
-        pos,
-        mat,
-        ids: Vec::new(),
-        arena: PlfArena::new(),
-    }
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        })
+        .collect();
+    let stored = || entries.iter().flatten();
+    let mut arena = PlfArena::with_capacity(stored().count(), stored().map(Plf::len).sum());
+    let ids = (entries.iter())
+        .map(|slot| slot.as_ref().map_or(NO_PLF, |f| arena.push(f)))
+        .collect();
+    NodeMatrix::new(anchors, ids, arena)
 }
 
 /// Scalar relaxation through a node matrix into `out` (cleared first):
@@ -759,7 +709,7 @@ fn relax_pred(
             if b1 == b2 {
                 continue;
             }
-            if let Some((f, min)) = m.entry_frozen(b1, b2) {
+            if let Some((f, min)) = m.entry(b1, b2) {
                 if best.is_some_and(|(x, _)| a + min >= x) {
                     continue;
                 }
@@ -776,11 +726,13 @@ fn relax_pred(
     out
 }
 
-/// Profile relaxation through a node matrix.
+/// Profile relaxation through a node matrix; each entry is copied into
+/// `leg` before it is compounded.
 fn relax_profile(
     m: &NodeMatrix,
     cost: &HashMap<VertexId, Plf>,
     targets: &[VertexId],
+    leg: &mut Plf,
 ) -> HashMap<VertexId, Plf> {
     let mut out: HashMap<VertexId, Plf> = HashMap::with_capacity(targets.len());
     let mut sources: Vec<VertexId> = cost.keys().copied().collect();
@@ -791,8 +743,9 @@ fn relax_profile(
             if b1 == b2 {
                 continue;
             }
-            if let Some(f2) = m.entry(b1, b2) {
-                min_compound_into(&mut best, &cost[&b1], f2, b1);
+            if let Some((f2, _)) = m.entry(b1, b2) {
+                f2.copy_into(leg);
+                min_compound_into(&mut best, &cost[&b1], leg, b1);
             }
         }
         if let Some(f) = best {

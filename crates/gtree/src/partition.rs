@@ -264,15 +264,8 @@ impl PartitionTree {
         a
     }
 
-    /// Path of node indices from `from` up to (and including) `to`.
-    pub fn path_up(&self, from: usize, to: usize) -> Vec<usize> {
-        let mut p = Vec::new();
-        self.path_up_into(from, to, &mut p);
-        p
-    }
-
-    /// Allocation-free [`PartitionTree::path_up`]: fills `out` (after
-    /// clearing it).
+    /// Fills `out` (after clearing it) with the path of node indices from
+    /// `from` up to (and including) `to`.
     pub fn path_up_into(&self, from: usize, to: usize, out: &mut Vec<usize>) {
         out.clear();
         out.push(from);
@@ -391,11 +384,12 @@ mod tests {
         let leaves: Vec<usize> = (0..pt.nodes.len())
             .filter(|&i| pt.nodes[i].children.is_empty())
             .collect();
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
         for &a in &leaves {
             for &b in &leaves {
                 let l = pt.lca(a, b);
-                let pa = pt.path_up(a, l);
-                let pb = pt.path_up(b, l);
+                pt.path_up_into(a, l, &mut pa);
+                pt.path_up_into(b, l, &mut pb);
                 assert_eq!(*pa.last().unwrap(), l);
                 assert_eq!(*pb.last().unwrap(), l);
                 if a == b {

@@ -2,19 +2,18 @@
 //!
 //! Persisted verbatim: the input graph, the partition tree (parents, depths,
 //! leaf assignment, CSR-flattened vertex and border lists) and every node's
-//! refined border matrix (anchors + the row-major `Option<Plf>` entries).
-//! Loading **never re-runs partitioning or the all-pairs profile searches**
-//! — the expensive part of G-tree construction; it only replays the same
-//! linear `freeze()` used after construction to rebuild the contiguous
-//! query arenas, and reindexes the anchor position maps.
+//! refined border matrix (anchors + the row-major entries, in the shared
+//! PLF-list encoding). Loading **never re-runs partitioning or the
+//! all-pairs profile searches** — the expensive part of G-tree
+//! construction: each matrix's entry list is read straight into the arena
+//! queries read, and only the anchor position maps are reindexed.
 
 use crate::index::{NodeMatrix, TdGtree};
 use crate::partition::{PartitionNode, PartitionTree};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use td_graph::TdGraph;
-use td_plf::persist::{read_plf_list, write_plf_list};
-use td_plf::PlfArena;
+use td_plf::persist::{read_plf_arena, write_slice_list};
+use td_plf::NO_PLF;
 use td_store::section::{
     check_offsets, read_f64s, read_u32s, read_u64, tag4, write_f64s, write_u32s, write_u64,
 };
@@ -138,7 +137,11 @@ impl Persist for TdGtree {
         write_partition_tree(w, &self.pt)?;
         for m in &self.mats {
             write_u32s(w, TAG_M_ANCHORS, &m.anchors)?;
-            write_plf_list(w, m.mat.iter().map(|f| f.as_ref()))?;
+            let slots = m
+                .ids
+                .iter()
+                .map(|&id| (id != NO_PLF).then(|| m.arena.slice(id)));
+            write_slice_list(w, slots)?;
         }
         write_f64s(w, TAG_G_SECS, &[self.build_secs])
     }
@@ -149,32 +152,21 @@ impl Persist for TdGtree {
         let mut mats = Vec::with_capacity(pt.nodes.len());
         for _ in 0..pt.nodes.len() {
             let anchors = read_u32s(r, TAG_M_ANCHORS)?;
-            let mat = read_plf_list(r)?;
+            let (arena, ids) = read_plf_arena(r)?;
             let k = anchors.len();
-            if mat.len() != k * k {
+            if ids.len() != k * k {
                 return Err(StoreError::invalid(format!(
                     "border matrix holds {} entries for {k} anchors",
-                    mat.len()
+                    ids.len()
                 )));
             }
             if anchors.iter().any(|&a| a as usize >= graph.num_vertices()) {
                 return Err(StoreError::invalid("matrix anchor out of range"));
             }
-            let mut pos = HashMap::with_capacity(k);
-            for (i, &v) in anchors.iter().enumerate() {
-                if pos.insert(v, i).is_some() {
-                    return Err(StoreError::invalid("duplicate matrix anchor"));
-                }
+            let m = NodeMatrix::new(anchors, ids, arena);
+            if m.pos.len() != k {
+                return Err(StoreError::invalid("duplicate matrix anchor"));
             }
-            let mut m = NodeMatrix {
-                anchors,
-                pos,
-                mat,
-                ids: Vec::new(),
-                arena: PlfArena::new(),
-            };
-            // The same linear copy construction runs after refinement.
-            m.freeze();
             mats.push(m);
         }
         let secs = read_f64s(r, TAG_G_SECS)?;
@@ -212,6 +204,8 @@ mod tests {
         assert_eq!(back.num_entries(), gt.num_entries());
         assert_eq!(back.total_points(), gt.total_points());
         assert_eq!(back.num_partitions(), gt.num_partitions());
+        // A load adopts exactly what a build stores.
+        assert_eq!(back.memory_bytes(), gt.memory_bytes());
 
         let mut rng = StdRng::seed_from_u64(0x7777);
         for _ in 0..60 {
@@ -224,6 +218,61 @@ mod tests {
                 "s={s} d={d} t={t}"
             );
             assert_eq!(gt.query_profile(s, d), back.query_profile(s, d));
+            assert_eq!(gt.query_path(s, d, t), back.query_path(s, d, t));
+        }
+    }
+
+    /// `gt`'s stream with node `node`'s anchors edited and its entry list
+    /// cut to `entries(k)` slots, for `k` anchors.
+    fn forged(
+        gt: &TdGtree,
+        node: usize,
+        anchors: impl Fn(&mut Vec<u32>),
+        entries: impl Fn(usize) -> usize,
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        gt.graph.write_into(&mut buf).unwrap();
+        write_partition_tree(&mut buf, &gt.pt).unwrap();
+        for (i, m) in gt.mats.iter().enumerate() {
+            let mut a = m.anchors.clone();
+            let mut count = a.len() * a.len();
+            if i == node {
+                anchors(&mut a);
+                count = entries(m.anchors.len());
+            }
+            write_u32s(&mut buf, TAG_M_ANCHORS, &a).unwrap();
+            let slots = m.ids[..count]
+                .iter()
+                .map(|&id| (id != NO_PLF).then(|| m.arena.slice(id)));
+            write_slice_list(&mut buf, slots).unwrap();
+        }
+        write_f64s(&mut buf, TAG_G_SECS, &[gt.build_secs]).unwrap();
+        buf
+    }
+
+    #[test]
+    fn forged_matrices_are_rejected() {
+        let n = 30;
+        let g = seeded_graph(1, n, 20, 3);
+        let gt = TdGtree::build(g, GtreeConfig { max_leaf: 8 });
+        let same = forged(&gt, 0, |_| {}, |k| k * k);
+        assert!(TdGtree::read_from(&mut same.as_slice()).is_ok());
+        let faults: [(&str, Vec<u8>); 3] = [
+            ("entry count", forged(&gt, 0, |_| {}, |k| k * k - 1)),
+            (
+                "duplicate anchor",
+                forged(&gt, 0, |a| a[1] = a[0], |k| k * k),
+            ),
+            (
+                "anchor range",
+                forged(&gt, 0, |a| a[0] = n as u32, |k| k * k),
+            ),
+        ];
+        for (fault, buf) in faults {
+            match TdGtree::read_from(&mut buf.as_slice()) {
+                Err(StoreError::Invalid(_)) => {}
+                other => panic!("{fault}: {:?}", other.map(|_| ())),
+            }
         }
     }
 

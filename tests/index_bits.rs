@@ -6,9 +6,15 @@
 //! function, so a change to them that only skips work must leave the hash
 //! alone; a change to the accounting moves only the byte count. The
 //! snapshot's stats section is left out: it holds timings.
+//!
+//! The TD-G-tree baseline gets the same pair of pins on the same graph: a
+//! hash of its serialized partition tree and border matrices (the trailing
+//! construction-time section left out) and its `memory_bytes`.
 
 use td_road::core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::gen::Dataset;
+use td_road::gtree::{GtreeConfig, TdGtree};
+use td_road::store::section::{tag4, write_f64s};
 use td_road::store::Persist;
 
 /// The hash of the built index's stored bits, recorded before the merge
@@ -17,6 +23,13 @@ const INDEX_BITS: u64 = 0xa371_a1b2_1f2c_e9dd;
 
 /// `memory_bytes` of the built index, each `Ws`/`Wd` point counted once.
 const MEMORY_BYTES: usize = 13_120_884;
+
+/// The hash of the built G-tree's stored bits, recorded while every matrix
+/// entry was still held twice (an owned copy beside its arena).
+const GTREE_BITS: u64 = 0x9e13_f865_7601_d70b;
+
+/// `memory_bytes` of the built G-tree, each matrix point counted once.
+const GTREE_MEMORY_BYTES: usize = 23_916_036;
 
 /// FNV-1a over bytes.
 fn fold(h: u64, bytes: &[u8]) -> u64 {
@@ -69,4 +82,27 @@ fn td_appro_index_keeps_its_bits_at_one_and_two_threads() {
             "memory accounting moved at {threads} threads"
         );
     }
+}
+
+#[test]
+fn gtree_index_keeps_its_bits() {
+    let g = Dataset::Cal.build(3, 0.25, 42);
+    let gt = TdGtree::build(g, GtreeConfig { max_leaf: 32 });
+    let mut bytes = Vec::new();
+    gt.write_into(&mut bytes).expect("a Vec takes every write");
+    // The stream ends with the construction-time section, which holds a
+    // timing: hash everything before it.
+    let mut secs = Vec::new();
+    write_f64s(&mut secs, tag4(*b"Gsec"), &[gt.build_secs]).expect("a Vec takes every write");
+    assert!(
+        bytes.ends_with(&secs),
+        "the stream ends with its timing section"
+    );
+    let h = fold(0xcbf2_9ce4_8422_2325, &bytes[..bytes.len() - secs.len()]);
+    assert_eq!(h, GTREE_BITS, "G-tree bits moved: {h:#018x}");
+    assert_eq!(
+        gt.memory_bytes(),
+        GTREE_MEMORY_BYTES,
+        "G-tree memory accounting moved"
+    );
 }

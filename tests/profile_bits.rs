@@ -3,17 +3,52 @@
 //! the CAL analogue at scale 0.25, folded into one hash. A change to the
 //! profile sweeps that only skips work (a prune, a keep decided early) must
 //! leave the constant alone; a change that moves an answer by one ulp fails.
+//!
+//! The TD-G-tree baseline is pinned the same way over the same 200 pairs,
+//! together with its travel costs and paths (cost and vertex count) at each
+//! pair's 10 departure times.
 
 use td_road::api::RoutingIndex;
 use td_road::core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::gen::{Dataset, Workload, WorkloadConfig};
+use td_road::gtree::{GtreeConfig, TdGtree};
+use td_road::plf::Plf;
 
 /// The hash of the 200 profiles, as answered before per-window keeps.
 const PROFILE_BITS: u64 = 0xc682_f842_a33b_2210;
 
+/// The hash of G-tree's 200 profiles, 2 000 costs and 2 000 paths, as
+/// answered while the profile query read owned matrix entries.
+const GTREE_ANSWER_BITS: u64 = 0x57fb_26a4_1912_28ae;
+
 /// FNV-1a over 64-bit words.
 fn fold(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// The first 200 pairs of the seed-42 mix, 10 departure times each.
+fn mix(n: usize) -> Workload {
+    Workload::generate(
+        n,
+        &WorkloadConfig {
+            pairs: 200,
+            times_per_pair: 10,
+            seed: 42,
+        },
+    )
+}
+
+/// Folds a profile answer: its length and every point, or a marker.
+fn fold_profile(h: u64, f: Option<Plf>) -> u64 {
+    match f {
+        None => fold(h, u64::MAX),
+        Some(f) => f.points().iter().fold(fold(h, f.len() as u64), |h, p| {
+            fold(
+                fold(fold(h, p.t.to_bits()), p.v.to_bits()),
+                u64::from(p.via),
+            )
+        }),
+    }
 }
 
 #[test]
@@ -28,28 +63,32 @@ fn td_appro_profiles_keep_their_bits() {
             ..Default::default()
         },
     );
-    let mix = Workload::generate(
-        n,
-        &WorkloadConfig {
-            pairs: 200,
-            times_per_pair: 10,
-            seed: 42,
-        },
-    );
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (s, d) in mix(n).pairs() {
+        h = fold_profile(h, index.query_profile(s, d));
+    }
+    assert_eq!(h, PROFILE_BITS, "profile bits moved: {h:#018x}");
+}
+
+#[test]
+fn gtree_answers_keep_their_bits() {
+    let g = Dataset::Cal.build(3, 0.25, 42);
+    let n = g.num_vertices();
+    let gt = TdGtree::build(g, GtreeConfig { max_leaf: 32 });
+    let mix = mix(n);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (s, d) in mix.pairs() {
-        match index.query_profile(s, d) {
+        h = fold_profile(h, gt.query_profile(s, d));
+    }
+    for q in &mix.queries {
+        let (s, d, t) = (q.source, q.destination, q.depart);
+        h = fold(h, gt.query_cost(s, d, t).map_or(u64::MAX, f64::to_bits));
+        match gt.query_path(s, d, t) {
             None => h = fold(h, u64::MAX),
-            Some(f) => {
-                h = fold(h, f.len() as u64);
-                for p in f.points() {
-                    h = fold(
-                        fold(fold(h, p.t.to_bits()), p.v.to_bits()),
-                        u64::from(p.via),
-                    );
-                }
+            Some((cost, path)) => {
+                h = fold(fold(h, cost.to_bits()), path.vertices.len() as u64);
             }
         }
     }
-    assert_eq!(h, PROFILE_BITS, "profile bits moved: {h:#018x}");
+    assert_eq!(h, GTREE_ANSWER_BITS, "G-tree answer bits moved: {h:#018x}");
 }
