@@ -352,16 +352,22 @@ impl RoutingIndex for TdTreeIndex {
         self.query_path_with(&mut sc.cost, s, d, t)
     }
 
-    /// The profile sweeps' counters: relaxations that reached the prune
-    /// tests, bound prunes (slot-maximum prunes plus merges kept by
-    /// per-window bounds without a walk), and corridor drops (slots, seeds,
-    /// relaxations and chain terms). The scalar sweeps record nothing.
+    /// The scalar and profile sweeps' counters, summed: levels swept
+    /// (`settled`) and functions evaluated (`plf_evals_scalar`) by the
+    /// scalar queries; relaxations that reached the prune tests (scalar
+    /// evaluations and prunes, profile relaxations); bound prunes (scalar
+    /// min-cost prunes, profile slot-maximum prunes and merges kept by
+    /// per-window bounds without a walk); and the profile's corridor drops
+    /// (slots, seeds, relaxations and chain terms).
     fn take_search_stats(&self, scratch: &mut SessionScratch) -> Option<SearchStats> {
         let sc: &mut TdTreeScratch = scratch.get_or_default();
+        let scalar = std::mem::take(&mut sc.cost.counts);
         let counts = std::mem::take(&mut sc.profile.counts);
         Some(SearchStats {
-            relaxed: counts.relaxed,
-            minbound_prunes: counts.slot_prunes + counts.window_keeps,
+            settled: scalar.levels,
+            relaxed: scalar.evals + scalar.prunes + counts.relaxed,
+            plf_evals_scalar: scalar.evals,
+            minbound_prunes: scalar.prunes + counts.slot_prunes + counts.window_keeps,
             corridor_kills: counts.corridor_drops,
             ..SearchStats::default()
         })

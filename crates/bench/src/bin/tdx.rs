@@ -336,7 +336,7 @@ fn cmd_verify(args: &[String]) {
         println!("oracle agreement: {checked}/{queries} queries OK");
         println!("profile agreement: {profiles}/{profiles}");
         if profiles > 0 && TREE_FAMILY.contains(&index.backend_name()) {
-            print_merge_split(path, seed, queries as u64, n);
+            print_census(path, seed, queries as u64, n);
         }
     }
     println!("verify: OK");
@@ -345,13 +345,33 @@ fn cmd_verify(args: &[String]) {
 /// The TD-tree family's backend names (`RoutingIndex::backend_name`).
 const TREE_FAMILY: [&str; 4] = ["TD-basic", "TD-appro", "TD-dp", "TD-H2H"];
 
-/// Reloads a TD-tree snapshot as its concrete index, replays `verify`'s
-/// profile probes, and prints how the sweeps' merges ended per query: kept
-/// by per-window bounds or by the merge kernel's walk, or changed — into an
-/// empty slot (a fill), by a take the windows or the walk decided, or by a
-/// merge.
-fn print_merge_split(path: &str, seed: u64, queries: u64, n: u64) {
+/// Reloads a TD-tree snapshot as its concrete index and replays `verify`'s
+/// probes. Prints the scalar census per cost query: root-path levels swept,
+/// functions evaluated, min-cost prunes, and the share of queries whose cut
+/// the shortcut rows' key counts ruled out as a full cover, that missed a
+/// pair, or that a full cover answered. Then how the profile sweeps' merges
+/// ended per query: kept by per-window bounds or by the merge kernel's
+/// walk, or changed — into an empty slot (a fill), by a take the windows or
+/// the walk decided, or by a merge.
+fn print_census(path: &str, seed: u64, queries: u64, n: u64) {
     let index = td_api::load_tree_index(path).unwrap_or_else(|e| fail(e));
+    let mut cost = td_core::CostScratch::default();
+    for i in 0..queries {
+        let (s, d, t) = probe(seed, i, n);
+        index.query_cost_with(&mut cost, s, d, t);
+    }
+    let c = cost.counts;
+    let per = |x: u64| x as f64 / queries as f64;
+    println!(
+        "cost census per query: {:.1} levels, {:.1} evaluations, {:.1} prunes; \
+         cuts {:.0} % gated out, {:.0} % missed, {:.0} % covered",
+        per(c.levels),
+        per(c.evals),
+        per(c.prunes),
+        100.0 * per(c.gated_out),
+        100.0 * per(c.missed),
+        100.0 * per(c.covered),
+    );
     let mut scratch = td_core::ProfileScratch::default();
     let mut total = td_core::ProfileCounts::default();
     let mut profiles = 0u64;

@@ -191,9 +191,9 @@ impl TdTreeIndex {
         QueryEngine::new(&self.td, &self.store)
     }
 
-    /// Travel cost query `Q(s, d, t)` (Algo. 6; Algo. 3 sweeps when no
-    /// shortcut covers the cut) — no heap allocation on the hot path once
-    /// `scratch`'s buffers are warm.
+    /// Travel cost query `Q(s, d, t)` (Algo. 6 when the selected shortcuts
+    /// cover the whole LCA cut, Algo. 3's sweeps otherwise) — no heap
+    /// allocation on the hot path once `scratch`'s buffers are warm.
     pub fn query_cost_with(
         &self,
         scratch: &mut CostScratch,

@@ -31,6 +31,6 @@ pub mod shortcut;
 pub mod update;
 
 pub use index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
-pub use query::{CostScratch, ProfileCounts, ProfileScratch};
+pub use query::{CostCounts, CostScratch, ProfileCounts, ProfileScratch};
 pub use select::{Candidate, Selection};
 pub use update::UpdateStats;

@@ -17,7 +17,9 @@
 //!
 //! Recovery always runs on the basic sweeps (shortcut functions may reference
 //! sub-shortcuts that were not selected); shortcuts accelerate costs, not
-//! path extraction.
+//! path extraction. They are the sweeps a cost query runs whenever the
+//! selected shortcuts do not cover the whole LCA cut, so outside a full
+//! cover the path's cost and the cost query's answer agree bit for bit.
 
 use crate::query::{CostScratch, QueryEngine};
 use td_graph::{Path, VertexId};
@@ -71,12 +73,10 @@ impl QueryEngine<'_> {
             return Some((0.0, Path::new(vec![s])));
         }
         let x = self.td.lca(s, d);
+        let arrival = self.sweeps(scratch, s, d, x, t)?;
         let upto = self.td.node(x).depth as usize;
-        self.sweep_up_scalar_into(s, t, &[], None, &mut scratch.up);
-        self.sweep_down_scalar_into(d, &scratch.up.arr, upto, t, None, &mut scratch.down);
         let (up, down) = (&scratch.up, &scratch.down);
         let dd = down.path.len() - 1;
-        let arrival = down.arr[dd]?;
 
         // Hops on d's path, walked backwards while a down-relaxation won;
         // the walk ends at the vertex whose up-sweep arrival was used (the

@@ -19,22 +19,25 @@
 //! With shortcuts (Algo. 6) there are three situations: (1) all cut
 //! shortcuts selected → `O(w(T_G))` combination; (2) a subset selected →
 //! seeded sweeps, NIL-marked against an upper bound; (3) none → basic
-//! sweeps, NIL-marked the same way. The scalar query's bound is the cut's
-//! `f⁺`. The profile query's is the corridor's `U` (below), which is at or
-//! below `f⁺`'s maximum and exists in situation (3) too. TD-basic,
-//! TD-appro / TD-dp and TD-H2H are therefore one query at three shortcut
-//! budgets (0, `N`, everything): over a store holding no pair the cut scan
-//! can find nothing, so the engine skips it and runs Algo. 3's sweeps
-//! directly — the same answer, bit for bit, without the lookups.
+//! sweeps. Profile queries use all three, bounded by the corridor's `U`
+//! (below), which is at or below `f⁺`'s maximum and exists in situation (3)
+//! too. Cost queries take (1) or (3): a full cover is decided before any
+//! stored function is read, and any other cut runs the path query's plain
+//! sweeps — seeding them from a partial cover cost more than it saved.
+//! TD-basic, TD-appro / TD-dp and TD-H2H are therefore one query at three
+//! shortcut budgets (0, `N`, everything): over a store holding no pair the
+//! cut scan can find nothing, so the engine skips it and runs Algo. 3's
+//! sweeps directly — the same answer, bit for bit, without the lookups.
 //!
 //! ## Layout
 //!
 //! The scalar sweeps walk the tree's label store ([`td_treedec::Labels`])
 //! alone: flat bag slots, precomputed bag depths and arena-resident
-//! breakpoints. The shortcut store is arena-resident too: the scalar cut
-//! scan evaluates its functions in place as [`td_plf::PlfSlice`]s, and the
-//! profile query reads a seed's bounds from its chunk's O(1) `min_cost` /
-//! `max_cost`. The profile query runs in two phases:
+//! breakpoints. The shortcut store is arena-resident too: a full cover's
+//! legs are evaluated in place as [`td_plf::PlfSlice`]s, and the profile
+//! query reads a seed's bounds from its chunk's O(1) `min_cost` /
+//! `max_cost`. [`CostScratch::counts`] records what the scalar queries
+//! did. The profile query runs in two phases:
 //!
 //! * **Bounds (the corridor).** Plain-`f64` sweeps over the same label
 //!   slots, in the shape of the scalar sweeps, using the O(1) label minima
@@ -95,12 +98,12 @@
 //! into two functions the scratch owns and refills, so they allocate only
 //! while they grow.
 
-use crate::shortcut::{ShortcutStore, DOWN, UP};
+use crate::shortcut::{Row, ShortcutStore, DOWN, UP};
 use td_graph::VertexId;
 use td_plf::ops::{
     fold_compound_into, fold_into, min_compound_into, min_into, Merge, EMPTY_BOUNDS,
 };
-use td_plf::{Plf, PlfArena, PlfId, PlfSlice, Windows, EPS_COST, NO_PLF};
+use td_plf::{Plf, PlfArena, PlfId, Windows, EPS_COST, NO_PLF};
 use td_treedec::{TreeDecomposition, WD, WS};
 
 /// Query engine borrowing the tree and the selected shortcuts.
@@ -111,10 +114,8 @@ pub(crate) struct QueryEngine<'a> {
     pub(crate) td: &'a TreeDecomposition,
     /// Selected shortcuts (empty for TD-basic).
     store: &'a ShortcutStore,
-    /// Whether queries scan the LCA cut for shortcuts: false exactly when
-    /// `store` holds no pair. The scan would then find nothing, leave the
-    /// bound unset and fall through to the same two sweeps, so skipping it
-    /// changes no bit of any answer.
+    /// Whether queries look up the LCA cut's pairs: false exactly when
+    /// `store` holds none, so skipping the lookups changes no answer's bit.
     scan_cut: bool,
 }
 
@@ -129,8 +130,6 @@ pub struct SweepBufs {
     /// Predecessor of `path[k]`: `(relaxing depth, bag index)`, for path
     /// recovery.
     pub pred: Vec<Option<(usize, usize)>>,
-    /// Depths holding exact shortcut values (skipped by relaxation).
-    fixed: Vec<bool>,
 }
 
 impl SweepBufs {
@@ -139,9 +138,25 @@ impl SweepBufs {
         self.arr.resize(len, None);
         self.pred.clear();
         self.pred.resize(len, None);
-        self.fixed.clear();
-        self.fixed.resize(len, false);
     }
+}
+
+/// Work counters of the scalar queries (cost and path) run on a
+/// [`CostScratch`] since `td-api` last drained them into `SearchStats`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CostCounts {
+    /// Root-path levels relaxed from (up: those reached; down: all).
+    pub levels: u64,
+    /// Functions evaluated: sweep labels and a full cover's stored legs.
+    pub evals: u64,
+    /// Label relaxations skipped by the label's minimum cost.
+    pub prunes: u64,
+    /// Cost queries whose cut the rows' key counts ruled out of a cover.
+    pub gated_out: u64,
+    /// Cost queries whose cut passed the key counts but missed a pair.
+    pub missed: u64,
+    /// Cost queries answered from a full cover of their cut.
+    pub covered: u64,
 }
 
 /// Reusable scratch for scalar (travel cost) queries. After warm-up the
@@ -150,8 +165,10 @@ impl SweepBufs {
 pub struct CostScratch {
     pub(crate) up: SweepBufs,
     pub(crate) down: SweepBufs,
-    pub(crate) cut: Vec<VertexId>,
-    pub(crate) seeds: Vec<(usize, f64)>,
+    /// Each cut vertex's located `(s → w, w → d)` ids, deciding a cover.
+    legs: Vec<(PlfId, PlfId)>,
+    /// What the scalar queries did since the counts were last drained.
+    pub counts: CostCounts,
 }
 
 /// Reusable buffers for one profile sweep direction.
@@ -347,82 +364,75 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// The LCA vertex of `s` and `d`, with `cut` filled by its vertex cut
-    /// when the cut scan runs and left empty (nothing to scan) otherwise.
-    fn lca_and_cut(&self, s: VertexId, d: VertexId, cut: &mut Vec<VertexId>) -> VertexId {
-        if self.scan_cut {
-            self.td.vertex_cut_into(s, d, cut)
-        } else {
-            cut.clear();
-            self.td.lca(s, d)
-        }
-    }
-
     fn root_path_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
         self.td.ancestors_root_first_into(v, out);
         out.push(v);
     }
+}
 
-    // ------------------------------------------------------------------
-    // Scalar (travel cost) queries
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Scalar (travel cost) queries: every item is on the hot path
+// ----------------------------------------------------------------------
 
-    /// Upward earliest-arrival sweep from `s` departing at `t` into `bufs`,
-    /// optionally seeded with selected shortcuts towards cut vertices and
-    /// pruned by a cost upper bound.
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
-    pub(crate) fn sweep_up_scalar_into(
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+impl QueryEngine<'_> {
+    /// Algo. 3's scalar sweeps for `Q(s, d, t)`, whose LCA is `x`, into
+    /// `scratch`'s tables: the upward sweep from `s`, then the top-down one
+    /// to `d`. Returns the earliest arrival at `d`.
+    pub(crate) fn sweeps(
+        &self,
+        scratch: &mut CostScratch,
+        s: VertexId,
+        d: VertexId,
+        x: VertexId,
+        t: f64,
+    ) -> Option<f64> {
+        let (up, down, counts) = (&mut scratch.up, &mut scratch.down, &mut scratch.counts);
+        self.sweep_up_scalar_into(s, t, up, counts);
+        let upto = self.td.node(x).depth as usize;
+        self.sweep_down_scalar_into(d, &up.arr, upto, down, counts);
+        down.arr.last().copied().flatten()
+    }
+
+    /// Upward earliest-arrival sweep from `s` departing at `t` into `bufs`.
+    fn sweep_up_scalar_into(
         &self,
         s: VertexId,
         t: f64,
-        seeds: &[(usize, f64)],
-        bound: Option<f64>,
         bufs: &mut SweepBufs,
+        counts: &mut CostCounts,
     ) {
         self.root_path_into(s, &mut bufs.path);
         debug_assert!(!bufs.path.is_empty(), "root path always contains s");
         let ds = bufs.path.len() - 1;
         bufs.reset(ds + 1);
         bufs.arr[ds] = Some(t);
-        for &(k, a) in seeds {
-            bufs.arr[k] = Some(a);
-            bufs.fixed[k] = true; // Algo. 6 line 15: shortcut values are exact
-        }
         let labels = self.td.labels();
         let arena = labels.arena(WS);
         for k in (0..=ds).rev() {
             let Some(a) = bufs.arr[k] else { continue };
-            if let Some(b) = bound {
-                if a - t > b {
-                    bufs.arr[k] = None; // NIL (Algo. 6 line 20)
-                    continue;
-                }
-            }
+            counts.levels += 1;
             // Flat slot walk with precomputed bag depths; the arena's
             // min-cost lower bound prunes evaluations that provably cannot
-            // improve the slot (or survive the NIL bound — any relaxation
-            // with `a + min - t > b` would only write a value NIL-ed at its
-            // own processing step).
+            // improve the slot.
             for (bi, idx) in labels.range(bufs.path[k]).enumerate() {
                 let sid = labels.id(WS, idx);
                 if sid == NO_PLF {
                     continue;
                 }
                 let ku = labels.bag_depth(idx);
-                if bufs.fixed[ku] {
+                if bufs.arr[ku].is_some_and(|x| a + arena.min_cost(sid) >= x) {
+                    counts.prunes += 1;
                     continue;
                 }
-                let lb = a + arena.min_cost(sid);
-                if bufs.arr[ku].is_some_and(|x| lb >= x) || bound.is_some_and(|b| lb - t > b) {
-                    continue;
-                }
+                counts.evals += 1;
                 let cand = a + arena.slice(sid).eval(a);
                 if bufs.arr[ku].is_none_or(|x| cand < x) {
                     bufs.arr[ku] = Some(cand);
@@ -440,22 +450,13 @@ impl<'a> QueryEngine<'a> {
     /// shortest path is some common ancestor, and the down-monotone leg from
     /// the apex may pass through other common ancestors before descending to
     /// `d`, so the prefix vertices must be relaxable too.
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
-    pub(crate) fn sweep_down_scalar_into(
+    fn sweep_down_scalar_into(
         &self,
         d: VertexId,
         init: &[Option<f64>],
         upto: usize,
-        t: f64,
-        bound: Option<f64>,
         bufs: &mut SweepBufs,
+        counts: &mut CostCounts,
     ) {
         self.root_path_into(d, &mut bufs.path);
         debug_assert!(!bufs.path.is_empty(), "root path always contains d");
@@ -467,6 +468,7 @@ impl<'a> QueryEngine<'a> {
         let labels = self.td.labels();
         let arena = labels.arena(WD);
         for k in 0..=dd {
+            counts.levels += 1;
             let mut best: Option<f64> = bufs.arr[k]; // seeded up-sweep arrival
             let mut best_pred = None;
             for (bi, idx) in labels.range(bufs.path[k]).enumerate() {
@@ -479,18 +481,14 @@ impl<'a> QueryEngine<'a> {
                 // Min-cost lower bound: skip the evaluation when it cannot
                 // beat the running best.
                 if best.is_some_and(|x| a + arena.min_cost(wid) >= x) {
+                    counts.prunes += 1;
                     continue;
                 }
+                counts.evals += 1;
                 let cand = a + arena.slice(wid).eval(a);
                 if best.is_none_or(|x| cand < x) {
                     best = Some(cand);
                     best_pred = Some((ku, bi));
-                }
-            }
-            if let (Some(b), Some(a)) = (bound, best) {
-                if a - t > b && bufs.path[k] != d {
-                    best = None; // NIL
-                    best_pred = None;
                 }
             }
             bufs.arr[k] = best;
@@ -498,17 +496,64 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Travel cost query `Q(s, d, t)` — Algo. 6 when shortcuts exist,
-    /// falling back to the basic sweeps (Algo. 3's scalar counterpart).
+    /// Algo. 6's situation (1) for `Q(s, d, t)`, whose LCA is `x`: the
+    /// answer when the selected pairs cover the whole cut `{x} ∪ bag(x)`,
+    /// decided before any stored function is read. The rows' key counts
+    /// rule most cuts out in O(1) (a row needs every cut vertex but its own
+    /// endpoint, and only `x` can be one); then one lookup per cut vertex,
+    /// whose ids are kept for the legs.
+    fn covered_cost(
+        &self,
+        scratch: &mut CostScratch,
+        s: VertexId,
+        d: VertexId,
+        x: VertexId,
+        t: f64,
+    ) -> Option<Option<f64>> {
+        let CostScratch { legs, counts, .. } = scratch;
+        let (row_s, row_d) = (self.store.row(s, UP), self.store.row(d, DOWN));
+        let bag = &self.td.node(x).bag;
+        if row_s.len() + usize::from(x == s) <= bag.len()
+            || row_d.len() + usize::from(x == d) <= bag.len()
+        {
+            counts.gated_out += 1;
+            return None;
+        }
+        let cut = || std::iter::once(x).chain(bag.iter().copied());
+        // The endpoint's own leg is the zero function: no pair to find.
+        let id = |row: Row<'_>, w, end| match w == end {
+            true => Some(NO_PLF),
+            false => row.locate(w).map(|(_, id)| id),
+        };
+        legs.clear();
+        for w in cut() {
+            let (Some(up), Some(down)) = (id(row_s, w, s), id(row_d, w, d)) else {
+                counts.missed += 1;
+                return None;
+            };
+            legs.push((up, down));
+        }
+        counts.covered += 1;
+        // A leg departing at `at` (`None` = unreachable).
+        let mut leg = |row: Row<'_>, id, end, w, at: f64| match w == end {
+            true => Some(0.0),
+            false => row.function(id).map(|f| {
+                counts.evals += 1;
+                f.eval(at)
+            }),
+        };
+        // s → w, then w → d departing at the arrival through `w`.
+        let totals = cut().zip(legs.iter()).filter_map(|(w, &(up, down))| {
+            let cs = leg(row_s, up, s, w, t)?;
+            Some(cs + leg(row_d, down, d, w, t + cs)?)
+        });
+        Some(totals.reduce(f64::min))
+    }
+
+    /// Travel cost query `Q(s, d, t)`: Algo. 6's situation (1) when the
+    /// selected shortcuts cover the whole LCA cut, otherwise the path
+    /// query's plain sweeps (situation (3), whatever the store holds).
     /// Allocation-free once `scratch` is warm.
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
     pub(crate) fn cost(
         &self,
         scratch: &mut CostScratch,
@@ -519,73 +564,21 @@ impl<'a> QueryEngine<'a> {
         if s == d {
             return Some(0.0);
         }
-        let CostScratch {
-            up,
-            down,
-            cut,
-            seeds,
-        } = scratch;
-        let x = self.lca_and_cut(s, d, cut);
-        let upto = self.td.node(x).depth as usize;
-
-        // Shortcut values over the cut: (depth of w, cost s→w, cost w→d).
-        // An unscanned (empty) cut covers nothing.
-        let mut full_cover = self.scan_cut;
-        // Best total over the cut's shortcut pairs: the answer under a full
-        // cover, the sweeps' pruning bound otherwise.
-        let mut bound: Option<f64> = None;
-        seeds.clear();
-        // Both endpoints' shortcut rows, resolved once for the whole cut.
-        let (row_s, row_d) = (self.store.row(s, UP), self.store.row(d, DOWN));
-        for &w in cut.iter() {
-            let kw = self.td.node(w).depth as usize;
-            // s → w, evaluated in place in the store's arena.
-            let up_cost: Option<Option<f64>> = if w == s {
-                Some(Some(0.0))
-            } else {
-                row_s.get(w).map(|f| f.map(|f| f.eval(t)))
-            };
-            // w → d, departing at the arrival through the shortcut (`None`
-            // for `w == d`, whose leg is the zero function).
-            let down_f: Option<Option<PlfSlice<'_>>> = if w == d { None } else { row_d.get(w) };
-            if up_cost.is_none() || (w != d && down_f.is_none()) {
-                full_cover = false;
-            }
-            if let Some(Some(cs)) = up_cost {
-                seeds.push((kw, t + cs));
-                let total = match down_f {
-                    None if w == d => Some(cs),
-                    Some(Some(f)) => Some(cs + f.eval(t + cs)),
-                    _ => None,
-                };
-                if let Some(total) = total {
-                    if bound.is_none_or(|b| total < b) {
-                        bound = Some(total);
-                    }
-                }
+        let x = self.td.lca(s, d);
+        if self.scan_cut {
+            if let Some(answer) = self.covered_cost(scratch, s, d, x, t) {
+                return answer;
             }
         }
-
-        if full_cover {
-            // Situation (1): O(w) combination from shortcuts alone.
-            return bound;
-        }
-
-        // Situations (2)/(3): sweeps, pruned by the bound when present.
-        self.sweep_up_scalar_into(s, t, seeds, bound, up);
-        self.sweep_down_scalar_into(d, &up.arr, upto, t, bound, down);
-        debug_assert_eq!(down.arr.len(), down.path.len());
-        let swept = down.arr[down.path.len() - 1].map(|a| a - t);
-        match (swept, bound) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        Some(self.sweeps(scratch, s, d, x, t)? - t)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Profile (cost function) queries
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Profile (cost function) queries
+// ----------------------------------------------------------------------
 
+impl<'a> QueryEngine<'a> {
     /// Where the stored function of seed `⟨v, ancestor⟩` in the sweep's
     /// direction lives: its chunk and its id there.
     fn seed<const REV: bool>(&self, v: VertexId, ancestor: VertexId) -> (&'a PlfArena, PlfId) {
@@ -616,7 +609,12 @@ impl<'a> QueryEngine<'a> {
             legs: [leg_s, leg_d],
             ..
         } = scratch;
-        let x = self.lca_and_cut(s, d, cut);
+        let x = if self.scan_cut {
+            self.td.vertex_cut_into(s, d, cut)
+        } else {
+            cut.clear();
+            self.td.lca(s, d)
+        };
         let mut full_cover = self.scan_cut;
         seeds_s.clear();
         seeds_d.clear();
@@ -995,7 +993,7 @@ fn combine_over_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortcut::{build_all, ShortcutStore};
+    use crate::shortcut::{build_all, OwnedRow, ShortcutStore};
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use td_dijkstra::{profile_search, shortest_path_cost};
@@ -1099,7 +1097,18 @@ mod tests {
                 let s = rng.gen_range(0..n) as u32;
                 let d = rng.gen_range(0..n) as u32;
                 let t = rng.gen_range(0.0..DAY);
-                let a = cost(&fast, s, d, t);
+                let mut scratch = CostScratch::default();
+                let a = fast.cost(&mut scratch, s, d, t);
+                let covered = u64::from(s != d);
+                assert_eq!(
+                    scratch.counts,
+                    CostCounts {
+                        covered,
+                        evals: scratch.counts.evals,
+                        ..Default::default()
+                    },
+                    "seed={seed} s={s} d={d}: every cost query is a full cover"
+                );
                 let b = cost(&slow, s, d, t);
                 match (a, b) {
                     (Some(a), Some(b)) => {
@@ -1190,6 +1199,106 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn cost_queries_sweep_unless_the_cut_is_fully_covered() {
+        // The cost query's contract over a partial store: a cut the
+        // selected pairs do not fully cover runs the path query's plain
+        // sweeps, so the answer equals the empty-store engine's and the
+        // path's cost bit for bit. A full cover agrees with them within
+        // 1e-5. The census names each query's outcome exactly once.
+        use crate::index::{IndexOptions, SelectionStrategy, TdTreeIndex};
+        let (mut swept, mut covered) = (0, 0);
+        for (seed, budget) in (0..4u64).flat_map(|seed| [(seed, 150), (seed, 1_500)]) {
+            let n = 30;
+            let g = seeded_graph(seed, n, 20, 3);
+            let partial = TdTreeIndex::build(
+                g,
+                IndexOptions {
+                    strategy: SelectionStrategy::Greedy { budget },
+                    threads: 1,
+                    track_supports: false,
+                },
+            );
+            let td = &partial.td;
+            let none = ShortcutStore::empty(n);
+            let (appro, basic) = (
+                QueryEngine::new(td, &partial.store),
+                QueryEngine::new(td, &none),
+            );
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1);
+            let (mut cs, mut cs_basic) = (CostScratch::default(), CostScratch::default());
+            for _ in 0..60 {
+                let (s, d) = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+                let t = rng.gen_range(0.0..DAY);
+                let before = cs.counts;
+                let got = appro.cost(&mut cs, s, d, t);
+                let c = cs.counts;
+                let outcomes = (c.gated_out - before.gated_out)
+                    + (c.missed - before.missed)
+                    + (c.covered - before.covered);
+                assert_eq!(outcomes, u64::from(s != d), "seed={seed} s={s} d={d}");
+                let want = basic.cost(&mut cs_basic, s, d, t);
+                let ctx =
+                    format!("seed={seed} budget={budget} s={s} d={d} t={t}: {got:?} vs {want:?}");
+                if c.covered > before.covered {
+                    covered += 1;
+                    let (got, want) = (got.expect(&ctx), want.expect(&ctx));
+                    assert!((got - want).abs() < 1e-5, "{ctx}");
+                    continue;
+                }
+                swept += 1;
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{ctx}");
+                let path = appro.path(&mut cs_basic, s, d, t).map(|(c, _)| c.to_bits());
+                assert_eq!(got.map(f64::to_bits), path, "{ctx}");
+            }
+        }
+        assert!(swept > 0 && covered > 0, "{swept} swept, {covered} covered");
+    }
+
+    #[test]
+    fn a_cut_passing_the_length_gate_but_missing_a_vertex_is_swept() {
+        // A hand-built store: `s`'s row holds as many keys as the cut has
+        // vertices, but its parent stands in for the LCA, and `d`'s row
+        // holds the whole cut. The key counts let the cut through; the
+        // lookup misses the LCA, and the query sweeps.
+        let n = 30;
+        let g = seeded_graph(1, n, 20, 3);
+        let td = TreeDecomposition::build(&g);
+        let full = build_all(&td, 1).owned_rows();
+        let (s, d, x) = (0..n as u32)
+            .flat_map(|s| (0..n as u32).map(move |d| (s, d)))
+            .map(|(s, d)| (s, d, td.lca(s, d)))
+            .find(|&(s, d, x)| {
+                x != s && x != d && td.node(s).parent != Some(x) && !td.node(x).bag.is_empty()
+            })
+            .expect("a pair whose LCA is neither endpoint nor its parent");
+        let parent = td.node(s).parent.expect("s lies below the LCA");
+        let cut = td.vertex_cut(s, d);
+        let row = |v: VertexId, keep: &dyn Fn(VertexId) -> bool| -> OwnedRow {
+            full[v as usize]
+                .iter()
+                .filter(|(a, ..)| keep(*a))
+                .cloned()
+                .collect()
+        };
+        let mut rows: Vec<OwnedRow> = vec![Vec::new(); n];
+        rows[s as usize] = row(s, &|a| a == parent || (a != x && cut.contains(&a)));
+        rows[d as usize] = row(d, &|a| cut.contains(&a));
+        assert_eq!(rows[s as usize].len(), cut.len());
+        assert_eq!(rows[d as usize].len(), cut.len());
+        let store = ShortcutStore::from_owned_rows(&rows);
+        let none = ShortcutStore::empty(n);
+        let (engine, basic) = (QueryEngine::new(&td, &store), QueryEngine::new(&td, &none));
+        let mut scratch = CostScratch::default();
+        for t in probe_times() {
+            let got = engine.cost(&mut scratch, s, d, t);
+            let want = cost(&basic, s, d, t);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "t={t}");
+        }
+        let c = scratch.counts;
+        assert_eq!((c.gated_out, c.missed, c.covered), (0, 10, 0), "{c:?}");
     }
 
     #[test]

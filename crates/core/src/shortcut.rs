@@ -601,6 +601,30 @@ pub(crate) struct Row<'a> {
 }
 
 impl<'a> Row<'a> {
+    /// Number of selected pairs in the row (the same in both directions).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The row's function with id `id` ([`NO_PLF`] = unreachable: `None`),
+    /// an id [`Row::locate`] returned, to evaluate in place.
+    #[inline]
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
+    pub(crate) fn function(&self, id: PlfId) -> Option<PlfSlice<'a>> {
+        if id == NO_PLF {
+            return None;
+        }
+        Some(self.chunk?.slice(id))
+    }
+
     /// Where the function of the pair `⟨v, ancestor⟩` lives, if the pair is
     /// selected: its chunk — which serves the O(1) `min_cost` / `max_cost`
     /// — and its id there ([`NO_PLF`] = unreachable).
@@ -633,8 +657,8 @@ impl<'a> Row<'a> {
         clippy::unimplemented
     )]
     pub(crate) fn get(&self, ancestor: VertexId) -> Option<Option<PlfSlice<'a>>> {
-        let (chunk, id) = self.locate(ancestor)?;
-        Some((id != NO_PLF).then(|| chunk.slice(id)))
+        let (_, id) = self.locate(ancestor)?;
+        Some(self.function(id))
     }
 }
 
