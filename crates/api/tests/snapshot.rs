@@ -182,13 +182,15 @@ fn wrong_magic_version_and_backend_are_typed_errors() {
         Err(StoreError::UnsupportedVersion(_))
     ));
 
-    // The previous format version is refused outright, not migrated.
-    let mut bad = buf.clone();
-    bad[8] = 1;
-    assert!(matches!(
-        load_index_from(&mut bad.as_slice()),
-        Err(StoreError::UnsupportedVersion(1))
-    ));
+    // Earlier format versions are refused outright, not migrated.
+    for old in [1, 2] {
+        let mut bad = buf.clone();
+        bad[8] = old;
+        assert!(matches!(
+            load_index_from(&mut bad.as_slice()),
+            Err(StoreError::UnsupportedVersion(v)) if v == u32::from(old)
+        ));
+    }
 
     let mut bad = buf.clone();
     bad[12] ^= 0xFF; // endianness marker

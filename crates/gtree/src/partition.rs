@@ -184,16 +184,7 @@ impl PartitionTree {
             nodes[idx].vertices = Vec::new(); // internal nodes derive from children
         }
 
-        // Leaf assignment.
-        let mut leaf_of = vec![usize::MAX; n];
-        for (idx, node) in nodes.iter().enumerate() {
-            if node.children.is_empty() {
-                for &v in &node.vertices {
-                    leaf_of[v as usize] = idx;
-                }
-            }
-        }
-        debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
+        let leaf_of = leaf_assignment(&nodes, n).expect("the leaves partition V");
 
         // Partition id of a vertex at a given node: "is v inside node idx"
         // resolved by walking up from its leaf.
@@ -279,6 +270,24 @@ impl PartitionTree {
             out.push(cur);
         }
     }
+}
+
+/// The leaf of every vertex of `0..n`, or `None` unless the leaves' vertex
+/// lists partition `0..n` — each vertex in exactly one leaf.
+pub(crate) fn leaf_assignment(nodes: &[PartitionNode], n: usize) -> Option<Vec<usize>> {
+    let mut leaf_of = vec![usize::MAX; n];
+    for (idx, node) in nodes.iter().enumerate() {
+        if node.children.is_empty() {
+            for &v in &node.vertices {
+                let slot = leaf_of.get_mut(v as usize)?;
+                if *slot != usize::MAX {
+                    return None;
+                }
+                *slot = idx;
+            }
+        }
+    }
+    leaf_of.iter().all(|&l| l != usize::MAX).then_some(leaf_of)
 }
 
 fn collect_vertices(nodes: &[PartitionNode], idx: usize) -> Vec<VertexId> {

@@ -1,15 +1,20 @@
 //! Snapshot persistence ([`td_store::Persist`]) for [`TdGtree`].
 //!
-//! Persisted verbatim: the input graph, the partition tree (parents, depths,
-//! leaf assignment, CSR-flattened vertex and border lists) and every node's
-//! refined border matrix (anchors + the row-major entries, in the shared
-//! PLF-list encoding). Loading **never re-runs partitioning or the
-//! all-pairs profile searches** — the expensive part of G-tree
-//! construction: each matrix's entry list is read straight into the arena
-//! queries read, and only the anchor position maps are reindexed.
+//! Persisted verbatim: the input graph, the partition tree (parents and
+//! CSR-flattened vertex and border lists) and every node's refined border
+//! matrix (anchors + the row-major entries, in the shared PLF-list
+//! encoding). Loading **never re-runs partitioning or the all-pairs profile
+//! searches** — the expensive part of G-tree construction: each matrix's
+//! entry list is read straight into the arena queries read, and only the
+//! anchor position maps are reindexed.
+//!
+//! Derived on load, never stored: each node's depth (from its parent's,
+//! parents preceding children) and every vertex's leaf, through the build's
+//! own `partition::leaf_assignment`. A load whose leaves' vertex lists do
+//! not partition V is rejected.
 
 use crate::index::{NodeMatrix, TdGtree};
-use crate::partition::{PartitionNode, PartitionTree};
+use crate::partition::{leaf_assignment, PartitionNode, PartitionTree};
 use std::io::{Read, Write};
 use td_graph::TdGraph;
 use td_plf::persist::{read_plf_arena, write_slice_list};
@@ -21,12 +26,10 @@ use td_store::{Persist, StoreError};
 
 const TAG_P_COUNT: u32 = tag4(*b"Pnum");
 const TAG_P_PARENT: u32 = tag4(*b"Ppar");
-const TAG_P_DEPTH: u32 = tag4(*b"Pdep");
 const TAG_P_VERT_FIRST: u32 = tag4(*b"Pvf ");
 const TAG_P_VERT: u32 = tag4(*b"Pvx ");
 const TAG_P_BORD_FIRST: u32 = tag4(*b"Pbf ");
 const TAG_P_BORD: u32 = tag4(*b"Pbd ");
-const TAG_P_LEAF_OF: u32 = tag4(*b"Plo ");
 
 const TAG_M_ANCHORS: u32 = tag4(*b"Manc");
 const TAG_G_SECS: u32 = tag4(*b"Gsec");
@@ -43,8 +46,6 @@ fn write_partition_tree<W: Write>(w: &mut W, pt: &PartitionTree) -> Result<(), S
         .map(|nd| nd.parent.map_or(NO_PARENT, |p| p as u32))
         .collect();
     write_u32s(w, TAG_P_PARENT, &parent)?;
-    let depth: Vec<u32> = pt.nodes.iter().map(|nd| nd.depth).collect();
-    write_u32s(w, TAG_P_DEPTH, &depth)?;
     let mut vf = Vec::with_capacity(nn + 1);
     let mut vx = Vec::new();
     vf.push(0u32);
@@ -62,22 +63,18 @@ fn write_partition_tree<W: Write>(w: &mut W, pt: &PartitionTree) -> Result<(), S
         bf.push(bd.len() as u32);
     }
     write_u32s(w, TAG_P_BORD_FIRST, &bf)?;
-    write_u32s(w, TAG_P_BORD, &bd)?;
-    let leaf_of: Vec<u32> = pt.leaf_of.iter().map(|&l| l as u32).collect();
-    write_u32s(w, TAG_P_LEAF_OF, &leaf_of)
+    write_u32s(w, TAG_P_BORD, &bd)
 }
 
 fn read_partition_tree<R: Read>(r: &mut R, n_graph: usize) -> Result<PartitionTree, StoreError> {
     let nn = read_u64(r, TAG_P_COUNT)? as usize;
     let parent = read_u32s(r, TAG_P_PARENT)?;
-    let depth = read_u32s(r, TAG_P_DEPTH)?;
     let vf = read_u32s(r, TAG_P_VERT_FIRST)?;
     let vx = read_u32s(r, TAG_P_VERT)?;
     let bf = read_u32s(r, TAG_P_BORD_FIRST)?;
     let bd = read_u32s(r, TAG_P_BORD)?;
-    let leaf_of = read_u32s(r, TAG_P_LEAF_OF)?;
 
-    if nn == 0 || parent.len() != nn || depth.len() != nn {
+    if nn == 0 || parent.len() != nn {
         return Err(StoreError::invalid("partition tree arrays disagree"));
     }
     if vf.len() != nn + 1 || bf.len() != nn + 1 {
@@ -89,46 +86,32 @@ fn read_partition_tree<R: Read>(r: &mut R, n_graph: usize) -> Result<PartitionTr
         return Err(StoreError::invalid("partition vertex out of range"));
     }
     // Node 0 is the root; every other node's parent precedes it (creation
-    // order) one level up — this implies acyclicity.
-    if parent[0] != NO_PARENT || depth[0] != 0 {
+    // order) — this implies acyclicity and sets each depth from its parent's.
+    if parent[0] != NO_PARENT {
         return Err(StoreError::invalid("partition root must be node 0"));
     }
-    for i in 1..nn {
-        let p = parent[i];
-        if p == NO_PARENT || p as usize >= i {
+    let mut nodes: Vec<PartitionNode> = Vec::with_capacity(nn);
+    for i in 0..nn {
+        let p = (i > 0).then(|| parent[i] as usize);
+        if p.is_some_and(|p| p >= i) {
             return Err(StoreError::invalid(
                 "partition parent must precede its child",
             ));
         }
-        if depth[i] != depth[p as usize] + 1 {
-            return Err(StoreError::invalid("partition depth inconsistent"));
-        }
-    }
-    let mut nodes: Vec<PartitionNode> = (0..nn)
-        .map(|i| PartitionNode {
+        nodes.push(PartitionNode {
             vertices: vx[vf[i] as usize..vf[i + 1] as usize].to_vec(),
             borders: bd[bf[i] as usize..bf[i + 1] as usize].to_vec(),
             children: Vec::new(),
-            parent: (parent[i] != NO_PARENT).then(|| parent[i] as usize),
-            depth: depth[i],
-        })
-        .collect();
-    for (i, &p) in parent.iter().enumerate().skip(1) {
-        nodes[p as usize].children.push(i);
-    }
-    if leaf_of.len() != n_graph {
-        return Err(StoreError::invalid("leaf assignment length mismatch"));
-    }
-    for &l in &leaf_of {
-        let l = l as usize;
-        if l >= nn || !nodes[l].children.is_empty() {
-            return Err(StoreError::invalid("leaf assignment must name a leaf"));
+            parent: p,
+            depth: p.map_or(0, |p| nodes[p].depth + 1),
+        });
+        if let Some(p) = p {
+            nodes[p].children.push(i);
         }
     }
-    Ok(PartitionTree {
-        nodes,
-        leaf_of: leaf_of.into_iter().map(|l| l as usize).collect(),
-    })
+    let leaf_of = leaf_assignment(&nodes, n_graph)
+        .ok_or_else(|| StoreError::invalid("partition leaves do not partition V"))?;
+    Ok(PartitionTree { nodes, leaf_of })
 }
 
 impl Persist for TdGtree {
@@ -284,6 +267,54 @@ mod tests {
         gt.write_into(&mut buf).unwrap();
         for cut in (0..buf.len()).step_by(293) {
             assert!(TdGtree::read_from(&mut &buf[..cut]).is_err());
+        }
+    }
+
+    fn leaves(gt: &TdGtree) -> Vec<usize> {
+        (0..gt.pt.nodes.len())
+            .filter(|&i| gt.pt.nodes[i].children.is_empty())
+            .collect()
+    }
+
+    /// The leaf assignment is not stored: a vertex moved to another leaf in
+    /// memory saves and loads back into its own leaf, and every query from
+    /// it answers like the honest index's.
+    #[test]
+    fn tampered_leaf_assignment_loads_as_built() {
+        let n = 60;
+        let g = seeded_graph(5, n, 40, 3);
+        let mut gt = TdGtree::build(g, GtreeConfig { max_leaf: 10 });
+        let v = 0u32;
+        let times = [0.0, 0.3 * DAY, 0.7 * DAY];
+        let answers = |gt: &TdGtree| {
+            let queries = (0..n as u32).flat_map(|d| times.map(|t| (d, t)));
+            (queries.map(|(d, t)| gt.query_cost(v, d, t).map(f64::to_bits))).collect::<Vec<_>>()
+        };
+        let (honest, leaf_of) = (answers(&gt), gt.pt.leaf_of.clone());
+        let other = *leaves(&gt)
+            .iter()
+            .find(|&&l| l != leaf_of[v as usize])
+            .unwrap();
+        gt.pt.leaf_of[v as usize] = other;
+        let mut buf = Vec::new();
+        gt.write_into(&mut buf).unwrap();
+        let back = TdGtree::read_from(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.pt.leaf_of, leaf_of);
+        assert_eq!(answers(&back), honest);
+    }
+
+    #[test]
+    fn vertex_in_two_leaves_is_rejected() {
+        let g = seeded_graph(1, 30, 20, 3);
+        let mut gt = TdGtree::build(g, GtreeConfig { max_leaf: 8 });
+        let leaves = leaves(&gt);
+        let v = gt.pt.nodes[leaves[0]].vertices[0];
+        gt.pt.nodes[leaves[1]].vertices.push(v);
+        let mut buf = Vec::new();
+        gt.write_into(&mut buf).unwrap();
+        match TdGtree::read_from(&mut buf.as_slice()) {
+            Err(StoreError::Invalid(m)) => assert!(m.contains("partition V"), "{m}"),
+            other => panic!("{:?}", other.map(|_| ())),
         }
     }
 }

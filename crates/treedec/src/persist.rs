@@ -1,28 +1,31 @@
 //! Snapshot persistence ([`td_store::Persist`]) for [`TreeDecomposition`].
 //!
 //! The decomposition is the expensive build product of Algo. 2 — loading it
-//! must not re-run elimination. Persisted verbatim: the tree skeleton
-//! (parent/depth/subtree arrays, bags CSR-flattened in elimination-sorted
-//! order), the `Ws` and `Wd` label lists in slot order, the elimination
-//! order, the optional support lists (sorted by key for deterministic
-//! bytes), and the reduction counters. The label lists are the label
-//! store's arenas: a save writes them slot by slot, and a load reads each
-//! straight into an arena and adopts it, with the bag offsets as the slot
-//! offsets, so no label is decoded into an owned function on the way.
-//! Rebuilt on load (cheap, deterministic): `children` lists from the parent
-//! array, each slot's member depth, and the Euler-tour LCA index.
+//! must not re-run elimination. Persisted verbatim: the elimination order,
+//! the bags (CSR-flattened, each sorted by elimination order), the `Ws` and
+//! `Wd` label lists in slot order, the optional support lists (sorted by
+//! key for deterministic bytes), and the reduction counters. The label
+//! lists are the label store's arenas: a save writes them slot by slot,
+//! and a load reads each straight into an arena and adopts it, with the bag
+//! offsets as the slot offsets, so no label is decoded into an owned
+//! function on the way.
 //!
-//! Reading validates the skeleton before reassembly — parent/depth
-//! consistency (which implies acyclicity), elimination order being a
-//! permutation, bag members in range, sorted by elimination order with
-//! `bag[0]` = parent, and each a proper ancestor of its node (Property 2;
-//! the sweeps index the root path by a member's depth) — so a corrupt file
-//! cannot smuggle in a malformed tree that would panic later inside a
-//! query.
+//! The tree itself is derived data and is not stored: a load assembles the
+//! root, parents, children, depths and subtree sizes from the order and the
+//! bags through the build's own `tree::skeleton`, then each slot's member
+//! depth and the Euler-tour LCA index. Before deriving anything it checks
+//! that the order is a permutation, that every bag member is in range, that
+//! each bag is sorted by elimination order and that its first member — the
+//! parent — is eliminated after its node. Every parent link then leads to a
+//! later-eliminated vertex, so the links form one tree rooted at the vertex
+//! eliminated last. After assembly every bag member must be a proper
+//! ancestor of its node (Property 2; the sweeps index the root path by a
+//! member's depth), so a corrupt file cannot smuggle in a malformed tree
+//! that would panic later inside a query or an update.
 
 use crate::elimination::{ReductionStats, SupportMap};
 use crate::labels::{Labels, WD, WS};
-use crate::tree::{TreeDecomposition, TreeNode};
+use crate::tree::{skeleton, TreeDecomposition};
 use std::io::{Read, Write};
 use td_graph::VertexId;
 use td_plf::persist::{read_plf_arena, write_slice_list};
@@ -31,11 +34,7 @@ use td_store::section::{
 };
 use td_store::{Persist, StoreError};
 
-const TAG_ROOT: u32 = tag4(*b"Troo");
 const TAG_ORDER: u32 = tag4(*b"Tord");
-const TAG_PARENT: u32 = tag4(*b"Tpar");
-const TAG_DEPTH: u32 = tag4(*b"Tdep");
-const TAG_SUBTREE: u32 = tag4(*b"Tsub");
 const TAG_BAG_FIRST: u32 = tag4(*b"Tbf ");
 const TAG_BAG: u32 = tag4(*b"Tbag");
 const TAG_SUP_FLAG: u32 = tag4(*b"Tsup");
@@ -45,25 +44,10 @@ const TAG_SUP_FIRST: u32 = tag4(*b"Tsvf");
 const TAG_SUP_VALS: u32 = tag4(*b"Tsvv");
 const TAG_REDUCTION: u32 = tag4(*b"Trds");
 
-/// Sentinel for "no parent" in the persisted parent array.
-const NO_PARENT: u32 = u32::MAX;
-
 impl Persist for TreeDecomposition {
     fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
         let n = self.len();
-        write_u64(w, TAG_ROOT, self.root as u64)?;
         write_u32s(w, TAG_ORDER, &self.order)?;
-        let parent: Vec<u32> = self
-            .nodes
-            .iter()
-            .map(|nd| nd.parent.unwrap_or(NO_PARENT))
-            .collect();
-        write_u32s(w, TAG_PARENT, &parent)?;
-        let depth: Vec<u32> = self.nodes.iter().map(|nd| nd.depth).collect();
-        write_u32s(w, TAG_DEPTH, &depth)?;
-        let subtree: Vec<u32> = self.nodes.iter().map(|nd| nd.subtree_size).collect();
-        write_u32s(w, TAG_SUBTREE, &subtree)?;
-
         let mut bag_first = Vec::with_capacity(n + 1);
         let mut bag = Vec::new();
         bag_first.push(0u32);
@@ -111,11 +95,7 @@ impl Persist for TreeDecomposition {
     }
 
     fn read_from<R: Read>(r: &mut R) -> Result<TreeDecomposition, StoreError> {
-        let root = read_u64(r, TAG_ROOT)?;
         let order = read_u32s(r, TAG_ORDER)?;
-        let parent = read_u32s(r, TAG_PARENT)?;
-        let depth = read_u32s(r, TAG_DEPTH)?;
-        let subtree = read_u32s(r, TAG_SUBTREE)?;
         let bag_first = read_u32s(r, TAG_BAG_FIRST)?;
         let bag = read_u32s(r, TAG_BAG)?;
         let ws = read_plf_arena(r)?;
@@ -124,13 +104,6 @@ impl Persist for TreeDecomposition {
         let n = order.len();
         if n == 0 {
             return Err(StoreError::invalid("empty tree decomposition"));
-        }
-        if root >= n as u64 {
-            return Err(StoreError::invalid("root out of range"));
-        }
-        let root = root as VertexId;
-        if parent.len() != n || depth.len() != n || subtree.len() != n {
-            return Err(StoreError::invalid("tree arrays disagree in length"));
         }
         // Elimination order must be a permutation of 0..n.
         let mut seen = vec![false; n];
@@ -154,73 +127,24 @@ impl Persist for TreeDecomposition {
                 "weight lists disagree with bag slot count",
             ));
         }
-        // Skeleton: root is the unique parentless node; every other node's
-        // parent has depth one less (implies acyclicity and a single tree).
-        if depth[root as usize] != 0 || parent[root as usize] != NO_PARENT {
-            return Err(StoreError::invalid("root must be parentless at depth 0"));
-        }
-        for v in 0..n {
-            if v as u32 == root {
-                continue;
-            }
-            let p = parent[v];
-            if p == NO_PARENT || p as usize >= n {
-                return Err(StoreError::invalid("non-root node without a valid parent"));
-            }
-            // checked_add: the parent may appear later in the array, so its
-            // depth can be arbitrary garbage here (u32::MAX would overflow
-            // a plain `+ 1` into a debug-build panic).
-            if depth[p as usize].checked_add(1) != Some(depth[v]) {
-                return Err(StoreError::invalid("depth inconsistent with parent"));
-            }
-            if !(1..=n as u32).contains(&subtree[v]) {
-                return Err(StoreError::invalid("subtree size out of range"));
-            }
-        }
-
-        // Assemble nodes; bags must be sorted by elimination order with
-        // bag[0] = parent (the structure every query walk relies on).
-        let mut nodes: Vec<TreeNode> = Vec::with_capacity(n);
-        for v in 0..n {
-            let lo = bag_first[v] as usize;
-            let hi = bag_first[v + 1] as usize;
-            let b = bag[lo..hi].to_vec();
-            if b.windows(2)
-                .any(|w| order[w[0] as usize] >= order[w[1] as usize])
-            {
-                return Err(StoreError::invalid("bag not sorted by elimination order"));
-            }
-            match b.first() {
-                Some(&first) if v as u32 != root && parent[v] != first => {
-                    return Err(StoreError::invalid("bag[0] does not match the parent"));
-                }
-                None if v as u32 != root && parent[v] != root => {
-                    return Err(StoreError::invalid(
-                        "bagless non-root node must hang under the root",
-                    ));
-                }
-                _ => {}
-            }
-            nodes.push(TreeNode {
-                vertex: v as VertexId,
-                bag: b,
-                parent: if v as u32 == root {
-                    None
-                } else {
-                    Some(parent[v])
-                },
-                children: Vec::new(),
-                depth: depth[v],
-                subtree_size: subtree[v],
+        // A node and its bag, in that order, are eliminated in ascending
+        // order: every parent (`bag[0]`) is eliminated after its child, so
+        // `skeleton` builds one tree rooted at the vertex eliminated last.
+        let bags: Vec<Vec<VertexId>> = (bag_first.windows(2))
+            .map(|w| bag[w[0] as usize..w[1] as usize].to_vec())
+            .collect();
+        for (v, b) in bags.iter().enumerate() {
+            let ascending = b.iter().try_fold(order[v], |prev, &u| {
+                let o = order[u as usize];
+                (o > prev).then_some(o)
             });
-        }
-        // Children in ascending vertex order — the order `build` produces.
-        for v in 0..n as u32 {
-            if v != root {
-                let p = parent[v as usize];
-                nodes[p as usize].children.push(v);
+            if ascending.is_none() {
+                return Err(StoreError::invalid(
+                    "bag not sorted by elimination order after its node",
+                ));
             }
         }
+        let (nodes, root) = skeleton(&order, bags);
 
         let supports = match read_u64(r, TAG_SUP_FLAG)? {
             0 => None,
@@ -263,7 +187,7 @@ impl Persist for TreeDecomposition {
             max_bag: rs[2] as usize,
         };
 
-        let bag_depth = bag.iter().map(|&u| depth[u as usize]).collect();
+        let bag_depth = bag.iter().map(|&u| nodes[u as usize].depth).collect();
         let labels = Labels::adopt(bag_first, bag_depth, [ws, wd]);
         let td = TreeDecomposition::from_parts(nodes, order, root, supports, labels, reduction);
         // Property 2: every bag member is a proper ancestor of its node.
@@ -280,6 +204,8 @@ impl Persist for TreeDecomposition {
 mod tests {
     use super::*;
     use td_gen::random_graph::seeded_graph;
+    use td_graph::TdGraph;
+    use td_plf::Plf;
 
     fn roundtrip(td: &TreeDecomposition) -> TreeDecomposition {
         let mut buf = Vec::new();
@@ -290,41 +216,55 @@ mod tests {
         back
     }
 
+    /// Two components: 2 and 3 eliminate into a bagless local root that
+    /// hangs under the global root.
+    fn two_components() -> TdGraph {
+        let mut g = TdGraph::with_vertices(4);
+        for (u, v) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+            g.add_edge(u, v, Plf::constant(1.0)).unwrap();
+        }
+        g
+    }
+
     #[test]
     fn decomposition_round_trips_exactly() {
-        for supports in [false, true] {
-            let g = seeded_graph(7, 40, 25, 3);
-            let td = TreeDecomposition::build_opts(&g, supports);
-            let back = roundtrip(&td);
-            assert_eq!(back.root, td.root);
-            assert_eq!(back.order, td.order);
-            assert_eq!(back.len(), td.len());
-            for v in 0..td.len() as u32 {
-                let (a, b) = (back.node(v), td.node(v));
-                assert_eq!(a.bag, b.bag);
-                assert_eq!(a.parent, b.parent);
-                assert_eq!(a.children, b.children);
-                assert_eq!(a.depth, b.depth);
-                assert_eq!(a.subtree_size, b.subtree_size);
-            }
-            let (a, b) = (back.labels(), td.labels());
-            for dir in [WS, WD] {
-                let owned = |l: &Labels| {
-                    l.list(dir)
-                        .map(|f| f.map(|f| f.to_plf()))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(owned(a), owned(b));
-            }
-            assert_eq!(back.supports, td.supports);
-            assert_eq!(back.stats(), td.stats());
-            // The rebuilt LCA answers identically.
-            for u in 0..td.len() as u32 {
-                for v in (0..td.len() as u32).step_by(7) {
-                    assert_eq!(back.lca(u, v), td.lca(u, v));
+        for g in [seeded_graph(7, 40, 25, 3), two_components()] {
+            for supports in [false, true] {
+                let td = TreeDecomposition::build_opts(&g, supports);
+                let back = roundtrip(&td);
+                assert_eq!(back.root, td.root);
+                assert_eq!(back.order, td.order);
+                assert_eq!(back.len(), td.len());
+                for v in 0..td.len() as u32 {
+                    let (a, b) = (back.node(v), td.node(v));
+                    assert_eq!(a.bag, b.bag);
+                    assert_eq!(a.parent, b.parent);
+                    assert_eq!(a.children, b.children);
+                    assert_eq!(a.depth, b.depth);
+                    assert_eq!(a.subtree_size, b.subtree_size);
+                }
+                let (a, b) = (back.labels(), td.labels());
+                for dir in [WS, WD] {
+                    let owned = |l: &Labels| {
+                        l.list(dir)
+                            .map(|f| f.map(|f| f.to_plf()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(owned(a), owned(b));
+                }
+                assert_eq!(back.supports, td.supports);
+                assert_eq!(back.stats(), td.stats());
+                // The rebuilt LCA answers identically.
+                for u in 0..td.len() as u32 {
+                    for v in 0..td.len() as u32 {
+                        assert_eq!(back.lca(u, v), td.lca(u, v));
+                    }
                 }
             }
         }
+        // The bagless local root really is there.
+        let td = TreeDecomposition::build(&two_components());
+        assert!((0..4).any(|v| v != td.root && td.node(v).bag.is_empty()));
     }
 
     #[test]
@@ -376,5 +316,53 @@ mod tests {
             }
         }
         assert!(tried > 10, "only {tried} corruptions found");
+    }
+
+    /// An elimination order that swaps a leaf with its parent, eliminated
+    /// right after it, keeps every bag sorted — only the leaf's parent now
+    /// comes before it. Written through the crate's own writer (every
+    /// checksum valid), it is rejected: loaded, the first update touching
+    /// the pair would find it recorded at the wrong endpoint's node.
+    #[test]
+    fn leaf_parent_order_swap_is_rejected() {
+        let g = seeded_graph(7, 40, 25, 3);
+        let td = TreeDecomposition::build_opts(&g, true);
+        let mut tried = 0;
+        for v in 0..td.len() {
+            // A leaf whose parent, `bag[0]`, is eliminated right after it.
+            let node = &td.nodes[v];
+            let Some(&p) = node.bag.first() else {
+                continue;
+            };
+            if !node.children.is_empty() || td.order[p as usize] != td.order[v] + 1 {
+                continue;
+            }
+            let mut bad = td.clone();
+            bad.order.swap(v, p as usize);
+            let mut buf = Vec::new();
+            bad.write_into(&mut buf).unwrap();
+            let err = TreeDecomposition::read_from(&mut buf.as_slice()).err();
+            assert!(
+                matches!(&err, Some(StoreError::Invalid(m)) if m.contains("after its node")),
+                "leaf {v} swapped with parent {p}: {err:?}"
+            );
+            tried += 1;
+        }
+        assert!(tried > 0, "no leaf is eliminated right before its parent");
+    }
+
+    /// The skeleton is not stored: a subtree size tampered with in memory
+    /// saves and loads back as the build's value.
+    #[test]
+    fn tampered_subtree_size_loads_as_built() {
+        let g = seeded_graph(7, 40, 25, 3);
+        let td = TreeDecomposition::build(&g);
+        let v = (0..td.len())
+            .find(|&v| td.nodes[v].subtree_size > 1)
+            .unwrap();
+        let mut bad = td.clone();
+        bad.nodes[v].subtree_size -= 1;
+        let back = roundtrip(&bad);
+        assert_eq!(back.nodes[v].subtree_size, td.nodes[v].subtree_size);
     }
 }

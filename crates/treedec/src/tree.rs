@@ -101,61 +101,10 @@ impl TreeDecomposition {
         for bag in &mut slots {
             bag.sort_by_key(|&(u, _)| order[u as usize]);
         }
-        let mut nodes: Vec<TreeNode> = (slots.iter().enumerate())
-            .map(|(v, bag)| TreeNode {
-                vertex: v as VertexId,
-                bag: bag.iter().map(|&(u, _)| u).collect(),
-                parent: None,
-                children: Vec::new(),
-                depth: 0,
-                subtree_size: 1,
-            })
+        let bags = (slots.iter())
+            .map(|bag| bag.iter().map(|&(u, _)| u).collect())
             .collect();
-
-        // Root = vertex eliminated last.
-        let root = (0..n as u32)
-            .max_by_key(|&v| order[v as usize])
-            .expect("non-empty");
-
-        // Parents and children.
-        for v in 0..n as u32 {
-            let parent = if v == root {
-                None
-            } else if nodes[v as usize].bag.is_empty() {
-                // Disconnected component's local root: hang under the global
-                // root with no weight entries (unreachable in queries).
-                Some(root)
-            } else {
-                Some(nodes[v as usize].bag[0])
-            };
-            nodes[v as usize].parent = parent;
-            if let Some(p) = parent {
-                let child = v;
-                nodes[p as usize].children.push(child);
-            }
-        }
-
-        // Depths + subtree sizes via preorder/postorder over the tree.
-        let mut preorder = Vec::with_capacity(n);
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            preorder.push(v);
-            let children = nodes[v as usize].children.clone();
-            let d = nodes[v as usize].depth;
-            for c in children {
-                nodes[c as usize].depth = d + 1;
-                stack.push(c);
-            }
-        }
-        debug_assert_eq!(preorder.len(), n, "tree must span all vertices");
-        for &v in preorder.iter().rev() {
-            let size = nodes[v as usize].subtree_size;
-            if let Some(p) = nodes[v as usize].parent {
-                nodes[p as usize].subtree_size += size;
-            }
-            let _ = size;
-        }
-
+        let (nodes, root) = skeleton(&order, bags);
         let supports = eg.supports.take();
         let depth: Vec<u32> = nodes.iter().map(|nd| nd.depth).collect();
         let labels = Labels::freeze(slots, &depth);
@@ -164,8 +113,8 @@ impl TreeDecomposition {
 
     /// Reassembles a decomposition from its parts, building the LCA index
     /// (deterministic from the tree skeleton). The persistence module
-    /// validates the skeleton and the label store's shape before calling
-    /// this.
+    /// validates the order, the bags and the label store's shape before
+    /// deriving the skeleton with [`skeleton`].
     pub(crate) fn from_parts(
         nodes: Vec<TreeNode>,
         order: Vec<u32>,
@@ -299,6 +248,49 @@ impl TreeDecomposition {
             reduction: self.reduction,
         }
     }
+}
+
+/// The tree Algo. 2's elimination defines, from the order and each
+/// vertex's bag sorted by it: `X(v)`'s parent is `bag[0]` (a bagless node —
+/// a disconnected component's local root — hangs under the root with no
+/// weight entries), children come in ascending vertex order, and the root
+/// is the vertex eliminated last. Every parent is eliminated after its
+/// child, so one pass in descending order sets each depth from its
+/// parent's and one in ascending order sums the subtree sizes. Build and
+/// load both assemble the skeleton here; a load checks that the bags are
+/// sorted and every `bag[0]` is eliminated after its node first.
+pub(crate) fn skeleton(order: &[u32], bags: Vec<Vec<VertexId>>) -> (Vec<TreeNode>, VertexId) {
+    let mut by_order = vec![0 as VertexId; order.len()];
+    for (v, &o) in order.iter().enumerate() {
+        by_order[o as usize] = v as VertexId;
+    }
+    let root = *by_order.last().expect("non-empty");
+    let mut nodes: Vec<TreeNode> = (bags.into_iter().enumerate())
+        .map(|(v, bag)| TreeNode {
+            vertex: v as VertexId,
+            parent: (v as VertexId != root).then(|| bag.first().copied().unwrap_or(root)),
+            bag,
+            children: Vec::new(),
+            depth: 0,
+            subtree_size: 1,
+        })
+        .collect();
+    for v in 0..nodes.len() {
+        if let Some(p) = nodes[v].parent {
+            nodes[p as usize].children.push(v as VertexId);
+        }
+    }
+    for &v in by_order.iter().rev() {
+        if let Some(p) = nodes[v as usize].parent {
+            nodes[v as usize].depth = nodes[p as usize].depth + 1;
+        }
+    }
+    for &v in &by_order {
+        if let Some(p) = nodes[v as usize].parent {
+            nodes[p as usize].subtree_size += nodes[v as usize].subtree_size;
+        }
+    }
+    (nodes, root)
 }
 
 #[cfg(test)]

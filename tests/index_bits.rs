@@ -18,15 +18,19 @@ use td_road::store::section::{tag4, write_f64s};
 use td_road::store::Persist;
 
 /// The hash of the built index's stored bits, recorded before the merge
-/// kernels simplified in place and took candidates by window.
-const INDEX_BITS: u64 = 0xa371_a1b2_1f2c_e9dd;
+/// kernels simplified in place and took candidates by window; re-pinned
+/// when the stream stopped storing the tree's root, parents, depths and
+/// subtree sizes (the recorded stream with exactly those sections cut out).
+const INDEX_BITS: u64 = 0xaae5_05b5_fd38_bf2c;
 
 /// `memory_bytes` of the built index, each `Ws`/`Wd` point counted once.
 const MEMORY_BYTES: usize = 13_120_884;
 
 /// The hash of the built G-tree's stored bits, recorded while every matrix
-/// entry was still held twice (an owned copy beside its arena).
-const GTREE_BITS: u64 = 0x9e13_f865_7601_d70b;
+/// entry was still held twice (an owned copy beside its arena); re-pinned
+/// when the stream stopped storing the partition depths and the leaf
+/// assignment (the recorded stream with exactly those sections cut out).
+const GTREE_BITS: u64 = 0x32a6_88d2_8eb7_b396;
 
 /// `memory_bytes` of the built G-tree, each matrix point counted once.
 const GTREE_MEMORY_BYTES: usize = 23_916_036;
