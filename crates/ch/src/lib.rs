@@ -764,6 +764,7 @@ mod tests {
     use rand::rngs::StdRng;
     use td_gen::random_graph::seeded_graph;
     use td_graph::TdGraph;
+    use td_plf::PlfView;
 
     /// Plain Dijkstra over per-edge scalar weights — the oracle every
     /// metric's CH must match.

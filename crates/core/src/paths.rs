@@ -23,7 +23,7 @@
 
 use crate::query::{CostScratch, QueryEngine};
 use td_graph::{Path, VertexId};
-use td_plf::{PlfSlice, NO_VIA};
+use td_plf::{PlfSlice, PlfView, NO_VIA};
 use td_treedec::{TreeDecomposition, WD, WS};
 
 /// Expands the stored function `f` for the pair `from → to` at departure

@@ -22,7 +22,7 @@ use crate::index::{BuildStats, IndexOptions, SelectionStrategy, TdTreeIndex};
 use crate::shortcut::{ShortcutStore, DOWN, UP};
 use std::io::{Read, Write};
 use td_graph::TdGraph;
-use td_plf::persist::{read_plf_arena, write_slice_list};
+use td_plf::persist::{read_plf_arena, write_plf_list};
 use td_store::section::{
     check_offsets, read_f64s, read_u32s, read_u64s, tag4, write_f64s, write_u32s, write_u64s,
 };
@@ -44,7 +44,7 @@ impl Persist for ShortcutStore {
         // Row order, whatever the chunking: the file is the same for every
         // schedule of the pass that built the store.
         for dir in [UP, DOWN] {
-            write_slice_list(w, self.functions(dir))?;
+            write_plf_list(w, self.functions(dir))?;
         }
         Ok(())
     }

@@ -103,7 +103,7 @@ use td_graph::VertexId;
 use td_plf::ops::{
     fold_compound_into, fold_into, min_compound_into, min_into, Merge, EMPTY_BOUNDS,
 };
-use td_plf::{Plf, PlfArena, PlfId, Windows, EPS_COST, NO_PLF};
+use td_plf::{Plf, PlfArena, PlfId, PlfView, Windows, EPS_COST, NO_PLF};
 use td_treedec::{TreeDecomposition, WD, WS};
 
 /// Query engine borrowing the tree and the selected shortcuts.
@@ -192,9 +192,6 @@ pub struct ProfileSweepBufs {
     rest: Vec<f64>,
     /// Per-window bounds of the slots' functions, made on first use.
     windows: WindowCache,
-    /// The label of the relaxation at hand, copied out of the label store
-    /// for the merge kernel and refilled in place for the next one.
-    label: Option<Plf>,
 }
 
 impl ProfileSweepBufs {
@@ -261,7 +258,7 @@ impl WindowCache {
 /// `keep`, a per-window decision that `min{slot, Compound(f, g)}` keeps
 /// `slot`. Debug builds also run the walk it skips, on a copy of the slot,
 /// and assert that the walk keeps too.
-fn shadowed(keep: bool, slot: &Plf, f: &Plf, g: &Plf, via: VertexId) -> bool {
+fn shadowed(keep: bool, slot: &Plf, f: impl PlfView, g: impl PlfView, via: VertexId) -> bool {
     debug_assert!(
         !keep || !min_compound_into(&mut Some(slot.clone()), f, g, via),
         "a window keep the walk would not make (via {via})"
@@ -346,9 +343,6 @@ pub struct ProfileScratch {
     /// the functions stay in the store until the sweep copies them.
     seeds_s: Vec<(usize, VertexId)>,
     seeds_d: Vec<(usize, VertexId)>,
-    /// Owned copies of the two legs of the cut scan's current through-`w`
-    /// total (`s → w`, `w → d`), refilled in place for every one.
-    legs: [Option<Plf>; 2],
     /// What the most recent profile query did.
     pub counts: ProfileCounts,
 }
@@ -592,10 +586,9 @@ impl<'a> QueryEngine<'a> {
     /// Algo. 6's cut scan (an unscanned, empty cut covers nothing): reads
     /// each stored function over the LCA cut in place, keys the sweeps'
     /// seeds, and folds the through-`w` totals into the bound `f⁺`. A total
-    /// through both legs is walked and built by `min_compound_into`, over
-    /// copies of the legs in `scratch.legs` — reused, so they allocate only
-    /// while they grow. Returns the LCA's depth, `f⁺`, and whether every cut
-    /// pair is stored (situation (1)).
+    /// through both legs is walked and built by `min_compound_into`, which
+    /// reads both legs where they are stored. Returns the LCA's depth, `f⁺`,
+    /// and whether every cut pair is stored (situation (1)).
     fn scan_cut_pairs(
         &self,
         scratch: &mut ProfileScratch,
@@ -606,7 +599,6 @@ impl<'a> QueryEngine<'a> {
             cut,
             seeds_s,
             seeds_d,
-            legs: [leg_s, leg_d],
             ..
         } = scratch;
         let x = if self.scan_cut {
@@ -635,22 +627,13 @@ impl<'a> QueryEngine<'a> {
             if let Some(Some(_)) = down_f {
                 seeds_d.push((kw, w));
             }
+            // Whether `f⁺` changed does not matter here.
             match (up_f.flatten(), down_f.flatten()) {
-                (_, Some(fd)) if w == s => {
-                    min_into(&mut bound, fd.to_plf());
-                }
-                (Some(fu), _) if w == d => {
-                    min_into(&mut bound, fu.to_plf());
-                }
-                (Some(fu), Some(fd)) => {
-                    let fu_copy = leg_s.get_or_insert_with(Plf::zero);
-                    let fd_copy = leg_d.get_or_insert_with(Plf::zero);
-                    fu.copy_into(fu_copy);
-                    fd.copy_into(fd_copy);
-                    min_compound_into(&mut bound, fu_copy, fd_copy, w);
-                }
-                _ => {}
-            }
+                (_, Some(fd)) if w == s => min_into(&mut bound, fd.to_plf()),
+                (Some(fu), _) if w == d => min_into(&mut bound, fu.to_plf()),
+                (Some(fu), Some(fd)) => min_compound_into(&mut bound, fu, fd, w),
+                _ => false,
+            };
         }
         (self.td.node(x).depth as usize, bound, full_cover)
     }
@@ -806,8 +789,8 @@ impl<'a> QueryEngine<'a> {
                     continue;
                 }
             }
-            // Each label is read in place — its depth, minimum and windows
-            // from its slot — and copied out only for the merge kernel.
+            // Each label is read in place — its depth and minimum from its
+            // slot, its windows and the merge kernel from its points.
             let (labels, dir) = (self.td.labels(), if REV { WD } else { WS });
             for idx in labels.range(bufs.path[k]) {
                 let Some(w) = labels.get(dir, idx) else {
@@ -848,7 +831,6 @@ impl<'a> QueryEngine<'a> {
                     let (above, from_k) = bufs.cost.split_at_mut(k);
                     let (slot, cur) = (&mut above[ku], from_k[0].as_ref().expect("checked above"));
                     let via = bufs.path[k];
-                    let label = bufs.label.get_or_insert_with(Plf::zero);
                     // Into a filled slot, the windows may decide the keep
                     // before the compound's breakpoints are made, and a
                     // take before the built compound is walked.
@@ -858,22 +840,24 @@ impl<'a> QueryEngine<'a> {
                         cache.ensure(k, cur);
                         cache.ensure(ku, held);
                         let (acc, here, lw) =
-                            (&cache.windows[ku], &cache.windows[k], &Windows::of_slice(w));
+                            (&cache.windows[ku], &cache.windows[k], &Windows::of(w));
                         let (fw, gw) = if REV { (lw, here) } else { (here, lw) };
                         if acc.under_compound(fw, gw) {
-                            if cfg!(debug_assertions) {
-                                w.copy_into(label);
-                                let (f, g) = if REV { (&*label, cur) } else { (cur, &*label) };
-                                shadowed(true, held, f, g, via);
-                            }
+                            if REV {
+                                shadowed(true, held, w, cur, via)
+                            } else {
+                                shadowed(true, held, cur, w, via)
+                            };
                             counts.window_keeps += 1;
                             continue;
                         }
                         windows = Some(&mut cache.windows[ku]);
                     }
-                    w.copy_into(label);
-                    let (f, g) = if REV { (&*label, cur) } else { (cur, &*label) };
-                    fold_compound_into(slot, bounds, windows, f, g, via)
+                    if REV {
+                        fold_compound_into(slot, bounds, windows, w, cur, via)
+                    } else {
+                        fold_compound_into(slot, bounds, windows, cur, w, via)
+                    }
                 };
                 counts.record(merge);
                 if !merge.windows_fresh() {
@@ -906,7 +890,7 @@ impl<'a> QueryEngine<'a> {
         // pruned sweeps + combination over the common ancestor chain. The
         // ε keeps a term tying the upper bound, as the search backends'
         // corridor does.
-        let bound_max = bound.as_ref().map_or(f64::INFINITY, Plf::max_value);
+        let bound_max = bound.as_ref().map_or(f64::INFINITY, PlfView::max_value);
         let limit = self.corridor(scratch, s, d, upto, bound_max) + EPS_COST;
         let ProfileScratch {
             up,
@@ -947,7 +931,7 @@ fn combine_over_chain(
     counts: &mut ProfileCounts,
     result: &mut Option<Plf>,
 ) {
-    let mut result_bounds = result.as_ref().map_or(EMPTY_BOUNDS, Plf::value_bounds);
+    let mut result_bounds = result.as_ref().map_or(EMPTY_BOUNDS, PlfView::value_bounds);
     // The result's windows while they are fresh.
     let mut result_windows: Option<Windows> = None;
     for k in 0..=upto {
@@ -1340,7 +1324,7 @@ mod tests {
                 for &(s, d) in &pairs {
                     let ctx = format!("seed={seed} pairs={} s={s} d={d}", store.num_pairs());
                     let (upto, bound, _) = engine.scan_cut_pairs(&mut scratch, s, d);
-                    let bound_max = bound.as_ref().map_or(f64::INFINITY, Plf::max_value);
+                    let bound_max = bound.as_ref().map_or(f64::INFINITY, PlfView::max_value);
                     let upper = engine.corridor(&mut scratch, s, d, upto, bound_max);
                     if let Some(fsd) = f(s, d) {
                         assert!(
@@ -1407,7 +1391,7 @@ mod tests {
             if full_cover {
                 continue;
             }
-            let bound_max = bound.as_ref().map_or(f64::INFINITY, Plf::max_value);
+            let bound_max = bound.as_ref().map_or(f64::INFINITY, PlfView::max_value);
             engine.corridor(&mut scratch, s, d, upto, bound_max);
             let ProfileScratch {
                 up,

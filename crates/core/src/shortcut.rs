@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use td_graph::VertexId;
 use td_plf::ops::{fold_compound_into, fold_into, EMPTY_BOUNDS};
-use td_plf::{Plf, PlfArena, PlfId, PlfSlice, NO_PLF};
+use td_plf::{Plf, PlfArena, PlfId, PlfSlice, PlfView, NO_PLF};
 use td_treedec::{TreeDecomposition, WD, WS};
 
 /// One ancestor-vector entry of a DFS frame.
@@ -143,17 +143,17 @@ impl Best {
     /// walked against the accumulator and built only if it gets below it.
     /// The merge kernel reads `bounds` instead of rescanning the
     /// accumulator, and leaves them the new one's.
-    fn relax(&mut self, lower_bound: f64, f: &Plf, g: &Plf, via: VertexId) {
+    fn relax(&mut self, lower_bound: f64, f: impl PlfView, g: impl PlfView, via: VertexId) {
         if lower_bound < self.bounds.1 {
             fold_compound_into(&mut self.f, &mut self.bounds, None, f, g, via);
         }
     }
 
     /// Folds in a label — the direct term through the target itself — by
-    /// the same rule.
-    fn relax_label(&mut self, w: &Plf, w_min: f64) {
+    /// the same rule, copying it out of the store only then.
+    fn relax_label(&mut self, w: PlfSlice<'_>, w_min: f64) {
         if w_min < self.bounds.1 {
-            fold_into(&mut self.f, &mut self.bounds, None, w.clone());
+            fold_into(&mut self.f, &mut self.bounds, None, w.to_plf());
         }
     }
 
@@ -171,22 +171,18 @@ impl Best {
     }
 }
 
-/// A label copied out of the label store for the merge kernel, with its
-/// minimum (`None` = absent).
-type LabelCopy = Option<(Plf, f64)>;
-
 /// Computes the entries `need` (sorted ancestor depths) of `v`'s ancestor
 /// vectors from the DFS stack (Fact 1); every other entry stays
 /// `Entry::Skipped`.
 ///
 /// `stack[k]` must hold the vectors of `v`'s ancestor at depth `k`;
-/// `stack.len() == depth(v)`. `v`'s labels are copied out of the tree's
-/// label store once per visit, for the merge kernel, each with its member's
-/// depth and its minimum. Every term `Compound(label, rest)` is bounded
-/// below by `min(label) + min(rest)` — the label minimum from the store,
-/// the rest's read from its frame — and skipped when that cannot get
-/// below the maximum of what the slot already holds; past that test it is
-/// walked against the slot and built only if it gets below it somewhere.
+/// `stack.len() == depth(v)`. `v`'s labels are read where the tree's label
+/// store holds them, each with its member's depth and its minimum. Every
+/// term `Compound(label, rest)` is bounded below by `min(label) +
+/// min(rest)` — the label minimum from the store, the rest's read from its
+/// frame — and skipped when that cannot get below the maximum of what the
+/// slot already holds; past that test it is walked against the slot and
+/// built only if it gets below it somewhere.
 fn compute_vectors(
     td: &TreeDecomposition,
     v: VertexId,
@@ -201,20 +197,16 @@ fn compute_vectors(
         down: vec![Entry::Skipped; d],
     };
     let labels = td.labels();
-    let bag: Vec<(usize, [LabelCopy; 2])> = (labels.range(v))
-        .map(|idx| {
-            let copy = |dir| (labels.get(dir, idx)).map(|f| (f.to_plf(), labels.min(dir, idx)));
-            (labels.bag_depth(idx), [copy(WS), copy(WD)])
-        })
-        .collect();
     for &k in need {
         let k = k as usize;
         let (mut best_up, mut best_down) = (Best::UNREACHABLE, Best::UNREACHABLE);
-        for (&u, &(du, [ref ws, ref wd])) in node.bag.iter().zip(&bag) {
-            if let Some((ws, ws_min)) = ws {
+        for (&u, idx) in node.bag.iter().zip(labels.range(v)) {
+            let du = labels.bag_depth(idx);
+            let label = |dir| labels.get(dir, idx).map(|f| (f, labels.min(dir, idx)));
+            if let Some((ws, ws_min)) = label(WS) {
                 // v → anc[k] through bag member u.
                 if du == k {
-                    best_up.relax_label(ws, *ws_min);
+                    best_up.relax_label(ws, ws_min);
                 } else {
                     // u above the target: u → anc[k] is the target's down
                     // entry at u's depth; u below it: u's own up entry.
@@ -228,10 +220,10 @@ fn compute_vectors(
                     }
                 }
             }
-            if let Some((wd, wd_min)) = wd {
+            if let Some((wd, wd_min)) = label(WD) {
                 // anc[k] → v through bag member u.
                 if du == k {
-                    best_down.relax_label(wd, *wd_min);
+                    best_down.relax_label(wd, wd_min);
                 } else {
                     let rest = if du < k {
                         stack[k].up[du].get()

@@ -29,8 +29,8 @@
 //! are a fresh build's on the updated graph, bit for bit.
 //!
 //! The labels live in the tree's label store ([`td_treedec::Labels`]). The
-//! replay reads a support's two legs through copies it refills in place,
-//! and patches a changed label in the store: the new function is appended
+//! replay compounds a support's two legs where the store holds them, and
+//! patches a changed label in the store: the new function is appended
 //! with its bounds and the one it replaces is dead. When the replay ends,
 //! one compaction drops the dead functions, so the store holds what a
 //! fresh build stores, with nothing re-derived.
@@ -76,14 +76,6 @@ pub struct UpdateStats {
     pub rebuild_secs: f64,
 }
 
-/// The replay's scratch: copies of the two legs of the compound at hand,
-/// refilled in place, and per direction the ids of the labels it replaced,
-/// dropped together when it ends.
-struct Replay {
-    legs: [Plf; 2],
-    dead: [Vec<PlfId>; 2],
-}
-
 impl TdTreeIndex {
     /// Applies weight changes to existing edges and incrementally repairs
     /// the index. Requires the index to have been built with
@@ -115,10 +107,9 @@ impl TdTreeIndex {
 
         // Phase 1: replay. Dirty = eliminations whose *inputs* (recorded
         // pairs at that node) changed.
-        let mut replay = Replay {
-            legs: [Plf::zero(), Plf::zero()],
-            dead: Default::default(),
-        };
+        // Per direction, the ids of the labels the replay replaced, dropped
+        // together when it ends.
+        let mut dead: [Vec<PlfId>; 2] = Default::default();
         let mut dirty: BinaryHeap<Reverse<(u32, VertexId)>> = BinaryHeap::new();
         let mut queued: FxHashSet<VertexId> = FxHashSet::default();
         let mut changed_nodes: FxHashSet<VertexId> = FxHashSet::default();
@@ -132,7 +123,7 @@ impl TdTreeIndex {
                 v
             };
             let other = if earlier == u { v } else { u };
-            if self.refresh_pair(earlier, other, &mut replay) {
+            if self.refresh_pair(earlier, other, &mut dead) {
                 changed_nodes.insert(earlier);
                 if queued.insert(earlier) {
                     dirty.push(Reverse((self.td.order[earlier as usize], earlier)));
@@ -157,7 +148,7 @@ impl TdTreeIndex {
                         j
                     };
                     let other = if earlier == i { j } else { i };
-                    if self.refresh_pair(earlier, other, &mut replay) {
+                    if self.refresh_pair(earlier, other, &mut dead) {
                         changed_nodes.insert(earlier);
                         if queued.insert(earlier) {
                             dirty.push(Reverse((self.td.order[earlier as usize], earlier)));
@@ -166,7 +157,7 @@ impl TdTreeIndex {
                 }
             }
         }
-        self.td.labels_mut().compact(replay.dead);
+        self.td.labels_mut().compact(dead);
         stats.changed_nodes = changed_nodes.len();
         stats.replay_secs = t0.elapsed().as_secs_f64();
 
@@ -185,7 +176,12 @@ impl TdTreeIndex {
     /// directions) from its base edge and support list, and patches each
     /// direction that changed into the label store. Returns true when either
     /// did.
-    fn refresh_pair(&mut self, earlier: VertexId, other: VertexId, replay: &mut Replay) -> bool {
+    fn refresh_pair(
+        &mut self,
+        earlier: VertexId,
+        other: VertexId,
+        dead: &mut [Vec<PlfId>; 2],
+    ) -> bool {
         let key = (earlier.min(other), earlier.max(other));
         let supports: &[VertexId] = self
             .td
@@ -207,7 +203,6 @@ impl TdTreeIndex {
             .map(|e| self.graph.weight(e).clone());
 
         let labels = self.td.labels();
-        let [leg_a, leg_b] = &mut replay.legs;
         for &m in supports {
             let (Some(se), Some(so)) = (self.td.slot(m, earlier), self.td.slot(m, other)) else {
                 continue;
@@ -215,9 +210,7 @@ impl TdTreeIndex {
             // `from → m → to` is `X(m).Wd_from` then `X(m).Ws_to`.
             for (acc, from, to) in [(&mut fwd, se, so), (&mut bwd, so, se)] {
                 if let (Some(a), Some(b)) = (labels.get(WD, from), labels.get(WS, to)) {
-                    a.copy_into(leg_a);
-                    b.copy_into(leg_b);
-                    min_compound_into(acc, leg_a, leg_b, m);
+                    min_compound_into(acc, a, b, m);
                 }
             }
         }
@@ -233,7 +226,7 @@ impl TdTreeIndex {
                 _ => false,
             };
             if !same {
-                replay.dead[dir].push(labels.replace(dir, idx, f.as_ref()));
+                dead[dir].push(labels.replace(dir, idx, f.as_ref()));
                 changed = true;
             }
         }
@@ -249,6 +242,7 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use td_dijkstra::shortest_path_cost;
     use td_gen::random_graph::{random_profile, seeded_graph};
+    use td_plf::PlfView;
     use td_plf::DAY;
     use td_treedec::TreeDecomposition;
 

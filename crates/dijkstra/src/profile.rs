@@ -27,7 +27,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use td_graph::{FrozenGraph, Path, TdGraph, VertexId};
 use td_obs::SearchStats;
 use td_plf::ops::min_compound_into;
-use td_plf::{fle, Plf, EPS_COST};
+use td_plf::{fle, Plf, PlfView, EPS_COST};
 
 /// Result of a profile search from a source vertex.
 #[derive(Clone, Debug)]

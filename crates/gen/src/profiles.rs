@@ -120,6 +120,7 @@ pub fn apply_profiles(net: &RoadNetwork, cfg: &ProfileConfig) -> TdGraph {
 mod tests {
     use super::*;
     use crate::network::RoadNetworkConfig;
+    use td_plf::PlfView;
 
     #[test]
     fn profiles_have_requested_point_count() {

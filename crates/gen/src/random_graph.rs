@@ -81,6 +81,7 @@ pub fn seeded_graph(seed: u64, n: usize, extra_directed: usize, max_points: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_plf::PlfView;
 
     #[test]
     fn random_graphs_are_connected_and_fifo() {

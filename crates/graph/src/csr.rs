@@ -242,6 +242,7 @@ const _: () = {
 mod tests {
     use super::*;
     use td_plf::Plf;
+    use td_plf::PlfView;
 
     fn sample() -> TdGraph {
         let mut g = TdGraph::with_vertices(4);

@@ -394,18 +394,15 @@ impl TdGtree {
         let mut cost: HashMap<VertexId, Plf> = (self.pt.nodes[ls].borders.iter())
             .filter_map(|&b| Some((b, self.mats[ls].entry(s, b)?.0.to_plf())))
             .collect();
-        // Each matrix entry is compounded from one reused copy.
-        let mut leg = Plf::zero();
         for &(n, tgt) in &plan {
-            cost = relax_profile(&self.mats[n], &cost, &self.pt.nodes[tgt].borders, &mut leg);
+            cost = relax_profile(&self.mats[n], &cost, &self.pt.nodes[tgt].borders);
         }
         let mut best: Option<Plf> = None;
         let mut sources: Vec<VertexId> = cost.keys().copied().collect();
         sources.sort_unstable();
         for b in sources {
             if let Some((f2, _)) = self.mats[ld].entry(b, d) {
-                f2.copy_into(&mut leg);
-                min_compound_into(&mut best, &cost[&b], &leg, b);
+                min_compound_into(&mut best, &cost[&b], f2, b);
             }
         }
         best
@@ -726,13 +723,12 @@ fn relax_pred(
     out
 }
 
-/// Profile relaxation through a node matrix; each entry is copied into
-/// `leg` before it is compounded.
+/// Profile relaxation through a node matrix, each entry compounded where
+/// its arena holds it.
 fn relax_profile(
     m: &NodeMatrix,
     cost: &HashMap<VertexId, Plf>,
     targets: &[VertexId],
-    leg: &mut Plf,
 ) -> HashMap<VertexId, Plf> {
     let mut out: HashMap<VertexId, Plf> = HashMap::with_capacity(targets.len());
     let mut sources: Vec<VertexId> = cost.keys().copied().collect();
@@ -744,8 +740,7 @@ fn relax_profile(
                 continue;
             }
             if let Some((f2, _)) = m.entry(b1, b2) {
-                f2.copy_into(leg);
-                min_compound_into(&mut best, &cost[&b1], leg, b1);
+                min_compound_into(&mut best, &cost[&b1], f2, b1);
             }
         }
         if let Some(f) = best {

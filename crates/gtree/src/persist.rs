@@ -17,7 +17,7 @@ use crate::index::{NodeMatrix, TdGtree};
 use crate::partition::{leaf_assignment, PartitionNode, PartitionTree};
 use std::io::{Read, Write};
 use td_graph::TdGraph;
-use td_plf::persist::{read_plf_arena, write_slice_list};
+use td_plf::persist::{read_plf_arena, write_plf_list};
 use td_plf::NO_PLF;
 use td_store::section::{
     check_offsets, read_f64s, read_u32s, read_u64, tag4, write_f64s, write_u32s, write_u64,
@@ -124,7 +124,7 @@ impl Persist for TdGtree {
                 .ids
                 .iter()
                 .map(|&id| (id != NO_PLF).then(|| m.arena.slice(id)));
-            write_slice_list(w, slots)?;
+            write_plf_list(w, slots)?;
         }
         write_f64s(w, TAG_G_SECS, &[self.build_secs])
     }
@@ -227,7 +227,7 @@ mod tests {
             let slots = m.ids[..count]
                 .iter()
                 .map(|&id| (id != NO_PLF).then(|| m.arena.slice(id)));
-            write_slice_list(&mut buf, slots).unwrap();
+            write_plf_list(&mut buf, slots).unwrap();
         }
         write_f64s(&mut buf, TAG_G_SECS, &[gt.build_secs]).unwrap();
         buf

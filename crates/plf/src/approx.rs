@@ -47,11 +47,12 @@ pub fn lerp(x0: f64, y0: f64, x1: f64, y1: f64, x: f64) -> f64 {
 /// `t` (the largest breakpoint with time ≤ `t`).
 ///
 /// `next` is the following breakpoint, or `None` when `(t0, v0)` is the last
-/// one — the **right ray**, which clamps to `v0` per Eq. 1. Every eval entry
-/// point (`Plf::eval`, `PlfSlice::eval`, the `_with_via` variants, and
-/// the batch kernels in [`crate::batch`]) routes its
-/// past-last-breakpoint clamp through this one helper, so the extrapolation
-/// semantics cannot drift apart between scalar and batched evaluation.
+/// one — the **right ray**, which clamps to `v0` per Eq. 1. The one scalar
+/// evaluator ([`crate::PlfView::eval`], which `Plf::eval` and
+/// `PlfSlice::eval` run) and the batch kernels in [`crate::batch`] route
+/// their past-last-breakpoint clamp through this one helper, so the
+/// extrapolation semantics cannot drift apart between scalar and batched
+/// evaluation.
 #[inline]
 pub fn clamped_segment_value(t0: f64, v0: f64, next: Option<(f64, f64)>, t: f64) -> f64 {
     match next {

@@ -3,34 +3,39 @@
 
 //! [`PlfArena`]: all interpolation points of a *frozen* function set in
 //! contiguous structure-of-arrays storage, plus [`PlfSlice`], the borrowed
-//! zero-copy view the hot query loops evaluate.
+//! zero-copy view of one of them.
 //!
-//! [`Plf`] owns one `Vec<Pt>` per function — ideal while functions are being
-//! built and rewritten (compound/minimum produce fresh point lists), but a
-//! pointer-chasing layout once an index is frozen and only *evaluated*: every
-//! `eval` starts with a dereference to a separately-allocated point array,
-//! and the AoS `Pt {t, v, via}` layout drags witness words through the cache
-//! even when only times are scanned. `PlfArena` is the frozen counterpart:
+//! **Two layouts, one set of kernels.** A function is built as a [`Plf`]
+//! (`Vec<Pt>`) and stored in an arena:
 //!
 //! * `times`/`values`/`vias` — one flat SoA array each, all functions
-//!   back-to-back;
+//!   back-to-back, 20 B a point;
 //! * `first_pt` — CSR-style offsets, `first_pt[id]..first_pt[id+1]` is
 //!   function `id`;
 //! * `min_cost`/`max_cost` — per-function value bounds, precomputed once so
 //!   query loops can prune (`dist + min_cost ≥ best` ⇒ skip evaluation)
 //!   without touching the points at all.
 //!
+//! Both layouts stay because each is the cheaper one where it is used. An
+//! SoA `Plf` would make three allocations where a built function makes one,
+//! and the profile queries build thousands; an AoS arena would store 24 B a
+//! point (`Pt` with its padding), ≈ +20 % index memory. Neither layout has
+//! code of its own: `&Plf` and `PlfSlice` are both [`PlfView`]s, and
+//! evaluation, the forward cursor, `Compound`, `minimum`, the merge walks,
+//! [`crate::Windows::of`] and the list writer read either in place. A merge
+//! kernel compounds two stored functions where they lie, as CATCHUp links
+//! two stored shortcuts without copying them.
+//!
 //! A stored function is never edited; mutation stays on [`Plf`]. Build with
-//! the PLF algebra, freeze with [`PlfArena::push`], query through
+//! the PLF algebra, freeze with [`PlfArena::push`], read through
 //! [`PlfSlice`]; a store that replaces functions drops the old ones with
 //! [`PlfArena::remove_functions`], which compacts in place, and concatenates
-//! arenas with [`PlfArena::append`]. An arena has no
-//! on-disk form of its own: its functions are written in the shared PLF-list
-//! encoding, which [`crate::persist::read_plf_arena`] reads straight back
-//! into one.
+//! arenas with [`PlfArena::append`]. An arena has no on-disk form of its
+//! own: its functions are written in the shared PLF-list encoding, which
+//! [`crate::persist::read_plf_arena`] reads straight back into one.
 
-use crate::approx::clamped_segment_value;
-use crate::plf::{bounds_by, Plf, Pt, Via};
+use crate::plf::{Plf, Pt, Via};
+use crate::view::PlfView;
 
 /// Index of a function inside a [`PlfArena`].
 pub type PlfId = u32;
@@ -108,13 +113,7 @@ impl PlfArena {
 
     /// Freezes a copy of `f`'s points into the arena and returns its id.
     pub fn push(&mut self, f: &Plf) -> PlfId {
-        self.push_points(f.points())
-    }
-
-    /// Freezes a raw point list (same invariants as [`Plf`]: non-empty,
-    /// strictly increasing times).
-    pub fn push_points(&mut self, pts: &[Pt]) -> PlfId {
-        debug_assert!(pts.windows(2).all(|w| w[0].t < w[1].t));
+        let pts = f.points();
         self.times.extend(pts.iter().map(|p| p.t));
         self.values.extend(pts.iter().map(|p| p.v));
         self.vias.extend(pts.iter().map(|p| p.via));
@@ -130,14 +129,14 @@ impl PlfArena {
     }
 
     /// Ends the function whose points were appended since the last one and
-    /// returns its id; its bounds are found as [`Plf::value_bounds`] finds them.
+    /// returns its id; its bounds are [`PlfView::value_bounds`].
     pub(crate) fn close(&mut self) -> PlfId {
         let id = self.len() as PlfId;
         assert!(id != NO_PLF, "PlfArena overflow (u32::MAX functions)");
         let start = *self.first_pt.last().expect("starts as [0]") as usize;
         debug_assert!(self.times.len() > start, "a PLF needs at least one point");
-        let (lo, hi) = bounds_by(&self.values[start..], |&v| v);
         self.first_pt.push(self.times.len() as u32);
+        let (lo, hi) = self.slice(id).value_bounds();
         self.min_cost.push(lo);
         self.max_cost.push(hi);
         id
@@ -284,9 +283,9 @@ impl PlfArena {
 
 /// A borrowed, zero-copy view of one function in a [`PlfArena`].
 ///
-/// Evaluation semantics match [`Plf`] exactly (Eq. 1 of the paper): clamped
-/// constant extrapolation outside `[first.t, last.t]`, linear interpolation
-/// between breakpoints.
+/// It is a [`PlfView`]: every kernel reads it in place, through the same
+/// bodies as an owned [`Plf`], so evaluation (Eq. 1 of the paper) and every
+/// operator agree bit for bit whichever layout holds a function.
 #[derive(Clone, Copy, Debug)]
 pub struct PlfSlice<'a> {
     times: &'a [f64],
@@ -295,32 +294,6 @@ pub struct PlfSlice<'a> {
 }
 
 impl<'a> PlfSlice<'a> {
-    /// Builds a view over raw SoA slices (all the same non-zero length,
-    /// times strictly increasing).
-    #[inline]
-    pub fn new(times: &'a [f64], values: &'a [f64], vias: &'a [Via]) -> Self {
-        debug_assert!(!times.is_empty());
-        debug_assert_eq!(times.len(), values.len());
-        debug_assert_eq!(times.len(), vias.len());
-        PlfSlice {
-            times,
-            values,
-            vias,
-        }
-    }
-
-    /// Number of interpolation points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// A valid slice always has ≥ 1 point.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Breakpoint times.
     #[inline]
     pub fn times(&self) -> &'a [f64] {
@@ -333,131 +306,53 @@ impl<'a> PlfSlice<'a> {
         self.values
     }
 
-    /// Segment witnesses.
+    /// Evaluates at departure time `t` (Eq. 1): [`PlfView::eval`], the
+    /// body [`Plf::eval`] runs too.
     #[inline]
-    pub fn vias(&self) -> &'a [Via] {
-        self.vias
-    }
-
-    /// The points as owned [`Pt`]s, in order.
-    fn points(&self) -> impl Iterator<Item = Pt> + 'a {
-        let (times, values, vias) = (self.times, self.values, self.vias);
-        (0..times.len()).map(move |i| Pt::with_via(times[i], values[i], vias[i]))
-    }
-
-    /// Index of the segment containing `t`: largest `i` with `times[i] ≤ t`,
-    /// or `None` for the left ray.
-    #[inline]
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
-    fn segment_index(&self, t: f64) -> Option<usize> {
-        debug_assert!(!self.times.is_empty());
-        if t < self.times[0] {
-            return None;
-        }
-        Some(self.times.partition_point(|&x| x <= t) - 1)
-    }
-
-    /// Value of the segment starting at breakpoint `i` evaluated at `t`,
-    /// routed through the shared right-ray clamp
-    /// ([`clamped_segment_value`]) so every entry point — and the batch
-    /// kernels — extrapolate identically past the last breakpoint.
-    #[inline]
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
-    fn value_on_segment(&self, i: usize, t: f64) -> f64 {
-        debug_assert!(i < self.times.len());
-        let next = if i + 1 < self.times.len() {
-            Some((self.times[i + 1], self.values[i + 1]))
-        } else {
-            None
-        };
-        clamped_segment_value(self.times[i], self.values[i], next, t)
-    }
-
-    /// Evaluates at departure time `t` (Eq. 1), identical to [`Plf::eval`].
-    #[inline]
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
     pub fn eval(&self, t: f64) -> f64 {
-        debug_assert!(!self.times.is_empty());
-        match self.segment_index(t) {
-            None => self.values[0],
-            Some(i) => self.value_on_segment(i, t),
-        }
-    }
-
-    /// Evaluates at `t` and returns the witness of the serving segment,
-    /// identical to [`Plf::eval_with_via`].
-    #[inline]
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented
-    )]
-    pub fn eval_with_via(&self, t: f64) -> (f64, Via) {
-        debug_assert!(!self.times.is_empty());
-        match self.segment_index(t) {
-            None => (self.values[0], self.vias[0]),
-            Some(i) => (self.value_on_segment(i, t), self.vias[i]),
-        }
-    }
-
-    /// Arrival time when departing at `t`.
-    #[inline]
-    pub fn arrival(&self, t: f64) -> f64 {
-        t + self.eval(t)
-    }
-
-    /// Minimum value over all departure times (prefer the arena's
-    /// precomputed [`PlfArena::min_cost`] in hot loops).
-    pub fn min_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum value over all departure times (prefer
-    /// [`PlfArena::max_cost`] in hot loops).
-    pub fn max_value(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
+        PlfView::eval(*self, t)
     }
 
     /// Copies the view back into an owned [`Plf`] (one allocation, like
     /// cloning the function it was pushed from).
     pub fn to_plf(&self) -> Plf {
         // Every arena function was pushed from a valid point list.
-        Plf::from_raw(self.points().collect())
+        Plf::from_raw((0..self.len()).map(|i| self.pt(i)).collect())
+    }
+}
+
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+impl PlfView for PlfSlice<'_> {
+    #[inline]
+    fn len(self) -> usize {
+        self.times.len()
     }
 
-    /// Refills `f` with this view's points, keeping `f`'s allocation: a
-    /// scratch copy that allocates only when it has to grow.
-    pub fn copy_into(&self, f: &mut Plf) {
-        let pts = f.pts_mut();
-        pts.clear();
-        pts.extend(self.points());
+    #[inline]
+    fn t(self, i: usize) -> f64 {
+        self.times[i]
+    }
+
+    #[inline]
+    fn v(self, i: usize) -> f64 {
+        self.values[i]
+    }
+
+    #[inline]
+    fn via(self, i: usize) -> Via {
+        self.vias[i]
+    }
+
+    #[inline]
+    fn partition_point(self, mut pred: impl FnMut(f64) -> bool) -> usize {
+        self.times.partition_point(|&t| pred(t))
     }
 }
 
@@ -465,7 +360,7 @@ impl PartialEq<Plf> for PlfSlice<'_> {
     /// Point by point, as `Plf == Plf` compares: the view holds the same
     /// function as `f`, witnesses included.
     fn eq(&self, f: &Plf) -> bool {
-        self.len() == f.len() && self.points().eq(f.points().iter().copied())
+        self.len() == f.len() && (0..f.len()).all(|i| self.pt(i) == f.pt(i))
     }
 }
 
@@ -520,25 +415,6 @@ mod tests {
         assert_eq!(s.eval_with_via(5.0).1, 7);
         assert_eq!(s.eval_with_via(10.0).1, 9);
         assert!(s.to_plf().approx_eq(&f, 0.0));
-    }
-
-    #[test]
-    fn copy_into_refills_a_scratch_function_in_place() {
-        let f = Plf::new(vec![
-            Pt::with_via(0.0, 5.0, 3),
-            Pt::with_via(50.0, 2.0, 8),
-            Pt::with_via(100.0, 9.0, 1),
-        ])
-        .unwrap();
-        let mut src = PlfArena::new();
-        src.push(&Plf::constant(4.0));
-        let id = src.push(&f);
-        let mut scratch =
-            Plf::from_pairs(&[(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]).unwrap();
-        let before = scratch.heap_bytes();
-        src.slice(id).copy_into(&mut scratch);
-        assert_eq!(scratch, f);
-        assert_eq!(scratch.heap_bytes(), before);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! pruning in Algo. 6).
 
 use crate::plf::Plf;
+use crate::view::PlfView;
 
 impl Plf {
-    /// Earliest departure time `t ≥ from` whose arrival `t + w(t)` is at most
+    /// Latest departure time `t ≥ from` whose arrival `t + w(t)` is at most
     /// `deadline`, or `None` if no such departure exists at or after `from`
-    /// (checked on breakpoints and rays; requires FIFO for correctness).
+    /// (found by bisection on the arrival function; requires FIFO for
+    /// correctness).
     ///
     /// Used by the departure-time-optimisation example and by tests.
     pub fn latest_departure_before(&self, deadline: f64, from: f64) -> Option<f64> {

@@ -66,9 +66,10 @@ pub fn eval_times_into(f: PlfSlice<'_>, ts: &[f64], out: &mut [f64]) {
     let n = times.len();
     debug_assert!(n > 0, "a PLF slice always has at least one point");
 
-    // Left ray: every query before the first breakpoint clamps to values[0].
-    // `partition_point` is exact here because ts is sorted.
-    let mut k = ts.partition_point(|&t| t < times[0]);
+    // Left ray: every query no breakpoint is at or before — a lone NaN
+    // included, as in scalar `eval` — clamps to values[0]. `partition_point`
+    // is exact here because ts is sorted (a NaN among several is not).
+    let mut k = ts.partition_point(|&t| t < times[0] || t.is_nan());
     // debug_assert-documented indexing: k ≤ ts.len() == out.len(), 0 < n.
     debug_assert!(k <= out.len() && !values.is_empty());
     for o in &mut out[..k] {
@@ -170,8 +171,9 @@ pub fn eval_ids_at(arena: &PlfArena, ids: &[PlfId], t: f64, out: &mut [f64]) {
     }
 }
 
-/// True iff `ts` is sorted ascending (ties allowed). NaNs compare false and
-/// force the fallback path, matching scalar `eval`'s NaN behaviour.
+/// True iff `ts` is sorted ascending (ties allowed). A NaN beside another
+/// time compares false and forces the fallback path, so it gets scalar
+/// `eval`'s answer, the left ray; a lone NaN takes the fast path's left ray.
 #[inline]
 #[deny(
     clippy::unwrap_used,

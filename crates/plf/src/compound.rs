@@ -31,7 +31,8 @@
 //! against an accumulator before it builds the function from it.
 
 use crate::approx::EPS_TIME;
-use crate::plf::{Cursor, Plf, Pt, Via};
+use crate::plf::{Plf, Pt, Via};
+use crate::view::{Cursor, PlfView};
 
 impl Plf {
     /// `Compound(self, g)` with the bridge vertex `via` stamped on every
@@ -70,20 +71,21 @@ pub(crate) fn from_breakpoints(pts: Vec<Pt>) -> Plf {
 /// its last. Each segment's pre-images are clamped into it, and they ascend
 /// within it: the pre-image is monotone in `s`, its rounding is too, and a
 /// segment where `A` decreases is enumerated in reverse.
-pub(crate) fn breakpoints(f: &Plf, g: &Plf, via: Via) -> Vec<Pt> {
-    let fp = f.points();
-    let gp = g.points();
-    let mut out: Vec<Pt> = Vec::with_capacity(fp.len() + gp.len());
+pub(crate) fn breakpoints(f: impl PlfView, g: impl PlfView, via: Via) -> Vec<Pt> {
+    let (nf, ng) = (f.len(), g.len());
+    let mut out: Vec<Pt> = Vec::with_capacity(nf + ng);
     let mut emit = |t: f64, v: f64| match out.last() {
         Some(p) if t - p.t <= EPS_TIME => debug_assert!(t >= p.t, "time {t} emitted after {}", p.t),
         _ => out.push(Pt::with_via(t, v, via)),
     };
+    // g's breakpoints `(s, g_s)` from the `lo`-th on.
+    let g_from = |lo: usize| (lo..ng).map(move |i| (g.t(i), g.v(i)));
 
     // Left ray of f: A(t) = t + v_first, slope 1, covering (-∞, A(t_first)).
-    let first = fp[0];
+    let first = f.pt(0);
     let a_first = first.t + first.v;
-    for q in gp.iter().take_while(|q| q.t < a_first) {
-        emit(q.t - first.v, first.v + q.v);
+    for (s, gs) in g_from(0).take_while(|&(s, _)| s < a_first) {
+        emit(s - first.v, first.v + gs);
     }
 
     // Interior segments of f. `window` stands at the start of each segment's
@@ -91,13 +93,13 @@ pub(crate) fn breakpoints(f: &Plf, g: &Plf, via: Via) -> Vec<Pt> {
     // the arrival times `arrival` probes g at.
     let (mut window, mut arrival) = (Cursor::new(g), Cursor::new(g));
     let mut fc = Cursor::new(f);
-    let eval = |fc: &mut Cursor, arrival: &mut Cursor, t: f64| {
-        let fv = fc.at(t).0;
-        fv + arrival.at(t + fv).0
+    let eval = |fc: &mut Cursor<_>, arrival: &mut Cursor<_>, t: f64| {
+        let fv = fc.value(t);
+        fv + arrival.value(t + fv)
     };
-    for w in fp.windows(2) {
-        let (p0, p1) = (w[0], w[1]);
-        emit(p0.t, p0.v + arrival.at(p0.t + p0.v).0);
+    for i in 1..nf {
+        let (p0, p1) = (f.pt(i - 1), f.pt(i));
+        emit(p0.t, p0.v + arrival.value(p0.t + p0.v));
         let a0 = p0.t + p0.v;
         let a1 = p1.t + p1.v;
         let pre_image = |s: f64| p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
@@ -105,11 +107,11 @@ pub(crate) fn breakpoints(f: &Plf, g: &Plf, via: Via) -> Vec<Pt> {
             // A strictly increasing on this segment: pre-image of each g
             // breakpoint strictly inside (a0, a1).
             let lo = window.seek(a0 + EPS_TIME);
-            for q in gp[lo..].iter().take_while(|q| q.t < a1 - EPS_TIME) {
-                let t = pre_image(q.t);
+            for (s, gs) in g_from(lo).take_while(|&(s, _)| s < a1 - EPS_TIME) {
+                let t = pre_image(s);
                 if p0.t < t && t < p1.t {
                     // `s − t` is f(t), which rounding must not take below 0.
-                    emit(t, (q.t - t).max(0.0) + q.v);
+                    emit(t, (s - t).max(0.0) + gs);
                 } else {
                     let t = t.clamp(p0.t, p1.t);
                     emit(t, eval(&mut fc, &mut arrival, t));
@@ -118,23 +120,23 @@ pub(crate) fn breakpoints(f: &Plf, g: &Plf, via: Via) -> Vec<Pt> {
         } else if a1 < a0 - EPS_TIME {
             // Non-FIFO segment: A decreasing; enumerate in reverse so emitted
             // times still ascend within the segment.
-            let lo = gp.partition_point(|p| p.t <= a1 + EPS_TIME);
-            let hi = gp.partition_point(|p| p.t < a0 - EPS_TIME);
-            for q in gp[lo..hi].iter().rev() {
-                let t = pre_image(q.t).clamp(p0.t, p1.t);
+            let lo = g.partition_point(|s| s <= a1 + EPS_TIME);
+            let hi = g.partition_point(|s| s < a0 - EPS_TIME);
+            for j in (lo..hi).rev() {
+                let t = pre_image(g.t(j)).clamp(p0.t, p1.t);
                 emit(t, eval(&mut fc, &mut arrival, t));
             }
         }
         // Flat arrival (a0 ≈ a1): g∘A constant on the segment, no crossings.
     }
-    let last = fp[fp.len() - 1];
+    let last = f.pt(nf - 1);
     let a_last = last.t + last.v;
-    emit(last.t, last.v + arrival.at(a_last).0);
+    emit(last.t, last.v + arrival.value(a_last));
 
     // Right ray of f: A(t) = t + v_last, slope 1, covering (A(t_last), ∞).
     let lo = window.seek(a_last + EPS_TIME);
-    for q in &gp[lo..] {
-        emit(q.t - last.v, last.v + q.v);
+    for (s, gs) in g_from(lo) {
+        emit(s - last.v, last.v + gs);
     }
     out
 }

@@ -54,12 +54,14 @@ pub mod ops;
 pub mod persist;
 pub mod plf;
 pub mod simplify;
+pub mod view;
 pub mod window;
 
 pub use approx::{feq, fle, flt, EPS_COST, EPS_TIME};
 pub use arena::{PlfArena, PlfId, PlfSlice, NO_PLF};
 pub use batch::{eval_ids_at, eval_times_into};
 pub use plf::{Plf, PlfError, Pt, Via, NO_VIA};
+pub use view::PlfView;
 pub use window::Windows;
 
 /// The canonical time domain used by the paper's evaluation: one day, in seconds.

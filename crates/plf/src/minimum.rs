@@ -20,90 +20,99 @@
 //! for a pair where neither side wins everywhere.
 
 use crate::approx::{EPS_COST, EPS_TIME};
-use crate::plf::{Cursor, Plf, Pt};
+use crate::plf::{Plf, Pt};
+use crate::view::{Cursor, PlfView};
 
 /// The merged breakpoint grid of `a` and `b`, ascending; a breakpoint of `b`
 /// within [`EPS_TIME`] after one of `a` is the same instant.
-fn merged_times<'a>(a: &'a [Pt], b: &'a [Pt]) -> impl Iterator<Item = f64> + 'a {
+fn merged_times(a: impl PlfView, b: impl PlfView) -> impl Iterator<Item = f64> {
     let (mut i, mut j) = (0, 0);
-    std::iter::from_fn(move || match (a.get(i), b.get(j)) {
-        (Some(p), Some(q)) if p.t <= q.t => {
-            i += 1;
-            if q.t - p.t <= EPS_TIME {
-                j += 1;
+    std::iter::from_fn(move || {
+        match ((i < a.len()).then(|| a.t(i)), (j < b.len()).then(|| b.t(j))) {
+            (Some(p), Some(q)) if p <= q => {
+                i += 1;
+                if q - p <= EPS_TIME {
+                    j += 1;
+                }
+                Some(p)
             }
-            Some(p.t)
+            (Some(p), None) => {
+                i += 1;
+                Some(p)
+            }
+            (_, Some(q)) => {
+                j += 1;
+                Some(q)
+            }
+            (None, None) => None,
         }
-        (Some(p), None) => {
-            i += 1;
-            Some(p.t)
-        }
-        (_, Some(q)) => {
-            j += 1;
-            Some(q.t)
-        }
-        (None, None) => None,
     })
 }
 
 impl Plf {
     /// The pointwise minimum `t ↦ min(self(t), other(t))`, witnesses taken
-    /// from whichever side is smaller on each segment.
+    /// from whichever side is smaller on each segment: [`minimum`].
     pub fn minimum(&self, other: &Plf) -> Plf {
-        let (a, b) = (self.points(), other.points());
-        // Every merged time emits one point and at most one crossing.
-        let mut pts: Vec<Pt> = Vec::with_capacity(2 * (a.len() + b.len()));
-        let push = |t: f64, v: f64, pts: &mut Vec<Pt>| {
-            if let Some(last) = pts.last() {
-                if t - last.t <= EPS_TIME {
-                    return;
-                }
-            }
-            pts.push(Pt::new(t, v.max(0.0)));
-        };
-
-        // Emit min at every merged time, plus crossings inside sub-segments.
-        let (mut f, mut g) = (Cursor::new(self), Cursor::new(other));
-        let mut times = merged_times(a, b);
-        let mut ta = times.next().expect("non-empty by invariant");
-        let (mut fa, mut ga) = (f.at(ta).0, g.at(ta).0);
-        loop {
-            push(ta, fa.min(ga), &mut pts);
-            let Some(tb) = times.next() else { break };
-            let (fb, gb) = (f.at(tb).0, g.at(tb).0);
-            let da = fa - ga;
-            let db = fb - gb;
-            if (da > EPS_COST && db < -EPS_COST) || (da < -EPS_COST && db > EPS_COST) {
-                // Strict crossing inside (ta, tb).
-                let s = da / (da - db);
-                let tx = ta + s * (tb - ta);
-                if tx - ta > EPS_TIME && tb - tx > EPS_TIME {
-                    let vx = fa + s * (fb - fa); // == ga + s*(gb-ga)
-                    push(tx, vx, &mut pts);
-                }
-            }
-            (ta, fa, ga) = (tb, fb, gb);
-        }
-
-        // Witness pass: each segment takes the winner's witness, probed at the
-        // segment midpoint (ties favour `self`).
-        let (mut f, mut g) = (Cursor::new(self), Cursor::new(other));
-        let n = pts.len();
-        for k in 0..n {
-            let probe = if k + 1 < n {
-                0.5 * (pts[k].t + pts[k + 1].t)
-            } else {
-                pts[k].t + 1.0 // right ray: both sides constant beyond
-            };
-            let (fv, fvia) = f.at(probe);
-            let (gv, gvia) = g.at(probe);
-            pts[k].via = if fv <= gv + EPS_COST { fvia } else { gvia };
-        }
-
-        let mut out = Plf::from_raw(pts);
-        out.simplify();
-        out
+        minimum(self, other)
     }
+}
+
+/// The pointwise minimum `t ↦ min(a(t), b(t))` of two functions in either
+/// layout, witnesses taken from whichever side is smaller on each segment
+/// (ties favour `a`).
+pub fn minimum(a: impl PlfView, b: impl PlfView) -> Plf {
+    // Every merged time emits one point and at most one crossing.
+    let mut pts: Vec<Pt> = Vec::with_capacity(2 * (a.len() + b.len()));
+    let push = |t: f64, v: f64, pts: &mut Vec<Pt>| {
+        if let Some(last) = pts.last() {
+            if t - last.t <= EPS_TIME {
+                return;
+            }
+        }
+        pts.push(Pt::new(t, v.max(0.0)));
+    };
+
+    // Emit min at every merged time, plus crossings inside sub-segments.
+    let (mut f, mut g) = (Cursor::new(a), Cursor::new(b));
+    let mut times = merged_times(a, b);
+    let mut ta = times.next().expect("non-empty by invariant");
+    let (mut fa, mut ga) = (f.value(ta), g.value(ta));
+    loop {
+        push(ta, fa.min(ga), &mut pts);
+        let Some(tb) = times.next() else { break };
+        let (fb, gb) = (f.value(tb), g.value(tb));
+        let da = fa - ga;
+        let db = fb - gb;
+        if (da > EPS_COST && db < -EPS_COST) || (da < -EPS_COST && db > EPS_COST) {
+            // Strict crossing inside (ta, tb).
+            let s = da / (da - db);
+            let tx = ta + s * (tb - ta);
+            if tx - ta > EPS_TIME && tb - tx > EPS_TIME {
+                let vx = fa + s * (fb - fa); // == ga + s*(gb-ga)
+                push(tx, vx, &mut pts);
+            }
+        }
+        (ta, fa, ga) = (tb, fb, gb);
+    }
+
+    // Witness pass: each segment takes the winner's witness, probed at the
+    // segment midpoint (ties favour `a`).
+    let (mut f, mut g) = (Cursor::new(a), Cursor::new(b));
+    let n = pts.len();
+    for k in 0..n {
+        let probe = if k + 1 < n {
+            0.5 * (pts[k].t + pts[k + 1].t)
+        } else {
+            pts[k].t + 1.0 // right ray: both sides constant beyond
+        };
+        let (fv, fvia) = f.at(probe);
+        let (gv, gvia) = g.at(probe);
+        pts[k].via = if fv <= gv + EPS_COST { fvia } else { gvia };
+    }
+
+    let mut out = Plf::from_raw(pts);
+    out.simplify();
+    out
 }
 
 #[cfg(test)]

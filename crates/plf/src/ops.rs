@@ -36,7 +36,8 @@
 
 use crate::approx::{lerp, EPS_COST};
 use crate::compound::{breakpoints, from_breakpoints};
-use crate::plf::{Cursor, Plf, Pt, Via};
+use crate::plf::{Plf, Pt, Via};
+use crate::view::{Cursor, PlfView};
 use crate::window::Windows;
 
 /// The `(min, max)` of an empty accumulator (`+∞`): nothing is dominated by
@@ -91,7 +92,7 @@ impl Merge {
 /// is merged. [`fold_into`] is the same fold for a caller that keeps the
 /// accumulator's bounds.
 pub fn min_into(acc: &mut Option<Plf>, f: Plf) -> bool {
-    let mut bounds = acc.as_ref().map_or(EMPTY_BOUNDS, Plf::value_bounds);
+    let mut bounds = acc.as_ref().map_or(EMPTY_BOUNDS, PlfView::value_bounds);
     fold_into(acc, &mut bounds, None, f).changed()
 }
 
@@ -129,14 +130,14 @@ pub fn fold_into(
     } else if f_bounds.1 < a_min - EPS_COST {
         Merge::WalkTake
     } else {
-        match pointwise_winner(a, &f) {
+        match pointwise_winner(&*a, &f) {
             Some(Side::Acc) => return Merge::Kept,
             Some(Side::Candidate) => Merge::WalkTake,
             None => Merge::Merged,
         }
     };
     debug_assert!(
-        how != Merge::WindowTake || matches!(pointwise_winner(a, &f), Some(Side::Candidate)),
+        how != Merge::WindowTake || matches!(pointwise_winner(&*a, &f), Some(Side::Candidate)),
         "a window take the walk would not make"
     );
     if how == Merge::Merged {
@@ -165,7 +166,12 @@ pub fn fold_into(
 /// stay up to [`EPS_COST`] above the compound in places. Otherwise the walk
 /// stops at that breakpoint, the same list is simplified in place into the
 /// compound, and that is folded in by [`min_into`].
-pub fn min_compound_into(acc: &mut Option<Plf>, f: &Plf, g: &Plf, via: Via) -> bool {
+pub fn min_compound_into(
+    acc: &mut Option<Plf>,
+    f: impl PlfView,
+    g: impl PlfView,
+    via: Via,
+) -> bool {
     compound_unless_kept(acc, f, g, via).is_some_and(|c| min_into(acc, c))
 }
 
@@ -175,8 +181,8 @@ pub fn fold_compound_into(
     acc: &mut Option<Plf>,
     bounds: &mut (f64, f64),
     windows: Option<&mut Windows>,
-    f: &Plf,
-    g: &Plf,
+    f: impl PlfView,
+    g: impl PlfView,
     via: Via,
 ) -> Merge {
     match compound_unless_kept(acc, f, g, via) {
@@ -187,7 +193,12 @@ pub fn fold_compound_into(
 
 /// `Compound(f, g, via)`, unless its breakpoints' walk finds it nowhere
 /// below `acc` by more than [`EPS_COST`].
-fn compound_unless_kept(acc: &Option<Plf>, f: &Plf, g: &Plf, via: Via) -> Option<Plf> {
+fn compound_unless_kept(
+    acc: &Option<Plf>,
+    f: impl PlfView,
+    g: impl PlfView,
+    via: Via,
+) -> Option<Plf> {
     let pts = breakpoints(f, g, via);
     if acc.as_ref().is_some_and(|a| never_below(a, &pts)) {
         return None;
@@ -206,7 +217,7 @@ enum Side {
 ///
 /// At its own breakpoint a function is worth the point's value (a cursor
 /// there returns `p.v` bit for bit), so only the other side is evaluated.
-fn pointwise_winner(acc: &Plf, f: &Plf) -> Option<Side> {
+fn pointwise_winner(acc: impl PlfView, f: impl PlfView) -> Option<Side> {
     let (mut keep, mut take) = (true, true);
     let mut agree = |av: f64, fv: f64| {
         keep &= av <= fv;
@@ -214,8 +225,8 @@ fn pointwise_winner(acc: &Plf, f: &Plf) -> Option<Side> {
         keep || take
     };
     let (mut ac, mut fc) = (Cursor::new(acc), Cursor::new(f));
-    if !(acc.points().iter().all(|p| agree(p.v, fc.at(p.t).0))
-        && f.points().iter().all(|p| agree(ac.at(p.t).0, p.v)))
+    if !((0..acc.len()).all(|i| agree(acc.v(i), fc.value(acc.t(i))))
+        && (0..f.len()).all(|i| agree(ac.value(f.t(i)), f.v(i))))
     {
         return None;
     }
@@ -225,28 +236,27 @@ fn pointwise_winner(acc: &Plf, f: &Plf) -> Option<Side> {
 /// True iff `acc(t) ≤ c(t) + EPS_COST` at every breakpoint of either
 /// function, where `c` is the function through the ascending points `cp`
 /// with `Plf`'s clamped rays — hence everywhere.
-fn never_below(acc: &Plf, cp: &[Pt]) -> bool {
-    let ap = acc.points();
+fn never_below(acc: impl PlfView, cp: &[Pt]) -> bool {
     let mut ac = Cursor::new(acc);
     let mut i = 0; // acc's breakpoints before here are checked
     let mut prev: Option<&Pt> = None;
     for q in cp {
         // acc's breakpoints before `q` meet `c` on its segment ending at
         // `q`, or on its left ray.
-        while let Some(p) = ap.get(i).filter(|p| p.t < q.t) {
-            let cv = prev.map_or(q.v, |o| lerp(o.t, o.v, q.t, q.v, p.t));
-            if p.v > cv + EPS_COST {
+        while i < acc.len() && acc.t(i) < q.t {
+            let cv = prev.map_or(q.v, |o| lerp(o.t, o.v, q.t, q.v, acc.t(i)));
+            if acc.v(i) > cv + EPS_COST {
                 return false;
             }
             i += 1;
         }
-        if ac.at(q.t).0 > q.v + EPS_COST {
+        if ac.value(q.t) > q.v + EPS_COST {
             return false;
         }
         prev = Some(q);
     }
     // The rest meet `c`'s right ray.
-    prev.is_some_and(|q| ap[i..].iter().all(|p| p.v <= q.v + EPS_COST))
+    prev.is_some_and(|q| (i..acc.len()).all(|k| acc.v(k) <= q.v + EPS_COST))
 }
 
 #[cfg(test)]

@@ -1,25 +1,25 @@
 //! Snapshot persistence ([`td_store::Persist`]) for [`Plf`], plus the shared
-//! PLF-list encoding used by every index crate for `Vec<Option<Plf>>`-shaped
-//! label tables.
+//! PLF-list encoding used by every index crate for its label tables.
 //!
-//! A PLF is stored SoA — `times`/`values`/`vias` — exactly as the frozen
-//! arena lays it out, so serialization is a linear copy and reading
-//! revalidates against [`Plf::new`]'s invariants (non-empty, strictly
-//! increasing, finite, non-negative), turning any corrupt function into a
-//! typed [`StoreError::Invalid`] rather than a broken invariant at query
-//! time. A list has one encoding whoever holds the functions: it is written
-//! from owned functions ([`write_plf_list`]) or from arena slices
-//! ([`write_slice_list`]), and read back into owned functions
+//! A function lives in one of two layouts: an owned [`Plf`] (`Vec<Pt>`, one
+//! allocation per built function) or a slice of a frozen [`PlfArena`] (three
+//! parallel arrays, 20 B a point against `Pt`'s 24). A list has one encoding
+//! whichever layout holds its functions, and one writer: [`write_plf_list`]
+//! reads either through [`PlfView`], the view every kernel reads. The file
+//! stores the SoA arrays — `times`/`values`/`vias` — as the arena lays them
+//! out, and reading revalidates against [`Plf::new`]'s invariants
+//! (non-empty, strictly increasing, finite, non-negative), turning any
+//! corrupt function into a typed [`StoreError::Invalid`] rather than a
+//! broken invariant at query time. A list is read back into owned functions
 //! ([`read_plf_list`]) or straight into an arena ([`read_plf_arena`]). An
 //! arena's derived parts — ids, offsets, bounds — are never in the file.
 
-use crate::arena::{PlfArena, PlfId, PlfSlice, NO_PLF};
+use crate::arena::{PlfArena, PlfId, NO_PLF};
 use crate::plf::{Plf, Pt, Via};
+use crate::view::PlfView;
 use std::io::{Read, Write};
 use std::ops::Range;
-use td_store::section::{
-    read_f64s, read_u32s, tag4, write_f64_iter, write_f64s, write_u32_iter, write_u32s,
-};
+use td_store::section::{read_f64s, read_u32s, tag4, write_f64_iter, write_u32_iter, write_u32s};
 use td_store::{Persist, StoreError};
 
 const TAG_F_TIMES: u32 = tag4(*b"Ftim");
@@ -31,26 +31,12 @@ const TAG_L_TIMES: u32 = tag4(*b"Ltim");
 const TAG_L_VALUES: u32 = tag4(*b"Lval");
 const TAG_L_VIAS: u32 = tag4(*b"Lvia");
 
-/// Assembles one validated [`Plf`] from parallel SoA slices.
-fn plf_from_soa(times: &[f64], values: &[f64], vias: &[Via]) -> Result<Plf, StoreError> {
-    let pts: Vec<Pt> = times
-        .iter()
-        .zip(values)
-        .zip(vias)
-        .map(|((&t, &v), &via)| Pt::with_via(t, v, via))
-        .collect();
-    Plf::new(pts).map_err(|e| StoreError::invalid(format!("invalid PLF: {e}")))
-}
-
 impl Persist for Plf {
     fn write_into<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        let pts = self.points();
-        let times: Vec<f64> = pts.iter().map(|p| p.t).collect();
-        let values: Vec<f64> = pts.iter().map(|p| p.v).collect();
-        let vias: Vec<Via> = pts.iter().map(|p| p.via).collect();
-        write_f64s(w, TAG_F_TIMES, &times)?;
-        write_f64s(w, TAG_F_VALUES, &values)?;
-        write_u32s(w, TAG_F_VIAS, &vias)
+        let (pts, n) = (self.points(), self.len() as u64);
+        write_f64_iter(w, TAG_F_TIMES, n, pts.iter().map(|p| p.t))?;
+        write_f64_iter(w, TAG_F_VALUES, n, pts.iter().map(|p| p.v))?;
+        write_u32_iter(w, TAG_F_VIAS, n, pts.iter().map(|p| p.via))
     }
 
     fn read_from<R: Read>(r: &mut R) -> Result<Plf, StoreError> {
@@ -60,48 +46,38 @@ impl Persist for Plf {
         if times.len() != values.len() || times.len() != vias.len() {
             return Err(StoreError::invalid("PLF SoA arrays disagree in length"));
         }
-        plf_from_soa(&times, &values, &vias)
+        let pts = (0..times.len()).map(|i| Pt::with_via(times[i], values[i], vias[i]));
+        Plf::new(pts.collect()).map_err(|e| StoreError::invalid(format!("invalid PLF: {e}")))
     }
 }
 
 /// Writes a list of optional PLFs as four sections: per-slot point counts
 /// (`0` = absent) plus the concatenated SoA point arrays. This is the
 /// encoding every label table (`Ws`/`Wd` lists, shortcut pairs, G-tree
-/// matrices) uses. The point sections are **streamed** straight from the
-/// (re-iterated) functions — an index holds millions of points, and
-/// materialising flat copies before writing would double the save's peak
-/// memory; only the small per-slot count array is collected.
-pub fn write_plf_list<'a, W, I>(w: &mut W, items: I) -> Result<(), StoreError>
+/// matrices) uses, whichever layout holds the functions: owned ones and
+/// arena slices write the same bytes. The point sections are **streamed**
+/// straight from the (re-iterated) functions — an index holds millions of
+/// points, and materialising flat copies before writing would double the
+/// save's peak memory; only the small per-slot count array is collected.
+pub fn write_plf_list<W, F, I>(w: &mut W, items: I) -> Result<(), StoreError>
 where
     W: Write,
-    I: Iterator<Item = Option<&'a Plf>> + Clone,
+    F: PlfView,
+    I: Iterator<Item = Option<F>> + Clone,
 {
-    let counts = items.clone().map(|f| f.map_or(0, Plf::len));
-    let points = || items.clone().flatten().flat_map(|f| f.points().iter());
+    let counts = items.clone().map(|f| f.map_or(0, F::len));
+    let points = || {
+        items
+            .clone()
+            .flatten()
+            .flat_map(|f| (0..f.len()).map(move |i| f.pt(i)))
+    };
     write_list(
         w,
         counts,
         points().map(|p| p.t),
         points().map(|p| p.v),
         points().map(|p| p.via),
-    )
-}
-
-/// [`write_plf_list`] for functions frozen in arenas: the same four
-/// sections, so a reader cannot tell which of the two wrote them.
-pub fn write_slice_list<'a, W, I>(w: &mut W, items: I) -> Result<(), StoreError>
-where
-    W: Write,
-    I: Iterator<Item = Option<PlfSlice<'a>>> + Clone,
-{
-    let counts = items.clone().map(|f| f.map_or(0, |f| f.len()));
-    let slices = || items.clone().flatten();
-    write_list(
-        w,
-        counts,
-        slices().flat_map(|f| f.times().iter().copied()),
-        slices().flat_map(|f| f.values().iter().copied()),
-        slices().flat_map(|f| f.vias().iter().copied()),
     )
 }
 
@@ -205,10 +181,9 @@ impl RawList {
     }
 }
 
-/// Reads a list written by [`write_plf_list`] (or [`write_slice_list`])
-/// into owned functions, enforcing exactly the [`Plf::new`] invariants
-/// (non-empty, strictly increasing beyond `EPS_TIME`, finite,
-/// non-negative).
+/// Reads a list written by [`write_plf_list`] into owned functions,
+/// enforcing exactly the [`Plf::new`] invariants (non-empty, strictly
+/// increasing beyond `EPS_TIME`, finite, non-negative).
 ///
 /// This is the hottest loop of a snapshot load — an index holds millions of
 /// interpolation points — so points are decoded straight from the raw
@@ -230,10 +205,10 @@ pub fn read_plf_list<R: Read>(r: &mut R) -> Result<Vec<Option<Plf>>, StoreError>
     Ok(out)
 }
 
-/// Reads a list written by [`write_plf_list`] (or [`write_slice_list`])
-/// straight into a fresh arena sized exactly to it, validating as
-/// [`read_plf_list`] does: no owned [`Plf`] is built on the way. Returns the
-/// arena and each slot's id in it ([`NO_PLF`] for an absent slot).
+/// Reads a list written by [`write_plf_list`] straight into a fresh arena
+/// sized exactly to it, validating as [`read_plf_list`] does: no owned
+/// [`Plf`] is built on the way. Returns the arena and each slot's id in it
+/// ([`NO_PLF`] for an absent slot).
 pub fn read_plf_arena<R: Read>(r: &mut R) -> Result<(PlfArena, Vec<PlfId>), StoreError> {
     let raw = RawList::read(r)?;
     let functions = raw.counts.iter().filter(|&&c| c > 0).count();
@@ -296,7 +271,7 @@ mod tests {
         let ids = [arena.push(&a), arena.push(&b)];
         let slices = [Some(ids[0]), None, Some(ids[1])].map(|id| id.map(|id| arena.slice(id)));
         let mut frozen = Vec::new();
-        write_slice_list(&mut frozen, slices.into_iter()).unwrap();
+        write_plf_list(&mut frozen, slices.into_iter()).unwrap();
         assert_eq!(owned, frozen, "one encoding, whoever holds the functions");
 
         let (back, back_ids) = read_plf_arena(&mut frozen.as_slice()).unwrap();
@@ -316,9 +291,9 @@ mod tests {
         // A negative cost: valid sections, an invalid function.
         let bad = [Pt::new(0.0, 1.0), Pt::new(5.0, -2.0)];
         let mut arena = PlfArena::new();
-        let id = arena.push_points(&bad);
+        let id = arena.push(&Plf::from_raw(bad.to_vec()));
         let mut buf = Vec::new();
-        write_slice_list(&mut buf, [Some(arena.slice(id))].into_iter()).unwrap();
+        write_plf_list(&mut buf, [Some(arena.slice(id))].into_iter()).unwrap();
         assert!(matches!(
             read_plf_list(&mut buf.as_slice()),
             Err(StoreError::Invalid(_))

@@ -1,13 +1,16 @@
 //! The [`Plf`] type: interpolation points, evaluation (Eq. 1) and validation.
 //!
-//! A single evaluation is a binary search ([`Plf::eval`]). The operators
-//! (`minimum`, `compound`, [`Plf::approx_eq`]) probe at ascending times, so
-//! they evaluate through one private forward cursor instead and walk each
-//! input once: O(|f| + |g|) per operation. The cursor binary-searches only
-//! when a probe lands before the segment it stands on, which needs a
-//! non-FIFO first leg inside `compound` (a decreasing arrival time).
+//! `&Plf` is a [`PlfView`], so it is evaluated, and read by every operator,
+//! through the same bodies as a function frozen in an arena: a single
+//! evaluation is a binary search ([`Plf::eval`]), and the operators
+//! (`minimum`, `compound`, [`Plf::approx_eq`]) probe at ascending times
+//! through one private forward cursor, walking each input once:
+//! O(|f| + |g|) per operation. The cursor binary-searches only when a probe
+//! lands before the segment it stands on, which needs a non-FIFO first leg
+//! inside `compound` (a decreasing arrival time).
 
-use crate::approx::{clamped_segment_value, feq, EPS_COST, EPS_TIME};
+use crate::approx::{feq, EPS_COST, EPS_TIME};
+use crate::view::{Cursor, PlfView};
 
 /// Witness attached to a segment: the intermediate vertex through which the
 /// cost on that segment is achieved (Def. 2: "the intermediate vertex is also
@@ -152,10 +155,10 @@ impl Plf {
         self.pts.len()
     }
 
-    /// True iff this PLF is a constant function representation (single point).
+    /// Always false: a valid `Plf` has at least one point.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        false // a valid Plf always has ≥ 1 point
+        false
     }
 
     /// First (earliest) interpolation point.
@@ -170,42 +173,11 @@ impl Plf {
         *self.pts.last().expect("non-empty by invariant")
     }
 
-    /// Evaluates the function at departure time `t` per Eq. (1): clamped below
-    /// `t_1` and above `t_k`, linear in between.
+    /// Evaluates the function at departure time `t` per Eq. (1):
+    /// [`PlfView::eval`].
     #[inline]
     pub fn eval(&self, t: f64) -> f64 {
-        self.eval_with_via(t).0
-    }
-
-    /// Evaluates the function and returns the witness of the segment serving `t`.
-    #[inline]
-    pub fn eval_with_via(&self, t: f64) -> (f64, Via) {
-        value_at(&self.pts, self.pts.partition_point(|p| p.t <= t), t)
-    }
-
-    /// Arrival time when departing at `t`: `t + w(t)`.
-    #[inline]
-    pub fn arrival(&self, t: f64) -> f64 {
-        t + self.eval(t)
-    }
-
-    /// Minimum value over all departure times (attained at a breakpoint).
-    pub fn min_value(&self) -> f64 {
-        self.pts.iter().map(|p| p.v).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum value over all departure times (attained at a breakpoint).
-    pub fn max_value(&self) -> f64 {
-        self.pts
-            .iter()
-            .map(|p| p.v)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// `(min_value, max_value)` in a single pass — for callers that need
-    /// both bounds of a freshly built function while its points are hot.
-    pub fn value_bounds(&self) -> (f64, f64) {
-        bounds_by(&self.pts, |p| p.v)
+        PlfView::eval(self, t)
     }
 
     /// True iff the FIFO (non-overtaking) property holds: every segment slope
@@ -224,7 +196,7 @@ impl Plf {
     pub fn approx_eq(&self, other: &Plf, tol: f64) -> bool {
         let agree_at = |probes: &[Pt]| {
             let (mut f, mut g) = (Cursor::new(self), Cursor::new(other));
-            probes.iter().all(|p| feq(f.at(p.t).0, g.at(p.t).0, tol))
+            probes.iter().all(|p| feq(f.value(p.t), g.value(p.t), tol))
         };
         agree_at(&self.pts) && agree_at(&other.pts)
     }
@@ -271,97 +243,37 @@ impl Plf {
     }
 }
 
-/// `(min, max)` of `value` over `items` (`(+∞, −∞)` for none), in one pass
-/// over four independent min/max chains: a single fold waits on the previous
-/// comparison at every point. Min and max are exact, so the grouping
-/// changes no bound.
-#[inline]
-pub(crate) fn bounds_by<T>(items: &[T], value: impl Fn(&T) -> f64) -> (f64, f64) {
-    let mut lo = [f64::INFINITY; 4];
-    let mut hi = [f64::NEG_INFINITY; 4];
-    let mut fold = |k: usize, v: f64| {
-        if v < lo[k] {
-            lo[k] = v;
-        }
-        if v > hi[k] {
-            hi[k] = v;
-        }
-    };
-    let mut quads = items.chunks_exact(4);
-    for q in &mut quads {
-        for (k, x) in q.iter().enumerate() {
-            fold(k, value(x));
-        }
-    }
-    for (k, x) in quads.remainder().iter().enumerate() {
-        fold(k, value(x));
-    }
-    (
-        lo[0].min(lo[1]).min(lo[2].min(lo[3])),
-        hi[0].max(hi[1]).max(hi[2].max(hi[3])),
-    )
-}
-
-/// `(value, witness)` at `t`, given the number `n` of points with `p.t ≤ t`:
-/// the left ray for `n == 0`, else the segment starting at point `n − 1`,
-/// routed through the shared right-ray clamp ([`clamped_segment_value`]) so
-/// owned and frozen evaluation cannot diverge past the last breakpoint.
-#[inline]
-fn value_at(pts: &[Pt], n: usize, t: f64) -> (f64, Via) {
-    debug_assert!(n <= pts.len());
-    let Some(i) = n.checked_sub(1) else {
-        return (pts[0].v, pts[0].via);
-    };
-    let (a, next) = (pts[i], pts.get(n).map(|b| (b.t, b.v)));
-    (clamped_segment_value(a.t, a.v, next, t), a.via)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Backwards probes this thread's cursors served by binary search.
-    pub(crate) static FALLBACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Forward evaluation cursor over one function's points: the same values as
-/// [`Plf::eval_with_via`], amortised O(1) per probe while probe times ascend.
-pub(crate) struct Cursor<'a> {
-    pts: &'a [Pt],
-    /// Number of points with `p.t ≤` the last probe.
-    n: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(f: &'a Plf) -> Self {
-        Cursor { pts: &f.pts, n: 0 }
-    }
-
-    /// Number of points with `p.t ≤ t`: steps forward from the last probe,
-    /// and binary-searches only when `t` precedes the segment it stands on.
+impl PlfView for &Plf {
     #[inline]
-    pub(crate) fn seek(&mut self, t: f64) -> usize {
-        if self.n > 0 && t < self.pts[self.n - 1].t {
-            self.n = self.pts.partition_point(|p| p.t <= t);
-            #[cfg(test)]
-            FALLBACKS.with(|c| c.set(c.get() + 1));
-        } else {
-            while self.pts.get(self.n).is_some_and(|p| p.t <= t) {
-                self.n += 1;
-            }
-        }
-        self.n
+    fn len(self) -> usize {
+        self.pts.len()
     }
 
-    /// `(value, witness)` at `t`: [`Plf::eval_with_via`]'s arithmetic, with
-    /// the segment found by stepping instead of searching.
     #[inline]
-    pub(crate) fn at(&mut self, t: f64) -> (f64, Via) {
-        value_at(self.pts, self.seek(t), t)
+    fn t(self, i: usize) -> f64 {
+        self.pts[i].t
+    }
+
+    #[inline]
+    fn v(self, i: usize) -> f64 {
+        self.pts[i].v
+    }
+
+    #[inline]
+    fn via(self, i: usize) -> Via {
+        self.pts[i].via
+    }
+
+    #[inline]
+    fn partition_point(self, mut pred: impl FnMut(f64) -> bool) -> usize {
+        self.pts.partition_point(|p| pred(p.t))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::FALLBACKS;
 
     fn plf(pairs: &[(f64, f64)]) -> Plf {
         Plf::from_pairs(pairs).unwrap()

@@ -93,6 +93,7 @@ impl Plf {
 mod tests {
     use super::*;
     use crate::plf::{Pt, NO_VIA};
+    use crate::view::PlfView;
 
     fn plf(pairs: &[(f64, f64)]) -> Plf {
         Plf::from_pairs(pairs).unwrap()

@@ -28,8 +28,7 @@
 //! pointwise walk would have replaced it, without that walk.
 
 use crate::approx::EPS_COST;
-use crate::arena::PlfSlice;
-use crate::plf::Plf;
+use crate::view::PlfView;
 use crate::DAY;
 
 /// Number of departure windows over the day.
@@ -64,19 +63,9 @@ impl Windows {
     /// The windows of `f`, in one forward pass over its breakpoints that
     /// closes each window at its right cut: a cut on a breakpoint takes the
     /// point's value, one inside a segment the segment's (its slope found
-    /// once for all the cuts it spans), one on a ray the ray's.
-    pub fn of(f: &Plf) -> Windows {
-        Windows::of_points(f.points().iter().map(|p| (p.t, p.v)))
-    }
-
-    /// [`Windows::of`] for a function frozen in an arena: the same pass over
-    /// the same values, so the same bits.
-    pub fn of_slice(f: PlfSlice<'_>) -> Windows {
-        Windows::of_points(f.times().iter().copied().zip(f.values().iter().copied()))
-    }
-
-    /// The pass of [`Windows::of`] over `(t, v)` breakpoints in time order.
-    fn of_points(pts: impl Iterator<Item = (f64, f64)>) -> Windows {
+    /// once for all the cuts it spans), one on a ray the ray's. An owned and
+    /// a stored function holding the same points get the same bits.
+    pub fn of(f: impl PlfView) -> Windows {
         let mut out = Windows::default();
         let (mut w, mut cut) = (0, WINDOW_WIDTH); // the open window, its right cut
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -86,7 +75,7 @@ impl Windows {
             (*lo, *hi) = (v, v);
         };
         let mut prev: Option<(f64, f64)> = None;
-        for (t, v) in pts {
+        for (t, v) in (0..f.len()).map(|i| (f.t(i), f.v(i))) {
             if w < LAST && cut < t {
                 // The segment ending at `(t, v)`, or the left ray, flat at `v`.
                 let ((at, av), slope) = match prev {
@@ -172,6 +161,7 @@ fn window_of(t: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Plf;
 
     fn plf(pairs: &[(f64, f64)]) -> Plf {
         Plf::from_pairs(pairs).unwrap()

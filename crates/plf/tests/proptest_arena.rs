@@ -4,7 +4,9 @@
 //! (not approximate!) with the `Plf` semantics is load-bearing.
 
 use proptest::prelude::*;
-use td_plf::{Plf, PlfArena};
+use td_plf::minimum::minimum;
+use td_plf::ops::{fold_compound_into, min_compound_into, Merge};
+use td_plf::{Plf, PlfArena, PlfView, Pt, Windows, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
 /// roughly a day, values in [0, 3600] (same generator as `proptest_plf.rs`).
@@ -83,5 +85,132 @@ proptest! {
                 prop_assert_eq!(arena.slice(id).eval(t), f.eval(t));
             }
         }
+    }
+}
+
+/// Strategy: a function with witnesses that may break FIFO — slopes down to
+/// −4, flat runs, gaps down to just over `EPS_TIME` — starting before, at or
+/// after the day.
+fn any_plf() -> impl Strategy<Value = Plf> {
+    (
+        proptest::collection::vec((0u8..6, 0.0f64..1.0, 0u8..4, 0.0f64..1.0, 0u32..4), 0..10),
+        0.0f64..3600.0,
+        0u8..4,
+    )
+        .prop_map(|(segs, v0, shift)| {
+            let t0 = [-40_000.0, 50_000.0, 0.0, 0.0][shift as usize];
+            let mut pts = vec![Pt::with_via(t0, v0, 7)];
+            for (gap_kind, gap, slope_kind, slope, via) in segs {
+                let prev = *pts.last().unwrap();
+                let dt = if gap_kind == 0 {
+                    1.5e-7 + gap * 1e-6
+                } else {
+                    0.1 + gap * 3000.0
+                };
+                let slope = match slope_kind {
+                    0 => -1.0 - 3.0 * slope,
+                    1 => 0.0,
+                    _ => -1.0 + 2.0 * slope,
+                };
+                let via = if via == 3 { NO_VIA } else { via };
+                pts.push(Pt::with_via(
+                    prev.t + dt,
+                    (prev.v + slope * dt).max(0.0),
+                    via,
+                ));
+            }
+            Plf::new(pts).expect("generated points are valid")
+        })
+}
+
+/// Strategy: [`any_plf`] or [`fifo_plf`], evenly.
+fn mixed_plf() -> impl Strategy<Value = Plf> {
+    (0u8..2, any_plf(), fifo_plf()).prop_map(|(k, wild, fifo)| if k == 0 { wild } else { fifo })
+}
+
+/// `(t, v, via)` of every point, as bits.
+type Bits = Vec<(u64, u64, u32)>;
+
+/// The [`Bits`] of `f`.
+fn bits(f: &Plf) -> Bits {
+    (f.points().iter())
+        .map(|p| (p.t.to_bits(), p.v.to_bits(), p.via))
+        .collect()
+}
+
+/// Every window bound, as bits.
+fn window_bits(w: &Windows) -> Vec<u64> {
+    w.lo.iter().chain(&w.hi).map(|x| x.to_bits()).collect()
+}
+
+/// What every kernel makes of `f` and `g` (and of an accumulator `acc`), as
+/// bits: a bit-for-bit record to compare across input layouts.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    compound: Bits,
+    minimum: Bits,
+    min_compound: (bool, Bits),
+    fold_compound: (Merge, Bits, [u64; 2], Vec<u64>),
+    windows: [Vec<u64>; 2],
+    evals: Vec<(u64, u32, u64)>,
+    bounds: [u64; 4],
+}
+
+fn outcome(f: impl PlfView, g: impl PlfView, acc: &Plf, via: u32) -> Outcome {
+    let held = |a: Option<Plf>| bits(&a.expect("an accumulator holds a function"));
+    let mut compound = None;
+    min_compound_into(&mut compound, f, g, via);
+    let mut min_acc = Some(acc.clone());
+    let changed = min_compound_into(&mut min_acc, f, g, via);
+    let (mut fold_acc, mut bounds, mut windows) =
+        (Some(acc.clone()), acc.value_bounds(), Windows::of(acc));
+    let merge = fold_compound_into(&mut fold_acc, &mut bounds, Some(&mut windows), f, g, via);
+    // Every breakpoint of `f`, `EPS_TIME` either side of each, and both rays.
+    let probes = (0..f.len()).flat_map(|i| [f.t(i) - EPS_TIME, f.t(i), f.t(i) + EPS_TIME]);
+    let rays = [f.t(0) - 1_000.0, f.t(f.len() - 1) + 1_000.0];
+    let evals = (probes.chain(rays))
+        .map(|t| {
+            let (v, w) = f.eval_with_via(t);
+            (f.eval(t).to_bits(), w, v.to_bits())
+        })
+        .collect();
+    let ((f_lo, f_hi), (g_lo, g_hi)) = (f.value_bounds(), g.value_bounds());
+    Outcome {
+        compound: held(compound),
+        minimum: bits(&minimum(f, g)),
+        min_compound: (changed, held(min_acc)),
+        fold_compound: (
+            merge,
+            held(fold_acc),
+            [bounds.0.to_bits(), bounds.1.to_bits()],
+            window_bits(&windows),
+        ),
+        windows: [window_bits(&Windows::of(f)), window_bits(&Windows::of(g))],
+        evals,
+        bounds: [f_lo, f_hi, g_lo, g_hi].map(f64::to_bits),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Every kernel reads an owned function and one stored in an arena
+    /// through the same body, so every owned/stored pairing of the inputs
+    /// gives the all-owned result point for point, witnesses included.
+    #[test]
+    fn owned_and_stored_inputs_give_the_same_bits(
+        f in any_plf(),
+        g in mixed_plf(),
+        acc in mixed_plf(),
+        via in 0u32..50,
+    ) {
+        let mut arena = PlfArena::new();
+        arena.push(&acc); // the inputs do not start at id 0
+        let (fi, gi) = (arena.push(&f), arena.push(&g));
+        let (fs, gs) = (arena.slice(fi), arena.slice(gi));
+        let owned = outcome(&f, &g, &acc, via);
+        prop_assert_eq!(&outcome(fs, &g, &acc, via), &owned);
+        prop_assert_eq!(&outcome(&f, gs, &acc, via), &owned);
+        prop_assert_eq!(&outcome(fs, gs, &acc, via), &owned);
     }
 }

@@ -15,7 +15,7 @@
 //!   landing on and beside breakpoints.
 
 use proptest::prelude::*;
-use td_plf::{eval_ids_at, eval_times_into, Plf, PlfArena, NO_PLF};
+use td_plf::{eval_ids_at, eval_times_into, Plf, PlfArena, PlfView, NO_PLF};
 
 /// Same FIFO generator as `proptest_arena.rs`: 1..=12 points over roughly a
 /// day, values in [0, 3600].
@@ -144,6 +144,67 @@ fn gallop_handoff_boundaries_are_bit_identical() {
                     "start={start} jump={jump} t={t}"
                 );
             }
+        }
+    }
+}
+
+/// A NaN departure time has no breakpoint at or before it, so every
+/// evaluator answers it with the left ray's value, bit for bit, as
+/// `Plf::eval` always has: the scalar evaluator (owned and stored), the
+/// per-id kernel, and the time-batch kernel on its forward path (`[NaN]`,
+/// sorted) and on its fallback (`[0, NaN]`, `[NaN, 5]`, which NaN leaves
+/// unsorted). The time-batch kernel once spun forever on `[NaN]`, so it
+/// runs on a thread of its own and a hang fails the test after 5 s.
+#[test]
+fn nan_times_take_the_left_ray_in_every_evaluator() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let functions = [
+        Plf::from_pairs(&[(10.0, 7.0), (20.0, 9.0), (30.0, 4.0)]).unwrap(),
+        Plf::from_pairs(&[(-100.0, 3.0), (2.0, 8.0), (40.0, 1.0)]).unwrap(),
+        Plf::constant(5.5),
+    ];
+    let mut arena = PlfArena::new();
+    let ids: Vec<_> = functions.iter().map(|f| arena.push(f)).collect();
+    // What each evaluator must return at `t`: the left ray for NaN, else
+    // `Plf::eval`.
+    let want = |f: &Plf, t: f64| {
+        if t.is_nan() {
+            f.points()[0].v.to_bits()
+        } else {
+            f.eval(t).to_bits()
+        }
+    };
+    for (f, &id) in functions.iter().zip(&ids) {
+        let s = arena.slice(id);
+        let mut one = [0.0];
+        assert_eq!(f.eval(f64::NAN).to_bits(), want(f, f64::NAN));
+        assert_eq!(f.eval_with_via(f64::NAN).0.to_bits(), want(f, f64::NAN));
+        assert_eq!(s.eval(f64::NAN).to_bits(), want(f, f64::NAN));
+        eval_ids_at(&arena, &[id], f64::NAN, &mut one);
+        assert_eq!(one[0].to_bits(), want(f, f64::NAN));
+    }
+
+    let (tx, rx) = mpsc::channel();
+    let batch_arena = arena.clone();
+    let batch_ids = ids.clone();
+    std::thread::spawn(move || {
+        for id in batch_ids {
+            for ts in [&[f64::NAN][..], &[0.0, f64::NAN], &[f64::NAN, 5.0]] {
+                let mut out = vec![-1.0; ts.len()];
+                eval_times_into(batch_arena.slice(id), ts, &mut out);
+                tx.send((id, ts.to_vec(), out)).unwrap();
+            }
+        }
+    });
+    for _ in 0..3 * ids.len() {
+        let (id, ts, out) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("eval_times_into returns on NaN times");
+        let f = &functions[ids.iter().position(|&i| i == id).unwrap()];
+        for (&t, &o) in ts.iter().zip(&out) {
+            assert_eq!(o.to_bits(), want(f, t), "ts={ts:?}");
         }
     }
 }

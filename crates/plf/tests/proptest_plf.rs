@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use td_plf::approx::lerp;
 use td_plf::ops::{fold_into, min_compound_into, min_into, Merge};
 use td_plf::window::{compound_floor, Windows, WINDOWS, WINDOW_WIDTH};
-use td_plf::{Plf, PlfArena, Pt, EPS_COST, EPS_TIME, NO_VIA};
+use td_plf::{Plf, PlfArena, PlfView, Pt, EPS_COST, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
 /// roughly a day, values in [0, 3600].
@@ -258,7 +258,7 @@ fn bits(f: &Plf) -> Vec<(u64, u64, u32)> {
 /// `partition_point`s. Kept verbatim as the reference; `None` where the old
 /// body itself had no answer (see `compound`).
 mod oracle {
-    use td_plf::{feq, Plf, Pt, Via, EPS_COST, EPS_TIME};
+    use td_plf::{feq, Plf, PlfView, Pt, Via, EPS_COST, EPS_TIME};
 
     fn finish(pts: Vec<Pt>) -> Option<Plf> {
         // The old bodies built their result unchecked; a rounding-negative

@@ -197,6 +197,7 @@ impl EliminationGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_plf::PlfView;
     use td_plf::NO_VIA;
 
     fn path_graph() -> TdGraph {

@@ -28,7 +28,7 @@ use crate::labels::{Labels, WD, WS};
 use crate::tree::{skeleton, TreeDecomposition};
 use std::io::{Read, Write};
 use td_graph::VertexId;
-use td_plf::persist::{read_plf_arena, write_slice_list};
+use td_plf::persist::{read_plf_arena, write_plf_list};
 use td_store::section::{
     check_offsets, read_u32s, read_u64, read_u64s, tag4, write_u32s, write_u64, write_u64s,
 };
@@ -59,7 +59,7 @@ impl Persist for TreeDecomposition {
         write_u32s(w, TAG_BAG, &bag)?;
 
         for dir in [WS, WD] {
-            write_slice_list(w, self.labels().list(dir))?;
+            write_plf_list(w, self.labels().list(dir))?;
         }
 
         match &self.supports {

@@ -79,6 +79,6 @@ pub mod prelude {
     pub use td_gen::{Dataset, ProfileConfig, Query, Workload, WorkloadConfig};
     pub use td_graph::{GraphBuilder, Path, TdGraph, VertexId};
     pub use td_gtree::{GtreeConfig, TdGtree};
-    pub use td_plf::{Plf, DAY};
+    pub use td_plf::{Plf, PlfView, DAY};
     pub use td_treedec::TreeDecomposition;
 }
