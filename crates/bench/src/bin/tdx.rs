@@ -25,6 +25,7 @@
 //! prints the process-wide metric catalog as a Prometheus text scrape on
 //! stdout — the workload summary goes to stderr, so the scrape pipes clean.
 
+use std::io::{self, Write};
 use std::time::Instant;
 use td_api::{
     build_index, load_index, save_index, Backend, IndexConfig, ParallelExecutor, QueryBudget,
@@ -32,7 +33,7 @@ use td_api::{
 };
 use td_gen::Dataset;
 use td_store::error::tag_name;
-use td_store::section::{elem, walk_sections};
+use td_store::section::{elem, walk_sections, SectionInfo};
 
 fn usage() -> ! {
     eprintln!(
@@ -154,30 +155,55 @@ fn elem_name(code: u8) -> &'static str {
     }
 }
 
-/// Opens a snapshot, prints its header, and returns the CRC-verified
+/// Opens a snapshot and returns its header line and the CRC-verified
 /// section list.
-fn walk(path: &str) -> Vec<td_store::section::SectionInfo> {
+fn walk(path: &str) -> (String, Vec<SectionInfo>) {
     let mut f = std::io::BufReader::new(std::fs::File::open(path).unwrap_or_else(|e| fail(e)));
     let header = td_store::format::read_header(&mut f).unwrap_or_else(|e| fail(e));
-    println!(
+    let line = format!(
         "{path}: format v{}, backend {}",
         header.version, header.backend
     );
-    walk_sections(&mut f).unwrap_or_else(|e| fail(e))
+    (line, walk_sections(&mut f).unwrap_or_else(|e| fail(e)))
 }
 
 fn cmd_inspect(args: &[String]) {
     let [path] = args else { usage() };
-    let infos = walk(path);
-    println!(
+    let (header, infos) = walk(path);
+    let written = write_inspect(&mut std::io::stdout().lock(), path, &header, &infos);
+    end_of_output(written).unwrap_or_else(|e| fail(e));
+}
+
+/// A command's written output, with a closed pipe — a reader such as
+/// `head` that stopped early — taken as the end of it rather than an error.
+fn end_of_output(written: io::Result<()>) -> io::Result<()> {
+    match written {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+/// `inspect`'s tables: the header line, the section table and the
+/// generation table.
+fn write_inspect(
+    out: &mut impl Write,
+    path: &str,
+    header: &str,
+    infos: &[SectionInfo],
+) -> io::Result<()> {
+    let rule = "-".repeat(65);
+    writeln!(out, "{header}")?;
+    writeln!(
+        out,
         "{:<8} {:<5} {:>12} {:>14} {:>10} {:>10}",
         "section", "type", "count", "bytes", "crc32", "load"
-    );
-    td_bench::rule(65);
+    )?;
+    writeln!(out, "{rule}")?;
     let mut total = 0u64;
     let mut total_secs = 0.0f64;
-    for s in &infos {
-        println!(
+    for s in infos {
+        writeln!(
+            out,
             "{:<8} {:<5} {:>12} {:>14} {:>10x} {:>10}",
             tag_name(s.tag),
             elem_name(s.type_code),
@@ -185,43 +211,49 @@ fn cmd_inspect(args: &[String]) {
             s.bytes,
             s.crc,
             format!("{:.2}ms", s.load_secs * 1e3)
-        );
+        )?;
         total += s.bytes;
         total_secs += s.load_secs;
     }
-    td_bench::rule(65);
-    println!(
+    writeln!(out, "{rule}")?;
+    writeln!(
+        out,
         "{} sections, {} payload read in {:.2}ms (all checksums OK)",
         infos.len(),
         td_bench::fmt_bytes(total as usize),
         total_secs * 1e3
-    );
+    )?;
 
     // The crash-consistency generation pair: which generations exist, how
     // old each is, and which one a load would actually serve (`load_index`
     // tries primary first, `.prev` on any error).
-    println!();
-    println!("{:<10} {:>14} {:>10}  status", "generation", "bytes", "age");
-    td_bench::rule(65);
+    writeln!(out)?;
+    writeln!(
+        out,
+        "{:<10} {:>14} {:>10}  status",
+        "generation", "bytes", "age"
+    )?;
+    writeln!(out, "{rule}")?;
     let prev = format!("{path}.prev");
-    let primary_ok = print_generation("primary", path);
-    let prev_ok = print_generation("prev", &prev);
-    td_bench::rule(65);
-    println!(
+    let primary_ok = write_generation(out, "primary", path)?;
+    let prev_ok = write_generation(out, "prev", &prev)?;
+    writeln!(out, "{rule}")?;
+    writeln!(
+        out,
         "a load would serve: {}",
         match (primary_ok, prev_ok) {
             (true, _) => "primary",
             (false, true) => "prev (fallback)",
             (false, false) => "nothing — both generations unloadable",
         }
-    );
+    )
 }
 
 /// One row of the generation table; true when the file walks clean.
-fn print_generation(label: &str, path: &str) -> bool {
+fn write_generation(out: &mut impl Write, label: &str, path: &str) -> io::Result<bool> {
     let Ok(meta) = std::fs::metadata(path) else {
-        println!("{label:<10} {:>14} {:>10}  absent", "-", "-");
-        return false;
+        writeln!(out, "{label:<10} {:>14} {:>10}  absent", "-", "-")?;
+        return Ok(false);
     };
     let age = meta
         .modified()
@@ -229,11 +261,12 @@ fn print_generation(label: &str, path: &str) -> bool {
         .and_then(|m| m.elapsed().ok())
         .map_or_else(|| "?".to_string(), fmt_age);
     let status = check_generation(path);
-    println!(
+    writeln!(
+        out,
         "{label:<10} {:>14} {age:>10}  {status}",
         td_bench::fmt_bytes(meta.len() as usize),
-    );
-    status.starts_with("OK")
+    )?;
+    Ok(status.starts_with("OK"))
 }
 
 /// Walks a generation's header + every section checksum (without loading
@@ -283,7 +316,8 @@ fn cmd_verify(args: &[String]) {
     }
 
     // 1. Structural walk: every section checksum.
-    let infos = walk(path);
+    let (header, infos) = walk(path);
+    println!("{header}");
     println!("checksums: {} sections OK", infos.len());
 
     // 2. Full reload through the typed path (validates every invariant).
@@ -556,4 +590,52 @@ fn cmd_serve(args: &[String]) {
         fail("serving invariant violated: not exactly-once (or the run hung)");
     }
     eprintln!("serve: OK (exactly-once held)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader that has gone away: every write fails as a closed pipe does.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_output_without_an_error() {
+        let infos = [SectionInfo {
+            tag: u32::from_le_bytes(*b"TEST"),
+            type_code: elem::U32,
+            count: 3,
+            bytes: 12,
+            crc: 0xabcd,
+            load_secs: 0.0,
+        }];
+        let written = write_inspect(&mut ClosedPipe, "absent.tdx", "header", &infos);
+        assert_eq!(
+            written.as_ref().unwrap_err().kind(),
+            io::ErrorKind::BrokenPipe
+        );
+        assert!(end_of_output(written).is_ok());
+        let other = Err(io::ErrorKind::PermissionDenied.into());
+        assert!(
+            end_of_output(other).is_err(),
+            "only a closed pipe ends the output"
+        );
+        // The same tables into a live writer: header, both tables, verdict.
+        let mut text = Vec::new();
+        write_inspect(&mut text, "absent.tdx", "header", &infos).unwrap();
+        let text = String::from_utf8(text).unwrap();
+        assert!(text.starts_with("header\n"), "{text}");
+        assert!(text.contains("1 sections"), "{text}");
+        assert!(text.ends_with("a load would serve: nothing — both generations unloadable\n"));
+    }
 }

@@ -31,7 +31,7 @@ use td_gen::{Dataset, Workload, WorkloadConfig};
 const PROFILE_ALLOCS_CEILING: [(Backend, u64, u64); 4] = [
     (Backend::TdBasic, 906, 1202),
     (Backend::TdAppro, 871, 1121),
-    (Backend::TdDp, 870, 1122),
+    (Backend::TdDp, 871, 1121),
     (Backend::TdH2h, 121, 121),
 ];
 

@@ -5,8 +5,10 @@
 //!
 //! Recovery is two-level:
 //!
-//! 1. the *sweep level*: the scalar query tracks, per root-path vertex, which
-//!    (node, bag entry) relaxation achieved its earliest arrival;
+//! 1. the *sweep level*: the scalar sweeps keep only each root-path vertex's
+//!    earliest arrival, and the path query re-derives from those arrivals
+//!    which (node, bag entry) relaxation achieved each one — the first, in
+//!    the sweep's order, whose candidate equals it bit for bit;
 //! 2. the *function level*: each hop used a stored weight function
 //!    `X(v).Ws_u` / `X(v).Wd_u`, read in place from the tree's label store,
 //!    whose witnesses are elimination bridges
@@ -58,10 +60,15 @@ pub fn expand_pair(
 impl QueryEngine<'_> {
     /// Travel cost *and* shortest path for `Q(s, d, t)`.
     ///
-    /// Runs the basic scalar sweeps with predecessor tracking, then unfolds
-    /// each hop's stored function through [`expand_pair`]. The returned
-    /// [`Path`] is freshly allocated (it is the result), but `scratch`'s
-    /// sweep tables are reused across calls.
+    /// Runs the basic scalar sweeps, re-derives each hop from their final
+    /// arrivals, then unfolds each hop's stored function through
+    /// [`expand_pair`]. The returned [`Path`] is freshly allocated (it is
+    /// the result), but `scratch`'s sweep tables are reused across calls.
+    ///
+    /// A hop is the first relaxation, in the sweep's own order, whose
+    /// candidate equals the arrival it leads to: the one the sweep's strict
+    /// `<` kept, since the first candidate to reach a slot's final minimum
+    /// is never pruned.
     pub(crate) fn path(
         &self,
         scratch: &mut CostScratch,
@@ -76,46 +83,51 @@ impl QueryEngine<'_> {
         let arrival = self.sweeps(scratch, s, d, x, t)?;
         let upto = self.td.node(x).depth as usize;
         let (up, down) = (&scratch.up, &scratch.down);
-        let dd = down.path.len() - 1;
+        let labels = self.td.labels();
+        // Slot `idx`'s label in direction `dir`, if departing at `a` it
+        // arrives at exactly `at`, the arrival a sweep stored.
+        let hop = |dir, idx, a: f64, at: f64| {
+            let f = labels.get(dir, idx).filter(|_| a != f64::INFINITY)?;
+            (a + f.eval(a) == at).then_some(f)
+        };
 
-        // Hops on d's path, walked backwards while a down-relaxation won;
-        // the walk ends at the vertex whose up-sweep arrival was used (the
-        // join with s's path, always on the common prefix).
-        let mut hops_d: Vec<(usize, usize, usize)> = Vec::new(); // (from_k, to_k, bag idx)
+        // Hops on d's path, walked backwards while a down-relaxation won:
+        // the first slot of the level's bag reaching its arrival. The walk
+        // ends at the vertex whose seeded up-sweep arrival stood (the join
+        // with s's path, always on the common prefix).
+        let dd = down.path.len() - 1;
+        let seeded = upto.min(dd);
+        let mut hops_d = Vec::new(); // (from vertex, to vertex, label)
         let mut k = dd;
-        while let Some((ku, bi)) = down.pred[k] {
-            hops_d.push((ku, k, bi));
+        while k > seeded || down.arr[k] != up.arr[k] {
+            let (ku, f) = labels.range(down.path[k]).find_map(|idx| {
+                let ku = labels.bag_depth(idx);
+                Some((ku, hop(WD, idx, down.arr[ku], down.arr[k])?))
+            })?;
+            hops_d.push((down.path[ku], down.path[k], f));
             k = ku;
         }
-        let join_depth = k;
-        debug_assert!(join_depth <= upto || join_depth == dd && upto >= dd);
+        debug_assert!(k <= upto || k == dd && upto >= dd);
 
-        // Hops on s's path from the join vertex back down to s.
+        // Hops on s's path from the join vertex back down to s: the deepest
+        // level whose slot for the vertex reaches its arrival (a bag holds
+        // the vertex in one slot at most).
         let ds = up.path.len() - 1;
-        let mut hops_s: Vec<(usize, usize, usize)> = Vec::new(); // (from_k deeper, to_k, bag idx)
-        let mut k = join_depth;
+        let mut hops_s = Vec::new(); // (from vertex, to vertex, label)
         while k != ds {
-            let (kv, bi) = up.pred[k]?;
-            hops_s.push((kv, k, bi));
+            let (kv, f) = (k + 1..=ds).rev().find_map(|kv| {
+                let idx = self.td.slot(up.path[kv], up.path[k])?;
+                Some((kv, hop(WS, idx, up.arr[kv], up.arr[k])?))
+            })?;
+            hops_s.push((up.path[kv], up.path[k], f));
             k = kv;
         }
 
         // Emit: s → … → join → … → d.
         let mut vertices = vec![s];
         let mut now = t;
-        let labels = self.td.labels();
-        // The sweep's label: bag entry `bi` of `X(v)` in direction `dir`.
-        let label =
-            |dir, v, bi| (labels.get(dir, labels.range(v).start + bi)).expect("used by the sweep");
-        for &(kv, kt, bi) in hops_s.iter().rev() {
-            let v = up.path[kv];
-            let u = up.path[kt];
-            now += expand_pair(self.td, v, u, label(WS, v, bi), now, &mut vertices);
-        }
-        for &(ku, kt, bi) in hops_d.iter().rev() {
-            let u = down.path[ku];
-            let v = down.path[kt];
-            now += expand_pair(self.td, u, v, label(WD, v, bi), now, &mut vertices);
+        for &(from, to, f) in hops_s.iter().rev().chain(hops_d.iter().rev()) {
+            now += expand_pair(self.td, from, to, f, now, &mut vertices);
         }
         debug_assert!(
             (now - arrival).abs() < 1e-6,
@@ -172,6 +184,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A triangle `v0 – v1 – v2`, eliminated in that order, so `v0`'s root
+    /// path is `v2 → v1 → v0` and `v0`'s bag slots are `v1` then `v2`. Every
+    /// edge costs 1 but `v0 ↔ v2`, which costs 2: each sweep reaches one
+    /// slot twice at the same arrival. The up sweep from `v0` reaches `v2`
+    /// first straight from `v0` (the deeper level), then through `v1`; the
+    /// down sweep to `v0` reaches it first through `v1` (its first bag
+    /// slot), then straight from `v2`. Either way the path is the first
+    /// relaxation's.
+    #[test]
+    fn ties_take_the_first_relaxation_in_sweep_order() {
+        let mut g = td_graph::TdGraph::with_vertices(3);
+        for (u, v, w) in [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)] {
+            g.add_edge(u, v, td_plf::Plf::constant(w)).unwrap();
+            g.add_edge(v, u, td_plf::Plf::constant(w)).unwrap();
+        }
+        let td = TreeDecomposition::build(&g);
+        let depths: Vec<u32> = (0..3).map(|v| td.node(v).depth).collect();
+        assert_eq!(depths, [2, 1, 0], "the triangle eliminates v0, v1, v2");
+        assert_eq!(td.node(0).bag, [1, 2], "v0's slots are v1, then v2");
+        let store = ShortcutStore::empty(3);
+        let engine = QueryEngine::new(&td, &store);
+        let mut scratch = CostScratch::default();
+        let (cost, up) = engine.path(&mut scratch, 0, 2, 100.0).unwrap();
+        assert_eq!((cost, up.vertices), (2.0, vec![0, 2]), "up sweep");
+        let (cost, down) = engine.path(&mut scratch, 2, 0, 100.0).unwrap();
+        assert_eq!((cost, down.vertices), (2.0, vec![2, 1, 0]), "down sweep");
     }
 
     #[test]

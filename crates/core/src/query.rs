@@ -33,11 +33,15 @@
 //!
 //! The scalar sweeps walk the tree's label store ([`td_treedec::Labels`])
 //! alone: flat bag slots, precomputed bag depths and arena-resident
-//! breakpoints. The shortcut store is arena-resident too: a full cover's
-//! legs are evaluated in place as [`td_plf::PlfSlice`]s, and the profile
-//! query reads a seed's bounds from its chunk's O(1) `min_cost` /
-//! `max_cost`. [`CostScratch::counts`] records what the scalar queries
-//! did. The profile query runs in two phases:
+//! breakpoints. They keep arrivals only — one plain `f64` per root-path
+//! depth in [`SweepBufs`], `+∞` until reached — and record no predecessor:
+//! a cost query reads nothing else, and a path query re-derives its hops
+//! from the final arrivals ([`crate::paths`]). The shortcut store is
+//! arena-resident too: a full cover's legs are evaluated in place as
+//! [`td_plf::PlfSlice`]s, and the profile query reads a seed's bounds from
+//! its chunk's O(1) `min_cost` / `max_cost`. [`CostScratch::counts`]
+//! records what the scalar queries did. The profile query runs in two
+//! phases:
 //!
 //! * **Bounds (the corridor).** Plain-`f64` sweeps over the same label
 //!   slots, in the shape of the scalar sweeps, using the O(1) label minima
@@ -46,17 +50,15 @@
 //!   give one upper bound `U ≥ max_t f_{s,d}(t)`: the best summed maxima
 //!   through the common chain, capped by `f⁺`'s maximum.
 //! * **Functions.** The profile sweeps compound whole functions. They read
-//!   each label's depth, minimum and windows from its slot in place, and
-//!   copy it into a function the sweep reuses only once a relaxation has
-//!   passed every prune and window keep and must reach the merge kernel,
-//!   which takes owned functions. A seed, a slot, a relaxation or a chain
-//!   term whose lower bound plus `rest` exceeds `U` (by more than
-//!   `EPS_COST`) is dropped: everything it could produce lies above
-//!   `f_{s,d}` at every departure. Each slot keeps the `(min, max)` of
-//!   the function it holds beside it, so a relaxation whose lower bound
-//!   `min(cost[k]) + min(w)` cannot get below the destination slot's
-//!   maximum is dropped as well, before its `compound` is touched. A
-//!   relaxation into a filled slot then tries per-window bounds
+//!   each label in place — its depth, minimum and windows from its slot,
+//!   and its points, in the merge kernel, from the label arena. A seed, a
+//!   slot, a relaxation or a chain term whose lower bound plus `rest`
+//!   exceeds `U` (by more than `EPS_COST`) is dropped: everything it could
+//!   produce lies above `f_{s,d}` at every departure. Each slot keeps the
+//!   `(min, max)` of the function it holds beside it, so a relaxation
+//!   whose lower bound `min(cost[k]) + min(w)` cannot get below the
+//!   destination slot's maximum is dropped as well, before its `compound`
+//!   is touched. A relaxation into a filled slot then tries per-window bounds
 //!   ([`td_plf::window`]): when the slot's maximum in each of the day's 32
 //!   windows is at or below the compound's lower bound there, the slot is
 //!   kept before a single breakpoint of the compound is made. The slots'
@@ -85,18 +87,18 @@
 //! `QuerySession` holds one per thread: after the first few queries warm the
 //! buffers up to the tree's depth, a scalar query performs **no heap
 //! allocation at all**. A profile query still allocates: one copy per
-//! shortcut seed inside the corridor and per first-hop label (the other
-//! labels are copied into a function each sweep reuses), the
-//! breakpoint list (times with their values, made in one pass) of every
-//! relaxation it walks — a compound built from such a list is that list,
-//! simplified in place, so it costs nothing more — and the point lists of
-//! each `minimum` that neither the bounds, the windows nor the walk
-//! decided. A relaxation the windows keep allocates nothing, and the slots'
-//! windows live in the scratch, reused across queries (debug builds shadow
-//! each window keep with the walk it skips, which allocates). The cut
-//! scan's through-`w` totals compound two stored legs; those are copied
-//! into two functions the scratch owns and refills, so they allocate only
-//! while they grow.
+//! shortcut seed inside the corridor and per first-hop label (each fills a
+//! slot, which owns its function), the breakpoint list (times with their
+//! values, made in one pass) of every relaxation it walks — a compound
+//! built from such a list is that list, simplified in place, so it costs
+//! nothing more — and the point lists of each `minimum` that neither the
+//! bounds, the windows nor the walk decided. A relaxation the windows keep
+//! allocates nothing, and the slots' windows live in the scratch, reused
+//! across queries (debug builds shadow each window keep with the walk it
+//! skips, which allocates). The cut scan's through-`w` totals compound two
+//! stored legs read in place; a stored leg is copied only when `w` is an
+//! endpoint, whose own leg is the zero function, so the other leg is the
+//! whole total.
 
 use crate::shortcut::{Row, ShortcutStore, DOWN, UP};
 use td_graph::VertexId;
@@ -125,19 +127,16 @@ pub struct SweepBufs {
     /// Root-first path: `path[k]` = vertex at depth `k`; last entry = the
     /// sweep's endpoint.
     pub path: Vec<VertexId>,
-    /// `arr[k]` = earliest arrival at `path[k]` (absolute time).
-    pub arr: Vec<Option<f64>>,
-    /// Predecessor of `path[k]`: `(relaxing depth, bag index)`, for path
-    /// recovery.
-    pub pred: Vec<Option<(usize, usize)>>,
+    /// `arr[k]` = earliest arrival at `path[k]` (absolute time; `+∞` =
+    /// unreached). The only record a sweep keeps: a path query re-derives
+    /// its hops from these.
+    pub arr: Vec<f64>,
 }
 
 impl SweepBufs {
     fn reset(&mut self, len: usize) {
         self.arr.clear();
-        self.arr.resize(len, None);
-        self.pred.clear();
-        self.pred.resize(len, None);
+        self.arr.resize(len, f64::INFINITY);
     }
 }
 
@@ -392,7 +391,7 @@ impl QueryEngine<'_> {
         self.sweep_up_scalar_into(s, t, up, counts);
         let upto = self.td.node(x).depth as usize;
         self.sweep_down_scalar_into(d, &up.arr, upto, down, counts);
-        down.arr.last().copied().flatten()
+        down.arr.last().copied().filter(|&a| a != f64::INFINITY)
     }
 
     /// Upward earliest-arrival sweep from `s` departing at `t` into `bufs`.
@@ -407,30 +406,34 @@ impl QueryEngine<'_> {
         debug_assert!(!bufs.path.is_empty(), "root path always contains s");
         let ds = bufs.path.len() - 1;
         bufs.reset(ds + 1);
-        bufs.arr[ds] = Some(t);
+        bufs.arr[ds] = t;
         let labels = self.td.labels();
         let arena = labels.arena(WS);
         for k in (0..=ds).rev() {
-            let Some(a) = bufs.arr[k] else { continue };
+            let a = bufs.arr[k];
+            if a == f64::INFINITY {
+                continue;
+            }
             counts.levels += 1;
             // Flat slot walk with precomputed bag depths; the arena's
             // min-cost lower bound prunes evaluations that provably cannot
-            // improve the slot.
-            for (bi, idx) in labels.range(bufs.path[k]).enumerate() {
+            // improve the slot. An unreached slot's `+∞` is above every
+            // finite bound and candidate, so it needs no test of its own.
+            for idx in labels.range(bufs.path[k]) {
                 let sid = labels.id(WS, idx);
                 if sid == NO_PLF {
                     continue;
                 }
                 let ku = labels.bag_depth(idx);
-                if bufs.arr[ku].is_some_and(|x| a + arena.min_cost(sid) >= x) {
+                let x = bufs.arr[ku];
+                if a + arena.min_cost(sid) >= x {
                     counts.prunes += 1;
                     continue;
                 }
                 counts.evals += 1;
                 let cand = a + arena.slice(sid).eval(a);
-                if bufs.arr[ku].is_none_or(|x| cand < x) {
-                    bufs.arr[ku] = Some(cand);
-                    bufs.pred[ku] = Some((k, bi));
+                if cand < x {
+                    bufs.arr[ku] = cand;
                 }
             }
         }
@@ -447,7 +450,7 @@ impl QueryEngine<'_> {
     fn sweep_down_scalar_into(
         &self,
         d: VertexId,
-        init: &[Option<f64>],
+        init: &[f64],
         upto: usize,
         bufs: &mut SweepBufs,
         counts: &mut CostCounts,
@@ -456,37 +459,35 @@ impl QueryEngine<'_> {
         debug_assert!(!bufs.path.is_empty(), "root path always contains d");
         let dd = bufs.path.len() - 1;
         bufs.reset(dd + 1);
-        for (k, slot) in bufs.arr.iter_mut().enumerate().take(upto.min(dd) + 1) {
-            *slot = init.get(k).copied().flatten();
-        }
+        let seeded = upto.min(dd) + 1;
+        bufs.arr[..seeded].copy_from_slice(&init[..seeded]);
         let labels = self.td.labels();
         let arena = labels.arena(WD);
         for k in 0..=dd {
             counts.levels += 1;
-            let mut best: Option<f64> = bufs.arr[k]; // seeded up-sweep arrival
-            let mut best_pred = None;
-            for (bi, idx) in labels.range(bufs.path[k]).enumerate() {
+            let mut best = bufs.arr[k]; // seeded up-sweep arrival
+            for idx in labels.range(bufs.path[k]) {
                 let wid = labels.id(WD, idx);
                 if wid == NO_PLF {
                     continue;
                 }
-                let ku = labels.bag_depth(idx);
-                let Some(a) = bufs.arr[ku] else { continue };
+                let a = bufs.arr[labels.bag_depth(idx)];
+                if a == f64::INFINITY {
+                    continue;
+                }
                 // Min-cost lower bound: skip the evaluation when it cannot
                 // beat the running best.
-                if best.is_some_and(|x| a + arena.min_cost(wid) >= x) {
+                if a + arena.min_cost(wid) >= best {
                     counts.prunes += 1;
                     continue;
                 }
                 counts.evals += 1;
                 let cand = a + arena.slice(wid).eval(a);
-                if best.is_none_or(|x| cand < x) {
-                    best = Some(cand);
-                    best_pred = Some((ku, bi));
+                if cand < best {
+                    best = cand;
                 }
             }
             bufs.arr[k] = best;
-            bufs.pred[k] = best_pred;
         }
     }
 

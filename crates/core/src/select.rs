@@ -8,7 +8,8 @@
 //!   `O(N)` instead of `O(items · N)`. For the paper's multi-million budgets
 //!   the DP row is intractable verbatim (the paper does not discuss this), so
 //!   weights and capacity can be bucketed by `weight_scale`; scale 1 is exact
-//!   (tested against brute force).
+//!   (tested against brute force). A bucketed selection is never below the
+//!   dual greedy's (Theorem 2) and tops up its leftover budget by density.
 //! * [`select_brute_force`] — exponential reference for tests.
 
 use td_graph::VertexId;
@@ -86,14 +87,19 @@ pub fn select_greedy_utility_only(items: &[Candidate], budget: u64) -> Selection
 /// Ablation only — can be arbitrarily bad (many dense crumbs may block one
 /// item that is almost the whole optimum).
 pub fn select_greedy_density_only(items: &[Candidate], budget: u64) -> Selection {
+    Selection::from_indices(greedy_fill(items, &by_density(items), budget), items)
+}
+
+/// Every item's index, by descending density `u/|I|` (ties in index order).
+fn by_density(items: &[Candidate]) -> Vec<usize> {
     let density = |c: &Candidate| c.utility / (c.weight.max(1) as f64);
-    let mut by_density: Vec<usize> = (0..items.len()).collect();
-    by_density.sort_by(|&a, &b| {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by(|&a, &b| {
         density(&items[b])
             .partial_cmp(&density(&items[a]))
             .expect("finite densities")
     });
-    Selection::from_indices(greedy_fill(items, &by_density, budget), items)
+    order
 }
 
 /// Algo. 5: dual-greedy 0.5-approximation — run both strategies, keep the
@@ -114,7 +120,11 @@ pub fn select_greedy(items: &[Candidate], budget: u64) -> Selection {
 /// `weight_scale` buckets item weights as `ceil(w / scale)` and the budget as
 /// `floor(N / scale)`; scale 1 is exact, larger scales are conservative
 /// (never overshoot the true budget) and used for the paper's multi-million
-/// budgets.
+/// budgets. Rounding every weight up can leave a bucketed optimum below
+/// Algo. 5's dual greedy, which Theorem 2 (§5.4) rules out for TD-dp; so
+/// the better of the two is kept, and the budget the bucketing left over is
+/// then filled by density at exact weights. At scale 1 neither step can
+/// add utility to the exact optimum.
 pub fn select_dp(items: &[Candidate], budget: u64, weight_scale: u32) -> Selection {
     let scale = weight_scale.max(1) as u64;
     let cap = (budget / scale) as usize;
@@ -126,6 +136,31 @@ pub fn select_dp(items: &[Candidate], budget: u64, weight_scale: u32) -> Selecti
         .collect();
     let mut chosen = Vec::new();
     dp_reconstruct(&scaled, items, cap, &mut chosen);
+    let dp = Selection::from_indices(chosen, items);
+    let greedy = select_greedy(items, budget);
+    let best = if dp.utility >= greedy.utility {
+        dp
+    } else {
+        greedy
+    };
+    top_up(best, items, budget)
+}
+
+/// `sel` plus, by descending density, every other item of positive utility
+/// that still fits `budget` at its exact weight.
+fn top_up(sel: Selection, items: &[Candidate], budget: u64) -> Selection {
+    let mut taken = vec![false; items.len()];
+    for &i in &sel.chosen {
+        taken[i] = true;
+    }
+    let (mut chosen, mut weight) = (sel.chosen, sel.weight);
+    for i in by_density(items) {
+        let w = items[i].weight as u64;
+        if !taken[i] && items[i].utility > 0.0 && weight + w <= budget {
+            chosen.push(i);
+            weight += w;
+        }
+    }
     Selection::from_indices(chosen, items)
 }
 
@@ -294,6 +329,31 @@ mod tests {
                     coarse.utility <= exact.utility + 1e-9,
                     "scaled DP cannot beat exact"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_dp_never_selects_less_than_the_dual_greedy() {
+        let mut rng = StdRng::seed_from_u64(66);
+        for _ in 0..40 {
+            let (items, budget) = random_instance(&mut rng, 15);
+            let greedy = select_greedy(&items, budget);
+            for scale in [2, 4, 8, 16] {
+                let coarse = select_dp(&items, budget, scale);
+                assert!(coarse.weight <= budget, "scale {scale} overshoots budget");
+                assert!(
+                    coarse.utility >= greedy.utility - 1e-9,
+                    "scale {scale}: dp {} < greedy {}",
+                    coarse.utility,
+                    greedy.utility
+                );
+                // The top-up left no item that fits the leftover budget.
+                let left = budget - coarse.weight;
+                for (i, c) in items.iter().enumerate() {
+                    let fits = c.weight as u64 <= left;
+                    assert!(coarse.chosen.contains(&i) || !fits, "item {i} fits");
+                }
             }
         }
     }

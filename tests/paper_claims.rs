@@ -9,6 +9,7 @@
 //! read the shortcut store (no LCA cut is fully covered, so they run
 //! TD-basic's sweeps), and a small update batch recomputes little.
 
+use td_road::api::IndexConfig;
 use td_road::core::{CostCounts, CostScratch, IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::gen::{Dataset, Workload, WorkloadConfig};
 use td_road::graph::TdGraph;
@@ -95,5 +96,37 @@ fn td_appro_covers_no_less_and_stores_no_less_as_the_budget_grows() {
     assert!(
         first.is_some_and(|f| last.0 > f.0),
         "8x covers no more than 1x"
+    );
+}
+
+/// Theorem 2 (§5.4): TD-dp's knapsack is exact, so it selects no less
+/// utility than TD-appro's dual greedy — also at the weight bucketing the
+/// `td-api` factory gives TD-dp at this budget, which rounds every weight up.
+#[test]
+fn td_dp_selects_no_less_utility_than_td_appro() {
+    let g = graph();
+    let budget = Dataset::Cal.spec().budget_at(SCALE) as u64;
+    let weight_scale = IndexConfig {
+        budget,
+        ..IndexConfig::default()
+    }
+    .dp_weight_scale();
+    let appro = build(g.clone(), SelectionStrategy::Greedy { budget }).build_stats;
+    let dp = build(
+        g,
+        SelectionStrategy::Dp {
+            budget,
+            weight_scale,
+        },
+    )
+    .build_stats;
+    assert!(
+        dp.selected_utility >= appro.selected_utility && dp.selected_weight <= budget,
+        "TD-dp (weight scale {weight_scale}) selected utility {} at weight {}, \
+         TD-appro {} at weight {} (budget {budget})",
+        dp.selected_utility,
+        dp.selected_weight,
+        appro.selected_utility,
+        appro.selected_weight
     );
 }

@@ -4,7 +4,7 @@
 //! never slower structure).
 
 use proptest::prelude::*;
-use td_road::api::RoutingIndex;
+use td_road::api::{IndexConfig, RoutingIndex};
 use td_road::core::{IndexOptions, SelectionStrategy, TdTreeIndex};
 use td_road::gen::random_graph::seeded_graph;
 
@@ -71,6 +71,41 @@ fn theorem2_holds_through_the_pipeline() {
         assert!(
             ug >= 0.5 * ud - 1e-9,
             "seed={seed}: greedy {ug} < ½·OPT {ud}"
+        );
+    }
+}
+
+/// Theorem 2 at the weight bucketing the `td-api` factory gives TD-dp:
+/// rounding every weight up must not drop the DP below the dual greedy.
+#[test]
+fn theorem2_holds_at_the_factory_weight_scale() {
+    for seed in 20..24u64 {
+        let g = seeded_graph(seed, 120, 90, 3);
+        let budget = 30_000u64;
+        let weight_scale = IndexConfig {
+            budget,
+            ..IndexConfig::default()
+        }
+        .dp_weight_scale();
+        assert!(weight_scale > 1, "the factory buckets this budget");
+        let stats = |strategy| {
+            let options = IndexOptions {
+                strategy,
+                ..Default::default()
+            };
+            TdTreeIndex::build(g.clone(), options).build_stats
+        };
+        let greedy = stats(SelectionStrategy::Greedy { budget });
+        let dp = stats(SelectionStrategy::Dp {
+            budget,
+            weight_scale,
+        });
+        assert!(dp.selected_weight <= budget, "seed={seed}: DP overshoots");
+        assert!(
+            dp.selected_utility >= greedy.selected_utility,
+            "seed={seed}: DP {} at scale {weight_scale} below greedy {}",
+            dp.selected_utility,
+            greedy.selected_utility
         );
     }
 }
