@@ -315,24 +315,49 @@ fn cmd_verify(args: &[String]) {
         }
     }
 
-    // 1. Structural walk: every section checksum.
     let (header, infos) = walk(path);
-    println!("{header}");
-    println!("checksums: {} sections OK", infos.len());
+    let written = write_verify(
+        &mut std::io::stdout().lock(),
+        path,
+        (&header, &infos),
+        queries,
+        seed,
+    );
+    end_of_output(written).unwrap_or_else(|e| fail(e));
+}
+
+/// `verify`'s report on the snapshot at `path`, whose header line and
+/// section table `walked` holds: the checksums, the reload, and with
+/// `queries > 0` the oracle agreement and, for the TD-tree family, the
+/// census. A disagreement fails the command; a failed write ends the report.
+fn write_verify(
+    out: &mut impl Write,
+    path: &str,
+    (header, infos): (&str, &[SectionInfo]),
+    queries: usize,
+    seed: u64,
+) -> io::Result<()> {
+    // 1. Structural walk: every section checksum.
+    writeln!(out, "{header}")?;
+    writeln!(out, "checksums: {} sections OK", infos.len())?;
 
     // 2. Full reload through the typed path (validates every invariant).
     let t0 = Instant::now();
     let index = load_index(path).unwrap_or_else(|e| fail(e));
-    println!(
+    writeln!(
+        out,
         "reload: {} ({}) in {:.3}s",
         index.backend_name(),
         td_bench::fmt_bytes(index.memory_bytes()),
         t0.elapsed().as_secs_f64()
-    );
+    )?;
 
     // 3. Optional oracle agreement over the snapshot's own graph.
     if queries > 0 && index.graph().num_vertices() == 0 {
-        println!("oracle agreement: skipped (snapshot holds an empty graph)");
+        writeln!(
+            out,
+            "oracle agreement: skipped (snapshot holds an empty graph)"
+        )?;
     } else if queries > 0 {
         let graph = index.graph().clone();
         let oracle = td_api::DijkstraOracle::new(graph);
@@ -367,13 +392,13 @@ fn cmd_verify(args: &[String]) {
                 profiles += 1;
             }
         }
-        println!("oracle agreement: {checked}/{queries} queries OK");
-        println!("profile agreement: {profiles}/{profiles}");
+        writeln!(out, "oracle agreement: {checked}/{queries} queries OK")?;
+        writeln!(out, "profile agreement: {profiles}/{profiles}")?;
         if profiles > 0 && TREE_FAMILY.contains(&index.backend_name()) {
-            print_census(path, seed, queries as u64, n);
+            write_census(out, path, seed, queries as u64, n)?;
         }
     }
-    println!("verify: OK");
+    writeln!(out, "verify: OK")
 }
 
 /// The TD-tree family's backend names (`RoutingIndex::backend_name`).
@@ -387,7 +412,13 @@ const TREE_FAMILY: [&str; 4] = ["TD-basic", "TD-appro", "TD-dp", "TD-H2H"];
 /// ended per query: kept by per-window bounds or by the merge kernel's
 /// walk, or changed — into an empty slot (a fill), by a take the windows or
 /// the walk decided, or by a merge.
-fn print_census(path: &str, seed: u64, queries: u64, n: u64) {
+fn write_census(
+    out: &mut impl Write,
+    path: &str,
+    seed: u64,
+    queries: u64,
+    n: u64,
+) -> io::Result<()> {
     let index = td_api::load_tree_index(path).unwrap_or_else(|e| fail(e));
     let mut cost = td_core::CostScratch::default();
     for i in 0..queries {
@@ -396,7 +427,8 @@ fn print_census(path: &str, seed: u64, queries: u64, n: u64) {
     }
     let c = cost.counts;
     let per = |x: u64| x as f64 / queries as f64;
-    println!(
+    writeln!(
+        out,
         "cost census per query: {:.1} levels, {:.1} evaluations, {:.1} prunes; \
          cuts {:.0} % gated out, {:.0} % missed, {:.0} % covered",
         per(c.levels),
@@ -405,7 +437,7 @@ fn print_census(path: &str, seed: u64, queries: u64, n: u64) {
         100.0 * per(c.gated_out),
         100.0 * per(c.missed),
         100.0 * per(c.covered),
-    );
+    )?;
     let mut scratch = td_core::ProfileScratch::default();
     let mut total = td_core::ProfileCounts::default();
     let mut profiles = 0u64;
@@ -418,7 +450,8 @@ fn print_census(path: &str, seed: u64, queries: u64, n: u64) {
     let per = |x: u64| x as f64 / profiles as f64;
     let t = total;
     let keeps = (t.window_keeps + t.walk_keeps).max(1) as f64;
-    println!(
+    writeln!(
+        out,
         "profile merges per query: {:.1} window keeps, {:.1} walk keeps ({:.0} % of keeps by windows); \
          {:.1} fills, {:.1} window takes, {:.1} walk takes, {:.1} merges",
         per(t.window_keeps),
@@ -428,7 +461,7 @@ fn print_census(path: &str, seed: u64, queries: u64, n: u64) {
         per(t.window_takes),
         per(t.walk_takes),
         per(t.merges),
-    );
+    )
 }
 
 /// Deterministic splitmix-style probe query `i` over an `n`-vertex graph.
@@ -637,5 +670,53 @@ mod tests {
         assert!(text.starts_with("header\n"), "{text}");
         assert!(text.contains("1 sections"), "{text}");
         assert!(text.ends_with("a load would serve: nothing — both generations unloadable\n"));
+    }
+
+    /// `verify` writes its report through the same writer: a closed pipe
+    /// fails its first line, before the snapshot is even loaded, and ends
+    /// the output without an error.
+    #[test]
+    fn verify_stops_at_a_closed_pipe() {
+        let written = write_verify(&mut ClosedPipe, "absent.tdx", ("header", &[]), 10, 42);
+        assert_eq!(
+            written.as_ref().unwrap_err().kind(),
+            io::ErrorKind::BrokenPipe
+        );
+        assert!(end_of_output(written).is_ok());
+    }
+
+    /// Into a live writer, `verify` reports a small TD-appro snapshot in
+    /// full: the checksums, the reload, both agreements, the census lines
+    /// and the verdict.
+    #[test]
+    fn verify_writes_its_whole_report() {
+        let path = std::env::temp_dir().join(format!("tdx-verify-{}.tdx", std::process::id()));
+        let graph = Dataset::Cal.build(3, 0.002, 42);
+        let config = IndexConfig {
+            budget: 5_000,
+            ..Default::default()
+        };
+        save_index(
+            build_index(graph, Backend::TdAppro, &config).as_ref(),
+            &path,
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        let (header, infos) = walk(path);
+        let mut text = Vec::new();
+        write_verify(&mut text, path, (&header, &infos), 20, 42).unwrap();
+        std::fs::remove_file(path).unwrap();
+        let text = String::from_utf8(text).unwrap();
+        for line in [
+            "checksums:",
+            "reload: TD-appro",
+            "oracle agreement: 20/20 queries OK",
+            "profile agreement: 2/2",
+            "cost census per query:",
+            "profile merges per query:",
+        ] {
+            assert!(text.contains(line), "{line} missing from {text}");
+        }
+        assert!(text.ends_with("verify: OK\n"), "{text}");
     }
 }

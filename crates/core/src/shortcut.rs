@@ -257,9 +257,10 @@ pub(crate) const MAX_CHUNKS: usize = 64;
 /// Rows are CSR: `first[v]..first[v + 1]` are `v`'s pairs, sorted by
 /// ancestor id, in `anc` and in the two id arrays `ids[UP]` / `ids[DOWN]`
 /// ([`NO_PLF`] = that direction is unreachable). The points live in
-/// [`PlfArena`] chunks at 20 B each: a store pass keeps the arena each of
-/// its outputs wrote its pairs into, in plan order, a load keeps one arena per
-/// direction list, and an update adds the arenas of its pass. Each
+/// [`PlfArena`] chunks at 16 B each, with 8 B a witness run: a store pass
+/// keeps the arena each of its outputs wrote its pairs into, in plan order,
+/// a load keeps one arena per direction list, and an update adds the arenas
+/// of its pass. Each
 /// direction of a row lives in one chunk, `chunk_of[dir][v]`, so a lookup is
 /// a binary search over the row's keys and two array reads.
 #[derive(Clone, Debug)]
@@ -397,10 +398,11 @@ impl ShortcutStore {
     }
 
     /// Heap bytes of what is stored: the row arrays and, in every chunk,
-    /// 20 B a point and 20 B a function, by capacity. A chunk's own
-    /// bookkeeping — the arena header and its leading offset — is left out,
-    /// so equal rows report equal bytes however their points are chunked:
-    /// a built store and its reload, or builds on different thread counts.
+    /// 16 B a point, 8 B a witness run and 24 B a function, by capacity. A
+    /// chunk's own bookkeeping — the arena header and its two leading
+    /// offsets — is left out, so equal rows report equal bytes however their
+    /// points are chunked: a built store and its reload, or builds on
+    /// different thread counts.
     pub fn bytes(&self) -> usize {
         let words = [&self.first, &self.anc]
             .into_iter()
@@ -409,7 +411,7 @@ impl ShortcutStore {
             .map(Vec::capacity)
             .sum::<usize>();
         let chunks = (self.chunks.iter())
-            .map(|c| c.heap_bytes() - std::mem::size_of::<u32>())
+            .map(|c| c.heap_bytes() - 2 * std::mem::size_of::<u32>())
             .sum::<usize>();
         words * std::mem::size_of::<u32>() + chunks
     }
@@ -1475,22 +1477,24 @@ mod tests {
         compute_hand_path(&td, &need);
     }
 
-    /// The footprint the store's layout promises: 20 B a point (two `f64`
-    /// and a `u32` witness, no padding, no per-function allocation) plus a
-    /// fixed cost per pair and per row, whatever the chunking. An
+    /// The footprint the store's layout promises: 16 B a point (two `f64`,
+    /// no padding, no witness, no per-function allocation), 8 B a witness
+    /// run (its first point and its `u32` witness) plus a fixed cost per
+    /// pair and per row, whatever the chunking. A witness a point (+4 B), an
     /// array-of-structs point (24 B), a `Vec` per function or spare capacity
     /// brings the cost back above it; a built store, its reload (one chunk
     /// per direction) and a one-thread build report the same bytes.
     #[test]
-    fn the_store_costs_twenty_bytes_a_point_plus_fixed_overheads() {
+    fn the_store_costs_sixteen_bytes_a_point_and_eight_a_run_plus_fixed_overheads() {
         use std::mem::size_of;
-        const PER_POINT: usize = 2 * size_of::<f64>() + size_of::<u32>();
-        // Ancestor and two ids, then per function an offset and two bounds.
+        const PER_POINT: usize = 2 * size_of::<f64>();
+        const PER_RUN: usize = 2 * size_of::<u32>();
+        // Ancestor and two ids, then per function two offsets and two bounds.
         const PER_PAIR: usize =
-            3 * size_of::<u32>() + 2 * (size_of::<u32>() + 2 * size_of::<f64>());
+            3 * size_of::<u32>() + 2 * (2 * size_of::<u32>() + 2 * size_of::<f64>());
         // An offset and two chunk indices.
         const PER_ROW: usize = 3 * size_of::<u32>();
-        assert_eq!(PER_POINT, 20);
+        assert_eq!((PER_POINT, PER_RUN), (16, 8));
         let g = seeded_graph(9, 60, 40, 3);
         let td = TreeDecomposition::build(&g);
         let n = td.len();
@@ -1514,8 +1518,10 @@ mod tests {
             ("loaded", loaded),
             ("empty", ShortcutStore::empty(n)),
         ] {
-            let bound =
-                PER_POINT * store.total_points() + PER_PAIR * store.num_pairs() + PER_ROW * (n + 1);
+            let bound = PER_POINT * store.total_points()
+                + PER_RUN * store.chunks.iter().map(PlfArena::total_runs).sum::<usize>()
+                + PER_PAIR * store.num_pairs()
+                + PER_ROW * (n + 1);
             assert!(
                 store.bytes() <= bound,
                 "{what}: {} B stored, {bound} B allowed",

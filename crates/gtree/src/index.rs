@@ -598,6 +598,8 @@ fn all_pairs(g: &TdGraph, anchors: Vec<VertexId>) -> NodeMatrix {
     let ids = (entries.iter())
         .map(|slot| slot.as_ref().map_or(NO_PLF, |f| arena.push(f)))
         .collect();
+    // An entry with more than one witness run grew the run array.
+    arena.shrink_to_fit();
     NodeMatrix::new(anchors, ids, arena)
 }
 

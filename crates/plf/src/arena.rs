@@ -8,10 +8,18 @@
 //! **Two layouts, one set of kernels.** A function is built as a [`Plf`]
 //! (`Vec<Pt>`) and stored in an arena:
 //!
-//! * `times`/`values`/`vias` — one flat SoA array each, all functions
-//!   back-to-back, 20 B a point;
+//! * `times`/`values` — one flat SoA array each, all functions
+//!   back-to-back, 16 B a point;
 //! * `first_pt` — CSR-style offsets, `first_pt[id]..first_pt[id+1]` is
 //!   function `id`;
+//! * `runs`/`first_run` — the witnesses as runs, 8 B a run: a run is the
+//!   first point (counted from its function's first) of a stretch of
+//!   points with one witness, and `first_run[id]..first_run[id+1]` are
+//!   function `id`'s. A compound stamps one bridge vertex on all of its
+//!   points and only a `minimum` mixes witnesses, so a stored function
+//!   almost always has one run (CAL-0.5's TD-appro index: 20 894 runs in
+//!   20 744 functions of 1 285 301 points). On disk a list still keeps one
+//!   witness a point; writing expands the runs, reading folds them back;
 //! * `min_cost`/`max_cost` — per-function value bounds, precomputed once so
 //!   query loops can prune (`dist + min_cost ≥ best` ⇒ skip evaluation)
 //!   without touching the points at all.
@@ -19,12 +27,12 @@
 //! Both layouts stay because each is the cheaper one where it is used. An
 //! SoA `Plf` would make three allocations where a built function makes one,
 //! and the profile queries build thousands; an AoS arena would store 24 B a
-//! point (`Pt` with its padding), ≈ +20 % index memory. Neither layout has
-//! code of its own: `&Plf` and `PlfSlice` are both [`PlfView`]s, and
-//! evaluation, the forward cursor, `Compound`, `minimum`, the merge walks,
-//! [`crate::Windows::of`] and the list writer read either in place. A merge
-//! kernel compounds two stored functions where they lie, as CATCHUp links
-//! two stored shortcuts without copying them.
+//! point (`Pt` with its padding) against 16 B, ≈ +50 % index memory.
+//! Neither layout has code of its own: `&Plf` and `PlfSlice` are both
+//! [`PlfView`]s, and evaluation, the forward cursor, `Compound`, `minimum`,
+//! the merge walks, [`crate::Windows::of`] and the list writer read either
+//! in place. A merge kernel compounds two stored functions where they lie,
+//! as CATCHUp links two stored shortcuts without copying them.
 //!
 //! A stored function is never edited; mutation stays on [`Plf`]. Build with
 //! the PLF algebra, freeze with [`PlfArena::push`], read through
@@ -36,6 +44,8 @@
 
 use crate::plf::{Plf, Pt, Via};
 use crate::view::PlfView;
+use std::iter::repeat_n;
+use std::ops::Range;
 
 /// Index of a function inside a [`PlfArena`].
 pub type PlfId = u32;
@@ -44,15 +54,29 @@ pub type PlfId = u32;
 /// `Option<Plf>`-shaped tables as plain `u32` arrays.
 pub const NO_PLF: PlfId = u32::MAX;
 
+/// One witness run of a stored function: the points from `start` (counted
+/// from the function's first point) up to the next run's start, or to the
+/// function's end, all have the witness `via`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: u32,
+    via: Via,
+}
+
 /// Contiguous SoA storage for a frozen set of piecewise-linear functions.
 #[derive(Clone, Debug)]
 pub struct PlfArena {
     times: Vec<f64>,
     values: Vec<f64>,
-    vias: Vec<Via>,
     /// `first_pt[id]..first_pt[id+1]` delimits function `id`; starts as
     /// `[0]`, one entry appended per push.
     first_pt: Vec<u32>,
+    /// Every function's witness runs, back-to-back; the first run of a
+    /// function starts at its point 0.
+    runs: Vec<Run>,
+    /// `first_run[id]..first_run[id+1]` are function `id`'s runs; starts as
+    /// `[0]`, like `first_pt`.
+    first_run: Vec<u32>,
     min_cost: Vec<f64>,
     max_cost: Vec<f64>,
 }
@@ -71,23 +95,30 @@ impl PlfArena {
         PlfArena {
             times: Vec::new(),
             values: Vec::new(),
-            vias: Vec::new(),
             first_pt: vec![0],
+            runs: Vec::new(),
+            first_run: vec![0],
             min_cost: Vec::new(),
             max_cost: Vec::new(),
         }
     }
 
     /// An empty arena with room for `functions` functions of about
-    /// `points` total interpolation points.
+    /// `points` total interpolation points, one witness run each; a
+    /// function with more runs grows the run array, which
+    /// [`Self::shrink_to_fit`] trims.
     pub fn with_capacity(functions: usize, points: usize) -> Self {
-        let mut first_pt = Vec::with_capacity(functions + 1);
-        first_pt.push(0);
+        let offsets = || {
+            let mut first = Vec::with_capacity(functions + 1);
+            first.push(0);
+            first
+        };
         PlfArena {
             times: Vec::with_capacity(points),
             values: Vec::with_capacity(points),
-            vias: Vec::with_capacity(points),
-            first_pt,
+            first_pt: offsets(),
+            runs: Vec::with_capacity(functions),
+            first_run: offsets(),
             min_cost: Vec::with_capacity(functions),
             max_cost: Vec::with_capacity(functions),
         }
@@ -114,18 +145,33 @@ impl PlfArena {
     /// Freezes a copy of `f`'s points into the arena and returns its id.
     pub fn push(&mut self, f: &Plf) -> PlfId {
         let pts = f.points();
+        for (i, p) in pts.iter().enumerate() {
+            self.note_via(i, p.via);
+        }
         self.times.extend(pts.iter().map(|p| p.t));
         self.values.extend(pts.iter().map(|p| p.v));
-        self.vias.extend(pts.iter().map(|p| p.via));
         self.close()
     }
 
     /// Appends one point to the function being pushed; [`Self::close`] ends
     /// it.
     pub(crate) fn push_pt(&mut self, p: Pt) {
+        let start = *self.first_pt.last().expect("starts as [0]") as usize;
+        self.note_via(self.times.len() - start, p.via);
         self.times.push(p.t);
         self.values.push(p.v);
-        self.vias.push(p.via);
+    }
+
+    /// Records that point `i` of the function being pushed has the witness
+    /// `via`: it opens a run when it is the function's first point or its
+    /// witness differs from the point before it.
+    fn note_via(&mut self, i: usize, via: Via) {
+        if i == 0 || self.runs.last().is_some_and(|r| r.via != via) {
+            self.runs.push(Run {
+                start: i as u32,
+                via,
+            });
+        }
     }
 
     /// Ends the function whose points were appended since the last one and
@@ -136,6 +182,7 @@ impl PlfArena {
         let start = *self.first_pt.last().expect("starts as [0]") as usize;
         debug_assert!(self.times.len() > start, "a PLF needs at least one point");
         self.first_pt.push(self.times.len() as u32);
+        self.first_run.push(self.runs.len() as u32);
         let (lo, hi) = self.slice(id).value_bounds();
         self.min_cost.push(lo);
         self.max_cost.push(hi);
@@ -152,29 +199,40 @@ impl PlfArena {
             return;
         };
         let mut removed = ids.iter().peekable();
-        let (mut fn_w, mut pt_w) = (first as usize, self.first_pt[first as usize] as usize);
-        let mut lo = pt_w;
-        for id in first as usize..self.len() {
+        let fn_0 = first as usize;
+        let (mut fn_w, mut pt_w, mut run_w) = (
+            fn_0,
+            self.first_pt[fn_0] as usize,
+            self.first_run[fn_0] as usize,
+        );
+        let (mut lo, mut run_lo) = (pt_w, run_w);
+        for id in fn_0..self.len() {
             // Only offsets up to `id` have been written, so `first_pt[id +
-            // 1]` is still the original end.
-            let hi = self.first_pt[id + 1] as usize;
+            // 1]` and `first_run[id + 1]` are still the original ends.
+            let (hi, run_hi) = (
+                self.first_pt[id + 1] as usize,
+                self.first_run[id + 1] as usize,
+            );
             if removed.next_if_eq(&&(id as PlfId)).is_none() {
                 self.times.copy_within(lo..hi, pt_w);
                 self.values.copy_within(lo..hi, pt_w);
-                self.vias.copy_within(lo..hi, pt_w);
+                self.runs.copy_within(run_lo..run_hi, run_w);
                 pt_w += hi - lo;
+                run_w += run_hi - run_lo;
                 self.first_pt[fn_w + 1] = pt_w as u32;
+                self.first_run[fn_w + 1] = run_w as u32;
                 self.min_cost[fn_w] = self.min_cost[id];
                 self.max_cost[fn_w] = self.max_cost[id];
                 fn_w += 1;
             }
-            lo = hi;
+            (lo, run_lo) = (hi, run_hi);
         }
         assert!(removed.next().is_none(), "removed id out of range");
         self.times.truncate(pt_w);
         self.values.truncate(pt_w);
-        self.vias.truncate(pt_w);
+        self.runs.truncate(run_w);
         self.first_pt.truncate(fn_w + 1);
+        self.first_run.truncate(fn_w + 1);
         self.min_cost.truncate(fn_w);
         self.max_cost.truncate(fn_w);
     }
@@ -185,22 +243,25 @@ impl PlfArena {
     /// has none afterwards either.
     pub fn append(&mut self, other: &PlfArena) -> PlfId {
         let first = self.len() as PlfId;
-        let base = self.times.len() as u32;
+        let (base, run_base) = (self.times.len() as u32, self.runs.len() as u32);
         assert!(
             self.len() + other.len() < NO_PLF as usize,
             "PlfArena overflow (u32::MAX functions)"
         );
         self.times.reserve_exact(other.times.len());
         self.values.reserve_exact(other.times.len());
-        self.vias.reserve_exact(other.times.len());
+        self.runs.reserve_exact(other.runs.len());
         self.first_pt.reserve_exact(other.len());
+        self.first_run.reserve_exact(other.len());
         self.min_cost.reserve_exact(other.len());
         self.max_cost.reserve_exact(other.len());
         self.times.extend_from_slice(&other.times);
         self.values.extend_from_slice(&other.values);
-        self.vias.extend_from_slice(&other.vias);
+        self.runs.extend_from_slice(&other.runs);
         self.first_pt
             .extend(other.first_pt[1..].iter().map(|&end| base + end));
+        self.first_run
+            .extend(other.first_run[1..].iter().map(|&end| run_base + end));
         self.min_cost.extend_from_slice(&other.min_cost);
         self.max_cost.extend_from_slice(&other.max_cost);
         first
@@ -211,8 +272,9 @@ impl PlfArena {
     pub fn shrink_to_fit(&mut self) {
         self.times.shrink_to_fit();
         self.values.shrink_to_fit();
-        self.vias.shrink_to_fit();
+        self.runs.shrink_to_fit();
         self.first_pt.shrink_to_fit();
+        self.first_run.shrink_to_fit();
         self.min_cost.shrink_to_fit();
         self.max_cost.shrink_to_fit();
     }
@@ -234,8 +296,17 @@ impl PlfArena {
         PlfSlice {
             times: &self.times[lo..hi],
             values: &self.values[lo..hi],
-            vias: &self.vias[lo..hi],
+            arena: self,
+            id,
         }
+    }
+
+    /// Function `id`'s witness runs.
+    #[inline]
+    fn runs_of(&self, id: PlfId) -> &[Run] {
+        let lo = self.first_run[id as usize] as usize;
+        let hi = self.first_run[id as usize + 1] as usize;
+        &self.runs[lo..hi]
     }
 
     /// Precomputed minimum value of function `id` over all departure times —
@@ -269,13 +340,22 @@ impl PlfArena {
         self.max_cost[id as usize]
     }
 
+    /// Number of stored witness runs.
+    #[inline]
+    pub fn total_runs(&self) -> usize {
+        self.runs.len()
+    }
+
     /// Heap footprint in bytes — the frozen representation's share of index
-    /// memory accounting.
+    /// memory accounting: by capacity, 16 B a point, 8 B a witness run, and
+    /// 24 B a function (two offsets and the bounds) plus the two leading
+    /// offsets.
     pub fn heap_bytes(&self) -> usize {
         self.times.capacity() * std::mem::size_of::<f64>()
             + self.values.capacity() * std::mem::size_of::<f64>()
-            + self.vias.capacity() * std::mem::size_of::<Via>()
+            + self.runs.capacity() * std::mem::size_of::<Run>()
             + self.first_pt.capacity() * std::mem::size_of::<u32>()
+            + self.first_run.capacity() * std::mem::size_of::<u32>()
             + self.min_cost.capacity() * std::mem::size_of::<f64>()
             + self.max_cost.capacity() * std::mem::size_of::<f64>()
     }
@@ -286,11 +366,26 @@ impl PlfArena {
 /// It is a [`PlfView`]: every kernel reads it in place, through the same
 /// bodies as an owned [`Plf`], so evaluation (Eq. 1 of the paper) and every
 /// operator agree bit for bit whichever layout holds a function.
-#[derive(Clone, Copy, Debug)]
+///
+/// Its witness runs are found only when a witness is read: an evaluation,
+/// which reads none, costs what it cost when every point kept its own.
+#[derive(Clone, Copy)]
 pub struct PlfSlice<'a> {
     times: &'a [f64],
     values: &'a [f64],
-    vias: &'a [Via],
+    arena: &'a PlfArena,
+    id: PlfId,
+}
+
+impl std::fmt::Debug for PlfSlice<'_> {
+    /// The points and the witness runs, not the whole arena.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PlfSlice")
+            .field("times", &self.times)
+            .field("values", &self.values)
+            .field("runs", &self.runs())
+            .finish()
+    }
 }
 
 impl<'a> PlfSlice<'a> {
@@ -316,8 +411,30 @@ impl<'a> PlfSlice<'a> {
     /// Copies the view back into an owned [`Plf`] (one allocation, like
     /// cloning the function it was pushed from).
     pub fn to_plf(&self) -> Plf {
+        let mut pts = Vec::with_capacity(self.len());
+        pts.extend(self.points());
         // Every arena function was pushed from a valid point list.
-        Plf::from_raw((0..self.len()).map(|i| self.pt(i)).collect())
+        Plf::from_raw(pts)
+    }
+
+    /// Every point in order, the witnesses read run by run.
+    fn points(self) -> impl Iterator<Item = Pt> + 'a {
+        let (times, values) = (self.times, self.values);
+        (self.spans())
+            .flat_map(move |(span, via)| span.map(move |i| Pt::with_via(times[i], values[i], via)))
+    }
+
+    /// The function's witness runs.
+    #[inline]
+    fn runs(self) -> &'a [Run] {
+        self.arena.runs_of(self.id)
+    }
+
+    /// Each witness run as its point range and its witness.
+    fn spans(self) -> impl Iterator<Item = (Range<usize>, Via)> + 'a {
+        let runs = self.runs();
+        let ends = (runs.iter().skip(1).map(|r| r.start as usize)).chain([self.len()]);
+        (runs.iter().zip(ends)).map(|(r, end)| (r.start as usize..end, r.via))
     }
 }
 
@@ -345,9 +462,16 @@ impl PlfView for PlfSlice<'_> {
         self.values[i]
     }
 
+    /// The witness of the last run starting at or before point `i`.
     #[inline]
     fn via(self, i: usize) -> Via {
-        self.vias[i]
+        let runs = self.runs();
+        let k = runs.partition_point(|r| r.start as usize <= i);
+        runs[k.saturating_sub(1)].via
+    }
+
+    fn vias(self) -> impl Iterator<Item = Via> {
+        (self.spans()).flat_map(|(span, via)| repeat_n(via, span.len()))
     }
 
     #[inline]
@@ -360,7 +484,7 @@ impl PartialEq<Plf> for PlfSlice<'_> {
     /// Point by point, as `Plf == Plf` compares: the view holds the same
     /// function as `f`, witnesses included.
     fn eq(&self, f: &Plf) -> bool {
-        self.len() == f.len() && (0..f.len()).all(|i| self.pt(i) == f.pt(i))
+        self.len() == f.len() && self.points().eq(f.points().iter().copied())
     }
 }
 

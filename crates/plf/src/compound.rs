@@ -82,10 +82,10 @@ pub(crate) fn breakpoints(f: impl PlfView, g: impl PlfView, via: Via) -> Vec<Pt>
     let g_from = |lo: usize| (lo..ng).map(move |i| (g.t(i), g.v(i)));
 
     // Left ray of f: A(t) = t + v_first, slope 1, covering (-∞, A(t_first)).
-    let first = f.pt(0);
-    let a_first = first.t + first.v;
+    let (t_first, v_first) = (f.t(0), f.v(0));
+    let a_first = t_first + v_first;
     for (s, gs) in g_from(0).take_while(|&(s, _)| s < a_first) {
-        emit(s - first.v, first.v + gs);
+        emit(s - v_first, v_first + gs);
     }
 
     // Interior segments of f. `window` stands at the start of each segment's
@@ -98,22 +98,22 @@ pub(crate) fn breakpoints(f: impl PlfView, g: impl PlfView, via: Via) -> Vec<Pt>
         fv + arrival.value(t + fv)
     };
     for i in 1..nf {
-        let (p0, p1) = (f.pt(i - 1), f.pt(i));
-        emit(p0.t, p0.v + arrival.value(p0.t + p0.v));
-        let a0 = p0.t + p0.v;
-        let a1 = p1.t + p1.v;
-        let pre_image = |s: f64| p0.t + (s - a0) * (p1.t - p0.t) / (a1 - a0);
+        let (t0, v0, t1, v1) = (f.t(i - 1), f.v(i - 1), f.t(i), f.v(i));
+        emit(t0, v0 + arrival.value(t0 + v0));
+        let a0 = t0 + v0;
+        let a1 = t1 + v1;
+        let pre_image = |s: f64| t0 + (s - a0) * (t1 - t0) / (a1 - a0);
         if a1 > a0 + EPS_TIME {
             // A strictly increasing on this segment: pre-image of each g
             // breakpoint strictly inside (a0, a1).
             let lo = window.seek(a0 + EPS_TIME);
             for (s, gs) in g_from(lo).take_while(|&(s, _)| s < a1 - EPS_TIME) {
                 let t = pre_image(s);
-                if p0.t < t && t < p1.t {
+                if t0 < t && t < t1 {
                     // `s − t` is f(t), which rounding must not take below 0.
                     emit(t, (s - t).max(0.0) + gs);
                 } else {
-                    let t = t.clamp(p0.t, p1.t);
+                    let t = t.clamp(t0, t1);
                     emit(t, eval(&mut fc, &mut arrival, t));
                 }
             }
@@ -123,20 +123,20 @@ pub(crate) fn breakpoints(f: impl PlfView, g: impl PlfView, via: Via) -> Vec<Pt>
             let lo = g.partition_point(|s| s <= a1 + EPS_TIME);
             let hi = g.partition_point(|s| s < a0 - EPS_TIME);
             for j in (lo..hi).rev() {
-                let t = pre_image(g.t(j)).clamp(p0.t, p1.t);
+                let t = pre_image(g.t(j)).clamp(t0, t1);
                 emit(t, eval(&mut fc, &mut arrival, t));
             }
         }
         // Flat arrival (a0 ≈ a1): g∘A constant on the segment, no crossings.
     }
-    let last = f.pt(nf - 1);
-    let a_last = last.t + last.v;
-    emit(last.t, last.v + arrival.value(a_last));
+    let (t_last, v_last) = (f.t(nf - 1), f.v(nf - 1));
+    let a_last = t_last + v_last;
+    emit(t_last, v_last + arrival.value(a_last));
 
     // Right ray of f: A(t) = t + v_last, slope 1, covering (A(t_last), ∞).
     let lo = window.seek(a_last + EPS_TIME);
     for (s, gs) in g_from(lo) {
-        emit(s - last.v, last.v + gs);
+        emit(s - v_last, v_last + gs);
     }
     out
 }

@@ -2,17 +2,19 @@
 //! PLF-list encoding used by every index crate for its label tables.
 //!
 //! A function lives in one of two layouts: an owned [`Plf`] (`Vec<Pt>`, one
-//! allocation per built function) or a slice of a frozen [`PlfArena`] (three
-//! parallel arrays, 20 B a point against `Pt`'s 24). A list has one encoding
-//! whichever layout holds its functions, and one writer: [`write_plf_list`]
-//! reads either through [`PlfView`], the view every kernel reads. The file
-//! stores the SoA arrays — `times`/`values`/`vias` — as the arena lays them
-//! out, and reading revalidates against [`Plf::new`]'s invariants
-//! (non-empty, strictly increasing, finite, non-negative), turning any
-//! corrupt function into a typed [`StoreError::Invalid`] rather than a
-//! broken invariant at query time. A list is read back into owned functions
-//! ([`read_plf_list`]) or straight into an arena ([`read_plf_arena`]). An
-//! arena's derived parts — ids, offsets, bounds — are never in the file.
+//! allocation per built function) or a slice of a frozen [`PlfArena`] (two
+//! parallel arrays, 16 B a point against `Pt`'s 24, and its witness runs).
+//! A list has one encoding whichever layout holds its functions, and one
+//! writer: [`write_plf_list`] reads either through [`PlfView`], the view
+//! every kernel reads. The file stores three SoA arrays — `times`/`values`
+//! and one `via` a point, which the writer reads off an arena's witness
+//! runs and [`read_plf_arena`] folds back into them — and reading
+//! revalidates against [`Plf::new`]'s invariants (non-empty, strictly
+//! increasing, finite, non-negative), turning any corrupt function into a
+//! typed [`StoreError::Invalid`] rather than a broken invariant at query
+//! time. A list is read back into owned functions ([`read_plf_list`]) or
+//! straight into an arena ([`read_plf_arena`]). An arena's derived parts —
+//! ids, offsets, runs, bounds — are never in the file.
 
 use crate::arena::{PlfArena, PlfId, NO_PLF};
 use crate::plf::{Plf, Pt, Via};
@@ -66,18 +68,16 @@ where
     I: Iterator<Item = Option<F>> + Clone,
 {
     let counts = items.clone().map(|f| f.map_or(0, F::len));
-    let points = || {
-        items
-            .clone()
-            .flatten()
-            .flat_map(|f| (0..f.len()).map(move |i| f.pt(i)))
+    let functions = || items.clone().flatten();
+    let coords = |at: fn(F, usize) -> f64| {
+        functions().flat_map(move |f| (0..f.len()).map(move |i| at(f, i)))
     };
     write_list(
         w,
         counts,
-        points().map(|p| p.t),
-        points().map(|p| p.v),
-        points().map(|p| p.via),
+        coords(F::t),
+        coords(F::v),
+        functions().flat_map(F::vias),
     )
 }
 
@@ -207,8 +207,9 @@ pub fn read_plf_list<R: Read>(r: &mut R) -> Result<Vec<Option<Plf>>, StoreError>
 
 /// Reads a list written by [`write_plf_list`] straight into a fresh arena
 /// sized exactly to it, validating as [`read_plf_list`] does: no owned
-/// [`Plf`] is built on the way. Returns the arena and each slot's id in it
-/// ([`NO_PLF`] for an absent slot).
+/// [`Plf`] is built on the way, and the per-point witnesses are folded into
+/// the arena's witness runs as they are read. Returns the arena and each
+/// slot's id in it ([`NO_PLF`] for an absent slot).
 pub fn read_plf_arena<R: Read>(r: &mut R) -> Result<(PlfArena, Vec<PlfId>), StoreError> {
     let raw = RawList::read(r)?;
     let functions = raw.counts.iter().filter(|&&c| c > 0).count();
@@ -223,6 +224,8 @@ pub fn read_plf_arena<R: Read>(r: &mut R) -> Result<(PlfArena, Vec<PlfId>), Stor
             }
         });
     }
+    // Runs past one a function grew the run array; trim it.
+    arena.shrink_to_fit();
     Ok((arena, ids))
 }
 

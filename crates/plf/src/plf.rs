@@ -264,6 +264,10 @@ impl PlfView for &Plf {
         self.pts[i].via
     }
 
+    fn vias(self) -> impl Iterator<Item = Via> {
+        self.pts.iter().map(|p| p.via)
+    }
+
     #[inline]
     fn partition_point(self, mut pred: impl FnMut(f64) -> bool) -> usize {
         self.pts.partition_point(|p| pred(p.t))

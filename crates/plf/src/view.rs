@@ -12,11 +12,12 @@
 //!
 //! A function is held in one of two layouts: an owned [`Plf`] (`Vec<Pt>`,
 //! what the operators build into) and a [`PlfSlice`] of a frozen
-//! [`crate::PlfArena`] (three parallel arrays, what an index stores). Both
-//! are read through this one trait, so evaluation (Eq. 1), the forward
-//! cursor, `Compound`'s breakpoints, `minimum`'s passes, the merge
-//! walks, [`crate::Windows::of`] and the list writer are each written once
-//! and read a stored function where it lies: no kernel needs a copy.
+//! [`crate::PlfArena`] (two parallel arrays and the witness runs, what an
+//! index stores). Both are read through this one trait, so evaluation
+//! (Eq. 1), the forward cursor, `Compound`'s breakpoints, `minimum`'s
+//! passes, the merge walks, [`crate::Windows::of`] and the list writer are
+//! each written once and read a stored function where it lies: no kernel
+//! needs a copy.
 //!
 //! [`Plf`]: crate::Plf
 //! [`PlfSlice`]: crate::PlfSlice
@@ -39,6 +40,10 @@ pub trait PlfView: Copy {
 
     /// Witness of the segment starting at point `i`.
     fn via(self, i: usize) -> Via;
+
+    /// Every point's witness, in order: what [`Self::via`] returns for each
+    /// `i`, read in one walk (a stored function walks its witness runs).
+    fn vias(self) -> impl Iterator<Item = Via>;
 
     /// Number of leading points whose time satisfies `pred` (which must
     /// hold on a prefix of the times): the layout's own `partition_point`.

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use td_plf::minimum::minimum;
 use td_plf::ops::{fold_compound_into, min_compound_into, Merge};
-use td_plf::{Plf, PlfArena, PlfView, Pt, Windows, EPS_TIME, NO_VIA};
+use td_plf::persist::{read_plf_arena, write_plf_list};
+use td_plf::{Plf, PlfArena, PlfId, PlfSlice, PlfView, Pt, Windows, EPS_TIME, NO_VIA};
 
 /// Strategy: a random FIFO travel-cost function with 1..=12 points over
 /// roughly a day, values in [0, 3600] (same generator as `proptest_plf.rs`).
@@ -212,5 +213,122 @@ proptest! {
         prop_assert_eq!(&outcome(fs, &g, &acc, via), &owned);
         prop_assert_eq!(&outcome(&f, gs, &acc, via), &owned);
         prop_assert_eq!(&outcome(fs, gs, &acc, via), &owned);
+    }
+}
+
+/// Strategy: a function with several witness runs, as the index stores
+/// them — the `minimum` of two compounds through different bridges — with
+/// the first point and the last one sometimes alone in a run of their own,
+/// so that runs also break at point 1 and at the last point.
+fn witnessed_plf() -> impl Strategy<Value = Plf> {
+    (
+        (fifo_plf(), fifo_plf(), fifo_plf(), fifo_plf()),
+        0u32..40,
+        0u8..4,
+    )
+        .prop_map(|((f1, g1, f2, g2), via, ends)| {
+            let h = f1.compound(&g1, via).minimum(&f2.compound(&g2, via + 1));
+            let mut pts = h.into_points();
+            let last = pts.len() - 1;
+            if ends & 1 != 0 {
+                pts[0].via = 100;
+            }
+            if ends & 2 != 0 {
+                pts[last].via = 101;
+            }
+            Plf::new(pts).expect("a minimum's points are valid")
+        })
+}
+
+/// The witness runs of `f`: one more than the witness changes between
+/// neighbouring points.
+fn runs(f: &Plf) -> usize {
+    1 + f
+        .points()
+        .windows(2)
+        .filter(|w| w[0].via != w[1].via)
+        .count()
+}
+
+/// Asserts that `s` holds `f`: every point (witness included) through
+/// `pt`, the copy back, the `==` against the owned function, and
+/// `eval_with_via` at every point, at every midpoint and on both rays.
+fn assert_holds(s: PlfSlice<'_>, f: &Plf) {
+    prop_assert_eq!(s.len(), f.len());
+    for i in 0..f.len() {
+        prop_assert_eq!(s.pt(i), f.pt(i), "point {}", i);
+    }
+    prop_assert_eq!(&s.to_plf(), f);
+    prop_assert!(s == *f);
+    let pts = f.points();
+    let mids = pts.windows(2).map(|w| 0.5 * (w[0].t + w[1].t));
+    let rays = [pts[0].t - 100.0, pts[pts.len() - 1].t + 100.0];
+    for t in pts.iter().map(|p| p.t).chain(mids).chain(rays) {
+        let (v, via) = s.eval_with_via(t);
+        let (wv, wvia) = f.eval_with_via(t);
+        prop_assert_eq!(v.to_bits(), wv.to_bits(), "t={}", t);
+        prop_assert_eq!(via, wvia, "t={}", t);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// A stored function keeps its witnesses as runs: pushed, compacted by
+    /// `remove_functions` and concatenated by `append`, every function
+    /// reads back with the owned function's witness at every point and at
+    /// every time, with exactly one run per stretch of equal witnesses.
+    #[test]
+    fn witnesses_survive_storage(
+        fs in proptest::collection::vec(witnessed_plf(), 1..6),
+        gone in proptest::collection::vec(0u8..2, 6),
+    ) {
+        let mut arena = PlfArena::new();
+        let ids: Vec<_> = fs.iter().map(|f| arena.push(f)).collect();
+        prop_assert_eq!(arena.total_runs(), fs.iter().map(runs).sum::<usize>());
+        for (f, &id) in fs.iter().zip(&ids) {
+            assert_holds(arena.slice(id), f);
+        }
+
+        // Remove some, then append a copy of the whole original arena.
+        let full = arena.clone();
+        let removed: Vec<PlfId> = ids.iter().copied().filter(|&id| gone[id as usize] == 1).collect();
+        arena.remove_functions(&removed);
+        let kept: Vec<&Plf> = fs.iter().zip(&gone).filter(|(_, &g)| g == 0).map(|(f, _)| f).collect();
+        prop_assert_eq!(arena.len(), kept.len());
+        let first = arena.append(&full);
+        prop_assert_eq!(first as usize, kept.len());
+        let all = kept.into_iter().chain(&fs);
+        prop_assert_eq!(arena.total_runs(), all.clone().map(runs).sum::<usize>());
+        for (id, f) in all.enumerate() {
+            assert_holds(arena.slice(id as PlfId), f);
+        }
+    }
+
+    /// On disk a list keeps one witness a point: an arena writes the owned
+    /// functions' bytes, and reading them back folds the witnesses into the
+    /// same runs, which write the same bytes again.
+    #[test]
+    fn witnesses_survive_the_list_encoding(
+        fs in proptest::collection::vec(witnessed_plf(), 1..6),
+    ) {
+        let mut arena = PlfArena::new();
+        let ids: Vec<_> = fs.iter().map(|f| arena.push(f)).collect();
+        let slots = || ids.iter().map(|&id| Some(arena.slice(id)));
+        let (mut owned, mut stored) = (Vec::new(), Vec::new());
+        write_plf_list(&mut owned, fs.iter().map(Some)).unwrap();
+        write_plf_list(&mut stored, slots()).unwrap();
+        prop_assert_eq!(&stored, &owned);
+
+        let (back, back_ids) = read_plf_arena(&mut stored.as_slice()).unwrap();
+        prop_assert_eq!(back.total_runs(), arena.total_runs());
+        arena.shrink_to_fit();
+        prop_assert_eq!(back.heap_bytes(), arena.heap_bytes(), "sized exactly");
+        for (f, &id) in fs.iter().zip(&back_ids) {
+            assert_holds(back.slice(id), f);
+        }
+        let mut again = Vec::new();
+        write_plf_list(&mut again, back_ids.iter().map(|&id| Some(back.slice(id)))).unwrap();
+        prop_assert_eq!(&again, &owned);
     }
 }

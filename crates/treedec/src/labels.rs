@@ -86,6 +86,10 @@ impl Labels {
             }
             first.push(bag_depth.len() as u32);
         }
+        for arena in &mut arenas {
+            // A label with more than one witness run grew the run array.
+            arena.shrink_to_fit();
+        }
         Labels {
             first,
             bag_depth,
@@ -235,16 +239,19 @@ const _: () = {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use td_plf::{PlfView, Pt};
 
     fn plf(pairs: &[(f64, f64)]) -> Plf {
         Plf::from_pairs(pairs).unwrap()
     }
 
-    /// Two nodes: `X(0)` with members 1 and 2, `X(1)` with member 2.
+    /// Two nodes: `X(0)` with members 1 and 2, `X(1)` with member 2. The
+    /// first label has two witness runs, every other one.
     fn small() -> Labels {
+        let two_runs = Plf::new(vec![Pt::with_via(0.0, 4.0, 7), Pt::with_via(10.0, 6.0, 8)]);
         let slots = vec![
             vec![
-                (1, [Some(plf(&[(0.0, 4.0), (10.0, 6.0)])), None]),
+                (1, [Some(two_runs.unwrap()), None]),
                 (2, [Some(Plf::constant(2.0)), Some(Plf::constant(3.0))]),
             ],
             vec![(2, [None, Some(plf(&[(0.0, 1.0), (5.0, 9.0)]))])],
@@ -269,11 +276,17 @@ mod tests {
         assert_eq!((labels.min(WS, 0), labels.max(WS, 0)), (4.0, 6.0));
         assert_eq!((labels.min(WD, 2), labels.max(WD, 2)), (1.0, 9.0));
         assert_eq!(labels.total_points(), 6);
-        // Exactly sized: the heap bytes are what is stored.
+        assert_eq!(labels.get(WS, 0).unwrap().eval_with_via(10.0).1, 8);
+        // Exactly sized: the heap bytes are what is stored, 16 B a point, 8 B
+        // a witness run, two offsets and two bounds a function.
         let words = 4 + 3 + 3 + 3;
-        let arena =
-            |functions: usize, points: usize| 20 * points + 4 * (functions + 1) + 16 * functions;
-        assert_eq!(labels.heap_bytes(), 4 * words + arena(2, 3) + arena(2, 3));
+        let arena = |functions: usize, points: usize, runs: usize| {
+            16 * points + 8 * runs + 2 * 4 * (functions + 1) + 16 * functions
+        };
+        assert_eq!(
+            labels.heap_bytes(),
+            4 * words + arena(2, 3, 3) + arena(2, 3, 2)
+        );
     }
 
     #[test]

@@ -23,8 +23,11 @@ use td_road::store::Persist;
 /// subtree sizes (the recorded stream with exactly those sections cut out).
 const INDEX_BITS: u64 = 0xaae5_05b5_fd38_bf2c;
 
-/// `memory_bytes` of the built index, each `Ws`/`Wd` point counted once.
-const MEMORY_BYTES: usize = 13_120_884;
+/// `memory_bytes` of the built index, each `Ws`/`Wd` point counted once;
+/// re-pinned when the arenas stopped storing a witness a point and kept
+/// witness runs instead (13 120 884 before: 4 B a point less, 8 B a run and
+/// 4 B a function more).
+const MEMORY_BYTES: usize = 10_712_004;
 
 /// The hash of the built G-tree's stored bits, recorded while every matrix
 /// entry was still held twice (an owned copy beside its arena); re-pinned
@@ -32,8 +35,9 @@ const MEMORY_BYTES: usize = 13_120_884;
 /// assignment (the recorded stream with exactly those sections cut out).
 const GTREE_BITS: u64 = 0x32a6_88d2_8eb7_b396;
 
-/// `memory_bytes` of the built G-tree, each matrix point counted once.
-const GTREE_MEMORY_BYTES: usize = 23_916_036;
+/// `memory_bytes` of the built G-tree, each matrix point counted once;
+/// re-pinned with [`MEMORY_BYTES`] (23 916 036 before).
+const GTREE_MEMORY_BYTES: usize = 19_786_920;
 
 /// FNV-1a over bytes.
 fn fold(h: u64, bytes: &[u8]) -> u64 {
