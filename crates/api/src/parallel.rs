@@ -123,9 +123,11 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
     }
 
     /// Runs `f(scratch, w, i)` for every slot `i` of `out`, fanned out over
-    /// the worker pool, writing each result to `out[i]`. `w` is the worker's
-    /// stable pool index — closures use it as the metric shard so telemetry
-    /// exports stay contention-free across workers.
+    /// the worker pool, writing each result to `out[i]`. `w` is the metric
+    /// shard of the thread running the slot — a spawned worker's stable pool
+    /// index, or inline the calling thread's own ([`td_obs::thread_shard`])
+    /// — so telemetry exports stay contention-free across workers, and
+    /// across callers that each drive a one-thread executor.
     fn run<T, F>(&mut self, out: &mut [T], f: F)
     where
         T: Send,
@@ -135,8 +137,9 @@ impl<'a, I: RoutingIndex + ?Sized> ParallelExecutor<'a, I> {
         if self.workers.len() <= 1 || n <= 1 {
             // Inline fast path: no reason to pay a thread spawn.
             let scratch = &mut self.workers[0];
+            let w = td_obs::thread_shard();
             for (i, slot) in out.iter_mut().enumerate() {
-                *slot = f(scratch, 0, i);
+                *slot = f(scratch, w, i);
             }
             return;
         }

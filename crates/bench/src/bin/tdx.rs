@@ -24,6 +24,10 @@
 //! parallel executor (exact, budget-bounded and profile queries), then
 //! prints the process-wide metric catalog as a Prometheus text scrape on
 //! stdout — the workload summary goes to stderr, so the scrape pipes clean.
+//!
+//! `build`, `inspect` and `verify` write through a locked stdout and take a
+//! closed pipe (`| head`) as the end of their output, not an error: they
+//! exit 0, and `build` still saves its snapshot.
 
 use std::io::{self, Write};
 use std::time::Instant;
@@ -50,7 +54,8 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("build") => cmd_build(&args[1..]),
+        Some("build") => cmd_build(&args[1..], &mut PipeEnd::new(io::stdout().lock()))
+            .unwrap_or_else(|e| fail(e)),
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
@@ -66,7 +71,11 @@ fn parse_dataset(name: &str) -> Dataset {
         .unwrap_or_else(|| fail(format!("unknown dataset `{name}`")))
 }
 
-fn cmd_build(args: &[String]) {
+/// `build`: generates the graph, builds the index and saves the snapshot,
+/// reporting each step on `report`. A report write that fails ends the
+/// command, so `main` hands it a [`PipeEnd`]: a reader that stops early
+/// (`| head -1`) costs the rest of the report, never the snapshot.
+fn cmd_build(args: &[String], report: &mut impl Write) -> io::Result<()> {
     let mut dataset = None;
     let mut backend = None;
     let mut out = None;
@@ -108,13 +117,14 @@ fn cmd_build(args: &[String]) {
     let spec = dataset.spec();
     let t0 = Instant::now();
     let graph = spec.build_scaled(c, scale, seed);
-    println!(
+    writeln!(
+        report,
         "{}: |V|={} |E|={} (scale {scale}, c={c}, seed {seed}) generated in {:.2}s",
         dataset.name(),
         graph.num_vertices(),
         graph.num_edges(),
         t0.elapsed().as_secs_f64()
-    );
+    )?;
 
     let cfg = IndexConfig {
         budget: budget.unwrap_or(spec.budget_at(scale) as u64),
@@ -126,22 +136,71 @@ fn cmd_build(args: &[String]) {
     let t1 = Instant::now();
     let index = build_index(graph, backend, &cfg);
     let build_secs = t1.elapsed().as_secs_f64();
-    println!(
+    writeln!(
+        report,
         "{} built in {build_secs:.2}s ({} pairs, {} points, {})",
         index.backend_name(),
         index.build_stats().precomputed_pairs,
         index.build_stats().stored_points,
         td_bench::fmt_bytes(index.memory_bytes())
-    );
+    )?;
 
     let t2 = Instant::now();
     save_index(index.as_ref(), &out).unwrap_or_else(|e| fail(e));
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    println!(
+    writeln!(
+        report,
         "wrote {out}: {} in {:.3}s",
         td_bench::fmt_bytes(bytes as usize),
         t2.elapsed().as_secs_f64()
-    );
+    )
+}
+
+/// A writer whose reader may stop early: once a write finds the pipe
+/// closed (a reader such as `head` has gone), every later write is dropped
+/// and reported done, so the command's work goes on without an audience.
+/// Any other error still fails the write.
+struct PipeEnd<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W: Write> PipeEnd<W> {
+    fn new(inner: W) -> PipeEnd<W> {
+        PipeEnd {
+            inner,
+            closed: false,
+        }
+    }
+
+    /// Runs `io` on the inner writer unless the pipe has closed; a closed
+    /// pipe turns into `done`.
+    fn unless_closed<T>(
+        &mut self,
+        done: T,
+        io: impl FnOnce(&mut W) -> io::Result<T>,
+    ) -> io::Result<T> {
+        if self.closed {
+            return Ok(done);
+        }
+        match io(&mut self.inner) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(done)
+            }
+            other => other,
+        }
+    }
+}
+
+impl<W: Write> Write for PipeEnd<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.unless_closed(buf.len(), |w| w.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.unless_closed((), Write::flush)
+    }
 }
 
 fn elem_name(code: u8) -> &'static str {
@@ -640,6 +699,97 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// `head -n lines`: keeps what it reads up to its last line, then
+    /// closes the pipe — every later write fails as a closed pipe does.
+    struct Head {
+        lines: usize,
+        read: Vec<u8>,
+    }
+
+    impl Write for Head {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.read.iter().filter(|&&b| b == b'\n').count() >= self.lines {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.read.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_pipe_end_drops_what_follows_a_closed_pipe_and_nothing_else() {
+        let mut out = PipeEnd::new(Head {
+            lines: 1,
+            read: Vec::new(),
+        });
+        writeln!(out, "first").unwrap();
+        writeln!(out, "second").unwrap();
+        out.flush().unwrap();
+        writeln!(out, "third").unwrap();
+        assert!(out.closed);
+        assert_eq!(out.inner.read, b"first\n");
+        // Any other error still fails the write.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut full = PipeEnd::new(Full);
+        let err = writeln!(full, "line").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert!(!full.closed);
+    }
+
+    /// `tdx build … | head -1`: the reader leaves after the first line, and
+    /// the build still saves a snapshot that walks and loads. Written to a
+    /// bare closed pipe instead, the report fails first and no file is
+    /// left — the failure the `PipeEnd` is there to absorb.
+    #[test]
+    fn build_saves_its_snapshot_when_the_reader_leaves_early() {
+        let path = std::env::temp_dir().join(format!("tdx-build-{}.tdx", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let path = path.to_str().unwrap();
+        let args = [
+            "--dataset",
+            "CAL",
+            "--backend",
+            "td-appro",
+            "--scale",
+            "0.002",
+            "--budget",
+            "5000",
+            "--out",
+            path,
+        ]
+        .map(String::from);
+
+        let bare = cmd_build(&args, &mut ClosedPipe).unwrap_err();
+        assert_eq!(bare.kind(), io::ErrorKind::BrokenPipe);
+        assert!(!std::path::Path::new(path).exists());
+
+        let mut head = PipeEnd::new(Head {
+            lines: 1,
+            read: Vec::new(),
+        });
+        cmd_build(&args, &mut head).unwrap();
+        let read = String::from_utf8(head.inner.read).unwrap();
+        assert!(read.starts_with("CAL: |V|="), "{read}");
+        assert_eq!(read.lines().count(), 1, "{read}");
+        let (header, infos) = walk(path);
+        assert!(header.contains("backend TD-appro"), "{header}");
+        assert!(!infos.is_empty());
+        assert_eq!(load_index(path).unwrap().backend_name(), "TD-appro");
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! * **No contention on the hot path.** Counters and histograms hold
 //!   [`SHARDS`] cache-line-padded cells; workers write their own shard with
-//!   `Relaxed` atomics and shards are merged only at scrape time.
+//!   `Relaxed` atomics (a long-lived worker claims one with
+//!   [`set_thread_shard`]) and shards are merged only at scrape time.
 //! * **No allocation after registration.** Handles are `Arc`s captured at
 //!   startup; the write side is pure atomic arithmetic.
 //! * **Nothing shared inside the tagged loops.** The frozen search loops
@@ -31,7 +32,8 @@ mod stats;
 
 pub use catalog::{metrics, phase, Metrics};
 pub use metric::{
-    bucket_bound, bucket_of, Counter, Gauge, HistSnapshot, Histogram, BUCKETS, SHARDS,
+    bucket_bound, bucket_of, set_thread_shard, thread_shard, Counter, Gauge, HistSnapshot,
+    Histogram, BUCKETS, SHARDS,
 };
 pub use registry::Registry;
 pub use span::PhaseTimer;

@@ -3,9 +3,11 @@
 //!
 //! Every write-side operation is a handful of `Relaxed` atomic ops on a
 //! cache-line-padded shard owned (by convention) by one worker thread, so
-//! the serving hot path never contends on a shared line. Reads (scrapes)
-//! merge all shards by addition; they are racy snapshots, which is exactly
-//! what a monitoring scrape wants.
+//! the serving hot path never contends on a shared line. A writer names its
+//! shard (`add_shard`, `observe_shard`) or writes its thread's
+//! ([`set_thread_shard`]; shard 0 for a thread that claimed none). Reads
+//! (scrapes) merge all shards by addition; they are racy snapshots, which
+//! is exactly what a monitoring scrape wants.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -18,6 +20,26 @@ pub const SHARDS: usize = 8;
 /// the full `u64` range: nothing ever falls outside the array.
 pub const BUCKETS: usize = 64;
 
+thread_local! {
+    static THREAD_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Claims `shard` for the calling thread: its `add` / `inc` / `observe`
+/// writes land there from now on, as do the queries a one-thread
+/// `ParallelExecutor` runs on it. A long-lived worker that shares metrics
+/// with other workers claims its own shard once, at start; every other
+/// thread writes shard 0.
+pub fn set_thread_shard(shard: usize) {
+    THREAD_SHARD.with(|s| s.set(shard));
+}
+
+/// The calling thread's shard: what it claimed with [`set_thread_shard`],
+/// or 0.
+#[inline]
+pub fn thread_shard() -> usize {
+    THREAD_SHARD.with(std::cell::Cell::get)
+}
+
 /// One cache line worth of counter cell, so neighbouring shards never share
 /// a line.
 #[derive(Default)]
@@ -26,9 +48,10 @@ struct Cell(AtomicU64);
 
 /// Monotonic counter, sharded per worker.
 ///
-/// `add`/`inc` write shard 0 (fine for cold or single-threaded callers);
-/// workers on the serving path use `add_shard(worker, n)` so concurrent
-/// queries never touch the same cache line.
+/// `add`/`inc` write the calling thread's shard ([`thread_shard`]: 0 unless
+/// the thread claimed one); a pool of scoped workers passes each worker's
+/// index to `add_shard(worker, n)`, so concurrent queries never touch the
+/// same cache line.
 #[derive(Default)]
 pub struct Counter {
     cells: [Cell; SHARDS],
@@ -39,16 +62,16 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `n` on shard 0.
+    /// Adds `n` on the calling thread's shard.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.add_shard(0, n);
+        self.add_shard(thread_shard(), n);
     }
 
-    /// Increments shard 0.
+    /// Increments the calling thread's shard.
     #[inline]
     pub fn inc(&self) {
-        self.add_shard(0, 1);
+        self.add_shard(thread_shard(), 1);
     }
 
     /// Adds `n` on the caller's shard (any `usize` is valid; masked).
@@ -153,10 +176,10 @@ impl Histogram {
         }
     }
 
-    /// Records `v` on shard 0.
+    /// Records `v` on the calling thread's shard.
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.observe_shard(0, v);
+        self.observe_shard(thread_shard(), v);
     }
 
     /// Records `v` on the caller's shard (any `usize` is valid; masked).
@@ -273,6 +296,40 @@ mod tests {
         c.add_shard(3, 10);
         c.add_shard(3 + SHARDS, 10); // masked onto the same shard
         assert_eq!(c.get(), 21);
+    }
+
+    /// A thread that claimed a shard writes it with `inc` / `add` /
+    /// `observe`; a thread that claimed none writes shard 0.
+    #[test]
+    fn unsharded_writes_land_on_the_thread_shard() {
+        let c = Counter::new();
+        let h = Histogram::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(thread_shard(), 0);
+                c.inc();
+                h.observe(7);
+            });
+            s.spawn(|| {
+                set_thread_shard(3 + SHARDS);
+                assert_eq!(thread_shard(), 3 + SHARDS);
+                c.add(5);
+                h.observe(9);
+            });
+        });
+        let cells: Vec<u64> = c
+            .cells
+            .iter()
+            .map(|c| c.0.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(cells, [1, 0, 0, 5, 0, 0, 0, 0]);
+        let counts: Vec<u64> = h
+            .shards
+            .iter()
+            .map(|s| s.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum())
+            .collect();
+        assert_eq!(counts, [1, 0, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(h.shards[3].sum.load(Ordering::Relaxed), 9);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! silent latency collapse. The consumers (the serving workers) block on
 //! the condvar only while the queue is empty: each takes one request with
 //! `pop_wait` and tops its batch up with whatever `drain_into` finds already
-//! queued — nothing on the request path waits for more to arrive.
+//! queued — nothing on the request path waits for more to arrive. A
+//! consumer about to block counts itself idle under the queue's lock, and a
+//! push signals only when one is: while every worker is busy, admission
+//! makes no syscall. `close` wakes every consumer, idle or not.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,6 +22,8 @@ use crate::sync::{lock_recover, wait_recover};
 struct State {
     items: VecDeque<Pending>,
     closed: bool,
+    /// Consumers blocked in `pop_wait`; a push signals only when one is.
+    idle: usize,
 }
 
 pub(crate) struct AdmissionQueue {
@@ -44,6 +49,7 @@ impl AdmissionQueue {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity.min(4096)),
                 closed: false,
+                idle: 0,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -70,8 +76,11 @@ impl AdmissionQueue {
         }
         state.items.push_back(p);
         self.depth.store(state.items.len(), Ordering::Relaxed);
+        let idle = state.idle > 0;
         drop(state);
-        self.not_empty.notify_one();
+        if idle {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -84,12 +93,18 @@ impl AdmissionQueue {
         let mut state = lock_recover(&self.state);
         state.items.push_front(p);
         self.depth.store(state.items.len(), Ordering::Relaxed);
+        let idle = state.idle > 0;
         drop(state);
-        self.not_empty.notify_one();
+        if idle {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Blocks until an item is available (or the queue is closed *and*
-    /// empty). First call of a worker's batch.
+    /// empty). First call of a worker's batch. A consumer counts itself idle
+    /// under the lock before it sleeps, so a push that finds no idle
+    /// consumer and skips the signal is one this consumer's next look at
+    /// the queue sees.
     pub(crate) fn pop_wait(&self) -> Popped {
         let mut state = lock_recover(&self.state);
         loop {
@@ -100,7 +115,9 @@ impl AdmissionQueue {
             if state.closed {
                 return Popped::Closed;
             }
+            state.idle += 1;
             state = wait_recover(&self.not_empty, state);
+            state.idle -= 1;
         }
     }
 
@@ -114,13 +131,19 @@ impl AdmissionQueue {
         self.depth.store(state.items.len(), Ordering::Relaxed);
     }
 
-    /// Closes admission and wakes every consumer. Items already queued are
-    /// still handed out by `pop_wait` before it reports `Closed`.
+    /// Closes admission and wakes every consumer, idle or not. Items already
+    /// queued are still handed out by `pop_wait` before it reports `Closed`.
     pub(crate) fn close(&self) {
         let mut state = lock_recover(&self.state);
         state.closed = true;
         drop(state);
         self.not_empty.notify_all();
+    }
+
+    /// Consumers blocked in `pop_wait` right now.
+    #[cfg(test)]
+    fn idle(&self) -> usize {
+        lock_recover(&self.state).idle
     }
 
     /// Chaos hook: poisons the queue mutex by panicking (contained) while
@@ -138,8 +161,8 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
     use crate::request::ReplySlot;
-    use std::sync::Arc;
-    use std::time::Instant;
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
 
     fn pending(i: u32) -> Pending {
         Pending {
@@ -215,6 +238,81 @@ mod tests {
         };
         assert!(q.push_back(pending(77)).is_ok());
         assert_eq!(consumer.join().unwrap(), 77);
+    }
+
+    /// Spins for a seeded 0–2 047 iterations: enough to put either side of
+    /// a race first, or both inside it at once.
+    fn jitter(seed: u64) {
+        for _ in 0..crate::fault::splitmix64(seed) % 2048 {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// No lost wake-up: each round one or two consumers enter `pop_wait` on
+    /// an empty queue while a producer pushes as many requests, every side
+    /// from a seeded start — before, while and after the consumers count
+    /// themselves idle. Every consumer must come back with a request. A
+    /// push that skipped the signal to a consumer about to sleep would
+    /// leave it blocked; the round then closes the queue to let it go and
+    /// fails.
+    #[test]
+    fn a_push_racing_a_consumer_into_pop_wait_always_wakes_it() {
+        let rounds: u64 = if cfg!(debug_assertions) { 300 } else { 2_000 };
+        for round in 0..rounds {
+            let q = AdmissionQueue::new(4);
+            let consumers = 1 + (round % 2) as usize;
+            let (tx, rx) = mpsc::channel();
+            std::thread::scope(|s| {
+                for c in 0..consumers {
+                    let (q, tx) = (&q, tx.clone());
+                    s.spawn(move || {
+                        jitter(3 * round + c as u64);
+                        let popped = matches!(q.pop_wait(), Popped::Item(_));
+                        tx.send(popped).unwrap();
+                    });
+                }
+                jitter(3 * round + 2);
+                for i in 0..consumers {
+                    assert!(q.push_back(pending(i as u32)).is_ok());
+                }
+                for c in 0..consumers {
+                    let got = rx.recv_timeout(Duration::from_secs(5));
+                    if got != Ok(true) {
+                        q.close();
+                        panic!("round {round}: consumer {c} of {consumers} got {got:?}");
+                    }
+                }
+            });
+            assert_eq!(q.depth(), 0, "round {round}");
+            assert_eq!(q.idle(), 0, "round {round}");
+        }
+    }
+
+    #[test]
+    fn close_wakes_every_blocked_consumer() {
+        let q = AdmissionQueue::new(4);
+        let (tx, rx) = mpsc::channel();
+        let got: Vec<_> = std::thread::scope(|s| {
+            for _ in 0..3 {
+                let (q, tx) = (&q, tx.clone());
+                s.spawn(move || tx.send(matches!(q.pop_wait(), Popped::Closed)).unwrap());
+            }
+            while q.idle() < 3 {
+                std::thread::yield_now();
+            }
+            q.close();
+            let got: Vec<_> = (0..3)
+                .map(|_| rx.recv_timeout(Duration::from_secs(5)))
+                .collect();
+            // A consumer `close` left asleep is let go by a retry push (the
+            // one push a closed queue takes), so the failure reports.
+            for i in 0..q.idle() {
+                q.push_front(pending(i as u32));
+            }
+            got
+        });
+        assert_eq!(got, [Ok(true), Ok(true), Ok(true)]);
+        assert_eq!(q.idle(), 0);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The request lifecycle: typed admission rejections, terminal replies, and
-//! the exactly-once reply slot a client waits on.
+//! the exactly-once reply slot a client waits on. The server installs a
+//! reply and wakes its client in two steps — a worker installs a whole
+//! batch before it wakes anyone — and the slot tells the installer whether
+//! a client sleeps on it, so only a sleeper is woken.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -86,46 +89,78 @@ impl std::error::Error for ServeError {}
 /// admitted request.
 pub type ServeResult = Result<BoundedAnswer, ServeError>;
 
-/// The write-once slot a reply lands in. `fulfill` keeps the *first*
+/// The write-once slot a reply lands in. `install` keeps the *first*
 /// terminal reply and reports duplicates instead of overwriting — the
 /// exactly-once invariant is enforced structurally, not by convention.
+///
+/// A client about to block marks the slot under its lock, so the server
+/// learns at install time whether anyone sleeps on the reply: only then
+/// does it owe the slot a [`ReplySlot::wake`] — the one syscall of a reply.
+/// A reply nobody waits for yet (the client is still submitting the rest of
+/// its burst, or polls with [`RequestHandle::try_reply`]) costs no syscall.
 pub(crate) struct ReplySlot {
-    state: Mutex<Option<ServeResult>>,
+    state: Mutex<SlotState>,
     ready: Condvar,
+}
+
+struct SlotState {
+    reply: Option<ServeResult>,
+    /// Set by a client before it blocks on `ready`, never cleared: a reply
+    /// installed after it is owed a wake-up.
+    waiting: bool,
+}
+
+/// What [`ReplySlot::install`] did.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Installed {
+    /// The first reply; `sleeper` when a client blocks on the slot and must
+    /// be woken with [`ReplySlot::wake`].
+    First { sleeper: bool },
+    /// A second reply, dropped: the first is kept and the caller counts the
+    /// violation.
+    Duplicate,
 }
 
 impl ReplySlot {
     pub(crate) fn new() -> ReplySlot {
         ReplySlot {
-            state: Mutex::new(None),
+            state: Mutex::new(SlotState {
+                reply: None,
+                waiting: false,
+            }),
             ready: Condvar::new(),
         }
     }
 
-    /// Installs the terminal reply. Returns `true` for the first (and only
-    /// effective) fulfillment, `false` for a duplicate (the first reply is
-    /// kept; the caller counts the violation).
-    pub(crate) fn fulfill(&self, reply: ServeResult) -> bool {
+    /// Installs the terminal reply without waking anyone: a client that
+    /// polls sees it at once, a sleeping one once the caller wakes the slot.
+    pub(crate) fn install(&self, reply: ServeResult) -> Installed {
         let mut state = lock_recover(&self.state);
-        if state.is_some() {
-            return false;
+        if state.reply.is_some() {
+            return Installed::Duplicate;
         }
-        *state = Some(reply);
-        drop(state);
+        state.reply = Some(reply);
+        Installed::First {
+            sleeper: state.waiting,
+        }
+    }
+
+    /// Wakes every client blocked on the slot.
+    pub(crate) fn wake(&self) {
         self.ready.notify_all();
-        true
     }
 
     fn get(&self) -> Option<ServeResult> {
-        lock_recover(&self.state).clone()
+        lock_recover(&self.state).reply.clone()
     }
 
     fn wait(&self) -> ServeResult {
         let mut state = lock_recover(&self.state);
         loop {
-            if let Some(reply) = state.clone() {
-                return reply;
+            if let Some(reply) = &state.reply {
+                return reply.clone();
             }
+            state.waiting = true;
             state = wait_recover(&self.ready, state);
         }
     }
@@ -133,15 +168,22 @@ impl ReplySlot {
     fn wait_deadline(&self, deadline: Instant) -> Option<ServeResult> {
         let mut state = lock_recover(&self.state);
         loop {
-            if let Some(reply) = state.clone() {
-                return Some(reply);
+            if let Some(reply) = &state.reply {
+                return Some(reply.clone());
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
+            state.waiting = true;
             state = wait_timeout_recover(&self.ready, state, deadline - now);
         }
+    }
+
+    /// Whether a client has blocked on the slot.
+    #[cfg(test)]
+    pub(crate) fn has_sleeper(&self) -> bool {
+        lock_recover(&self.state).waiting
     }
 }
 
@@ -202,22 +244,41 @@ pub(crate) struct Pending {
 mod tests {
     use super::*;
 
+    /// What the server does with a reply it owes no batch: install it, then
+    /// wake a sleeper.
+    fn deliver(slot: &ReplySlot, reply: ServeResult) -> Installed {
+        let installed = slot.install(reply);
+        if installed == (Installed::First { sleeper: true }) {
+            slot.wake();
+        }
+        installed
+    }
+
     #[test]
-    fn fulfill_is_exactly_once() {
+    fn install_is_exactly_once() {
         let slot = Arc::new(ReplySlot::new());
         let handle = RequestHandle {
             slot: Arc::clone(&slot),
             submitted: Instant::now(),
         };
         assert!(handle.try_reply().is_none());
-        assert!(slot.fulfill(Ok(BoundedAnswer::Exact(Some(1.0)))));
+        // Nobody has blocked on the slot: the reply is owed no wake-up.
+        assert_eq!(
+            slot.install(Ok(BoundedAnswer::Exact(Some(1.0)))),
+            Installed::First { sleeper: false }
+        );
         // The duplicate is reported and the first reply kept.
-        assert!(!slot.fulfill(Ok(BoundedAnswer::Exact(Some(2.0)))));
+        assert_eq!(
+            slot.install(Ok(BoundedAnswer::Exact(Some(2.0)))),
+            Installed::Duplicate
+        );
         assert_eq!(handle.wait(), Ok(BoundedAnswer::Exact(Some(1.0))));
         assert_eq!(
             handle.wait_timeout(Duration::from_millis(1)),
             Some(Ok(BoundedAnswer::Exact(Some(1.0))))
         );
+        // A reply already there never blocks its reader.
+        assert!(!slot.has_sleeper());
     }
 
     #[test]
@@ -228,6 +289,8 @@ mod tests {
             submitted: Instant::now(),
         };
         assert_eq!(handle.wait_timeout(Duration::from_millis(5)), None);
+        // It blocked: a reply installed now would be owed a wake-up.
+        assert!(handle.slot.has_sleeper());
     }
 
     #[test]
@@ -238,11 +301,58 @@ mod tests {
             submitted: Instant::now(),
         };
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            slot.fulfill(Err(ServeError::Shed(Rejected::ShuttingDown)))
+            while !slot.has_sleeper() {
+                std::thread::yield_now();
+            }
+            deliver(&slot, Err(ServeError::Shed(Rejected::ShuttingDown)))
         });
         assert_eq!(handle.wait(), Err(ServeError::Shed(Rejected::ShuttingDown)));
-        assert!(t.join().unwrap());
+        assert_eq!(t.join().unwrap(), Installed::First { sleeper: true });
+    }
+
+    /// Spins for a seeded 0–2 047 iterations: enough to put either side of
+    /// a race first, or both inside it at once.
+    fn jitter(seed: u64) {
+        for _ in 0..crate::fault::splitmix64(seed) % 2048 {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// No lost wake-up: a client's `wait_timeout(1 s)` races the server's
+    /// install-then-wake from a seeded start each round. Whichever comes
+    /// first, the client must come back with the reply long before its
+    /// timeout — a wake-up lost between the flag and the sleep would hold it
+    /// the whole second.
+    #[test]
+    fn wait_timeout_racing_a_delivery_never_sleeps_through_it() {
+        let rounds: u64 = if cfg!(debug_assertions) { 300 } else { 2_000 };
+        for round in 0..rounds {
+            let slot = Arc::new(ReplySlot::new());
+            let handle = RequestHandle {
+                slot: Arc::clone(&slot),
+                submitted: Instant::now(),
+            };
+            let waited = std::thread::scope(|s| {
+                s.spawn(|| {
+                    jitter(2 * round);
+                    deliver(&slot, Ok(BoundedAnswer::Exact(Some(round as f64))));
+                });
+                jitter(2 * round + 1);
+                let start = Instant::now();
+                let reply = handle.wait_timeout(Duration::from_secs(1));
+                (reply, start.elapsed())
+            });
+            assert_eq!(
+                waited.0,
+                Some(Ok(BoundedAnswer::Exact(Some(round as f64)))),
+                "round {round}"
+            );
+            assert!(
+                waited.1 < Duration::from_millis(500),
+                "round {round}: the wake-up was lost ({:?})",
+                waited.1
+            );
+        }
     }
 
     #[test]

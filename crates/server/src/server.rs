@@ -16,7 +16,15 @@
 //! It builds per-slot budgets from the overload mode and each request's own
 //! deadline, runs the batch inline on its own one-worker
 //! [`ParallelExecutor`] (panic containment and scratch reuse included), and
-//! fulfils the reply slots. After every batch it ticks the overload
+//! replies in three steps: it installs every reply of the batch, then wakes
+//! the clients that sleep on one, then does the bookkeeping (counters and
+//! both latency histograms). A client therefore never wakes before the rest
+//! of its batch is ready, a reply nobody sleeps on costs no syscall, and the
+//! bookkeeping delays no client; the wake-ups are owed by a guard whose
+//! `Drop` runs them, so a panic past an installed reply still wakes its
+//! client. Each worker exports its telemetry on a `td-obs` shard of its own
+//! ([`td_obs::set_thread_shard`]), so two workers never write one cache
+//! line of a metric. After every batch it ticks the overload
 //! controller — queue fill walks the Normal → Degraded → Shedding state
 //! machine, published with one compare-and-swap, no lock — and checks the
 //! update watchdog (the retry bound, lane capacity and watchdog limit are
@@ -44,7 +52,9 @@ use td_plf::Plf;
 use crate::config::ServerConfig;
 use crate::control::{self, OverloadMode};
 use crate::queue::{AdmissionQueue, Popped};
-use crate::request::{Pending, Rejected, ReplySlot, RequestHandle, ServeError, ServeResult};
+use crate::request::{
+    Installed, Pending, Rejected, ReplySlot, RequestHandle, ServeError, ServeResult,
+};
 use crate::update::{UpdateLane, UpdateRejected};
 
 /// Monotonic serving counters, snapshot as [`ServerStats`].
@@ -145,23 +155,92 @@ struct Shared<I> {
     rejects: RejectCounters,
 }
 
-impl<I: RoutingIndex> Shared<I> {
-    /// Delivers `result` as the request's terminal reply, keeping the
-    /// exactly-once accounting and latency export.
-    fn fulfill(&self, p: Pending, result: ServeResult) {
+/// One batch's installed replies: the slots whose clients sleep on them,
+/// and what the bookkeeping after the wake-ups needs. One per worker,
+/// reused batch after batch, so the reply path allocates nothing once its
+/// buffers have grown.
+#[derive(Default)]
+struct Replies {
+    /// Slots whose clients block on them: each is owed one wake-up.
+    sleepers: Vec<Arc<ReplySlot>>,
+    /// The admission time of every first reply, for the latency histograms.
+    admitted: Vec<Instant>,
+    exact: u64,
+    approximate: u64,
+    failed: u64,
+    duplicates: u64,
+}
+
+impl Replies {
+    /// Installs `result` as `p`'s terminal reply and wakes no one: its
+    /// client, if it sleeps, waits for the rest of the batch.
+    fn install(&mut self, p: Pending, result: ServeResult) {
         let kind = match &result {
-            Ok(BoundedAnswer::Exact(_)) => &self.counters.exact,
-            Ok(BoundedAnswer::Approximate { .. }) => &self.counters.approximate,
-            Err(_) => &self.counters.failed,
+            Ok(BoundedAnswer::Exact(_)) => &mut self.exact,
+            Ok(BoundedAnswer::Approximate { .. }) => &mut self.approximate,
+            Err(_) => &mut self.failed,
         };
-        if p.slot.fulfill(result) {
-            self.counters.replied.fetch_add(1, Ordering::Relaxed);
-            kind.fetch_add(1, Ordering::Relaxed);
-            let nanos = p.submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        match p.slot.install(result) {
+            Installed::First { sleeper } => {
+                *kind += 1;
+                self.admitted.push(p.submitted);
+                if sleeper {
+                    self.sleepers.push(p.slot);
+                }
+            }
+            Installed::Duplicate => self.duplicates += 1,
+        }
+    }
+
+    /// Wakes every sleeper installed so far.
+    fn wake(&mut self) {
+        for slot in self.sleepers.drain(..) {
+            slot.wake();
+        }
+    }
+}
+
+/// A batch's [`Replies`] under construction. Dropping it wakes their
+/// sleepers — once the batch's replies are all installed, or while a panic
+/// unwinds past them — so an installed reply never strands its client.
+struct Wakes<'a>(&'a mut Replies);
+
+impl Drop for Wakes<'_> {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
+impl<I: RoutingIndex> Shared<I> {
+    /// Delivers installed replies: wakes their sleepers first, then does
+    /// the bookkeeping — the counters and both latency histograms, each
+    /// latency taken to the moment the replies were all installed. Counted
+    /// before the wake-ups, the same work delayed every client of the batch.
+    fn deliver(&self, replies: &mut Replies) {
+        if replies.admitted.is_empty() && replies.duplicates == 0 {
+            return;
+        }
+        let installed = Instant::now();
+        replies.wake();
+        let c = &self.counters;
+        let first = replies.exact + replies.approximate + replies.failed;
+        for (counter, n) in [
+            (&c.replied, first),
+            (&c.exact, std::mem::take(&mut replies.exact)),
+            (&c.approximate, std::mem::take(&mut replies.approximate)),
+            (&c.failed, std::mem::take(&mut replies.failed)),
+            (&c.duplicates, std::mem::take(&mut replies.duplicates)),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        let m = td_obs::metrics();
+        for submitted in replies.admitted.drain(..) {
+            let nanos = installed.saturating_duration_since(submitted).as_nanos();
+            let nanos = nanos.min(u64::MAX as u128) as u64;
             self.latency.observe(nanos);
-            td_obs::metrics().server_request_seconds.observe(nanos);
-        } else {
-            self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
+            m.server_request_seconds.observe(nanos);
         }
     }
 
@@ -254,7 +333,12 @@ impl<I: RoutingIndex + 'static> TdServer<I> {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("td-server-worker-{w}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        // Shard 0 stays with the threads that claim none
+                        // (clients' admission counters, the updater).
+                        td_obs::set_thread_shard(w + 1);
+                        worker_loop(&shared)
+                    })
                     .expect("spawn serving worker")
             })
             .collect();
@@ -433,26 +517,47 @@ impl<I: RoutingIndex + 'static> Drop for TdServer<I> {
 /// failures (`InvalidQuery`, `BudgetExhausted`) are never retried.
 const PANIC_RETRIES: u32 = 1;
 
-/// Serves one worker's batch: shed expired, budget, execute, retry/reply.
+/// One serving worker's buffers, reused batch after batch.
+#[derive(Default)]
+struct WorkerBufs {
+    /// What the worker grabbed; empty unless an epoch flip sent a grabbed
+    /// batch round again.
+    incoming: Vec<Pending>,
+    /// The grabbed requests that run, in `queries` order.
+    batch: Vec<Pending>,
+    queries: Vec<(CostQuery, QueryBudget)>,
+    results: Vec<Result<BoundedAnswer, QueryError>>,
+    replies: Replies,
+}
+
+/// Serves one worker's batch: shed expired, budget, execute, retry, then
+/// reply — every reply installed before any client is woken.
 fn serve_batch<I: RoutingIndex>(
     shared: &Shared<I>,
     exec: &mut ParallelExecutor<'_, I>,
-    incoming: &mut Vec<Pending>,
-    batch: &mut Vec<Pending>,
-    queries: &mut Vec<(CostQuery, QueryBudget)>,
-    results: &mut Vec<Result<BoundedAnswer, QueryError>>,
+    bufs: &mut WorkerBufs,
 ) {
+    let WorkerBufs {
+        incoming,
+        batch,
+        queries,
+        results,
+        replies,
+    } = bufs;
     let now = Instant::now();
     let mode = OverloadMode::from_u8(shared.mode.load(Ordering::Relaxed));
     batch.clear();
     queries.clear();
+    let wakes = Wakes(replies);
     for p in incoming.drain(..) {
         // Deadline propagation, stage 2: requests that expired while queued
         // are shed with a typed reply before touching a worker.
         if p.deadline.is_some_and(|d| now >= d) {
             shared.counters.shed_expired.fetch_add(1, Ordering::Relaxed);
             td_obs::metrics().server_shed_expired_total.inc();
-            shared.fulfill(p, Err(ServeError::Shed(Rejected::DeadlineExpired)));
+            wakes
+                .0
+                .install(p, Err(ServeError::Shed(Rejected::DeadlineExpired)));
             continue;
         }
         // Stage 3: the client deadline rides into the search itself as the
@@ -460,6 +565,8 @@ fn serve_batch<I: RoutingIndex>(
         queries.push((p.query, control::slot_budget(mode, p.deadline)));
         batch.push(p);
     }
+    // The shed replies go out now, not after the batch runs.
+    shared.deliver(wakes.0);
     if batch.is_empty() {
         return;
     }
@@ -480,10 +587,11 @@ fn serve_batch<I: RoutingIndex>(
                 td_obs::metrics().server_retries_total.inc();
                 shared.queue.push_front(p);
             }
-            Ok(answer) => shared.fulfill(p, Ok(answer)),
-            Err(e) => shared.fulfill(p, Err(ServeError::Query(e))),
+            Ok(answer) => wakes.0.install(p, Ok(answer)),
+            Err(e) => wakes.0.install(p, Err(ServeError::Query(e))),
         }
     }
+    shared.deliver(wakes.0);
 }
 
 /// How long one `try_apply` may run before the watchdog declares the update
@@ -493,24 +601,20 @@ const UPDATE_WATCHDOG: Duration = Duration::from_secs(2);
 
 fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
     let cfg = &shared.cfg;
-    let mut incoming: Vec<Pending> = Vec::new();
-    let mut batch: Vec<Pending> = Vec::new();
-    let mut queries: Vec<(CostQuery, QueryBudget)> = Vec::new();
-    let mut results: Vec<Result<BoundedAnswer, QueryError>> = Vec::new();
+    let mut bufs = WorkerBufs::default();
     'epoch: loop {
         // One executor per epoch: its scratch stays warm across batches.
         let (epoch, snap) = shared.source.snapshot_with_epoch();
         let mut exec = ParallelExecutor::new(&*snap, 1);
         loop {
-            // Empty unless an epoch flip sent a grabbed batch round again.
-            if incoming.is_empty() {
+            if bufs.incoming.is_empty() {
                 match shared.queue.pop_wait() {
                     Popped::Closed => return, // drained: every admitted request replied
-                    Popped::Item(p) => incoming.push(p),
+                    Popped::Item(p) => bufs.incoming.push(p),
                 }
                 let grab = control::grab_size(shared.queue.depth(), cfg.workers, cfg.max_batch);
                 if grab > 1 {
-                    shared.queue.drain_into(grab - 1, &mut incoming);
+                    shared.queue.drain_into(grab - 1, &mut bufs.incoming);
                 }
             }
             // However long this worker slept in `pop_wait`, a batch never
@@ -521,24 +625,24 @@ fn worker_loop<I: RoutingIndex>(shared: &Shared<I>) {
             // The worker itself is contained: a bug here must not strand
             // admitted requests without their reply.
             let r = catch_unwind(AssertUnwindSafe(|| {
-                serve_batch(
-                    shared,
-                    &mut exec,
-                    &mut incoming,
-                    &mut batch,
-                    &mut queries,
-                    &mut results,
-                )
+                serve_batch(shared, &mut exec, &mut bufs)
             }));
             if r.is_err() {
+                let WorkerBufs {
+                    incoming,
+                    batch,
+                    replies,
+                    ..
+                } = &mut bufs;
                 for p in incoming.drain(..).chain(batch.drain(..)) {
-                    shared.fulfill(
+                    replies.install(
                         p,
                         Err(ServeError::Query(QueryError::Panicked(
                             "serving worker fault".to_string(),
                         ))),
                     );
                 }
+                shared.deliver(replies);
             }
             shared.tick();
             shared
@@ -927,6 +1031,119 @@ mod tests {
             );
             assert_eq!(stats.duplicates, 0);
         }
+    }
+
+    /// Replies first, then wakes: every client asleep on a ticket of a
+    /// batch wakes to find every other ticket of the batch already
+    /// answered. (Woken one reply at a time, the first clients would run —
+    /// on a free core, or preempting the worker — while the worker still
+    /// installs and wakes the rest.)
+    #[test]
+    fn a_batch_wakes_its_clients_only_once_every_reply_is_installed() {
+        let (index, gate) = gated_line(4);
+        let server = TdServer::serve(index, config(1));
+        let held = gate.close();
+        let parked = park_every_worker(&server, &gate, (0, 3, 0.0));
+        // Queued behind the parked worker, the 32 go out as its next batch:
+        // `grab_size(31, 1, 64)` is 32.
+        let tickets: Vec<_> = (0..32u32)
+            .map(|i| server.submit(0, 1 + i % 3, 0.0, None).unwrap())
+            .collect();
+        let woken: Vec<(ServeResult, Vec<usize>)> = std::thread::scope(|s| {
+            let tickets = &tickets;
+            let clients: Vec<_> = (0..tickets.len())
+                .map(|k| {
+                    s.spawn(move || {
+                        let reply = tickets[k].wait();
+                        // Last installed first: a reply still missing is
+                        // most likely at the batch's end.
+                        let unanswered = (0..tickets.len())
+                            .rev()
+                            .filter(|&i| tickets[i].try_reply().is_none())
+                            .collect();
+                        (reply, unanswered)
+                    })
+                })
+                .collect();
+            for t in tickets {
+                while !t.slot.has_sleeper() {
+                    std::thread::yield_now();
+                }
+            }
+            drop(held);
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (k, (reply, unanswered)) in woken.iter().enumerate() {
+            assert_eq!(exact(reply), Some(10.0 * f64::from(1 + k as u32 % 3)));
+            assert!(
+                unanswered.is_empty(),
+                "client {k} woke before tickets {unanswered:?} were answered"
+            );
+        }
+        assert_eq!(exact(&parked[0].wait()), Some(30.0));
+        let stats = server.shutdown();
+        assert_eq!((stats.batches, stats.replied), (2, 33));
+    }
+
+    /// A panic raised once a batch's replies are installed — before the
+    /// worker gets to wake anyone — still wakes every client asleep on them:
+    /// the unwind drops the batch's [`Wakes`].
+    #[test]
+    fn a_panic_after_the_replies_are_installed_still_wakes_every_client() {
+        let slots: Vec<Arc<ReplySlot>> = (0..4).map(|_| Arc::new(ReplySlot::new())).collect();
+        let handles: Vec<RequestHandle> = slots
+            .iter()
+            .map(|slot| RequestHandle {
+                slot: Arc::clone(slot),
+                submitted: Instant::now(),
+            })
+            .collect();
+        let mut replies = Replies::default();
+        let waited = std::thread::scope(|s| {
+            let clients: Vec<_> = handles
+                .iter()
+                .map(|h| {
+                    s.spawn(move || {
+                        let start = Instant::now();
+                        (h.wait_timeout(Duration::from_secs(5)), start.elapsed())
+                    })
+                })
+                .collect();
+            for slot in &slots {
+                while !slot.has_sleeper() {
+                    std::thread::yield_now();
+                }
+            }
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let wakes = Wakes(&mut replies);
+                for (i, slot) in slots.iter().enumerate() {
+                    let p = Pending {
+                        query: (0, 1, 0.0),
+                        deadline: None,
+                        submitted: Instant::now(),
+                        attempts: 0,
+                        slot: Arc::clone(slot),
+                    };
+                    wakes.0.install(p, Ok(BoundedAnswer::Exact(Some(i as f64))));
+                }
+                std::panic::resume_unwind(Box::new("fault after the installs"));
+            }));
+            assert!(unwound.is_err());
+            clients
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (i, (reply, elapsed)) in waited.into_iter().enumerate() {
+            assert_eq!(reply, Some(Ok(BoundedAnswer::Exact(Some(i as f64)))));
+            assert!(
+                elapsed < Duration::from_secs(2),
+                "client {i} slept to its timeout ({elapsed:?})"
+            );
+        }
+        // Woken, and still owed its bookkeeping.
+        assert!(replies.sleepers.is_empty());
+        assert_eq!((replies.admitted.len(), replies.exact), (4, 4));
     }
 
     #[test]
