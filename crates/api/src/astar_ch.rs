@@ -11,8 +11,9 @@
 //!
 //! The contraction **order** is metric-independent: [`update_edges`]
 //! re-freezes the graph (rebuilding the min bounds) and re-customizes the
-//! hierarchy's shortcuts under the kept order, CATCHUp-style, instead of
-//! re-running the ordering heuristic. The same customization pass runs on
+//! hierarchy's shortcuts under the kept order and the kept suffix windows
+//! (placed from the built graph's profiles), CATCHUp-style, instead of
+//! re-running the ordering heuristic or the window chooser. The same customization pass runs on
 //! snapshot load, so build, update and load all produce bit-identical
 //! hierarchies.
 //!
@@ -130,7 +131,7 @@ impl AStarChIndex {
 
     /// Applies weight changes: rebuilds the frozen view (and with it every
     /// min bound), then re-customizes the hierarchy's shortcut weights under
-    /// the kept metric-independent order. Panics if an edge does not exist
+    /// the kept metric-independent order and window starts. Panics if an edge does not exist
     /// (updates change weights, not topology — matching the TD-tree
     /// family's contract).
     pub fn update_edges(&mut self, changes: &[(VertexId, VertexId, Plf)]) -> td_core::UpdateStats {
@@ -202,8 +203,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let e = g.edges()[rng.gen_range(0..g.num_edges())].clone();
         let w = random_profile(&mut rng, 3, 50.0, 700.0);
+        let starts = index.hierarchy().window_starts().to_vec();
         let stats = index.update_edges(&[(e.from, e.to, w.clone())]);
         assert!(stats.changed_edges <= 1);
+        // The windows stay where the build placed them, like the order.
+        assert_eq!(index.hierarchy().window_starts(), &starts[..]);
 
         let mut g2 = g.clone();
         let eid = g2.find_edge(e.from, e.to).unwrap();

@@ -60,7 +60,7 @@ pub use oracle::DijkstraOracle;
 pub use parallel::{CostQuery, LiveIndex, ParallelExecutor, UpdateError};
 pub use session::{QuerySession, SessionScratch};
 pub use snapshot::{
-    load_index, load_index_from, load_tree_index, save_index, save_index_to,
+    load_astar_ch_index, load_index, load_index_from, load_tree_index, save_index, save_index_to,
     save_index_with_kill_point, KillPoint,
 };
 pub use td_dijkstra::QueryBudget;

@@ -275,3 +275,22 @@ pub fn load_tree_index(path: impl AsRef<Path>) -> Result<TdTreeIndex, StoreError
         Ok(index)
     })
 }
+
+/// Loads a TD-A\*-CH snapshot as a concrete [`crate::AStarChIndex`] — for
+/// callers that read its hierarchy (the suffix-window starts), which the
+/// trait object does not expose. Falls back to `<path>.prev` like
+/// [`load_index`].
+pub fn load_astar_ch_index(path: impl AsRef<Path>) -> Result<crate::AStarChIndex, StoreError> {
+    load_with_fallback(path.as_ref(), |mut f| {
+        let header = format::read_header(&mut f)?;
+        if header.backend != BackendTag::AStarCh {
+            return Err(StoreError::invalid(format!(
+                "snapshot holds {}, not a TD-A*-CH index",
+                header.backend
+            )));
+        }
+        let index = crate::AStarChIndex::read_from(&mut f)?;
+        section::read_end(&mut f)?;
+        Ok(index)
+    })
+}

@@ -4,8 +4,8 @@
 //! [`StoreError`] — never a panic, never a silently wrong index.
 
 use td_api::{
-    build_index, load_index, load_index_from, load_tree_index, save_index, save_index_to, Backend,
-    IndexConfig, RoutingIndex, StoreError,
+    build_index, load_astar_ch_index, load_index, load_index_from, load_tree_index, save_index,
+    save_index_to, Backend, IndexConfig, RoutingIndex, StoreError,
 };
 use td_gen::random_graph::seeded_graph;
 use td_graph::TdGraph;
@@ -96,6 +96,34 @@ fn build_index_build_or_load_uses_the_snapshot() {
     // A different backend must NOT be served from this snapshot.
     let gtree = build_index(small_graph(), Backend::TdGtree, &cfg);
     assert_eq!(gtree.backend_name(), "TD-G-tree");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn load_astar_ch_index_keeps_the_window_starts_and_rejects_other_backends() {
+    let path = temp_path("astar-ch-only");
+    let built = td_api::AStarChIndex::new(small_graph());
+    save_index(&built, &path).expect("save");
+    let loaded = load_astar_ch_index(&path).expect("A*-CH loads");
+    assert_eq!(
+        loaded.hierarchy().window_starts(),
+        built.hierarchy().window_starts()
+    );
+    assert_eq!(
+        loaded.query_cost(0, 39, 100.0),
+        built.query_cost(0, 39, 100.0)
+    );
+
+    let mut prev = path.clone().into_os_string();
+    prev.push(".prev");
+    let tree = build_index(small_graph(), Backend::TdAppro, &cfg());
+    save_index(tree.as_ref(), &path).expect("save");
+    std::fs::remove_file(&prev).expect("previous generation exists");
+    match load_astar_ch_index(&path) {
+        Err(StoreError::Invalid(msg)) => assert!(msg.contains("TD-A*-CH"), "{msg}"),
+        Err(other) => panic!("expected a backend error, got {other:?}"),
+        Ok(_) => panic!("a TD-appro snapshot must not load as TD-A*-CH"),
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -18,7 +18,10 @@
 //! (`profile agreement: k/k`), so the PLF kernels are checked on a loaded
 //! index too. On a TD-tree-family snapshot it then prints how those profile
 //! queries' merges ended, per query: kept by per-window bounds, kept by the
-//! merge kernel's walk, or changed.
+//! merge kernel's walk, or changed. On a search backend (TD-Dijkstra,
+//! TD-A\*-CH) it prints a search census per cost query — settled,
+//! relaxed, evaluations, pushes — and for TD-A\*-CH the hours its suffix
+//! windows open at.
 //!
 //! `stats` loads the snapshot, drives a seeded serving workload through the
 //! parallel executor (exact, budget-bounded and profile queries), then
@@ -387,8 +390,9 @@ fn cmd_verify(args: &[String]) {
 
 /// `verify`'s report on the snapshot at `path`, whose header line and
 /// section table `walked` holds: the checksums, the reload, and with
-/// `queries > 0` the oracle agreement and, for the TD-tree family, the
-/// census. A disagreement fails the command; a failed write ends the report.
+/// `queries > 0` the oracle agreement and, for the TD-tree family and the
+/// search backends, the census. A disagreement fails the command; a failed
+/// write ends the report.
 fn write_verify(
     out: &mut impl Write,
     path: &str,
@@ -456,12 +460,59 @@ fn write_verify(
         if profiles > 0 && TREE_FAMILY.contains(&index.backend_name()) {
             write_census(out, path, seed, queries as u64, n)?;
         }
+        if SEARCH_FAMILY.contains(&index.backend_name()) {
+            write_search_census(out, path, index.as_ref(), seed, queries as u64, n)?;
+        }
     }
     writeln!(out, "verify: OK")
 }
 
 /// The TD-tree family's backend names (`RoutingIndex::backend_name`).
 const TREE_FAMILY: [&str; 4] = ["TD-basic", "TD-appro", "TD-dp", "TD-H2H"];
+
+/// The search backends' names: their cost queries run `td_dijkstra::search`.
+const SEARCH_FAMILY: [&str; 2] = ["TD-Dijkstra", "TD-A*-CH"];
+
+/// Replays `verify`'s probes as cost queries on a search backend and prints
+/// what one query's search did, on average: vertices settled, out-edges
+/// relaxed, weight functions evaluated and heap pushes. On TD-A\*-CH, also
+/// the suffix windows its potentials switch between, in hours.
+fn write_search_census(
+    out: &mut impl Write,
+    path: &str,
+    index: &dyn td_api::RoutingIndex,
+    seed: u64,
+    queries: u64,
+    n: u64,
+) -> io::Result<()> {
+    let mut scratch = index.new_scratch();
+    let mut total = td_obs::SearchStats::default();
+    for i in 0..queries {
+        let (s, d, t) = probe(seed, i, n);
+        index.query_cost_in(&mut scratch, s, d, t);
+        total.merge(&index.take_search_stats(&mut scratch).unwrap_or_default());
+    }
+    let per = |x: u64| x as f64 / queries as f64;
+    write!(
+        out,
+        "search census per query: {:.1} settled, {:.1} relaxed, {:.1} evaluations, {:.1} pushes",
+        per(total.settled),
+        per(total.relaxed),
+        per(total.plf_evals_scalar + total.plf_evals_batched),
+        per(total.heap_pushes),
+    )?;
+    if index.backend_name() == "TD-A*-CH" {
+        let index = td_api::load_astar_ch_index(path).unwrap_or_else(|e| fail(e));
+        let hours: Vec<String> = index
+            .hierarchy()
+            .window_starts()
+            .iter()
+            .map(|s| format!("{}", s / 3600.0))
+            .collect();
+        write!(out, "; windows at {} h", hours.join(", "))?;
+    }
+    writeln!(out)
+}
 
 /// Reloads a TD-tree snapshot as its concrete index and replays `verify`'s
 /// probes. Prints the scalar census per cost query: root-path levels swept,
@@ -833,6 +884,41 @@ mod tests {
             io::ErrorKind::BrokenPipe
         );
         assert!(end_of_output(written).is_ok());
+    }
+
+    /// On a TD-A\*-CH snapshot, `verify` adds the search census: per-query
+    /// counts from the search loop and the hierarchy's window starts.
+    #[test]
+    fn verify_reports_the_search_census_of_an_astar_ch_snapshot() {
+        let path = std::env::temp_dir().join(format!("tdx-verify-ch-{}.tdx", std::process::id()));
+        let graph = Dataset::Cal.build(3, 0.002, 42);
+        let index = td_api::AStarChIndex::new(graph);
+        let starts = index.hierarchy().window_starts().to_vec();
+        save_index(&index, &path).unwrap();
+        let path = path.to_str().unwrap();
+        let (header, infos) = walk(path);
+        let mut text = Vec::new();
+        write_verify(&mut text, path, (&header, &infos), 20, 42).unwrap();
+        std::fs::remove_file(path).unwrap();
+        let text = String::from_utf8(text).unwrap();
+        for line in [
+            "reload: TD-A*-CH",
+            "oracle agreement: 20/20 queries OK",
+            "search census per query: ",
+            " settled, ",
+            " relaxed, ",
+            " evaluations, ",
+            " pushes; windows at 0, ",
+        ] {
+            assert!(text.contains(line), "{line} missing from {text}");
+        }
+        let hours: Vec<String> = starts.iter().map(|s| format!("{}", s / 3600.0)).collect();
+        assert!(
+            text.contains(&format!("windows at {} h\n", hours.join(", "))),
+            "{text}"
+        );
+        assert!(!text.contains("cost census"), "{text}");
+        assert!(text.ends_with("verify: OK\n"), "{text}");
     }
 
     /// Into a live writer, `verify` reports a small TD-appro snapshot in

@@ -27,10 +27,15 @@
 //!   `τ_k ≤ t` — valid because FIFO arrival times along the search never
 //!   precede the departure, and far tighter than the whole-day minimum
 //!   once rush hour has started (metric 0 has `τ_0 = 0`, the classic
-//!   global min).
+//!   global min). [`ContractionHierarchy::build`] places the eight starts
+//!   where the graph's own weights change ([`choose_window_starts`]: a DP
+//!   over a 15-minute grid minimising how far each departure's metric
+//!   sits below the weights it bounds), so the windows crowd the rise to
+//!   the morning peak instead of following a fixed 3-hour grid.
 //! * **Metric-independent order**: the contraction order is computed once
 //!   (lazy edge-difference heuristic on metric 0) and kept across weight
-//!   changes; [`ContractionHierarchy::customize`] re-derives every metric's
+//!   changes, and so are the window starts;
+//!   [`ContractionHierarchy::customize`] re-derives every metric's
 //!   shortcuts deterministically in that fixed order. Build, `update_edges`
 //!   re-customization and snapshot load all run this same pass, so all
 //!   three produce bit-identical hierarchies.
@@ -45,11 +50,18 @@ pub mod persist;
 /// *pruning* (shortcut count), never of distances, depends on this.
 const WITNESS_SETTLE_CAP: usize = 128;
 
-/// Default suffix-window starts (seconds): every three hours. Denser than
-/// the congestion pattern's features so some window opens shortly before
-/// any departure; `starts[0] = 0` keeps the whole-day minimum as the
-/// fallback metric for pre-dawn departures.
-pub const DEFAULT_WINDOW_STARTS: [f64; 8] = [
+/// Candidate window starts lie on this grid (seconds): every 15 minutes
+/// of the day. [`choose_window_starts`] picks [`WINDOW_COUNT`] of them.
+pub const WINDOW_GRID_SECS: f64 = 900.0;
+
+/// Suffix windows per hierarchy: one customized metric each.
+pub const WINDOW_COUNT: usize = 8;
+
+/// The uniform suffix-window starts (seconds): every three hours. The
+/// baseline [`choose_window_starts`] is measured against, and what
+/// [`ContractionHierarchy::build_with`] tests pass when they need windows
+/// that do not depend on the graph's weights.
+pub const UNIFORM_WINDOW_STARTS: [f64; WINDOW_COUNT] = [
     0.0,
     3.0 * 3600.0,
     6.0 * 3600.0,
@@ -59,6 +71,118 @@ pub const DEFAULT_WINDOW_STARTS: [f64; 8] = [
     18.0 * 3600.0,
     21.0 * 3600.0,
 ];
+
+/// Candidate window starts per day.
+const GRID_POINTS: usize = (td_plf::DAY / WINDOW_GRID_SECS) as usize;
+
+/// The candidate starts: the [`WINDOW_GRID_SECS`] grid over one day.
+fn window_grid() -> Vec<f64> {
+    (0..GRID_POINTS)
+        .map(|i| i as f64 * WINDOW_GRID_SECS)
+        .collect()
+}
+
+/// The index of the first time on `grid` at or after `t`.
+fn grid_index(grid: &[f64], t: f64) -> usize {
+    // The arithmetic guess, then exact against the grid's own values.
+    let mut k = ((t / WINDOW_GRID_SECS).ceil().max(0.0) as usize).min(grid.len());
+    while k > 0 && grid[k - 1] >= t {
+        k -= 1;
+    }
+    while k < grid.len() && grid[k] < t {
+        k += 1;
+    }
+    k
+}
+
+/// `F(g) = Σ_e min_{τ ≥ g} w_e(τ)` at every (ascending) grid time `g`, by
+/// one right-to-left walk over each edge's pieces: on the piece
+/// `[t_i, t_{i+1})` the weight is linear and the breakpoints after `g` are
+/// those from `i + 1` on, so each grid time there adds
+/// `min(w_e(g), min_{j > i} v_j)`; the rays clamp to the end values. (A
+/// heuristic's input: equal to the per-window [`suffix_min`] up to the
+/// rounding of the interpolation.)
+fn grid_floors(fg: &FrozenGraph, grid: &[f64]) -> Vec<f64> {
+    let mut floor = vec![0.0f64; grid.len()];
+    for e in 0..fg.num_edges() as EdgeId {
+        let w = fg.weight(e);
+        let (times, values) = (w.times(), w.values());
+        let last = times.len() - 1;
+        // At and after the last breakpoint: the right ray.
+        let mut lo = grid_index(grid, times[last]);
+        for f in &mut floor[lo..] {
+            *f += values[last];
+        }
+        let mut suf = values[last];
+        for i in (0..last).rev() {
+            let hi = lo;
+            lo = grid_index(&grid[..hi], times[i]);
+            let (t0, v0) = (times[i], values[i]);
+            let slope = (values[i + 1] - v0) / (times[i + 1] - t0);
+            for (f, &g) in floor[lo..hi].iter_mut().zip(&grid[lo..hi]) {
+                *f += (v0 + slope * (g - t0)).min(suf);
+            }
+            suf = suf.min(v0);
+        }
+        // Before the first breakpoint: the left ray.
+        for f in &mut floor[..lo] {
+            *f += values[0].min(suf);
+        }
+    }
+    floor
+}
+
+/// The [`WINDOW_COUNT`] suffix-window starts that fit `fg`'s own weights
+/// best: the first at 0, the rest on the [`WINDOW_GRID_SECS`] grid, chosen
+/// to minimise the slack `Σ_e Σ_t (w_e(t) − min_{τ ≥ s(t)} w_e(τ))` over
+/// the grid's departure times `t`, where `s(t)` is the largest start ≤ `t`
+/// — how far the metric a query departing at `t` uses sits below the
+/// weights it bounds, with departures uniform over the day.
+///
+/// `Σ_e w_e(t)` does not depend on the starts, so this maximises
+/// `Σ_k (g_{k+1} − g_k) · F(g_k)` with `F(g) = Σ_e min_{τ ≥ g} w_e(τ)`, the
+/// windows' lengths times their floors: a DP over grid indices, O(k·G²)
+/// after one pass over the edges' pieces. Ties keep the earliest starts, so
+/// the choice is deterministic, and a graph whose floors never rise
+/// (constant weights) still gets [`WINDOW_COUNT`] strictly increasing
+/// starts.
+pub fn choose_window_starts(fg: &FrozenGraph) -> Vec<f64> {
+    let grid = window_grid();
+    let floor = grid_floors(fg, &grid);
+    let g = grid.len();
+    // best[k][j]: the largest Σ over the first k windows when window k
+    // opens at grid index j; from[k][j] the start of window k − 1 then.
+    let mut best = vec![vec![f64::NEG_INFINITY; g]; WINDOW_COUNT];
+    let mut from = vec![vec![0usize; g]; WINDOW_COUNT];
+    best[0][0] = 0.0;
+    for k in 1..WINDOW_COUNT {
+        for j in k..g {
+            for i in (k - 1)..j {
+                let v = best[k - 1][i] + (j - i) as f64 * floor[i];
+                if v > best[k][j] {
+                    best[k][j] = v;
+                    from[k][j] = i;
+                }
+            }
+        }
+    }
+    let last = WINDOW_COUNT - 1;
+    let mut end = last;
+    let mut top = f64::NEG_INFINITY;
+    for j in last..g {
+        let v = best[last][j] + (g - j) as f64 * floor[j];
+        if v > top {
+            top = v;
+            end = j;
+        }
+    }
+    let mut picks = vec![0usize; WINDOW_COUNT];
+    picks[last] = end;
+    for k in (1..WINDOW_COUNT).rev() {
+        picks[k - 1] = from[k][picks[k]];
+    }
+    picks.into_iter().map(|i| grid[i]).collect()
+}
 
 /// One customized metric: flat upward and backward-upward adjacency
 /// (original edges and shortcuts together, each with its scalar weight).
@@ -187,15 +311,15 @@ fn suffix_min_all(fg: &FrozenGraph, e: EdgeId, starts: &[f64], evals: &mut [f64]
     let times = w.times();
     let values = w.values();
     // Walk windows from the last start down, extending the suffix minimum
-    // of `values[cut..]` as the cut moves left.
+    // of `values[idx..]` (the breakpoints after the start) as the cut moves
+    // left — one merged pass over starts and breakpoints.
     let mut idx = times.len();
     let mut suf = f64::INFINITY;
     for k in (0..starts.len()).rev() {
-        let cut = times[..idx].partition_point(|&t| t <= starts[k]);
-        for &v in &values[cut..idx] {
-            suf = suf.min(v);
+        while idx > 0 && times[idx - 1] > starts[k] {
+            idx -= 1;
+            suf = suf.min(values[idx]);
         }
-        idx = cut;
         out[k] = evals[k].min(suf);
     }
     debug_assert!(out
@@ -420,13 +544,20 @@ impl Contractor {
 }
 
 impl ContractionHierarchy {
-    /// Contracts `fg`'s lower-bound metrics with the default suffix windows
-    /// ([`DEFAULT_WINDOW_STARTS`]): computes a contraction order with the
-    /// lazy edge-difference heuristic on the whole-day minimum, then runs
-    /// the shared fixed-order [`ContractionHierarchy::customize`] pass for
-    /// every window.
+    /// Contracts `fg`'s lower-bound metrics with the suffix windows
+    /// [`choose_window_starts`] fits to `fg`'s weights: computes a
+    /// contraction order with the lazy edge-difference heuristic on the
+    /// whole-day minimum, then runs the shared fixed-order
+    /// [`ContractionHierarchy::customize`] pass for every window. The
+    /// starts, like the order, are kept across re-customization.
     pub fn build(fg: &FrozenGraph) -> ContractionHierarchy {
-        Self::build_with(fg, &DEFAULT_WINDOW_STARTS)
+        let t0 = std::time::Instant::now();
+        let span = td_obs::phase("ch_windows");
+        let starts = choose_window_starts(fg);
+        drop(span);
+        let mut ch = Self::build_with(fg, &starts);
+        ch.construction_secs = t0.elapsed().as_secs_f64();
+        ch
     }
 
     /// [`ContractionHierarchy::build`] with explicit window starts
@@ -555,10 +686,12 @@ impl ContractionHierarchy {
             c.contract(x);
         }
 
+        // Sized exactly: the hierarchy holds these arrays for its lifetime.
         let flatten = |adj: Vec<Vec<(VertexId, f64)>>| {
+            let len: usize = adj.iter().map(Vec::len).sum();
             let mut first = Vec::with_capacity(n + 1);
-            let mut heads = Vec::new();
-            let mut weights = Vec::new();
+            let mut heads = Vec::with_capacity(len);
+            let mut weights = Vec::with_capacity(len);
             first.push(0u32);
             for list in adj {
                 for (h, w) in list {
@@ -805,12 +938,12 @@ mod tests {
         for seed in 0..4u64 {
             let g = seeded_graph(seed, 40, 30, 4);
             let fg = g.freeze();
-            let nw = DEFAULT_WINDOW_STARTS.len();
+            let nw = UNIFORM_WINDOW_STARTS.len();
             let mut evals = vec![0.0; nw];
             let mut mins = vec![0.0; nw];
             for e in 0..fg.num_edges() as u32 {
-                suffix_min_all(&fg, e, &DEFAULT_WINDOW_STARTS, &mut evals, &mut mins);
-                for (k, &from) in DEFAULT_WINDOW_STARTS.iter().enumerate() {
+                suffix_min_all(&fg, e, &UNIFORM_WINDOW_STARTS, &mut evals, &mut mins);
+                for (k, &from) in UNIFORM_WINDOW_STARTS.iter().enumerate() {
                     assert_eq!(
                         mins[k].to_bits(),
                         suffix_min(&fg, e, from).to_bits(),
@@ -900,13 +1033,169 @@ mod tests {
     #[test]
     fn metric_index_selects_the_window() {
         let g = seeded_graph(0, 10, 8, 3);
-        let ch = ContractionHierarchy::build(&g.freeze());
+        let ch = ContractionHierarchy::build_with(&g.freeze(), &UNIFORM_WINDOW_STARTS);
         assert_eq!(ch.metric_index(-5.0), 0);
         assert_eq!(ch.metric_index(0.0), 0);
         assert_eq!(ch.metric_index(3.0 * 3600.0 - 1.0), 0);
         assert_eq!(ch.metric_index(3.0 * 3600.0), 1);
         assert_eq!(ch.metric_index(23.9 * 3600.0), 7);
         assert_eq!(ch.metric_index(99.0 * 3600.0), 7);
+    }
+
+    /// The slack [`choose_window_starts`] minimises, for any starts on the
+    /// grid: `Σ_e Σ_t (w_e(t) − min_{τ ≥ s(t)} w_e(τ))` over the grid's
+    /// departure times `t`.
+    fn window_slack(fg: &FrozenGraph, starts: &[f64]) -> f64 {
+        let grid = window_grid();
+        let floor = grid_floors(fg, &grid);
+        let mut value = vec![0.0; grid.len()];
+        for e in 0..fg.num_edges() as u32 {
+            for (v, &t) in value.iter_mut().zip(&grid) {
+                *v += fg.weight(e).eval(t);
+            }
+        }
+        grid.iter()
+            .zip(&value)
+            .map(|(&t, &v)| {
+                let s = starts[starts.partition_point(|&s| s <= t) - 1];
+                v - floor[(s / WINDOW_GRID_SECS) as usize]
+            })
+            .sum()
+    }
+
+    #[test]
+    fn grid_floors_sum_the_suffix_minima() {
+        for fg in [cal(), seeded_graph(7, 40, 30, 5).freeze()] {
+            let grid = window_grid();
+            let floor = grid_floors(&fg, &grid);
+            for (k, &g) in grid.iter().enumerate() {
+                let want: f64 = (0..fg.num_edges() as u32)
+                    .map(|e| suffix_min(&fg, e, g))
+                    .sum();
+                assert!(
+                    (floor[k] - want).abs() <= 1e-12 * want.max(1.0),
+                    "g={g}: {} vs {want}",
+                    floor[k]
+                );
+            }
+        }
+    }
+
+    /// A road-like graph whose profiles carry the generator's rush hours.
+    fn cal() -> FrozenGraph {
+        td_gen::Dataset::Cal.build(3, 0.03, 42).freeze()
+    }
+
+    fn assert_valid_starts(starts: &[f64]) {
+        assert_eq!(starts.len(), WINDOW_COUNT, "{starts:?}");
+        assert_eq!(starts[0], 0.0, "{starts:?}");
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
+        for &s in starts {
+            assert!((0.0..td_plf::DAY).contains(&s), "{starts:?}");
+            assert_eq!(s % WINDOW_GRID_SECS, 0.0, "off the grid: {starts:?}");
+        }
+    }
+
+    #[test]
+    fn chosen_starts_begin_at_zero_ascend_on_the_grid_and_repeat() {
+        let fg = cal();
+        let ch = ContractionHierarchy::build(&fg);
+        assert_valid_starts(ch.window_starts());
+        assert_eq!(ch.window_starts(), &choose_window_starts(&fg)[..]);
+        assert_eq!(
+            ch.window_starts(),
+            ContractionHierarchy::build(&fg).window_starts()
+        );
+        // The generated profiles rise from a night trough to a morning
+        // peak: the windows must not sit on the 3-hour grid.
+        assert_ne!(ch.window_starts(), &UNIFORM_WINDOW_STARTS[..]);
+    }
+
+    #[test]
+    fn chosen_starts_leave_no_more_slack_than_the_uniform_grid() {
+        for fg in [cal(), seeded_graph(3, 60, 45, 4).freeze()] {
+            let chosen = choose_window_starts(&fg);
+            let (mine, uniform) = (
+                window_slack(&fg, &chosen),
+                window_slack(&fg, &UNIFORM_WINDOW_STARTS),
+            );
+            // Up to the rounding of two summation orders.
+            let eps = 1e-9 * uniform.max(1.0);
+            assert!(mine >= -eps, "slack is a sum of non-negative gaps: {mine}");
+            assert!(mine <= uniform + eps, "{chosen:?}: {mine} > {uniform}");
+        }
+        // On the road-like profiles the fit is strictly better.
+        let fg = cal();
+        let chosen = choose_window_starts(&fg);
+        assert!(window_slack(&fg, &chosen) < window_slack(&fg, &UNIFORM_WINDOW_STARTS));
+    }
+
+    #[test]
+    fn constant_weights_still_get_a_valid_set() {
+        use td_plf::Plf;
+        let mut g = TdGraph::with_vertices(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_edge(u, v, Plf::constant(7.0)).unwrap();
+        }
+        let fg = g.freeze();
+        assert_valid_starts(&choose_window_starts(&fg));
+        assert!(window_slack(&fg, &choose_window_starts(&fg)).abs() < 1e-9);
+        assert_valid_starts(&choose_window_starts(&TdGraph::with_vertices(0).freeze()));
+        let ch = ContractionHierarchy::build(&fg);
+        assert_valid_starts(ch.window_starts());
+        assert_eq!(ch.dist(0, 3), 21.0);
+    }
+
+    #[test]
+    fn recustomizing_keeps_the_starts() {
+        use td_plf::Plf;
+        let mut g = seeded_graph(6, 40, 30, 4);
+        let mut ch = ContractionHierarchy::build(&g.freeze());
+        let starts = ch.window_starts().to_vec();
+        for e in 0..g.num_edges() as u32 {
+            g.set_weight(e, Plf::constant(100.0)).unwrap();
+        }
+        let fg = g.freeze();
+        ch.customize(&fg);
+        assert_eq!(ch.window_starts(), &starts[..]);
+        // A fresh build of the flattened weights would place them apart.
+        assert_ne!(choose_window_starts(&fg), starts);
+    }
+
+    /// Every array the hierarchy holds is sized to its contents: the
+    /// footprint is the held bytes, after build, re-customization and load.
+    #[test]
+    fn heap_bytes_are_the_held_bytes() {
+        let held = |ch: &ContractionHierarchy| {
+            let metrics: usize = ch
+                .metrics
+                .iter()
+                .map(|m| {
+                    4 * (m.up_first.len()
+                        + m.up_head.len()
+                        + m.down_first.len()
+                        + m.down_tail.len())
+                        + 8 * (m.up_weight.len() + m.down_weight.len())
+                })
+                .sum();
+            4 * ch.rank.len() + 8 * ch.starts.len() + metrics
+        };
+        let fg = cal();
+        let mut ch = ContractionHierarchy::build(&fg);
+        assert_eq!(ch.heap_bytes(), held(&ch));
+        let n = fg.num_vertices();
+        let edges: usize = ch.metrics.iter().map(MetricCsr::num_edges).sum();
+        assert_eq!(
+            held(&ch),
+            4 * n + 8 * WINDOW_COUNT + WINDOW_COUNT * 8 * (n + 1) + 12 * edges
+        );
+        ch.customize(&fg);
+        assert_eq!(ch.heap_bytes(), held(&ch));
+        let mut buf = Vec::new();
+        persist::write_ch(&ch, &mut buf).unwrap();
+        let back = persist::read_ch(&mut buf.as_slice(), &fg).unwrap();
+        assert_eq!(back.heap_bytes(), held(&back));
+        assert_eq!(back.heap_bytes(), ch.heap_bytes());
     }
 
     #[test]

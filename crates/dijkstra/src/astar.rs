@@ -38,44 +38,77 @@ use td_plf::eval_ids_at;
 const RELAX_CHUNK: usize = 32;
 
 /// Shared min-heap entry of every scalar search in this crate, ordered by
-/// smallest key first (ties broken by vertex id for determinism).
-#[derive(Copy, Clone, Debug)]
+/// smallest key first (ties broken by vertex id for determinism). The key
+/// is held as its `f64::total_cmp` image — an `i64` whose integer order is
+/// the float's total order, computed once per push — so a heap comparison
+/// is one integer tuple compare instead of two float-bit transforms. The
+/// order is `total_cmp`'s exactly: keys are finite by construction, and a
+/// NaN would order deterministically rather than abort the query.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Entry {
-    pub(crate) key: f64,
+    ord: i64,
     pub(crate) vertex: VertexId,
 }
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.vertex == other.vertex
+
+impl Entry {
+    /// The `total_cmp` image of `key`; the map is its own inverse.
+    #[inline]
+    fn flip(bits: i64) -> i64 {
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
+
+    #[inline]
+    pub(crate) fn new(key: f64, vertex: VertexId) -> Entry {
+        Entry {
+            ord: Self::flip(key.to_bits() as i64),
+            vertex,
+        }
+    }
+
+    /// The key, bit for bit as pushed.
+    #[inline]
+    pub(crate) fn key(self) -> f64 {
+        f64::from_bits(Self::flip(self.ord) as u64)
     }
 }
-impl Eq for Entry {}
+
 impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Entry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // `total_cmp` keeps the comparison panic-free: keys are finite by
-        // construction, and a NaN would order deterministically rather than
-        // abort the query mid-search.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.vertex.cmp(&self.vertex))
+        (other.ord, other.vertex).cmp(&(self.ord, self.vertex))
     }
 }
 
-/// Reusable state of [`search`]: arrival/parent arrays are
+/// One vertex's search state, 16 B so a relaxation reads and writes one
+/// cache line: the tentative arrival, the parent it came from and the
+/// generation stamp that makes both valid.
+#[derive(Clone, Copy, Debug)]
+struct Label {
+    best: f64,
+    parent: VertexId,
+    /// 2·id stamps "reached this query", 2·id+1 stamps "settled".
+    stamp: u32,
+}
+
+impl Label {
+    const UNREACHED: Label = Label {
+        best: f64::INFINITY,
+        parent: u32::MAX,
+        stamp: 0,
+    };
+}
+
+/// Reusable state of [`search`]: the per-vertex labels are
 /// generation-stamped (no O(n) clear per query) and the heap is recycled —
 /// zero allocations per query once warmed to the graph's size.
 #[derive(Clone, Debug, Default)]
 pub struct SearchScratch {
-    best: Vec<f64>,
-    parent: Vec<VertexId>,
-    /// 2·id stamps "reached this query", 2·id+1 stamps "settled".
-    stamp: Vec<u32>,
+    labels: Vec<Label>,
     gen: u32,
     heap: BinaryHeap<Entry>,
     /// Counters for the most recent search, reset at query start (plain
@@ -86,15 +119,15 @@ pub struct SearchScratch {
 
 impl SearchScratch {
     /// Restores a logically fresh state after a contained panic while
-    /// keeping every warmed allocation. The arrays may hold torn values
-    /// from the unwound query, but all reads are gated by the stamp array:
+    /// keeping every warmed allocation. The labels may hold torn values
+    /// from the unwound query, but all reads are gated by their stamps:
     /// zeroing the stamps and restarting the generation makes every stale
     /// entry unreachable, exactly as the wrap-around path of `reset` does.
     /// Capacity — the workload's true high-water mark — survives, so the
     /// first batch after a panic allocates nothing extra.
     pub fn sanitize(&mut self) {
         self.heap.clear();
-        self.stamp.fill(0);
+        self.clear_stamps();
         self.gen = 0;
         self.stats.reset();
     }
@@ -103,7 +136,13 @@ impl SearchScratch {
     /// scratch, which must have returned `Exact(Some(_))` for the same
     /// `(s, d)` (the returned [`Path`] allocates — it is the result).
     pub fn path_to(&self, s: VertexId, d: VertexId) -> Path {
-        walk_parents(&self.parent, s, d)
+        walk_parents(|v| self.labels[v as usize].parent, s, d)
+    }
+
+    fn clear_stamps(&mut self) {
+        for l in &mut self.labels {
+            l.stamp = 0;
+        }
     }
 
     #[deny(
@@ -116,10 +155,8 @@ impl SearchScratch {
     )]
     fn reset(&mut self, n: usize) -> u32 {
         debug_assert!(n < u32::MAX as usize, "vertex ids must fit in u32");
-        if self.best.len() != n {
-            self.best = vec![f64::INFINITY; n];
-            self.parent = vec![u32::MAX; n];
-            self.stamp = vec![0; n];
+        if self.labels.len() != n {
+            self.labels = vec![Label::UNREACHED; n];
             self.gen = 0;
         }
         self.heap.clear();
@@ -128,7 +165,7 @@ impl SearchScratch {
         // On wrap-around the stamps are cleared wholesale, as in
         // `crate::potential::bump_generation` (which steps by 1, not 2).
         self.gen = if self.gen >= u32::MAX - 2 {
-            self.stamp.fill(0);
+            self.clear_stamps();
             1
         } else {
             self.gen + 2
@@ -138,13 +175,17 @@ impl SearchScratch {
 }
 
 /// Walks `parent` links back from `d` to `s` — the one path
-/// reconstruction of the crate (`parent[v]` must be set for every vertex on
+/// reconstruction of the crate (`parent(v)` must be set for every vertex on
 /// the way, which a search that settled `d` guarantees).
-pub(crate) fn walk_parents(parent: &[VertexId], s: VertexId, d: VertexId) -> Path {
+pub(crate) fn walk_parents(
+    parent: impl Fn(VertexId) -> VertexId,
+    s: VertexId,
+    d: VertexId,
+) -> Path {
     let mut vertices = vec![d];
     let mut cur = d;
     while cur != s {
-        let p = parent[cur as usize];
+        let p = parent(cur);
         debug_assert_ne!(p, u32::MAX, "settled vertex must have a parent");
         vertices.push(p);
         cur = p;
@@ -200,20 +241,28 @@ pub fn search<P: Potential>(
     if hs.is_infinite() {
         return BoundedCost::Exact(None);
     }
-    scratch.best[s as usize] = t;
-    scratch.parent[s as usize] = u32::MAX;
-    scratch.stamp[s as usize] = gen;
-    scratch.heap.push(Entry {
-        key: t + hs,
-        vertex: s,
-    });
+    let labels = &mut scratch.labels[..];
+    labels[s as usize] = Label {
+        best: t,
+        parent: u32::MAX,
+        stamp: gen,
+    };
+    scratch.heap.push(Entry::new(t + hs, s));
     // Best known (tentative) arrival at d: since h(d) = 0 and h is
     // admissible, no relaxation whose optimistic arrival `a + min + h(v)`
     // reaches it can improve the answer.
     let mut target_best = f64::INFINITY;
     let mut settles: u64 = 0;
-    while let Some(Entry { key, vertex: u }) = scratch.heap.pop() {
-        if scratch.stamp[u as usize] == gen + 1 {
+    // One chunk's gathered edges, reused across settles (written before
+    // they are read, so never cleared).
+    let mut ids = [0u32; RELAX_CHUNK];
+    let mut slots = [0u32; RELAX_CHUNK];
+    let mut hvs = [0.0f64; RELAX_CHUNK];
+    let mut vals = [0.0f64; RELAX_CHUNK];
+    while let Some(entry) = scratch.heap.pop() {
+        let (key, u) = (entry.key(), entry.vertex);
+        let lu = &mut labels[u as usize];
+        if lu.stamp == gen + 1 {
             continue; // already settled; stale heap entry
         }
         // Budget checkpoint. Settling the destination itself is always
@@ -223,8 +272,8 @@ pub fn search<P: Potential>(
         }
         settles += 1;
         scratch.stats.settle(1);
-        scratch.stamp[u as usize] = gen + 1;
-        let a = scratch.best[u as usize];
+        lu.stamp = gen + 1;
+        let a = lu.best;
         if u == d {
             return BoundedCost::Exact(Some(a - t));
         }
@@ -234,10 +283,6 @@ pub fn search<P: Potential>(
         // one `eval_ids_at` arena pass produces their costs at `a`, then the
         // label updates run in edge order against the freshest `best`.
         let deg = heads.len();
-        let mut ids = [0u32; RELAX_CHUNK];
-        let mut slots = [0u32; RELAX_CHUNK];
-        let mut hvs = [0.0f64; RELAX_CHUNK];
-        let mut vals = [0.0f64; RELAX_CHUNK];
         let mut base = 0usize;
         while base < deg {
             let stop = (base + RELAX_CHUNK).min(deg);
@@ -247,14 +292,15 @@ pub fn search<P: Potential>(
                 // share one length, and idx < stop ≤ deg.
                 debug_assert!(idx < heads.len() && idx < edges.len() && idx < mins.len());
                 let v = heads[idx];
-                if scratch.stamp[v as usize] == gen + 1 {
+                let lv = labels[v as usize];
+                if lv.stamp == gen + 1 {
                     continue;
                 }
                 // Min-bound prune before touching breakpoints or the
                 // potential: the true candidate is ≥ a + min_cost(e).
                 let lb = a + mins[idx];
-                let known = if scratch.stamp[v as usize] >= gen {
-                    scratch.best[v as usize]
+                let known = if lv.stamp == gen {
+                    lv.best
                 } else {
                     f64::INFINITY
                 };
@@ -285,23 +331,24 @@ pub fn search<P: Potential>(
                 debug_assert!(idx < heads.len());
                 let v = heads[idx];
                 let cand = a + vals[j];
-                let known = if scratch.stamp[v as usize] >= gen {
-                    scratch.best[v as usize]
+                let lv = &mut labels[v as usize];
+                // A gathered head is unsettled: its stamp is gen or older.
+                let known = if lv.stamp == gen {
+                    lv.best
                 } else {
                     f64::INFINITY
                 };
                 if cand < known {
-                    scratch.best[v as usize] = cand;
-                    scratch.parent[v as usize] = u;
-                    scratch.stamp[v as usize] = gen;
+                    *lv = Label {
+                        best: cand,
+                        parent: u,
+                        stamp: gen,
+                    };
                     if v == d {
                         target_best = cand;
                     }
                     scratch.stats.heap_push(1);
-                    scratch.heap.push(Entry {
-                        key: cand + hvs[j],
-                        vertex: v,
-                    });
+                    scratch.heap.push(Entry::new(cand + hvs[j], v));
                 }
             }
             base = stop;

@@ -144,11 +144,9 @@ impl Potential for FullPotential<'_> {
         let gen = sc.reset(self.fg.num_vertices());
         sc.h[d as usize] = 0.0;
         sc.h_gen[d as usize] = gen;
-        sc.heap.push(Entry {
-            key: 0.0,
-            vertex: d,
-        });
-        while let Some(Entry { key, vertex: u }) = sc.heap.pop() {
+        sc.heap.push(Entry::new(0.0, d));
+        while let Some(entry) = sc.heap.pop() {
+            let (key, u) = (entry.key(), entry.vertex);
             if key > sc.h[u as usize] {
                 continue; // stale
             }
@@ -163,10 +161,7 @@ impl Potential for FullPotential<'_> {
                 if cand < known {
                     sc.h[p as usize] = cand;
                     sc.h_gen[p as usize] = gen;
-                    sc.heap.push(Entry {
-                        key: cand,
-                        vertex: p,
-                    });
+                    sc.heap.push(Entry::new(cand, p));
                 }
             }
         }
@@ -216,7 +211,10 @@ pub struct ChPotentialScratch {
 
 impl ChPotentialScratch {
     /// Vertices settled by the backward-upward search of the last `init` —
-    /// the whole per-query setup. The unit test
+    /// the whole per-query setup, run in the metric of the suffix window the
+    /// departure falls in. They are not in the search's
+    /// [`td_obs::SearchStats`]: its `settled` (and `tdx verify`'s search
+    /// census) counts the forward search alone. The unit test
     /// `init_settles_a_fraction_of_the_graph` checks that it settles the
     /// destination and never more than the graph; nothing asserts how small
     /// a fraction it stays.
@@ -307,11 +305,9 @@ impl Potential for ChPotential<'_> {
         sc.init_settled = 0;
         sc.b[d as usize] = 0.0;
         sc.b_gen[d as usize] = gen;
-        sc.heap.push(Entry {
-            key: 0.0,
-            vertex: d,
-        });
-        while let Some(Entry { key, vertex: v }) = sc.heap.pop() {
+        sc.heap.push(Entry::new(0.0, d));
+        while let Some(entry) = sc.heap.pop() {
+            let (key, v) = (entry.key(), entry.vertex);
             if key > sc.b[v as usize] {
                 continue; // stale
             }
@@ -327,10 +323,7 @@ impl Potential for ChPotential<'_> {
                 if cand < known {
                     sc.b[u as usize] = cand;
                     sc.b_gen[u as usize] = gen;
-                    sc.heap.push(Entry {
-                        key: cand,
-                        vertex: u,
-                    });
+                    sc.heap.push(Entry::new(cand, u));
                 }
             }
         }
@@ -354,31 +347,32 @@ impl Potential for ChPotential<'_> {
         // Iterative DFS over the upward DAG: a vertex is computed once all
         // its up-neighbours are memoized; a vertex found already-memoized on
         // the stack (pushed twice via two parents) just pops.
+        // One scan per visit folds the minimum while it looks for pending
+        // up-neighbours; a visit that finds one drops its fold and comes
+        // back once they are memoized.
         sc.stack.push(v);
         while let Some(&x) = sc.stack.last() {
             if sc.memo_gen[x as usize] == gen {
                 sc.stack.pop();
                 continue;
             }
-            let (heads, _) = self.metric.up_edges(x);
-            let mut pending = false;
-            for &u in heads {
-                if sc.memo_gen[u as usize] != gen {
-                    sc.stack.push(u);
-                    pending = true;
-                }
-            }
-            if pending {
-                continue;
-            }
             let (heads, weights) = self.metric.up_edges(x);
+            let mut pending = false;
             let mut best = if sc.b_gen[x as usize] == gen {
                 sc.b[x as usize]
             } else {
                 f64::INFINITY
             };
             for (&u, &w) in heads.iter().zip(weights.iter()) {
-                best = best.min(w + sc.memo[u as usize]);
+                if sc.memo_gen[u as usize] != gen {
+                    sc.stack.push(u);
+                    pending = true;
+                } else if !pending {
+                    best = best.min(w + sc.memo[u as usize]);
+                }
+            }
+            if pending {
+                continue;
             }
             sc.memo[x as usize] = best;
             sc.memo_gen[x as usize] = gen;

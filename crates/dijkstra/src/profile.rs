@@ -104,11 +104,9 @@ fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, rail: Rail) -> Vec<f64>
     let mut done = vec![false; n];
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
     dist[origin as usize] = 0.0;
-    heap.push(Entry {
-        key: 0.0,
-        vertex: origin,
-    });
-    while let Some(Entry { key, vertex: u }) = heap.pop() {
+    heap.push(Entry::new(0.0, origin));
+    while let Some(entry) = heap.pop() {
+        let (key, u) = (entry.key(), entry.vertex);
         if done[u as usize] {
             continue;
         }
@@ -128,10 +126,7 @@ fn static_rail_dists(fg: &FrozenGraph, origin: VertexId, rail: Rail) -> Vec<f64>
             let cand = key + w;
             if cand < dist[v as usize] {
                 dist[v as usize] = cand;
-                heap.push(Entry {
-                    key: cand,
-                    vertex: v,
-                });
+                heap.push(Entry::new(cand, v));
             }
         }
     }

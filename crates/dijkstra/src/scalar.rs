@@ -22,7 +22,7 @@ pub fn shortest_path_cost(g: &TdGraph, s: VertexId, d: VertexId, t: f64) -> Opti
 /// The shortest path and its cost, or `None` if unreachable.
 pub fn shortest_path(g: &TdGraph, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Path)> {
     let (arrival, parent) = run(g, s, d, t)?;
-    Some((arrival - t, walk_parents(&parent, s, d)))
+    Some((arrival - t, walk_parents(|v| parent[v as usize], s, d)))
 }
 
 /// Settles vertices by arrival time until `d` is popped; returns its arrival
@@ -34,8 +34,9 @@ fn run(g: &TdGraph, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Vec<Vertex
     let mut parent = vec![u32::MAX; n];
     let mut heap = BinaryHeap::new();
     best[s as usize] = t;
-    heap.push(Entry { key: t, vertex: s });
-    while let Some(Entry { key: a, vertex: u }) = heap.pop() {
+    heap.push(Entry::new(t, s));
+    while let Some(entry) = heap.pop() {
+        let (a, u) = (entry.key(), entry.vertex);
         if settled[u as usize] {
             continue; // stale entry
         }
@@ -51,10 +52,7 @@ fn run(g: &TdGraph, s: VertexId, d: VertexId, t: f64) -> Option<(f64, Vec<Vertex
             if cand < best[v as usize] {
                 best[v as usize] = cand;
                 parent[v as usize] = u;
-                heap.push(Entry {
-                    key: cand,
-                    vertex: v,
-                });
+                heap.push(Entry::new(cand, v));
             }
         }
     }

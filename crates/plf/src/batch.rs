@@ -159,6 +159,7 @@ pub fn eval_times_into(f: PlfSlice<'_>, ts: &[f64], out: &mut [f64]) {
     clippy::todo,
     clippy::unimplemented
 )]
+#[inline]
 pub fn eval_ids_at(arena: &PlfArena, ids: &[PlfId], t: f64, out: &mut [f64]) {
     debug_assert_eq!(ids.len(), out.len());
     assert!(ids.len() == out.len(), "ids/out length mismatch");
