@@ -11,11 +11,12 @@
 //!
 //! The contraction **order** is metric-independent: [`update_edges`]
 //! re-freezes the graph (rebuilding the min bounds) and re-customizes the
-//! hierarchy's shortcuts under the kept order and the kept suffix windows
-//! (placed from the built graph's profiles), CATCHUp-style, instead of
-//! re-running the ordering heuristic or the window chooser. The same customization pass runs on
-//! snapshot load, so build, update and load all produce bit-identical
-//! hierarchies.
+//! hierarchy under the kept order and the kept suffix windows (placed from
+//! the built graph's profiles), CATCHUp-style, instead of re-running the
+//! ordering heuristic or the window chooser: one pass over the order's
+//! chordal supergraph relaxes every window's weights by triangles, with no
+//! witness search. The same customization pass runs on snapshot load, so
+//! build, update and load all produce bit-identical hierarchies.
 //!
 //! [`update_edges`]: crate::IncrementalIndex::update_edges
 

@@ -11,9 +11,11 @@
 //! pay-preprocessing-once premise.
 //!
 //! This crate contracts such scalar graphs once into a
-//! [`ContractionHierarchy`] (Geisberger-style node contraction with witness
-//! searches; the CH-Potentials idea of Strasser, Wagner & Zeitz and the TCH
-//! line of Batz et al.). A destination's exact scalar distances are then
+//! [`ContractionHierarchy`] (the CH-Potentials idea of Strasser, Wagner &
+//! Zeitz and the TCH line of Batz et al.): a Geisberger-style node
+//! contraction with witness searches picks the order, and a CCH-style
+//! customization by triangles (Dibbelt, Strasser & Wagner) derives every
+//! metric's arcs in it. A destination's exact scalar distances are then
 //! answered by one small backward *upward* search plus lazy memoized
 //! resolution over the upward edge arrays — typically a few hundred vertices
 //! instead of all of them (see `td_dijkstra::ChPotential`).
@@ -35,8 +37,12 @@
 //! * **Metric-independent order**: the contraction order is computed once
 //!   (lazy edge-difference heuristic on metric 0) and kept across weight
 //!   changes, and so are the window starts;
-//!   [`ContractionHierarchy::customize`] re-derives every metric's
-//!   shortcuts deterministically in that fixed order. Build, `update_edges`
+//!   [`ContractionHierarchy::customize`] re-derives every metric's arcs in
+//!   that fixed order by one pass over the order's chordal supergraph: its
+//!   triangles, listed once, relax each window's weights bottom-up and then
+//!   top-down, and an arc direction some triangle beats is dropped — on
+//!   road-like graphs the arcs and weights a witness-search contraction in
+//!   that order keeps, for a fraction of its time. Build, `update_edges`
 //!   re-customization and snapshot load all run this same pass, so all
 //!   three produce bit-identical hierarchies.
 
@@ -46,8 +52,8 @@ use td_plf::eval_times_into;
 pub mod persist;
 
 /// Cap on vertices settled per witness search. A hit means the search was
-/// inconclusive and the shortcut is added anyway — only exactness of the
-/// *pruning* (shortcut count), never of distances, depends on this.
+/// inconclusive and the shortcut is counted anyway — only the order's
+/// priorities, never a metric's arcs or distances, depend on this.
 const WITNESS_SETTLE_CAP: usize = 128;
 
 /// Candidate window starts lie on this grid (seconds): every 15 minutes
@@ -202,7 +208,7 @@ pub struct MetricCsr {
     down_first: Vec<u32>,
     down_tail: Vec<VertexId>,
     down_weight: Vec<f64>,
-    /// Shortcut edges added on top of the original min-cost edges.
+    /// Kept arc directions that are not an original edge.
     num_shortcuts: usize,
 }
 
@@ -243,7 +249,10 @@ impl MetricCsr {
         (&self.down_tail[lo..hi], &self.down_weight[lo..hi])
     }
 
-    /// Shortcut edges added on top of the original (deduplicated) edges.
+    /// Shortcuts: the kept arc directions that are not an original edge
+    /// (a customization drops an original edge that a path through higher
+    /// vertices beats, so originals plus shortcuts can fall short of the
+    /// graph's edge count).
     #[inline]
     pub fn num_shortcuts(&self) -> usize {
         self.num_shortcuts
@@ -328,9 +337,9 @@ fn suffix_min_all(fg: &FrozenGraph, e: EdgeId, starts: &[f64], evals: &mut [f64]
         .all(|(&m, &s)| m.to_bits() == suffix_min(fg, e, s).to_bits()));
 }
 
-/// The dynamic graph a contraction pass works on: per-vertex forward and
-/// backward adjacency with parallel edges collapsed to their minimum weight,
-/// plus scratch for the witness searches.
+/// The dynamic graph the ordering heuristic contracts: per-vertex forward
+/// and backward adjacency with parallel edges collapsed to their minimum
+/// weight, plus scratch for the witness searches.
 struct Contractor {
     fwd: Vec<Vec<(VertexId, f64)>>,
     bwd: Vec<Vec<(VertexId, f64)>>,
@@ -543,12 +552,206 @@ impl Contractor {
     }
 }
 
+/// The metric-independent half of a customization: the order's chordal
+/// supergraph (every arc a witness-free contraction in this order would
+/// create) and its lower triangles, shared by every window.
+///
+/// Arcs live in rank space: `first[r]..first[r + 1]` are the arcs of the
+/// vertex ranked `r` to its higher-ranked neighbours, heads ascending. A
+/// window's weights sit in two slots an arc, `2a` for its upward direction
+/// (lower rank → higher) and `2a + 1` for its downward one.
+struct Chordal<'a> {
+    /// `rank[v]`, as the hierarchy holds it.
+    rank: &'a [u32],
+    /// `order[r]`: the vertex ranked `r`.
+    order: Vec<VertexId>,
+    first: Vec<u32>,
+    head: Vec<u32>,
+    /// Per out-slot of the frozen graph: the weight slot its edge seeds.
+    edge_slot: Vec<u32>,
+    /// Every triangle `z < x < y` of the supergraph as its arcs
+    /// `[z–x, z–y, x–y]`, bottoms `z` ascending: a lower triangle of `x–y`,
+    /// an intermediate one of `z–y` and an upper one of `z–x`.
+    triangles: Vec<[u32; 3]>,
+}
+
+impl<'a> Chordal<'a> {
+    /// Eliminates the vertices in rank order, each one's higher neighbours
+    /// becoming a clique (merged into its lowest higher neighbour's list,
+    /// the elimination-tree parent), then lists the triangles: for each
+    /// bottom `z` and each pair `x < y` of its higher neighbours, `x–y` is
+    /// an arc of `x` because `z`'s neighbourhood is a clique.
+    fn new(fg: &FrozenGraph, rank: &'a [u32]) -> Chordal<'a> {
+        let n = fg.num_vertices();
+        let mut order = vec![0 as VertexId; n];
+        for (v, &r) in rank.iter().enumerate() {
+            order[r as usize] = v as VertexId;
+        }
+        // The graph is simple (`TdGraph::add_edge` refuses self-loops and
+        // repeated edges): each edge is one direction of one arc.
+        let mut up: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for v in 0..n as u32 {
+            for &u in fg.csr.out_slices(v).0 {
+                let (a, b) = (rank[v as usize], rank[u as usize]);
+                up[a.min(b) as usize].push(a.max(b));
+            }
+        }
+        let mut first = Vec::with_capacity(n + 1);
+        let mut head = Vec::new();
+        first.push(0u32);
+        for r in 0..n {
+            let mut list = std::mem::take(&mut up[r]);
+            list.sort_unstable();
+            list.dedup();
+            if let Some((&parent, rest)) = list.split_first() {
+                up[parent as usize].extend_from_slice(rest);
+            }
+            head.extend_from_slice(&list);
+            first.push(head.len() as u32);
+        }
+        let arc = |lo: u32, hi: u32| -> u32 {
+            let (a, b) = (first[lo as usize] as usize, first[lo as usize + 1] as usize);
+            (a + head[a..b].partition_point(|&h| h < hi)) as u32
+        };
+        let mut edge_slot = Vec::with_capacity(fg.num_edges());
+        for v in 0..n as u32 {
+            for &u in fg.csr.out_slices(v).0 {
+                let (a, b) = (rank[v as usize], rank[u as usize]);
+                edge_slot.push(if a < b {
+                    2 * arc(a, b)
+                } else {
+                    2 * arc(b, a) + 1
+                });
+            }
+        }
+        let mut triangles = Vec::new();
+        for z in 0..n {
+            let arcs = first[z]..first[z + 1];
+            for zx in arcs.clone() {
+                let x = head[zx as usize];
+                // `z`'s higher neighbours above `x` are all `x`'s too, and
+                // both lists ascend: one merged walk finds their arcs.
+                let mut xy = first[x as usize];
+                for zy in zx + 1..arcs.end {
+                    let y = head[zy as usize];
+                    while head[xy as usize] < y {
+                        xy += 1;
+                    }
+                    debug_assert_eq!(head[xy as usize], y, "supergraph is chordal");
+                    triangles.push([zx, zy, xy]);
+                }
+            }
+        }
+        Chordal {
+            rank,
+            order,
+            first,
+            head,
+            edge_slot,
+            triangles,
+        }
+    }
+
+    /// One window's metric from its seeded weights (`basic`, one per
+    /// slot).
+    ///
+    /// Basic: each lower triangle `z < x < y`, bottoms ascending, relaxes
+    /// `x → y` by `x → z → y` (and `y → x` by `y → z → x`), so an arc
+    /// holds the shortest path through lower vertices. Perfect: bottoms
+    /// descending, an arc `z → y` takes `z → x` at its basic weight plus
+    /// `x → y` at its perfect (true-distance) weight over every
+    /// intermediate or upper triangle, so it reaches the true distance.
+    ///
+    /// An arc direction is dropped when its basic weight is infinite or a
+    /// triangle beats it. A tie drops it only through an *intermediate*
+    /// triangle (the third vertex ranked below the head): two arcs of one
+    /// bottom can then never drop each other — as a zero-weight cycle
+    /// between their heads would make them tie both ways — and every
+    /// dropped arc keeps a kept same-bottom arc that, followed by a shortest
+    /// path between the heads, is as short. A kept arc stores its basic
+    /// weight, which no triangle beats, so it is its true distance.
+    fn customize(&self, mut basic: Vec<f64>) -> MetricCsr {
+        for &[zx, zy, xy] in &self.triangles {
+            let (zx, zy, xy) = (2 * zx as usize, 2 * zy as usize, 2 * xy as usize);
+            basic[xy] = basic[xy].min(basic[zx + 1] + basic[zy]);
+            basic[xy + 1] = basic[xy + 1].min(basic[zy + 1] + basic[zx]);
+        }
+        let mut perfect = basic.clone();
+        let mut dropped: Vec<bool> = basic.iter().map(|w| w.is_infinite()).collect();
+        for &[zx, zy, xy] in self.triangles.iter().rev() {
+            let (zx, zy, xy) = (2 * zx as usize, 2 * zy as usize, 2 * xy as usize);
+            let (x_y, y_x) = (perfect[xy], perfect[xy + 1]);
+            for (slot, via, tie_drops) in [
+                // `x` lies between `z` and `y`: intermediate for `z–y`.
+                (zy, basic[zx] + x_y, true),
+                (zy + 1, y_x + basic[zx + 1], true),
+                // `y` lies above `x`: upper for `z–x`.
+                (zx, basic[zy] + y_x, false),
+                (zx + 1, x_y + basic[zy + 1], false),
+            ] {
+                perfect[slot] = perfect[slot].min(via);
+                if via < basic[slot] || (tie_drops && via == basic[slot]) {
+                    dropped[slot] = true;
+                }
+            }
+        }
+        self.layout(&basic, &dropped)
+    }
+
+    /// Lays the kept arc directions out per vertex (heads by ascending
+    /// rank), every array sized exactly: the hierarchy holds them for its
+    /// lifetime.
+    fn layout(&self, weights: &[f64], dropped: &[bool]) -> MetricCsr {
+        let n = self.order.len();
+        let kept = |dir: usize| {
+            (dir..weights.len())
+                .step_by(2)
+                .filter(|&s| !dropped[s])
+                .count()
+        };
+        let (up, down) = (kept(0), kept(1));
+        // Each weight slot seeds from at most one edge (the graph is simple).
+        let kept_originals = self
+            .edge_slot
+            .iter()
+            .filter(|&&s| !dropped[s as usize])
+            .count();
+        let mut m = MetricCsr {
+            up_first: vec![0; n + 1],
+            up_head: Vec::with_capacity(up),
+            up_weight: Vec::with_capacity(up),
+            down_first: vec![0; n + 1],
+            down_tail: Vec::with_capacity(down),
+            down_weight: Vec::with_capacity(down),
+            num_shortcuts: up + down - kept_originals,
+        };
+        for v in 0..n {
+            let r = self.rank[v] as usize;
+            let arcs = self.first[r] as usize..self.first[r + 1] as usize;
+            for a in arcs {
+                let h = self.order[self.head[a] as usize];
+                if !dropped[2 * a] {
+                    m.up_head.push(h);
+                    m.up_weight.push(weights[2 * a]);
+                }
+                if !dropped[2 * a + 1] {
+                    m.down_tail.push(h);
+                    m.down_weight.push(weights[2 * a + 1]);
+                }
+            }
+            m.up_first[v + 1] = m.up_head.len() as u32;
+            m.down_first[v + 1] = m.down_tail.len() as u32;
+        }
+        m
+    }
+}
+
 impl ContractionHierarchy {
     /// Contracts `fg`'s lower-bound metrics with the suffix windows
     /// [`choose_window_starts`] fits to `fg`'s weights: computes a
     /// contraction order with the lazy edge-difference heuristic on the
     /// whole-day minimum, then runs the shared fixed-order
-    /// [`ContractionHierarchy::customize`] pass for every window. The
+    /// [`ContractionHierarchy::customize`] pass for all windows. The
     /// starts, like the order, are kept across re-customization.
     pub fn build(fg: &FrozenGraph) -> ContractionHierarchy {
         let t0 = std::time::Instant::now();
@@ -627,96 +830,50 @@ impl ContractionHierarchy {
         rank
     }
 
-    /// Recomputes every metric's shortcuts and weights for the **current**
+    /// Recomputes every metric's arcs and weights for the **current**
     /// weights of `fg` under the stored (metric-independent) order. This
     /// one deterministic pass serves initial build, `update_edges`
     /// re-customization and snapshot load, so all three yield bit-identical
     /// hierarchies.
     ///
-    /// Contracting strictly in rank order with witness searches is exact for
-    /// any metric: when a vertex is contracted, every shortest path through
-    /// it between live neighbours is preserved by a shortcut (or a witness
-    /// proves none is needed), so upward/downward distances in the result
-    /// equal true scalar distances.
+    /// CCH-style, by triangles: the order's chordal supergraph and its
+    /// lower triangles are derived once (`Chordal`) and shared by every
+    /// window; each window then relaxes the lower triangles bottom-up
+    /// (basic), the intermediate and upper ones top-down (perfect), and
+    /// drops the arc directions such a triangle beats (or ties, by the
+    /// tie rule `Chordal::customize` states). On the road-like CAL
+    /// analogues the kept arcs and their weight bits are exactly those a
+    /// witness-search contraction in this order keeps; elsewhere they are a
+    /// subset, as that contraction keeps every original edge and some
+    /// shortcuts a path over higher vertices beats. Upward/downward
+    /// distances in the result equal true scalar distances.
     pub fn customize(&mut self, fg: &FrozenGraph) {
         let _span = td_obs::phase("ch_customize");
         let n = fg.num_vertices();
         assert_eq!(self.rank.len(), n, "order was built for a different graph");
-        let mut order: Vec<VertexId> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&v| self.rank[v as usize]);
+        let chordal = Chordal::new(fg, &self.rank);
 
-        // Per-out-slot suffix minima for every window, parallel to the CSR
-        // heads — edge-major so each edge's breakpoints are walked once for
-        // all windows (batched evaluation + one shared suffix-min sweep)
-        // instead of once per window.
+        // Every window's arc weights seeded from the suffix minima of the
+        // original edges, edge-major so each edge's breakpoints are walked
+        // once for all windows (batched evaluation + one shared suffix-min
+        // sweep).
         let nw = self.starts.len();
-        let mut slot_weights: Vec<Vec<f64>> = vec![Vec::new(); nw];
+        let mut weights = vec![vec![f64::INFINITY; 2 * chordal.head.len()]; nw];
         let mut evals = vec![0.0f64; nw];
         let mut mins = vec![0.0f64; nw];
+        let mut slots = chordal.edge_slot.iter();
         for v in 0..n as u32 {
-            let (_, edges) = fg.csr.out_slices(v);
-            for &e in edges {
+            for (&e, &slot) in fg.csr.out_slices(v).1.iter().zip(&mut slots) {
                 suffix_min_all(fg, e, &self.starts, &mut evals, &mut mins);
-                for (k, &m) in mins.iter().enumerate() {
-                    slot_weights[k].push(m);
+                for (w, &m) in weights.iter_mut().zip(&mins) {
+                    w[slot as usize] = m;
                 }
             }
         }
-        self.metrics = slot_weights
-            .iter()
-            .map(|sw| Self::customize_metric(fg, &order, sw))
+        self.metrics = weights
+            .into_iter()
+            .map(|basic| chordal.customize(basic))
             .collect();
-    }
-
-    /// One fixed-order contraction pass over one scalar metric.
-    fn customize_metric(fg: &FrozenGraph, order: &[VertexId], slot_weights: &[f64]) -> MetricCsr {
-        let n = fg.num_vertices();
-        let mut c = Contractor::seed(fg, slot_weights);
-        let original_edges: usize = c.fwd.iter().map(Vec::len).sum();
-        let mut up: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
-        let mut down_rev: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
-        let mut total_edges = 0usize;
-        for &x in order {
-            // Freeze x's live adjacency into the hierarchy: out-edges are
-            // x's up-edges, in-edges are down-edges u → x recorded at x.
-            up[x as usize] = Contractor::live(&c.fwd, &c.contracted, x).collect();
-            down_rev[x as usize] = Contractor::live(&c.bwd, &c.contracted, x).collect();
-            total_edges += up[x as usize].len() + down_rev[x as usize].len();
-            c.simulate(x);
-            c.contract(x);
-        }
-
-        // Sized exactly: the hierarchy holds these arrays for its lifetime.
-        let flatten = |adj: Vec<Vec<(VertexId, f64)>>| {
-            let len: usize = adj.iter().map(Vec::len).sum();
-            let mut first = Vec::with_capacity(n + 1);
-            let mut heads = Vec::with_capacity(len);
-            let mut weights = Vec::with_capacity(len);
-            first.push(0u32);
-            for list in adj {
-                for (h, w) in list {
-                    heads.push(h);
-                    weights.push(w);
-                }
-                first.push(heads.len() as u32);
-            }
-            (first, heads, weights)
-        };
-        let (up_first, up_head, up_weight) = flatten(up);
-        let (down_first, down_tail, down_weight) = flatten(down_rev);
-        MetricCsr {
-            up_first,
-            up_head,
-            up_weight,
-            down_first,
-            down_tail,
-            down_weight,
-            // Each surviving edge is frozen exactly once (at its
-            // lower-ranked endpoint), so the shortcut count is what
-            // contraction added on top of the deduplicated, self-loop-free
-            // original edges.
-            num_shortcuts: total_edges.saturating_sub(original_edges),
-        }
     }
 
     /// Number of vertices.
@@ -931,6 +1088,195 @@ mod tests {
             }
         }
         dist[d as usize]
+    }
+
+    /// The witness-search customization the triangle pass replaced: one
+    /// contraction per metric strictly in rank order, each vertex's live
+    /// adjacency frozen into the hierarchy before its shortcuts (those no
+    /// witness search refutes) go in. The reference the triangle pass
+    /// must reproduce arc for arc and bit for bit.
+    fn customize_metric(fg: &FrozenGraph, order: &[VertexId], slot_weights: &[f64]) -> MetricCsr {
+        let n = fg.num_vertices();
+        let mut c = Contractor::seed(fg, slot_weights);
+        let original_edges: usize = c.fwd.iter().map(Vec::len).sum();
+        let mut up: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
+        let mut down_rev: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
+        for &x in order {
+            up[x as usize] = Contractor::live(&c.fwd, &c.contracted, x).collect();
+            down_rev[x as usize] = Contractor::live(&c.bwd, &c.contracted, x).collect();
+            c.simulate(x);
+            c.contract(x);
+        }
+        let flatten = |adj: Vec<Vec<(VertexId, f64)>>| {
+            let mut first = vec![0u32];
+            let (mut heads, mut weights) = (Vec::new(), Vec::new());
+            for list in adj {
+                for (h, w) in list {
+                    heads.push(h);
+                    weights.push(w);
+                }
+                first.push(heads.len() as u32);
+            }
+            (first, heads, weights)
+        };
+        let (up_first, up_head, up_weight) = flatten(up);
+        let (down_first, down_tail, down_weight) = flatten(down_rev);
+        let total_edges = up_head.len() + down_tail.len();
+        MetricCsr {
+            up_first,
+            up_head,
+            up_weight,
+            down_first,
+            down_tail,
+            down_weight,
+            // Every original edge survives, each frozen once.
+            num_shortcuts: total_edges - original_edges,
+        }
+    }
+
+    /// [`customize_metric`] for every window of `ch`'s order and starts.
+    fn witness_metrics(ch: &ContractionHierarchy, fg: &FrozenGraph) -> Vec<MetricCsr> {
+        let mut order: Vec<VertexId> = (0..fg.num_vertices() as u32).collect();
+        order.sort_unstable_by_key(|&v| ch.rank(v));
+        let nw = ch.starts.len();
+        let mut slot_weights = vec![Vec::new(); nw];
+        let (mut evals, mut mins) = (vec![0.0; nw], vec![0.0; nw]);
+        for v in 0..fg.num_vertices() as u32 {
+            for &e in fg.csr.out_slices(v).1 {
+                suffix_min_all(fg, e, &ch.starts, &mut evals, &mut mins);
+                for (sw, &m) in slot_weights.iter_mut().zip(&mins) {
+                    sw.push(m);
+                }
+            }
+        }
+        slot_weights
+            .iter()
+            .map(|sw| customize_metric(fg, &order, sw))
+            .collect()
+    }
+
+    /// Every vertex's up and down arc lists, each sorted by head, weights
+    /// as bits: a metric's identity, whatever order its lists are laid in.
+    fn sorted_arcs(m: &MetricCsr) -> Vec<Vec<(VertexId, u64)>> {
+        let n = m.up_first.len() - 1;
+        (0..n as u32)
+            .flat_map(|v| [m.up_edges(v), m.backward_up_edges(v)])
+            .map(|(heads, weights)| {
+                let mut arcs: Vec<(VertexId, u64)> = heads
+                    .iter()
+                    .zip(weights)
+                    .map(|(&h, w)| (h, w.to_bits()))
+                    .collect();
+                arcs.sort_unstable();
+                arcs
+            })
+            .collect()
+    }
+
+    /// FNV-1a over every metric's [`sorted_arcs`].
+    fn arc_hash(ch: &ContractionHierarchy) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            h ^= x;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        };
+        for m in &ch.metrics {
+            for arcs in sorted_arcs(m) {
+                eat(arcs.len() as u64);
+                for (head, bits) in arcs {
+                    eat(head as u64);
+                    eat(bits);
+                }
+            }
+        }
+        h
+    }
+
+    /// The hierarchy the witness-search customization built at CAL 0.25,
+    /// pinned: every metric's arcs and weight bits.
+    #[test]
+    fn the_hierarchy_keeps_its_bits() {
+        let fg = td_gen::Dataset::Cal
+            .spec()
+            .build_scaled(3, 0.25, 42)
+            .freeze();
+        let ch = ContractionHierarchy::build(&fg);
+        assert_eq!(arc_hash(&ch), 0x3ec8_7156_1590_a626);
+    }
+
+    /// Triangles keep exactly the arcs the witness searches kept, with the
+    /// same weight bits, in every window.
+    #[test]
+    fn triangles_keep_the_witness_arcs_and_weights() {
+        for scale in [0.5, 2.0] {
+            let fg = td_gen::Dataset::Cal
+                .spec()
+                .build_scaled(3, scale, 42)
+                .freeze();
+            let ch = ContractionHierarchy::build(&fg);
+            for (k, (want, got)) in witness_metrics(&ch, &fg)
+                .iter()
+                .zip(&ch.metrics)
+                .enumerate()
+            {
+                assert!(
+                    sorted_arcs(want) == sorted_arcs(got),
+                    "CAL {scale}, window {k}"
+                );
+                assert_eq!(
+                    want.num_shortcuts(),
+                    got.num_shortcuts(),
+                    "CAL {scale}, window {k}"
+                );
+            }
+        }
+    }
+
+    /// Ties under every order: on a graph whose distances tie everywhere
+    /// (a zero-weight two-cycle `2 ⇄ 3` both reached from `1` at equal
+    /// cost, a zero-weight one-way edge, two-way and one-way edges, a
+    /// second component), the hierarchy of each of the 7! orders answers
+    /// every pair with the exact distance — so a tie never drops both arcs
+    /// it could drop.
+    #[test]
+    fn every_order_keeps_exact_distances_through_ties() {
+        use td_plf::Plf;
+        let mut g = TdGraph::with_vertices(7);
+        for (u, v, w) in [
+            (0, 1, 1.0),
+            (1, 2, 2.0),
+            (1, 3, 2.0),
+            (2, 3, 0.0),
+            (3, 2, 0.0),
+            (3, 4, 1.0),
+            (2, 4, 1.0),
+            (4, 0, 0.0),
+            (4, 1, 3.0),
+            (1, 4, 3.0),
+            (5, 6, 2.0),
+            (6, 5, 2.0),
+        ] {
+            g.add_edge(u, v, Plf::constant(w)).unwrap();
+        }
+        let fg = g.freeze();
+        let want: Vec<f64> = (0..49)
+            .map(|p| scalar_dist(&g, p / 7, p % 7, |e| fg.min_cost(e)))
+            .collect();
+        // Every permutation of the ranks, in lexicographic order.
+        let mut rank: Vec<u32> = (0..7).collect();
+        loop {
+            let ch = ContractionHierarchy::from_parts(rank.clone(), vec![0.0], &fg);
+            for (p, &want) in want.iter().enumerate() {
+                let (s, d) = (p as u32 / 7, p as u32 % 7);
+                assert_eq!(ch.dist(s, d), want, "ranks {rank:?}: {s} → {d}");
+            }
+            let Some(i) = (1..7).rev().find(|&i| rank[i - 1] < rank[i]) else {
+                break;
+            };
+            let j = (i..7).rev().find(|&j| rank[j] > rank[i - 1]).unwrap();
+            rank.swap(i - 1, j);
+            rank[i..].reverse();
+        }
     }
 
     #[test]

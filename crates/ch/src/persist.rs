@@ -2,8 +2,9 @@
 //!
 //! Only the metric-independent state — the rank permutation, the
 //! suffix-window starts and the build time — is written. The per-metric
-//! shortcut arrays are recomputed on load by the same deterministic
-//! [`crate::ContractionHierarchy::customize`] pass the build used, so a
+//! arc arrays are recomputed on load by the same deterministic
+//! [`crate::ContractionHierarchy::customize`] pass the build used (one
+//! triangle pass over the order's chordal supergraph for all windows), so a
 //! CRC-valid edit of the file can never desynchronise the hierarchy from
 //! the graph it is loaded next to, and the snapshot stays a fraction of the
 //! in-memory size.

@@ -216,8 +216,9 @@ impl ChPotentialScratch {
     /// [`td_obs::SearchStats`]: its `settled` (and `tdx verify`'s search
     /// census) counts the forward search alone. The unit test
     /// `init_settles_a_fraction_of_the_graph` checks that it settles the
-    /// destination and never more than the graph; nothing asserts how small
-    /// a fraction it stays.
+    /// destination and never more than the graph; `tests/window_gain.rs`
+    /// asserts that on CAL 0.25's 1 000-query mix it settles at most 2 % of
+    /// the vertices a query on average.
     pub fn last_init_settled(&self) -> usize {
         self.init_settled
     }

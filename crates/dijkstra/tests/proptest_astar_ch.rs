@@ -8,7 +8,10 @@
 //!   edge) — the two properties A\*'s exactness argument rests on;
 //! * both properties also hold for the reference full-backward-Dijkstra
 //!   potential, and the two potentials agree (both are exact min-graph
-//!   distances).
+//!   distances);
+//! * on graphs whose distances tie everywhere (integer weights, zero-weight
+//!   cycles, two-way and one-way edges, two components) the two potentials
+//!   agree bit for bit and every answer keeps its bits.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -19,8 +22,8 @@ use td_dijkstra::{
     Potential, QueryBudget, SearchScratch, ZeroPotential,
 };
 use td_gen::random_graph::seeded_graph;
-use td_graph::FrozenGraph;
-use td_plf::DAY;
+use td_graph::{FrozenGraph, TdGraph};
+use td_plf::{Plf, DAY};
 
 /// An unbudgeted [`search`]: always exact.
 fn cost<P: Potential>(
@@ -35,8 +38,85 @@ fn cost<P: Potential>(
     }
 }
 
+/// A graph of tying distances: two components, each edge one-way or
+/// two-way with a small integer weight (zero included), constant or with a
+/// rush-hour bump, so every min-graph distance is exact in floating point
+/// and equal paths abound; vertices 0 and 1 form a zero-weight two-cycle.
+/// The graph itself refuses self-loops and repeated edges, so no hierarchy
+/// ever meets one.
+fn tying_graph(seed: u64, n: usize) -> TdGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = TdGraph::with_vertices(n);
+    g.add_edge(0, 1, Plf::zero()).unwrap();
+    g.add_edge(1, 0, Plf::zero()).unwrap();
+    let half = n / 2;
+    for _ in 0..2 * n {
+        let (lo, hi) = if rng.gen_range(0..2) == 0 {
+            (0, half)
+        } else {
+            (half, n)
+        };
+        let (u, v) = (rng.gen_range(lo..hi) as u32, rng.gen_range(lo..hi) as u32);
+        let w = rng.gen_range(0..4) as f64;
+        let weight = if rng.gen_range(0..2) == 0 {
+            Plf::constant(w)
+        } else {
+            Plf::from_pairs(&[(0.0, w + 2.0), (DAY / 3.0, w + 4.0), (DAY / 2.0, w)]).unwrap()
+        };
+        if u == v || g.find_edge(u, v).is_some() {
+            assert!(g.add_edge(u, v, weight).is_err());
+            continue;
+        }
+        g.add_edge(u, v, weight.clone()).unwrap();
+        if rng.gen_range(0..2) == 0 && g.find_edge(v, u).is_none() {
+            g.add_edge(v, u, weight).unwrap();
+        }
+    }
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn tying_graphs_keep_exact_potentials_and_answer_bits(
+        seed in 0u64..1_000,
+        n in 6usize..30,
+    ) {
+        let g = tying_graph(seed, n);
+        let fg = g.freeze();
+        let ch = ContractionHierarchy::build(&fg);
+        let (mut ch_sc, mut full_sc) = (ChPotentialScratch::default(), FullPotentialScratch::default());
+        let (mut dj, mut astar_sc) = (SearchScratch::default(), SearchScratch::default());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x71e5);
+        for d in 0..n as u32 {
+            // Departing at 0 the hierarchy uses metric 0, the whole-day
+            // minimum the reference potential is exact in.
+            let mut lazy = ChPotential::new(&ch, &mut ch_sc);
+            let mut full = FullPotential::new(&fg, &mut full_sc);
+            lazy.init(d, 0.0);
+            full.init(d, 0.0);
+            for v in 0..n as u32 {
+                prop_assert_eq!(
+                    lazy.h(v).to_bits(),
+                    full.h(v).to_bits(),
+                    "seed={} d={} v={}: {} vs {}", seed, d, v, lazy.h(v), full.h(v)
+                );
+            }
+            for _ in 0..3 {
+                let s = rng.gen_range(0..n) as u32;
+                let t = rng.gen_range(0.0..DAY);
+                let want = cost(&mut dj, &fg, &mut ZeroPotential, (s, d, t));
+                let mut pot = ChPotential::new(&ch, &mut ch_sc);
+                let got = cost(&mut astar_sc, &fg, &mut pot, (s, d, t));
+                prop_assert_eq!(
+                    want.map(f64::to_bits),
+                    got.map(f64::to_bits),
+                    "seed={} s={} d={} t={}", seed, s, d, t
+                );
+            }
+        }
+    }
 
     #[test]
     fn ch_astar_is_bit_identical_to_frozen_dijkstra(

@@ -2,7 +2,9 @@
 //! the windows `ContractionHierarchy::build` chooses from the graph's own
 //! profiles must make TD-A\*-CH settle clearly fewer vertices than the
 //! uniform 3-hour grid, while every answer stays bit-identical to
-//! TD-Dijkstra under both.
+//! TD-Dijkstra under both. It also bounds the potential's set-up: the
+//! backward upward search of each query's `init` settles a small share of
+//! the graph, which holds only while the hierarchy's down arcs stay few.
 
 use td_ch::{ContractionHierarchy, UNIFORM_WINDOW_STARTS};
 use td_dijkstra::{
@@ -11,17 +13,18 @@ use td_dijkstra::{
 use td_gen::{Dataset, Workload, WorkloadConfig};
 use td_graph::FrozenGraph;
 
-/// Vertices settled over `queries` by TD-A\*-CH on `ch`, asserting each
-/// answer's bits against the zero-potential run.
+/// Vertices settled over `queries` by TD-A\*-CH on `ch`, and by the
+/// potential's backward searches, asserting each answer's bits against the
+/// zero-potential run.
 fn settled(
     fg: &FrozenGraph,
     ch: &ContractionHierarchy,
     queries: &Workload,
     want: &[Option<u64>],
-) -> u64 {
+) -> (u64, u64) {
     let mut sc = SearchScratch::default();
     let mut pot_sc = ChPotentialScratch::default();
-    let mut total = 0;
+    let (mut total, mut init) = (0, 0);
     for (q, want) in queries.queries.iter().zip(want) {
         let mut pot = ChPotential::new(ch, &mut pot_sc);
         let got = search(
@@ -43,8 +46,9 @@ fn settled(
             ch.window_starts()
         );
         total += sc.stats.take().settled;
+        init += pot_sc.last_init_settled() as u64;
     }
-    total
+    (total, init)
 }
 
 #[test]
@@ -81,11 +85,18 @@ fn fitted_windows_settle_a_tenth_fewer_than_the_uniform_grid() {
     let fitted = ContractionHierarchy::build(&fg);
     let uniform = ContractionHierarchy::build_with(&fg, &UNIFORM_WINDOW_STARTS);
     let n = queries.queries.len() as f64;
-    let fitted_per = settled(&fg, &fitted, &queries, &want) as f64 / n;
-    let uniform_per = settled(&fg, &uniform, &queries, &want) as f64 / n;
+    let (fitted_total, fitted_init) = settled(&fg, &fitted, &queries, &want);
+    let fitted_per = fitted_total as f64 / n;
+    let uniform_per = settled(&fg, &uniform, &queries, &want).0 as f64 / n;
     assert!(
         fitted_per <= 0.9 * uniform_per,
         "windows {:?} settle {fitted_per:.1} a query, the 3-hour grid {uniform_per:.1}",
         fitted.window_starts()
+    );
+    let init_per = fitted_init as f64 / n;
+    assert!(
+        init_per <= 0.02 * fg.num_vertices() as f64,
+        "the potential's backward searches settle {init_per:.1} a query of {} vertices",
+        fg.num_vertices()
     );
 }
