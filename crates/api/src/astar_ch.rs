@@ -9,14 +9,16 @@
 //! [`td_dijkstra::FullPotential`]. Answers are bit-identical to frozen
 //! scalar Dijkstra — the same [`search`] under the zero potential.
 //!
-//! The contraction **order** is metric-independent: [`update_edges`]
+//! The contraction **order** is metric-independent — the topology's
+//! min-degree elimination order, the TD-tree's own: [`update_edges`]
 //! re-freezes the graph (rebuilding the min bounds) and re-customizes the
 //! hierarchy under the kept order and the kept suffix windows (placed from
 //! the built graph's profiles), CATCHUp-style, instead of re-running the
-//! ordering heuristic or the window chooser: one pass over the order's
-//! chordal supergraph relaxes every window's weights by triangles, with no
-//! witness search. The same customization pass runs on snapshot load, so
-//! build, update and load all produce bit-identical hierarchies.
+//! ordering or the window chooser: one pass over the order's chordal
+//! supergraph relaxes every window's weights by triangles, with no witness
+//! search. The same customization pass runs on snapshot load under the
+//! order the file stores, so build, update and load all produce
+//! bit-identical hierarchies.
 //!
 //! [`update_edges`]: crate::IncrementalIndex::update_edges
 
@@ -104,7 +106,8 @@ impl AStarChIndex {
     /// [`AStarChIndex::query_cost_with`] under a [`QueryBudget`] — the one
     /// call into [`search`]: identical (bit-identical when complete), but
     /// exhaustion degrades to a bracketing interval whose lower bound comes
-    /// from the CH-potential frontier keys.
+    /// from the CH-potential frontier keys. The search's counters also get
+    /// the potential's work (`s == d` runs no potential).
     pub fn query_cost_bounded_with(
         &self,
         scratch: &mut AStarChScratch,
@@ -114,7 +117,11 @@ impl AStarChIndex {
         budget: &QueryBudget,
     ) -> BoundedCost {
         let mut pot = ChPotential::new(&self.ch, &mut scratch.potential);
-        search(&mut scratch.search, &self.frozen, &mut pot, s, d, t, budget)
+        let answer = search(&mut scratch.search, &self.frozen, &mut pot, s, d, t, budget);
+        if s != d {
+            scratch.potential.record(&mut scratch.search.stats);
+        }
+        answer
     }
 
     /// Travel cost and path: [`AStarChIndex::query_cost_with`], then the

@@ -20,8 +20,10 @@
 //! queries' merges ended, per query: kept by per-window bounds, kept by the
 //! merge kernel's walk, or changed. On a search backend (TD-Dijkstra,
 //! TD-A\*-CH) it prints a search census per cost query — settled,
-//! relaxed, evaluations, pushes — and for TD-A\*-CH the hours its suffix
-//! windows open at.
+//! relaxed, evaluations, pushes — and for TD-A\*-CH the potential's
+//! backward settles and lazy resolutions and the hours its suffix windows
+//! open at. `inspect` on a TD-A\*-CH snapshot also prints the shape of the
+//! order it stores: chordal arcs, width and elimination-tree height.
 //!
 //! `stats` loads the snapshot, drives a seeded serving workload through the
 //! parallel executor (exact, budget-bounded and profile queries), then
@@ -285,6 +287,7 @@ fn write_inspect(
         td_bench::fmt_bytes(total as usize),
         total_secs * 1e3
     )?;
+    write_order_shape(out, path)?;
 
     // The crash-consistency generation pair: which generations exist, how
     // old each is, and which one a load would actually serve (`load_index`
@@ -308,6 +311,27 @@ fn write_inspect(
             (false, true) => "prev (fallback)",
             (false, false) => "nothing — both generations unloadable",
         }
+    )
+}
+
+/// On a TD-A\*-CH snapshot, the shape of the order it stores: its chordal
+/// supergraph's arcs, its largest up-degree and its elimination-tree height
+/// (a file holding the min-degree order and one holding another order tell
+/// apart here). Any other file, or none, prints nothing.
+fn write_order_shape(out: &mut impl Write, path: &str) -> io::Result<()> {
+    let Ok(f) = std::fs::File::open(path) else {
+        return Ok(());
+    };
+    let header = td_store::format::read_header(&mut std::io::BufReader::new(f));
+    if !matches!(header, Ok(h) if h.backend == td_store::BackendTag::AStarCh) {
+        return Ok(());
+    }
+    let index = td_api::load_astar_ch_index(path).unwrap_or_else(|e| fail(e));
+    let shape = index.hierarchy().order_shape(index.frozen());
+    writeln!(
+        out,
+        "order: {} chordal arcs, width {}, elimination-tree height {}",
+        shape.arcs, shape.width, shape.height
     )
 }
 
@@ -476,7 +500,9 @@ const SEARCH_FAMILY: [&str; 2] = ["TD-Dijkstra", "TD-A*-CH"];
 /// Replays `verify`'s probes as cost queries on a search backend and prints
 /// what one query's search did, on average: vertices settled, out-edges
 /// relaxed, weight functions evaluated and heap pushes. On TD-A\*-CH, also
-/// the suffix windows its potentials switch between, in hours.
+/// what its potential did — the vertices its backward upward search
+/// settled and the potentials it resolved lazily — and the suffix windows
+/// it switches between, in hours.
 fn write_search_census(
     out: &mut impl Write,
     path: &str,
@@ -502,6 +528,12 @@ fn write_search_census(
         per(total.heap_pushes),
     )?;
     if index.backend_name() == "TD-A*-CH" {
+        write!(
+            out,
+            "; potential {:.1} settled, {:.1} resolved",
+            per(total.potential_settled),
+            per(total.potential_resolved),
+        )?;
         let index = td_api::load_astar_ch_index(path).unwrap_or_else(|e| fail(e));
         let hours: Vec<String> = index
             .hierarchy()
@@ -908,10 +940,15 @@ mod tests {
             " settled, ",
             " relaxed, ",
             " evaluations, ",
-            " pushes; windows at 0, ",
+            " pushes; potential ",
+            " resolved; windows at 0, ",
         ] {
             assert!(text.contains(line), "{line} missing from {text}");
         }
+        // The potential's work: every query that is not `s == d` settles
+        // its destination in the backward search and resolves the source.
+        assert!(!text.contains("; potential 0.0 settled"), "{text}");
+        assert!(!text.contains(", 0.0 resolved"), "{text}");
         let hours: Vec<String> = starts.iter().map(|s| format!("{}", s / 3600.0)).collect();
         assert!(
             text.contains(&format!("windows at {} h\n", hours.join(", "))),
@@ -919,6 +956,38 @@ mod tests {
         );
         assert!(!text.contains("cost census"), "{text}");
         assert!(text.ends_with("verify: OK\n"), "{text}");
+    }
+
+    /// On a TD-A\*-CH snapshot, `inspect` prints the shape of the stored
+    /// order; on any other snapshot it prints none.
+    #[test]
+    fn inspect_reports_the_order_shape_of_an_astar_ch_snapshot() {
+        let path = std::env::temp_dir().join(format!("tdx-inspect-ch-{}.tdx", std::process::id()));
+        let graph = Dataset::Cal.build(3, 0.002, 42);
+        let index = td_api::AStarChIndex::new(graph.clone());
+        let shape = index.hierarchy().order_shape(index.frozen());
+        save_index(&index, &path).unwrap();
+        let path = path.to_str().unwrap();
+        let inspect = |path: &str| {
+            let (header, infos) = walk(path);
+            let mut text = Vec::new();
+            write_inspect(&mut text, path, &header, &infos).unwrap();
+            String::from_utf8(text).unwrap()
+        };
+        let text = inspect(path);
+        let line = format!(
+            "\norder: {} chordal arcs, width {}, elimination-tree height {}\n",
+            shape.arcs, shape.width, shape.height
+        );
+        assert!(
+            shape.arcs > 0 && text.contains(&line),
+            "{line} missing from {text}"
+        );
+        let oracle = td_api::DijkstraOracle::new(graph);
+        save_index(&oracle, path).unwrap();
+        assert!(!inspect(path).contains("chordal arcs"));
+        std::fs::remove_file(path).unwrap();
+        let _ = std::fs::remove_file(format!("{path}.prev"));
     }
 
     /// Into a live writer, `verify` reports a small TD-appro snapshot in

@@ -12,10 +12,11 @@
 //!
 //! This crate contracts such scalar graphs once into a
 //! [`ContractionHierarchy`] (the CH-Potentials idea of Strasser, Wagner &
-//! Zeitz and the TCH line of Batz et al.): a Geisberger-style node
-//! contraction with witness searches picks the order, and a CCH-style
-//! customization by triangles (Dibbelt, Strasser & Wagner) derives every
-//! metric's arcs in it. A destination's exact scalar distances are then
+//! Zeitz and the TCH line of Batz et al.), built as a customizable CH
+//! (Dibbelt, Strasser & Wagner): the order comes from the topology alone —
+//! [`td_graph::min_degree_order`], the very order the TD-tree eliminates
+//! in — and a customization by triangles derives every metric's arcs in
+//! it. A destination's exact scalar distances are then
 //! answered by one small backward *upward* search plus lazy memoized
 //! resolution over the upward edge arrays — typically a few hundred vertices
 //! instead of all of them (see `td_dijkstra::ChPotential`).
@@ -34,27 +35,23 @@
 //!   over a 15-minute grid minimising how far each departure's metric
 //!   sits below the weights it bounds), so the windows crowd the rise to
 //!   the morning peak instead of following a fixed 3-hour grid.
-//! * **Metric-independent order**: the contraction order is computed once
-//!   (lazy edge-difference heuristic on metric 0) and kept across weight
-//!   changes, and so are the window starts;
+//! * **Metric-independent order**: the contraction order is the graph's
+//!   min-degree elimination order, computed once from the topology and kept
+//!   across weight changes, and so are the window starts;
 //!   [`ContractionHierarchy::customize`] re-derives every metric's arcs in
 //!   that fixed order by one pass over the order's chordal supergraph: its
 //!   triangles, listed once, relax each window's weights bottom-up and then
 //!   top-down, and an arc direction some triangle beats is dropped — on
 //!   road-like graphs the arcs and weights a witness-search contraction in
-//!   that order keeps, for a fraction of its time. Build, `update_edges`
-//!   re-customization and snapshot load all run this same pass, so all
-//!   three produce bit-identical hierarchies.
+//!   that order keeps, for a fraction of its time. The order decides the
+//!   cost of a query, never its answer: any order yields exact distances.
+//!   Build, `update_edges` re-customization and snapshot load all run this
+//!   same pass, so all three produce bit-identical hierarchies.
 
-use td_graph::{EdgeId, FrozenGraph, VertexId};
+use td_graph::{min_degree_order, EdgeId, FrozenGraph, VertexId};
 use td_plf::eval_times_into;
 
 pub mod persist;
-
-/// Cap on vertices settled per witness search. A hit means the search was
-/// inconclusive and the shortcut is counted anyway — only the order's
-/// priorities, never a metric's arcs or distances, depend on this.
-const WITNESS_SETTLE_CAP: usize = 128;
 
 /// Candidate window starts lie on this grid (seconds): every 15 minutes
 /// of the day. [`choose_window_starts`] picks [`WINDOW_COUNT`] of them.
@@ -337,219 +334,18 @@ fn suffix_min_all(fg: &FrozenGraph, e: EdgeId, starts: &[f64], evals: &mut [f64]
         .all(|(&m, &s)| m.to_bits() == suffix_min(fg, e, s).to_bits()));
 }
 
-/// The dynamic graph the ordering heuristic contracts: per-vertex forward
-/// and backward adjacency with parallel edges collapsed to their minimum
-/// weight, plus scratch for the witness searches.
-struct Contractor {
-    fwd: Vec<Vec<(VertexId, f64)>>,
-    bwd: Vec<Vec<(VertexId, f64)>>,
-    contracted: Vec<bool>,
-    /// Witness-search scratch: tentative distances, generation-stamped.
-    dist: Vec<f64>,
-    dist_gen: Vec<u32>,
-    gen: u32,
-    heap: std::collections::BinaryHeap<HeapEntry>,
-    /// Shortcut buffer reused across per-node simulations.
-    shortcuts: Vec<(VertexId, VertexId, f64)>,
-}
-
-#[derive(Copy, Clone)]
-struct HeapEntry {
-    key: f64,
-    vertex: VertexId,
-}
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.vertex == other.vertex
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // `total_cmp` keeps the comparison panic-free (weights are finite by
-        // construction; a NaN would order deterministically, not abort).
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl Contractor {
-    /// Seeds the working graph from `fg`'s topology with one scalar weight
-    /// per out-slot (parallel to the CSR `head` array; parallel edges
-    /// collapsed to the minimum, self-loops dropped — they never lie on a
-    /// shortest path since weights are non-negative).
-    fn seed(fg: &FrozenGraph, slot_weights: &[f64]) -> Contractor {
-        let n = fg.num_vertices();
-        let mut fwd: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
-        let mut bwd: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
-        let mut slot = 0usize;
-        for v in 0..n as u32 {
-            let (heads, _) = fg.csr.out_slices(v);
-            for &u in heads {
-                let w = slot_weights[slot];
-                slot += 1;
-                if u == v {
-                    continue;
-                }
-                match fwd[v as usize].iter_mut().find(|(h, _)| *h == u) {
-                    Some((_, old)) => *old = old.min(w),
-                    None => fwd[v as usize].push((u, w)),
-                }
-            }
-        }
-        for v in 0..n as u32 {
-            for &(u, w) in &fwd[v as usize] {
-                bwd[u as usize].push((v, w));
-            }
-        }
-        Contractor {
-            fwd,
-            bwd,
-            contracted: vec![false; n],
-            dist: vec![f64::INFINITY; n],
-            dist_gen: vec![0; n],
-            gen: 0,
-            heap: std::collections::BinaryHeap::new(),
-            shortcuts: Vec::new(),
-        }
-    }
-
-    /// Live (uncontracted, non-self) neighbours of `x` in one direction.
-    fn live<'a>(
-        adj: &'a [Vec<(VertexId, f64)>],
-        contracted: &'a [bool],
-        x: VertexId,
-    ) -> impl Iterator<Item = (VertexId, f64)> + 'a {
-        adj[x as usize]
-            .iter()
-            .copied()
-            .filter(move |&(y, _)| y != x && !contracted[y as usize])
-    }
-
-    /// Bounded witness Dijkstra from `source` in the live graph, excluding
-    /// `excluded`, stopping once the frontier exceeds `cutoff` or the settle
-    /// cap is hit. Distances land in the generation-stamped `dist` array.
-    fn witness_search(&mut self, source: VertexId, excluded: VertexId, cutoff: f64) {
-        self.gen = if self.gen == u32::MAX {
-            self.dist_gen.fill(0);
-            1
-        } else {
-            self.gen + 1
-        };
-        self.heap.clear();
-        self.dist[source as usize] = 0.0;
-        self.dist_gen[source as usize] = self.gen;
-        self.heap.push(HeapEntry {
-            key: 0.0,
-            vertex: source,
-        });
-        let mut settled = 0usize;
-        while let Some(HeapEntry { key, vertex: u }) = self.heap.pop() {
-            if key > self.dist[u as usize] {
-                continue; // stale
-            }
-            settled += 1;
-            if settled > WITNESS_SETTLE_CAP || key > cutoff {
-                break;
-            }
-            for (v, w) in &self.fwd[u as usize] {
-                let (v, w) = (*v, *w);
-                if v == excluded || self.contracted[v as usize] {
-                    continue;
-                }
-                let cand = key + w;
-                let known = if self.dist_gen[v as usize] == self.gen {
-                    self.dist[v as usize]
-                } else {
-                    f64::INFINITY
-                };
-                if cand < known {
-                    self.dist[v as usize] = cand;
-                    self.dist_gen[v as usize] = self.gen;
-                    self.heap.push(HeapEntry {
-                        key: cand,
-                        vertex: v,
-                    });
-                }
-            }
-        }
-    }
-
-    /// The shortcuts contracting `x` would need: for every live in-neighbour
-    /// `u` and out-neighbour `v` of `x`, shortcut `u → v` with weight
-    /// `w(u,x) + w(x,v)` unless a witness path at most that long avoids `x`.
-    /// Fills `self.shortcuts` (deterministic order).
-    fn simulate(&mut self, x: VertexId) {
-        self.shortcuts.clear();
-        let ins: Vec<(VertexId, f64)> = Self::live(&self.bwd, &self.contracted, x).collect();
-        let outs: Vec<(VertexId, f64)> = Self::live(&self.fwd, &self.contracted, x).collect();
-        if ins.is_empty() || outs.is_empty() {
-            return;
-        }
-        let max_out = outs.iter().fold(0f64, |m, &(_, w)| m.max(w));
-        for &(u, w_ux) in &ins {
-            self.witness_search(u, x, w_ux + max_out);
-            for &(v, w_xv) in &outs {
-                if v == u {
-                    continue;
-                }
-                let sc = w_ux + w_xv;
-                let witness = if self.dist_gen[v as usize] == self.gen {
-                    self.dist[v as usize]
-                } else {
-                    f64::INFINITY
-                };
-                if witness <= sc {
-                    continue;
-                }
-                self.shortcuts.push((u, v, sc));
-            }
-        }
-    }
-
-    /// The edge-difference priority of contracting `x` right now:
-    /// `#shortcuts − #removed edges + #already-contracted neighbours`
-    /// (the deleted-neighbour term spreads contraction evenly).
-    fn priority(&mut self, x: VertexId, deleted_neighbors: &[u32]) -> i64 {
-        self.simulate(x);
-        let ins = Self::live(&self.bwd, &self.contracted, x).count();
-        let outs = Self::live(&self.fwd, &self.contracted, x).count();
-        self.shortcuts.len() as i64 - (ins + outs) as i64 + deleted_neighbors[x as usize] as i64
-    }
-
-    /// Contracts `x`: materialises `self.shortcuts` into the live graph
-    /// (keeping minima over parallel edges) and marks `x` contracted.
-    /// `simulate(x)` must have run last for `x`.
-    fn contract(&mut self, x: VertexId) {
-        let shortcuts = std::mem::take(&mut self.shortcuts);
-        for &(u, v, w) in &shortcuts {
-            match self.fwd[u as usize].iter_mut().find(|(h, _)| *h == v) {
-                Some((_, old)) => {
-                    if w < *old {
-                        *old = w;
-                        let back = self.bwd[v as usize]
-                            .iter_mut()
-                            .find(|(t, _)| *t == u)
-                            .expect("fwd/bwd stay mirrored");
-                        back.1 = w;
-                    }
-                }
-                None => {
-                    self.fwd[u as usize].push((v, w));
-                    self.bwd[v as usize].push((u, w));
-                }
-            }
-        }
-        self.shortcuts = shortcuts;
-        self.contracted[x as usize] = true;
-    }
+/// The shape of a hierarchy's order: what its chordal supergraph costs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OrderShape {
+    /// Arcs of the chordal supergraph (each holds an up and a down weight
+    /// slot in every window before customization drops some).
+    pub arcs: usize,
+    /// The largest number of higher-ranked neighbours of a vertex — the
+    /// width of the order's tree decomposition.
+    pub width: usize,
+    /// Vertices on the longest path of the elimination tree (a vertex's
+    /// parent is its lowest-ranked higher neighbour).
+    pub height: usize,
 }
 
 /// The metric-independent half of a customization: the order's chordal
@@ -652,6 +448,28 @@ impl<'a> Chordal<'a> {
         }
     }
 
+    /// The supergraph's arcs, largest up-degree and elimination-tree
+    /// height: a vertex's heads ascend, so its first is its parent.
+    fn shape(&self) -> OrderShape {
+        let n = self.order.len();
+        let mut depth = vec![0usize; n];
+        let (mut width, mut height) = (0, 0);
+        for r in (0..n).rev() {
+            let arcs = self.first[r] as usize..self.first[r + 1] as usize;
+            width = width.max(arcs.len());
+            depth[r] = 1 + match arcs.is_empty() {
+                true => 0,
+                false => depth[self.head[arcs.start] as usize],
+            };
+            height = height.max(depth[r]);
+        }
+        OrderShape {
+            arcs: self.head.len(),
+            width,
+            height,
+        }
+    }
+
     /// One window's metric from its seeded weights (`basic`, one per
     /// slot).
     ///
@@ -748,11 +566,11 @@ impl<'a> Chordal<'a> {
 
 impl ContractionHierarchy {
     /// Contracts `fg`'s lower-bound metrics with the suffix windows
-    /// [`choose_window_starts`] fits to `fg`'s weights: computes a
-    /// contraction order with the lazy edge-difference heuristic on the
-    /// whole-day minimum, then runs the shared fixed-order
-    /// [`ContractionHierarchy::customize`] pass for all windows. The
-    /// starts, like the order, are kept across re-customization.
+    /// [`choose_window_starts`] fits to `fg`'s weights: orders the vertices
+    /// by [`td_graph::min_degree_order`] on the topology, then runs the
+    /// shared fixed-order [`ContractionHierarchy::customize`] pass for all
+    /// windows. The starts, like the order, are kept across
+    /// re-customization.
     pub fn build(fg: &FrozenGraph) -> ContractionHierarchy {
         let t0 = std::time::Instant::now();
         let span = td_obs::phase("ch_windows");
@@ -767,67 +585,43 @@ impl ContractionHierarchy {
     /// (strictly increasing, `starts[0]` must be `0` so every departure
     /// time has a valid metric).
     pub fn build_with(fg: &FrozenGraph, starts: &[f64]) -> ContractionHierarchy {
-        assert!(
-            starts.first() == Some(&0.0) && starts.windows(2).all(|w| w[0] < w[1]),
-            "window starts must be strictly increasing and begin at 0"
-        );
         let t0 = std::time::Instant::now();
         let order_span = td_obs::phase("ch_order");
-        let rank = Self::compute_order(fg);
+        let rank = min_degree_order(fg.num_vertices(), |v| {
+            let (outs, ins) = (fg.csr.out_slices(v).0, fg.csr.in_slices(v).0);
+            outs.iter().chain(ins).copied()
+        });
         drop(order_span);
-        let mut ch = ContractionHierarchy {
-            rank,
-            starts: starts.to_vec(),
-            ..ContractionHierarchy::default()
-        };
-        ch.customize(fg);
+        let mut ch = Self::with_order(fg, rank, starts.to_vec());
         ch.construction_secs = t0.elapsed().as_secs_f64();
         ch
     }
 
-    /// The contraction order by lazy-updated edge-difference priorities on
-    /// the whole-day-minimum metric: pop the cheapest candidate, re-evaluate
-    /// it against the moved graph, contract if it still wins, otherwise
-    /// reinsert. Deterministic (ties break on vertex id).
-    fn compute_order(fg: &FrozenGraph) -> Vec<u32> {
-        let n = fg.num_vertices();
-        let global_min: Vec<f64> = (0..n as u32)
-            .flat_map(|v| fg.out_slices_with_min(v).2.iter().copied())
-            .collect();
-        let mut c = Contractor::seed(fg, &global_min);
-        let mut deleted_neighbors = vec![0u32; n];
-        // Min-heap via Reverse on (priority, vertex).
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(i64, u32)>> = (0..n as u32)
-            .map(|v| std::cmp::Reverse((c.priority(v, &deleted_neighbors), v)))
-            .collect();
-        let mut rank = vec![0u32; n];
-        let mut next_rank = 0u32;
-        while let Some(std::cmp::Reverse((p, x))) = heap.pop() {
-            if c.contracted[x as usize] {
-                continue;
-            }
-            let fresh = c.priority(x, &deleted_neighbors);
-            if fresh > p {
-                if let Some(&std::cmp::Reverse((top, _))) = heap.peek() {
-                    if fresh > top {
-                        heap.push(std::cmp::Reverse((fresh, x)));
-                        continue;
-                    }
-                }
-            }
-            // `simulate(x)` ran inside `priority`; contract on its result.
-            for (y, _) in Contractor::live(&c.bwd, &c.contracted, x)
-                .chain(Contractor::live(&c.fwd, &c.contracted, x))
-                .collect::<Vec<_>>()
-            {
-                deleted_neighbors[y as usize] += 1;
-            }
-            c.contract(x);
-            rank[x as usize] = next_rank;
-            next_rank += 1;
+    /// The hierarchy of `fg` under a given order — `rank[v]` is `v`'s
+    /// position, a permutation of `0..n` — customized for the window
+    /// `starts` (strictly increasing from `0`). Any order gives exact
+    /// distances; the order only decides how many arcs the customization
+    /// keeps and a query climbs. A snapshot load keeps the order the file
+    /// stores this way.
+    pub fn with_order(fg: &FrozenGraph, rank: Vec<u32>, starts: Vec<f64>) -> ContractionHierarchy {
+        assert!(
+            starts.first() == Some(&0.0) && starts.windows(2).all(|w| w[0] < w[1]),
+            "window starts must be strictly increasing and begin at 0"
+        );
+        let mut seen = vec![false; rank.len()];
+        for &r in &rank {
+            let fresh = seen
+                .get_mut(r as usize)
+                .map(|s| !std::mem::replace(s, true));
+            assert_eq!(fresh, Some(true), "the ranks must be a permutation");
         }
-        debug_assert_eq!(next_rank as usize, n);
-        rank
+        let mut ch = ContractionHierarchy {
+            rank,
+            starts,
+            ..ContractionHierarchy::default()
+        };
+        ch.customize(fg);
+        ch
     }
 
     /// Recomputes every metric's arcs and weights for the **current**
@@ -841,12 +635,13 @@ impl ContractionHierarchy {
     /// window; each window then relaxes the lower triangles bottom-up
     /// (basic), the intermediate and upper ones top-down (perfect), and
     /// drops the arc directions such a triangle beats (or ties, by the
-    /// tie rule `Chordal::customize` states). On the road-like CAL
-    /// analogues the kept arcs and their weight bits are exactly those a
-    /// witness-search contraction in this order keeps; elsewhere they are a
-    /// subset, as that contraction keeps every original edge and some
-    /// shortcuts a path over higher vertices beats. Upward/downward
-    /// distances in the result equal true scalar distances.
+    /// tie rule `Chordal::customize` states). No witness search runs, and
+    /// none picked the order. On the road-like CAL analogues the kept arcs
+    /// and their weight bits are exactly those a witness-search contraction
+    /// in this order keeps; elsewhere they are a subset, as that
+    /// contraction keeps every original edge and some shortcuts a path over
+    /// higher vertices beats. Upward/downward distances in the result equal
+    /// true scalar distances.
     pub fn customize(&mut self, fg: &FrozenGraph) {
         let _span = td_obs::phase("ch_customize");
         let n = fg.num_vertices();
@@ -964,18 +759,16 @@ impl ContractionHierarchy {
         self.construction_secs = secs;
     }
 
-    pub(crate) fn from_parts(
-        rank: Vec<u32>,
-        starts: Vec<f64>,
-        fg: &FrozenGraph,
-    ) -> ContractionHierarchy {
-        let mut ch = ContractionHierarchy {
-            rank,
-            starts,
-            ..ContractionHierarchy::default()
-        };
-        ch.customize(fg);
-        ch
+    /// The shape of the hierarchy's order on `fg` (its topology): the
+    /// chordal supergraph's arcs, the largest up-degree and the
+    /// elimination-tree height. Rebuilds the supergraph to measure it.
+    pub fn order_shape(&self, fg: &FrozenGraph) -> OrderShape {
+        assert_eq!(
+            self.rank.len(),
+            fg.num_vertices(),
+            "order was built for a different graph"
+        );
+        Chordal::new(fg, &self.rank).shape()
     }
 
     /// Heap footprint in bytes.
@@ -987,55 +780,6 @@ impl ContractionHierarchy {
                 .iter()
                 .map(MetricCsr::heap_bytes)
                 .sum::<usize>()
-    }
-
-    /// Exact metric-0 (whole-day minimum) distance `s → d` by a
-    /// bidirectional upward search — the reference query used by the tests
-    /// (the hot path is the lazy potential in td-dijkstra).
-    pub fn dist(&self, s: VertexId, d: VertexId) -> f64 {
-        self.dist_in_metric(0, s, d)
-    }
-
-    /// Exact distance `s → d` within metric `idx`.
-    pub fn dist_in_metric(&self, idx: usize, s: VertexId, d: VertexId) -> f64 {
-        let m = &self.metrics[idx];
-        let fwd = self.upward_sweep(m, s, true);
-        let bwd = self.upward_sweep(m, d, false);
-        fwd.iter()
-            .zip(bwd.iter())
-            .fold(f64::INFINITY, |acc, (&a, &b)| acc.min(a + b))
-    }
-
-    /// One full upward Dijkstra from `start` over the up-edges (`forward`)
-    /// or the backward-up edges (`!forward`).
-    fn upward_sweep(&self, m: &MetricCsr, start: VertexId, forward: bool) -> Vec<f64> {
-        let mut dist = vec![f64::INFINITY; self.num_vertices()];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[start as usize] = 0.0;
-        heap.push(HeapEntry {
-            key: 0.0,
-            vertex: start,
-        });
-        while let Some(HeapEntry { key, vertex: u }) = heap.pop() {
-            if key > dist[u as usize] {
-                continue;
-            }
-            let (heads, weights) = if forward {
-                m.up_edges(u)
-            } else {
-                m.backward_up_edges(u)
-            };
-            for (&v, &w) in heads.iter().zip(weights.iter()) {
-                if key + w < dist[v as usize] {
-                    dist[v as usize] = key + w;
-                    heap.push(HeapEntry {
-                        key: key + w,
-                        vertex: v,
-                    });
-                }
-            }
-        }
-        dist
     }
 }
 
@@ -1055,6 +799,266 @@ mod tests {
     use td_gen::random_graph::seeded_graph;
     use td_graph::TdGraph;
     use td_plf::PlfView;
+
+    /// Cap on vertices settled per witness search. A hit means the search was
+    /// inconclusive and the shortcut is kept anyway.
+    const WITNESS_SETTLE_CAP: usize = 128;
+
+    /// The dynamic graph a witness-search contraction works on: per-vertex
+    /// forward and backward adjacency with parallel edges collapsed to their
+    /// minimum weight, plus scratch for the witness searches.
+    struct Contractor {
+        fwd: Vec<Vec<(VertexId, f64)>>,
+        bwd: Vec<Vec<(VertexId, f64)>>,
+        contracted: Vec<bool>,
+        /// Witness-search scratch: tentative distances, generation-stamped.
+        dist: Vec<f64>,
+        dist_gen: Vec<u32>,
+        gen: u32,
+        heap: std::collections::BinaryHeap<HeapEntry>,
+        /// Shortcut buffer reused across per-node simulations.
+        shortcuts: Vec<(VertexId, VertexId, f64)>,
+    }
+
+    #[derive(Copy, Clone)]
+    struct HeapEntry {
+        key: f64,
+        vertex: VertexId,
+    }
+    impl PartialEq for HeapEntry {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key && self.vertex == other.vertex
+        }
+    }
+    impl Eq for HeapEntry {}
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // `total_cmp` keeps the comparison panic-free (weights are finite by
+            // construction; a NaN would order deterministically, not abort).
+            other
+                .key
+                .total_cmp(&self.key)
+                .then_with(|| other.vertex.cmp(&self.vertex))
+        }
+    }
+
+    impl Contractor {
+        /// Seeds the working graph from `fg`'s topology with one scalar weight
+        /// per out-slot (parallel to the CSR `head` array; parallel edges
+        /// collapsed to the minimum, self-loops dropped — they never lie on a
+        /// shortest path since weights are non-negative).
+        fn seed(fg: &FrozenGraph, slot_weights: &[f64]) -> Contractor {
+            let n = fg.num_vertices();
+            let mut fwd: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
+            let mut bwd: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
+            let mut slot = 0usize;
+            for v in 0..n as u32 {
+                let (heads, _) = fg.csr.out_slices(v);
+                for &u in heads {
+                    let w = slot_weights[slot];
+                    slot += 1;
+                    if u == v {
+                        continue;
+                    }
+                    match fwd[v as usize].iter_mut().find(|(h, _)| *h == u) {
+                        Some((_, old)) => *old = old.min(w),
+                        None => fwd[v as usize].push((u, w)),
+                    }
+                }
+            }
+            for v in 0..n as u32 {
+                for &(u, w) in &fwd[v as usize] {
+                    bwd[u as usize].push((v, w));
+                }
+            }
+            Contractor {
+                fwd,
+                bwd,
+                contracted: vec![false; n],
+                dist: vec![f64::INFINITY; n],
+                dist_gen: vec![0; n],
+                gen: 0,
+                heap: std::collections::BinaryHeap::new(),
+                shortcuts: Vec::new(),
+            }
+        }
+
+        /// Live (uncontracted, non-self) neighbours of `x` in one direction.
+        fn live<'a>(
+            adj: &'a [Vec<(VertexId, f64)>],
+            contracted: &'a [bool],
+            x: VertexId,
+        ) -> impl Iterator<Item = (VertexId, f64)> + 'a {
+            adj[x as usize]
+                .iter()
+                .copied()
+                .filter(move |&(y, _)| y != x && !contracted[y as usize])
+        }
+
+        /// Bounded witness Dijkstra from `source` in the live graph, excluding
+        /// `excluded`, stopping once the frontier exceeds `cutoff` or the settle
+        /// cap is hit. Distances land in the generation-stamped `dist` array.
+        fn witness_search(&mut self, source: VertexId, excluded: VertexId, cutoff: f64) {
+            self.gen = if self.gen == u32::MAX {
+                self.dist_gen.fill(0);
+                1
+            } else {
+                self.gen + 1
+            };
+            self.heap.clear();
+            self.dist[source as usize] = 0.0;
+            self.dist_gen[source as usize] = self.gen;
+            self.heap.push(HeapEntry {
+                key: 0.0,
+                vertex: source,
+            });
+            let mut settled = 0usize;
+            while let Some(HeapEntry { key, vertex: u }) = self.heap.pop() {
+                if key > self.dist[u as usize] {
+                    continue; // stale
+                }
+                settled += 1;
+                if settled > WITNESS_SETTLE_CAP || key > cutoff {
+                    break;
+                }
+                for (v, w) in &self.fwd[u as usize] {
+                    let (v, w) = (*v, *w);
+                    if v == excluded || self.contracted[v as usize] {
+                        continue;
+                    }
+                    let cand = key + w;
+                    let known = if self.dist_gen[v as usize] == self.gen {
+                        self.dist[v as usize]
+                    } else {
+                        f64::INFINITY
+                    };
+                    if cand < known {
+                        self.dist[v as usize] = cand;
+                        self.dist_gen[v as usize] = self.gen;
+                        self.heap.push(HeapEntry {
+                            key: cand,
+                            vertex: v,
+                        });
+                    }
+                }
+            }
+        }
+
+        /// The shortcuts contracting `x` would need: for every live in-neighbour
+        /// `u` and out-neighbour `v` of `x`, shortcut `u → v` with weight
+        /// `w(u,x) + w(x,v)` unless a witness path at most that long avoids `x`.
+        /// Fills `self.shortcuts` (deterministic order).
+        fn simulate(&mut self, x: VertexId) {
+            self.shortcuts.clear();
+            let ins: Vec<(VertexId, f64)> = Self::live(&self.bwd, &self.contracted, x).collect();
+            let outs: Vec<(VertexId, f64)> = Self::live(&self.fwd, &self.contracted, x).collect();
+            if ins.is_empty() || outs.is_empty() {
+                return;
+            }
+            let max_out = outs.iter().fold(0f64, |m, &(_, w)| m.max(w));
+            for &(u, w_ux) in &ins {
+                self.witness_search(u, x, w_ux + max_out);
+                for &(v, w_xv) in &outs {
+                    if v == u {
+                        continue;
+                    }
+                    let sc = w_ux + w_xv;
+                    let witness = if self.dist_gen[v as usize] == self.gen {
+                        self.dist[v as usize]
+                    } else {
+                        f64::INFINITY
+                    };
+                    if witness <= sc {
+                        continue;
+                    }
+                    self.shortcuts.push((u, v, sc));
+                }
+            }
+        }
+
+        /// Contracts `x`: materialises `self.shortcuts` into the live graph
+        /// (keeping minima over parallel edges) and marks `x` contracted.
+        /// `simulate(x)` must have run last for `x`.
+        fn contract(&mut self, x: VertexId) {
+            let shortcuts = std::mem::take(&mut self.shortcuts);
+            for &(u, v, w) in &shortcuts {
+                match self.fwd[u as usize].iter_mut().find(|(h, _)| *h == v) {
+                    Some((_, old)) => {
+                        if w < *old {
+                            *old = w;
+                            let back = self.bwd[v as usize]
+                                .iter_mut()
+                                .find(|(t, _)| *t == u)
+                                .expect("fwd/bwd stay mirrored");
+                            back.1 = w;
+                        }
+                    }
+                    None => {
+                        self.fwd[u as usize].push((v, w));
+                        self.bwd[v as usize].push((u, w));
+                    }
+                }
+            }
+            self.shortcuts = shortcuts;
+            self.contracted[x as usize] = true;
+        }
+    }
+
+    impl ContractionHierarchy {
+        /// Exact metric-0 (whole-day minimum) distance `s → d` by a
+        /// bidirectional upward search — the reference query used by the tests
+        /// (the hot path is the lazy potential in td-dijkstra).
+        pub fn dist(&self, s: VertexId, d: VertexId) -> f64 {
+            self.dist_in_metric(0, s, d)
+        }
+
+        /// Exact distance `s → d` within metric `idx`.
+        pub fn dist_in_metric(&self, idx: usize, s: VertexId, d: VertexId) -> f64 {
+            let m = &self.metrics[idx];
+            let fwd = self.upward_sweep(m, s, true);
+            let bwd = self.upward_sweep(m, d, false);
+            fwd.iter()
+                .zip(bwd.iter())
+                .fold(f64::INFINITY, |acc, (&a, &b)| acc.min(a + b))
+        }
+
+        /// One full upward Dijkstra from `start` over the up-edges (`forward`)
+        /// or the backward-up edges (`!forward`).
+        fn upward_sweep(&self, m: &MetricCsr, start: VertexId, forward: bool) -> Vec<f64> {
+            let mut dist = vec![f64::INFINITY; self.num_vertices()];
+            let mut heap = std::collections::BinaryHeap::new();
+            dist[start as usize] = 0.0;
+            heap.push(HeapEntry {
+                key: 0.0,
+                vertex: start,
+            });
+            while let Some(HeapEntry { key, vertex: u }) = heap.pop() {
+                if key > dist[u as usize] {
+                    continue;
+                }
+                let (heads, weights) = if forward {
+                    m.up_edges(u)
+                } else {
+                    m.backward_up_edges(u)
+                };
+                for (&v, &w) in heads.iter().zip(weights.iter()) {
+                    if key + w < dist[v as usize] {
+                        dist[v as usize] = key + w;
+                        heap.push(HeapEntry {
+                            key: key + w,
+                            vertex: v,
+                        });
+                    }
+                }
+            }
+            dist
+        }
+    }
 
     /// Plain Dijkstra over per-edge scalar weights — the oracle every
     /// metric's CH must match.
@@ -1192,8 +1196,10 @@ mod tests {
         h
     }
 
-    /// The hierarchy the witness-search customization built at CAL 0.25,
-    /// pinned: every metric's arcs and weight bits.
+    /// The hierarchy `build` makes at CAL 0.25 in the min-degree order,
+    /// pinned: every metric's arcs and weight bits. (The witness-search
+    /// order the build took before hashed to `0x3ec8_7156_1590_a626`; the
+    /// order changed, no weight rule did.)
     #[test]
     fn the_hierarchy_keeps_its_bits() {
         let fg = td_gen::Dataset::Cal
@@ -1201,7 +1207,33 @@ mod tests {
             .build_scaled(3, 0.25, 42)
             .freeze();
         let ch = ContractionHierarchy::build(&fg);
-        assert_eq!(arc_hash(&ch), 0x3ec8_7156_1590_a626);
+        assert_eq!(arc_hash(&ch), 0xd341_ca8c_bca3_6414);
+    }
+
+    /// The hierarchy and the TD-tree take one order: at CAL 0.25 and 0.5
+    /// the ranks are the tree's elimination steps, and the order's chordal
+    /// supergraph is the tree's bags — an arc per bag member, the widest
+    /// bag's width and the tree's height.
+    #[test]
+    fn one_order_serves_the_tree_and_the_hierarchy() {
+        for scale in [0.25, 0.5] {
+            let g = td_gen::Dataset::Cal.spec().build_scaled(3, scale, 42);
+            let fg = g.freeze();
+            let ch = ContractionHierarchy::build(&fg);
+            let td = td_treedec::TreeDecomposition::build(&g);
+            assert!(ch.rank_slice() == &td.order[..], "CAL {scale}");
+            let bag_members: usize = td.nodes.iter().map(|nd| nd.bag.len()).sum();
+            let stats = td.stats();
+            assert_eq!(
+                ch.order_shape(&fg),
+                OrderShape {
+                    arcs: bag_members,
+                    width: stats.width,
+                    height: stats.height,
+                },
+                "CAL {scale}"
+            );
+        }
     }
 
     /// Triangles keep exactly the arcs the witness searches kept, with the
@@ -1265,7 +1297,7 @@ mod tests {
         // Every permutation of the ranks, in lexicographic order.
         let mut rank: Vec<u32> = (0..7).collect();
         loop {
-            let ch = ContractionHierarchy::from_parts(rank.clone(), vec![0.0], &fg);
+            let ch = ContractionHierarchy::with_order(&fg, rank.clone(), vec![0.0]);
             for (p, &want) in want.iter().enumerate() {
                 let (s, d) = (p as u32 / 7, p as u32 % 7);
                 assert_eq!(ch.dist(s, d), want, "ranks {rank:?}: {s} → {d}");
@@ -1277,6 +1309,13 @@ mod tests {
             rank.swap(i - 1, j);
             rank[i..].reverse();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the ranks must be a permutation")]
+    fn with_order_refuses_ranks_that_are_not_a_permutation() {
+        let fg = seeded_graph(1, 5, 4, 3).freeze();
+        ContractionHierarchy::with_order(&fg, vec![0, 1, 1, 3, 4], vec![0.0]);
     }
 
     #[test]
@@ -1549,10 +1588,10 @@ mod tests {
         let g = seeded_graph(9, 40, 30, 3);
         let fg = g.freeze();
         let ch = ContractionHierarchy::build(&fg);
-        let ch2 = ContractionHierarchy::from_parts(
+        let ch2 = ContractionHierarchy::with_order(
+            &fg,
             ch.rank_slice().to_vec(),
             ch.window_starts().to_vec(),
-            &fg,
         );
         for idx in 0..ch.window_starts().len() {
             let (a, b) = (ch.metric(idx), ch2.metric(idx));

@@ -61,7 +61,7 @@ pub fn read_ch<R: Read>(r: &mut R, fg: &FrozenGraph) -> Result<ContractionHierar
     if secs.is_nan() || secs < 0.0 {
         return Err(StoreError::invalid("CH build time must be non-negative"));
     }
-    let mut ch = ContractionHierarchy::from_parts(rank, starts, fg);
+    let mut ch = ContractionHierarchy::with_order(fg, rank, starts);
     ch.set_construction_secs(secs);
     Ok(ch)
 }

@@ -207,20 +207,30 @@ pub struct ChPotentialScratch {
     stack: Vec<VertexId>,
     /// Vertices settled by the last `init` — the per-query setup cost.
     init_settled: usize,
+    /// Potentials `h` resolved since the last `init`.
+    resolved: usize,
 }
 
 impl ChPotentialScratch {
     /// Vertices settled by the backward-upward search of the last `init` —
     /// the whole per-query setup, run in the metric of the suffix window the
-    /// departure falls in. They are not in the search's
-    /// [`td_obs::SearchStats`]: its `settled` (and `tdx verify`'s search
-    /// census) counts the forward search alone. The unit test
+    /// departure falls in. They are not in the search's `settled` (the
+    /// forward search alone) but in its `potential_settled`, which
+    /// [`ChPotentialScratch::record`] fills. The unit test
     /// `init_settles_a_fraction_of_the_graph` checks that it settles the
     /// destination and never more than the graph; `tests/window_gain.rs`
     /// asserts that on CAL 0.25's 1 000-query mix it settles at most 2 % of
     /// the vertices a query on average.
     pub fn last_init_settled(&self) -> usize {
         self.init_settled
+    }
+
+    /// Adds the last query's potential work to its counters: the settles of
+    /// `init`'s backward search (`potential_settled`) and the vertices `h`
+    /// resolved since (`potential_resolved`).
+    pub fn record(&self, stats: &mut td_obs::SearchStats) {
+        stats.potential_settle(self.init_settled as u64);
+        stats.potential_resolve(self.resolved as u64);
     }
 
     /// Restores a logically fresh state after a contained panic while
@@ -235,6 +245,7 @@ impl ChPotentialScratch {
         self.memo_gen.fill(0);
         self.gen = 0;
         self.init_settled = 0;
+        self.resolved = 0;
     }
 
     #[deny(
@@ -304,6 +315,7 @@ impl Potential for ChPotential<'_> {
         let sc = &mut *self.scratch;
         let gen = sc.reset(self.ch.num_vertices());
         sc.init_settled = 0;
+        sc.resolved = 0;
         sc.b[d as usize] = 0.0;
         sc.b_gen[d as usize] = gen;
         sc.heap.push(Entry::new(0.0, d));
@@ -377,6 +389,7 @@ impl Potential for ChPotential<'_> {
             }
             sc.memo[x as usize] = best;
             sc.memo_gen[x as usize] = gen;
+            sc.resolved += 1;
             sc.stack.pop();
         }
         sc.memo[v as usize]
@@ -464,5 +477,32 @@ mod tests {
         let settled = sc.last_init_settled();
         assert!(settled > 0, "backward search must settle the destination");
         assert!(settled <= 60, "cannot settle more than the graph");
+    }
+
+    /// `record` reports the last `init`'s settles and one resolution per
+    /// memoized vertex: asking again, or for a vertex already resolved on
+    /// the way, resolves nothing.
+    #[test]
+    fn record_counts_settles_and_resolutions() {
+        let g = seeded_graph(3, 60, 45, 3);
+        let fg = g.freeze();
+        let ch = ContractionHierarchy::build(&fg);
+        let mut sc = ChPotentialScratch::default();
+        let mut pot = ChPotential::new(&ch, &mut sc);
+        pot.init(30, 0.0);
+        for v in 0..60 {
+            pot.h(v);
+        }
+        pot.h(7);
+        let mut stats = td_obs::SearchStats::default();
+        sc.record(&mut stats);
+        assert_eq!(stats.potential_settled, sc.last_init_settled() as u64);
+        assert_eq!(stats.potential_resolved, 60);
+        // A new `init` starts the count afresh.
+        let mut pot = ChPotential::new(&ch, &mut sc);
+        pot.init(5, 0.0);
+        let mut stats = td_obs::SearchStats::default();
+        sc.record(&mut stats);
+        assert_eq!(stats.potential_resolved, 0);
     }
 }

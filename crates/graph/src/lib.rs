@@ -12,6 +12,8 @@
 //!   compressed-sparse-row adjacency plus a contiguous weight-function arena
 //!   with per-edge min/max cost bounds (build once, query forever);
 //! * [`GraphBuilder`] — incremental construction with validation;
+//! * [`min_degree_order`] — the topology-only elimination order the tree
+//!   decomposition and the contraction hierarchy both take;
 //! * [`Path`] — a vertex sequence with cost evaluation against the graph,
 //!   used to verify recovered shortest paths;
 //! * [`io`] — a DIMACS-flavoured text format (plus a loader for static DIMACS
@@ -22,6 +24,7 @@ pub mod builder;
 pub mod csr;
 pub mod graph;
 pub mod io;
+pub mod order;
 pub mod path;
 pub mod persist;
 pub mod stats;
@@ -29,5 +32,6 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, FrozenGraph};
 pub use graph::{Edge, EdgeId, GraphError, TdGraph, VertexId};
+pub use order::min_degree_order;
 pub use path::Path;
 pub use stats::GraphStats;

@@ -25,6 +25,12 @@ pub struct SearchStats {
     pub corridor_kills: u64,
     /// Heap pushes (successful label improvements).
     pub heap_pushes: u64,
+    /// Vertices the A\* potential's set-up search settled (TD-A\*-CH: the
+    /// backward upward search of `ChPotential::init`); not in `settled`.
+    pub potential_settled: u64,
+    /// Potentials the A\* potential resolved on demand (TD-A\*-CH: the
+    /// lazy, memoized `ChPotential::h` resolutions).
+    pub potential_resolved: u64,
 }
 
 macro_rules! recorder {
@@ -59,6 +65,12 @@ impl SearchStats {
     recorder!(
         /// Records `n` heap pushes.
         heap_push, heap_pushes);
+    recorder!(
+        /// Records `n` vertices settled by the potential's set-up search.
+        potential_settle, potential_settled);
+    recorder!(
+        /// Records `n` lazily resolved potentials.
+        potential_resolve, potential_resolved);
 
     /// Resets every field (start of a query).
     #[inline(always)]
@@ -81,6 +93,8 @@ impl SearchStats {
         self.minbound_prunes += other.minbound_prunes;
         self.corridor_kills += other.corridor_kills;
         self.heap_pushes += other.heap_pushes;
+        self.potential_settled += other.potential_settled;
+        self.potential_resolved += other.potential_resolved;
     }
 }
 
@@ -120,11 +134,15 @@ mod tests {
             minbound_prunes: 5,
             corridor_kills: 6,
             heap_pushes: 7,
+            potential_settled: 8,
+            potential_resolved: 9,
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.settled, 2);
         assert_eq!(a.corridor_kills, 12);
         assert_eq!(a.heap_pushes, 14);
+        assert_eq!(a.potential_settled, 16);
+        assert_eq!(a.potential_resolved, 18);
     }
 }

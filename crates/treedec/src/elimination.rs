@@ -1,20 +1,20 @@
 //! The dynamic reduced graph and the reduction operator `G ⊖ v` (Algo. 1).
 //!
 //! [`EliminationGraph`] holds the evolving TFP-graph `G'` during Algo. 2:
-//! undirected adjacency sets (for min-degree bookkeeping) plus directed weight
-//! functions. Eliminating `v` folds the compound weight through `v` into
-//! every ordered pair of its neighbours, `w'_{i,j} = min{w'_{i,j},
-//! Compound(w'_{i,v}, w'_{v,j})}` (Algo. 1 lines 2-8), stamping `v` as the
-//! witness. The fold is [`min_compound_into`], the kernel under every other
-//! `min{acc, Compound(…)}` in the workspace: it builds the compound only
-//! when the existing edge does not already lie at or below it, and keeps
-//! whichever input wins everywhere as it stands. `td-core`'s update replay
-//! folds the same supports through the same call, so it reproduces these
-//! bits exactly.
+//! undirected adjacency sets (each eliminated vertex's bag and fill-in) plus
+//! directed weight functions. It does not choose the order: the caller
+//! eliminates in [`td_graph::min_degree_order`], the topology-only order
+//! TD-A\*-CH ranks its hierarchy by too. Eliminating `v` folds the compound
+//! weight through `v` into every ordered pair of its neighbours,
+//! `w'_{i,j} = min{w'_{i,j}, Compound(w'_{i,v}, w'_{v,j})}` (Algo. 1 lines
+//! 2-8), stamping `v` as the witness. The fold is [`min_compound_into`], the
+//! kernel under every other `min{acc, Compound(…)}` in the workspace: it
+//! builds the compound only when the existing edge does not already lie at
+//! or below it, and keeps whichever input wins everywhere as it stands.
+//! `td-core`'s update replay folds the same supports through the same call,
+//! so it reproduces these bits exactly.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use td_graph::{TdGraph, VertexId};
 use td_plf::ops::min_compound_into;
 use td_plf::Plf;
@@ -45,8 +45,6 @@ pub struct EliminationGraph {
     out: Vec<FxHashMap<VertexId, Plf>>,
     /// Whether each vertex is still alive.
     alive: Vec<bool>,
-    /// Lazy min-degree heap of `(degree, vertex)`.
-    heap: BinaryHeap<Reverse<(u32, VertexId)>>,
     /// Elimination statistics.
     pub stats: ReductionStats,
     /// Optional support tracking (see [`SupportMap`]).
@@ -73,15 +71,10 @@ impl EliminationGraph {
         for e in g.edges() {
             out[e.from as usize].insert(e.to, e.weight.clone());
         }
-        let mut heap = BinaryHeap::with_capacity(n);
-        for (v, nb) in nbrs.iter().enumerate() {
-            heap.push(Reverse((nb.len() as u32, v as VertexId)));
-        }
         EliminationGraph {
             nbrs,
             out,
             alive: vec![true; n],
-            heap,
             stats: ReductionStats::default(),
             supports: track_supports.then(FxHashMap::default),
         }
@@ -105,17 +98,6 @@ impl EliminationGraph {
     /// Directed weight `u → v` in the current reduced graph.
     pub fn weight(&self, u: VertexId, v: VertexId) -> Option<&Plf> {
         self.out[u as usize].get(&v)
-    }
-
-    /// Pops the alive vertex with the smallest degree (lazy heap: stale
-    /// entries are skipped).
-    pub fn pop_min_degree(&mut self) -> Option<VertexId> {
-        while let Some(Reverse((deg, v))) = self.heap.pop() {
-            if self.alive[v as usize] && self.nbrs[v as usize].len() as u32 == deg {
-                return Some(v);
-            }
-        }
-        None
     }
 
     /// The reduction operator `G' ⊖ v` (Algo. 1). Returns the bag
@@ -184,8 +166,6 @@ impl EliminationGraph {
         for &u in &bag {
             self.nbrs[u as usize].remove(&v);
             self.out[u as usize].remove(&v);
-            self.heap
-                .push(Reverse((self.nbrs[u as usize].len() as u32, u)));
         }
         self.nbrs[v as usize] = FxHashSet::default();
         self.out[v as usize] = FxHashMap::default();
@@ -247,17 +227,6 @@ mod tests {
         assert_eq!(eg.weight(2, 0).unwrap().eval_with_via(0.0).1, NO_VIA);
         assert_eq!(eg.weight(0, 2).unwrap().eval_with_via(0.0).1, 1);
         assert_eq!(eg.stats.fill_edges, 0);
-    }
-
-    #[test]
-    fn min_degree_pops_leaves_first() {
-        let g = path_graph();
-        let mut eg = EliminationGraph::new(&g);
-        let first = eg.pop_min_degree().unwrap();
-        assert!(
-            first == 0 || first == 2,
-            "degree-1 endpoints first, got {first}"
-        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! * the **reduction operator** `G ⊖ v` (Algo. 1), which eliminates a vertex
 //!   while preserving shortest travel-cost functions among its neighbours
 //!   (producing a TFP-graph, Def. 5);
-//! * **TFP tree decomposition** (Algo. 2): min-degree elimination, one tree
+//! * **TFP tree decomposition** (Algo. 2): min-degree elimination (in
+//!   [`td_graph::min_degree_order`], the order TD-A\*-CH shares), one tree
 //!   node `X(v)` per vertex with the weight lists `Ws` (`v → u`) and `Wd`
 //!   (`u → v`) for every bag member `u ∈ X(v)\{v}`, stored once in the
 //!   decomposition's flat [`Labels`] (CSR bag slots over one arena per

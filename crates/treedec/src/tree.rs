@@ -8,7 +8,7 @@
 use crate::elimination::{EliminationGraph, ReductionStats, SupportMap};
 use crate::labels::Labels;
 use crate::lca::LcaIndex;
-use td_graph::{TdGraph, VertexId};
+use td_graph::{min_degree_order, TdGraph, VertexId};
 use td_plf::Plf;
 
 /// One tree node `X(v)` of the decomposition.
@@ -68,8 +68,9 @@ pub struct TreeDecomposition {
 }
 
 impl TreeDecomposition {
-    /// Runs Algo. 2 on `g`: min-degree elimination with the reduction
-    /// operator, then assembles the tree. `g` should be connected (isolated
+    /// Runs Algo. 2 on `g`: the reduction operator applied in the
+    /// topology-only [`min_degree_order`] (the order TD-A\*-CH's hierarchy
+    /// takes too), then assembles the tree. `g` should be connected (isolated
     /// components are attached below the root so LCA stays total; queries
     /// across components correctly return "unreachable").
     pub fn build(g: &TdGraph) -> TreeDecomposition {
@@ -81,15 +82,16 @@ impl TreeDecomposition {
     pub fn build_opts(g: &TdGraph, track_supports: bool) -> TreeDecomposition {
         let n = g.num_vertices();
         assert!(n > 0, "cannot decompose an empty graph");
+        let order = min_degree_order(n, |v| g.undirected_neighbors_iter(v));
+        let mut by_step = vec![0 as VertexId; n];
+        for (v, &step) in order.iter().enumerate() {
+            by_step[step as usize] = v as VertexId;
+        }
         let mut eg = EliminationGraph::with_supports(g, track_supports);
-        let mut order = vec![0u32; n];
         // Per vertex, its bag members with their `Ws`/`Wd` labels.
         let mut slots: Vec<Vec<(VertexId, [Option<Plf>; 2])>> = vec![Vec::new(); n];
-
-        for step in 0..n as u32 {
-            let v = eg.pop_min_degree().expect("one pop per vertex");
+        for v in by_step {
             let (bag, ws, wd) = eg.eliminate(v);
-            order[v as usize] = step;
             slots[v as usize] = (bag.into_iter().zip(ws.into_iter().zip(wd)))
                 .map(|(u, (s, d))| (u, [s, d]))
                 .collect();
